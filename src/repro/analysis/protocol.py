@@ -129,6 +129,10 @@ class RegisterSite:
     owner: Optional[FunctionInfo]  # enclosing function, e.g. _register_rpc
     handler: Optional[FunctionInfo] = None
     handler_lambda: Optional[ast.Lambda] = None
+    # Registered from a method table: the table's file and this
+    # method's row, whose lambdas read the payload on its behalf.
+    row_file: Optional[SourceFile] = None
+    row: Optional[ast.expr] = None
 
     @property
     def line(self) -> int:
@@ -153,10 +157,18 @@ class CallSite:
     caller: Optional[FunctionInfo]
     payload: Optional[ast.expr]
     via: Optional[str] = None      # wrapper qualname, if routed through one
+    guarded: bool = False          # the wrapper catches the rpc errors
+    row: Optional[ast.Call] = None  # method-table row naming the method
 
     @property
     def line(self) -> int:
         return self.node.lineno
+
+    @property
+    def anchor(self) -> ast.Call:
+        """Where conformance findings point: the table row that names
+        the method when there is one, else the call itself."""
+        return self.row if self.row is not None else self.node
 
     @property
     def generator(self) -> bool:
@@ -164,7 +176,7 @@ class CallSite:
 
     @property
     def raises(self) -> bool:
-        return _BASES[self.base]["raises"]
+        return _BASES[self.base]["raises"] and not self.guarded
 
 
 @dataclass
@@ -175,6 +187,7 @@ class _Wrapper:
     method_param: str
     payload_param: Optional[str]
     base: str
+    guarded: bool = False          # forwards inside a try catching rpc errors
 
     def method_idx(self) -> int:
         return self.info.call_params().index(self.method_param)
@@ -239,6 +252,9 @@ class ProtocolAnalyzer:
         self.wrappers: Dict[str, _Wrapper] = {}
         self.violations: List[Violation] = []
         self._reads_cache: Dict[Tuple[str, str], _ReadSet] = {}
+        # Method tables: name -> [(file, dict literal)], project-wide.
+        self.tables: Dict[str, List[Tuple[SourceFile, ast.Dict]]] = {}
+        self._collect_tables()
         self._collect_register_and_direct_sites()
         self._discover_wrappers()
         self._collect_wrapper_sites()
@@ -310,17 +326,71 @@ class ProtocolAnalyzer:
             return func.id in aliases.get(key, ())
         return False
 
+    def _collect_tables(self) -> None:
+        """Module-level ``NAME = {"<method>": <row>, ...}`` literals."""
+        for sfile in self.index.files:
+            for stmt in sfile.tree.body:
+                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                    target: ast.expr = stmt.targets[0]
+                elif isinstance(stmt, ast.AnnAssign):
+                    target = stmt.target
+                else:
+                    continue
+                value = stmt.value
+                if isinstance(target, ast.Name) \
+                        and isinstance(value, ast.Dict) and value.keys \
+                        and all(_const_str(k) is not None
+                                for k in value.keys):
+                    self.tables.setdefault(target.id, []) \
+                        .append((sfile, value))
+
+    def _table_rows(
+        self, sfile: SourceFile, node: ast.AST, name: str,
+    ) -> List[Tuple[str, Optional[SourceFile], Optional[ast.expr]]]:
+        """``(method, table file, row)`` per row of the method table
+        ``name`` iterates over -- when ``name`` is the variable of an
+        enclosing ``for name in TABLE`` and TABLE is the one table of
+        that name (here or imported); else nothing."""
+        parent = sfile.parent(node)
+        while parent is not None:
+            if isinstance(parent, ast.For) \
+                    and isinstance(parent.target, ast.Name) \
+                    and parent.target.id == name \
+                    and isinstance(parent.iter, ast.Name):
+                hits = self.tables.get(parent.iter.id, [])
+                hits = [h for h in hits if h[0] is sfile] or hits
+                if len(hits) != 1:
+                    return []
+                table_file, table = hits[0]
+                return [(_const_str(k) or "", table_file, row)
+                        for k, row in zip(table.keys, table.values)]
+            parent = sfile.parent(parent)
+        return []
+
     def _add_register_site(self, sfile: SourceFile, node: ast.Call,
                            owner: Optional[FunctionInfo]) -> None:
-        method = _const_str(_call_arg(node, 0, "method"))
-        site = RegisterSite(method=method, sfile=sfile, node=node,
-                            owner=owner)
+        method_expr = _call_arg(node, 0, "method")
         handler_expr = _call_arg(node, 1, "handler")
+        # partial(handler, <bound args>) registers ``handler``.
+        if isinstance(handler_expr, ast.Call) and handler_expr.args \
+                and (dotted(handler_expr.func) or "").split(".")[-1] \
+                == "partial":
+            handler_expr = handler_expr.args[0]
+        handler = None
+        handler_lambda = None
         if isinstance(handler_expr, ast.Lambda):
-            site.handler_lambda = handler_expr
+            handler_lambda = handler_expr
         elif handler_expr is not None:
-            site.handler = self._resolve_handler(sfile, owner, handler_expr)
-        self.registers.append(site)
+            handler = self._resolve_handler(sfile, owner, handler_expr)
+        sites: List[Tuple[str, Optional[SourceFile], Optional[ast.expr]]] = []
+        if isinstance(method_expr, ast.Name):
+            sites = self._table_rows(sfile, node, method_expr.id)
+        for method, row_file, row in sites or [
+                (_const_str(method_expr), None, None)]:
+            self.registers.append(RegisterSite(
+                method=method, sfile=sfile, node=node, owner=owner,
+                handler=handler, handler_lambda=handler_lambda,
+                row_file=row_file, row=row))
 
     def _resolve_handler(
         self,
@@ -373,53 +443,66 @@ class ProtocolAnalyzer:
             for site in self.calls:
                 if site.base == "notify" or site.caller is None:
                     continue
-                if site.caller.qualname in self.wrappers:
-                    continue
                 method_expr = _call_arg(
                     site.node, _DIRECT_METHOD_IDX, "method")
-                wrapper = self._wrapper_from_forward(
-                    site.caller, method_expr, site.payload, site.base)
-                if wrapper is not None:
-                    self.wrappers[site.caller.qualname] = wrapper
-                    changed = True
+                changed |= self._note_forward(
+                    site.caller, method_expr, site.payload, site.base,
+                    self._protected(site.sfile, site.node))
             # Calls into known wrappers with a parameter forwarded on.
             for sfile in self.index.files:
                 for node in ast.walk(sfile.tree):
                     if not isinstance(node, ast.Call):
                         continue
                     caller = sfile.enclosing_function(node)
-                    if caller is None or caller.qualname in self.wrappers:
+                    if caller is None:
                         continue
                     inner = self._wrapper_target(sfile, caller, node)
-                    if inner is None:
+                    if inner is None or inner.info is caller:
                         continue
                     method_expr = _call_arg(
                         node, inner.method_idx(), inner.method_param)
                     payload_idx = inner.payload_idx()
                     payload_expr = None if payload_idx is None else _call_arg(
                         node, payload_idx, inner.payload_param or "")
-                    wrapper = self._wrapper_from_forward(
-                        caller, method_expr, payload_expr, inner.base)
-                    if wrapper is not None:
-                        self.wrappers[caller.qualname] = wrapper
-                        changed = True
+                    changed |= self._note_forward(
+                        caller, method_expr, payload_expr, inner.base,
+                        inner.guarded or self._protected(sfile, node))
 
-    def _wrapper_from_forward(
+    def _note_forward(
         self,
         caller: FunctionInfo,
         method_expr: Optional[ast.expr],
         payload_expr: Optional[ast.expr],
         base: str,
-    ) -> Optional[_Wrapper]:
+        protected: bool,
+    ) -> bool:
+        """Record that ``caller`` forwards its own parameter into a
+        method slot; True when that changed what we know.
+
+        A wrapper is *guarded* -- its call sites cannot see an rpc
+        failure -- only when every forward in it sits inside a ``try``
+        that catches rpc errors and the function never raises itself
+        (a retry loop that re-raises the last error is not a guard).
+        """
         if not (isinstance(method_expr, ast.Name)
                 and method_expr.id in caller.call_params()):
-            return None
+            return False
+        known = self.wrappers.get(caller.qualname)
+        if known is not None:
+            if known.guarded and not protected:
+                known.guarded = False
+                return True
+            return False
         payload_param = None
         if isinstance(payload_expr, ast.Name) \
                 and payload_expr.id in caller.call_params():
             payload_param = payload_expr.id
-        return _Wrapper(info=caller, method_param=method_expr.id,
-                        payload_param=payload_param, base=base)
+        self.wrappers[caller.qualname] = _Wrapper(
+            info=caller, method_param=method_expr.id,
+            payload_param=payload_param, base=base,
+            guarded=protected and not any(
+                isinstance(n, ast.Raise) for n in own_nodes(caller.node)))
+        return True
 
     def _wrapper_target(
         self,
@@ -451,13 +534,48 @@ class ProtocolAnalyzer:
                         and caller is not None \
                         and method_expr.id in caller.params:
                     continue
+                if isinstance(method_expr, ast.Attribute):
+                    # ``op.replica``: every row of this module's method
+                    # tables naming a method in that field is a site.
+                    for row, literal, payload in self._row_methods(
+                            sfile, method_expr.attr):
+                        self.calls.append(CallSite(
+                            method=literal, base=wrapper.base, sfile=sfile,
+                            node=node, caller=caller, payload=payload,
+                            via=wrapper.info.qualname,
+                            guarded=wrapper.guarded, row=row))
+                    continue
                 payload_idx = wrapper.payload_idx()
                 payload = None if payload_idx is None else _call_arg(
                     node, payload_idx, wrapper.payload_param or "")
                 self.calls.append(CallSite(
                     method=_const_str(method_expr), base=wrapper.base,
                     sfile=sfile, node=node, caller=caller, payload=payload,
-                    via=wrapper.info.qualname))
+                    via=wrapper.info.qualname, guarded=wrapper.guarded))
+
+    def _row_methods(
+        self, sfile: SourceFile, field_name: str,
+    ) -> List[Tuple[ast.Call, str, Optional[ast.expr]]]:
+        """(row, method literal, payload dict) for every row of the
+        module's method tables with a ``field_name="<method>"`` keyword;
+        the payload is the dict a ``<field_name>_args`` lambda builds."""
+        found: List[Tuple[ast.Call, str, Optional[ast.expr]]] = []
+        for hits in self.tables.values():
+            for table_file, table in hits:
+                if table_file is not sfile:
+                    continue
+                for row in table.values:
+                    if not isinstance(row, ast.Call):
+                        continue
+                    keywords = {kw.arg: kw.value for kw in row.keywords}
+                    literal = _const_str(keywords.get(field_name))
+                    if literal is None:
+                        continue
+                    builder = keywords.get(f"{field_name}_args")
+                    payload = builder.body if isinstance(
+                        builder, ast.Lambda) else None
+                    found.append((row, literal, payload))
+        return found
 
     # -- pass A: rpc conformance ---------------------------------------
 
@@ -474,7 +592,7 @@ class ProtocolAnalyzer:
                 continue
             if call.method not in registry:
                 self._flag(
-                    "rpc-unregistered-method", call.sfile, call.node,
+                    "rpc-unregistered-method", call.sfile, call.anchor,
                     f"rpc method '{call.method}' is never registered "
                     f"by any register() site")
 
@@ -508,14 +626,14 @@ class ProtocolAnalyzer:
             missing = sorted(reads.required - keys)
             if missing:
                 self._flag(
-                    "rpc-payload-mismatch", call.sfile, call.node,
+                    "rpc-payload-mismatch", call.sfile, call.anchor,
                     f"payload for '{call.method}' omits key(s) "
                     f"{missing} read unconditionally by {handler}")
             if not reads.opaque:
                 unread = sorted(keys - reads.required - reads.optional)
                 if unread:
                     self._flag(
-                        "rpc-payload-mismatch", call.sfile, call.node,
+                        "rpc-payload-mismatch", call.sfile, call.anchor,
                         f"payload for '{call.method}' passes key(s) "
                         f"{unread} that {handler} never reads")
 
@@ -534,8 +652,21 @@ class ProtocolAnalyzer:
             params = list(info.params)
             if not params:
                 return None
-            return self._function_reads(info, params[-1], depth=0,
-                                        seen=set())
+            reads = self._function_reads(info, params[-1], depth=0,
+                                         seen=set())
+            if isinstance(site.row, ast.Call) and site.row_file is not None:
+                # A table row's lambdas read the payload on this
+                # method's behalf, under the handler's parameter name.
+                merged = _ReadSet()
+                merged.merge(reads)
+                for kw in site.row.keywords:
+                    if isinstance(kw.value, ast.Lambda) and params[-1] in [
+                            a.arg for a in kw.value.args.args]:
+                        merged.merge(self._reads_in(
+                            site.row_file, kw.value, params[-1], depth=0,
+                            seen=set()))
+                return merged
+            return reads
         return None
 
     def _function_reads(self, info: FunctionInfo, param: str, depth: int,

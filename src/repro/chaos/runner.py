@@ -545,111 +545,87 @@ class ChaosRunner:
     def sim(self):
         return self.cluster.sim
 
-    def _count(self, kind: str) -> None:
-        self._op_counts[kind] = self._op_counts.get(kind, 0) + 1
+    def _call(self, client, name: str, method: str, args: Any,
+              records: list, read: bool = False):
+        """Drive one request through ``client``'s own route.
 
-    def _mint(self, client, name: str, key: str):
-        """Root span for one workload op (None when obs is off).
-
-        Tagged with the encoded key so a history anomaly maps straight
-        to its span timeline."""
-        bundle = self.obs_bundle
-        if bundle is None or bundle.tracer is None:
-            return None
-        span = bundle.tracer.start_trace(f"chaos.{name}", node=client.name)
-        span.tags["key"] = key
-        return span
-
-    def _mint_end(self, span, **tags) -> None:
-        if self.obs_bundle is not None and self.obs_bundle.tracer is not None:
-            self.obs_bundle.tracer.finish(span, **tags)
-
-    def _observe_outcome(self, client, record, failed: bool) -> None:
-        """Feed the client-side end-to-end metrics for one op.
-
-        The runner drives coordinators directly (bypassing the client
-        wrapper methods that normally observe these), so it stands in
-        for that layer here — the availability SLO and the flight
-        recorder ride ``client.*_seconds`` / ``client.failures``.
-        Every handle is a no-op when obs is off."""
-        if failed:
-            client._m_failures.inc()
-        elif record.kind in ("read_latest", "read_all", "read_causal"):
-            client._m_read_lat.observe(self.sim.now - record.invoked)
-        else:
-            client._m_write_lat.observe(self.sim.now - record.invoked)
+        ``records`` are the op's open history records, one per key.
+        The harness owns the history and the root span (tagged with the
+        encoded keys, so a history anomaly maps straight to its span
+        timeline); the client does its own latency/failure accounting.
+        Returns the coordinator's reply; on failure every record is
+        completed as ``failure`` and None comes back.
+        """
+        self._op_counts[name] = self._op_counts.get(name, 0) + 1
+        tracer = self.obs_bundle.tracer if self.obs_bundle is not None \
+            else None
+        span = None
+        if tracer is not None:
+            span = tracer.start_trace(f"chaos.{name}", node=client.name)
+            span.tags["key"] = ",".join(r.key for r in records)
+        try:
+            reply = yield from client._request(method, args)
+        except (RpcTimeout, RpcRejected):
+            reply = None
+        client._record(read, records[0].invoked, reply is None)
+        if reply is None:
+            for record in records:
+                self.history.complete(record, self.sim.now, "failure")
+        if tracer is not None:
+            tags = {"status": "failure"} if reply is None else {
+                "status": reply.get("status", "ok"),
+                **{k: reply[k] for k in ("found", "ts") if k in reply}}
+            tracer.finish(span, **tags)
+        return reply
 
     def _op_write(self, client, kind: str, key: str, value):
-        self._count(kind)
         encoded = FullKey.of(key).encoded()
-        mode = "latest" if kind == "write_latest" else "all"
         args = {"key": encoded, "value": value, "ts": client._timestamp(),
-                "source": client.name, "mode": mode}
+                "source": client.name,
+                "mode": "latest" if kind == "write_latest" else "all"}
         record = self.history.begin(client.name, kind, encoded,
                                     self.sim.now, value=value, ts=args["ts"])
-        span = self._mint(client, kind, encoded)
-        try:
-            result = yield from client.coordinator.coordinate_write(args)
-        except (RpcTimeout, RpcRejected):
-            self._mint_end(span, status="failure")
-            self._observe_outcome(client, record, failed=True)
-            self.history.complete(record, self.sim.now, "failure")
-            return
-        self._mint_end(span, status=result["status"])
-        self._observe_outcome(client, record, failed=False)
-        self.history.complete(record, self.sim.now, result["status"],
-                              acks=tuple(result.get("acks", ())))
+        reply = yield from self._call(client, kind, "sedna.write", args,
+                                      [record])
+        if reply is not None:
+            self.history.complete(record, self.sim.now, reply["status"],
+                                  acks=reply.get("acks", ()))
+
+    def _complete_read(self, record, row: dict) -> None:
+        """Close a ``read_latest`` record from a (per-key) read reply."""
+        if row.get("found"):
+            self.history.complete(record, self.sim.now, "found",
+                                  responders=row["responders"],
+                                  result_ts=row["ts"],
+                                  result_source=row["source"],
+                                  result_value=row["value"])
+        else:
+            self.history.complete(record, self.sim.now, "miss",
+                                  responders=row.get("responders", ()))
 
     def _op_read_latest(self, client, key: str):
-        self._count("read_latest")
         encoded = FullKey.of(key).encoded()
         record = self.history.begin(client.name, "read_latest", encoded,
                                     self.sim.now)
-        span = self._mint(client, "read_latest", encoded)
-        try:
-            result = yield from client.coordinator.coordinate_read(
-                {"key": encoded, "mode": "latest"})
-        except (RpcTimeout, RpcRejected):
-            self._mint_end(span, status="failure")
-            self._observe_outcome(client, record, failed=True)
-            self.history.complete(record, self.sim.now, "failure")
-            return
-        self._mint_end(span, status="ok",
-                       found=bool(result.get("found")),
-                       ts=result.get("ts"))
-        self._observe_outcome(client, record, failed=False)
-        responders = tuple(result.get("responders", ()))
-        if result.get("found"):
-            self.history.complete(record, self.sim.now, "found",
-                                  responders=responders,
-                                  result_ts=result["ts"],
-                                  result_source=result["source"],
-                                  result_value=result["value"])
-        else:
-            self.history.complete(record, self.sim.now, "miss",
-                                  responders=responders)
+        reply = yield from self._call(
+            client, "read_latest", "sedna.read",
+            {"key": encoded, "mode": "latest"}, [record], read=True)
+        if reply is not None:
+            self._complete_read(record, reply)
 
     def _op_read_all(self, client, key: str):
-        self._count("read_all")
         encoded = FullKey.of(key).encoded()
         record = self.history.begin(client.name, "read_all", encoded,
                                     self.sim.now)
-        span = self._mint(client, "read_all", encoded)
-        try:
-            result = yield from client.coordinator.coordinate_read(
-                {"key": encoded, "mode": "all"})
-        except (RpcTimeout, RpcRejected):
-            self._mint_end(span, status="failure")
-            self._observe_outcome(client, record, failed=True)
-            self.history.complete(record, self.sim.now, "failure")
-            return
-        self._mint_end(span, status="ok")
-        self._observe_outcome(client, record, failed=False)
-        self.history.complete(
-            record, self.sim.now, "ok",
-            responders=tuple(result.get("responders", ())),
-            result_elements=tuple((s, t, v)
-                                  for s, t, v in result["elements"]))
+        reply = yield from self._call(
+            client, "read_all", "sedna.read",
+            {"key": encoded, "mode": "all"}, [record], read=True)
+        if reply is not None:
+            self.history.complete(
+                record, self.sim.now, "ok",
+                responders=reply.get("responders", ()),
+                result_elements=tuple((s, t, v)
+                                      for s, t, v in reply["elements"]))
 
     def _op_causal(self, client, rng, value: str):
         """One causal-slice op: read, context write or blind write.
@@ -680,70 +656,43 @@ class ChaosRunner:
             yield from self._op_causal_write(client, encoded, value, ctx)
 
     def _op_causal_write(self, client, encoded: str, value, ctx):
-        self._count("write_causal")
         args = {"key": encoded, "value": value, "ts": client._timestamp(),
                 "source": client.name, "ctx": list(ctx)}
         record = self.history.begin(client.name, "write_causal", encoded,
                                     self.sim.now, value=value, ts=args["ts"],
                                     ctx=tuple(tuple(p) for p in ctx))
-        span = self._mint(client, "write_causal", encoded)
-        try:
-            result = yield from client.coordinator.coordinate_causal_write(
-                args)
-        except (RpcTimeout, RpcRejected):
-            self._mint_end(span, status="failure")
-            self._observe_outcome(client, record, failed=True)
-            self.history.complete(record, self.sim.now, "failure")
-            return
-        self._mint_end(span, status=result["status"])
-        self._observe_outcome(client, record, failed=False)
-        self.history.complete(record, self.sim.now, result["status"],
-                              acks=tuple(result.get("acks", ())),
-                              dot=tuple(result["dot"]))
+        reply = yield from self._call(client, "write_causal", "sedna.cwrite",
+                                      args, [record])
+        if reply is not None:
+            self.history.complete(record, self.sim.now, reply["status"],
+                                  acks=reply.get("acks", ()),
+                                  dot=tuple(reply["dot"]))
 
     def _op_causal_read(self, client, encoded: str):
-        self._count("read_causal")
         record = self.history.begin(client.name, "read_causal", encoded,
                                     self.sim.now)
-        span = self._mint(client, "read_causal", encoded)
-        try:
-            result = yield from client.coordinator.coordinate_causal_read(
-                {"key": encoded})
-        except (RpcTimeout, RpcRejected):
-            self._mint_end(span, status="failure")
-            self._observe_outcome(client, record, failed=True)
-            self.history.complete(record, self.sim.now, "failure")
+        reply = yield from self._call(client, "read_causal", "sedna.cread",
+                                      {"key": encoded}, [record], read=True)
+        if reply is None:
             return
-        found = bool(result.get("found"))
-        self._mint_end(span, status="ok", found=found)
-        self._observe_outcome(client, record, failed=False)
-        context = tuple(tuple(p) for p in result.get("context", ()))
+        context = tuple(tuple(p) for p in reply.get("context", ()))
         self._contexts[(client.name, encoded)] = list(context)
         self.history.complete(
-            record, self.sim.now, "found" if found else "miss",
-            responders=tuple(result.get("responders", ())),
+            record, self.sim.now, "found" if reply.get("found") else "miss",
+            responders=reply.get("responders", ()),
             result_elements=tuple((s, t, v)
-                                  for s, t, v in result.get("siblings", ())),
+                                  for s, t, v in reply.get("siblings", ())),
             ctx=context)
 
     def _op_delete(self, client, key: str):
-        self._count("delete")
         encoded = FullKey.of(key).encoded()
         record = self.history.begin(client.name, "delete", encoded,
                                     self.sim.now)
-        span = self._mint(client, "delete", encoded)
-        try:
-            result = yield from client.coordinator.coordinate_delete(
-                {"key": encoded})
-        except (RpcTimeout, RpcRejected):
-            self._mint_end(span, status="failure")
-            self._observe_outcome(client, record, failed=True)
-            self.history.complete(record, self.sim.now, "failure")
-            return
-        self._mint_end(span, status=result["status"])
-        self._observe_outcome(client, record, failed=False)
-        self.history.complete(record, self.sim.now, result["status"],
-                              acks=tuple(result.get("acks", ())))
+        reply = yield from self._call(client, "delete", "sedna.delete",
+                                      {"key": encoded}, [record])
+        if reply is not None:
+            self.history.complete(record, self.sim.now, reply["status"],
+                                  acks=reply.get("acks", ()))
 
     def _op_multi_write(self, client, mode: str, keys: list[str],
                         value_base: str):
@@ -751,102 +700,59 @@ class ChaosRunner:
         matching single-op kind, so every invariant (durability,
         freshness, replication, value lists) covers batch writes with
         zero checker changes."""
-        self._count("multi_write")
         kind = "write_latest" if mode == "latest" else "write_all"
         entries = []
         records = []
         for i, key in enumerate(keys):
-            encoded = FullKey.of(key).encoded()
-            value = f"{value_base}.{i}"
-            ts = client._timestamp()
-            entries.append({"key": encoded, "value": value, "ts": ts,
-                            "source": client.name, "mode": mode})
-            records.append(self.history.begin(client.name, kind, encoded,
-                                              self.sim.now, value=value,
-                                              ts=ts))
-        span = self._mint(client, "multi_write", ",".join(
-            e["key"] for e in entries))
-        try:
-            result = yield from client.coordinator.coordinate_multi_write(
-                {"entries": entries})
-        except (RpcTimeout, RpcRejected):
-            self._mint_end(span, status="failure")
-            self._observe_outcome(client, records[0], failed=True)
-            for record in records:
-                self.history.complete(record, self.sim.now, "failure")
-            return
-        self._mint_end(span, status="ok")
-        self._observe_outcome(client, records[0], failed=False)
-        results = result["results"]
-        for record, entry in zip(records, entries):
-            per_key = results.get(entry["key"], {})
+            entry = {"key": FullKey.of(key).encoded(),
+                     "value": f"{value_base}.{i}", "ts": client._timestamp(),
+                     "source": client.name, "mode": mode}
+            entries.append(entry)
+            records.append(self.history.begin(
+                client.name, kind, entry["key"], self.sim.now,
+                value=entry["value"], ts=entry["ts"]))
+        reply = yield from self._call(client, "multi_write", "sedna.mwrite",
+                                      {"entries": entries}, records)
+        if reply is not None:
+            self._complete_acks(records, reply["results"])
+
+    def _complete_acks(self, records: list, results: dict) -> None:
+        """Close per-key write/delete records from a batch reply."""
+        for record in records:
+            row = results.get(record.key, {})
             self.history.complete(record, self.sim.now,
-                                  per_key.get("status", "failure"),
-                                  acks=tuple(per_key.get("acks", ())))
+                                  row.get("status", "failure"),
+                                  acks=row.get("acks", ()))
 
     def _op_multi_read(self, client, keys: list[str]):
         """One batched read; per-key ``read_latest`` history records."""
-        self._count("multi_read")
         encoded_keys = [FullKey.of(key).encoded() for key in keys]
         records = [self.history.begin(client.name, "read_latest", encoded,
                                       self.sim.now)
                    for encoded in encoded_keys]
-        span = self._mint(client, "multi_read", ",".join(encoded_keys))
-        try:
-            result = yield from client.coordinator.coordinate_multi_read(
-                {"keys": encoded_keys, "mode": "latest"})
-        except (RpcTimeout, RpcRejected):
-            self._mint_end(span, status="failure")
-            self._observe_outcome(client, records[0], failed=True)
-            for record in records:
-                self.history.complete(record, self.sim.now, "failure")
+        reply = yield from self._call(
+            client, "multi_read", "sedna.mread",
+            {"keys": encoded_keys, "mode": "latest"}, records, read=True)
+        if reply is None:
             return
-        self._mint_end(span, status="ok")
-        self._observe_outcome(client, records[0], failed=False)
-        results = result["results"]
-        for record, encoded in zip(records, encoded_keys):
-            per_key = results.get(encoded)
-            if per_key is None or per_key.get("status") != "ok":
-                self.history.complete(
-                    record, self.sim.now, "failure",
-                    responders=tuple((per_key or {}).get("responders", ())))
-            elif per_key.get("found"):
-                self.history.complete(
-                    record, self.sim.now, "found",
-                    responders=tuple(per_key["responders"]),
-                    result_ts=per_key["ts"],
-                    result_source=per_key["source"],
-                    result_value=per_key["value"])
+        for record in records:
+            row = reply["results"].get(record.key) or {}
+            if row.get("status") != "ok":
+                self.history.complete(record, self.sim.now, "failure",
+                                      responders=row.get("responders", ()))
             else:
-                self.history.complete(
-                    record, self.sim.now, "miss",
-                    responders=tuple(per_key["responders"]))
+                self._complete_read(record, row)
 
     def _op_multi_delete(self, client, keys: list[str]):
         """One batched delete; per-key ``delete`` records taint keys."""
-        self._count("multi_delete")
         encoded_keys = [FullKey.of(key).encoded() for key in keys]
         records = [self.history.begin(client.name, "delete", encoded,
                                       self.sim.now)
                    for encoded in encoded_keys]
-        span = self._mint(client, "multi_delete", ",".join(encoded_keys))
-        try:
-            result = yield from client.coordinator.coordinate_multi_delete(
-                {"keys": encoded_keys})
-        except (RpcTimeout, RpcRejected):
-            self._mint_end(span, status="failure")
-            self._observe_outcome(client, records[0], failed=True)
-            for record in records:
-                self.history.complete(record, self.sim.now, "failure")
-            return
-        self._mint_end(span, status="ok")
-        self._observe_outcome(client, records[0], failed=False)
-        results = result["results"]
-        for record, encoded in zip(records, encoded_keys):
-            per_key = results.get(encoded, {})
-            self.history.complete(record, self.sim.now,
-                                  per_key.get("status", "failure"),
-                                  acks=tuple(per_key.get("acks", ())))
+        reply = yield from self._call(client, "multi_delete", "sedna.mdelete",
+                                      {"keys": encoded_keys}, records)
+        if reply is not None:
+            self._complete_acks(records, reply["results"])
 
     def _supervised_restart(self, node):
         """``node.restart()`` hardened against open fault windows.

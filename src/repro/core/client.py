@@ -1,10 +1,18 @@
 """SednaClient — the application-facing API of §III.F.
 
 ``write_latest`` / ``write_all`` / ``read_latest`` / ``read_all`` with
-the paper's reply vocabulary (``ok`` / ``outdated`` / ``failure``).
-Requests are "directly routed to a server in data center" (§III.A):
-the client picks a coordinator node (round-robin by default) and that
-node runs the quorum fan-out.
+the paper's reply vocabulary (``ok`` / ``outdated`` / ``failure``),
+plus delete, the causal (DVV) pair and the batched forms.
+
+There is one client; what varies is the *route* a request takes
+(§VII).  :class:`SednaClient` sends it "directly routed to a server in
+data center" (§III.A): it picks a coordinator node (round-robin by
+default) and that node runs the quorum fan-out.
+:class:`SmartSednaClient` is the zero-hop route: it holds its own
+mapping cache and runs the same
+:class:`~repro.core.coordinator.QuorumCoordinator` itself.  Every verb
+is defined once and goes through :meth:`SednaClient._op`; only
+:meth:`SednaClient._request` differs between the routes.
 
 All operations are process helpers — use ``yield from`` inside a
 simulation process.  Per-operation latencies are recorded for the
@@ -29,55 +37,6 @@ from .types import DEFAULT_DATASET, DEFAULT_TABLE, FullKey
 
 __all__ = ["CausalReadResult", "CausalWriteAck", "SednaClient",
            "SmartSednaClient"]
-
-
-def _init_client_obs(client, obs) -> None:
-    """Shared client-side instrumentation setup (both client flavours).
-
-    The client is where a request-scoped trace is minted — it is the
-    entry point of every operation — and where the end-to-end latency
-    histograms live.  Without an obs bundle every handle is a no-op.
-    """
-    client._tracer = obs.tracer if obs is not None else None
-    client.rpc.tracer = client._tracer
-    metrics = obs.metrics if obs is not None else None
-    if metrics is None:
-        from ..obs.metrics import DISABLED
-        metrics = DISABLED
-    client._m_write_lat = metrics.histogram("client.write_seconds",
-                                            node=client.name)
-    client._m_read_lat = metrics.histogram("client.read_seconds",
-                                           node=client.name)
-    client._m_failures = metrics.counter("client.failures", node=client.name)
-
-
-def _client_trace(self, name: str):
-    """Mint a new request-scoped trace (None when tracing is off)."""
-    if self._tracer is None:
-        return None
-    return self._tracer.start_trace(f"client.{name}", node=self.name)
-
-
-def _client_trace_end(self, span, **tags) -> None:
-    if self._tracer is not None:
-        self._tracer.finish(span, **tags)
-
-
-def _client_record_write(self, t0: float) -> None:
-    dt = self.sim.now - t0
-    self.write_latencies.append(dt)
-    self._m_write_lat.observe(dt)
-
-
-def _client_record_read(self, t0: float) -> None:
-    dt = self.sim.now - t0
-    self.read_latencies.append(dt)
-    self._m_read_lat.observe(dt)
-
-
-def _client_fail(self) -> None:
-    self.failures += 1
-    self._m_failures.inc()
 
 
 @dataclass(frozen=True)
@@ -119,22 +78,6 @@ class CausalReadResult:
         return [v for _s, _ts, v in self.siblings]
 
 
-def _causal_write_ack(result: dict, ctx) -> CausalWriteAck:
-    return CausalWriteAck(
-        status=result["status"],
-        dot=tuple(result["dot"]) if result.get("dot") else None,
-        context=tuple((r, c) for r, c in result.get("context", ctx)),
-        siblings=tuple((s, ts, v)
-                       for s, ts, v in result.get("siblings", [])))
-
-
-def _causal_read_result(result: dict) -> CausalReadResult:
-    return CausalReadResult(
-        found=bool(result.get("found")),
-        siblings=tuple((s, ts, v) for s, ts, v in result.get("siblings", [])),
-        context=tuple((r, c) for r, c in result.get("context", [])))
-
-
 class SednaClient:
     """Client handle bound to a set of coordinator nodes.
 
@@ -170,14 +113,22 @@ class SednaClient:
         self.write_latencies: list[float] = []
         self.read_latencies: list[float] = []
         self.failures = 0
-        _init_client_obs(self, obs)
+        # The client is where a request-scoped trace is minted — it is
+        # the entry point of every operation — and where the end-to-end
+        # latency histograms live.  Without an obs bundle every handle
+        # is a no-op.
+        self._tracer = obs.tracer if obs is not None else None
+        self.rpc.tracer = self._tracer
+        metrics = obs.metrics if obs is not None else None
+        if metrics is None:
+            from ..obs.metrics import DISABLED
+            metrics = DISABLED
+        self._m_write_lat = metrics.histogram("client.write_seconds",
+                                              node=name)
+        self._m_read_lat = metrics.histogram("client.read_seconds", node=name)
+        self._m_failures = metrics.counter("client.failures", node=name)
 
     # -- plumbing ---------------------------------------------------------
-    _trace = _client_trace
-    _trace_end = _client_trace_end
-    _record_write = _client_record_write
-    _record_read = _client_record_read
-    _fail = _client_fail
     def _timestamp(self) -> float:
         """Strictly increasing per-client timestamp (write versions)."""
         ts = self.sim.now
@@ -194,7 +145,7 @@ class SednaClient:
         return node
 
     def _request(self, method: str, args: Any):
-        """One coordinator RPC with a single failover retry."""
+        """The route: one coordinator RPC with a single failover retry."""
         coordinator = self._coordinator()
         try:
             result = yield from self.rpc.call(coordinator, method, args,
@@ -208,27 +159,65 @@ class SednaClient:
                                               timeout=self.config.client_timeout)
             return result
 
+    def _record(self, read: bool, t0: float, failed: bool) -> None:
+        """The one accounting rule, for every verb and both routes.
+
+        The latency since ``t0`` always joins the harness series (reads
+        → ``read_latencies``, everything else → ``write_latencies``).
+        A completed op is observed in ``client.read_seconds`` /
+        ``client.write_seconds``; a failed one counts in
+        ``client.failures`` instead, which is how ``repro.obs.fitness``
+        reads the three series (ops = observations + failures).
+        """
+        dt = self.sim.now - t0
+        (self.read_latencies if read else self.write_latencies).append(dt)
+        if failed:
+            self.failures += 1
+            self._m_failures.inc()
+        else:
+            (self._m_read_lat if read else self._m_write_lat).observe(dt)
+
+    def _op(self, name: str, method: str, args: Any, read: bool = False,
+            **tags: Any):
+        """One operation: mint its trace, route it, account for it.
+
+        Returns the coordinator's reply, or None when the operation
+        failed (timeout or refusal on every route tried).
+        """
+        t0 = self.sim.now
+        span = None
+        if self._tracer is not None:
+            span = self._tracer.start_trace(f"client.{name}", node=self.name)
+        try:
+            reply = yield from self._request(method, args)
+        except (RpcTimeout, RpcRejected):
+            reply = None
+        self._record(read, t0, reply is None)
+        if span is not None:
+            if reply is None:
+                tags = {"status": "failure"}
+            else:
+                tags["status"] = reply.get("status", "ok")
+                if "found" in reply:
+                    tags["found"] = bool(reply["found"])
+            self._tracer.finish(span, **tags)
+        return reply
+
     @staticmethod
     def _encode(key: str, table: str, dataset: str) -> str:
         return FullKey(dataset=dataset, table=table, key=key).encoded()
+
+    def _encode_all(self, keys, table: str, dataset: str) -> dict[str, Any]:
+        """{encoded key: the caller's key}, first occurrence order."""
+        return {self._encode(k, table, dataset): k for k in keys}
 
     # -- write APIs (§III.F.1) ------------------------------------------------
     def _write(self, mode: str, key: str, value: Any, table: str,
                dataset: str):
         args = {"key": self._encode(key, table, dataset), "value": value,
                 "ts": self._timestamp(), "source": self.name, "mode": mode}
-        t0 = self.sim.now
-        span = self._trace("write")
-        try:
-            result = yield from self._request("sedna.write", args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_write(t0)
-            self._trace_end(span, status="failure")
-            return WriteOutcome.FAILURE
-        self._record_write(t0)
-        self._trace_end(span, status=result["status"])
-        return result["status"]
+        reply = yield from self._op("write", "sedna.write", args)
+        return WriteOutcome.FAILURE if reply is None else reply["status"]
 
     def write_latest(self, key: str, value: Any,
                      table: str = DEFAULT_TABLE,
@@ -249,68 +238,37 @@ class SednaClient:
                     dataset: str = DEFAULT_DATASET):
         """The freshest value regardless of writer; None when absent."""
         args = {"key": self._encode(key, table, dataset), "mode": "latest"}
-        t0 = self.sim.now
-        span = self._trace("read")
-        try:
-            result = yield from self._request("sedna.read", args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_read(t0)
-            self._trace_end(span, status="failure")
+        reply = yield from self._op("read", "sedna.read", args, read=True)
+        if reply is None or not reply.get("found"):
             return None
-        self._record_read(t0)
-        self._trace_end(span, status="ok", found=bool(result.get("found")))
-        if not result.get("found"):
-            return None
-        return result["value"]
+        return reply["value"]
 
     def read_latest_element(self, key: str, table: str = DEFAULT_TABLE,
                             dataset: str = DEFAULT_DATASET):
-        """Like :meth:`read_latest` but returns the full element."""
+        """Like :meth:`read_latest` but returns the full element
+        (source, timestamp, value)."""
         args = {"key": self._encode(key, table, dataset), "mode": "latest"}
-        span = self._trace("read")
-        try:
-            result = yield from self._request("sedna.read", args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._trace_end(span, status="failure")
+        reply = yield from self._op("read", "sedna.read", args, read=True)
+        if reply is None or not reply.get("found"):
             return None
-        self._trace_end(span, status="ok", found=bool(result.get("found")))
-        if not result.get("found"):
-            return None
-        return ValueElement(result["source"], result["ts"], result["value"])
+        return ValueElement(reply["source"], reply["ts"], reply["value"])
 
     def read_all(self, key: str, table: str = DEFAULT_TABLE,
                  dataset: str = DEFAULT_DATASET):
         """Every element of the value list ("all the values corresponding
-        that key", §III.F.2)."""
+        that key", §III.F.2); empty on failure."""
         args = {"key": self._encode(key, table, dataset), "mode": "all"}
-        t0 = self.sim.now
-        span = self._trace("read_all")
-        try:
-            result = yield from self._request("sedna.read", args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_read(t0)
-            self._trace_end(span, status="failure")
+        reply = yield from self._op("read_all", "sedna.read", args, read=True)
+        if reply is None:
             return []
-        self._record_read(t0)
-        self._trace_end(span, status="ok")
-        return [ValueElement(s, ts, v) for s, ts, v in result["elements"]]
+        return [ValueElement(s, ts, v) for s, ts, v in reply["elements"]]
 
     def delete(self, key: str, table: str = DEFAULT_TABLE,
                dataset: str = DEFAULT_DATASET):
-        """Quorum delete of a key."""
+        """Quorum delete of a key; True on success."""
         args = {"key": self._encode(key, table, dataset)}
-        span = self._trace("delete")
-        try:
-            yield from self._request("sedna.delete", args)
-            self._trace_end(span, status="ok")
-            return True
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._trace_end(span, status="failure")
-            return False
+        reply = yield from self._op("delete", "sedna.delete", args)
+        return reply is not None
 
     # -- causal APIs (docs/protocols.md §16) ----------------------------------
     def write_causal(self, key: str, value: Any, context=None,
@@ -324,22 +282,20 @@ class SednaClient:
         it for a blind write, which the server keeps *alongside* any
         concurrent versions.
         """
+        context = context or ()
         args = {"key": self._encode(key, table, dataset), "value": value,
                 "ts": self._timestamp(), "source": self.name,
-                "ctx": [list(pair) for pair in (context or ())]}
-        t0 = self.sim.now
-        span = self._trace("write_causal")
-        try:
-            result = yield from self._request("sedna.cwrite", args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_write(t0)
-            self._trace_end(span, status="failure")
+                "ctx": [list(pair) for pair in context]}
+        reply = yield from self._op("write_causal", "sedna.cwrite", args)
+        if reply is None:
             return CausalWriteAck(WriteOutcome.FAILURE, None,
-                                  tuple(tuple(p) for p in (context or ())))
-        self._record_write(t0)
-        self._trace_end(span, status=result["status"])
-        return _causal_write_ack(result, context or ())
+                                  tuple(tuple(p) for p in context))
+        return CausalWriteAck(
+            status=reply["status"],
+            dot=tuple(reply["dot"]) if reply.get("dot") else None,
+            context=tuple((r, c) for r, c in reply.get("context", context)),
+            siblings=tuple((s, ts, v)
+                           for s, ts, v in reply.get("siblings", [])))
 
     def read_causal(self, key: str, table: str = DEFAULT_TABLE,
                     dataset: str = DEFAULT_DATASET):
@@ -347,18 +303,15 @@ class SednaClient:
         context to thread into the reconciling write; None on failure.
         """
         args = {"key": self._encode(key, table, dataset)}
-        t0 = self.sim.now
-        span = self._trace("read_causal")
-        try:
-            result = yield from self._request("sedna.cread", args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_read(t0)
-            self._trace_end(span, status="failure")
+        reply = yield from self._op("read_causal", "sedna.cread", args,
+                                    read=True)
+        if reply is None:
             return None
-        self._record_read(t0)
-        self._trace_end(span, status="ok", found=bool(result.get("found")))
-        return _causal_read_result(result)
+        return CausalReadResult(
+            found=bool(reply.get("found")),
+            siblings=tuple((s, ts, v)
+                           for s, ts, v in reply.get("siblings", [])),
+            context=tuple((r, c) for r, c in reply.get("context", [])))
 
     # -- batch APIs (docs/protocols.md §12) -----------------------------------
     def multi_write(self, items: dict, mode: str = "latest",
@@ -370,90 +323,52 @@ class SednaClient:
         ``replica.mwrite`` per replica per vnode-group, so the N-way
         round-trip cost is paid per *group*, not per key.
         """
-        enc = {self._encode(k, table, dataset): k for k in items}
-        entries = [{"key": ek, "value": items[uk], "ts": self._timestamp(),
-                    "source": self.name, "mode": mode}
-                   for ek, uk in enc.items()]
-        t0 = self.sim.now
-        span = self._trace("mwrite")
-        try:
-            reply = yield from self._request("sedna.mwrite",
-                                             {"entries": entries})
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_write(t0)
-            self._trace_end(span, status="failure")
-            return {uk: WriteOutcome.FAILURE for uk in items}
-        self._record_write(t0)
-        self._trace_end(span, status="ok", keys=len(entries))
-        results = reply["results"]
+        enc = self._encode_all(items, table, dataset)
+        args = {"entries": [
+            {"key": ek, "value": items[uk], "ts": self._timestamp(),
+             "source": self.name, "mode": mode} for ek, uk in enc.items()]}
+        reply = yield from self._op("mwrite", "sedna.mwrite", args,
+                                    keys=len(enc))
+        results = {} if reply is None else reply["results"]
         return {uk: results.get(ek, {}).get("status", WriteOutcome.FAILURE)
                 for ek, uk in enc.items()}
+
+    def _multi_read(self, mode: str, keys, table: str, dataset: str):
+        """{the caller's key: its ``sedna.mread`` row, {} on failure}."""
+        enc = self._encode_all(keys, table, dataset)
+        args = {"keys": list(enc), "mode": mode}
+        reply = yield from self._op("mread", "sedna.mread", args, read=True,
+                                    keys=len(enc))
+        results = {} if reply is None else reply["results"]
+        return {uk: results.get(ek) or {} for ek, uk in enc.items()}
 
     def multi_read(self, keys, table: str = DEFAULT_TABLE,
                    dataset: str = DEFAULT_DATASET):
         """Batched ``read_latest``: {key: value or None (miss/failure)}."""
-        enc = {self._encode(k, table, dataset): k for k in keys}
-        t0 = self.sim.now
-        span = self._trace("mread")
-        try:
-            reply = yield from self._request(
-                "sedna.mread", {"keys": list(enc), "mode": "latest"})
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_read(t0)
-            self._trace_end(span, status="failure")
-            return {uk: None for uk in enc.values()}
-        self._record_read(t0)
-        self._trace_end(span, status="ok", keys=len(enc))
-        out = {}
-        for ek, uk in enc.items():
-            r = reply["results"].get(ek)
-            out[uk] = r["value"] if r and r.get("found") else None
-        return out
+        rows = yield from self._multi_read("latest", keys, table, dataset)
+        return {uk: row["value"] if row.get("found") else None
+                for uk, row in rows.items()}
 
     def multi_read_all(self, keys, table: str = DEFAULT_TABLE,
                        dataset: str = DEFAULT_DATASET):
         """Batched ``read_all``: {key: [ValueElement, ...]}."""
-        enc = {self._encode(k, table, dataset): k for k in keys}
-        t0 = self.sim.now
-        span = self._trace("mread")
-        try:
-            reply = yield from self._request(
-                "sedna.mread", {"keys": list(enc), "mode": "all"})
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_read(t0)
-            self._trace_end(span, status="failure")
-            return {uk: [] for uk in enc.values()}
-        self._record_read(t0)
-        self._trace_end(span, status="ok", keys=len(enc))
-        out = {}
-        for ek, uk in enc.items():
-            r = reply["results"].get(ek) or {}
-            out[uk] = [ValueElement(s, ts, v)
-                       for s, ts, v in r.get("elements", [])]
-        return out
+        rows = yield from self._multi_read("all", keys, table, dataset)
+        return {uk: [ValueElement(s, ts, v)
+                     for s, ts, v in row.get("elements", [])]
+                for uk, row in rows.items()}
 
     def multi_delete(self, keys, table: str = DEFAULT_TABLE,
                      dataset: str = DEFAULT_DATASET):
         """Batched delete: {key: True/False} per-key success."""
-        enc = {self._encode(k, table, dataset): k for k in keys}
-        span = self._trace("mdelete")
-        try:
-            reply = yield from self._request("sedna.mdelete",
-                                             {"keys": list(enc)})
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._trace_end(span, status="failure")
-            return {uk: False for uk in enc.values()}
-        self._trace_end(span, status="ok", keys=len(enc))
-        results = reply["results"]
+        enc = self._encode_all(keys, table, dataset)
+        reply = yield from self._op("mdelete", "sedna.mdelete",
+                                    {"keys": list(enc)}, keys=len(enc))
+        results = {} if reply is None else reply["results"]
         return {uk: results.get(ek, {}).get("status") == "ok"
                 for ek, uk in enc.items()}
 
 
-class SmartSednaClient:
+class SmartSednaClient(SednaClient):
     """Zero-hop client: coordinates quorums itself (§VII).
 
     "Sedna uses a zero-hop DHT that each node caches enough routing
@@ -474,29 +389,15 @@ class SmartSednaClient:
                  zk_servers: list[str],
                  config: Optional[SednaConfig] = None,
                  zk_config: Optional[ZkConfig] = None, obs=None):
-        self.sim = sim
-        self.name = name
-        self.config = config if config is not None else SednaConfig()
+        super().__init__(sim, network, name, nodes=[], config=config, obs=obs)
         metrics = obs.metrics if obs is not None else None
-        self.rpc = RpcNode(network, name)
         self.zk = ZkClient(sim, network, f"{name}-zk", zk_servers, zk_config,
                            metrics=metrics)
+        self.zk.rpc.tracer = self._tracer
         self.cache = MappingCache(sim, self.zk, self.config,
                                   metrics=metrics, owner=name)
         self.coordinator = QuorumCoordinator(sim, self.rpc, self.cache,
                                              self.config, obs=obs)
-        self._last_ts = 0.0
-        self.write_latencies: list[float] = []
-        self.read_latencies: list[float] = []
-        self.failures = 0
-        _init_client_obs(self, obs)
-        self.zk.rpc.tracer = self._tracer
-
-    _trace = _client_trace
-    _trace_end = _client_trace_end
-    _record_write = _client_record_write
-    _record_read = _client_record_read
-    _fail = _client_fail
 
     def connect(self):
         """Open the ZooKeeper session and load the vnode mapping."""
@@ -510,241 +411,7 @@ class SmartSednaClient:
         self.cache.stop()
         yield from self.zk.close()
 
-    def _timestamp(self) -> float:
-        ts = self.sim.now
-        if ts <= self._last_ts:
-            ts = self._last_ts + 1e-9
-        self._last_ts = ts
-        return ts
-
-    @staticmethod
-    def _encode(key: str, table: str, dataset: str) -> str:
-        return FullKey(dataset=dataset, table=table, key=key).encoded()
-
-    # -- write APIs ---------------------------------------------------------
-    def _write(self, mode: str, key: str, value: Any, table: str,
-               dataset: str):
-        args = {"key": self._encode(key, table, dataset), "value": value,
-                "ts": self._timestamp(), "source": self.name, "mode": mode}
-        t0 = self.sim.now
-        span = self._trace("write")
-        try:
-            result = yield from self.coordinator.coordinate_write(args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_write(t0)
-            self._trace_end(span, status="failure")
-            return WriteOutcome.FAILURE
-        self._record_write(t0)
-        self._trace_end(span, status=result["status"])
-        return result["status"]
-
-    def write_latest(self, key: str, value: Any,
-                     table: str = DEFAULT_TABLE,
-                     dataset: str = DEFAULT_DATASET):
-        """Lock-free last-write-wins write, straight to the replicas."""
-        result = yield from self._write("latest", key, value, table, dataset)
-        return result
-
-    def write_all(self, key: str, value: Any,
-                  table: str = DEFAULT_TABLE,
-                  dataset: str = DEFAULT_DATASET):
-        """Per-source value-list write, straight to the replicas."""
-        result = yield from self._write("all", key, value, table, dataset)
-        return result
-
-    # -- read APIs -----------------------------------------------------------
-    def read_latest(self, key: str, table: str = DEFAULT_TABLE,
-                    dataset: str = DEFAULT_DATASET):
-        """Quorum read of the freshest value; None when absent."""
-        args = {"key": self._encode(key, table, dataset), "mode": "latest"}
-        t0 = self.sim.now
-        span = self._trace("read")
-        try:
-            result = yield from self.coordinator.coordinate_read(args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_read(t0)
-            self._trace_end(span, status="failure")
-            return None
-        self._record_read(t0)
-        self._trace_end(span, status="ok", found=bool(result.get("found")))
-        if not result.get("found"):
-            return None
-        return result["value"]
-
-    def read_all(self, key: str, table: str = DEFAULT_TABLE,
-                 dataset: str = DEFAULT_DATASET):
-        """Quorum read of the whole value list."""
-        args = {"key": self._encode(key, table, dataset), "mode": "all"}
-        t0 = self.sim.now
-        span = self._trace("read_all")
-        try:
-            result = yield from self.coordinator.coordinate_read(args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_read(t0)
-            self._trace_end(span, status="failure")
-            return []
-        self._record_read(t0)
-        self._trace_end(span, status="ok")
-        return [ValueElement(s, ts, v) for s, ts, v in result["elements"]]
-
-    def delete(self, key: str, table: str = DEFAULT_TABLE,
-               dataset: str = DEFAULT_DATASET):
-        """Quorum delete of a key."""
-        args = {"key": self._encode(key, table, dataset)}
-        span = self._trace("delete")
-        try:
-            yield from self.coordinator.coordinate_delete(args)
-            self._trace_end(span, status="ok")
-            return True
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._trace_end(span, status="failure")
-            return False
-
-    def read_latest_element(self, key: str, table: str = DEFAULT_TABLE,
-                            dataset: str = DEFAULT_DATASET):
-        """Like :meth:`read_latest` but returns the full element
-        (source, timestamp, value); None when absent."""
-        args = {"key": self._encode(key, table, dataset), "mode": "latest"}
-        span = self._trace("read")
-        try:
-            result = yield from self.coordinator.coordinate_read(args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._trace_end(span, status="failure")
-            return None
-        self._trace_end(span, status="ok", found=bool(result.get("found")))
-        if not result.get("found"):
-            return None
-        return ValueElement(result["source"], result["ts"], result["value"])
-
-    # -- causal APIs (docs/protocols.md §16) ----------------------------------
-    def write_causal(self, key: str, value: Any, context=None,
-                     table: str = DEFAULT_TABLE,
-                     dataset: str = DEFAULT_DATASET):
-        """Dotted-version-vector write, coordinated client-side."""
-        args = {"key": self._encode(key, table, dataset), "value": value,
-                "ts": self._timestamp(), "source": self.name,
-                "ctx": [list(pair) for pair in (context or ())]}
-        t0 = self.sim.now
-        span = self._trace("write_causal")
-        try:
-            result = yield from self.coordinator.coordinate_causal_write(args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_write(t0)
-            self._trace_end(span, status="failure")
-            return CausalWriteAck(WriteOutcome.FAILURE, None,
-                                  tuple(tuple(p) for p in (context or ())))
-        self._record_write(t0)
-        self._trace_end(span, status=result["status"])
-        return _causal_write_ack(result, context or ())
-
-    def read_causal(self, key: str, table: str = DEFAULT_TABLE,
-                    dataset: str = DEFAULT_DATASET):
-        """Quorum sibling read, coordinated client-side; None on failure."""
-        args = {"key": self._encode(key, table, dataset)}
-        t0 = self.sim.now
-        span = self._trace("read_causal")
-        try:
-            result = yield from self.coordinator.coordinate_causal_read(args)
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_read(t0)
-            self._trace_end(span, status="failure")
-            return None
-        self._record_read(t0)
-        self._trace_end(span, status="ok", found=bool(result.get("found")))
-        return _causal_read_result(result)
-
-    # -- batch APIs (docs/protocols.md §12) -----------------------------------
-    def multi_write(self, items: dict, mode: str = "latest",
-                    table: str = DEFAULT_TABLE,
-                    dataset: str = DEFAULT_DATASET):
-        """Batched write, coordinated client-side: {key: value} in,
-        {key: ok/outdated/failure} out — one ``replica.mwrite`` per
-        replica per vnode-group."""
-        enc = {self._encode(k, table, dataset): k for k in items}
-        entries = [{"key": ek, "value": items[uk], "ts": self._timestamp(),
-                    "source": self.name, "mode": mode}
-                   for ek, uk in enc.items()]
-        t0 = self.sim.now
-        span = self._trace("mwrite")
-        try:
-            reply = yield from self.coordinator.coordinate_multi_write(
-                {"entries": entries})
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_write(t0)
-            self._trace_end(span, status="failure")
-            return {uk: WriteOutcome.FAILURE for uk in items}
-        self._record_write(t0)
-        self._trace_end(span, status="ok", keys=len(entries))
-        results = reply["results"]
-        return {uk: results.get(ek, {}).get("status", WriteOutcome.FAILURE)
-                for ek, uk in enc.items()}
-
-    def multi_read(self, keys, table: str = DEFAULT_TABLE,
-                   dataset: str = DEFAULT_DATASET):
-        """Batched ``read_latest``: {key: value or None (miss/failure)}."""
-        enc = {self._encode(k, table, dataset): k for k in keys}
-        t0 = self.sim.now
-        span = self._trace("mread")
-        try:
-            reply = yield from self.coordinator.coordinate_multi_read(
-                {"keys": list(enc), "mode": "latest"})
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_read(t0)
-            self._trace_end(span, status="failure")
-            return {uk: None for uk in enc.values()}
-        self._record_read(t0)
-        self._trace_end(span, status="ok", keys=len(enc))
-        out = {}
-        for ek, uk in enc.items():
-            r = reply["results"].get(ek)
-            out[uk] = r["value"] if r and r.get("found") else None
-        return out
-
-    def multi_read_all(self, keys, table: str = DEFAULT_TABLE,
-                       dataset: str = DEFAULT_DATASET):
-        """Batched ``read_all``: {key: [ValueElement, ...]}."""
-        enc = {self._encode(k, table, dataset): k for k in keys}
-        t0 = self.sim.now
-        span = self._trace("mread")
-        try:
-            reply = yield from self.coordinator.coordinate_multi_read(
-                {"keys": list(enc), "mode": "all"})
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._record_read(t0)
-            self._trace_end(span, status="failure")
-            return {uk: [] for uk in enc.values()}
-        self._record_read(t0)
-        self._trace_end(span, status="ok", keys=len(enc))
-        out = {}
-        for ek, uk in enc.items():
-            r = reply["results"].get(ek) or {}
-            out[uk] = [ValueElement(s, ts, v)
-                       for s, ts, v in r.get("elements", [])]
-        return out
-
-    def multi_delete(self, keys, table: str = DEFAULT_TABLE,
-                     dataset: str = DEFAULT_DATASET):
-        """Batched delete: {key: True/False} per-key success."""
-        enc = {self._encode(k, table, dataset): k for k in keys}
-        span = self._trace("mdelete")
-        try:
-            reply = yield from self.coordinator.coordinate_multi_delete(
-                {"keys": list(enc)})
-        except (RpcTimeout, RpcRejected):
-            self._fail()
-            self._trace_end(span, status="failure")
-            return {uk: False for uk in enc.values()}
-        self._trace_end(span, status="ok", keys=len(enc))
-        results = reply["results"]
-        return {uk: results.get(ek, {}).get("status") == "ok"
-                for ek, uk in enc.items()}
+    def _request(self, method: str, args: Any):
+        """The route: this client's own coordinator, no hop (a plain
+        call — the coordinator's generator is driven by the caller)."""
+        return self.coordinator.coordinate(method, args)

@@ -7,34 +7,38 @@ places:
 
 * inside every :class:`~repro.core.node.SednaNode`, serving requests
   from thin clients that route to any server (§III.A); and
-* inside the *smart* :class:`~repro.core.client.SednaClient`, which
-  caches the mapping itself and talks straight to the replicas — the
-  configuration the paper's load-test programs use ("Sedna writes every
-  key value pair three times into different real nodes parallel",
+* inside the *smart* :class:`~repro.core.client.SmartSednaClient`,
+  which caches the mapping itself and talks straight to the replicas —
+  the configuration the paper's load-test programs use ("Sedna writes
+  every key value pair three times into different real nodes parallel",
   §VI.A.1).
 
-:class:`QuorumCoordinator` encapsulates it once for both.
+:class:`QuorumCoordinator` encapsulates it once for both, and the paper
+describes **one** protocol, so there is one pipeline
+(docs/protocols.md §12): :meth:`QuorumCoordinator.coordinate` looks the
+RPC method up in :data:`OPS` and runs it through
 
-Throughput machinery (docs/protocols.md §12):
+* one *attempt loop* (replica-set lookup → fan-out round → wait out a
+  warming replica → invalidate the mapping and retry once),
+* one *fan-out round* on a callback-counted
+  :class:`~repro.net.rpc.QuorumWait` (answer at R/W, suspect refusals,
+  keep watching the laggards), and
+* for reads, one *merge / agree / repair / late-laggard* routine.
 
-* every fan-out waits on a callback-counted
-  :class:`~repro.net.rpc.QuorumWait` instead of re-scanning pending
-  calls on each wakeup;
-* ``coordinate_multi_read`` / ``coordinate_multi_write`` /
-  ``coordinate_multi_delete`` group keys by virtual node and issue
-  **one** ``replica.mread``/``mwrite``/``mdelete`` RPC per replica per
-  vnode-group, with the per-vnode quorums running concurrently
-  (Keyspace/Spinnaker-style batching: the per-message and per-quorum
-  overhead is amortized over the whole group);
-* concurrent single-key reads of the same key coalesce onto shared
-  fan-out rounds (thundering-herd protection).
+A single-key operation is the one-element case of a vnode-group; the
+batched operations group their keys by virtual node and run the groups
+concurrently, issuing **one** ``replica.mread``/``mwrite``/``mdelete``
+per replica per group (Keyspace/Spinnaker-style batching: the
+per-message and per-quorum overhead is amortized over the whole
+group).  Concurrent single-key reads of the same key coalesce onto
+shared fan-out rounds (thundering-herd protection).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
-from ..net.rpc import QuorumWait, RpcError, RpcNode, RpcRejected, RpcTimeout
+from ..net.rpc import QuorumWait, RpcError, RpcNode, RpcRejected
 from ..net.simulator import Event, Simulator
 from ..storage.versioned import (DvvRow, ValueElement, VersionedStore,
                                  WriteOutcome, unwire_dvv_row, wire_context,
@@ -42,7 +46,7 @@ from ..storage.versioned import (DvvRow, ValueElement, VersionedStore,
 from .cache import MappingCache
 from .config import SednaConfig
 
-__all__ = ["QuorumCoordinator", "wire_elements", "unwire_elements"]
+__all__ = ["OPS", "QuorumCoordinator", "wire_elements", "unwire_elements"]
 
 
 def wire_elements(elements: list[ValueElement]) -> list[tuple]:
@@ -53,6 +57,280 @@ def wire_elements(elements: list[ValueElement]) -> list[tuple]:
 def unwire_elements(blob: list[tuple]) -> list[ValueElement]:
     """Inverse of :func:`wire_elements`."""
     return [ValueElement(source, ts, value) for source, ts, value in blob]
+
+
+def _key(item: Any) -> str:
+    """Key of one group item: a write entry (dict) or a bare key."""
+    return item["key"] if type(item) is dict else item
+
+
+def _holds(elements: list[ValueElement], latest: ValueElement) -> bool:
+    """Does a replica's answer contain the freshest version?"""
+    source, timestamp = latest.source, latest.timestamp
+    for e in elements:
+        if e.source == source and e.timestamp == timestamp:
+            return True
+    return False
+
+
+class _LwwMerge:
+    """Merge state of one ``latest``/``all`` read round over a group.
+
+    Newest element per source under the full (timestamp, source) order.
+    Each reply carries the row's write-mode flag so LWW rows collapse
+    here too — the repair payload must not re-inflate a collapsed row
+    on the replicas.  The single-key wire (``replica.read`` /
+    ``replica.repair``) and the batched one (``replica.mread`` /
+    ``replica.install``) differ only in :meth:`_rows` and
+    :meth:`repair_args`.
+    """
+
+    repair_failed = "read-repair-failed"
+
+    def __init__(self, keys: list[str], single: bool):
+        self.keys = keys
+        self.single = single
+        self.store = VersionedStore()
+        #: replica -> key -> the elements it answered with.
+        self.responses: dict[str, dict[str, list[ValueElement]]] = {}
+
+    def _rows(self, reply: dict) -> tuple[dict, dict]:
+        """One replica reply as ({key: elements}, {key: lww flag})."""
+        if self.single:
+            key = self.keys[0]
+            return ({key: unwire_elements(reply["elements"])},
+                    {key: reply.get("lww")})
+        return ({k: unwire_elements(blob)
+                 for k, blob in reply["rows"].items()}, reply.get("lww", {}))
+
+    def absorb(self, name: str, reply: dict) -> None:
+        rows, flags = self._rows(reply)
+        self.responses[name] = rows
+        for k in self.keys:
+            self.store.merge_elements(k, rows.get(k, []), lww=flags.get(k))
+
+    def missing(self) -> bool:
+        """Does some key look absent (what churn insurance re-checks)?"""
+        rows = self.store.rows
+        return any(not rows[k].elements for k in self.keys)
+
+    def settle(self) -> list[str]:
+        """Freeze the merged snapshot; returns the responders in reply
+        order — arrival order for a single key, sorted for a batch (the
+        order is part of the reply and of the repair fan-out)."""
+        responders = (list(self.responses) if self.single
+                      else sorted(self.responses))
+        self.latest: dict[str, Optional[ValueElement]] = {}
+        self.wire: dict[str, list[tuple]] = {}
+        self.agree: dict[str, int] = {}
+        #: stale replica -> {key: merged wire row} it has to be sent.
+        self.repairs: dict[str, dict[str, list[tuple]]] = {}
+        for k in self.keys:
+            row = self.store.rows[k]    # absorb() made one for every key
+            latest = self.latest[k] = row.latest()
+            elements = row.elements
+            if elements:
+                self.wire[k] = wire_elements(elements)
+            agree = 0
+            for name in responders:
+                held = self.responses[name].get(k, [])
+                if latest is None:
+                    agree += not held
+                elif _holds(held, latest):
+                    agree += 1
+                elif elements:
+                    self.repairs.setdefault(name, {})[k] = self.wire[k]
+            self.agree[k] = agree
+        return responders
+
+    def repair_args(self, vnode_id: int, rows: dict) -> dict:
+        flags = {k: self.store.rows[k].lww for k in rows}
+        if self.single:
+            key = self.keys[0]
+            return {"vnode": vnode_id, "key": key, "elements": rows[key],
+                    "lww": flags[key]}
+        return {"vnode": vnode_id, "rows": rows,
+                "lww": {k: lww for k, lww in flags.items()
+                        if lww is not None}}
+
+    def lacking(self, reply: dict) -> dict:
+        """Merged rows a late responder turns out to be missing."""
+        if not self.wire:
+            return {}
+        rows, _flags = self._rows(reply)
+        return {k: self.wire[k] for k, latest in self.latest.items()
+                if latest is not None and k in self.wire
+                and not _holds(rows.get(k, []), latest)}
+
+    def result(self, key: str, mode: str, responders: list[str]) -> dict:
+        if mode == "all":
+            return {"elements": self.wire.get(key, []),
+                    "responders": responders}
+        latest = self.latest[key]
+        if latest is None:
+            return {"found": False, "responders": responders}
+        return {"found": True, "value": latest.value, "ts": latest.timestamp,
+                "source": latest.source, "responders": responders}
+
+
+class _DvvMerge:
+    """Merge state of one causal (DVV) read round: the R replicas' rows
+    merged server-side.  The merged row's siblings are every concurrent
+    version still alive; its version vector is the causal context
+    returned to the client.  Replicas whose copy differs from the merge
+    get it pushed back through ``replica.cmerge``.  No churn insurance
+    and no late-laggard repair on this path (anti-entropy covers it).
+    """
+
+    repair_failed = "causal-repair-failed"
+
+    def __init__(self, keys: list[str], single: bool):
+        self.key = keys[0]
+        self.row = DvvRow()
+        #: replica -> shape of the row it answered with.
+        self.responses: dict[str, tuple] = {}
+
+    def absorb(self, name: str, reply: dict) -> None:
+        row = (DvvRow() if reply["row"] is None
+               else unwire_dvv_row(reply["row"]))
+        self.responses[name] = row.shape()
+        self.row.merge(row)
+
+    def missing(self) -> bool:
+        return False
+
+    def settle(self) -> list[str]:
+        responders = sorted(self.responses)
+        shape = self.row.shape()
+        stale = [n for n in responders if self.responses[n] != shape]
+        self.agree = {self.key: len(responders) - len(stale)}
+        self.repairs = {}
+        if stale and (self.row.siblings or self.row.vv):
+            row_wire = wire_dvv_row(self.row)
+            self.repairs = {n: {self.key: row_wire} for n in stale}
+        return responders
+
+    def repair_args(self, vnode_id: int, rows: dict) -> dict:
+        return {"vnode": vnode_id, "key": self.key, "row": rows[self.key]}
+
+    def lacking(self, reply: dict) -> dict:
+        return {}
+
+    def result(self, key: str, mode: str, responders: list[str]) -> dict:
+        return {"found": bool(self.row.siblings),
+                "siblings": [[s.source, s.timestamp, s.value]
+                             for s in self.row.siblings],
+                "context": wire_context(self.row.vv),
+                "responders": responders}
+
+
+class _Op(NamedTuple):
+    """One row of :data:`OPS`: everything that differs between the
+    ``sedna.*`` methods.  The pipeline itself never branches on a
+    method name.
+
+    ``replica``/``repair`` name the replica-plane methods and
+    ``replica_args`` builds the fan-out payload; the protocol analyzer
+    reads all three (and the ``args`` keys the lambdas touch) straight
+    from this table, so the literals here *are* the wire contract.
+    """
+
+    counter: str        # QuorumCoordinator attribute counting its rounds
+    span: str
+    #: request args -> group items: write entries (dicts) or bare keys.
+    items: Callable[[Any], list]
+    replica: str
+    #: (vnode id, the group's items, request args) -> fan-out payload.
+    replica_args: Callable[[int, list, Any], dict]
+    failed: str = ""    # reason prefix when the quorum is not met
+    read: bool = False  # R-quorum + merge/repair; else W-quorum + acks
+    batch: bool = False  # one process per vnode-group, per-key failures
+    #: (replica reply, key) -> that key's write status; None: always ok.
+    ack: Optional[Callable[[dict, str], Any]] = None
+    merge: Any = None   # reads: _LwwMerge or _DvvMerge
+    repair: str = ""    # reads: method that pushes the merged rows back
+    latency: str = ""   # coord.<latency>.latency observed per attempt
+    coalesce: bool = False  # concurrent callers share fan-out rounds
+    mint: bool = False  # causal write: dot-minting two-phase round
+
+
+OPS: dict[str, _Op] = {
+    "sedna.write": _Op(
+        counter="coordinated_writes", span="coord.write", latency="write",
+        items=lambda args: [args],
+        replica="replica.write",
+        replica_args=lambda vnode, items, args: {
+            "vnode": vnode, "key": args["key"], "value": args["value"],
+            "ts": args["ts"], "source": args["source"],
+            "mode": args["mode"]},
+        failed="write-quorum-failed",
+        ack=lambda reply, key: reply["status"]),
+    "sedna.read": _Op(
+        counter="coordinated_reads", span="coord.read",
+        read=True, coalesce=True,
+        items=lambda args: [args["key"]],
+        replica="replica.read",
+        replica_args=lambda vnode, items, args: {
+            "vnode": vnode, "key": args["key"]},
+        failed="read-quorum-failed",
+        merge=_LwwMerge, repair="replica.repair"),
+    # Not in the paper's API; completes the CRUD.  Runs the write
+    # pipeline end to end so deletes issued right after churn trigger
+    # the same lazy recovery as writes (§III.C/E).
+    "sedna.delete": _Op(
+        counter="coordinated_deletes", span="coord.delete",
+        items=lambda args: [args["key"]],
+        replica="replica.delete",
+        replica_args=lambda vnode, items, args: {
+            "vnode": vnode, "key": args["key"]},
+        failed="delete-quorum-failed"),
+    "sedna.cwrite": _Op(
+        counter="coordinated_causal_writes", span="coord.cwrite",
+        latency="write", mint=True,
+        items=lambda args: [args],
+        replica="replica.cwrite",
+        replica_args=lambda vnode, items, args: {
+            "vnode": vnode, "key": args["key"], "value": args["value"],
+            "ts": args["ts"], "source": args["source"],
+            "ctx": list(args.get("ctx") or [])}),
+    "sedna.cread": _Op(
+        counter="coordinated_causal_reads", span="coord.cread",
+        read=True, latency="read",
+        items=lambda args: [args["key"]],
+        replica="replica.cread",
+        replica_args=lambda vnode, items, args: {
+            "vnode": vnode, "key": args["key"]},
+        failed="causal-read-failed",
+        merge=_DvvMerge, repair="replica.cmerge"),
+    "sedna.mwrite": _Op(
+        counter="coordinated_multi_writes", span="coord.mwrite", batch=True,
+        items=lambda args: args["entries"],
+        replica="replica.mwrite",
+        replica_args=lambda vnode, items, args: {
+            "vnode": vnode,
+            "entries": [{"key": e["key"], "value": e["value"],
+                         "ts": e["ts"], "source": e["source"],
+                         "mode": e["mode"]} for e in items]},
+        failed="write-quorum-failed",
+        ack=lambda reply, key: reply["statuses"].get(key)),
+    "sedna.mread": _Op(
+        counter="coordinated_multi_reads", span="coord.mread",
+        read=True, batch=True,
+        items=lambda args: list(dict.fromkeys(args["keys"])),
+        replica="replica.mread",
+        replica_args=lambda vnode, items, args: {
+            "vnode": vnode, "keys": items},
+        failed="read-quorum-failed",
+        merge=_LwwMerge, repair="replica.install"),
+    "sedna.mdelete": _Op(
+        counter="coordinated_multi_deletes", span="coord.mdelete",
+        batch=True,
+        items=lambda args: list(dict.fromkeys(args["keys"])),
+        replica="replica.mdelete",
+        replica_args=lambda vnode, items, args: {
+            "vnode": vnode, "keys": items},
+        failed="delete-quorum-failed"),
+}
 
 
 class _InflightRead:
@@ -103,17 +381,12 @@ class QuorumCoordinator:
         self.on_suspect = on_suspect
         # In-flight read rounds, keyed by (key, mode), for coalescing.
         self._inflight_reads: dict[tuple[str, str], _InflightRead] = {}
-        # Stats.
-        self.coordinated_writes = 0
-        self.coordinated_reads = 0
-        self.coordinated_deletes = 0
-        self.coordinated_multi_writes = 0
-        self.coordinated_multi_reads = 0
-        self.coordinated_multi_deletes = 0
+        # Stats.  The coordinated_* counters count fan-out *rounds*: a
+        # retried write counts twice, a batch once per vnode-group.
+        for op in OPS.values():
+            setattr(self, op.counter, 0)
         self.coalesced_reads = 0
         self.read_repairs = 0
-        self.coordinated_causal_writes = 0
-        self.coordinated_causal_reads = 0
         # Observability: fan-out depth / laggard / repair series plus
         # coordinator-level spans (both no-ops without an obs bundle).
         self._tracer = obs.tracer if obs is not None else None
@@ -133,21 +406,17 @@ class QuorumCoordinator:
             "quorum.coalesced_reads", node=owner)
         # End-to-end coordinator latency (the number the rebalance bench
         # reports as p99): observed per request at quorum settle.
-        _lat_buckets = (0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.2)
-        self._m_write_lat = metrics.histogram(
-            "coord.write.latency", node=owner, buckets=_lat_buckets)
-        self._m_read_lat = metrics.histogram(
-            "coord.read.latency", node=owner, buckets=_lat_buckets)
+        self._m_latency = {
+            kind: metrics.histogram(
+                f"coord.{kind}.latency", node=owner,
+                buckets=(0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.2))
+            for kind in ("write", "read")}
 
     def _span(self, name: str):
         """Open a coordinator span (None without an active trace)."""
         if self._tracer is None:
             return None
         return self._tracer.begin(name, node=self.local_name or self.rpc.name)
-
-    def _span_end(self, span, **tags) -> None:
-        if self._tracer is not None:
-            self._tracer.finish(span, **tags)
 
     # -- plumbing -----------------------------------------------------------
     def _suspect(self, name: str, vnode_id: int) -> None:
@@ -169,9 +438,9 @@ class QuorumCoordinator:
         (§III.C: "according to the 'timeout', 'refuse' response ...
         Sedna service will determine whether the servers have failed").
 
-        Called exactly once per primary fan-out, so it doubles as the
-        sampling point for the fan-out-depth histogram and the laggard
-        counter (replicas still silent when the quorum settled).
+        Called exactly once per fan-out, so it doubles as the sampling
+        point for the fan-out-depth histogram and the laggard counter
+        (replicas still silent when the quorum settled).
         """
         self._m_fanout.observe(float(len(calls)))
         self._m_laggards.inc(sum(1 for name, ev in calls
@@ -210,52 +479,56 @@ class QuorumCoordinator:
         return int(self.config.lease_base * 2
                    / self.config.request_timeout) + 2
 
-    # -- single-key operations ----------------------------------------------
-    def coordinate_write(self, args: Any):
-        """Parallel N-way replica write; returns at W acks (§III.C/F)."""
-        self.coordinated_writes += 1
-        span = self._span("coord.write")
-        started = self.sim.now
-        cfg = self.config
-        key = args["key"]
-        vnode_id, replicas = yield from self._replica_set(key)
-        if len(replicas) < cfg.write_quorum:
-            raise RpcRejected("not-enough-replicas")
-        payload = {"vnode": vnode_id, "key": key, "value": args["value"],
-                   "ts": args["ts"], "source": args["source"],
-                   "mode": args["mode"]}
-        calls = [(r, self._replica_call(r, "replica.write", payload))
-                 for r in replicas]
-        wait = QuorumWait(self.sim, calls, cfg.write_quorum,
-                          cfg.request_timeout)
-        try:
-            oks, fails = yield from wait.wait()
-        except (RpcTimeout, RpcError) as err:
-            self._post_quorum_watch(calls, vnode_id, set())
-            if not args.get("_retried"):
-                # A stale mapping can fail a quorum with 'not-owner'
-                # refusals: invalidate and retry once (§III.E).
-                yield from self.cache.invalidate(vnode_id)
-                retry = dict(args)
-                retry["_retried"] = True
-                result = yield from self.coordinate_write(retry)
-                self._span_end(span, status="retried")
-                return result
-            self._span_end(span, status="failed")
-            raise RpcRejected(f"write-quorum-failed:{err}")
-        statuses = [value["status"] for _n, value in oks]
-        outcome = (WriteOutcome.OK if WriteOutcome.OK in statuses
-                   else WriteOutcome.OUTDATED)
-        self._post_quorum_watch(calls, vnode_id, {n for n, _v in oks})
-        for name, _exc in fails:
-            self._suspect(name, vnode_id)
-        self._span_end(span, status=outcome, acks=len(oks))
-        self._m_write_lat.observe(self.sim.now - started)
-        return {"status": outcome, "vnode": vnode_id,
-                "acks": [name for name, _v in oks]}
+    # -- the entry point ----------------------------------------------------
+    def coordinate(self, method: str, args: Any):
+        """Run one ``sedna.*`` request; ``yield from`` the result.
 
-    def coordinate_read(self, args: Any):
-        """Quorum read entry point; coalesces concurrent readers.
+        Returns the method's reply dict, or raises
+        :class:`~repro.net.rpc.RpcRejected` (a batch fails per key
+        instead, inside ``reply["results"]``).
+        """
+        op = OPS[method]
+        if op.coalesce:
+            return self._coalesced(op, args)
+        return self._run(op, args)
+
+    def _run(self, op: _Op, args: Any):
+        span = self._span(op.span)
+        items = op.items(args)
+        try:
+            if op.batch:
+                # Group by virtual node; the per-vnode quorums run
+                # concurrently and fail independently.
+                groups: dict[int, list] = {}
+                placed: dict[int, tuple[int, list[str]]] = {}
+                for item in items:
+                    vnode_id, replicas = yield from self._replica_set(
+                        _key(item))
+                    groups.setdefault(vnode_id, []).append(item)
+                    placed[vnode_id] = (vnode_id, replicas)
+                results: dict[str, Any] = {}
+                procs = [self.sim.process(
+                    self._group(op, groups[v], args, placed[v], results),
+                    name=f"{op.span[6:]}-v{v}") for v in sorted(groups)]
+                for proc in procs:
+                    yield proc
+                result: dict = {"results": results}
+                tags = {"keys": len(items), "groups": len(groups)}
+            else:
+                rows = yield from self._attempts(op, items, args)
+                result = rows[_key(items[0])]
+                tags = {} if span is None else {
+                    k: result[k] for k in ("status", "found") if k in result}
+        except RpcError:
+            if span is not None:
+                self._tracer.finish(span, status="failed")
+            raise
+        if span is not None:
+            self._tracer.finish(span, **tags)
+        return result
+
+    def _coalesced(self, op: _Op, args: Any):
+        """Single-key read entry: coalesces concurrent readers.
 
         Concurrent reads of the same ``(key, mode)`` share fan-out
         rounds instead of each paying its own N-way RPC storm
@@ -269,9 +542,8 @@ class QuorumCoordinator:
         round fails, its followers detach safely: each loops to either
         share a round a sibling just started or lead its own.
         """
-        key = args["key"]
-        mode = args.get("mode", "latest")
-        token = (key, mode)
+        key = op.items(args)[0]
+        token = (key, args.get("mode", "latest"))
         invoked = self.sim.now
         while True:
             entry = self._inflight_reads.get(token)
@@ -284,7 +556,7 @@ class QuorumCoordinator:
             except RpcError:
                 shared = None  # the round's leader failed: detach
             if shared is not None and entry.started >= invoked:
-                self._m_read_lat.observe(self.sim.now - invoked)
+                self._m_latency["read"].observe(self.sim.now - invoked)
                 return dict(shared)
             # The settled round predates us (its replica responses may
             # miss writes acked before we invoked) or failed: loop.
@@ -293,771 +565,285 @@ class QuorumCoordinator:
         # by the time the round settles.
         entry.done.callbacks.append(lambda _e: None)
         self._inflight_reads[token] = entry
-        span = self._span("coord.read")
         try:
-            result = yield from self._read_once(args)
+            result = yield from self._run(op, args)
         except BaseException as err:
-            self._span_end(span, status="failed")
             self._inflight_reads.pop(token, None)
             if isinstance(err, Exception) and not entry.done.triggered:
                 entry.done.fail(err)
             raise
-        self._span_end(span, status="ok",
-                       found=bool(result.get("found",
-                                             bool(result.get("elements")))))
         self._inflight_reads.pop(token, None)
         if not entry.done.triggered:
             entry.done.succeed(result)
-        self._m_read_lat.observe(self.sim.now - invoked)
+        self._m_latency["read"].observe(self.sim.now - invoked)
         return result
 
-    def _read_once(self, args: Any):
-        """One read round: parallel fan-out waiting for R agreeing copies.
+    # -- the pipeline -------------------------------------------------------
+    def _group(self, op: _Op, items: list, args: Any,
+               placed: tuple[int, list[str]], out: dict):
+        """Process body of one vnode-group of a batch: a group whose
+        quorum fails takes only its own keys down — entries of groups
+        that already met their quorum are **not** re-sent."""
+        try:
+            out.update((yield from self._attempts(op, items, args, placed)))
+        except RpcRejected as err:
+            for item in items:
+                out[_key(item)] = self._failed_row(op, err.reason)
+
+    @staticmethod
+    def _failed_row(op: _Op, reason: str, responders=()) -> dict:
+        """Per-key failure of a batched op."""
+        if op.read:
+            return {"status": "failure", "found": False, "error": reason,
+                    "responders": list(responders)}
+        row = {"status": WriteOutcome.FAILURE, "acks": []}
+        if reason != "not-enough-replicas":
+            # Wire compatibility: a write/delete group that never fanned
+            # out has always failed without an "error" entry.
+            row["error"] = reason
+        return row
+
+    def _attempts(self, op: _Op, items: list, args: Any,
+                  placed: Optional[tuple[int, list[str]]] = None):
+        """One vnode-group (a single key is a group of one) through the
+        attempt loop; returns ``{key: reply row}``.
+
+        Each attempt is one fan-out round: parallel calls to all N
+        replicas, answered at the R/W quorum (§III.C/F).  A failed
+        round is retried — after ``request_timeout`` while a freshly
+        claimed replica is still ``warming`` (its handoff catch-up is
+        transient, so reads wait it out), otherwise **once** after
+        invalidating the mapping: a stale mapping fails a quorum with
+        ``not-owner`` refusals (§III.E).
+
+        ``placed`` is the group's ``(vnode id, replicas)`` when the
+        caller already looked it up (batches do, to form the groups).
+        """
+        cfg = self.config
+        sim = self.sim
+        key = _key(items[0])
+        quorum = cfg.read_quorum if op.read else cfg.write_quorum
+        retried = False
+        warm_waits = 0
+        while True:
+            setattr(self, op.counter, getattr(self, op.counter) + 1)
+            started = sim.now
+            if placed is None:
+                placed = yield from self._replica_set(key)
+            vnode_id, replicas = placed
+            rows = None
+            reason = "not-enough-replicas"
+            warming = False
+            if len(replicas) < quorum:
+                if not op.batch:
+                    raise RpcRejected(reason)
+            elif op.mint:
+                rows, reason = yield from self._mint_and_replicate(
+                    vnode_id, replicas, key,
+                    op.replica_args(vnode_id, items, args))
+            else:
+                payload = op.replica_args(vnode_id, items, args)
+                calls = [(r, self._replica_call(r, op.replica, payload))
+                         for r in replicas]
+                wait = QuorumWait(sim, calls, quorum, cfg.request_timeout)
+                try:
+                    oks, fails = yield wait.done
+                except RpcError as err:
+                    self._post_quorum_watch(calls, vnode_id, set())
+                    reason = f"{op.failed}:{err}"
+                    warming = op.read and any(
+                        isinstance(exc, RpcRejected) and "warming" in str(exc)
+                        for _n, exc in wait.fails)
+                else:
+                    for name, _exc in fails:
+                        self._suspect(name, vnode_id)
+                    if op.read:
+                        rows = yield from self._merge_and_repair(
+                            op, vnode_id, items, calls, oks,
+                            args.get("mode", "latest"))
+                    else:
+                        rows = self._acked(op, vnode_id, items, calls, oks)
+            if rows is not None:
+                if op.latency:
+                    self._m_latency[op.latency].observe(sim.now - started)
+                return rows
+            if warming and warm_waits < self._warm_wait_limit():
+                warm_waits += 1
+                yield sim.timeout(cfg.request_timeout)
+            elif not retried:
+                retried = True
+                yield from self.cache.invalidate(vnode_id)
+            else:
+                raise RpcRejected(reason)
+            # A batch formed its groups from the first lookup and only
+            # re-reads the cache; a single key goes back through
+            # _replica_set, which also refreshes a short replica set.
+            placed = self.cache.replicas_for_key(key) if op.batch else None
+
+    def _acked(self, op: _Op, vnode_id: int, items: list,
+               calls: list, oks: list) -> dict:
+        """Settle a write/delete round: watch the laggards, fold the W
+        acks into per-key statuses."""
+        self._post_quorum_watch(calls, vnode_id, {n for n, _v in oks})
+        acks = [name for name, _v in oks]
+        rows = {}
+        for item in items:
+            key = _key(item)
+            status = "ok"
+            if op.ack is not None:
+                status = (WriteOutcome.OK
+                          if WriteOutcome.OK in [op.ack(reply, key)
+                                                 for _n, reply in oks]
+                          else WriteOutcome.OUTDATED)
+            rows[key] = ({"status": status, "acks": acks} if op.batch else
+                         {"status": status, "vnode": vnode_id, "acks": acks})
+        return rows
+
+    def _merge_and_repair(self, op: _Op, vnode_id: int, keys: list[str],
+                          calls: list, oks: list, mode: str):
+        """Settle a read round: merge, check R-equality, repair.
 
         §III.C: "requests all the corresponding real nodes to get data
-        with timestamp, then checks for R equality."  When fewer than R
-        copies agree on the freshest version, the coordinator pushes
-        the merged freshest elements to the stale replicas (read
-        repair) before answering.
+        with timestamp, then checks for R equality."  Where fewer than R
+        copies agree on the freshest version of a key, the merged rows
+        are pushed to the stale responders (read repair) and the answer
+        waits for as many repair acks as R-equality requires; repairs
+        beyond that are fire-and-forget so divergent third replicas
+        converge on the next read instead of lingering stale.
         """
-        self.coordinated_reads += 1
         cfg = self.config
-        key = args["key"]
-        mode = args.get("mode", "latest")
-        vnode_id, replicas = yield from self._replica_set(key)
-        if len(replicas) < cfg.read_quorum:
-            raise RpcRejected("not-enough-replicas")
-        payload = {"vnode": vnode_id, "key": key}
-        calls = [(r, self._replica_call(r, "replica.read", payload))
-                 for r in replicas]
-        wait = QuorumWait(self.sim, calls, cfg.read_quorum,
-                          cfg.request_timeout)
-        try:
-            oks, fails = yield from wait.wait()
-        except (RpcTimeout, RpcError) as err:
-            self._post_quorum_watch(calls, vnode_id, set())
-            warming = any(isinstance(exc, RpcRejected)
-                          and "warming" in str(exc)
-                          for _n, exc in wait.fails)
-            if warming:
-                # A freshly claimed replica refuses reads until its
-                # handoff catch-up finishes; that is transient, so wait
-                # it out instead of failing the read.
-                waits = args.get("_warm_waits", 0)
-                if waits < self._warm_wait_limit():
-                    yield self.sim.timeout(cfg.request_timeout)
-                    retry = dict(args)
-                    retry["_warm_waits"] = waits + 1
-                    result = yield from self._read_once(retry)
-                    return result
-            if not args.get("_retried"):
-                yield from self.cache.invalidate(vnode_id)
-                retry = dict(args)
-                retry["_retried"] = True
-                result = yield from self._read_once(retry)
-                return result
-            raise RpcRejected(f"read-quorum-failed:{err}")
-        for name, _exc in fails:
-            self._suspect(name, vnode_id)
-        # Merge responses: newest element per source under the full
-        # (timestamp, source) order.  Each reply carries the row's
-        # write-mode flag so LWW rows collapse here too — the repair
-        # payload must not re-inflate a collapsed row on the replicas.
-        merged = VersionedStore()
-        responses: dict[str, list[ValueElement]] = {}
-        for name, value in oks:
-            elements = unwire_elements(value["elements"])
-            responses[name] = elements
-            merged.merge_elements(key, elements, lww=value.get("lww"))
-        merged_elements = merged.read_all(key)
-        latest = merged.read_latest(key)
-
-        if latest is None and len(responses) < len(calls):
+        merge = op.merge(keys, not op.batch)
+        for name, reply in oks:
+            merge.absorb(name, reply)
+        if len(merge.responses) < len(calls) and merge.missing():
             # An apparent miss met by the first R (empty) replies can be
             # a membership-churn artifact: a recent write may live only
             # on a replica that has not answered yet (its quorum-set
             # overlap shrank while the mapping moved).  Cheap insurance:
             # wait out the remaining replies before concluding.
-            pending = [(name, ev) for name, ev in calls
-                       if name not in responses]
+            pending = [(n, ev) for n, ev in calls if n not in merge.responses]
             laggards = QuorumWait(self.sim, pending, len(pending),
                                   cfg.request_timeout, fail_fast=False)
             try:
-                yield from laggards.wait()
-            except (RpcTimeout, RpcError):
+                yield laggards.done
+            except RpcError:
                 pass
-            for name, value in laggards.oks:
-                elements = unwire_elements(value["elements"])
-                responses[name] = elements
-                merged.merge_elements(key, elements, lww=value.get("lww"))
-            merged_elements = merged.read_all(key)
-            latest = merged.read_latest(key)
+            for name, reply in laggards.oks:
+                merge.absorb(name, reply)
+        responders = merge.settle()
+        repairs = merge.repairs
+        waits = []
+        if repairs:
+            repaired = len({k for rows in repairs.values() for k in rows})
+            self.read_repairs += repaired
+            self._m_read_repairs.inc(repaired)
+            repair_calls = [
+                (n, self._replica_call(
+                    n, op.repair, merge.repair_args(vnode_id, repairs[n])))
+                for n in responders if n in repairs]
+            for k in keys:
+                kcalls = [(n, ev) for n, ev in repair_calls
+                          if k in repairs[n]]
+                needed = min(cfg.read_quorum - merge.agree[k], len(kcalls))
+                if needed > 0:
+                    waits.append((k, QuorumWait(self.sim, kcalls, needed,
+                                                cfg.request_timeout)))
+        failed = {}
+        for k, wait in waits:
+            try:
+                yield wait.done
+            except RpcError as err:
+                failed[k] = f"{merge.repair_failed}:{err}"
+                if not op.batch:
+                    raise RpcRejected(failed[k])
+        self._post_quorum_watch(calls, vnode_id, set(merge.responses))
 
-        def agree_count() -> int:
-            if latest is None:
-                return sum(1 for els in responses.values() if not els)
-            return sum(1 for els in responses.values()
-                       if any(e.source == latest.source
-                              and e.timestamp == latest.timestamp
-                              for e in els))
+        # Laggards that answer *after* the quorum may still be stale
+        # (e.g. a freshly recovered replica with an empty row): check
+        # their late responses against the merged snapshot and repair
+        # fire-and-forget.
+        def late_check(done: Event, name: str) -> None:
+            lacking = merge.lacking(done.value) if done.ok else None
+            if lacking:
+                self._replica_call(name, op.repair,
+                                   merge.repair_args(vnode_id, lacking))
 
-        stale = [name for name, els in responses.items()
-                 if latest is not None
-                 and not any(e.source == latest.source
-                             and e.timestamp == latest.timestamp
-                             for e in els)]
-        if stale and merged_elements:
-            # Read repair: push the merged freshest elements to every
-            # responder that lacked them.  The wait is only as long as
-            # R-equality requires (§III.C); extra repairs are
-            # fire-and-forget so divergent third replicas converge on
-            # the next read instead of lingering stale.
-            repair_payload = {"vnode": vnode_id, "key": key,
-                              "elements": wire_elements(merged_elements),
-                              "lww": merged.row(key).lww}
-            repair_calls = [(r, self._replica_call(r, "replica.repair",
-                                                   repair_payload))
-                            for r in stale]
-            self.read_repairs += 1
-            self._m_read_repairs.inc()
-            needed = cfg.read_quorum - agree_count()
-            if needed > 0:
-                repair_wait = QuorumWait(self.sim, repair_calls,
-                                         min(needed, len(repair_calls)),
-                                         cfg.request_timeout)
-                try:
-                    yield from repair_wait.wait()
-                except (RpcTimeout, RpcError) as err:
-                    raise RpcRejected(f"read-repair-failed:{err}")
-        self._post_quorum_watch(calls, vnode_id, {n for n, _v in oks})
-        if latest is not None and merged_elements:
-            # Laggards that answer *after* the quorum may still be stale
-            # (e.g. a freshly recovered replica with an empty row): check
-            # their late responses and repair fire-and-forget.
-            answered = set(responses)
-            repair_payload = {"vnode": vnode_id, "key": key,
-                              "elements": wire_elements(merged_elements),
-                              "lww": merged.row(key).lww}
+        for name, ev in calls:
+            if name in merge.responses:
+                continue
+            if ev.callbacks is None:
+                late_check(ev, name)
+            else:
+                ev.callbacks.append(
+                    lambda done, _n=name: late_check(done, _n))
+        rows = {}
+        for k in keys:
+            if k in failed:
+                rows[k] = self._failed_row(op, failed[k], responders)
+            else:
+                rows[k] = merge.result(k, mode, responders)
+                if op.batch:
+                    rows[k]["status"] = "ok"
+        return rows
 
-            def late_check(done, name):
-                if not done.ok:
-                    return
-                els = unwire_elements(done.value["elements"])
-                if not any(e.source == latest.source
-                           and e.timestamp == latest.timestamp
-                           for e in els):
-                    self._replica_call(name, "replica.repair",
-                                       repair_payload)
-
-            for name, ev in calls:
-                if name in answered:
-                    continue
-                if ev.callbacks is None:
-                    late_check(ev, name)
-                else:
-                    ev.callbacks.append(
-                        lambda done, name=name: late_check(done, name))
-        responders = list(responses)
-        if mode == "all":
-            return {"elements": wire_elements(merged_elements),
-                    "responders": responders}
-        if latest is None:
-            return {"found": False, "responders": responders}
-        return {"found": True, "value": latest.value,
-                "ts": latest.timestamp, "source": latest.source,
-                "responders": responders}
-
-    def coordinate_delete(self, args: Any):
-        """Quorum delete (not in the paper's API; completes the CRUD).
-
-        Mirrors :meth:`coordinate_write` end to end: replica-set sanity
-        check, invalidate-and-retry on a stale-mapping quorum failure,
-        laggard watching and suspicion — deletes issued right after
-        churn must trigger the same lazy recovery as writes (§III.C/E).
-        """
-        self.coordinated_deletes += 1
-        span = self._span("coord.delete")
-        cfg = self.config
-        key = args["key"]
-        vnode_id, replicas = yield from self._replica_set(key)
-        if len(replicas) < cfg.write_quorum:
-            raise RpcRejected("not-enough-replicas")
-        payload = {"vnode": vnode_id, "key": key}
-        calls = [(r, self._replica_call(r, "replica.delete", payload))
-                 for r in replicas]
-        wait = QuorumWait(self.sim, calls, cfg.write_quorum,
-                          cfg.request_timeout)
-        try:
-            oks, fails = yield from wait.wait()
-        except (RpcTimeout, RpcError) as err:
-            self._post_quorum_watch(calls, vnode_id, set())
-            if not args.get("_retried"):
-                yield from self.cache.invalidate(vnode_id)
-                retry = dict(args)
-                retry["_retried"] = True
-                result = yield from self.coordinate_delete(retry)
-                self._span_end(span, status="retried")
-                return result
-            self._span_end(span, status="failed")
-            raise RpcRejected(f"delete-quorum-failed:{err}")
-        self._post_quorum_watch(calls, vnode_id, {n for n, _v in oks})
-        for name, _exc in fails:
-            self._suspect(name, vnode_id)
-        self._span_end(span, status="ok", acks=len(oks))
-        return {"status": "ok", "vnode": vnode_id,
-                "acks": [name for name, _v in oks]}
-
-    # -- causal mode (DVV) ----------------------------------------------------
-    def coordinate_causal_write(self, args: Any):
-        """Causal (DVV) quorum write: mint a dot, replicate the row.
+    def _mint_and_replicate(self, vnode_id: int, replicas: list[str],
+                            key: str, payload: dict):
+        """The causal (DVV) write round: mint a dot, replicate the row.
 
         Phase 1 picks the first reachable replica as the *dot-minting*
         node (``replica.cwrite``): the client's causal context discards
         the siblings it has seen and the write gets a fresh
         ``(replica, counter)`` dot.  Phase 2 replicates the resulting
         row to the remaining replicas (``replica.cmerge``) until W
-        total acks are in.  The reply carries the dot and the row's
-        version vector — the context for the client's next write.
+        total acks are in.  Returns ``(rows, None)``, or ``(None,
+        reason)`` when either phase failed — the attempt loop then
+        invalidates and retries once.  The first dot may survive on the
+        minter; the retry mints a fresh sibling, which the client's
+        next context-carrying write supersedes — safe, never silently
+        lost.
         """
-        self.coordinated_causal_writes += 1
-        span = self._span("coord.cwrite")
-        started = self.sim.now
         cfg = self.config
-        key = args["key"]
-        vnode_id, replicas = yield from self._replica_set(key)
-        if len(replicas) < cfg.write_quorum:
-            raise RpcRejected("not-enough-replicas")
-        payload = {"vnode": vnode_id, "key": key, "value": args["value"],
-                   "ts": args["ts"], "source": args["source"],
-                   "ctx": list(args.get("ctx") or [])}
-        minter = None
-        minted = None
-        mint_fail = None
+        minter = mint_fail = None
         for candidate in replicas:
-            call = [(candidate, self._replica_call(candidate,
-                                                   "replica.cwrite",
-                                                   payload))]
-            wait = QuorumWait(self.sim, call, 1, cfg.request_timeout)
+            wait = QuorumWait(self.sim, [(candidate, self._replica_call(
+                candidate, "replica.cwrite", payload))], 1,
+                cfg.request_timeout)
             try:
-                oks, _fails = yield from wait.wait()
-            except (RpcTimeout, RpcError) as err:
+                oks, _fails = yield wait.done
+            except RpcError as err:
                 mint_fail = err
                 self._suspect(candidate, vnode_id)
                 continue
             minter, minted = oks[0]
             break
         if minter is None:
-            if not args.get("_retried"):
-                yield from self.cache.invalidate(vnode_id)
-                retry = dict(args)
-                retry["_retried"] = True
-                result = yield from self.coordinate_causal_write(retry)
-                self._span_end(span, status="retried")
-                return result
-            self._span_end(span, status="failed")
-            raise RpcRejected(f"causal-write-failed:{mint_fail}")
+            return None, f"causal-write-failed:{mint_fail}"
         row_wire = minted["row"]
-        others = [r for r in replicas if r != minter]
         calls = [(r, self._replica_call(r, "replica.cmerge",
                                         {"vnode": vnode_id, "key": key,
                                          "row": row_wire}))
-                 for r in others]
+                 for r in replicas if r != minter]
         acks = [minter]
-        needed = cfg.write_quorum - 1
-        if needed > 0 and calls:
-            wait = QuorumWait(self.sim, calls, min(needed, len(calls)),
-                              cfg.request_timeout)
+        needed = min(cfg.write_quorum - 1, len(calls))
+        if needed > 0:
+            wait = QuorumWait(self.sim, calls, needed, cfg.request_timeout)
             try:
-                oks, fails = yield from wait.wait()
-            except (RpcTimeout, RpcError) as err:
+                oks, fails = yield wait.done
+            except RpcError as err:
                 self._post_quorum_watch(calls, vnode_id, set())
-                if not args.get("_retried"):
-                    # Stale mapping: invalidate and retry once.  The
-                    # first dot may survive on the minter; the retry
-                    # mints a fresh sibling, which the client's next
-                    # context-carrying write supersedes — safe, never
-                    # silently lost.
-                    yield from self.cache.invalidate(vnode_id)
-                    retry = dict(args)
-                    retry["_retried"] = True
-                    result = yield from self.coordinate_causal_write(retry)
-                    self._span_end(span, status="retried")
-                    return result
-                self._span_end(span, status="failed")
-                raise RpcRejected(f"causal-replicate-failed:{err}")
-            acks.extend(name for name, _v in oks)
-            self._post_quorum_watch(calls, vnode_id, {n for n, _v in oks})
+                return None, f"causal-replicate-failed:{err}"
             for name, _exc in fails:
                 self._suspect(name, vnode_id)
-        self._span_end(span, status="ok", acks=len(acks))
-        self._m_write_lat.observe(self.sim.now - started)
+            acks.extend(name for name, _v in oks)
+            self._post_quorum_watch(calls, vnode_id, {n for n, _v in oks})
         # The ack context is the minting replica's row vv, which may
         # cover concurrent siblings the client never read — so the ack
         # also carries those siblings' values (Riak's return_body).  A
         # follow-up write with this context supersedes exactly the
         # versions listed here: an *informed* overwrite, never a
         # silent loss.
-        return {"status": "ok", "vnode": vnode_id, "dot": minted["dot"],
-                "context": row_wire["vv"],
-                "siblings": [[s, ts, v] for _r, _c, s, ts, v
-                             in row_wire["siblings"]],
-                "acks": acks}
-
-    def coordinate_causal_read(self, args: Any):
-        """Causal (DVV) quorum read: merge R replicas' rows server-side.
-
-        The merged row's siblings are every concurrent version still
-        alive; its version vector is the causal context returned to the
-        client.  Replicas whose copy differs from the merge get the
-        merged row pushed back (``replica.cmerge`` read repair),
-        waiting only for as many acks as R-equality requires.
-        """
-        self.coordinated_causal_reads += 1
-        span = self._span("coord.cread")
-        started = self.sim.now
-        cfg = self.config
-        key = args["key"]
-        vnode_id, replicas = yield from self._replica_set(key)
-        if len(replicas) < cfg.read_quorum:
-            raise RpcRejected("not-enough-replicas")
-        payload = {"vnode": vnode_id, "key": key}
-        calls = [(r, self._replica_call(r, "replica.cread", payload))
-                 for r in replicas]
-        wait = QuorumWait(self.sim, calls, cfg.read_quorum,
-                          cfg.request_timeout)
-        try:
-            oks, fails = yield from wait.wait()
-        except (RpcTimeout, RpcError) as err:
-            self._post_quorum_watch(calls, vnode_id, set())
-            warming = any(isinstance(exc, RpcRejected)
-                          and "warming" in str(exc)
-                          for _n, exc in wait.fails)
-            if warming:
-                waits = args.get("_warm_waits", 0)
-                if waits < self._warm_wait_limit():
-                    yield self.sim.timeout(cfg.request_timeout)
-                    retry = dict(args)
-                    retry["_warm_waits"] = waits + 1
-                    result = yield from self.coordinate_causal_read(retry)
-                    self._span_end(span, status="warm-retried")
-                    return result
-            if not args.get("_retried"):
-                yield from self.cache.invalidate(vnode_id)
-                retry = dict(args)
-                retry["_retried"] = True
-                result = yield from self.coordinate_causal_read(retry)
-                self._span_end(span, status="retried")
-                return result
-            self._span_end(span, status="failed")
-            raise RpcRejected(f"causal-read-failed:{err}")
-        for name, _exc in fails:
-            self._suspect(name, vnode_id)
-        merged = DvvRow()
-        shapes: dict[str, tuple] = {}
-        for name, value in oks:
-            if value["row"] is None:
-                shapes[name] = DvvRow().shape()
-                continue
-            row = unwire_dvv_row(value["row"])
-            shapes[name] = row.shape()
-            merged.merge(row)
-        agree = sum(1 for shape in shapes.values()
-                    if shape == merged.shape())
-        stale = [name for name in sorted(shapes)
-                 if shapes[name] != merged.shape()]
-        if stale and (merged.siblings or merged.vv):
-            row_wire = wire_dvv_row(merged)
-            repair_calls = [(r, self._replica_call(
-                r, "replica.cmerge",
-                {"vnode": vnode_id, "key": key, "row": row_wire}))
-                for r in stale]
-            self.read_repairs += 1
-            self._m_read_repairs.inc()
-            needed = cfg.read_quorum - agree
-            if needed > 0:
-                repair_wait = QuorumWait(self.sim, repair_calls,
-                                         min(needed, len(repair_calls)),
-                                         cfg.request_timeout)
-                try:
-                    yield from repair_wait.wait()
-                except (RpcTimeout, RpcError) as err:
-                    self._span_end(span, status="failed")
-                    raise RpcRejected(f"causal-repair-failed:{err}")
-        self._post_quorum_watch(calls, vnode_id, {n for n, _v in oks})
-        self._span_end(span, status="ok", found=bool(merged.siblings))
-        self._m_read_lat.observe(self.sim.now - started)
-        return {"found": bool(merged.siblings),
-                "siblings": [[s.source, s.timestamp, s.value]
-                             for s in merged.siblings],
-                "context": wire_context(merged.vv),
-                "responders": sorted(shapes)}
-
-    # -- batched operations ---------------------------------------------------
-    def _group_by_vnode(self, keys):
-        """Group keys by their virtual node via the mapping cache.
-
-        Returns ``(groups, replica_sets)`` where ``groups`` maps
-        vnode_id to the keys hashing there and ``replica_sets`` the
-        corresponding cached replica lists.
-        """
-        groups: dict[int, list] = {}
-        replica_sets: dict[int, list[str]] = {}
-        for key in keys:
-            vnode_id, replicas = yield from self._replica_set(key)
-            groups.setdefault(vnode_id, []).append(key)
-            replica_sets[vnode_id] = replicas
-        return groups, replica_sets
-
-    def coordinate_multi_write(self, args: Any):
-        """Batched quorum write: one ``replica.mwrite`` per replica per
-        vnode-group, per-vnode quorums in parallel, per-key statuses.
-
-        ``args["entries"]`` is a list of the single-write argument
-        dicts (key/value/ts/source/mode).  A group whose quorum fails
-        on a stale mapping is invalidated and retried alone — entries
-        of groups that already met their quorum are **not** re-sent.
-        """
-        self.coordinated_multi_writes += 1
-        span = self._span("coord.mwrite")
-        entries = args["entries"]
-        groups, replica_sets = yield from self._group_by_vnode(
-            [e["key"] for e in entries])
-        by_key = {}
-        for entry in entries:
-            by_key.setdefault(entry["key"], []).append(entry)
-        results: dict[str, Any] = {}
-        procs = [self.sim.process(
-            self._mwrite_group(
-                vnode_id,
-                [e for k in groups[vnode_id] for e in by_key[k]],
-                replica_sets[vnode_id], results),
-            name=f"mwrite-v{vnode_id}")
-            for vnode_id in sorted(groups)]
-        for proc in procs:
-            yield proc
-        self._span_end(span, entries=len(entries), groups=len(groups))
-        return {"results": results}
-
-    def _mwrite_group(self, vnode_id: int, entries: list[dict],
-                      replicas: list[str], out: dict, attempt: int = 0):
-        """One vnode-group of a batched write; fills ``out`` per key."""
-        cfg = self.config
-        retry_key = entries[0]["key"]
-        if len(replicas) < cfg.write_quorum:
-            if attempt == 0:
-                yield from self.cache.invalidate(vnode_id)
-                _v, fresh = self.cache.replicas_for_key(retry_key)
-                yield from self._mwrite_group(vnode_id, entries, fresh,
-                                              out, attempt=1)
-                return
-            for e in entries:
-                out[e["key"]] = {"status": WriteOutcome.FAILURE, "acks": []}
-            return
-        payload = {"vnode": vnode_id,
-                   "entries": [{"key": e["key"], "value": e["value"],
-                                "ts": e["ts"], "source": e["source"],
-                                "mode": e["mode"]} for e in entries]}
-        calls = [(r, self._replica_call(r, "replica.mwrite", payload))
-                 for r in replicas]
-        wait = QuorumWait(self.sim, calls, cfg.write_quorum,
-                          cfg.request_timeout)
-        try:
-            oks, fails = yield from wait.wait()
-        except (RpcTimeout, RpcError) as err:
-            self._post_quorum_watch(calls, vnode_id, set())
-            if attempt == 0:
-                # Stale mapping: invalidate and retry this group only —
-                # already-acked groups are never re-applied.
-                yield from self.cache.invalidate(vnode_id)
-                _v, fresh = self.cache.replicas_for_key(retry_key)
-                yield from self._mwrite_group(vnode_id, entries, fresh,
-                                              out, attempt=1)
-                return
-            for e in entries:
-                out[e["key"]] = {"status": WriteOutcome.FAILURE, "acks": [],
-                                 "error": f"write-quorum-failed:{err}"}
-            return
-        for name, _exc in fails:
-            self._suspect(name, vnode_id)
-        self._post_quorum_watch(calls, vnode_id, {n for n, _v in oks})
-        acks = [name for name, _v in oks]
-        for e in entries:
-            key = e["key"]
-            statuses = [value["statuses"].get(key) for _n, value in oks]
-            outcome = (WriteOutcome.OK if WriteOutcome.OK in statuses
-                       else WriteOutcome.OUTDATED)
-            out[key] = {"status": outcome, "acks": acks}
-
-    def coordinate_multi_read(self, args: Any):
-        """Batched quorum read: one ``replica.mread`` per replica per
-        vnode-group, per-vnode quorums in parallel, per-key results.
-
-        A 64-key batch spanning 3 vnodes with N=3 costs at most 9
-        replica RPCs instead of 192 — the headline amortization of the
-        batch pipeline.
-        """
-        self.coordinated_multi_reads += 1
-        span = self._span("coord.mread")
-        mode = args.get("mode", "latest")
-        keys = list(dict.fromkeys(args["keys"]))
-        groups, replica_sets = yield from self._group_by_vnode(keys)
-        results: dict[str, Any] = {}
-        procs = [self.sim.process(
-            self._mread_group(vnode_id, groups[vnode_id],
-                              replica_sets[vnode_id], mode, results),
-            name=f"mread-v{vnode_id}")
-            for vnode_id in sorted(groups)]
-        for proc in procs:
-            yield proc
-        self._span_end(span, keys=len(keys), groups=len(groups))
-        return {"results": results}
-
-    def _mread_group(self, vnode_id: int, keys: list[str],
-                     replicas: list[str], mode: str, out: dict,
-                     attempt: int = 0, warm_waits: int = 0):
-        """One vnode-group of a batched read; fills ``out`` per key.
-
-        Preserves every single-read semantic per key: R-equality with
-        read repair (batched per stale replica through
-        ``replica.install``), the churn-insurance laggard wait on an
-        apparent miss, warming-retry, stale-mapping retry, and laggard
-        watching/suspicion.
-        """
-        cfg = self.config
-
-        def fail_group(reason: str) -> None:
-            for k in keys:
-                out[k] = {"status": "failure", "found": False,
-                          "error": reason, "responders": []}
-
-        if len(replicas) < cfg.read_quorum:
-            if attempt == 0:
-                yield from self.cache.invalidate(vnode_id)
-                _v, fresh = self.cache.replicas_for_key(keys[0])
-                yield from self._mread_group(vnode_id, keys, fresh, mode,
-                                             out, attempt=1,
-                                             warm_waits=warm_waits)
-                return
-            fail_group("not-enough-replicas")
-            return
-        payload = {"vnode": vnode_id, "keys": list(keys)}
-        calls = [(r, self._replica_call(r, "replica.mread", payload))
-                 for r in replicas]
-        wait = QuorumWait(self.sim, calls, cfg.read_quorum,
-                          cfg.request_timeout)
-        try:
-            oks, fails = yield from wait.wait()
-        except (RpcTimeout, RpcError) as err:
-            self._post_quorum_watch(calls, vnode_id, set())
-            warming = any(isinstance(exc, RpcRejected)
-                          and "warming" in str(exc)
-                          for _n, exc in wait.fails)
-            if warming and warm_waits < self._warm_wait_limit():
-                yield self.sim.timeout(cfg.request_timeout)
-                _v, fresh = self.cache.replicas_for_key(keys[0])
-                yield from self._mread_group(vnode_id, keys, fresh, mode,
-                                             out, attempt=attempt,
-                                             warm_waits=warm_waits + 1)
-                return
-            if attempt == 0:
-                yield from self.cache.invalidate(vnode_id)
-                _v, fresh = self.cache.replicas_for_key(keys[0])
-                yield from self._mread_group(vnode_id, keys, fresh, mode,
-                                             out, attempt=1,
-                                             warm_waits=warm_waits)
-                return
-            fail_group(f"read-quorum-failed:{err}")
-            return
-        for name, _exc in fails:
-            self._suspect(name, vnode_id)
-        merged = VersionedStore()
-        responses: dict[str, dict[str, list[ValueElement]]] = {}
-
-        def absorb(name: str, reply: dict) -> None:
-            rows = {k: unwire_elements(blob)
-                    for k, blob in reply["rows"].items()}
-            flags = reply.get("lww", {})
-            responses[name] = rows
-            for k in keys:
-                merged.merge_elements(k, rows.get(k, []),
-                                      lww=flags.get(k))
-
-        for name, value in oks:
-            absorb(name, value)
-        if (len(responses) < len(calls)
-                and any(merged.read_latest(k) is None for k in keys)):
-            # Churn insurance, as in the single-key read: an apparent
-            # miss answered by the first R (empty) replies can hide a
-            # write living only on a replica that has not answered yet.
-            pending = [(name, ev) for name, ev in calls
-                       if name not in responses]
-            laggards = QuorumWait(self.sim, pending, len(pending),
-                                  cfg.request_timeout, fail_fast=False)
-            try:
-                yield from laggards.wait()
-            except (RpcTimeout, RpcError):
-                pass
-            for name, value in laggards.oks:
-                absorb(name, value)
-        responders = sorted(responses)
-        latest_by_key: dict[str, Optional[ValueElement]] = {}
-        rows_by_key: dict[str, list[tuple]] = {}
-        agree_by_key: dict[str, int] = {}
-        repair_rows: dict[str, dict[str, list[tuple]]] = {}
-        for k in keys:
-            latest = merged.read_latest(k)
-            merged_elements = merged.read_all(k)
-            latest_by_key[k] = latest
-            if merged_elements:
-                rows_by_key[k] = wire_elements(merged_elements)
-            agree = 0
-            for name in responders:
-                els = responses[name].get(k, [])
-                if latest is None:
-                    if not els:
-                        agree += 1
-                elif any(e.source == latest.source
-                         and e.timestamp == latest.timestamp for e in els):
-                    agree += 1
-                elif merged_elements:
-                    repair_rows.setdefault(name, {})[k] = rows_by_key[k]
-            agree_by_key[k] = agree
-            if mode == "all":
-                out[k] = {"status": "ok",
-                          "elements": rows_by_key.get(k, []),
-                          "responders": responders}
-            elif latest is None:
-                out[k] = {"status": "ok", "found": False,
-                          "responders": responders}
-            else:
-                out[k] = {"status": "ok", "found": True,
-                          "value": latest.value, "ts": latest.timestamp,
-                          "source": latest.source, "responders": responders}
-        # Batched read repair: one replica.install per stale replica
-        # carrying every key it lacked.
-        repaired_keys = {k for rows in repair_rows.values() for k in rows}
-        self.read_repairs += len(repaired_keys)
-        self._m_read_repairs.inc(len(repaired_keys))
-        install_calls: dict[str, Event] = {}
-        for name in sorted(repair_rows):
-            install_calls[name] = self._replica_call(
-                name, "replica.install",
-                {"vnode": vnode_id, "rows": repair_rows[name],
-                 "lww": {k: merged.row(k).lww for k in repair_rows[name]
-                         if merged.row(k) is not None
-                         and merged.row(k).lww is not None}})
-        # R-equality per key: where fewer than R copies agree on the
-        # freshest, wait for enough repair acks before answering (the
-        # same rule as the single-key read; failure is per key).
-        deficient = [k for k in keys
-                     if latest_by_key[k] is not None
-                     and agree_by_key[k] < cfg.read_quorum]
-        repair_waits = []
-        for k in deficient:
-            kcalls = [(name, install_calls[name])
-                      for name in sorted(install_calls)
-                      if k in repair_rows[name]]
-            needed = min(cfg.read_quorum - agree_by_key[k], len(kcalls))
-            if needed <= 0:
-                continue
-            repair_waits.append((k, QuorumWait(self.sim, kcalls, needed,
-                                               cfg.request_timeout)))
-        for k, repair_wait in repair_waits:
-            try:
-                yield from repair_wait.wait()
-            except (RpcTimeout, RpcError) as err:
-                out[k] = {"status": "failure", "found": False,
-                          "error": f"read-repair-failed:{err}",
-                          "responders": responders}
-        self._post_quorum_watch(calls, vnode_id, set(responses))
-
-        # Laggards that answer after the quorum may still be stale:
-        # check against the merged snapshot and repair fire-and-forget,
-        # batched per replica.
-        def late_check(done_ev: Event, name: str) -> None:
-            if not done_ev.ok:
-                return
-            rows = done_ev.value["rows"]
-            lacking = {}
-            for k, latest in latest_by_key.items():
-                if latest is None or k not in rows_by_key:
-                    continue
-                els = unwire_elements(rows.get(k, []))
-                if not any(e.source == latest.source
-                           and e.timestamp == latest.timestamp
-                           for e in els):
-                    lacking[k] = rows_by_key[k]
-            if lacking:
-                self._replica_call(
-                    name, "replica.install",
-                    {"vnode": vnode_id, "rows": lacking,
-                     "lww": {k: merged.row(k).lww for k in lacking
-                             if merged.row(k) is not None
-                             and merged.row(k).lww is not None}})
-
-        for name, ev in calls:
-            if name in responses:
-                continue
-            if ev.callbacks is None:
-                late_check(ev, name)
-            else:
-                ev.callbacks.append(
-                    lambda done_ev, _n=name: late_check(done_ev, _n))
-
-    def coordinate_multi_delete(self, args: Any):
-        """Batched quorum delete: one ``replica.mdelete`` per replica
-        per vnode-group, per-key statuses."""
-        self.coordinated_multi_deletes += 1
-        span = self._span("coord.mdelete")
-        keys = list(dict.fromkeys(args["keys"]))
-        groups, replica_sets = yield from self._group_by_vnode(keys)
-        results: dict[str, Any] = {}
-        procs = [self.sim.process(
-            self._mdelete_group(vnode_id, groups[vnode_id],
-                                replica_sets[vnode_id], results),
-            name=f"mdelete-v{vnode_id}")
-            for vnode_id in sorted(groups)]
-        for proc in procs:
-            yield proc
-        self._span_end(span, keys=len(keys), groups=len(groups))
-        return {"results": results}
-
-    def _mdelete_group(self, vnode_id: int, keys: list[str],
-                       replicas: list[str], out: dict, attempt: int = 0):
-        """One vnode-group of a batched delete; fills ``out`` per key."""
-        cfg = self.config
-        if len(replicas) < cfg.write_quorum:
-            if attempt == 0:
-                yield from self.cache.invalidate(vnode_id)
-                _v, fresh = self.cache.replicas_for_key(keys[0])
-                yield from self._mdelete_group(vnode_id, keys, fresh, out,
-                                               attempt=1)
-                return
-            for k in keys:
-                out[k] = {"status": "failure", "acks": []}
-            return
-        payload = {"vnode": vnode_id, "keys": list(keys)}
-        calls = [(r, self._replica_call(r, "replica.mdelete", payload))
-                 for r in replicas]
-        wait = QuorumWait(self.sim, calls, cfg.write_quorum,
-                          cfg.request_timeout)
-        try:
-            oks, fails = yield from wait.wait()
-        except (RpcTimeout, RpcError) as err:
-            self._post_quorum_watch(calls, vnode_id, set())
-            if attempt == 0:
-                yield from self.cache.invalidate(vnode_id)
-                _v, fresh = self.cache.replicas_for_key(keys[0])
-                yield from self._mdelete_group(vnode_id, keys, fresh, out,
-                                               attempt=1)
-                return
-            for k in keys:
-                out[k] = {"status": "failure", "acks": [],
-                          "error": f"delete-quorum-failed:{err}"}
-            return
-        for name, _exc in fails:
-            self._suspect(name, vnode_id)
-        self._post_quorum_watch(calls, vnode_id, {n for n, _v in oks})
-        acks = [name for name, _v in oks]
-        for k in keys:
-            out[k] = {"status": "ok", "acks": acks}
+        return {key: {"status": "ok", "vnode": vnode_id,
+                      "dot": minted["dot"], "context": row_wire["vv"],
+                      "siblings": [[s, ts, v] for _r, _c, s, ts, v
+                                   in row_wire["siblings"]],
+                      "acks": acks}}, None

@@ -24,6 +24,7 @@ Every server in the data center runs the same components (§III.A):
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Optional
 
 from ..net.latency import LOCAL_STORE_OP, REQUEST_HANDLING
@@ -41,7 +42,8 @@ from ..zk.server import ZkConfig
 from ..zk.znode import BadVersionError, NodeExistsError, NoNodeError
 from .cache import MappingCache, ZkLayout
 from .config import SednaConfig
-from .coordinator import QuorumCoordinator, unwire_elements, wire_elements
+from .coordinator import (OPS, QuorumCoordinator, unwire_elements,
+                          wire_elements)
 from .hashring import Ring, VnodeStatus
 
 __all__ = ["SednaNode"]
@@ -133,15 +135,10 @@ class SednaNode:
     # ------------------------------------------------------------------
     def _register_rpc(self) -> None:
         r = self.rpc.register
-        # Client-facing coordinator API.
-        r("sedna.write", self._h_write)
-        r("sedna.read", self._h_read)
-        r("sedna.delete", self._h_delete)
-        r("sedna.mwrite", self._h_mwrite)
-        r("sedna.mread", self._h_mread)
-        r("sedna.mdelete", self._h_mdelete)
-        r("sedna.cwrite", self._h_cwrite)
-        r("sedna.cread", self._h_cread)
+        # Client-facing coordinator API: every method of the op table,
+        # one handler.
+        for method in OPS:
+            r(method, partial(self._h_coordinate, method))
         # Replica-to-replica API.
         r("replica.write", self._h_replica_write)
         r("replica.read", self._h_replica_read)
@@ -472,87 +469,44 @@ class SednaNode:
     # ------------------------------------------------------------------
     # Replica-side handlers (the storage plane)
     # ------------------------------------------------------------------
-    def _owns(self, vnode_id: int) -> bool:
+    def _guard_owner(self, vnode_id: int) -> None:
+        """Refuse a replica op on a vnode this node does not replicate.
+
+        Our mapping may be stale too: re-read it while refusing
+        (§III.E strategy 1 works on both sides of the RPC).
+        """
+        if not self.cache.loaded:
+            return
         replicas = self.cache.ring.replicas_for(vnode_id,
                                                 self.config.replicas)
-        return self.name in replicas
-
-    def _h_replica_write(self, src: str, args: Any):
-        vnode_id = args["vnode"]
-        if self.cache.loaded and not self._owns(vnode_id):
-            # Our mapping may be stale too: re-read it while refusing
-            # (§III.E strategy 1 works on both sides of the RPC).
+        if self.name not in replicas:
             self.sim.process(self.cache.invalidate(vnode_id))
             raise RpcRejected("not-owner")
-        self.replica_writes += 1
-        key = args["key"]
-        element = ValueElement(args["source"], args["ts"], args["value"])
-        if args["mode"] == "latest":
-            status = self.store.write_latest(key, element.value,
-                                             element.timestamp, element.source)
-        else:
-            status = self.store.write_all(key, element.value,
-                                          element.timestamp, element.source)
-        self._index_key(key)
-        self.vstats.record_write(vnode_id)
-        receiver = self._forward_target(vnode_id)
-        if receiver is not None:
-            self._spawn_forward(receiver, vnode_id,
-                                rows={key: wire_elements([element])},
-                                lww={key: args["mode"] == "latest"})
-        if status == WriteOutcome.OK:
-            self.persistence.on_write(key, element)
-        delay = self.persistence.write_delay()
-        if delay > 0.0:
-            ev = self.sim.event()
-            self.sim.schedule_callback(
-                delay, lambda: ev.succeed({"status": status}))
-            return ev
-        return {"status": status}
 
-    def _h_replica_read(self, src: str, args: Any):
-        vnode_id = args["vnode"]
-        if self.cache.loaded and not self._owns(vnode_id):
-            self.sim.process(self.cache.invalidate(vnode_id))
-            raise RpcRejected("not-owner")
+    def _guard_warm(self, vnode_id: int) -> None:
+        """Refuse reads mid-handoff: answering now could miss writes
+        still routed to the old replica set through stale caches."""
         status = self.vnode_status.get(vnode_id)
         if status is not None and status.warming:
-            # Mid-handoff: answering now could miss writes still routed
-            # to the old replica set through stale caches.
             raise RpcRejected("warming")
-        self.replica_reads += 1
-        self.vstats.record_read(vnode_id)
-        key = args["key"]
-        elements = self.store.read_all(key)
-        row = self.store.rows.get(key)
-        return {"elements": wire_elements(elements),
-                "lww": row.lww if row is not None else None}
 
-    def _h_replica_delete(self, src: str, args: Any):
-        self.store.delete(args["key"])
-        vnode_id = args["vnode"]
-        keys = self.vnode_keys.get(vnode_id)
-        if keys is not None:
-            keys.discard(args["key"])
-        receiver = self._forward_target(vnode_id)
-        if receiver is not None:
-            self._spawn_forward(receiver, vnode_id, deletes=[args["key"]])
-        return {"status": "ok"}
+    # Each single-key handler is the one-entry case of its batch
+    # sibling: the local computation is shared, only the reply keeps
+    # its own wire shape (sizes feed the latency model).
 
-    def _h_replica_mwrite(self, src: str, args: Any):
-        """Batched replica.write: one ownership check and one
-        persistence flush for the whole vnode-group, per-key outcomes.
-        """
-        vnode_id = args["vnode"]
-        if self.cache.loaded and not self._owns(vnode_id):
-            self.sim.process(self.cache.invalidate(vnode_id))
-            raise RpcRejected("not-owner")
-        entries = args["entries"]
+    def _apply_writes(self, vnode_id: int, entries: list) -> dict[str, str]:
+        """Apply a vnode-group of writes: one ownership check, one
+        forward to a migration receiver; per-key outcomes."""
+        self._guard_owner(vnode_id)
         self.replica_writes += len(entries)
         self.vstats.record_write(vnode_id, len(entries))
-        statuses = self.store.write_multi(
-            (e["key"], e["value"], e["ts"], e["source"], e["mode"])
-            for e in entries)
+        store = self.store
+        statuses = {}
+        for e in entries:   # duplicate keys: the last entry's outcome wins
+            write = (store.write_latest if e["mode"] == "latest"
+                     else store.write_all)
+            statuses[e["key"]] = write(e["key"], e["value"], e["ts"],
+                                       e["source"])
         for e in entries:
             key = e["key"]
             self._index_key(key)
@@ -567,55 +521,83 @@ class SednaNode:
                     [ValueElement(e["source"], e["ts"], e["value"])])
                     for e in entries},
                 lww={e["key"]: e["mode"] == "latest" for e in entries})
-        delay = self.persistence.write_delay()
-        if delay > 0.0:
-            ev = self.sim.event()
-            self.sim.schedule_callback(
-                delay, lambda: ev.succeed({"statuses": statuses}))
-            return ev
-        return {"statuses": statuses}
+        return statuses
 
-    def _h_replica_mread(self, src: str, args: Any):
-        """Batched replica.read: one ownership/warming check, one
-        round-trip; keys with no row are absent from ``rows``."""
-        vnode_id = args["vnode"]
-        if self.cache.loaded and not self._owns(vnode_id):
-            self.sim.process(self.cache.invalidate(vnode_id))
-            raise RpcRejected("not-owner")
-        status = self.vnode_status.get(vnode_id)
-        if status is not None and status.warming:
-            raise RpcRejected("warming")
-        keys = args["keys"]
+    def _after_flush(self, reply: dict):
+        """``reply``, held back by the persistence strategy's write
+        delay (one flush for the whole group)."""
+        delay = self.persistence.write_delay()
+        if delay <= 0.0:
+            return reply
+        ev = self.sim.event()
+        self.sim.schedule_callback(delay, lambda: ev.succeed(reply))
+        return ev
+
+    def _h_replica_write(self, src: str, args: Any):
+        statuses = self._apply_writes(args["vnode"], [args])
+        return self._after_flush({"status": statuses[args["key"]]})
+
+    def _h_replica_mwrite(self, src: str, args: Any):
+        """Batched replica.write with per-key outcomes."""
+        return self._after_flush(
+            {"statuses": self._apply_writes(args["vnode"], args["entries"])})
+
+    def _read_rows(self, vnode_id: int, keys: list) -> dict:
+        """Every element of each key, after one ownership/warming check."""
+        self._guard_owner(vnode_id)
+        self._guard_warm(vnode_id)
         self.replica_reads += len(keys)
         self.vstats.record_read(vnode_id, len(keys))
-        rows = {key: wire_elements(elements)
-                for key, elements in self.store.read_multi(keys).items()
+        read_all = self.store.read_all
+        return {key: read_all(key) for key in keys}
+
+    def _h_replica_read(self, src: str, args: Any):
+        key = args["key"]
+        elements = self._read_rows(args["vnode"], [key])[key]
+        row = self.store.rows.get(key)
+        return {"elements": wire_elements(elements),
+                "lww": row.lww if row is not None else None}
+
+    def _h_replica_mread(self, src: str, args: Any):
+        """Batched replica.read: one round-trip; keys with no row are
+        absent from ``rows``."""
+        rows = {key: wire_elements(elements) for key, elements
+                in self._read_rows(args["vnode"], args["keys"]).items()
                 if elements}
         return {"rows": rows, "lww": self._lww_flags(rows)}
 
-    def _h_replica_mdelete(self, src: str, args: Any):
-        """Batched replica.delete with per-key outcomes."""
-        vnode_id = args["vnode"]
-        keys = self.vnode_keys.get(vnode_id)
+    def _apply_deletes(self, vnode_id: int, keys: list) -> dict[str, str]:
+        """Drop a vnode-group of keys; per-key ``ok``/``missing``.
+
+        Unlike every other replica write path this takes no ownership
+        guard, so a non-owner acks deletes (recorded under ROADMAP aim
+        3; adding the guard moves digests).
+        """
+        indexed = self.vnode_keys.get(vnode_id)
         statuses = {}
-        for key in args["keys"]:
+        for key in keys:
             existed = self.store.delete(key)
-            if keys is not None:
-                keys.discard(key)
+            if indexed is not None:
+                indexed.discard(key)
             statuses[key] = "ok" if existed else "missing"
         receiver = self._forward_target(vnode_id)
         if receiver is not None:
-            self._spawn_forward(receiver, vnode_id,
-                                deletes=list(args["keys"]))
-        return {"statuses": statuses}
+            self._spawn_forward(receiver, vnode_id, deletes=list(keys))
+        return statuses
+
+    def _h_replica_delete(self, src: str, args: Any):
+        self._apply_deletes(args["vnode"], [args["key"]])
+        return {"status": "ok"}
+
+    def _h_replica_mdelete(self, src: str, args: Any):
+        """Batched replica.delete with per-key outcomes."""
+        return {"statuses": self._apply_deletes(args["vnode"], args["keys"])}
 
     def _h_replica_cwrite(self, src: str, args: Any):
         """Causal (DVV) dot-minting write: apply the client's context,
         mint a fresh dot, return the resulting row for replication."""
         vnode_id = args["vnode"]
-        if self.cache.loaded and not self._owns(vnode_id):
-            self.sim.process(self.cache.invalidate(vnode_id))
-            raise RpcRejected("not-owner")
+        self._guard_owner(vnode_id)
         self.replica_writes += 1
         key = args["key"]
         dot, row = self.store.causal_update(
@@ -634,9 +616,7 @@ class SednaNode:
         """Causal (DVV) row merge: replication fan-out, read repair and
         anti-entropy all land here (idempotent)."""
         vnode_id = args["vnode"]
-        if self.cache.loaded and not self._owns(vnode_id):
-            self.sim.process(self.cache.invalidate(vnode_id))
-            raise RpcRejected("not-owner")
+        self._guard_owner(vnode_id)
         self.replica_writes += 1
         key = args["key"]
         self.store.causal_merge(key, unwire_dvv_row(args["row"]))
@@ -652,12 +632,8 @@ class SednaNode:
     def _h_replica_cread(self, src: str, args: Any):
         """Causal (DVV) read: the whole row (siblings + context)."""
         vnode_id = args["vnode"]
-        if self.cache.loaded and not self._owns(vnode_id):
-            self.sim.process(self.cache.invalidate(vnode_id))
-            raise RpcRejected("not-owner")
-        status = self.vnode_status.get(vnode_id)
-        if status is not None and status.warming:
-            raise RpcRejected("warming")
+        self._guard_owner(vnode_id)
+        self._guard_warm(vnode_id)
         self.replica_reads += 1
         self.vstats.record_read(vnode_id)
         row = self.store.causal_read(args["key"])
@@ -963,38 +939,11 @@ class SednaNode:
         self.sim.process(runner(), name=f"{self.name}-{label}")
         return result
 
-    # -- coordinator handlers (the client-facing plane) --------------------
-    def _h_write(self, src: str, args: Any) -> Event:
-        return self._deferred(self.coordinator.coordinate_write(args),
-                              "coord-write")
-
-    def _h_read(self, src: str, args: Any) -> Event:
-        return self._deferred(self.coordinator.coordinate_read(args),
-                              "coord-read")
-
-    def _h_delete(self, src: str, args: Any) -> Event:
-        return self._deferred(self.coordinator.coordinate_delete(args),
-                              "coord-delete")
-
-    def _h_mwrite(self, src: str, args: Any) -> Event:
-        return self._deferred(self.coordinator.coordinate_multi_write(args),
-                              "coord-mwrite")
-
-    def _h_mread(self, src: str, args: Any) -> Event:
-        return self._deferred(self.coordinator.coordinate_multi_read(args),
-                              "coord-mread")
-
-    def _h_mdelete(self, src: str, args: Any) -> Event:
-        return self._deferred(self.coordinator.coordinate_multi_delete(args),
-                              "coord-mdelete")
-
-    def _h_cwrite(self, src: str, args: Any) -> Event:
-        return self._deferred(self.coordinator.coordinate_causal_write(args),
-                              "coord-cwrite")
-
-    def _h_cread(self, src: str, args: Any) -> Event:
-        return self._deferred(self.coordinator.coordinate_causal_read(args),
-                              "coord-cread")
+    def _h_coordinate(self, method: str, src: str, args: Any) -> Event:
+        """The client-facing plane: any ``sedna.*`` request, run by this
+        node's coordinator in a process of its own."""
+        return self._deferred(self.coordinator.coordinate(method, args),
+                              f"coord-{method[6:]}")
 
     # ------------------------------------------------------------------
     # Lazy failure recovery (§III.C–D)
@@ -1233,39 +1182,17 @@ class SednaNode:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def coordinated_writes(self) -> int:
-        """Writes this node coordinated (delegated counter)."""
-        return self.coordinator.coordinated_writes
-
-    @property
-    def coordinated_reads(self) -> int:
-        """Reads this node coordinated (delegated counter)."""
-        return self.coordinator.coordinated_reads
-
-    @property
-    def coordinated_deletes(self) -> int:
-        """Deletes this node coordinated (delegated counter)."""
-        return self.coordinator.coordinated_deletes
-
     def stats(self) -> dict:
         """Per-node counters for the harness."""
+        coordinator = self.coordinator
         return {
             "name": self.name,
             "running": self.running,
             "keys": len(self.store),
             "vnodes": len(self.cache.ring.vnodes_of(self.name)),
-            "coordinated_writes": self.coordinated_writes,
-            "coordinated_reads": self.coordinated_reads,
-            "coordinated_deletes": self.coordinated_deletes,
-            "coordinated_multi_writes": self.coordinator.coordinated_multi_writes,
-            "coordinated_multi_reads": self.coordinator.coordinated_multi_reads,
-            "coordinated_multi_deletes": self.coordinator.coordinated_multi_deletes,
-            "coalesced_reads": self.coordinator.coalesced_reads,
-            "coordinated_causal_writes":
-                self.coordinator.coordinated_causal_writes,
-            "coordinated_causal_reads":
-                self.coordinator.coordinated_causal_reads,
+            **{op.counter: getattr(coordinator, op.counter)
+               for op in OPS.values()},
+            "coalesced_reads": coordinator.coalesced_reads,
             "replica_writes": self.replica_writes,
             "replica_reads": self.replica_reads,
             "investigations": self.investigations,

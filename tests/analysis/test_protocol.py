@@ -115,7 +115,7 @@ class TestInterprocedural:
 
     def test_payload_read_set_follows_forwarded_args(self, tmp_path):
         """A handler that hands ``args`` to a helper inherits the
-        helper's key reads (the node-handler -> coordinate_* pattern):
+        helper's key reads (the node-handler -> coordinate pattern):
         the call site owes 'key' even though the handler body never
         subscripts args itself."""
         (tmp_path / "mod.py").write_text(
@@ -136,6 +136,104 @@ class TestInterprocedural:
         assert {v.rule for v in violations} == {"rpc-payload-mismatch"}
         messages = " ".join(v.message for v in violations)
         assert "key" in messages and "wrong" in messages
+
+    def test_method_table_is_read_as_data(self, tmp_path):
+        """The op-table idiom (SednaNode + coordinator.OPS): ``for m in
+        TABLE: register(m, partial(h, m))`` registers every key with
+        ``h``; a row's lambdas contribute that method's payload reads;
+        ``op.replica`` dispatched through a wrapper makes every row's
+        ``replica="..."`` literal a call site whose payload is the dict
+        its ``replica_args`` lambda builds."""
+        (tmp_path / "mod.py").write_text(
+            "from functools import partial\n"
+            "def Row(**kw):\n"
+            "    return kw\n"
+            "TABLE = {\n"
+            "    'fx.get': Row(items=lambda args: [args['key']],\n"
+            "                  replica='fx.rget',\n"
+            "                  replica_args=lambda v, args: {\n"
+            "                      'vnode': v, 'key': args['key']}),\n"
+            "    'fx.put': Row(items=lambda args: [args],\n"
+            "                  replica='fx.rput',\n"
+            "                  replica_args=lambda v, args: {\n"
+            "                      'vnode': v, 'value': args['value'],\n"
+            "                      'extra': 1}),\n"
+            "}\n"
+            "class C:\n"
+            "    def __init__(self, rpc):\n"
+            "        self.rpc = rpc\n"
+            "        r = self.rpc.register\n"
+            "        for method in TABLE:\n"
+            "            r(method, partial(self._h, method))\n"
+            "        r('fx.rget', self._rget)\n"
+            "        r('fx.rput', self._rput)\n"
+            "    def _h(self, method, src, args):\n"
+            "        op = TABLE[method]\n"
+            "        return self._send('peer', op.replica,\n"
+            "                          op.replica_args(0, args))\n"
+            "    def _send(self, dst, method, payload):\n"
+            "        return self.rpc.call_async(dst, method, payload)\n"
+            "    def _rget(self, src, args):\n"
+            "        return args['vnode'], args['key']\n"
+            "    def _rput(self, src, args):\n"
+            "        return args['vnode'], args['value']\n"
+            "    def go(self):\n"
+            "        a = self.rpc.call_async('peer', 'fx.get', {'key': 1})\n"
+            "        b = self.rpc.call_async('peer', 'fx.put', {'key': 1})\n"
+            "        return a, b\n", encoding="utf-8")
+        analyzer = build_analyzer([tmp_path])
+        table = {row["method"]: row for row in analyzer.method_table()}
+        assert set(table) == {"fx.get", "fx.put", "fx.rget", "fx.rput"}
+        assert table["fx.get"]["handler"].endswith("C._h")
+        assert table["fx.rget"]["callers"], "row literal is a call site"
+        violations = analyzer.run()
+        assert {v.rule for v in violations} == {"rpc-payload-mismatch"}
+        messages = sorted(v.message for v in violations)
+        assert len(messages) == 2, messages
+        # fx.put's row reads args['value']; the go() payload omits it.
+        assert "'fx.put' omits key(s) ['value']" in messages[0]
+        # fx.rput's row builds a key its handler never reads.
+        assert "'fx.rput' passes key(s) ['extra']" in messages[1]
+
+    def test_wrapper_that_catches_guards_its_call_sites(self, tmp_path):
+        """A wrapper forwarding inside ``try/except RpcTimeout`` without
+        ever raising (the SednaClient._op pattern) hides rpc failures
+        from its callers; one that retries and re-raises does not."""
+        (tmp_path / "mod.py").write_text(
+            "class C:\n"
+            "    def __init__(self, sim, rpc):\n"
+            "        self.sim = sim\n"
+            "        self.rpc = rpc\n"
+            "        self.rpc.register('fx.p', self._h)\n"
+            "        self.sim.process(self._safe(), name='a')\n"
+            "        self.sim.process(self._unsafe(), name='b')\n"
+            "    def _h(self, src, args):\n"
+            "        return 'ok'\n"
+            "    def _quiet(self, method, args):\n"
+            "        try:\n"
+            "            r = yield from self.rpc.call('peer', method, args,\n"
+            "                                         timeout=1.0)\n"
+            "        except RpcTimeout:\n"
+            "            r = None\n"
+            "        return r\n"
+            "    def _retry(self, method, args):\n"
+            "        for _ in range(2):\n"
+            "            try:\n"
+            "                r = yield from self.rpc.call(\n"
+            "                    'peer', method, args, timeout=1.0)\n"
+            "                return r\n"
+            "            except RpcTimeout as err:\n"
+            "                last = err\n"
+            "        raise last\n"
+            "    def _safe(self):\n"
+            "        r = yield from self._quiet('fx.p', {})\n"
+            "        return r\n"
+            "    def _unsafe(self):\n"
+            "        r = yield from self._retry('fx.p', {})\n"
+            "        return r\n", encoding="utf-8")
+        violations = _analyze(tmp_path)
+        assert [v.rule for v in violations] == ["rpc-unhandled-failure"]
+        assert "_unsafe" in violations[0].message
 
     def test_dict_copy_with_added_keys_resolves(self, tmp_path):
         """``retry = dict(payload); retry['extra'] = 1`` resolves to

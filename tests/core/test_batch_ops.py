@@ -72,43 +72,6 @@ class TestBatchRpcBudget:
         assert all(s == WriteOutcome.OK for s in statuses.values())
         assert rpcs <= 9, f"multi_write cost {rpcs} RPCs"
 
-    def test_multi_delete_then_miss(self, batch_cluster):
-        cluster = batch_cluster
-        smart = cluster.smart_client("budget-deleter")
-        keys = [f"dbudget-{i}" for i in range(8)]
-
-        def script():
-            yield from smart.connect()
-            yield from smart.multi_write({k: "x" for k in keys})
-            deleted = yield from smart.multi_delete(keys)
-            values = yield from smart.multi_read(keys)
-            return deleted, values
-
-        deleted, values = cluster.run(script())
-        assert all(deleted.values())
-        assert all(v is None for v in values.values())
-
-    def test_thin_client_batch_api(self, batch_cluster):
-        """The server-coordinated client speaks the same batch surface
-        through sedna.mwrite/mread/mdelete."""
-        cluster = batch_cluster
-        client = cluster.client("thin-batch")
-        keys = [f"thin-{i}" for i in range(8)]
-
-        def script():
-            statuses = yield from client.multi_write(
-                {k: k.upper() for k in keys})
-            values = yield from client.multi_read(keys)
-            all_lists = yield from client.multi_read_all(keys[:2])
-            deleted = yield from client.multi_delete(keys[:2])
-            return statuses, values, all_lists, deleted
-
-        statuses, values, all_lists, deleted = cluster.run(script())
-        assert all(s == WriteOutcome.OK for s in statuses.values())
-        assert values == {k: k.upper() for k in keys}
-        assert {e.value for e in all_lists[keys[0]]} == {keys[0].upper()}
-        assert deleted == {keys[0]: True, keys[1]: True}
-
 
 class TestReadCoalescing:
     def test_concurrent_herd_shares_one_round(self, batch_cluster):
@@ -262,7 +225,7 @@ class TestMultiWriteGroups:
         sim, coordinator, replicas, _cache = batch_world
         by_vnode = keys_in_distinct_vnodes(_cache.ring, 2)
         keys = list(by_vnode.values())
-        result = drive(sim, coordinator.coordinate_multi_write(
+        result = drive(sim, coordinator.coordinate("sedna.mwrite",
             mwrite_args(keys)))
         for k in keys:
             assert result["results"][k]["status"] == WriteOutcome.OK
@@ -278,7 +241,7 @@ class TestMultiWriteGroups:
         bad_vnode, good_vnode = sorted(by_vnode)
         for r in replicas.values():
             r.refuse_vnodes.add(bad_vnode)
-        result = drive(sim, coordinator.coordinate_multi_write(
+        result = drive(sim, coordinator.coordinate("sedna.mwrite",
             mwrite_args(list(by_vnode.values()))))
         assert (result["results"][by_vnode[bad_vnode]]["status"]
                 == WriteOutcome.FAILURE)
@@ -296,7 +259,7 @@ class TestMultiWriteGroups:
         stale_vnode, fine_vnode = sorted(by_vnode)
         for r in replicas.values():
             r.refuse_vnodes_once.add(stale_vnode)
-        result = drive(sim, coordinator.coordinate_multi_write(
+        result = drive(sim, coordinator.coordinate("sedna.mwrite",
             mwrite_args(list(by_vnode.values()))))
         for k in by_vnode.values():
             assert result["results"][k]["status"] == WriteOutcome.OK
@@ -317,7 +280,7 @@ class TestMultiReadGroups:
         hit, miss = list(by_vnode.values())
         for r in replicas.values():
             r.rows[hit] = [ValueElement("w", 2.0, "val")]
-        result = drive(sim, coordinator.coordinate_multi_read(
+        result = drive(sim, coordinator.coordinate("sedna.mread",
             {"keys": [hit, miss]}))
         assert result["results"][hit]["found"] is True
         assert result["results"][hit]["value"] == "val"
@@ -331,7 +294,7 @@ class TestMultiReadGroups:
         replicas["r0"].rows[key] = fresh
         replicas["r1"].rows[key] = fresh
         replicas["r2"].rows[key] = [ValueElement("w", 1.0, "old")]
-        result = drive(sim, coordinator.coordinate_multi_read(
+        result = drive(sim, coordinator.coordinate("sedna.mread",
             {"keys": [key]}))
         assert result["results"][key]["value"] == "new"
         sim.run(until=sim.now + 1.0)
@@ -347,7 +310,7 @@ class TestMultiReadGroups:
         key = next(iter(by_vnode.values()))
         replicas["r0"].rows[key] = [ValueElement("a", 1.0, "va")]
         replicas["r1"].rows[key] = [ValueElement("b", 2.0, "vb")]
-        result = drive(sim, coordinator.coordinate_multi_read(
+        result = drive(sim, coordinator.coordinate("sedna.mread",
             {"keys": [key], "mode": "all"}))
         sources = {s for s, _t, _v in result["results"][key]["elements"]}
         assert sources == {"a", "b"}
@@ -359,7 +322,7 @@ class TestMultiReadGroups:
         for r in replicas.values():
             r.refuse_vnodes.add(bad_vnode)
             r.rows[by_vnode[good_vnode]] = [ValueElement("w", 1.0, "x")]
-        result = drive(sim, coordinator.coordinate_multi_read(
+        result = drive(sim, coordinator.coordinate("sedna.mread",
             {"keys": list(by_vnode.values())}))
         assert result["results"][by_vnode[bad_vnode]]["status"] == "failure"
         assert result["results"][by_vnode[good_vnode]]["value"] == "x"
@@ -370,7 +333,7 @@ class TestMultiDeleteGroups:
         sim, coordinator, replicas, cache = batch_world
         by_vnode = keys_in_distinct_vnodes(cache.ring, 2)
         keys = list(by_vnode.values())
-        result = drive(sim, coordinator.coordinate_multi_delete(
+        result = drive(sim, coordinator.coordinate("sedna.mdelete",
             {"keys": keys}))
         for k in keys:
             assert result["results"][k]["status"] == "ok"

@@ -115,7 +115,8 @@ WRITE_ARGS = {"key": "k", "value": "v", "ts": 1.0, "source": "cli",
 class TestWriteLogic:
     def test_happy_path_hits_all_three(self, world):
         sim, coordinator, replicas, _cache, suspects = world
-        result = drive(sim, coordinator.coordinate_write(dict(WRITE_ARGS)))
+        result = drive(sim, coordinator.coordinate(
+            "sedna.write", dict(WRITE_ARGS)))
         assert result["status"] == WriteOutcome.OK
         assert all(len(r.writes) == 1 for r in replicas.values())
         assert suspects == []
@@ -125,7 +126,8 @@ class TestWriteLogic:
         replicas["r2"].delay = 10.0
 
         def go():
-            result = yield from coordinator.coordinate_write(dict(WRITE_ARGS))
+            result = yield from coordinator.coordinate(
+                "sedna.write", dict(WRITE_ARGS))
             return result, sim.now
 
         result, when = drive(sim, go())
@@ -135,7 +137,8 @@ class TestWriteLogic:
     def test_silent_replica_flagged_suspect(self, world):
         sim, coordinator, replicas, _cache, suspects = world
         replicas["r1"].behaviour = "silent"
-        result = drive(sim, coordinator.coordinate_write(dict(WRITE_ARGS)))
+        result = drive(sim, coordinator.coordinate(
+            "sedna.write", dict(WRITE_ARGS)))
         assert result["status"] == WriteOutcome.OK
         sim.run(until=sim.now + 1.0)  # the silence deadline passes
         assert "r1" in suspects
@@ -143,7 +146,8 @@ class TestWriteLogic:
     def test_refusal_flagged_suspect(self, world):
         sim, coordinator, replicas, _cache, suspects = world
         replicas["r0"].behaviour = "refuse"
-        result = drive(sim, coordinator.coordinate_write(dict(WRITE_ARGS)))
+        result = drive(sim, coordinator.coordinate(
+            "sedna.write", dict(WRITE_ARGS)))
         assert result["status"] == WriteOutcome.OK
         assert "r0" in suspects
 
@@ -154,7 +158,8 @@ class TestWriteLogic:
 
         def go():
             with pytest.raises(RpcRejected):
-                yield from coordinator.coordinate_write(dict(WRITE_ARGS))
+                yield from coordinator.coordinate(
+                    "sedna.write", dict(WRITE_ARGS))
             return True
 
         drive(sim, go())
@@ -169,7 +174,8 @@ class TestWriteLogic:
 
         def go():
             with pytest.raises(RpcRejected, match="write-quorum-failed"):
-                yield from coordinator.coordinate_write(dict(WRITE_ARGS))
+                yield from coordinator.coordinate(
+                    "sedna.write", dict(WRITE_ARGS))
             return sim.now
 
         when = drive(sim, go())
@@ -185,7 +191,7 @@ class TestReadLogic:
         sim, coordinator, replicas, _cache, _s = world
         fresh = [ValueElement("w", 2.0, "new")]
         self._load(replicas, {"r0": fresh, "r1": fresh, "r2": fresh})
-        result = drive(sim, coordinator.coordinate_read({"key": "k"}))
+        result = drive(sim, coordinator.coordinate("sedna.read", {"key": "k"}))
         assert result["found"] is True
         assert (result["value"], result["ts"], result["source"]) == (
             "new", 2.0, "w")
@@ -198,7 +204,7 @@ class TestReadLogic:
         fresh = [ValueElement("w", 2.0, "new")]
         stale = [ValueElement("w", 1.0, "old")]
         self._load(replicas, {"r0": fresh, "r1": fresh, "r2": stale})
-        result = drive(sim, coordinator.coordinate_read({"key": "k"}))
+        result = drive(sim, coordinator.coordinate("sedna.read", {"key": "k"}))
         assert result["value"] == "new"
         sim.run(until=sim.now + 1.0)
         assert len(replicas["r2"].repairs) == 1
@@ -212,12 +218,13 @@ class TestReadLogic:
         fresh = [ValueElement("w", 3.0, "newest")]
         stale = [ValueElement("w", 1.0, "old")]
         self._load(replicas, {"r0": stale, "r1": stale, "r2": fresh})
-        result = drive(sim, coordinator.coordinate_read({"key": "k"}))
+        result = drive(sim, coordinator.coordinate("sedna.read", {"key": "k"}))
         # The coordinator may answer before r2's response arrives only
         # if R stale copies agree; the merged answer must still win
         # after repair.  Re-read to observe the converged value.
         sim.run(until=sim.now + 1.0)
-        result2 = drive(sim, coordinator.coordinate_read({"key": "k"}))
+        result2 = drive(sim, coordinator.coordinate(
+            "sedna.read", {"key": "k"}))
         assert result2["value"] == "newest"
 
     def test_read_all_merges_value_lists(self, world):
@@ -227,14 +234,15 @@ class TestReadLogic:
             "r1": [ValueElement("b", 2.0, "vb")],
             "r2": [],
         })
-        result = drive(sim, coordinator.coordinate_read(
+        result = drive(sim, coordinator.coordinate("sedna.read",
             {"key": "k", "mode": "all"}))
         sources = {source for source, _ts, _v in result["elements"]}
         assert sources == {"a", "b"}
 
     def test_missing_key_not_found(self, world):
         sim, coordinator, replicas, _cache, _s = world
-        result = drive(sim, coordinator.coordinate_read({"key": "nope"}))
+        result = drive(sim, coordinator.coordinate(
+            "sedna.read", {"key": "nope"}))
         assert result["found"] is False
 
     def test_read_quorum_failure(self, world):
@@ -244,7 +252,7 @@ class TestReadLogic:
 
         def go():
             with pytest.raises(RpcRejected, match="read-quorum-failed"):
-                yield from coordinator.coordinate_read({"key": "k"})
+                yield from coordinator.coordinate("sedna.read", {"key": "k"})
             return True
 
         assert drive(sim, go()) is True
@@ -253,7 +261,8 @@ class TestReadLogic:
 class TestDeleteLogic:
     def test_delete_quorum(self, world):
         sim, coordinator, _replicas, _cache, _s = world
-        result = drive(sim, coordinator.coordinate_delete({"key": "k"}))
+        result = drive(sim, coordinator.coordinate(
+            "sedna.delete", {"key": "k"}))
         assert result["status"] == "ok"
         assert len(result["acks"]) >= 2
         assert coordinator.coordinated_deletes == 1
@@ -267,7 +276,7 @@ class TestDeleteLogic:
 
         def go():
             with pytest.raises(RpcRejected, match="not-enough-replicas"):
-                yield from coordinator.coordinate_delete({"key": "k"})
+                yield from coordinator.coordinate("sedna.delete", {"key": "k"})
             return True
 
         assert drive(sim, go()) is True
@@ -283,7 +292,7 @@ class TestDeleteLogic:
 
         def go():
             with pytest.raises(RpcRejected, match="delete-quorum-failed"):
-                yield from coordinator.coordinate_delete({"key": "k"})
+                yield from coordinator.coordinate("sedna.delete", {"key": "k"})
             return True
 
         drive(sim, go())
@@ -294,7 +303,44 @@ class TestDeleteLogic:
     def test_silent_laggard_suspected_after_delete(self, world):
         sim, coordinator, replicas, _cache, suspects = world
         replicas["r2"].behaviour = "silent"
-        result = drive(sim, coordinator.coordinate_delete({"key": "k"}))
+        result = drive(sim, coordinator.coordinate(
+            "sedna.delete", {"key": "k"}))
         assert result["status"] == "ok"
         sim.run(until=sim.now + 1.0)  # the silence deadline passes
         assert "r2" in suspects
+
+
+class TestReplicaDeleteOwnership:
+    """Recorded, not fixed (ROADMAP aim 3): the fix moves digests."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "replica.delete / replica.mdelete skip the not-owner guard every "
+        "other replica write path has, so a non-owner acks deletes and "
+        "the delete pipeline's invalidate-and-retry on a stale mapping "
+        "can never fire"))
+    def test_non_owner_refuses_replica_delete(self):
+        from repro.core.cluster import SednaCluster
+
+        cluster = SednaCluster(n_nodes=4, zk_size=1,
+                               config=SednaConfig(num_vnodes=8))
+        cluster.start()
+        vnode_id, replicas = cluster.nodes["node0"].cache.replicas_for_key(
+            "k")
+        outsider = next(n for n in cluster.node_names if n not in replicas)
+        probe = RpcNode(cluster.network, "probe")
+
+        def refused(method, args):
+            try:
+                yield from probe.call(outsider, method, args, timeout=1.0)
+            except RpcRejected as rej:
+                return rej.reason
+            return None
+
+        # The contrast: the same outsider refuses a write.
+        assert cluster.run(refused("replica.write", {
+            "vnode": vnode_id, **WRITE_ARGS})) == "not-owner"
+        assert cluster.run(refused("replica.delete", {
+            "vnode": vnode_id, "key": "k"})) == "not-owner"
+        assert cluster.run(refused("replica.mdelete", {
+            "vnode": vnode_id, "keys": ["k"]})) == "not-owner"
+

@@ -37,7 +37,7 @@ class TestHandoffWarming:
         cluster.run(client.connect())
         key = FullKey.of("wk").encoded()
         vnode_id, replicas = replica_set(cluster, key)
-        cluster.run(client.coordinator.coordinate_write(
+        cluster.run(client.coordinator.coordinate("sedna.write",
             {"key": key, "value": "v", "ts": 1.0, "source": "c1",
              "mode": "latest"}))
         holder = cluster.nodes[replicas[0]]
@@ -62,7 +62,7 @@ class TestHandoffWarming:
         cluster.run(client.connect())
         key = FullKey.of("wk2").encoded()
         vnode_id, replicas = replica_set(cluster, key)
-        cluster.run(client.coordinator.coordinate_write(
+        cluster.run(client.coordinator.coordinate("sedna.write",
             {"key": key, "value": "fresh", "ts": 2.0, "source": "c1",
              "mode": "latest"}))
         # Block a full read quorum: all but one replica warming.
@@ -79,7 +79,7 @@ class TestHandoffWarming:
 
         def reader():
             t0 = cluster.sim.now
-            result = yield from client.coordinator.coordinate_read(
+            result = yield from client.coordinator.coordinate("sedna.read",
                 {"key": key, "mode": "latest"})
             return result, cluster.sim.now - t0
 
@@ -103,7 +103,7 @@ class TestHandoffWarming:
         cluster.run(client.connect())
         key = FullKey.of("wk4").encoded()
         vnode_id, replicas = replica_set(cluster, key)
-        cluster.run(client.coordinator.coordinate_write(
+        cluster.run(client.coordinator.coordinate("sedna.write",
             {"key": key, "value": "acked", "ts": 4.0, "source": "c1",
              "mode": "latest"}))
 
@@ -141,7 +141,7 @@ class TestHandoffWarming:
         vnode_id, replicas = replica_set(cluster, key)
         for name in replicas:
             cluster.nodes[name]._status(vnode_id).warming = True
-        result = cluster.run(client.coordinator.coordinate_write(
+        result = cluster.run(client.coordinator.coordinate("sedna.write",
             {"key": key, "value": "v", "ts": 3.0, "source": "c1",
              "mode": "latest"}))
         assert result["status"] == "ok"

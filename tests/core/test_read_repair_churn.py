@@ -1,5 +1,5 @@
 """Read-repair under churn: the membership-churn wait path and
-late-responder repair of ``QuorumCoordinator.coordinate_read``.
+late-responder repair of the coordinator's ``sedna.read`` pipeline.
 
 Covers the paths that only fire when replica responses straddle the
 quorum decision:
@@ -57,7 +57,7 @@ class TestChurnWaitPath:
         replicas["r2"].elements = [ValueElement("w", 5.0, "survivor")]
         replicas["r2"].delay = 0.2  # inside the wait window
 
-        result = drive(sim, coordinator.coordinate_read({"key": "k"}))
+        result = drive(sim, coordinator.coordinate("sedna.read", {"key": "k"}))
         assert result["found"] is True
         assert result["value"] == "survivor"
         assert set(result["responders"]) == {"r0", "r1", "r2"}
@@ -67,7 +67,7 @@ class TestChurnWaitPath:
         replicas["r2"].elements = [ValueElement("w", 5.0, "survivor")]
         replicas["r2"].delay = 0.2
 
-        drive(sim, coordinator.coordinate_read({"key": "k"}))
+        drive(sim, coordinator.coordinate("sedna.read", {"key": "k"}))
         sim.run(until=sim.now + 1.0)
         repaired = {name for name, r in replicas.items() if r.repairs}
         assert {"r0", "r1"} <= repaired
@@ -81,7 +81,8 @@ class TestChurnWaitPath:
         replicas["r2"].behaviour = "silent"
 
         def go():
-            result = yield from coordinator.coordinate_read({"key": "k"})
+            result = yield from coordinator.coordinate(
+                "sedna.read", {"key": "k"})
             return result, sim.now
 
         result, when = drive(sim, go())
@@ -98,7 +99,7 @@ class TestChurnWaitPath:
         replicas["r2"].elements = []      # freshly recovered, empty row
         replicas["r2"].delay = 0.3        # answers after the quorum
 
-        result = drive(sim, coordinator.coordinate_read({"key": "k"}))
+        result = drive(sim, coordinator.coordinate("sedna.read", {"key": "k"}))
         assert result["value"] == "new"
         sim.run(until=sim.now + 1.0)
         assert len(replicas["r2"].repairs) == 1

@@ -1,11 +1,12 @@
-"""Tests for the zero-hop SmartSednaClient (§VII)."""
+"""Tests for what only the zero-hop SmartSednaClient has (§VII): its
+own replica fan-out, mapping cache and ZooKeeper session.  What every
+verb returns is covered for both routes by ``test_client_routes.py``."""
 
 import pytest
 
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
 from repro.core.types import FullKey
-from repro.storage.versioned import WriteOutcome
 
 
 @pytest.fixture(scope="module")
@@ -17,17 +18,6 @@ def cluster():
 
 
 class TestSmartClient:
-    def test_connect_then_roundtrip(self, cluster):
-        client = cluster.smart_client()
-
-        def script():
-            yield from client.connect()
-            status = yield from client.write_latest("sk", "sv")
-            value = yield from client.read_latest("sk")
-            return status, value
-
-        assert cluster.run(script()) == (WriteOutcome.OK, "sv")
-
     def test_writes_reach_three_replicas(self, cluster):
         client = cluster.smart_client()
 
@@ -88,17 +78,6 @@ class TestSmartClient:
 
         elements = cluster.run(script())
         assert {e.source for e in elements} == {"swa1", "swa2"}
-
-    def test_delete(self, cluster):
-        client = cluster.smart_client()
-
-        def script():
-            yield from client.connect()
-            yield from client.write_latest("gone", "x")
-            yield from client.delete("gone")
-            return (yield from client.read_latest("gone"))
-
-        assert cluster.run(script()) is None
 
     def test_close_releases_session(self, cluster):
         client = cluster.smart_client("closing")
