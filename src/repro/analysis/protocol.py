@@ -769,14 +769,21 @@ class ProtocolAnalyzer:
             return None
         if isinstance(expr, ast.Dict):
             keys: Set[str] = set()
-            for key in expr.keys:
-                if key is None:          # {**spread}: unresolvable
-                    return None
+            for key, value in zip(expr.keys, expr.values):
+                if key is None:          # {**spread}: the spread's keys
+                    spread = self._keys_of_expr(sfile, caller, value,
+                                                depth + 1)
+                    if spread is None:
+                        return None
+                    keys |= spread
+                    continue
                 literal = _const_str(key)
                 if literal is None:
                     return None
                 keys.add(literal)
             return keys
+        if isinstance(expr, ast.YieldFrom):     # a generator helper
+            expr = expr.value
         # dict(other) copies: resolve the source, then pick up any
         # name["k"] = ... additions the caller makes before sending.
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
@@ -786,7 +793,32 @@ class ProtocolAnalyzer:
                                       depth + 1)
         if isinstance(expr, ast.Name) and caller is not None:
             return self._keys_of_name(sfile, caller, expr.id, depth)
+        if isinstance(expr, ast.Call):
+            return self._keys_of_return(sfile, caller, expr, depth)
         return None
+
+    def _keys_of_return(self, sfile: SourceFile,
+                        caller: Optional[FunctionInfo],
+                        call: ast.Call, depth: int) -> Optional[Set[str]]:
+        """Keys of the dict a payload-building helper returns: the one
+        indexed target's ``return`` statements must all be dict
+        displays with the same resolvable key set."""
+        targets = self.index.resolve_call(sfile, caller, call)
+        if len(targets) != 1:
+            return None
+        target = targets[0]
+        target_file = self.index.file_of(target)
+        if target_file is None:
+            return None
+        shapes = [self._keys_of_expr(target_file, target, node.value,
+                                     depth + 1)
+                  if isinstance(node.value, ast.Dict) else None
+                  for node in own_nodes(target.node)
+                  if isinstance(node, ast.Return)]
+        if not shapes or shapes[0] is None \
+                or any(shape != shapes[0] for shape in shapes):
+            return None
+        return shapes[0]
 
     def _keys_of_name(self, sfile: SourceFile, caller: FunctionInfo,
                       name: str, depth: int) -> Optional[Set[str]]:

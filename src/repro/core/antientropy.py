@@ -23,7 +23,10 @@ reconciliation is idempotent and order-free.
 
 from __future__ import annotations
 
-from .node import SednaNode
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .node import SednaNode
 
 __all__ = ["AntiEntropyManager"]
 

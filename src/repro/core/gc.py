@@ -17,11 +17,13 @@ from its last up-to-date holder.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..net.rpc import RpcRejected, RpcTimeout
-from ..storage.versioned import wire_dvv_row
 from .antientropy import digest_diff, dvv_covered
-from .coordinator import wire_elements
-from .node import SednaNode
+
+if TYPE_CHECKING:
+    from .node import SednaNode
 
 __all__ = ["GarbageCollector"]
 
@@ -101,26 +103,13 @@ class GarbageCollector:
             _pull, push = digest_diff(mine, reply["digest"])
             dvv_push = dvv_covered(mine_dvv, reply.get("dvv", {}))
             if push or dvv_push:
-                rows = {}
-                for key in push:
-                    elements = node.store.read_all(key)
-                    if elements:
-                        rows[key] = wire_elements(elements)
-                dvv_rows = {}
-                for key in dvv_push:
-                    row = node.store.dvv_rows.get(key)
-                    if row is not None:
-                        dvv_rows[key] = wire_dvv_row(row)
-                try:
-                    yield from node.rpc.call(
-                        peer, "replica.install",
-                        {"vnode": vnode_id, "rows": rows,
-                         "lww": node._lww_flags(rows),
-                         "dvv_rows": dvv_rows},
-                        timeout=node.config.request_timeout * 2)
-                    self.rows_pushed += len(rows) + len(dvv_rows)
-                except (RpcTimeout, RpcRejected):
+                bundle = node._export_rows(push, dvv_push)
+                if not (yield from node._push_rows(
+                        peer, vnode_id, bundle,
+                        node.config.request_timeout * 2)):
                     return 0
+                self.rows_pushed += (len(bundle["rows"])
+                                     + len(bundle["dvv_rows"]))
         # Safe: drop the local copies.
         keys = node.vnode_keys.pop(vnode_id, set())
         dropped = 0

@@ -40,6 +40,7 @@ from ..storage.versioned import (ValueElement, VersionedStore, WriteOutcome,
 from ..zk.client import ZkClient
 from ..zk.server import ZkConfig
 from ..zk.znode import BadVersionError, NodeExistsError, NoNodeError
+from .antientropy import digest_diff, dvv_digest_diff
 from .cache import MappingCache, ZkLayout
 from .config import SednaConfig
 from .coordinator import (OPS, QuorumCoordinator, unwire_elements,
@@ -74,29 +75,13 @@ class SednaNode:
         self.zk = ZkClient(sim, network, f"{name}-zk", zk_servers, zk_config,
                            metrics=metrics)
         self.zk.rpc.tracer = tracer
-        self.cache = MappingCache(sim, self.zk, self.config,
-                                  metrics=metrics, owner=name)
-        self.store = VersionedStore(clock=lambda: sim.now,
-                                    metrics=metrics, node=name,
-                                    dvv_sibling_cap=self.config.dvv_sibling_cap)
         self.disk = disk if disk is not None else SimDisk()
-        self.persistence = make_strategy(self.config.persistence, self.disk,
-                                         name, self.config.snapshot_interval)
+        self._reset_volatile()
         self.coordinator = QuorumCoordinator(
             sim, self.rpc, self.cache, self.config,
             local_name=name, local_dispatch=self._local_dispatch,
             on_suspect=self._maybe_investigate, obs=obs)
         self.running = False
-
-        # Vnode-local bookkeeping.  The per-vnode stats feed is the
-        # single source of the read/write frequencies behind the
-        # imbalance table (§III.B); ``vnode_status`` stays as an alias
-        # of the feed's mapping for handoff/GC code and tests.
-        self.vnode_keys: dict[int, set[str]] = {}
-        self.vstats = VnodeStatsFeed(name, VnodeStatus)
-        self.vnode_status: dict[int, VnodeStatus] = self.vstats.statuses
-        if obs is not None:
-            obs.metrics.register_feed(self.vstats)
 
         # Dedup of in-flight failure investigations.
         self._investigating: set[tuple[str, int]] = set()
@@ -133,6 +118,30 @@ class SednaNode:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
+    def _reset_volatile(self) -> None:
+        """Build, empty, what a crash loses: mapping cache, store,
+        vnode index, persistence strategy (its disk survives).  Both
+        construction and :meth:`restart` come through here, so a
+        restarted node cannot drift from a new one."""
+        metrics = self.obs.metrics if self.obs is not None else None
+        self.cache = MappingCache(self.sim, self.zk, self.config,
+                                  metrics=metrics, owner=self.name)
+        self.store = VersionedStore(
+            clock=lambda: self.sim.now, metrics=metrics, node=self.name,
+            dvv_sibling_cap=self.config.dvv_sibling_cap)
+        self.persistence = make_strategy(self.config.persistence, self.disk,
+                                         self.name,
+                                         self.config.snapshot_interval)
+        # Vnode-local bookkeeping.  The per-vnode stats feed is the
+        # single source of the read/write frequencies behind the
+        # imbalance table (§III.B); ``vnode_status`` stays as an alias
+        # of the feed's mapping for handoff/GC code and tests.
+        self.vnode_keys: dict[int, set[str]] = {}
+        self.vstats = VnodeStatsFeed(self.name, VnodeStatus)
+        self.vnode_status: dict[int, VnodeStatus] = self.vstats.statuses
+        if self.obs is not None:
+            self.obs.metrics.register_feed(self.vstats)
+
     def _register_rpc(self) -> None:
         r = self.rpc.register
         # Client-facing coordinator API: every method of the op table,
@@ -336,20 +345,38 @@ class SednaNode:
                               str(vnode_id).encode(), sequential=True),
         ])
 
-    def _pull_vnode(self, vnode_id: int, source: str):
-        """Copy a vnode's rows from ``source`` into the local store."""
+    def reassign(self, vnode_id: int, expected_owner: str, new_owner: str):
+        """Version-checked ownership move in ZooKeeper + changelog; True
+        when this call moved the vnode.  If someone else (a concurrent
+        recovery or rebalancer) rewrote the entry first, their choice is
+        adopted into the local ring.  ZooKeeper errors, a lost version
+        race included, propagate: each caller has its own policy."""
+        data, stat = yield from self.zk.get(ZkLayout.vnode(vnode_id))
+        owner = data.decode()
+        if owner != expected_owner:
+            self.cache.ring.assign(vnode_id, owner)
+            return False
+        yield from self.write_assignment(vnode_id, new_owner,
+                                         stat["version"])
+        self.cache.ring.assign(vnode_id, new_owner)
+        return True
+
+    def _pull_vnode(self, vnode_id: int, source: str,
+                    target: Optional[str] = None):
+        """Copy a vnode's rows from ``source`` into the local store or,
+        given another node as ``target``, relay them there."""
+        timeout = self.config.request_timeout * 4
         try:
-            result = yield from self.rpc.call(
+            bundle = yield from self.rpc.call(
                 source, "replica.transfer", {"vnode": vnode_id},
-                timeout=self.config.request_timeout * 4)
+                timeout=timeout)
         except (RpcTimeout, RpcRejected):
             return False
-        flags = result.get("lww", {})
-        for key, blob in result["rows"].items():
-            self._merge_durably(key, unwire_elements(blob),
-                                lww=flags.get(key))
-        self._merge_dvv_rows(result.get("dvv_rows"))
-        return True
+        if target in (None, self.name):
+            self._import_rows(bundle)
+            return True
+        return (yield from self._push_rows(target, vnode_id, bundle,
+                                           timeout))
 
     def _merge_durably(self, key: str, elements: list[ValueElement],
                        lww: Optional[bool] = None) -> None:
@@ -376,17 +403,54 @@ class SednaNode:
                 flags[key] = row.lww
         return flags
 
-    def _merge_dvv_rows(self, blobs: Optional[dict]) -> None:
-        """Merge a wire map of causal rows (bulk-transfer receive side).
+    def _export_rows(self, keys, dvv_keys=None) -> dict:
+        """The *row bundle* ``{"rows", "lww", "dvv_rows"}`` for ``keys``
+        (causal rows for ``dvv_keys``, by default the same keys) — the
+        one wire format of every bulk path (docs/protocols.md §5.1).
+        Absent rows are left out; entries keep the caller's key order,
+        which is wire-visible."""
+        rows = {}
+        for key in keys:
+            elements = self.store.read_all(key)
+            if elements:
+                rows[key] = wire_elements(elements)
+        dvv_rows = {}
+        for key in keys if dvv_keys is None else dvv_keys:
+            drow = self.store.dvv_rows.get(key)
+            if drow is not None:
+                dvv_rows[key] = wire_dvv_row(drow)
+        return {"rows": rows, "lww": self._lww_flags(rows),
+                "dvv_rows": dvv_rows}
 
-        Causal rows are not logged to persistence: the DVV mode is an
-        in-memory replication mode; durability across power loss comes
-        from the replica set, not the disk strategies (documented in
-        docs/protocols.md §16).
-        """
-        for key in sorted(blobs or {}):
-            self.store.causal_merge(key, unwire_dvv_row(blobs[key]))
+    def _import_rows(self, bundle: dict) -> int:
+        """Merge a row bundle into the local store in sender order;
+        returns the rows it brought (every LWW row plus each causal row
+        that changed ours).  Both merges are idempotent and per-key
+        commutative: a bundle delivered twice, or two in either order,
+        leave the same store.  Causal rows are not logged to
+        persistence: the DVV mode is an in-memory replication mode;
+        durability across power loss comes from the replica set, not
+        the disk strategies (documented in docs/protocols.md §16)."""
+        flags = bundle.get("lww", {})
+        for key, blob in bundle["rows"].items():
+            self._merge_durably(key, unwire_elements(blob),
+                                lww=flags.get(key))
+        merged = len(bundle["rows"])
+        for key, blob in (bundle.get("dvv_rows") or {}).items():
+            merged += self.store.causal_merge(key, unwire_dvv_row(blob))
             self._index_key(key)
+        return merged
+
+    def _push_rows(self, peer: str, vnode_id: int, bundle: dict,
+                   timeout: float):
+        """Install a row bundle on ``peer``; True when it acked."""
+        try:
+            yield from self.rpc.call(peer, "replica.install",
+                                     {"vnode": vnode_id, **bundle},
+                                     timeout=timeout)
+        except (RpcTimeout, RpcRejected):
+            return False
+        return True
 
     def _imbalance_pusher(self):
         """Periodically publish this node's imbalance-table row (§III.B)."""
@@ -439,20 +503,8 @@ class SednaNode:
         self.zk.rpc.endpoint.restart()
         self.zk.session_id = None
         self.zk.expired = False
-        metrics = self.obs.metrics if self.obs is not None else None
-        self.store = VersionedStore(clock=lambda: self.sim.now,
-                                    metrics=metrics, node=self.name)
-        self.vnode_keys = {}
-        self.vstats = VnodeStatsFeed(self.name, VnodeStatus)
-        self.vnode_status = self.vstats.statuses
-        if self.obs is not None:
-            self.obs.metrics.register_feed(self.vstats)
-        self.cache = MappingCache(self.sim, self.zk, self.config,
-                                  metrics=metrics, owner=self.name)
+        self._reset_volatile()
         self.coordinator.cache = self.cache
-        self.persistence = make_strategy(self.config.persistence, self.disk,
-                                         self.name,
-                                         self.config.snapshot_interval)
         yield from self.join()
 
     # ------------------------------------------------------------------
@@ -641,28 +693,14 @@ class SednaNode:
 
     def _h_replica_transfer(self, src: str, args: Any):
         """Ship every row of one vnode (re-duplication / rebalance)."""
-        vnode_id = args["vnode"]
-        rows = {}
-        dvv_rows = {}
         # sorted(): set order is hash order, and the row dict's order
         # is wire-visible (replay identity across PYTHONHASHSEEDs).
-        for key in sorted(self.vnode_keys.get(vnode_id, set())):
-            elements = self.store.read_all(key)
-            if elements:
-                rows[key] = wire_elements(elements)
-            drow = self.store.dvv_rows.get(key)
-            if drow is not None:
-                dvv_rows[key] = wire_dvv_row(drow)
-        return {"rows": rows, "lww": self._lww_flags(rows),
-                "dvv_rows": dvv_rows}
+        return self._export_rows(
+            sorted(self.vnode_keys.get(args["vnode"], set())))
 
     def _h_replica_install(self, src: str, args: Any):
         """Receive a vnode's rows (the re-duplication target side)."""
-        flags = args.get("lww", {})
-        for key, blob in args["rows"].items():
-            self._merge_durably(key, unwire_elements(blob),
-                                lww=flags.get(key))
-        self._merge_dvv_rows(args.get("dvv_rows"))
+        self._import_rows(args)
         return {"status": "ok",
                 "installed": len(args["rows"]) + len(args.get("dvv_rows")
                                                      or {})}
@@ -712,18 +750,8 @@ class SednaNode:
 
     def _h_replica_fetch(self, src: str, args: Any):
         """Anti-entropy: ship the requested keys' full rows."""
-        rows = {}
-        for key in args.get("keys", ()):
-            elements = self.store.read_all(key)
-            if elements:
-                rows[key] = wire_elements(elements)
-        dvv_rows = {}
-        for key in args.get("dvv_keys", ()):
-            row = self.store.dvv_rows.get(key)
-            if row is not None:
-                dvv_rows[key] = wire_dvv_row(row)
-        return {"rows": rows, "lww": self._lww_flags(rows),
-                "dvv_rows": dvv_rows}
+        return self._export_rows(args.get("keys", ()),
+                                 args.get("dvv_keys", ()))
 
     # ------------------------------------------------------------------
     # Live migration (donor/receiver sides; driver in rebalance.py)
@@ -776,37 +804,26 @@ class SednaNode:
         snapshot = self._migration_snaps.get(vnode_id, [])
         cursor = args["cursor"]
         budget = args["budget"]
-        rows = {}
-        dvv_rows = {}
+        chunk = self._export_rows(())   # a row bundle, filled key by key
         size = 0
         while cursor < len(snapshot):
             key = snapshot[cursor]
             cursor += 1
-            elements = self.store.read_all(key)
-            if elements:
-                blob = wire_elements(elements)
-                rows[key] = blob
-                size += len(key) + len(repr(blob))
-            drow = self.store.dvv_rows.get(key)
-            if drow is not None:
-                blob = wire_dvv_row(drow)
-                dvv_rows[key] = blob
-                size += len(key) + len(repr(blob))
+            one = self._export_rows((key,))
+            for part, entries in one.items():
+                chunk[part].update(entries)
+            size += sum(len(key) + len(repr(blob)) for blob in
+                        (*one["rows"].values(), *one["dvv_rows"].values()))
             if size >= budget:
                 break
         self._m_chunks_served.inc()
-        return {"rows": rows, "lww": self._lww_flags(rows),
-                "dvv_rows": dvv_rows, "next": cursor,
-                "done": cursor >= len(snapshot), "bytes": size}
+        return {**chunk, "next": cursor, "done": cursor >= len(snapshot),
+                "bytes": size}
 
     def _h_migrate_forward(self, src: str, args: Any):
         """Receiver side of the forwarding window: merge double-applied
         writes (and replay deletes) for a vnode migrating in."""
-        flags = args.get("lww", {})
-        for key in sorted(args.get("rows", {})):
-            self._merge_durably(key, unwire_elements(args["rows"][key]),
-                                lww=flags.get(key))
-        self._merge_dvv_rows(args.get("dvv_rows"))
+        self._import_rows(args)
         for key in args.get("deletes", ()):
             self.store.delete(key)
             keys = self.vnode_keys.get(args["vnode"])
@@ -1006,8 +1023,11 @@ class SednaNode:
                                                       self.config.replicas))
                   for v in range(self.config.num_vnodes)}
         for position in dead_positions:
-            replacement = candidates[0]
-            moved = yield from self._reassign(position, dead, replacement)
+            try:
+                moved = yield from self.reassign(position, dead,
+                                                 candidates[0])
+            except (BadVersionError, NoNodeError, RpcTimeout, RpcRejected):
+                continue
             if moved:
                 self.recoveries += 1
         for v in range(self.config.num_vnodes):
@@ -1016,81 +1036,22 @@ class SednaNode:
                 if member not in before[v]:
                     yield from self._reduplicate(v, member)
 
-    def _reassign(self, vnode_id: int, expected_owner: str,
-                  replacement: str):
-        """Version-checked ownership rewrite in ZooKeeper + changelog."""
-        try:
-            data, stat = yield from self.zk.get(ZkLayout.vnode(vnode_id))
-        except (NoNodeError, RpcTimeout, RpcRejected):
-            return False
-        if data.decode() != expected_owner:
-            # Someone else already recovered it; adopt their choice.
-            self.cache.ring.assign(vnode_id, data.decode())
-            return False
-        try:
-            yield from self.write_assignment(vnode_id, replacement,
-                                             stat["version"])
-        except (BadVersionError, NoNodeError, RpcTimeout, RpcRejected):
-            return False
-        self.cache.ring.assign(vnode_id, replacement)
-        return True
-
     def _reduplicate(self, vnode_id: int, target: str):
         """Copy the vnode's rows to its new owner from a healthy copy."""
-        if target == self.name:
-            # We took the vnode over ourselves: pull from any other
-            # member of the (new) replica set.
-            replicas = self.cache.ring.replicas_for(vnode_id,
-                                                    self.config.replicas)
-            for source in replicas:
-                if source == self.name:
-                    continue
-                pulled = yield from self._pull_vnode(vnode_id, source)
-                if pulled:
-                    return
+        keys = self.vnode_keys.get(vnode_id)
+        if keys and target != self.name:
+            yield from self._push_rows(
+                target, vnode_id, self._export_rows(sorted(keys)),
+                self.config.request_timeout * 4)
             return
-        keys = self.vnode_keys.get(vnode_id, set())
-        if keys:
-            rows = {}
-            dvv_rows = {}
-            for key in sorted(keys):
-                elements = self.store.read_all(key)
-                if elements:
-                    rows[key] = wire_elements(elements)
-                drow = self.store.dvv_rows.get(key)
-                if drow is not None:
-                    dvv_rows[key] = wire_dvv_row(drow)
-            try:
-                yield from self.rpc.call(
-                    target, "replica.install",
-                    {"vnode": vnode_id, "rows": rows,
-                     "lww": self._lww_flags(rows), "dvv_rows": dvv_rows},
-                    timeout=self.config.request_timeout * 4)
-            except (RpcTimeout, RpcRejected):
-                pass
-            return
-        # We hold nothing for the vnode: ask another live replica to push.
-        replicas = self.cache.ring.replicas_for(vnode_id,
-                                                self.config.replicas)
-        for source in replicas:
-            if source in (target, self.name):
-                continue
-            try:
-                result = yield from self.rpc.call(
-                    source, "replica.transfer", {"vnode": vnode_id},
-                    timeout=self.config.request_timeout * 4)
-            except (RpcTimeout, RpcRejected):
-                continue
-            try:
-                yield from self.rpc.call(
-                    target, "replica.install",
-                    {"vnode": vnode_id, "rows": result["rows"],
-                     "lww": result.get("lww", {}),
-                     "dvv_rows": result.get("dvv_rows", {})},
-                    timeout=self.config.request_timeout * 4)
-            except (RpcTimeout, RpcRejected):
-                continue
-            return
+        # We took the vnode over ourselves, or hold nothing of it: the
+        # rows come from another member of the (new) replica set, for
+        # us to keep or to pass on.
+        for source in self.cache.ring.replicas_for(vnode_id,
+                                                   self.config.replicas):
+            if source not in (target, self.name) and (
+                    yield from self._pull_vnode(vnode_id, source, target)):
+                return
 
     def reconcile_vnode(self, vnode_id: int):
         """Digest-reconcile one vnode with its other replicas.
@@ -1104,7 +1065,6 @@ class SednaNode:
         callers needing a *complete* inbound sync (vnode handoff) can
         tell success from a round of swallowed timeouts.
         """
-        from .antientropy import digest_diff, dvv_digest_diff
         replicas = self.cache.ring.replicas_for(vnode_id,
                                                 self.config.replicas)
         peers = [r for r in replicas if r != self.name]
@@ -1139,44 +1099,18 @@ class SednaNode:
                          "dvv_keys": dvv_pull},
                         timeout=self.config.request_timeout * 2)
                 except (RpcTimeout, RpcRejected):
-                    fetched = None
                     failed_peers += 1
-                if fetched is not None:
-                    flags = fetched.get("lww", {})
-                    for key, blob in fetched["rows"].items():
-                        self._merge_durably(key, unwire_elements(blob),
-                                            lww=flags.get(key))
-                        pulled += 1
-                    for key in sorted(fetched.get("dvv_rows") or {}):
-                        if self.store.causal_merge(
-                                key, unwire_dvv_row(
-                                    fetched["dvv_rows"][key])):
-                            pulled += 1
-                        self._index_key(key)
+                else:
+                    pulled += self._import_rows(fetched)
                     mine = self.vnode_digest(vnode_id)
                     mine_dvv = self.vnode_dvv_digest(vnode_id)
             if push or dvv_push:
-                rows = {}
-                for key in push:
-                    elements = self.store.read_all(key)
-                    if elements:
-                        rows[key] = wire_elements(elements)
-                dvv_rows = {}
-                for key in dvv_push:
-                    row = self.store.dvv_rows.get(key)
-                    if row is not None:
-                        dvv_rows[key] = wire_dvv_row(row)
-                if rows or dvv_rows:
-                    try:
-                        yield from self.rpc.call(
-                            peer, "replica.install",
-                            {"vnode": vnode_id, "rows": rows,
-                             "lww": self._lww_flags(rows),
-                             "dvv_rows": dvv_rows},
-                            timeout=self.config.request_timeout * 2)
-                        pushed += len(rows) + len(dvv_rows)
-                    except (RpcTimeout, RpcRejected):
-                        continue
+                bundle = self._export_rows(push, dvv_push)
+                sent = len(bundle["rows"]) + len(bundle["dvv_rows"])
+                if sent and (yield from self._push_rows(
+                        peer, vnode_id, bundle,
+                        self.config.request_timeout * 2)):
+                    pushed += sent
         return pulled, pushed, failed_peers
 
     # ------------------------------------------------------------------

@@ -461,13 +461,7 @@ class Rebalancer:
                     {"vnode": vnode_id, "cursor": migration.cursor,
                      "budget": min(self.chunk_bytes, max(budget, 1))},
                     timeout=timeout)
-                if chunk["rows"] or chunk.get("dvv_rows"):
-                    yield from rpc.call(
-                        migration.receiver, "migrate.forward",
-                        {"vnode": vnode_id, "rows": chunk["rows"],
-                         "lww": chunk.get("lww", {}),
-                         "dvv_rows": chunk.get("dvv_rows", {})},
-                        timeout=timeout)
+                yield from self._relay(migration, chunk)
                 migration.cursor = chunk["next"]
                 migration.chunks += 1
                 migration.bytes_moved += chunk["bytes"]
@@ -503,6 +497,17 @@ class Rebalancer:
             self._retry(migration, type(err).__name__)
             return False, budget
 
+    def _relay(self, migration: Migration, bundle: dict):
+        """Hand the donor's row bundle (a chunk or a repair fetch) to
+        the receiver, which merges it as a forwarded write; an empty
+        bundle costs no RPC."""
+        if bundle["rows"] or bundle["dvv_rows"]:
+            yield from self.node.rpc.call(
+                migration.receiver, "migrate.forward",
+                {"vnode": migration.vnode, "rows": bundle["rows"],
+                 "lww": bundle["lww"], "dvv_rows": bundle["dvv_rows"]},
+                timeout=self.node.config.request_timeout)
+
     def _verify(self, migration: Migration):
         """Digest check + bounded repair pulls; True when receiver has
         every key/version the donor has for the vnode."""
@@ -527,37 +532,22 @@ class Rebalancer:
                 migration.donor, "replica.fetch",
                 {"keys": pull, "dvv_keys": dvv_pull},
                 timeout=timeout)
-            if fetched["rows"] or fetched.get("dvv_rows"):
-                yield from rpc.call(
-                    migration.receiver, "migrate.forward",
-                    {"vnode": vnode_id, "rows": fetched["rows"],
-                     "lww": fetched.get("lww", {}),
-                     "dvv_rows": fetched.get("dvv_rows", {})},
-                    timeout=timeout)
+            yield from self._relay(migration, fetched)
             migration.note(f"verify-pull:{len(pull) + len(dvv_pull)}")
         return False
 
     def _cutover(self, migration: Migration):
         """Version-checked assignment flip, then settle/end notices."""
-        zk = self.node.zk
         rpc = self.node.rpc
         timeout = self.node.config.request_timeout
         vnode_id = migration.vnode
         try:
-            data, stat = yield from zk.get(ZkLayout.vnode(vnode_id))
-        except NoNodeError:
-            return False
-        if data.decode() != migration.donor:
-            # A concurrent rebalancer (or recovery) moved it first.
-            self.node.cache.ring.assign(vnode_id, data.decode())
-            return False
-        try:
-            yield from self.node.write_assignment(vnode_id,
-                                                  migration.receiver,
-                                                  stat["version"])
+            if not (yield from self.node.reassign(
+                    vnode_id, migration.donor, migration.receiver)):
+                # A concurrent rebalancer (or recovery) moved it first.
+                return False
         except (BadVersionError, NoNodeError):
             return False
-        self.node.cache.ring.assign(vnode_id, migration.receiver)
         # Best-effort notices; the forwarding window and the receiver's
         # post-cutover reconcile cover a lost notice.
         try:

@@ -255,6 +255,35 @@ class TestInterprocedural:
             "        return r\n", encoding="utf-8")
         assert _analyze(tmp_path) == []
 
+    def test_spread_of_a_helper_built_bundle_resolves(self, tmp_path):
+        """``{"vnode": v, **bundle}`` with ``bundle`` bound to a helper
+        whose every ``return`` is a dict display (the ``_export_rows``
+        -> ``replica.install`` shape) resolves to the helper's keys: a
+        helper that drops a required key is flagged at the call site,
+        a complete one (spread inline, through ``yield from``) is
+        clean."""
+        violations = _analyze(FIXTURES / "bad_rpc_payload_spread.py")
+        assert [v.rule for v in violations] == ["rpc-payload-mismatch"]
+        assert "['rows']" in violations[0].message
+        assert "omits" in violations[0].message
+        (tmp_path / "mod.py").write_text(
+            "class C:\n"
+            "    def __init__(self, rpc):\n"
+            "        self.rpc = rpc\n"
+            "        self.rpc.register('fx.install', self._h)\n"
+            "    def _h(self, src, args):\n"
+            "        return args['vnode'], args['rows'], args.get('lww')\n"
+            "    def _export(self, keys):\n"
+            "        yield from ()\n"
+            "        return {'rows': {}, 'lww': {}}\n"
+            "    def go(self):\n"
+            "        r = yield from self.rpc.call(\n"
+            "            'peer', 'fx.install',\n"
+            "            {'vnode': 7, **(yield from self._export([]))},\n"
+            "            timeout=1.0)\n"
+            "        return r\n", encoding="utf-8")
+        assert _analyze(tmp_path) == []
+
     def test_try_on_caller_level_protects_failure_escape(self, tmp_path):
         """A try/except RpcTimeout one frame up the call chain keeps
         rpc-unhandled-failure quiet."""

@@ -169,3 +169,30 @@ class TestCausalReplication:
         assert sum(m.get("count", 0) for m in sib.values()) >= 2
         assert any(name.endswith("dvv.context_misses")
                    for name in series)
+
+
+class TestRestart:
+    def test_restarted_node_keeps_the_configured_sibling_cap(self):
+        """restart() rebuilds the store the way __init__ does: a cap
+        configured away from the default survives the restart, and
+        three blind writers through the restarted node keep two
+        siblings there, not three."""
+        cluster = small_cluster(n_nodes=3, dvv_sibling_cap=2)
+        node = cluster.nodes["node1"]
+        old_store = node.store
+        cluster.crash_node("node1")
+        cluster.settle(5.0)
+        cluster.restart_node("node1")
+        assert node.store is not old_store
+        assert node.store.dvv_sibling_cap == 2
+        clients = [cluster.client(f"cap-{i}", pinned="node1")
+                   for i in range(3)]
+
+        def script():
+            for i, client in enumerate(clients):
+                yield from client.write_causal("capped", f"v{i}")
+
+        cluster.run(script())
+        from repro.core.types import FullKey
+        row = node.store.dvv_rows[FullKey.of("capped").encoded()]
+        assert len(row.siblings) == 2

@@ -11,7 +11,15 @@ exact sequence of ``(method, estimate_size(request args),
 estimate_size(reply))`` per op is compared with the table below —
 recorded from the commit before the one-pipeline refactor.  A wire
 change shows up here as a payload diff instead of being bisected out of
-a moved golden.  Regenerate (only for a deliberate wire change) with
+a moved golden.
+
+The background plane gets the same guard: one seeded scenario walks the
+bulk row bundle through every path that ships it (join hand-off, digest
+reconcile, re-duplication, GC, live migration) and ``BACKGROUND`` pins
+its ``replica.*`` / ``migrate.*`` traffic — recorded from the commit
+before the row-bundle refactor.
+
+Regenerate (only for a deliberate wire change) with
 ``PYTHONPATH=src python tests/core/test_wire_shapes.py``.
 """
 
@@ -21,6 +29,9 @@ import pytest
 
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
+from repro.core.gc import GarbageCollector
+from repro.core.node import SednaNode
+from repro.core.rebalance import Migration, Rebalancer
 from repro.core.types import FullKey
 from repro.net.tap import NetworkTap
 from repro.net.transport import estimate_size
@@ -36,8 +47,8 @@ class SizingTap(NetworkTap):
 
     def _observe(self, src, dst, payload):
         kind = payload.get("kind") if isinstance(payload, dict) else None
-        if kind == "req" and payload["method"].startswith(("sedna.",
-                                                            "replica.")):
+        if kind == "req" and payload["method"].startswith(
+                ("sedna.", "replica.", "migrate.")):
             row = [payload["method"], estimate_size(payload["args"]), None]
             self.calls.append(row)
             self._open[(src, payload["id"])] = row
@@ -108,6 +119,97 @@ def record_shapes():
         tap.detach()
         shapes[route] = per_verb
     return shapes
+
+
+def record_background():
+    """{step: [(method, request size, reply size), ...]} for the paths
+    that move a vnode's rows between nodes.
+
+    Three nodes, twelve vnodes, every key on every node; then ``node3``
+    joins with one acquisition worker and claims vnodes 0-2, which also
+    puts it into the replica sets of vnodes 10 and 11 with no rows, and
+    leaves ``node2`` holding orphaned copies of vnodes 0-2.
+    """
+    cluster = SednaCluster(n_nodes=3, zk_size=3, seed=7,
+                           config=SednaConfig(num_vnodes=12, lease_base=0.5,
+                                              retrieval_threads=1))
+    cluster.start("assign")
+    client = cluster.client("wire", pinned="node0")
+
+    def seed():
+        for i in range(12):
+            yield from client.write_latest(f"l{i}", f"value-{i}")
+        for i in range(6):
+            yield from client.write_all(f"a{i}", f"list-{i}")
+        for i in range(12):
+            yield from client.write_causal(f"c{i}", f"causal-{i}")
+
+    cluster.run(seed())
+    cluster.settle(0.5)
+    nodes = cluster.nodes
+    tap = SizingTap(cluster.network)
+    steps = {}
+
+    def step(label, script=None, settle=0.05):
+        if script is not None:
+            cluster.run(script)
+        cluster.settle(settle)
+        steps[label] = tap.drain()
+
+    def lose(node, *names):
+        for name in names:
+            assert nodes[node].store.delete(FullKey.of(name).encoded())
+
+    node3 = nodes["node3"] = SednaNode(
+        cluster.sim, cluster.network, "node3", cluster.ensemble.names,
+        cluster.config, cluster.zk_config)
+    cluster.node_names.append("node3")
+    step("join/claim-pull", node3.join())
+    # Two leases on, every claim re-pulls its predecessor and
+    # digest-syncs with the other replicas (nothing to exchange).
+    step("join/finish-handoff", settle=3.0)
+    ring = node3.cache.ring
+    assert [ring.replicas_for(v, 3) for v in (0, 10, 11)] == [
+        ["node3", "node0", "node1"], ["node1", "node2", "node3"],
+        ["node2", "node3", "node0"]]
+    assert sorted(node3.vnode_keys) == [0, 1, 2]
+
+    # Vnode 0 = l7 (latest), a0 (all), c11 (causal): node3 lacks two
+    # rows node0 has, node0 lacks one node3 has; node1 needs nothing.
+    lose("node3", "l7", "c11")
+    lose("node0", "a0")
+    step("reconcile/pull+push", node3.reconcile_vnode(0))
+
+    # Re-duplication, one arm each: node3 pulls vnode 10 (c0) for
+    # itself, node2 pushes its copy of vnode 11 (l2, a5, c7), and node3
+    # - holding nothing of vnode 4 (l3, a4, c6) - relays node1's copy
+    # to node0.
+    step("reduplicate/pull", node3._reduplicate(10, "node3"))
+    step("reduplicate/push", nodes["node2"]._reduplicate(11, "node3"))
+    step("reduplicate/relay", node3._reduplicate(4, "node0"))
+
+    # GC of node2's orphaned vnode 1 (l0, l11, c5, c9): node0 lost two
+    # of its rows, so the janitor pushes them before it drops its own.
+    lose("node0", "l0", "c5")
+    collector = GarbageCollector(nodes["node2"], vnodes_per_pass=1)
+    assert collector._orphaned_vnodes()[0] == 1
+    step("gc/push-then-drop", collector.run_pass())
+    assert collector.rows_pushed == 2 and collector.rows_dropped == 4
+
+    # Live migration of vnode 7 (a1, c10, l6) from node1 to node3 in
+    # two chunks: a one-byte pass budget parks the copy after the first
+    # key, the receiver then loses that key, and the cutover verify has
+    # to pull it again.
+    balancer = Rebalancer(nodes["node0"])
+    move = Migration(vnode=7, donor="node1", receiver="node3")
+    step("migrate/begin+chunk", balancer._drive(move, 1))
+    assert move.history == ["begin", "parked"]
+    lose("node3", "a1")
+    step("migrate/chunk+verify-pull+cutover",
+         balancer._drive(move, balancer.pass_byte_budget))
+    assert move.history[2:] == ["verify-pull:1", "committed"]
+    tap.detach()
+    return steps
 
 
 EXPECTED = {
@@ -247,6 +349,60 @@ EXPECTED = {
     },
 }
 
+BACKGROUND = {
+    'join/claim-pull': [
+        ('replica.transfer', 21, 306),
+        ('replica.transfer', 21, 422),
+        ('replica.transfer', 21, 262),
+    ],
+    'join/finish-handoff': [
+        ('replica.transfer', 21, 306),
+        *[('replica.digest', 21, 210)] * 2,
+        ('replica.transfer', 21, 422),
+        *[('replica.digest', 21, 294)] * 2,
+        ('replica.transfer', 21, 262),
+        *[('replica.digest', 21, 171)] * 2,
+    ],
+    'reconcile/pull+push': [
+        ('replica.digest', 21, 164),
+        ('replica.fetch', 86, 235),
+        ('replica.install', 131, 33),
+        ('replica.digest', 21, 210),
+    ],
+    'reduplicate/pull': [
+        ('replica.transfer', 21, 161),
+    ],
+    'reduplicate/push': [
+        ('replica.install', 317, 33),
+    ],
+    'reduplicate/relay': [
+        ('replica.transfer', 21, 304),
+        ('replica.install', 317, 33),
+    ],
+    'gc/push-then-drop': [
+        ('replica.digest', 21, 294),
+        ('replica.digest', 21, 164),
+        ('replica.install', 246, 33),
+        ('replica.digest', 21, 294),
+    ],
+    'migrate/begin+chunk': [
+        ('migrate.begin', 28, 28),
+        ('migrate.chunk', 49, 148),
+        ('migrate.forward', 131, 16),
+    ],
+    'migrate/chunk+verify-pull+cutover': [
+        ('migrate.chunk', 49, 265),
+        ('migrate.forward', 248, 16),
+        ('replica.digest', 21, 210),
+        ('replica.digest', 21, 164),
+        ('replica.fetch', 54, 118),
+        ('migrate.forward', 131, 16),
+        *[('replica.digest', 21, 210)] * 2,
+        ('migrate.settle', 21, 16),
+        ('migrate.end', 31, 23),
+    ],
+}
+
 
 @pytest.fixture(scope="module")
 def shapes():
@@ -272,21 +428,37 @@ def test_both_routes_speak_the_same_replica_protocol(shapes):
         assert proxy <= smart, verb
 
 
-def render(shapes):
-    """``EXPECTED = {...}`` source text, runs of one call folded."""
+def test_background_plane_keeps_its_wire_shape():
+    steps = record_background()
+    assert list(steps) == list(BACKGROUND)
+    for label, calls in steps.items():
+        assert calls == BACKGROUND[label], (
+            f"{label}: wire shape changed\n"
+            f"  want {BACKGROUND[label]}\n  got  {calls}")
+
+
+def _fold(calls, indent):
+    """Source lines for a call list, runs of one call folded."""
+    for call, run in itertools.groupby(calls):
+        n = len(list(run))
+        yield (f"{indent}{call!r}," if n == 1
+               else f"{indent}*[{call!r}] * {n},")
+
+
+def render(shapes, background):
+    """``EXPECTED = {...}`` and ``BACKGROUND = {...}`` source text."""
     lines = ["EXPECTED = {"]
     for route, verbs in shapes.items():
         lines.append(f"    {route!r}: {{")
         for verb, calls in verbs.items():
-            lines.append(f"        {verb!r}: [")
-            for call, run in itertools.groupby(calls):
-                n = len(list(run))
-                lines.append(f"            {call!r}," if n == 1
-                             else f"            *[{call!r}] * {n},")
-            lines.append("        ],")
+            lines += [f"        {verb!r}: [", *_fold(calls, " " * 12),
+                      "        ],"]
         lines.append("    },")
+    lines += ["}", "", "BACKGROUND = {"]
+    for label, calls in background.items():
+        lines += [f"    {label!r}: [", *_fold(calls, " " * 8), "    ],"]
     return "\n".join(lines + ["}"])
 
 
 if __name__ == "__main__":
-    print(render(record_shapes()))
+    print(render(record_shapes(), record_background()))
