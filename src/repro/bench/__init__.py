@@ -36,7 +36,3 @@ from .relatedwork import (ablation_membership, ablation_routing,
 
 __all__ += ["ablation_membership", "ablation_routing",
             "ablation_write_protocol"]
-
-from .chaossweep import chaos_sweep
-
-__all__ += ["chaos_sweep"]

@@ -27,6 +27,7 @@ from .history import History, OpRecord
 from .invariants import Anomaly, check_all
 from .runner import ChaosReport, ChaosRunner
 from .schedule import FaultEvent, Schedule, ScheduleGenerator
+from .spec import RunSpec
 
 __all__ = [
     "Anomaly",
@@ -35,6 +36,7 @@ __all__ = [
     "FaultEvent",
     "History",
     "OpRecord",
+    "RunSpec",
     "Schedule",
     "ScheduleGenerator",
     "check_all",

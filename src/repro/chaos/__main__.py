@@ -18,11 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from ..workloads.scenarios import SCENARIOS
 from .runner import ChaosRunner
 from .schedule import PROFILES
+from .spec import RunSpec
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -86,16 +88,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
+    base = RunSpec(seed=args.seed, profile=args.profile,
+                   duration=args.duration, n_nodes=args.nodes,
+                   scenario=args.scenario, rebalance=args.rebalance,
+                   causal=args.causal)
     failed = 0
     for seed in seeds:
-        report = ChaosRunner(seed=seed, profile=args.profile,
-                             duration=args.duration,
-                             n_nodes=args.nodes,
-                             scenario=args.scenario,
-                             hazards=args.hazards,
-                             rebalance=args.rebalance,
-                             causal=args.causal,
-                             slo=args.slo,
+        report = ChaosRunner(replace(base, seed=seed),
+                             hazards=args.hazards, slo=args.slo,
                              record=args.record is not None,
                              record_always=(args.record is not None
                                             and args.record_always)).run()

@@ -31,13 +31,14 @@ from pathlib import Path
 from typing import Optional
 
 from .runner import ChaosReport, ChaosRunner
+from .spec import RunSpec
 
 __all__ = ["GOLDEN_CONFIGS", "GOLDEN_SEEDS", "golden_path", "run_config",
            "load_goldens", "generate"]
 
-#: Canonical sweep configurations.  Keep in lockstep with the quick
-#: sweep tests (tests/chaos/) — the point is that the guarded shapes
-#: are the ones every PR already runs.
+#: Canonical sweep configurations (``RunSpec`` fields minus the seed).
+#: Keep in lockstep with the quick sweep tests (tests/chaos/) — the
+#: point is that the guarded shapes are the ones every PR already runs.
 GOLDEN_CONFIGS: dict[str, dict] = {
     "chaos": {"profile": "mixed", "duration": 6.0},
     "migration": {"profile": "migration", "duration": 8.0,
@@ -67,7 +68,7 @@ def golden_path() -> Path:
 
 def run_config(name: str, seed: int) -> ChaosReport:
     """Run one canonical configuration at ``seed``."""
-    return ChaosRunner(seed=seed, **GOLDEN_CONFIGS[name]).run()
+    return ChaosRunner(RunSpec(seed=seed, **GOLDEN_CONFIGS[name])).run()
 
 
 def load_goldens(path: Optional[Path] = None) -> dict:

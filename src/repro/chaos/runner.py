@@ -1,6 +1,7 @@
 """The chaos runner: seeded workloads + fault schedule + invariants.
 
-One :class:`ChaosRunner` run is fully determined by its parameters:
+One :class:`ChaosRunner` run is fully determined by its
+:class:`~repro.chaos.spec.RunSpec`:
 
 1. build a :class:`~repro.core.cluster.SednaCluster` (seeded latency);
 2. attach a :class:`~repro.net.tap.NetworkTap` streaming into the
@@ -26,13 +27,12 @@ the same operation history and the same sha256 history digest.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from ..core.antientropy import AntiEntropyManager
 from ..core.cache import MappingCache
 from ..core.cluster import SednaCluster
-from ..core.config import SednaConfig
 from ..core.gc import GarbageCollector
 from ..core.types import FullKey
 from ..net.rpc import RpcRejected, RpcTimeout
@@ -43,6 +43,7 @@ from ..zk.server import ZkConfig
 from .history import History
 from .invariants import Anomaly, FinalState, causal_outcomes, check_all
 from .schedule import Schedule, ScheduleGenerator
+from .spec import RunSpec
 
 __all__ = ["ChaosRunner", "ChaosReport"]
 
@@ -51,16 +52,13 @@ __all__ = ["ChaosRunner", "ChaosReport"]
 class ChaosReport:
     """Everything one chaos run produced."""
 
-    seed: int
-    profile: str
+    # The identity actually run (obs=True when an observer implied it).
+    spec: RunSpec
     schedule: Schedule
     history: History
     anomalies: list[Anomaly]
     state: FinalState
     end_time: float
-    # Scenario name when the run drove a workload-matrix scenario
-    # instead of the default chaos mix ("" otherwise).
-    scenario: str = ""
     crashes: int = 0
     restarts: int = 0
     op_counts: dict = field(default_factory=dict)
@@ -69,10 +67,10 @@ class ChaosReport:
     # ``hazard_report`` for whether it ran.
     hazards: list = field(default_factory=list)
     hazard_report: str = ""
-    # Metrics snapshot from the opt-in observability bundle (obs=True);
-    # empty dict when obs was off.
+    # Metrics snapshot from the opt-in observability bundle
+    # (spec.obs); empty dict when obs was off.
     obs_snapshot: dict = field(default_factory=dict)
-    # Rebalancer ledger rows (rebalance=True); empty when it was off.
+    # Rebalancer ledger rows (spec.rebalance); empty when it was off.
     migrations: list = field(default_factory=list)
     # SLO evaluation artifacts (slo=True): exported alert transitions
     # and the whole-run per-spec status table.
@@ -81,6 +79,12 @@ class ChaosReport:
     # Flight-recorder dump (record=True): non-empty exactly when a
     # hard anomaly tripped it (or record_always forced a dump).
     flight_dump: dict = field(default_factory=dict)
+
+    @property
+    def scenario(self) -> str:
+        """Name of the workload-matrix scenario the run drove instead
+        of the default chaos mix ("" otherwise)."""
+        return self.spec.scenario.name if self.spec.scenario else ""
 
     @property
     def ok(self) -> bool:
@@ -97,7 +101,7 @@ class ChaosReport:
     def describe(self) -> str:
         """Human-readable summary (bench output, failure triage)."""
         lines = [
-            f"chaos seed={self.seed} profile={self.profile} "
+            f"chaos seed={self.spec.seed} profile={self.spec.profile} "
             + (f"scenario={self.scenario} " if self.scenario else "")
             + f"ops={len(self.history)} digest={self.digest[:16]}…",
             f"  faults: {len(self.schedule.events)} events "
@@ -151,116 +155,70 @@ class ChaosReport:
 class ChaosRunner:
     """One deterministic chaos experiment; see the module docstring.
 
-    Parameters
-    ----------
-    seed:
-        Drives the fault schedule, the workload mix and the network
-        jitter; the only thing needed to replay a run.
-    profile:
-        Fault family selection (see
-        :class:`~repro.chaos.schedule.ScheduleGenerator`).
-    duration:
-        Simulated seconds of faulted workload before quiesce.
-    n_nodes / n_clients / num_vnodes:
-        Cluster shape; small defaults keep a run around a second of
-        wall clock.
-    max_down:
-        Cap on simultaneously unavailable nodes; default 2 keeps every
-        quorum-overlap argument per-vnode sound for N=3.
-    scenario:
-        Workload-matrix scenario (a
-        :class:`~repro.workloads.scenarios.ScenarioSpec` or a preset
-        name) replacing the default chaos mix; the fault schedule,
-        history records and invariant checkers are unchanged.  ``None``
-        (the default) keeps the historical mix byte-identical.
-    rebalance_opts:
-        With ``rebalance=True``: keyword overrides for the hosted
-        :class:`~repro.core.rebalance.Rebalancer` (``pass_byte_budget``,
-        ``chunk_bytes``, ``weights``, ...).  ``None`` keeps the
-        historical defaults, digest for digest.
+    What runs is one :class:`~repro.chaos.spec.RunSpec` — pass it, or
+    its fields as keywords (``ChaosRunner(seed=3, duration=6.0)``).
+    ``self.spec`` is the identity actually run: the diagnosis-pipeline
+    observers (``slo``, ``record``, ``record_always``, ``timeseries``)
+    ride the observability bundle, so asking for any of them runs
+    ``replace(spec, obs=True)``.  ``hazards`` only watches.
     """
 
     LW_PREFIX = "lw"     # write_latest keys, shared across clients
     VA_PREFIX = "va"     # write_all keys (per-source value lists)
     DEL_PREFIX = "del"   # delete-churned keys (tainted for invariants)
     CW_PREFIX = "cw"     # causal-mode keys (causal="dvv"/"lww" only)
+    # Key-pool sizes, one per prefix above.
+    N_LW_KEYS, N_VA_KEYS, N_DEL_KEYS, N_CW_KEYS = 6, 4, 3, 4
+    # Cluster shape next to RunSpec.n_nodes (and its 16-vnode ring);
+    # small, to keep a run around a second of wall clock.
+    ZK_SIZE = 3
+    N_CLIENTS = 3
+    # Cap on simultaneously unavailable nodes; 2 keeps every
+    # quorum-overlap argument per-vnode sound for N=3.
+    MAX_DOWN = 2
+    # ZooKeeper session timeout; churn faults dwell past it so the
+    # crashed node's session really expires.
+    ZK_SESSION_TIMEOUT = 1.0
 
-    def __init__(self, seed: int, profile: str = "mixed",
-                 duration: float = 10.0, n_nodes: int = 6,
-                 zk_size: int = 3, n_clients: int = 3,
-                 num_vnodes: int = 16,
-                 n_lw_keys: int = 6, n_va_keys: int = 4,
-                 n_del_keys: int = 3,
-                 max_down: int = 2,
-                 config: Optional[SednaConfig] = None,
-                 zk_config: Optional[ZkConfig] = None,
-                 hazards: bool = False,
-                 obs: bool = False,
-                 rebalance: bool = False,
-                 causal: Optional[str] = None,
-                 n_cw_keys: int = 4,
-                 slo: Any = False,
-                 record: bool = False,
-                 record_always: bool = False,
-                 timeseries: bool = False,
-                 scenario: Any = None,
-                 rebalance_opts: Optional[dict] = None):
-        # The diagnosis-pipeline stages ride the observability bundle:
-        # asking for any of them implies obs=True.
-        obs = obs or bool(slo) or record or record_always or timeseries
-        if hazards and obs:
+    def __init__(self, spec: Optional[RunSpec] = None, *,
+                 hazards: bool = False, slo: Any = False,
+                 record: bool = False, record_always: bool = False,
+                 timeseries: bool = False, **fields):
+        if spec is None:
+            spec = RunSpec(**fields)
+        elif fields:
+            raise TypeError("pass a RunSpec or its fields, not both: "
+                            + ", ".join(sorted(fields)))
+        if slo or record or record_always or timeseries:
+            spec = replace(spec, obs=True)
+        if hazards and spec.obs:
             # Both want the simulator's single tracer slot.
             raise ValueError("hazards and obs are mutually exclusive: "
                              "the kernel has one tracer slot")
-        if causal not in (None, "dvv", "lww"):
-            raise ValueError(f"causal must be None, 'dvv' or 'lww': "
-                             f"{causal!r}")
-        self.seed = seed
-        self.profile = profile
-        self.duration = duration
-        self.n_nodes = n_nodes
-        self.zk_size = zk_size
-        self.n_clients = n_clients
-        self.n_lw_keys = n_lw_keys
-        self.n_va_keys = n_va_keys
-        self.n_del_keys = n_del_keys
-        self.max_down = max_down
-        self.causal = causal
-        if isinstance(scenario, str):
-            # Local import: plain chaos runs stay import-free of the
-            # workload matrix.
-            from ..workloads.scenarios import get_scenario
-            scenario = get_scenario(scenario)
-        self.scenario = scenario
-        self.rebalance_opts = rebalance_opts
-        self.n_cw_keys = n_cw_keys
+        self.spec = spec
+        self.seed = spec.seed
+        self.config = spec.sedna_config()
+        self.zk_config = ZkConfig(session_timeout=self.ZK_SESSION_TIMEOUT)
         # Per-(client, key) causal contexts, refreshed by causal reads.
         self._contexts: dict[tuple[str, str], list] = {}
-        if config is not None:
-            self.config = config
-        elif causal == "dvv":
-            # Keep the causal invariant exact: a capped-out sibling is
-            # vv-covered but absent, indistinguishable (to the checker)
-            # from a silent loss.  The cap itself is unit-tested; the
-            # sweep runs effectively uncapped.
-            self.config = SednaConfig(num_vnodes=num_vnodes,
-                                      dvv_sibling_cap=1024)
-        else:
-            self.config = SednaConfig(num_vnodes=num_vnodes)
-        self.zk_config = zk_config if zk_config is not None else ZkConfig(
-            session_timeout=1.0)
         self.hazards = hazards
         self.hazard_detector = None
-        self.obs = obs
-        self.slo = slo
-        self.record = record
         self.record_always = record_always
-        self.timeseries = timeseries
-        self.rebalance = rebalance
         self.rebalancer = None
-        # The live Observability bundle (obs=True): span timelines stay
+        # The live Observability bundle (spec.obs): span timelines stay
         # readable through it after run() returns.
         self.obs_bundle = None
+        if spec.obs:
+            # Local import: plain chaos runs must not pay for the
+            # observability layer (same rule as the hazard detector).
+            from ..obs import Observability
+            slos = None
+            if slo:
+                from ..obs.slo import default_slos
+                slos = default_slos() if slo is True else list(slo)
+            self.obs_bundle = Observability(
+                metrics=True, tracing=True, timeseries=timeseries,
+                slos=slos, flight=record or record_always)
         self.history = History()
         self.cluster: Optional[SednaCluster] = None
         self.clients: list = []
@@ -273,21 +231,8 @@ class ChaosRunner:
     # -- lifecycle --------------------------------------------------------
     def run(self) -> ChaosReport:
         """Execute the whole experiment; returns the report."""
-        if self.obs:
-            # Local import: plain chaos runs must not pay for the
-            # observability layer (same rule as the hazard detector).
-            from ..obs import Observability
-            slos = None
-            if self.slo:
-                from ..obs.slo import default_slos
-                slos = (default_slos() if self.slo is True
-                        else list(self.slo))
-            flight = self.record or self.record_always
-            self.obs_bundle = Observability(metrics=True, tracing=True,
-                                            timeseries=self.timeseries,
-                                            slos=slos, flight=flight)
         self.cluster = SednaCluster(
-            n_nodes=self.n_nodes, zk_size=self.zk_size, seed=self.seed,
+            n_nodes=self.spec.n_nodes, zk_size=self.ZK_SIZE, seed=self.seed,
             config=self.config, zk_config=self.zk_config,
             obs=self.obs_bundle)
         sim = self.cluster.sim
@@ -316,26 +261,25 @@ class ChaosRunner:
         for manager in self._ae:
             manager.start()
 
-        if self.rebalance:
+        if self.spec.rebalance:
             # Local import: plain chaos runs keep the §III.C/D-only
             # assignment-motion guarantee (module docstring, step 3).
             from ..core.rebalance import Rebalancer
             opts = {"interval": 1.0, "pass_byte_budget": 64 * 1024,
-                    "chunk_bytes": 4 * 1024}
-            if self.rebalance_opts:
-                opts.update(self.rebalance_opts)
+                    "chunk_bytes": 4 * 1024,
+                    **(self.spec.rebalance_opts or {})}
             self.rebalancer = Rebalancer(self.cluster.nodes["node0"],
                                          **opts)
             self.rebalancer.start()
 
         self.clients = [self.cluster.smart_client(f"chaos{i}")
-                        for i in range(self.n_clients)]
+                        for i in range(self.N_CLIENTS)]
         self.cluster.run_all([c.connect() for c in self.clients])
 
         t0 = sim.now
         schedule = ScheduleGenerator(
-            self.cluster.node_names, self.seed, duration=self.duration,
-            profile=self.profile, max_down=self.max_down,
+            self.cluster.node_names, self.seed, duration=self.spec.duration,
+            profile=self.spec.profile, max_down=self.MAX_DOWN,
             session_expiry=self.zk_config.session_timeout).generate()
 
         procs = [sim.process(self._workload(client, i, t0),
@@ -356,39 +300,28 @@ class ChaosRunner:
         anomalies = check_all(self.history, state, crashes=crash_times,
                               migrations=tuple(migrations))
         tap.detach()
-        hazards: list = []
-        hazard_report = ""
+        report = ChaosReport(spec=self.spec, schedule=schedule,
+                             history=self.history, anomalies=anomalies,
+                             state=state, end_time=sim.now,
+                             crashes=self._crashes, restarts=self._restarts,
+                             op_counts=dict(sorted(self._op_counts.items())),
+                             migrations=migrations)
         if self.hazard_detector is not None:
             self.hazard_detector.detach()
-            hazards = list(self.hazard_detector.hazards)
-            hazard_report = self.hazard_detector.report()
-        obs_snapshot: dict = {}
-        slo_alerts: list = []
-        slo_status: dict = {}
-        flight_dump: dict = {}
+            report.hazards = list(self.hazard_detector.hazards)
+            report.hazard_report = self.hazard_detector.report()
         if self.obs_bundle is not None:
-            obs_snapshot = self.obs_bundle.snapshot()
+            report.obs_snapshot = self.obs_bundle.snapshot()
             if self.obs_bundle.slo is not None:
-                slo_alerts = [a.export() for a in self.obs_bundle.slo.alerts]
-                slo_status = self.obs_bundle.slo.status()
+                report.slo_alerts = [a.export()
+                                     for a in self.obs_bundle.slo.alerts]
+                report.slo_status = self.obs_bundle.slo.status()
             if self.obs_bundle.flight is not None:
                 hard = [a for a in anomalies if not a.expected]
                 if hard or self.record_always:
-                    flight_dump = self.obs_bundle.flight.dump(
+                    report.flight_dump = self.obs_bundle.flight.dump(
                         anomalies=hard, time=sim.now)
-        return ChaosReport(seed=self.seed, profile=self.profile,
-                           scenario=(self.scenario.name
-                                     if self.scenario is not None else ""),
-                           schedule=schedule, history=self.history,
-                           anomalies=anomalies, state=state,
-                           end_time=sim.now, crashes=self._crashes,
-                           restarts=self._restarts,
-                           op_counts=dict(sorted(self._op_counts.items())),
-                           hazards=hazards, hazard_report=hazard_report,
-                           obs_snapshot=obs_snapshot,
-                           migrations=migrations,
-                           slo_alerts=slo_alerts, slo_status=slo_status,
-                           flight_dump=flight_dump)
+        return report
 
     # -- fault execution --------------------------------------------------
     def _execute(self, schedule: Schedule, t0: float):
@@ -440,12 +373,12 @@ class ChaosRunner:
     # -- workload ---------------------------------------------------------
     def _workload(self, client, index: int, t0: float):
         """One client's seeded op stream until the fault window closes."""
-        if self.scenario is not None:
+        if self.spec.scenario is not None:
             yield from self._scenario_workload(client, index, t0)
             return
         rng = random.Random(f"{self.seed}/client/{index}")
         counter = 0
-        end = t0 + self.duration
+        end = t0 + self.spec.duration
         while self.sim.now < end:
             yield self.sim.timeout(rng.uniform(0.04, 0.18))
             if self.sim.now >= end:
@@ -453,7 +386,7 @@ class ChaosRunner:
             counter += 1
             value = f"{client.name}:{counter}"
             roll = rng.random()
-            if self.causal is not None and roll < 0.30:
+            if self.spec.causal is not None and roll < 0.30:
                 # Causal slice.  Key and action are drawn here with the
                 # same rng stream in both modes, so a dvv and an lww run
                 # of one seed hit identical keys with identical intents
@@ -462,41 +395,41 @@ class ChaosRunner:
                 # runs byte-identical to pre-causal history digests.
                 yield from self._op_causal(client, rng, value)
             elif roll < 0.24:
-                key = f"{self.LW_PREFIX}-{rng.randrange(self.n_lw_keys)}"
+                key = f"{self.LW_PREFIX}-{rng.randrange(self.N_LW_KEYS)}"
                 yield from self._op_write(client, "write_latest", key, value)
             elif roll < 0.34:
-                key = f"{self.VA_PREFIX}-{rng.randrange(self.n_va_keys)}"
+                key = f"{self.VA_PREFIX}-{rng.randrange(self.N_VA_KEYS)}"
                 yield from self._op_write(client, "write_all", key, value)
             elif roll < 0.42:
                 if rng.random() < 0.5:
                     keys = self._sample_keys(rng, self.LW_PREFIX,
-                                             self.n_lw_keys)
+                                             self.N_LW_KEYS)
                     yield from self._op_multi_write(client, "latest", keys,
                                                     value)
                 else:
                     keys = self._sample_keys(rng, self.VA_PREFIX,
-                                             self.n_va_keys)
+                                             self.N_VA_KEYS)
                     yield from self._op_multi_write(client, "all", keys,
                                                     value)
             elif roll < 0.62:
-                key = f"{self.LW_PREFIX}-{rng.randrange(self.n_lw_keys)}"
+                key = f"{self.LW_PREFIX}-{rng.randrange(self.N_LW_KEYS)}"
                 yield from self._op_read_latest(client, key)
             elif roll < 0.72:
-                key = f"{self.VA_PREFIX}-{rng.randrange(self.n_va_keys)}"
+                key = f"{self.VA_PREFIX}-{rng.randrange(self.N_VA_KEYS)}"
                 yield from self._op_read_all(client, key)
             elif roll < 0.82:
                 keys = self._sample_keys(rng, self.LW_PREFIX,
-                                         self.n_lw_keys)
+                                         self.N_LW_KEYS)
                 yield from self._op_multi_read(client, keys)
             elif roll < 0.90:
-                key = f"{self.DEL_PREFIX}-{rng.randrange(self.n_del_keys)}"
+                key = f"{self.DEL_PREFIX}-{rng.randrange(self.N_DEL_KEYS)}"
                 yield from self._op_write(client, "write_latest", key, value)
             elif roll < 0.96:
-                key = f"{self.DEL_PREFIX}-{rng.randrange(self.n_del_keys)}"
+                key = f"{self.DEL_PREFIX}-{rng.randrange(self.N_DEL_KEYS)}"
                 yield from self._op_delete(client, key)
             else:
                 keys = self._sample_keys(rng, self.DEL_PREFIX,
-                                         self.n_del_keys)
+                                         self.N_DEL_KEYS)
                 yield from self._op_multi_delete(client, keys)
 
     def _scenario_workload(self, client, index: int, t0: float):
@@ -508,9 +441,10 @@ class ChaosRunner:
         """
         # Local import: plain chaos runs stay import-free of scenarios.
         from ..workloads.scenarios import ScenarioStream
-        stream = ScenarioStream(self.scenario, self.seed, index, t0=t0)
+        stream = ScenarioStream(self.spec.scenario, self.seed, index,
+                                t0=t0)
         counter = 0
-        end = t0 + self.duration
+        end = t0 + self.spec.duration
         while self.sim.now < end:
             yield self.sim.timeout(stream.gap())
             if self.sim.now >= end:
@@ -635,10 +569,10 @@ class ChaosRunner:
         so the two modes expose the identical concurrency pattern to
         the two conflict-resolution disciplines.
         """
-        key = f"{self.CW_PREFIX}-{rng.randrange(self.n_cw_keys)}"
+        key = f"{self.CW_PREFIX}-{rng.randrange(self.N_CW_KEYS)}"
         action = rng.random()
         encoded = FullKey.of(key).encoded()
-        if self.causal == "lww":
+        if self.spec.causal == "lww":
             if action < 0.25:
                 yield from self._op_read_latest(client, key)
             else:

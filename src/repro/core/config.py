@@ -67,9 +67,6 @@ class SednaConfig:
     """Upper bound after repeated doubling (quiet cluster)."""
 
     # Node management (§III.D).
-    heartbeat_interval: float = 0.5
-    """Sedna-service liveness ping cadence (ZK session pings)."""
-
     imbalance_push_interval: float = 5.0
     """How often each node uploads its imbalance row to ZooKeeper."""
 

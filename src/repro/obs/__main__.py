@@ -36,16 +36,17 @@ from typing import Optional, Sequence
 
 from ..chaos.runner import ChaosRunner
 from ..chaos.schedule import PROFILES
+from ..chaos.spec import RunSpec
 from .metrics import SNAPSHOT_SCHEMA, diff_snapshots
 from .trace import format_timeline
 
 
-def _run(args: argparse.Namespace, **extra):
-    runner = ChaosRunner(seed=args.seed, profile=args.profile,
-                         duration=args.duration, n_nodes=args.nodes,
-                         obs=True, **extra)
-    report = runner.run()
-    return runner, report
+def _run(args: argparse.Namespace, **observers):
+    runner = ChaosRunner(RunSpec(seed=args.seed, profile=args.profile,
+                                 duration=args.duration,
+                                 n_nodes=args.nodes, obs=True),
+                         **observers)
+    return runner, runner.run()
 
 
 def _emit(text: str, out: Optional[str]) -> None:

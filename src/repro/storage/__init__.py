@@ -1,11 +1,11 @@
 """Local storage engines: the memcached clone and Sedna's extensions.
 
 * :class:`MemStore` — slab allocator + chained hash table + per-class
-  LRU, speaking the memcached command set.  Used standalone as the
-  Fig. 7 baseline engine and embedded in every Sedna node.
+  LRU, speaking the memcached command set.  The Fig. 7 baseline
+  engine (``repro.baselines``) only: no Sedna node holds one.
 * :class:`VersionedStore` — timestamped value lists with the Dirty and
   Monitors columns that back ``write_latest``/``write_all`` and the
-  trigger subsystem.
+  trigger subsystem.  This, over a plain dict, is the node's store.
 """
 
 from .slab import OutOfMemory, SlabAllocator, SlabClass

@@ -253,11 +253,12 @@ def unwire_dvv_row(blob: dict) -> DvvRow:
 class VersionedStore:
     """Timestamped multi-version row store with dirty tracking.
 
-    Rows are held in a plain dict keyed by the (string) full key; the
-    memory accounting of the byte-level engine is exercised separately
-    by :class:`~repro.storage.memstore.MemStore` — Sedna's node embeds
-    both: MemStore for raw cache traffic, VersionedStore for the
-    replicated, trigger-visible dataset.
+    Rows are held in a plain, unbounded dict keyed by the (string) full
+    key.  This is the whole of a Sedna node's store: the byte-level
+    engine with memory accounting
+    (:class:`~repro.storage.memstore.MemStore`) is the Fig. 7 baseline
+    only and no node embeds it — the node borrows just its ``fnv1a``,
+    via ``core/hashring.py``.
 
     Parameters
     ----------

@@ -38,12 +38,12 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from ..chaos.runner import ChaosReport, ChaosRunner
-from ..core.config import SednaConfig
+from ..chaos.spec import RunSpec
 from ..core.hashring import HEAT_WEIGHTS
 from ..obs.fitness import extract_fitness
 from ..workloads.scenarios import (SCENARIOS, ScenarioSpec, get_scenario,
@@ -54,7 +54,7 @@ __all__ = ["ConfigPoint", "DIMENSIONS", "grid_points", "random_points",
            "corpus_entry", "write_corpus_entry", "load_corpus",
            "replay_corpus_entry", "CORPUS_SCHEMA", "BENCH_SCHEMA", "main"]
 
-CORPUS_SCHEMA = "repro.chaos.regression/1"
+CORPUS_SCHEMA = "repro.chaos.regression/2"
 BENCH_SCHEMA = "repro.bench.scenarios/1"
 
 #: The searched axes.  Every (R, W) pair satisfies the paper's §III.C
@@ -71,8 +71,7 @@ DIMENSIONS: dict[str, tuple] = {
 
 @dataclass(frozen=True)
 class ConfigPoint:
-    """One point of the config space (JSON-roundtrippable so corpus
-    entries can embed it verbatim)."""
+    """One point of the config space."""
 
     read_quorum: int = 2
     write_quorum: int = 2
@@ -90,25 +89,20 @@ class ConfigPoint:
                 f"-hw{self.heat_write_weight:g}"
                 f"-scan{self.scan_interval:g}")
 
-    def to_config(self) -> SednaConfig:
-        return SednaConfig(num_vnodes=self.num_vnodes,
-                           read_quorum=self.read_quorum,
-                           write_quorum=self.write_quorum,
-                           lease_base=self.lease_base,
-                           scan_interval=self.scan_interval)
-
-    def rebalance_opts(self) -> dict:
-        weights = dict(HEAT_WEIGHTS)
-        weights["writes"] = self.heat_write_weight
-        return {"pass_byte_budget": self.pass_byte_budget,
-                "weights": weights}
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConfigPoint":
-        return cls(**d)
+    def apply(self, spec: RunSpec) -> RunSpec:
+        """``spec`` run at this point.  The rebalancer axes only exist
+        when the run hosts one; without it they are inert."""
+        opts = None
+        if spec.rebalance:
+            opts = {"pass_byte_budget": self.pass_byte_budget,
+                    "weights": {**HEAT_WEIGHTS,
+                                "writes": self.heat_write_weight}}
+        return replace(spec, rebalance_opts=opts, config={
+            **spec.config, "num_vnodes": self.num_vnodes,
+            "read_quorum": self.read_quorum,
+            "write_quorum": self.write_quorum,
+            "lease_base": self.lease_base,
+            "scan_interval": self.scan_interval})
 
 
 def grid_points(limit: Optional[int] = None) -> list[ConfigPoint]:
@@ -150,43 +144,31 @@ def random_points(n: int, seed: int = 0) -> list[ConfigPoint]:
     return out[:n]
 
 
-def run_cell(spec: ScenarioSpec, point: ConfigPoint, seed: int,
-             duration: float, profile: str, n_nodes: int,
-             rebalance: bool) -> ChaosReport:
-    """One (scenario, config) cell: a seeded obs-enabled chaos run."""
-    return ChaosRunner(
-        seed=seed, profile=profile, duration=duration, n_nodes=n_nodes,
-        scenario=spec, config=point.to_config(), obs=True,
-        rebalance=rebalance,
-        rebalance_opts=point.rebalance_opts() if rebalance else None).run()
+def run_cell(spec: RunSpec, point: ConfigPoint) -> ChaosReport:
+    """One (scenario, config) cell: ``spec`` run at ``point``, observed
+    (fitness is read off the metrics snapshot)."""
+    return ChaosRunner(point.apply(replace(spec, obs=True))).run()
 
 
 # -- corpus entries -------------------------------------------------------
-def corpus_entry(spec: ScenarioSpec, point: ConfigPoint, seed: int,
-                 duration: float, profile: str, n_nodes: int,
-                 rebalance: bool, digest: str, fitness: dict,
+def corpus_entry(spec: RunSpec, label: str, digest: str, fitness: dict,
                  reason: str) -> dict:
-    """A replayable regression record: everything needed to rebuild
-    the exact run plus the digest and fitness it must reproduce."""
-    name = f"{spec.name}--{point.label()}--seed{seed}"
-    return {
-        "schema": CORPUS_SCHEMA,
-        "name": name,
-        "reason": reason,
-        "runner": {"seed": seed, "duration": duration, "profile": profile,
-                   "n_nodes": n_nodes, "rebalance": rebalance},
-        "scenario": spec.to_dict(),
-        "config": point.to_dict(),
-        "digest": digest,
-        "fitness": fitness,
-    }
+    """A replayable regression record: the exact run (``report.spec``)
+    plus the digest and fitness it must reproduce.  The name is
+    ``<workload>--<config label>--seed<N>``."""
+    workload = spec.scenario.name if spec.scenario else spec.profile
+    return {"schema": CORPUS_SCHEMA,
+            "name": f"{workload}--{label}--seed{spec.seed}",
+            "reason": reason, "spec": spec.to_dict(),
+            "digest": digest, "fitness": fitness}
 
 
 def write_corpus_entry(corpus_dir: Path, entry: dict) -> Path:
-    """Write one entry under a deterministic, collision-free name."""
+    """Write one entry under a deterministic, collision-free file name:
+    the workload part of its name plus a hash of the whole name."""
     corpus_dir.mkdir(parents=True, exist_ok=True)
     stem = hashlib.sha256(entry["name"].encode()).hexdigest()[:10]
-    path = corpus_dir / f"{entry['scenario']['name']}-{stem}.json"
+    path = corpus_dir / f"{entry['name'].partition('--')[0]}-{stem}.json"
     path.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -200,51 +182,46 @@ def load_corpus(corpus_dir: Path) -> list[tuple[Path, dict]]:
 
 
 def replay_corpus_entry(entry: dict) -> ChaosReport:
-    """Re-run one corpus entry exactly as the explorer ran it."""
+    """Re-run one corpus entry exactly as it was recorded."""
     if entry.get("schema") != CORPUS_SCHEMA:
         raise ValueError(f"unknown corpus schema {entry.get('schema')!r}")
-    spec = ScenarioSpec.from_dict(entry["scenario"])
-    point = ConfigPoint.from_dict(entry["config"])
-    r = entry["runner"]
-    return run_cell(spec, point, seed=r["seed"], duration=r["duration"],
-                    profile=r["profile"], n_nodes=r["n_nodes"],
-                    rebalance=r["rebalance"])
+    return ChaosRunner(RunSpec.from_dict(entry["spec"])).run()
 
 
 # -- the search -----------------------------------------------------------
 def explore(scenarios: Sequence[ScenarioSpec],
-            points: Sequence[ConfigPoint], seed: int = 0,
-            duration: float = 4.0, profile: str = "mixed",
-            n_nodes: int = 6, rebalance: bool = True,
+            points: Sequence[ConfigPoint], base: RunSpec,
             corpus_dir: Optional[Path] = None, corpus_bound: float = 3.0,
             log: Any = None) -> dict:
     """Run the whole matrix; returns the ``BENCH_scenarios`` payload.
 
+    Every cell is ``base`` with one scenario and one config point.
     ``corpus_dir=None`` disables corpus promotion; otherwise every
     violating cell and every cell whose score exceeds ``corpus_bound``
     × the scenario best is written out as a regression entry.
     """
     scenarios_out: dict[str, dict] = {}
-    for spec in scenarios:
+    for scenario in scenarios:
         evals: list[dict] = []
+        cells: list[RunSpec] = []
         trajectory: list[dict] = []
         best_so_far: Optional[float] = None
         for point in points:
-            report = run_cell(spec, point, seed, duration, profile,
-                              n_nodes, rebalance)
+            report = run_cell(replace(base, scenario=scenario), point)
+            cells.append(report.spec)
             fitness = extract_fitness(report)
             score = fitness["score"]
             best_so_far = score if best_so_far is None \
                 else min(best_so_far, score)
             evals.append({"label": point.label(),
-                          "point": point.to_dict(),
+                          "point": asdict(point),
                           "fitness": fitness,
                           "digest": report.digest,
                           "ok": report.ok})
             trajectory.append({"label": point.label(), "score": score,
                                "best_so_far": best_so_far})
             if log is not None:
-                log(f"[{spec.name}] {point.label()} score={score:g}"
+                log(f"[{scenario.name}] {point.label()} score={score:g}"
                     + ("" if report.ok else "  INVARIANT VIOLATION"))
         table = sorted(evals,
                        key=lambda row: (row["fitness"]["score"],
@@ -253,7 +230,7 @@ def explore(scenarios: Sequence[ScenarioSpec],
         promoted: list[str] = []
         if corpus_dir is not None:
             best_score = best["fitness"]["score"]
-            for row in evals:
+            for row, cell in zip(evals, cells):
                 fit = row["fitness"]
                 reason = None
                 if fit["violations"]:
@@ -265,21 +242,20 @@ def explore(scenarios: Sequence[ScenarioSpec],
                               f"> {corpus_bound:g}x scenario best "
                               f"{best_score:g}")
                 if reason is not None:
-                    entry = corpus_entry(
-                        spec, ConfigPoint.from_dict(row["point"]), seed,
-                        duration, profile, n_nodes, rebalance,
-                        row["digest"], fit, reason)
+                    entry = corpus_entry(cell, row["label"], row["digest"],
+                                         fit, reason)
                     path = write_corpus_entry(corpus_dir, entry)
                     promoted.append(path.name)
                     if log is not None:
-                        log(f"[{spec.name}] promoted {path.name}: {reason}")
-        scenarios_out[spec.name] = {"spec": spec.to_dict(), "best": best,
-                                    "table": table,
-                                    "trajectory": trajectory,
-                                    "promoted": promoted}
-    return {"schema": BENCH_SCHEMA, "seed": seed, "duration": duration,
-            "profile": profile, "n_nodes": n_nodes,
-            "rebalance": rebalance, "n_configs": len(points),
+                        log(f"[{scenario.name}] promoted {path.name}: "
+                            f"{reason}")
+        scenarios_out[scenario.name] = {
+            "spec": scenario.to_dict(), "best": best, "table": table,
+            "trajectory": trajectory, "promoted": promoted}
+    return {"schema": BENCH_SCHEMA, "seed": base.seed,
+            "duration": base.duration, "profile": base.profile,
+            "n_nodes": base.n_nodes, "rebalance": base.rebalance,
+            "n_configs": len(points),
             "corpus_bound": corpus_bound, "scenarios": scenarios_out}
 
 
@@ -381,9 +357,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scenarios = _resolve_scenarios(args.scenarios)
     points = (random_points(args.evals, args.seed)
               if args.mode == "random" else grid_points(args.evals))
-    out = explore(scenarios, points, seed=args.seed,
-                  duration=args.duration, profile=args.profile,
-                  n_nodes=args.nodes, rebalance=not args.no_rebalance,
+    base = RunSpec(seed=args.seed, duration=args.duration,
+                   profile=args.profile, n_nodes=args.nodes,
+                   rebalance=not args.no_rebalance)
+    out = explore(scenarios, points, base,
                   corpus_dir=None if args.no_corpus else args.corpus_dir,
                   corpus_bound=args.corpus_bound, log=print)
     for path in write_outputs(out, args.results_dir):

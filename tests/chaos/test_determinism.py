@@ -26,3 +26,28 @@ class TestReplayIdentity:
 
     def test_profile_changes_history(self):
         assert run(seed=2, profile="crash").digest != run(seed=2).digest
+
+
+class TestInterleavingClasses:
+    """One seed has exactly two interleavings: plain and observed.
+
+    The hazard detector only listens to the kernel, so it replays the
+    plain digest.  Tracing stamps ``"tr"`` into the *sized* request
+    envelope (net/rpc.py), which moves message latencies: every
+    observer that rides the bundle lands on one other digest, whichever
+    of them is on — and a seed that is red plain may be green observed
+    (known-red seed 15 at 120 s is: ROADMAP, observability item).
+    """
+
+    def test_hazards_plain_and_observers_observed(self):
+        def digest(**observers):
+            return ChaosRunner(seed=3, duration=4.0, **observers).run().digest
+
+        plain = digest()
+        assert digest(hazards=True) == plain
+        observed = digest(obs=True)
+        assert observed != plain
+        for observer in ("slo", "record", "timeseries"):
+            assert digest(**{observer: True}) == observed, observer
+        assert digest(slo=True, record=True, record_always=True,
+                      timeseries=True) == observed

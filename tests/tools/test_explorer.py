@@ -1,25 +1,27 @@
 """Config-explorer tests: determinism, promotion, corpus roundtrip."""
 
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
+from repro.chaos.spec import RunSpec
 from repro.obs.fitness import SCORE_WEIGHTS, extract_fitness
-from repro.tools.explorer import (CORPUS_SCHEMA, ConfigPoint, explore,
-                                  format_tables, grid_points, load_corpus,
-                                  random_points, replay_corpus_entry,
-                                  run_cell, write_corpus_entry)
+from repro.tools.explorer import (CORPUS_SCHEMA, ConfigPoint, corpus_entry,
+                                  explore, format_tables, grid_points,
+                                  load_corpus, random_points,
+                                  replay_corpus_entry, run_cell,
+                                  write_corpus_entry)
 from repro.workloads.scenarios import SCENARIOS
 
-TINY = dict(seed=0, duration=2.0, profile="crash", n_nodes=4,
-            rebalance=False)
+TINY = RunSpec(seed=0, duration=2.0, profile="crash", n_nodes=4)
 
 
 @pytest.fixture(scope="module")
 def tiny_search():
     specs = [SCENARIOS["zipf-hot"], SCENARIOS["flash-crowd"]]
     points = random_points(2, seed=0)
-    return explore(specs, points, corpus_dir=None, **TINY)
+    return explore(specs, points, TINY)
 
 
 class TestPoints:
@@ -39,18 +41,22 @@ class TestPoints:
 
     def test_point_roundtrip_and_config(self):
         for point in random_points(4, seed=1):
-            assert ConfigPoint.from_dict(point.to_dict()) == point
-            config = point.to_config()
+            assert ConfigPoint(**asdict(point)) == point
+            spec = point.apply(replace(TINY, rebalance=True))
+            config = spec.sedna_config()
             assert config.read_quorum == point.read_quorum
             assert config.write_quorum == point.write_quorum
-            opts = point.rebalance_opts()
+            opts = spec.rebalance_opts
             assert opts["weights"]["writes"] == point.heat_write_weight
+            assert point.apply(TINY).rebalance_opts is None
+            assert replace(spec, config={}, rebalance_opts=None) == \
+                replace(TINY, rebalance=True), "only those two fields move"
 
 
 class TestSearch:
     def test_search_is_deterministic(self, tiny_search):
         again = explore([SCENARIOS["zipf-hot"], SCENARIOS["flash-crowd"]],
-                        random_points(2, seed=0), corpus_dir=None, **TINY)
+                        random_points(2, seed=0), TINY)
         assert json.dumps(tiny_search, sort_keys=True) == \
             json.dumps(again, sort_keys=True)
 
@@ -86,7 +92,7 @@ class TestCorpusRoundtrip:
         bound, so promotion must trigger and the entry must replay to
         the recorded digest."""
         out = explore([SCENARIOS["zipf-hot"]], random_points(2, seed=0),
-                      corpus_dir=tmp_path, corpus_bound=0.5, **TINY)
+                      TINY, corpus_dir=tmp_path, corpus_bound=0.5)
         promoted = out["scenarios"]["zipf-hot"]["promoted"]
         corpus = load_corpus(tmp_path)
         assert [p.name for p, _ in corpus] == sorted(promoted)
@@ -95,19 +101,21 @@ class TestCorpusRoundtrip:
         assert entry["schema"] == CORPUS_SCHEMA
         report = replay_corpus_entry(entry)
         assert report.digest == entry["digest"]
+        assert report.spec.to_dict() == entry["spec"]
+        assert report.spec.obs, "the explorer's cells are observed runs"
 
     def test_replay_rejects_unknown_schema(self):
-        with pytest.raises(ValueError):
-            replay_corpus_entry({"schema": "bogus/9"})
+        # /1 spelled the run as runner + scenario + config blocks.
+        for schema in ("bogus/9", "repro.chaos.regression/1"):
+            with pytest.raises(ValueError, match="unknown corpus schema"):
+                replay_corpus_entry({"schema": schema})
 
     def test_write_entry_name_is_stable(self, tmp_path):
-        spec = SCENARIOS["zipf-hot"]
         point = ConfigPoint()
-        report = run_cell(spec, point, **TINY)
-        from repro.tools.explorer import corpus_entry
-        entry = corpus_entry(spec, point, digest=report.digest,
-                             fitness=extract_fitness(report),
-                             reason="test", **TINY)
+        report = run_cell(replace(TINY, scenario="zipf-hot"), point)
+        entry = corpus_entry(report.spec, point.label(),
+                             digest=report.digest,
+                             fitness=extract_fitness(report), reason="test")
         p1 = write_corpus_entry(tmp_path, entry)
         p2 = write_corpus_entry(tmp_path, entry)
         assert p1 == p2, "same cell → same filename (idempotent)"
