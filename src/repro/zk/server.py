@@ -281,7 +281,10 @@ class ZkServer:
             return self._forward("zk.write", args)
         op = dict(args["op"])
         session = args.get("session", 0)
-        if op.get("ephemeral") and session not in self.sessions:
+        # A multi's sub-ops run under the same session, so an ephemeral
+        # create inside one needs it alive just the same.
+        if (any(sub.get("ephemeral") for sub in (op, *op.get("ops", ())))
+                and session not in self.sessions):
             raise RpcRejected("session-expired")
         op["session"] = session
         self.writes_led += 1
@@ -492,20 +495,17 @@ class ZkServer:
                     self._fire_watches(op_type, path)
                 return result
             if kind == "multi":
-                # Atomic transaction: apply against the real tree, roll
-                # back from a snapshot if any sub-op fails.  Watches
-                # fire only when the whole transaction commits.
-                backup = self.tree.dump()
+                # Atomic transaction: a failing sub-op raises out of the
+                # tree's transaction, which undoes the earlier ones from
+                # its journal (the outer handler returns the error).
+                # Watches fire only when the whole transaction commits.
                 pending = []
                 results = []
-                try:
+                with self.tree.transaction():
                     for sub in op["ops"]:
                         sub = dict(sub)
                         sub.setdefault("session", op.get("session", 0))
                         results.append(self._apply_datum(zxid, sub, pending))
-                except ZkError as err:
-                    self.tree = ZnodeTree.load(backup)
-                    return err
                 for op_type, path in pending:
                     self._fire_watches(op_type, path)
                 return {"results": results}

@@ -19,8 +19,10 @@ version counter) used for conditional set/delete.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 __all__ = ["Stat", "Znode", "ZnodeTree", "ZkError", "NoNodeError",
            "NodeExistsError", "NotEmptyError", "BadVersionError",
@@ -95,6 +97,38 @@ class ZnodeTree:
     def __init__(self):
         self.root = Znode()
         self._ephemerals: dict[int, set[str]] = {}  # session -> paths
+        # Inverses of the mutations made inside an open transaction();
+        # None outside one, so single ops pay one ``is not None`` test.
+        self._journal: Optional[list[Callable[[], None]]] = None
+
+    # -- transactions ---------------------------------------------------
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """All-or-nothing scope for a ``multi``.
+
+        While open, ``create`` / ``set`` / ``delete`` journal their
+        inverse.  Leaving normally drops the journal; an exception (a
+        failing step's :class:`ZkError`, in practice) replays it
+        newest-first and propagates, leaving :meth:`dump` and the
+        ephemeral index equal to the pre-state — the cost is
+        O(mutations made), nothing when the first step fails.  One
+        thing is not restored: a child deleted and re-added moves to
+        the end of its parent's ``children`` dict.  That order is
+        unobservable (``get_children``, ``walk_paths`` and
+        ``ephemerals_of`` sort; ``dump()`` equality is a dict compare),
+        so restoring it would buy nothing for O(siblings).
+        """
+        if self._journal is not None:
+            raise RuntimeError("ZnodeTree transactions do not nest")
+        journal = self._journal = []
+        try:
+            yield
+        except BaseException:
+            for undo in reversed(journal):
+                undo()
+            raise
+        finally:
+            self._journal = None
 
     # -- traversal ------------------------------------------------------
     def _walk(self, path: str) -> Optional[Znode]:
@@ -127,8 +161,14 @@ class ZnodeTree:
         if parent.stat.ephemeral_owner:
             raise ZkError("ephemeral znodes cannot have children")
         name = path[path.rfind("/") + 1:]
+        journal = self._journal
         if sequential:
             name = f"{name}{parent.seq_counter:010d}"
+            if journal is not None:
+                # Journalled apart from the insertion: the bump outlives
+                # a NodeExistsError on the generated name.
+                journal.append(partial(setattr, parent, "seq_counter",
+                                       parent.seq_counter))
             parent.seq_counter += 1
             path = (parent_path if parent_path != "/" else "") + "/" + name
         if name in parent.children:
@@ -137,6 +177,22 @@ class ZnodeTree:
         node.stat.czxid = zxid
         node.stat.mzxid = zxid
         node.stat.ephemeral_owner = ephemeral_owner
+        if journal is not None:
+            cversion = parent.stat.cversion
+            # An index entry that was already there (possibly emptied by
+            # an earlier delete) stays; one this create makes goes again.
+            new_entry = (ephemeral_owner != 0
+                         and ephemeral_owner not in self._ephemerals)
+
+            def undo_create() -> None:
+                del parent.children[name]
+                parent.stat.cversion = cversion
+                parent.stat.num_children = len(parent.children)
+                if new_entry:
+                    del self._ephemerals[ephemeral_owner]
+                elif ephemeral_owner:
+                    self._ephemerals[ephemeral_owner].discard(path)
+            journal.append(undo_create)
         parent.children[name] = node
         parent.stat.cversion += 1
         parent.stat.num_children = len(parent.children)
@@ -158,7 +214,15 @@ class ZnodeTree:
         if expected_version != -1 and node.stat.version != expected_version:
             raise BadVersionError(
                 f"{path}: have {node.stat.version}, expected {expected_version}")
-        node.data = bytes(data)
+        data = bytes(data)
+        if self._journal is not None:
+            stat = node.stat
+            before = (node.data, stat.version, stat.mzxid)
+
+            def undo_set() -> None:
+                node.data, stat.version, stat.mzxid = before
+            self._journal.append(undo_set)
+        node.data = data
         node.stat.version += 1
         node.stat.mzxid = zxid
         return node.stat
@@ -176,13 +240,23 @@ class ZnodeTree:
                 f"{path}: have {node.stat.version}, expected {expected_version}")
         parent = self._require(parent_of(path))
         name = path[path.rfind("/") + 1:]
+        owned = self._ephemerals.get(node.stat.ephemeral_owner)
+        indexed = owned is not None and path in owned
+        if self._journal is not None:
+            cversion = parent.stat.cversion
+
+            def undo_delete() -> None:
+                parent.children[name] = node
+                parent.stat.cversion = cversion
+                parent.stat.num_children = len(parent.children)
+                if indexed:
+                    owned.add(path)
+            self._journal.append(undo_delete)
         del parent.children[name]
         parent.stat.cversion += 1
         parent.stat.num_children = len(parent.children)
-        if node.stat.ephemeral_owner:
-            owned = self._ephemerals.get(node.stat.ephemeral_owner)
-            if owned is not None:
-                owned.discard(path)
+        if indexed:
+            owned.discard(path)
 
     def exists(self, path: str) -> Optional[Stat]:
         """Stat when present, None otherwise."""

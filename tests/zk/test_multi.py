@@ -5,6 +5,7 @@ import pytest
 from repro.net.latency import LanGigabit
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
+from repro.zk.client import SessionExpired
 from repro.zk.ensemble import ZkEnsemble
 from repro.zk.znode import NodeExistsError, NoNodeError, ZkError
 
@@ -115,25 +116,66 @@ class TestMulti:
             assert server.tree.exists("/m1") is not None
             assert server.tree.exists("/m2") is not None
 
-    def test_aborted_multi_leaves_followers_consistent(self, world):
+    @pytest.mark.parametrize("steps", [
+        lambda zk: [zk.op_create("/ghost", b""), zk.op_create("/clash", b"")],
+        # The join boot's hot case: the first step loses its version race.
+        lambda zk: [zk.op_set("/clash", b"x", version=5),
+                    zk.op_create("/q/log-", b"", sequential=True)],
+        lambda zk: [zk.op_create("/q/log-", b"", sequential=True),
+                    zk.op_create("/clash", b"")],
+        lambda zk: [zk.op_create("/eph2", b"", ephemeral=True),
+                    zk.op_create("/clash", b"")],
+        lambda zk: [zk.op_set("/clash", b"x"), zk.op_create("/clash", b"")],
+        lambda zk: [zk.op_delete("/q/eph"), zk.op_delete("/clash"),
+                    zk.op_delete("/clash")],
+    ], ids=["after-create", "first-step", "after-sequential",
+            "after-ephemeral", "after-set", "after-delete"])
+    def test_aborted_multi_leaves_followers_consistent(self, world, steps):
+        sim, ens = world
+
+        def setup(zk):
+            yield from zk.create("/clash", b"")
+            yield from zk.create("/q", b"")
+            yield from zk.create("/q/eph", b"", ephemeral=True)
+            yield from zk.create("/q/log-", b"", sequential=True)
+
+        def abort(zk):
+            with pytest.raises(ZkError):
+                yield from zk.multi(steps(zk))
+
+        run(sim, ens, setup)
+        sim.run(until=sim.now + 1.0)
+        before = [(s.tree, s.tree.dump()) for s in ens.servers]
+        run(sim, ens, abort, name="cli2")
+        sim.run(until=sim.now + 1.0)
+        # Every member applied (and undid) the multi, not just the leader.
+        assert all(s.applied_zxid == ens.leader().applied_zxid
+                   for s in ens.servers)
+        for server, (tree, dump) in zip(ens.servers, before):
+            # Rolled back in place: no member swaps its tree for a
+            # snapshot, and a later zk.sync_req reply sizes the same.
+            assert server.tree is tree
+            assert server.tree.dump() == dump == before[0][1]
+
+    def test_ephemeral_in_multi_needs_a_live_session(self, world):
+        """An expired session cannot leave an ephemeral behind through a
+        multi, any more than through a plain create."""
         sim, ens = world
 
         def script(zk):
-            yield from zk.create("/clash", b"")
-            try:
-                yield from zk.multi([
-                    zk.op_create("/ghost", b""),
-                    zk.op_create("/clash", b""),
-                ])
-            except ZkError:
-                pass
-            return True
+            # The leader forgets the session; the client does not know.
+            yield from zk._call("zk.close", {"session": zk.session_id})
+            with pytest.raises(SessionExpired):
+                yield from zk.multi([zk.op_create("/p", b""),
+                                     zk.op_create("/e", b"", ephemeral=True)])
+            # Nothing ephemeral in it: still fine without a session.
+            yield from zk.multi([zk.op_create("/p", b"")])
 
         run(sim, ens, script)
         sim.run(until=sim.now + 1.0)
-        trees = [sorted(s.tree.walk_paths()) for s in ens.servers]
-        assert trees[0] == trees[1] == trees[2]
-        assert "/ghost" not in trees[0]
+        for server in ens.servers:
+            assert sorted(server.tree.walk_paths()) == ["/p"]
+            assert server.tree.dump()["ephemerals"] == {}
 
     def test_watches_fire_only_on_commit(self, world):
         sim, ens = world

@@ -1,7 +1,7 @@
 """Unit and property tests for the znode tree."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.zk.znode import (BadVersionError, NodeExistsError, NoNodeError,
@@ -217,3 +217,85 @@ def test_tree_matches_model(ops):
                 tree.set(path, b"x", zxid)
                 model[path] = b"x"
     assert set(tree.walk_paths()) == set(model)
+
+
+# -- transactions ---------------------------------------------------------
+# A literal name shaped like a sequence suffix makes the one path where a
+# sequential create bumps the counter and *then* raises NodeExists reachable.
+_txn_paths = st.lists(st.sampled_from(["a", "b", "a0000000000"]),
+                      min_size=1, max_size=2).map(lambda ps: "/" + "/".join(ps))
+_versions = st.sampled_from([-1, 0, 1])
+_txn_ops = st.one_of(
+    st.tuples(st.just("create"), _txn_paths,
+              st.sampled_from([0, 7, 8]), st.booleans()),  # owner, sequential
+    st.tuples(st.just("set"), _txn_paths, _versions),
+    st.tuples(st.just("delete"), _txn_paths, _versions),
+)
+
+
+def _step(tree, op, zxid):
+    kind, path, *rest = op
+    if kind == "create":
+        owner, sequential = rest
+        return tree.create(path, b"c%d" % zxid, zxid, ephemeral_owner=owner,
+                           sequential=sequential)
+    if kind == "set":
+        return tree.set(path, b"s%d" % zxid, zxid, rest[0])
+    return tree.delete(path, zxid, rest[0])
+
+
+def _grow(prefix):
+    """A tree with ``prefix`` applied singly, failures skipped."""
+    tree = ZnodeTree()
+    for zxid, op in enumerate(prefix, 1):
+        try:
+            _step(tree, op, zxid)
+        except ZkError:
+            pass
+    return tree
+
+
+_A = ("create", "/a", 0, False)
+_FAIL = ("set", "/missing", -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix=st.lists(_txn_ops, max_size=10),
+       ops=st.lists(_txn_ops, min_size=1, max_size=6))
+# The hot case in a join boot: the first step loses its version race.
+@example(prefix=[_A], ops=[("set", "/a", 3), ("create", "/a/b", 0, True)])
+# A sequential create's counter bump is undone ...
+@example(prefix=[_A], ops=[("create", "/a/b", 0, True), _FAIL])
+# ... also when the create itself fails after bumping it.
+@example(prefix=[("create", "/a0000000000", 0, False)],
+         ops=[("create", "/b", 0, False), ("create", "/a", 0, True)])
+# An ephemeral create that made the session's index entry removes it again,
+@example(prefix=[], ops=[("create", "/a", 7, False), _FAIL])
+# but an entry that was already there — even emptied — stays.
+@example(prefix=[("create", "/a", 7, False), ("delete", "/a", -1)],
+         ops=[("create", "/b", 7, False), _FAIL])
+# A delete's rollback re-adds the child and its ephemeral index entry.
+@example(prefix=[_A, ("create", "/a/b", 7, False), ("create", "/b", 0, False)],
+         ops=[("delete", "/a/b", -1), ("delete", "/b", -1), _FAIL])
+@example(prefix=[_A], ops=[("set", "/a", 0), ("set", "/a", 1), _FAIL])
+def test_transaction_is_all_or_nothing(prefix, ops):
+    """A failing op list leaves no trace; a passing one equals the same
+    ops applied one by one."""
+    tree = _grow(prefix)
+    before = tree.dump()
+    index_before = {sid: set(paths) for sid, paths in tree._ephemerals.items()}
+    root_before = tree.root
+    zxid = len(prefix) + 1
+    try:
+        with tree.transaction():
+            results = [_step(tree, op, zxid) for op in ops]
+    except ZkError:
+        assert tree.dump() == before
+        assert tree._ephemerals == index_before
+        assert tree.root is root_before
+    else:
+        reference = _grow(prefix)
+        assert results == [_step(reference, op, zxid) for op in ops]
+        assert tree.dump() == reference.dump()
+    # The journal is closed either way: later single ops are not recorded.
+    assert tree._journal is None
