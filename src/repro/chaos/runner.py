@@ -27,7 +27,7 @@ the same operation history and the same sha256 history digest.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.antientropy import AntiEntropyManager
@@ -52,8 +52,7 @@ __all__ = ["ChaosRunner", "ChaosReport"]
 class ChaosReport:
     """Everything one chaos run produced."""
 
-    # The identity actually run (obs=True when an observer implied it).
-    spec: RunSpec
+    spec: RunSpec   # the identity that ran: what the caller passed
     schedule: Schedule
     history: History
     anomalies: list[Anomaly]
@@ -68,7 +67,7 @@ class ChaosReport:
     hazards: list = field(default_factory=list)
     hazard_report: str = ""
     # Metrics snapshot from the opt-in observability bundle
-    # (spec.obs); empty dict when obs was off.
+    # (obs=True); empty dict when obs was off.
     obs_snapshot: dict = field(default_factory=dict)
     # Rebalancer ledger rows (spec.rebalance); empty when it was off.
     migrations: list = field(default_factory=list)
@@ -157,10 +156,12 @@ class ChaosRunner:
 
     What runs is one :class:`~repro.chaos.spec.RunSpec` — pass it, or
     its fields as keywords (``ChaosRunner(seed=3, duration=6.0)``).
-    ``self.spec`` is the identity actually run: the diagnosis-pipeline
-    observers (``slo``, ``record``, ``record_always``, ``timeseries``)
-    ride the observability bundle, so asking for any of them runs
-    ``replace(spec, obs=True)``.  ``hazards`` only watches.
+    Every other keyword only watches — the run, its schedule and its
+    digest are the spec's whichever of them is on.  ``obs`` attaches the
+    metrics + tracing bundle; the diagnosis-pipeline observers (``slo``,
+    ``record``, ``record_always``, ``timeseries``) ride it, so each
+    implies it.  ``hazards`` and the bundle both want the kernel's one
+    tracer slot: to get both views of a seed, run it twice.
     """
 
     LW_PREFIX = "lw"     # write_latest keys, shared across clients
@@ -181,7 +182,7 @@ class ChaosRunner:
     ZK_SESSION_TIMEOUT = 1.0
 
     def __init__(self, spec: Optional[RunSpec] = None, *,
-                 hazards: bool = False, slo: Any = False,
+                 hazards: bool = False, obs: bool = False, slo: Any = False,
                  record: bool = False, record_always: bool = False,
                  timeseries: bool = False, **fields):
         if spec is None:
@@ -189,9 +190,8 @@ class ChaosRunner:
         elif fields:
             raise TypeError("pass a RunSpec or its fields, not both: "
                             + ", ".join(sorted(fields)))
-        if slo or record or record_always or timeseries:
-            spec = replace(spec, obs=True)
-        if hazards and spec.obs:
+        obs = bool(obs or slo or record or record_always or timeseries)
+        if hazards and obs:
             # Both want the simulator's single tracer slot.
             raise ValueError("hazards and obs are mutually exclusive: "
                              "the kernel has one tracer slot")
@@ -205,10 +205,10 @@ class ChaosRunner:
         self.hazard_detector = None
         self.record_always = record_always
         self.rebalancer = None
-        # The live Observability bundle (spec.obs): span timelines stay
+        # The live Observability bundle (obs=True): span timelines stay
         # readable through it after run() returns.
         self.obs_bundle = None
-        if spec.obs:
+        if obs:
             # Local import: plain chaos runs must not pay for the
             # observability layer (same rule as the hazard detector).
             from ..obs import Observability

@@ -2,13 +2,12 @@
 
 A :class:`RunSpec` holds exactly the inputs that move the fault
 schedule or the history digest — nothing that only *watches* a run
-(``hazards``, the flight recorder, SLO evaluation: those are
-:class:`~repro.chaos.runner.ChaosRunner` keywords).  ``obs`` is a field
-because tracing stamps ``"tr"`` into the sized request envelope
-(``net/rpc.py``), so an observed run is a different interleaving with a
-different digest (docs/protocols.md §14).  The CLIs, the golden
-fixture, the explorer and the regression corpus all build, pass around
-and store this one value; ``to_dict`` is a corpus file's ``"spec"``.
+(``hazards``, ``obs``, the flight recorder, SLO evaluation: those are
+:class:`~repro.chaos.runner.ChaosRunner` keywords, and none of them can
+move a byte — a seed has one interleaving, docs/protocols.md §14).  The
+CLIs, the golden fixture, the explorer and the regression corpus all
+build, pass around and store this one value; ``to_dict`` is a corpus
+file's ``"spec"``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class RunSpec:
     rebalance_opts: Optional[Mapping[str, Any]] = None
     # SednaConfig field overrides; see sedna_config().
     config: Mapping[str, Any] = field(default_factory=dict)
-    obs: bool = False              # attach the metrics + tracing bundle
 
     def __post_init__(self):
         if self.causal not in (None, "dvv", "lww"):

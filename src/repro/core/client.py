@@ -118,7 +118,6 @@ class SednaClient:
         # latency histograms live.  Without an obs bundle every handle
         # is a no-op.
         self._tracer = obs.tracer if obs is not None else None
-        self.rpc.tracer = self._tracer
         metrics = obs.metrics if obs is not None else None
         if metrics is None:
             from ..obs.metrics import DISABLED
@@ -393,7 +392,6 @@ class SmartSednaClient(SednaClient):
         metrics = obs.metrics if obs is not None else None
         self.zk = ZkClient(sim, network, f"{name}-zk", zk_servers, zk_config,
                            metrics=metrics)
-        self.zk.rpc.tracer = self._tracer
         self.cache = MappingCache(sim, self.zk, self.config,
                                   metrics=metrics, owner=name)
         self.coordinator = QuorumCoordinator(sim, self.rpc, self.cache,

@@ -68,9 +68,9 @@ class SednaCluster:
             latency=latency if latency is not None else LanGigabit(seed=seed))
         self.config = config if config is not None else SednaConfig()
         self.zk_config = zk_config if zk_config is not None else ZkConfig()
-        # Observability bundle: attach the span tracer to the kernel and
-        # stamp outgoing messages with the ambient trace id so the tap
-        # can slice traffic per request.
+        # Observability bundle: attach the span tracer to the kernel
+        # and hand it to the network, where every RPC endpoint and tap
+        # reads it — the one wiring point.
         self.obs = obs
         if obs is not None:
             obs.attach(self.sim)
@@ -78,9 +78,6 @@ class SednaCluster:
         self.ensemble = ZkEnsemble(self.sim, self.network, size=zk_size,
                                    config=self.zk_config,
                                    durable=zk_durable)
-        if obs is not None and obs.tracer is not None:
-            for server in self.ensemble.servers:
-                server.rpc.tracer = obs.tracer
         self.disks: dict[str, SimDisk] = {}
         self.node_names = [f"node{i}" for i in range(n_nodes)]
         self.nodes: dict[str, SednaNode] = {}

@@ -64,17 +64,14 @@ class SednaNode:
         # Observability bundle (repro.obs.Observability), optional.
         self.obs = obs
         metrics = obs.metrics if obs is not None else None
-        tracer = obs.tracer if obs is not None else None
         if metrics is None:
             from ..obs.metrics import DISABLED
             handles = DISABLED
         else:
             handles = metrics
         self.rpc = RpcNode(network, name, service_time=REQUEST_HANDLING)
-        self.rpc.tracer = tracer
         self.zk = ZkClient(sim, network, f"{name}-zk", zk_servers, zk_config,
                            metrics=metrics)
-        self.zk.rpc.tracer = tracer
         self.disk = disk if disk is not None else SimDisk()
         self._reset_volatile()
         self.coordinator = QuorumCoordinator(

@@ -100,10 +100,6 @@ class RpcNode:
         self.calls_issued = 0
         self.calls_timed_out = 0
         self.requests_served = 0
-        # Span tracer (repro.obs.trace.SpanTracer) when request tracing
-        # is wired up.  With tracing off, requests carry no extra field
-        # and the serve path pays one ``is None`` check.
-        self.tracer: Optional[Any] = None
 
     # -- server side ------------------------------------------------------
     def register(self, method: str, handler: Callable[[str, Any], Any],
@@ -140,8 +136,8 @@ class RpcNode:
         payload = msg.payload
         method = payload["method"]
         self._served = True
-        tracer = self.tracer
-        trace_ctx = payload.get("tr") if tracer is not None else None
+        tracer = self.network.tracer
+        trace_ctx = msg.trace     # the caller's context; None untraced
         serve_span: list[Any] = []
         arrived = self.sim.now
 
@@ -162,10 +158,10 @@ class RpcNode:
             # two paths (queued vs immediate) observably different.
             handler = self._handlers.get(method)
             if trace_ctx is not None:
-                # Re-adopt the caller's context carried in the envelope:
-                # the event graph cannot see through the service queue.
-                tracer.adopt(trace_ctx)
-                span = tracer.begin(f"rpc.{method}", node=self.name)
+                # Serve under the caller's span, whatever this request
+                # waited behind in the service queue.
+                span = tracer.begin(f"rpc.{method}", node=self.name,
+                                    ctx=trace_ctx)
                 if span is not None:
                     # The serve span opens *after* the service queue;
                     # the wait is tagged so the critical-path analyzer
@@ -238,14 +234,9 @@ class RpcNode:
         ev.callbacks.append(_observed)
         self._pending[call_id] = ev
         self.calls_issued += 1
-        request: dict[str, Any] = {
+        self.endpoint.send(dst, {
             "kind": _REQ, "id": call_id, "method": method, "args": args,
-        }
-        if self.tracer is not None:
-            ctx = self.tracer.current_ctx()
-            if ctx is not None:
-                request["tr"] = [ctx[0], ctx[1]]
-        self.endpoint.send(dst, request)
+        })
         return ev, call_id
 
     def call_async(self, dst: str, method: str, args: Any) -> Event:

@@ -23,8 +23,10 @@ class TapRecord:
     """One observed transmission (pre-delivery, post-filter order).
 
     ``trace`` is the observability trace id active at transmit time
-    (None when request tracing is off) — it lets protocol tests slice
-    the tap down to a single request's traffic.
+    (None when request tracing is off) — the first half of the context
+    the message itself carries as ``Message.trace``, read from the same
+    tracer.  It lets protocol tests slice the tap down to a single
+    request's traffic.
     """
 
     time: float

@@ -85,9 +85,12 @@ def estimate_size(payload: Any) -> int:
 class Message:
     """A delivered message: who sent it, to whom, and the payload.
 
-    ``trace`` is the observability trace id active when the message
-    was transmitted (None when tracing is off) — metadata for taps and
-    timelines, never serialized, so it adds nothing to ``size``.
+    ``trace`` is the ``(trace_id, span_id)`` context active when the
+    message was transmitted (None when tracing is off, or outside any
+    request) — the one carrier of trace context between endpoints: the
+    receiving :class:`~repro.net.rpc.RpcNode` re-adopts it before it
+    serves a request.  It rides beside the payload and is never sized,
+    so tracing cannot move a latency.
     """
 
     src: str
@@ -96,7 +99,7 @@ class Message:
     sent_at: float = 0.0
     delivered_at: float = 0.0
     size: int = 0
-    trace: Optional[int] = None
+    trace: Optional[tuple[int, int]] = None
 
 
 class Endpoint:
@@ -191,8 +194,9 @@ class Network:
         self.delivered = 0
         self.dropped = 0
         # Span tracer (repro.obs.trace.SpanTracer) when request tracing
-        # is wired up; messages sent inside a traced context carry its
-        # trace id so taps can slice traffic per request.
+        # is on — set once, by SednaCluster.  Messages sent inside a
+        # traced context carry it (Message.trace); RPC endpoints and
+        # taps read the tracer from here.
         self.tracer: Optional[Any] = None
 
     def endpoint(self, name: str) -> Endpoint:
@@ -226,7 +230,7 @@ class Network:
         if target is None or not target.up:
             self.dropped += 1
             return
-        trace = (self.tracer.current_trace_id()
+        trace = (self.tracer.current_ctx()
                  if self.tracer is not None else None)
         msg = Message(src=src.name, dst=dst, payload=payload,
                       sent_at=self.sim.now, size=size, trace=trace)

@@ -8,7 +8,7 @@ the data plane — first-class and inspectable:
   ``(node, vnode, name)`` with deterministic JSON/text snapshots, and
   the always-on :class:`VnodeStatsFeed` behind the imbalance table.
 * :mod:`repro.obs.trace` — request-scoped span trees propagated
-  through RPC envelopes and the kernel event graph.
+  through the kernel event graph and ``Message.trace``, never a payload.
 * :mod:`repro.obs.timeseries` — sim-clock sampling of registry
   snapshots into bounded per-series rings (rates, sparklines).
 * :mod:`repro.obs.critical` — critical-path/phase attribution and

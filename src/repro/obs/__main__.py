@@ -2,8 +2,8 @@
 
 Runs a chaos schedule with the metrics registry and span tracer
 attached, then dumps the snapshot, renders per-request span
-timelines, or verifies that the snapshot is deterministic (two runs
-of the same seed must export byte-identical JSON — the CI smoke).
+timelines, or verifies that observing did not move the run (the seed
+replayed plain must end on the same digest — the CI smoke).
 
 Examples::
 
@@ -11,7 +11,7 @@ Examples::
     python -m repro.obs --seed 0 --json snap.json      # dump snapshot
     python -m repro.obs --seed 0 --text                # flat text form
     python -m repro.obs --seed 0 --timelines 3         # slowest traces
-    python -m repro.obs --seed 0 --verify              # determinism check
+    python -m repro.obs --seed 0 --verify              # observed == plain
     python -m repro.obs --diff before.json after.json  # snapshot diff
 
 Diagnosis-pipeline subcommands (each runs one chaos schedule with the
@@ -41,11 +41,11 @@ from .metrics import SNAPSHOT_SCHEMA, diff_snapshots
 from .trace import format_timeline
 
 
-def _run(args: argparse.Namespace, **observers):
+def _run(args: argparse.Namespace, obs: bool = True, **observers):
     runner = ChaosRunner(RunSpec(seed=args.seed, profile=args.profile,
                                  duration=args.duration,
-                                 n_nodes=args.nodes, obs=True),
-                         **observers)
+                                 n_nodes=args.nodes),
+                         obs=obs, **observers)
     return runner, runner.run()
 
 
@@ -117,10 +117,11 @@ def _cmd_diff(path_a: str, path_b: str) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    """CI smoke: same seed twice -> identical, schema-valid snapshot."""
+    """CI smoke: the seed observed, then plain -> a schema-valid
+    snapshot and the same digest (observation does not move the run)."""
     _, report1 = _run(args)
-    _, report2 = _run(args)
-    snap1, snap2 = report1.obs_snapshot, report2.obs_snapshot
+    _, plain = _run(args, obs=False)
+    snap1 = report1.obs_snapshot
     problems = []
     if snap1.get("schema") != SNAPSHOT_SCHEMA:
         problems.append(f"schema {snap1.get('schema')!r} != "
@@ -131,19 +132,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         problems.append("snapshot has no per-vnode feed rows")
     if snap1.get("tracing", {}).get("spans", 0) == 0:
         problems.append("tracer recorded no spans")
-    text1 = json.dumps(snap1, sort_keys=True)
-    text2 = json.dumps(snap2, sort_keys=True)
-    if text1 != text2:
-        problems.append("snapshots differ between identical runs")
-        delta = diff_snapshots(snap1, snap2)
-        print(json.dumps(delta, indent=2, sort_keys=True))
+    if report1.digest != plain.digest:
+        problems.append(f"observing moved the run: digest "
+                        f"{report1.digest[:16]} observed, "
+                        f"{plain.digest[:16]} plain")
     if not report1.ok:
         problems.append("chaos invariants violated")
     if problems:
         for p in problems:
             print(f"FAIL: {p}")
         return 1
-    print(f"OK: seed {args.seed} deterministic — "
+    print(f"OK: seed {args.seed} observed == plain — "
           f"{len(snap1['series'])} series, "
           f"{snap1['tracing']['traces']} traces, "
           f"{snap1['tracing']['spans']} spans, "
@@ -181,8 +180,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--timelines", type=int, metavar="N", default=0,
                         help="print the N slowest request timelines")
     parser.add_argument("--verify", action="store_true",
-                        help="run the seed twice and fail unless the "
-                             "snapshots are identical and schema-valid")
+                        help="run the seed observed and plain; fail "
+                             "unless the digests are equal and the "
+                             "snapshot is schema-valid")
     parser.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"),
                         default=None,
                         help="diff two snapshot JSON files and exit")

@@ -2,7 +2,7 @@
 
 A trace is minted at the client when an operation starts and follows
 the request through every hop: coordinator dispatch, replica RPCs,
-read repair, ZK lookups.  Propagation is two-layered:
+read repair, ZK lookups.  Propagation never touches a payload:
 
 * **Event-graph inheritance** (implicit): the tracer rides the same
   three-hook protocol the hazard detector introduced
@@ -11,15 +11,14 @@ read repair, ZK lookups.  Propagation is two-layered:
   during a traced event's callback window inherits the active
   ``(trace_id, span_id)`` context, so generators, deferred callbacks
   and network deliveries stay in-trace with zero per-site wiring.
-* **Envelope propagation** (explicit): when tracing is enabled,
-  ``RpcNode.call_async`` stamps the active context into the request
-  envelope (``"tr": [trace_id, span_id]``) and the serving side
-  re-adopts it before running the handler.  This survives hops the
-  event graph cannot see through — a request parked in a busy server's
-  service queue, a watch fired long after registration — and gives the
-  network tap a trace id to filter on.  With tracing disabled the
-  field is never added, so payloads (and therefore simulated sizes,
-  latencies, and histories) are byte-identical to an untraced run.
+* **``Message.trace``** (explicit): ``Network._transmit`` stamps the
+  active context on the :class:`~repro.net.transport.Message`, beside
+  the payload, and ``RpcNode._serve`` re-adopts it before running the
+  handler — so a request parked in a busy server's service queue is
+  still served under its caller's span.  The network tap reads its
+  trace id from the same ambient context.  Nothing is added to a
+  payload, so simulated sizes, latencies and histories are
+  byte-identical with tracing on or off: a traced run is the plain run.
 
 Spans are recorded per trace in creation order, which is causal order
 (a child span is always created during its parent's lifetime), so the
@@ -27,7 +26,9 @@ span tree and its rendering are deterministic for a given seed.
 
 A simulator has one tracer slot: span tracing and hazard detection
 are mutually exclusive in a single run (``attach`` raises, same as
-:class:`~repro.analysis.hazards.HazardDetector`).
+:class:`~repro.analysis.hazards.HazardDetector`).  Neither moves the
+run, so a seed replayed once with each shows the same interleaving
+both ways.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Any, Optional
 
 __all__ = ["Span", "SpanTracer", "format_timeline"]
 
-#: ``(trace_id, span_id)`` — the wire form stamped into RPC envelopes.
+#: ``(trace_id, span_id)`` — what ``Message.trace`` carries.
 Context = tuple
 
 
@@ -141,7 +142,8 @@ class SpanTracer:
 
     def begin(self, name: str, node: str = "",
               ctx: Optional[Context] = None) -> Optional[Span]:
-        """Open a child span under ``ctx`` or the ambient context.
+        """Open a child span under ``ctx`` (a context carried
+        out-of-band: ``Message.trace``) or the ambient context.
 
         Returns ``None`` when there is no active trace — callers
         finish with :meth:`finish`, which accepts ``None``, so sites
@@ -163,11 +165,6 @@ class SpanTracer:
             span.tags.update(tags)
         for hook in self.on_finish:
             hook(span)
-
-    def adopt(self, ctx: Any) -> None:
-        """Re-enter a context carried out-of-band (an RPC envelope)."""
-        if ctx is not None:
-            self._current = (ctx[0], ctx[1])
 
     def current_ctx(self) -> Optional[Context]:
         return self._current

@@ -54,7 +54,7 @@ __all__ = ["ConfigPoint", "DIMENSIONS", "grid_points", "random_points",
            "corpus_entry", "write_corpus_entry", "load_corpus",
            "replay_corpus_entry", "CORPUS_SCHEMA", "BENCH_SCHEMA", "main"]
 
-CORPUS_SCHEMA = "repro.chaos.regression/2"
+CORPUS_SCHEMA = "repro.chaos.regression/3"
 BENCH_SCHEMA = "repro.bench.scenarios/1"
 
 #: The searched axes.  Every (R, W) pair satisfies the paper's §III.C
@@ -145,9 +145,9 @@ def random_points(n: int, seed: int = 0) -> list[ConfigPoint]:
 
 
 def run_cell(spec: RunSpec, point: ConfigPoint) -> ChaosReport:
-    """One (scenario, config) cell: ``spec`` run at ``point``, observed
-    (fitness is read off the metrics snapshot)."""
-    return ChaosRunner(point.apply(replace(spec, obs=True))).run()
+    """One (scenario, config) cell: ``spec`` run at ``point``, watched
+    by the obs bundle (fitness is read off the metrics snapshot)."""
+    return ChaosRunner(point.apply(spec), obs=True).run()
 
 
 # -- corpus entries -------------------------------------------------------

@@ -5,7 +5,11 @@ response times, acks, responders, results) plus the per-method message
 tallies — two runs matching on it executed the same interleaving.
 """
 
+import pytest
+
 from repro.chaos import ChaosRunner
+from repro.chaos.goldens import GOLDEN_CONFIGS, load_goldens
+from repro.chaos.spec import RunSpec
 
 
 def run(seed: int, profile: str = "mixed"):
@@ -28,26 +32,29 @@ class TestReplayIdentity:
         assert run(seed=2, profile="crash").digest != run(seed=2).digest
 
 
-class TestInterleavingClasses:
-    """One seed has exactly two interleavings: plain and observed.
+class TestObserversOnlyWatch:
+    """One seed has one interleaving, whoever is watching.
 
-    The hazard detector only listens to the kernel, so it replays the
-    plain digest.  Tracing stamps ``"tr"`` into the *sized* request
-    envelope (net/rpc.py), which moves message latencies: every
-    observer that rides the bundle lands on one other digest, whichever
-    of them is on — and a seed that is red plain may be green observed
-    (known-red seed 15 at 120 s is: ROADMAP, observability item).
+    Trace context rides ``Message.trace`` beside the payload, never in
+    the sized envelope, so the bundle and everything that rides it
+    replay the plain run — the goldens guard the traced path too, and a
+    diagnosis tool looks at the run that actually failed.
     """
 
-    def test_hazards_plain_and_observers_observed(self):
-        def digest(**observers):
-            return ChaosRunner(seed=3, duration=4.0, **observers).run().digest
+    @pytest.mark.parametrize("config", sorted(GOLDEN_CONFIGS))
+    def test_every_watcher_on_reproduces_the_golden(self, config):
+        spec = RunSpec(seed=1, **GOLDEN_CONFIGS[config])
+        report = ChaosRunner(spec, obs=True, slo=True, record=True,
+                             record_always=True, timeseries=True).run()
+        assert report.spec == spec
+        assert report.obs_snapshot["tracing"]["spans"] > 0
+        assert report.flight_dump and report.slo_status
+        assert report.digest == load_goldens()[config][1]
 
-        plain = digest()
-        assert digest(hazards=True) == plain
-        observed = digest(obs=True)
-        assert observed != plain
-        for observer in ("slo", "record", "timeseries"):
-            assert digest(**{observer: True}) == observed, observer
-        assert digest(slo=True, record=True, record_always=True,
-                      timeseries=True) == observed
+    def test_hazards_watch_too_but_not_with_the_bundle(self):
+        spec = RunSpec(seed=3, duration=4.0)
+        assert ChaosRunner(spec, hazards=True).run().digest == \
+            ChaosRunner(spec).run().digest
+        # Both want the kernel's one tracer slot: replay the seed twice.
+        with pytest.raises(ValueError, match="one tracer slot"):
+            ChaosRunner(spec, hazards=True, obs=True)

@@ -14,7 +14,7 @@ from repro.workloads.scenarios import SCENARIOS
 SPECS = {
     "plain": RunSpec(seed=3),
     "scenario": RunSpec(seed=1, profile="crash", duration=3.0, n_nodes=4,
-                        scenario=SCENARIOS["drift-diurnal"], obs=True),
+                        scenario=SCENARIOS["drift-diurnal"]),
     "causal": RunSpec(seed=2, profile="partition", causal="dvv"),
     "rebalance": RunSpec(seed=0, profile="migration", rebalance=True,
                          rebalance_opts={"pass_byte_budget": 32 * 1024,
@@ -56,13 +56,15 @@ def test_runner_takes_a_spec_or_its_fields_not_both():
         ChaosRunner(spec, seed=1)
 
 
-@pytest.mark.parametrize("observer", ["slo", "record", "record_always",
-                                      "timeseries"])
-def test_observers_that_need_the_bundle_show_in_the_spec(observer):
+@pytest.mark.parametrize("observer", ["hazards", "obs", "slo", "record",
+                                      "record_always", "timeseries"])
+def test_observers_are_not_part_of_the_spec(observer):
     spec = RunSpec(seed=3)
-    assert ChaosRunner(spec, **{observer: True}).spec == \
-        RunSpec(seed=3, obs=True)
-    assert ChaosRunner(spec, hazards=True).spec == spec
+    runner = ChaosRunner(spec, **{observer: True})
+    assert runner.spec is spec
+    assert (runner.obs_bundle is None) == (observer == "hazards")
+    with pytest.raises(TypeError):
+        RunSpec.from_dict({**spec.to_dict(), observer: True})
 
 
 def test_surface_stays_small():

@@ -35,6 +35,7 @@ from repro.core.rebalance import Migration, Rebalancer
 from repro.core.types import FullKey
 from repro.net.tap import NetworkTap
 from repro.net.transport import estimate_size
+from repro.obs import Observability
 
 
 class SizingTap(NetworkTap):
@@ -98,12 +99,15 @@ def _verbs(client, cluster):
     ]
 
 
-def record_shapes():
-    """{route: {verb: [(method, request size, reply size), ...]}}."""
-    shapes = {}
+def record_shapes(traced=False):
+    """{route: {verb: [(method, request size, reply size), ...]}}, and
+    {route: every byte any endpoint sent} — envelopes, ZooKeeper and
+    heartbeats included."""
+    shapes, wire_bytes = {}, {}
     for route in ("proxy", "zero-hop"):
+        obs = Observability(metrics=False, tracing=True) if traced else None
         cluster = SednaCluster(n_nodes=3, zk_size=3, seed=7,
-                               config=SednaConfig(num_vnodes=8))
+                               config=SednaConfig(num_vnodes=8), obs=obs)
         cluster.start("assign")
         if route == "proxy":
             client = cluster.client("wire", pinned="node0")
@@ -118,7 +122,10 @@ def record_shapes():
             per_verb[label] = tap.drain()
         tap.detach()
         shapes[route] = per_verb
-    return shapes
+        wire_bytes[route] = sum(
+            ep.sent_bytes for ep in cluster.network.endpoints.values())
+        assert obs is None or len(obs.tracer.traces) == len(per_verb)
+    return shapes, wire_bytes
 
 
 def record_background():
@@ -405,8 +412,13 @@ BACKGROUND = {
 
 
 @pytest.fixture(scope="module")
-def shapes():
+def recorded():
     return record_shapes()
+
+
+@pytest.fixture(scope="module")
+def shapes(recorded):
+    return recorded[0]
 
 
 @pytest.mark.parametrize("route", ["proxy", "zero-hop"])
@@ -426,6 +438,12 @@ def test_both_routes_speak_the_same_replica_protocol(shapes):
                  if m.startswith("replica.")}
         smart = {(m, size) for m, size, _reply in calls}
         assert proxy <= smart, verb
+
+
+def test_tracing_adds_nothing_to_the_wire(recorded):
+    """Trace context rides ``Message.trace``, beside the sized payload:
+    a traced pass hits the same pins, and the same total bytes."""
+    assert record_shapes(traced=True) == (EXPECTED, recorded[1])
 
 
 def test_background_plane_keeps_its_wire_shape():
@@ -461,4 +479,4 @@ def render(shapes, background):
 
 
 if __name__ == "__main__":
-    print(render(record_shapes(), record_background()))
+    print(render(record_shapes()[0], record_background()))

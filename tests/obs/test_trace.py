@@ -1,5 +1,5 @@
 """Unit tests for the span tracer: span trees, kernel inheritance,
-envelope propagation, caps, and rendering."""
+propagation across RPCs (beside the envelope), caps, and rendering."""
 
 import pytest
 
@@ -117,15 +117,16 @@ class TestKernelInheritance:
 
 
 class TestEnvelopePropagation:
-    def _world(self):
+    """Context crosses an RPC beside the envelope (``Message.trace``),
+    never in it; ``network.tracer`` is the one wiring point."""
+
+    def _world(self, service_time=0.0):
         sim = Simulator()
         net = Network(sim, latency=NoLatency())
         tracer = SpanTracer().attach(sim)
         net.tracer = tracer
         client = RpcNode(net, "c")
-        client.tracer = tracer
-        server = RpcNode(net, "s")
-        server.tracer = tracer
+        server = RpcNode(net, "s", service_time=service_time)
         return sim, net, tracer, client, server
 
     def test_serve_span_joins_the_callers_trace(self):
@@ -164,6 +165,55 @@ class TestEnvelopePropagation:
         requests = [p for p in payloads
                     if isinstance(p, dict) and p.get("kind") == "req"]
         assert requests and all("tr" not in p for p in requests)
+
+    def test_traced_calls_have_the_same_envelope(self):
+        sim, net, tracer, client, server = self._world()
+        payloads, contexts = [], []
+        server.register("echo", lambda src, args: args)
+        net.add_filter(
+            lambda src, dst, p: payloads.append(p) or True)
+        deliver = server.endpoint._handler
+        server.endpoint.on_message(
+            lambda msg: contexts.append(msg.trace) or deliver(msg))
+
+        def go():
+            root = tracer.start_trace("op", node="c")
+            yield from client.call("s", "echo", 1, timeout=1.0)
+            tracer.finish(root)
+            return root
+
+        proc = sim.process(go())
+        root = sim.run(until=proc)
+        assert [sorted(p) for p in payloads if p["kind"] == "req"] == \
+            [["args", "id", "kind", "method"]]
+        assert contexts == [(root.trace_id, root.span_id)]
+
+    def test_serve_span_survives_the_service_queue(self):
+        """Two requests hit a busy server at once: the one that waits
+        in the service queue is still served under its own caller's
+        span, and the wait is tagged."""
+        sim, net, tracer, client, server = self._world(service_time=0.01)
+        server.register("echo", lambda src, args: args)
+        roots = {}
+
+        def go(name):
+            roots[name] = root = tracer.start_trace(name, node="c")
+            yield from client.call("s", "echo", name, timeout=1.0)
+            tracer.finish(root)
+
+        sim.process(go("first"))
+        sim.process(go("second"))
+        sim.run()
+        serves = {}
+        for name, root in roots.items():
+            (serve,) = [s for s in tracer.spans(root.trace_id)
+                        if s.name == "rpc.echo"]
+            assert serve.parent_id == root.span_id
+            assert serve.node == "s" and serve.tags["status"] == "ok"
+            serves[name] = serve
+        assert serves["first"].tags["queue"] == pytest.approx(0.01)
+        assert serves["second"].tags["queue"] == pytest.approx(0.02)
+        assert serves["second"].start == pytest.approx(0.02)
 
 
 class TestTimeline:

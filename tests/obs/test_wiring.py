@@ -7,12 +7,15 @@ very numbers the imbalance pusher publishes to ZooKeeper.
 
 import ast
 import json
+from dataclasses import replace
 
+from repro.chaos import ChaosRunner
 from repro.core.cache import ZkLayout
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
 from repro.core.hashring import ImbalanceTable
 from repro.obs import Observability
+from repro.obs import __main__ as obs_cli
 from repro.obs.metrics import DISABLED
 
 
@@ -44,6 +47,21 @@ class TestDeterminism:
         a, b = self._snapshot(), self._snapshot()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["series"] and a["tracing"]["spans"] > 0
+
+    def test_verify_cli_replays_the_seed_plain(self, monkeypatch, capsys):
+        """``python -m repro.obs --verify``: observed digest == plain
+        digest, and it fails when the two runs differ."""
+        argv = ["--seed", "0", "--duration", "2", "--verify"]
+        assert obs_cli.main(argv) == 0
+        assert "observed == plain" in capsys.readouterr().out
+
+        def moved(spec, obs, **observers):
+            return ChaosRunner(spec if obs else replace(spec, seed=1),
+                               obs=obs, **observers)
+
+        monkeypatch.setattr(obs_cli, "ChaosRunner", moved)
+        assert obs_cli.main(argv) == 1
+        assert "observing moved the run" in capsys.readouterr().out
 
 
 class TestImbalanceAccounting:

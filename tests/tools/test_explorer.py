@@ -102,11 +102,14 @@ class TestCorpusRoundtrip:
         report = replay_corpus_entry(entry)
         assert report.digest == entry["digest"]
         assert report.spec.to_dict() == entry["spec"]
-        assert report.spec.obs, "the explorer's cells are observed runs"
+        assert not report.obs_snapshot, \
+            "the cell was scored observed; its replay is the plain run"
 
     def test_replay_rejects_unknown_schema(self):
-        # /1 spelled the run as runner + scenario + config blocks.
-        for schema in ("bogus/9", "repro.chaos.regression/1"):
+        # /1 spelled the run as runner + scenario + config blocks; /2
+        # carried an "obs" key in the spec.
+        for schema in ("bogus/9", "repro.chaos.regression/1",
+                       "repro.chaos.regression/2"):
             with pytest.raises(ValueError, match="unknown corpus schema"):
                 replay_corpus_entry({"schema": schema})
 
