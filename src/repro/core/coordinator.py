@@ -40,6 +40,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from ..net.rpc import QuorumWait, RpcError, RpcNode, RpcRejected
 from ..net.simulator import Event, Simulator
+from ..net.transport import estimate_size
 from ..storage.versioned import (DvvRow, ValueElement, VersionedStore,
                                  WriteOutcome, unwire_dvv_row, wire_context,
                                  wire_dvv_row)
@@ -424,10 +425,13 @@ class QuorumCoordinator:
         if self.on_suspect is not None:
             self.on_suspect(name, vnode_id)
 
-    def _replica_call(self, replica: str, method: str, args: Any) -> Event:
+    def _replica_call(self, replica: str, method: str, args: Any,
+                      args_size: Optional[int] = None) -> Event:
+        """``args_size``: ``estimate_size(args, 1)``, from a fan-out
+        that sends one ``args`` to every replica and sized it once."""
         if replica == self.local_name and self.local_dispatch is not None:
             return self.local_dispatch(method, args)
-        return self.rpc.call_async(replica, method, args)
+        return self.rpc.call_async(replica, method, args, args_size)
 
     def _post_quorum_watch(self, calls: list[tuple[str, Event]],
                            vnode_id: int, already_ok: set[str]) -> None:
@@ -643,7 +647,8 @@ class QuorumCoordinator:
                     op.replica_args(vnode_id, items, args))
             else:
                 payload = op.replica_args(vnode_id, items, args)
-                calls = [(r, self._replica_call(r, op.replica, payload))
+                size = estimate_size(payload, 1)
+                calls = [(r, self._replica_call(r, op.replica, payload, size))
                          for r in replicas]
                 wait = QuorumWait(sim, calls, quorum, cfg.request_timeout)
                 try:
@@ -819,9 +824,9 @@ class QuorumCoordinator:
         if minter is None:
             return None, f"causal-write-failed:{mint_fail}"
         row_wire = minted["row"]
-        calls = [(r, self._replica_call(r, "replica.cmerge",
-                                        {"vnode": vnode_id, "key": key,
-                                         "row": row_wire}))
+        merge_args = {"vnode": vnode_id, "key": key, "row": row_wire}
+        size = estimate_size(merge_args, 1)
+        calls = [(r, self._replica_call(r, "replica.cmerge", merge_args, size))
                  for r in replicas if r != minter]
         acks = [minter]
         needed = min(cfg.write_quorum - 1, len(calls))

@@ -31,6 +31,7 @@ virtual nodes number".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ..storage.hashtable import fnv1a
@@ -41,6 +42,16 @@ __all__ = ["VnodeStatus", "Ring", "ImbalanceTable", "HEAT_WEIGHTS",
 
 _MASK64 = (1 << 64) - 1
 _JUMP_LCG = 2862933555777941757
+
+
+@lru_cache(maxsize=4096)
+def _key_hash(encoded_key: str) -> int:
+    """64-bit hash of a key, remembered: a write hashes its key on the
+    coordinator and again on every replica that indexes it.  Keyed on
+    the key alone (the ``mod`` is the ring's), so rings of different
+    ``num_vnodes`` share it; bounded, so it cannot grow with the key
+    space."""
+    return fnv1a(encoded_key.encode("utf-8"))
 
 
 def _mix64(h: int) -> int:
@@ -176,16 +187,21 @@ class Ring:
             raise ValueError("need at least one virtual node")
         self.num_vnodes = num_vnodes
         self.assignment: list[str] = [self.UNASSIGNED] * num_vnodes
+        # n -> vnode -> replica set, for replicas_for without exclude.
+        # Valid for one state of ``assignment``: assign() and load(),
+        # its only writers, clear it.
+        self._replica_memo: dict[int, dict[int, list[str]]] = {}
 
     # -- hashing ---------------------------------------------------------
     def vnode_of(self, encoded_key: str) -> int:
         """Hash a key into its virtual node (hash then mod, §III.B)."""
-        return fnv1a(encoded_key.encode("utf-8")) % self.num_vnodes
+        return _key_hash(encoded_key) % self.num_vnodes
 
     # -- assignment -------------------------------------------------------
     def assign(self, vnode: int, owner: str) -> None:
         """Set the primary owner of ``vnode``."""
         self.assignment[vnode] = owner
+        self._replica_memo.clear()
 
     def owner(self, vnode: int) -> str:
         """Primary owner name ('' when unassigned)."""
@@ -221,8 +237,16 @@ class Ring:
         vnodes walking clockwise, skipping duplicates — the classic
         successor-list placement of consistent hashing (§III.B, Fig. 3).
         Fewer than ``n`` names are returned when the cluster is smaller
-        than the replication factor.
+        than the replication factor.  The list is the caller's own.
         """
+        by_vnode = None
+        if not exclude:
+            by_vnode = self._replica_memo.get(n)
+            if by_vnode is None:
+                by_vnode = self._replica_memo[n] = {}
+            memo = by_vnode.get(vnode)
+            if memo is not None:
+                return list(memo)
         excluded = set(exclude)
         out: list[str] = []
         primary = self.assignment[vnode]
@@ -237,6 +261,8 @@ class Ring:
             if (candidate != self.UNASSIGNED and candidate not in out
                     and candidate not in excluded):
                 out.append(candidate)
+        if by_vnode is not None:
+            by_vnode[vnode] = list(out)
         return out
 
     def replicas_for_key(self, encoded_key: str, n: int) -> tuple[int, list[str]]:
@@ -274,6 +300,7 @@ class Ring:
         if len(assignment) != self.num_vnodes:
             raise ValueError("assignment length mismatch")
         self.assignment = list(assignment)
+        self._replica_memo.clear()
 
 
 class ImbalanceTable:

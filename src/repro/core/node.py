@@ -509,8 +509,11 @@ class SednaNode:
     # ------------------------------------------------------------------
     def _index_key(self, key: str) -> None:
         vnode_id = self.cache.ring.vnode_of(key)
-        self.vnode_keys.setdefault(vnode_id, set()).add(key)
-        self.vstats.status(vnode_id).keys = len(self.vnode_keys[vnode_id])
+        keys = self.vnode_keys.get(vnode_id)
+        if keys is None:
+            keys = self.vnode_keys[vnode_id] = set()
+        keys.add(key)
+        self.vstats.status(vnode_id).keys = len(keys)
 
     def _status(self, vnode_id: int) -> VnodeStatus:
         return self.vstats.status(vnode_id)

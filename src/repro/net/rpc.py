@@ -5,13 +5,23 @@ calls, heartbeats) are all request/response with timeouts.  This layer
 provides:
 
 * :class:`RpcNode` — owns an endpoint, registers named handlers, and
-  issues :meth:`call`/:meth:`call_many` with per-call timeouts.
+  issues requests: :meth:`~RpcNode.call` (with a timeout),
+  :meth:`~RpcNode.call_retry`, :meth:`~RpcNode.call_async` (an event,
+  no deadline) and one-way :meth:`~RpcNode.notify`.
+* :class:`QuorumWait` / :func:`gather_quorum` — the N-way fan-in over
+  ``call_async`` events.
 * :class:`RpcError` / :class:`RpcTimeout` / :class:`RpcRejected` —
   the failure vocabulary the paper uses ("timeout", "refuse").
 
 Handlers may answer synchronously (return a value), raise
 :class:`RpcRejected` (mapped to a ``refuse`` response), or return a
 :class:`~repro.net.simulator.Event` for deferred completion.
+
+The three envelopes have a fixed skeleton, so their wire size is a
+constant plus the one string and the one body that vary; the constants
+below come from :func:`~repro.net.transport.estimate_size` itself, and
+a caller fanning one ``args`` object out to several peers sizes it once
+(``args_size``).
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from .simulator import AnyOf, Event, Simulator
-from .transport import Message, Network
+from .transport import Message, Network, estimate_size
 
 __all__ = ["RpcError", "RpcTimeout", "RpcRejected", "LateRegistrationError",
            "RpcNode", "QuorumWait", "gather_quorum"]
@@ -60,6 +70,15 @@ class RpcRejected(RpcError):
 _REQ = "req"
 _RESP = "resp"
 _NOTIFY = "notify"
+
+# Envelope sizes with the varying parts empty (an empty string sizes to
+# 0).  The real envelope adds len(method | status) and the body sized at
+# depth 1, where it sits inside the envelope dict.
+_REQ_BASE = estimate_size(
+    {"kind": _REQ, "id": 0, "method": "", "args": ""})
+_RESP_BASE = estimate_size(
+    {"kind": _RESP, "id": 0, "status": "", "result": ""})
+_NOTIFY_BASE = estimate_size({"kind": _NOTIFY, "body": ""})
 
 
 def _observed(_ev: Event) -> None:
@@ -133,79 +152,86 @@ class RpcNode:
                     ev.fail(RpcRejected(payload.get("result", "")))
 
     def _serve(self, msg: Message) -> None:
-        payload = msg.payload
-        method = payload["method"]
         self._served = True
-        tracer = self.network.tracer
-        trace_ctx = msg.trace     # the caller's context; None untraced
-        serve_span: list[Any] = []
-        arrived = self.sim.now
-
-        def respond(status: str, result: Any) -> None:
-            if serve_span:
-                tracer.finish(serve_span.pop(), status=status)
-            if not self.endpoint.up:
-                return
-            self.endpoint.send(msg.src, {
-                "kind": _RESP, "id": payload["id"],
-                "status": status, "result": result,
-            })
-
-        def execute() -> None:
-            # Dispatch-table lookup happens here, at execution time, not
-            # at delivery: with a service queue, resolving the handler
-            # early would freeze a snapshot of the table and make the
-            # two paths (queued vs immediate) observably different.
-            handler = self._handlers.get(method)
-            if trace_ctx is not None:
-                # Serve under the caller's span, whatever this request
-                # waited behind in the service queue.
-                span = tracer.begin(f"rpc.{method}", node=self.name,
-                                    ctx=trace_ctx)
-                if span is not None:
-                    # The serve span opens *after* the service queue;
-                    # the wait is tagged so the critical-path analyzer
-                    # (repro.obs.critical) can attribute queue time
-                    # separately from network flight.  Tags are local
-                    # span state, never serialized onto the wire.
-                    queued = self.sim.now - arrived
-                    if queued > 0.0:
-                        span.tags["queue"] = round(queued, 9)
-                    serve_span.append(span)
-            self.requests_served += 1
-            if handler is None:
-                respond("refuse", f"no-such-method:{method}")
-                return
-            try:
-                result = handler(msg.src, payload["args"])
-            except RpcRejected as rej:
-                respond("refuse", rej.reason)
-                return
-            if isinstance(result, Event):
-                def finish(ev: Event) -> None:
-                    if ev.ok:
-                        respond("ok", ev.value)
-                    else:
-                        exc = ev.value
-                        respond("refuse",
-                                exc.reason if isinstance(exc, RpcRejected) else repr(exc))
-                if result.callbacks is None:
-                    finish(result)
-                else:
-                    result.callbacks.append(finish)
-            else:
-                respond("ok", result)
-
         if self.service_time > 0.0:
             # Single service queue: concurrent requests line up (this is
             # what makes the paper's Fig. 8 multi-client contention
             # reproducible — servers have finite CPU).
-            start = max(self.sim.now, self._busy_until)
+            now = self.sim.now
+            start = max(now, self._busy_until)
             self._busy_until = start + self.service_time
-            self.sim.schedule_callback(self._busy_until - self.sim.now,
-                                       execute)
+            self.sim.timeout(self._busy_until - now, msg).callbacks.append(
+                self._dequeue)
         else:
-            execute()
+            self._execute(msg)
+
+    def _dequeue(self, timeout: Event) -> None:
+        self._execute(timeout._value)
+
+    def _execute(self, msg: Message) -> None:
+        payload = msg.payload
+        method = payload["method"]
+        # Dispatch-table lookup happens here, at execution time, not
+        # at delivery: with a service queue, resolving the handler
+        # early would freeze a snapshot of the table and make the
+        # two paths (queued vs immediate) observably different.
+        handler = self._handlers.get(method)
+        span = None
+        tracer = self.network.tracer
+        if msg.trace is not None and tracer is not None:
+            # Serve under the caller's span, whatever this request
+            # waited behind in the service queue.
+            span = tracer.begin(f"rpc.{method}", node=self.name,
+                                ctx=msg.trace)
+            if span is not None:
+                # The serve span opens *after* the service queue;
+                # the wait is tagged so the critical-path analyzer
+                # (repro.obs.critical) can attribute queue time
+                # separately from network flight.  Tags are local
+                # span state, never serialized onto the wire.
+                queued = self.sim.now - msg.delivered_at
+                if queued > 0.0:
+                    span.tags["queue"] = round(queued, 9)
+        self.requests_served += 1
+        if handler is None:
+            self._respond(msg, span, "refuse", f"no-such-method:{method}")
+            return
+        try:
+            result = handler(msg.src, payload["args"])
+        except RpcRejected as rej:
+            self._respond(msg, span, "refuse", rej.reason)
+            return
+        if isinstance(result, Event):
+            # Deferred completion: the one place a request needs a
+            # closure, to carry (msg, span) to the event's outcome.
+            def finish(ev: Event) -> None:
+                if ev.ok:
+                    self._respond(msg, span, "ok", ev.value)
+                else:
+                    exc = ev.value
+                    self._respond(
+                        msg, span, "refuse",
+                        exc.reason if isinstance(exc, RpcRejected) else repr(exc))
+            if result.callbacks is None:
+                finish(result)
+            else:
+                result.callbacks.append(finish)
+        else:
+            self._respond(msg, span, "ok", result)
+
+    def _respond(self, msg: Message, span: Any, status: str,
+                 result: Any) -> None:
+        tracer = self.network.tracer
+        if span is not None and tracer is not None:
+            tracer.finish(span, status=status)
+        endpoint = self.endpoint
+        if not endpoint.up:
+            return
+        endpoint.send(
+            msg.src,
+            {"kind": _RESP, "id": msg.payload["id"],
+             "status": status, "result": result},
+            _RESP_BASE + len(status) + estimate_size(result, 1))
 
     # -- one-way notifications ---------------------------------------------
     def on_notify(self, handler: Callable[[str, Any], None]) -> None:
@@ -216,16 +242,20 @@ class RpcNode:
         """Fire-and-forget message (watch events, heartbeats)."""
         if not self.endpoint.up:
             return
-        self.endpoint.send(dst, {"kind": _NOTIFY, "body": body})
+        self.endpoint.send(dst, {"kind": _NOTIFY, "body": body},
+                           _NOTIFY_BASE + estimate_size(body, 1))
 
     # -- client side --------------------------------------------------------
-    def _issue(self, dst: str, method: str, args: Any) -> tuple[Event, int]:
+    def _issue(self, dst: str, method: str, args: Any,
+               args_size: Optional[int] = None) -> tuple[Event, int]:
         """Send a request; return the completion event and its call id.
 
         Handing the id back to the caller lets :meth:`call` forget a
         timed-out call with one ``_pending`` pop — the previous design
         kept a reverse event→id dict updated on every issue and reply.
         """
+        if args_size is None:
+            args_size = estimate_size(args, 1)
         self._last_id = call_id = self._last_id + 1
         ev = self.sim.event()
         # RPC outcomes are always *observable*, never mandatory-to-wait:
@@ -234,19 +264,25 @@ class RpcNode:
         ev.callbacks.append(_observed)
         self._pending[call_id] = ev
         self.calls_issued += 1
-        self.endpoint.send(dst, {
-            "kind": _REQ, "id": call_id, "method": method, "args": args,
-        })
+        self.endpoint.send(
+            dst,
+            {"kind": _REQ, "id": call_id, "method": method, "args": args},
+            _REQ_BASE + len(method) + args_size)
         return ev, call_id
 
-    def call_async(self, dst: str, method: str, args: Any) -> Event:
+    def call_async(self, dst: str, method: str, args: Any,
+                   args_size: Optional[int] = None) -> Event:
         """Issue a request; returns an event with the result.
 
         The event *fails* with :class:`RpcRejected` on refuse.  It never
         times out by itself — combine with :meth:`call` or a timeout
         race for deadline semantics.
+
+        ``args_size`` is ``estimate_size(args, 1)`` — ``args`` sized
+        where it sits, one level inside the request envelope — from a
+        caller that sends the same ``args`` to several peers.
         """
-        return self._issue(dst, method, args)[0]
+        return self._issue(dst, method, args, args_size)[0]
 
     def call(self, dst: str, method: str, args: Any,
              timeout: float) -> Generator[Event, Any, Any]:

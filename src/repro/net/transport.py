@@ -19,69 +19,77 @@ from .simulator import Event, Simulator
 __all__ = ["Message", "Endpoint", "Network", "estimate_size"]
 
 
-def estimate_size(payload: Any) -> int:
+def estimate_size(payload: Any, depth: int = 0) -> int:
     """Rough wire size in bytes of a message payload.
 
     Good enough for the bandwidth term of the latency model: strings and
     bytes count their length, numbers 8 bytes, containers add a small
-    per-item framing overhead.
+    per-item framing overhead, and a container nested deeper than six
+    levels counts 16 bytes per item instead of being walked.
 
-    This runs once per transmitted message — the hottest non-kernel
-    function in the simulator (profiled at ~1/3 of a benchmark run in
-    its recursive form), hence the explicit work-stack and fast paths.
+    This is the only definition of size: the result feeds
+    ``latency.delay`` and so every digest.  ``depth`` is the nesting
+    level ``payload`` sits at, so a sender that already knows the size
+    of an envelope's fixed part sizes only the variable part, at the
+    depth it has inside the envelope (:mod:`repro.net.rpc` does), and
+    the sum is exactly what sizing the whole envelope would give.  The
+    walk is level by level — one ``list.extend`` per container — and
+    ``tests/net/reference_size.py`` holds the item-by-item walker it
+    must agree with on every payload.
     """
     total = 0
-    stack = [(payload, 0)]
-    push = stack.append
-    while stack:
-        obj, depth = stack.pop()
-        kind = type(obj)
-        if kind is str:
-            # ASCII-dominated payloads: len() is the byte count.
-            total += len(obj)
-        elif kind is int or kind is float:
-            total += 8
-        elif kind is bytes:
-            total += len(obj)
-        elif kind is dict:
-            total += 8
-            if depth <= 6:
-                for k, v in obj.items():
-                    push((k, depth + 1))
-                    push((v, depth + 1))
+    level = [payload]
+    while level:
+        below: list[Any] = []
+        extend = below.extend
+        walk = depth <= 6
+        for obj in level:
+            kind = type(obj)
+            if kind is str:
+                # ASCII-dominated payloads: len() is the byte count.
+                total += len(obj)
+            elif kind is int or kind is float:
+                total += 8
+            elif kind is bytes:
+                total += len(obj)
+            elif kind is dict:
+                total += 8
+                if walk:
+                    extend(obj)
+                    extend(obj.values())
+                else:
+                    total += 16 * len(obj)
+            elif kind is list or kind is tuple:
+                total += 8
+                if walk:
+                    extend(obj)
+                else:
+                    total += 16 * len(obj)
+            elif obj is None:
+                total += 1
+            elif kind is bool:
+                total += 1
+            elif isinstance(obj, (bytearray, memoryview)):
+                total += len(obj)
+            elif isinstance(obj, (set, frozenset)):
+                total += 8
+                if walk:
+                    extend(obj)
+            elif isinstance(obj, (int, float, str, bytes)):  # subclasses
+                total += len(obj) if isinstance(obj, (str, bytes)) else 8
             else:
-                total += 16 * len(obj)
-        elif kind is list or kind is tuple:
-            total += 8
-            if depth <= 6:
-                for v in obj:
-                    push((v, depth + 1))
-            else:
-                total += 16 * len(obj)
-        elif obj is None:
-            total += 1
-        elif kind is bool:
-            total += 1
-        elif isinstance(obj, (bytearray, memoryview)):
-            total += len(obj)
-        elif isinstance(obj, (set, frozenset)):
-            total += 8
-            if depth <= 6:
-                for v in obj:
-                    push((v, depth + 1))
-        elif isinstance(obj, (int, float, str, bytes)):  # subclasses
-            total += len(obj) if isinstance(obj, (str, bytes)) else 8
-        else:
-            d = getattr(obj, "__dict__", None)
-            if d:
-                total += 16
-                push((d, depth + 1))
-            else:
-                total += 32
+                d = getattr(obj, "__dict__", None)
+                if d:
+                    total += 16
+                    below.append(d)
+                else:
+                    total += 32
+        level = below
+        depth += 1
     return total
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A delivered message: who sent it, to whom, and the payload.
 
@@ -125,11 +133,16 @@ class Endpoint:
         self.recv_bytes = 0
 
     # -- sending ------------------------------------------------------------
-    def send(self, dst: str, payload: Any) -> None:
-        """Send ``payload`` to the endpoint named ``dst``."""
+    def send(self, dst: str, payload: Any,
+             size: Optional[int] = None) -> None:
+        """Send ``payload`` to the endpoint named ``dst``.
+
+        ``size`` is ``estimate_size(payload)`` when the sender already
+        knows it; left out, the network works it out.
+        """
         if not self.up:
             raise RuntimeError(f"endpoint {self.name} is down")
-        self.network._transmit(self, dst, payload)
+        self.network._transmit(self, dst, payload, size)
 
     # -- receiving ----------------------------------------------------------
     def on_message(self, handler: Callable[[Message], None]) -> None:
@@ -148,8 +161,6 @@ class Endpoint:
         return ev
 
     def _deliver(self, msg: Message) -> None:
-        if not self.up:
-            return  # crashed endpoints silently drop traffic
         self.recv_count += 1
         self.recv_bytes += msg.size
         if self._handler is not None:
@@ -218,8 +229,10 @@ class Network:
         """Remove a previously installed drop filter."""
         self._filters.remove(fn)
 
-    def _transmit(self, src: Endpoint, dst: str, payload: Any) -> None:
-        size = estimate_size(payload)
+    def _transmit(self, src: Endpoint, dst: str, payload: Any,
+                  size: Optional[int] = None) -> None:
+        if size is None:
+            size = estimate_size(payload)
         src.sent_count += 1
         src.sent_bytes += size
         for flt in self._filters:
@@ -230,17 +243,23 @@ class Network:
         if target is None or not target.up:
             self.dropped += 1
             return
+        sim = self.sim
         trace = (self.tracer.current_ctx()
                  if self.tracer is not None else None)
-        msg = Message(src=src.name, dst=dst, payload=payload,
-                      sent_at=self.sim.now, size=size, trace=trace)
-        delay = self.latency.delay(size)
+        msg = Message(src.name, dst, payload, sim.now, 0.0, size, trace)
+        # The message rides its own delivery timeout as the value: one
+        # timeout and one sequence number per message, no closure.
+        sim.timeout(self.latency.delay(size), msg).callbacks.append(
+            self._arrive)
 
-        def deliver() -> None:
-            msg.delivered_at = self.sim.now
-            self.delivered += 1
-            tgt = self.endpoints.get(dst)
-            if tgt is not None:
-                tgt._deliver(msg)
-
-        self.sim.schedule_callback(delay, deliver)
+    def _arrive(self, timeout: Event) -> None:
+        msg: Message = timeout._value
+        target = self.endpoints[msg.dst]
+        if not target.up:
+            # Crashed while the message was in flight: lost, like one
+            # sent to an endpoint already down.
+            self.dropped += 1
+            return
+        msg.delivered_at = self.sim.now
+        self.delivered += 1
+        target._deliver(msg)

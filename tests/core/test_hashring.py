@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import hashring
 from repro.core.hashring import ImbalanceTable, Ring, VnodeStatus
+from repro.storage.hashtable import fnv1a
 
 
 def balanced_ring(num_vnodes=64, nodes=("a", "b", "c", "d")):
@@ -110,6 +112,107 @@ class TestReplicaPlacement:
         vnode, replicas = ring.replicas_for_key("some-key", 3)
         assert vnode == ring.vnode_of("some-key")
         assert replicas == ring.replicas_for(vnode, 3)
+
+
+def walk(assignment, vnode, n, exclude=()):
+    """Successor-list placement spelled out (what ``replicas_for``
+    computed before it remembered answers)."""
+    out = []
+    for step in range(len(assignment) + 1):
+        owner = assignment[(vnode + step) % len(assignment)]
+        if (step == 0 or len(out) < n) and owner and owner not in out \
+                and owner not in exclude:
+            out.append(owner)
+    return out
+
+
+class TestMemosStayFresh:
+    """``replicas_for`` remembers answers per ring and ``vnode_of``
+    remembers key hashes process-wide; neither may be observable."""
+
+    def test_assign_invalidates(self):
+        ring = balanced_ring(8, ("a", "b", "c"))
+        assert ring.replicas_for(0, 3) == ["a", "b", "c"]
+        ring.assign(1, "d")
+        assert ring.replicas_for(0, 3) == ["a", "d", "c"]
+        ring.assign(0, Ring.UNASSIGNED)
+        assert ring.replicas_for(0, 3) == ["d", "c", "a"]
+
+    def test_load_invalidates(self):
+        ring = balanced_ring(8, ("a", "b", "c"))
+        assert ring.replicas_for(2, 2) == ["c", "a"]
+        ring.load(["x", "y"] * 4)
+        assert ring.replicas_for(2, 2) == ["x", "y"]
+        assert ring.replicas_for(2, 3) == ["x", "y"]
+
+    def test_returned_list_is_the_callers(self):
+        ring = balanced_ring(8, ("a", "b", "c"))
+        for _ in range(3):      # the miss, then two hits
+            replicas = ring.replicas_for(0, 3)
+            assert replicas == ["a", "b", "c"]
+            replicas.remove("a")
+            replicas.append("poison")
+
+    def test_each_n_has_its_own_answer(self):
+        ring = balanced_ring(8, ("a", "b", "c"))
+        assert ring.replicas_for(0, 3) == ["a", "b", "c"]
+        assert ring.replicas_for(0, 1) == ["a"]
+        assert ring.replicas_for(0, 2) == ["a", "b"]
+        assert ring.replicas_for(0, 0) == ["a"]    # r1 whatever n says
+        assert ring.replicas_for(0, 3) == ["a", "b", "c"]
+
+    def test_exclude_bypasses_the_memo(self):
+        ring = balanced_ring(8, ("a", "b", "c", "d"))
+        assert ring.replicas_for(0, 3) == ["a", "b", "c"]
+        assert ring.replicas_for(0, 3, exclude=["b"]) == ["a", "c", "d"]
+        assert ring.replicas_for(0, 3, exclude={"a"}) == ["b", "c", "d"]
+        assert ring.replicas_for(0, 3, exclude=iter(["c"])) == ["a", "b", "d"]
+        assert ring.replicas_for(0, 3) == ["a", "b", "c"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(["", "a", "b", "c", "d", "e"]),
+                    min_size=1, max_size=12),
+           st.lists(st.tuples(st.integers(0, 11),
+                              st.sampled_from(["", "a", "b", "f"])),
+                    max_size=6),
+           st.integers(1, 4),
+           st.sets(st.sampled_from(["a", "b", "c"]), max_size=2))
+    def test_matches_the_plain_walk_through_reassignments(
+            self, owners, moves, n, exclude):
+        ring = Ring(len(owners))
+        ring.load(owners)
+
+        def check():
+            for v in range(ring.num_vnodes):
+                for _ in range(2):      # miss, then hit
+                    assert ring.replicas_for(v, n) == walk(
+                        ring.assignment, v, n)
+                assert ring.replicas_for(v, n, exclude) == walk(
+                    ring.assignment, v, n, exclude)
+
+        check()
+        for vnode, owner in moves:
+            ring.assign(vnode % ring.num_vnodes, owner)
+            check()
+
+    def test_vnode_of_is_hash_then_mod(self):
+        small, large = Ring(7), Ring(512)
+        for key in ("plain", "", "ключ", "鍵-42", "k\x00\u00e9", "🔑" * 5):
+            h = fnv1a(key.encode("utf-8"))
+            for _ in range(2):      # rings of two sizes share one memo
+                assert small.vnode_of(key) == h % 7
+                assert large.vnode_of(key) == h % 512
+
+    def test_hash_memo_is_bounded(self):
+        size = hashring._key_hash.cache_info().maxsize
+        assert size is not None
+        ring = Ring(512)
+        keys = [f"bounded-{i}" for i in range(size + 100)]
+        first = [ring.vnode_of(k) for k in keys]
+        assert hashring._key_hash.cache_info().currsize == size
+        # The oldest keys were evicted; they hash to the same vnode.
+        assert [ring.vnode_of(k) for k in keys] == first
+        assert first == [fnv1a(k.encode()) % 512 for k in keys]
 
 
 @settings(max_examples=50, deadline=None)

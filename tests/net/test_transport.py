@@ -34,7 +34,9 @@ class TestEstimateSize:
         deep = "x"
         for _ in range(20):
             deep = [deep]
-        assert estimate_size(deep) < 1000
+        # Seven walked levels at 8 B each; the eighth list is cut off:
+        # 8 B plus 16 B for its one item, whatever is below it.
+        assert estimate_size(deep) == 7 * 8 + 8 + 16
 
 
 class TestLatencyModels:
@@ -168,6 +170,7 @@ class TestCrash:
         sim.schedule_callback(0.5, b.crash)
         sim.run()
         assert got == []
+        assert net.delivered == 0 and net.dropped == 1
 
 
 class TestFilters:
