@@ -7,17 +7,26 @@ checkers in :mod:`repro.chaos.invariants` reason over these records;
 the sha256 digest over the canonical byte form is the replay-identity
 fingerprint (same seed → same digest, byte for byte).
 
+Records are also indexed by key as they open, in op order, so the
+per-key queries the checkers ask (:meth:`History.acked_writes`,
+:meth:`History.acked_causal_writes`, :meth:`History.ops` with a key)
+read one key's records, not the whole log: checking a run stays
+linear in its length instead of quadratic.
+
 The recorder also tallies network traffic by (message kind, RPC
-method) through :class:`repro.net.tap.NetworkTap`'s streaming
-``on_record`` hook — counts only, so a long run does not buffer every
-transmission.
+method): :meth:`History.observe` is a pass-through network filter
+that classifies each transmission with :func:`repro.net.tap.classify`
+and bumps one counter — counts only, so a long run does not buffer
+every transmission.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
+
+from ..net.tap import classify
 
 __all__ = ["OpRecord", "History"]
 
@@ -77,6 +86,8 @@ class History:
 
     def __init__(self):
         self.records: list[OpRecord] = []
+        # key -> that key's records, op order (the same objects).
+        self._by_key: dict[str, list[OpRecord]] = {}
         self.message_counts: dict[tuple[str, str], int] = {}
 
     # -- recording --------------------------------------------------------
@@ -88,6 +99,7 @@ class History:
                           key=key, invoked=now, value=value, ts=ts,
                           ctx=tuple(tuple(pair) for pair in ctx))
         self.records.append(record)
+        self._by_key.setdefault(key, []).append(record)
         return record
 
     def complete(self, record: OpRecord, now: float, status: str,
@@ -112,25 +124,19 @@ class History:
         if dot is not None:
             record.dot = tuple(dot)
 
-    def tally(self, tap_record) -> None:
-        """`NetworkTap.on_record` hook: count by (kind, method)."""
-        token = (tap_record.kind, tap_record.method)
+    def observe(self, src: str, dst: str, payload: Any) -> bool:
+        """Network filter: count the message by (kind, method), pass it."""
+        token = classify(payload)
         self.message_counts[token] = self.message_counts.get(token, 0) + 1
+        return True
 
     # -- queries ----------------------------------------------------------
     def ops(self, kind: Optional[str] = None,
             key: Optional[str] = None) -> list[OpRecord]:
         """Completed records matching the criteria, in op order."""
-        out = []
-        for record in self.records:
-            if not record.done:
-                continue
-            if kind is not None and record.kind != kind:
-                continue
-            if key is not None and record.key != key:
-                continue
-            out.append(record)
-        return out
+        records = self.records if key is None else self._by_key.get(key, ())
+        return [r for r in records
+                if r.done and (kind is None or r.kind == kind)]
 
     def written_keys(self) -> list[str]:
         """Keys any write (acked or not) was attempted on, sorted."""
@@ -145,17 +151,10 @@ class History:
 
     def acked_writes(self, key: str, kind: Optional[str] = None
                      ) -> list[OpRecord]:
-        """Quorum-acknowledged (status ``ok``) writes on ``key``."""
-        out = []
-        for record in self.records:
-            if record.key != key or record.status != "ok":
-                continue
-            if record.kind not in WRITE_KINDS:
-                continue
-            if kind is not None and record.kind != kind:
-                continue
-            out.append(record)
-        return out
+        """Quorum-acknowledged (status ``ok``) writes on ``key``, op order."""
+        return [r for r in self._by_key.get(key, ())
+                if r.status == "ok" and r.kind in WRITE_KINDS
+                and (kind is None or r.kind == kind)]
 
     def causal_keys(self) -> list[str]:
         """Keys any causal (DVV) write was attempted on, sorted."""
@@ -164,9 +163,8 @@ class History:
 
     def acked_causal_writes(self, key: str) -> list[OpRecord]:
         """Quorum-acknowledged causal writes on ``key``, op order."""
-        return [r for r in self.records
-                if r.key == key and r.kind == "write_causal"
-                and r.status == "ok"]
+        return [r for r in self._by_key.get(key, ())
+                if r.kind == "write_causal" and r.status == "ok"]
 
     # -- fingerprinting ---------------------------------------------------
     def to_bytes(self) -> bytes:

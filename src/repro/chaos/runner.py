@@ -4,8 +4,8 @@ One :class:`ChaosRunner` run is fully determined by its
 :class:`~repro.chaos.spec.RunSpec`:
 
 1. build a :class:`~repro.core.cluster.SednaCluster` (seeded latency);
-2. attach a :class:`~repro.net.tap.NetworkTap` streaming into the
-   history's message tallies;
+2. install the history's message tally as a pass-through network
+   filter (:meth:`~repro.chaos.history.History.observe`);
 3. start background maintenance (anti-entropy, GC, active detection —
    rebalancing stays off by default so the assignment only moves
    through the §III.C/D recovery paths under test; ``rebalance=True``
@@ -38,7 +38,6 @@ from ..core.types import FullKey
 from ..net.rpc import RpcRejected, RpcTimeout
 from ..storage.versioned import wire_dvv_row
 from ..net.simulator import AllOf
-from ..net.tap import NetworkTap
 from ..zk.server import ZkConfig
 from .history import History
 from .invariants import Anomaly, FinalState, causal_outcomes, check_all
@@ -250,8 +249,7 @@ class ChaosRunner:
             # sampler joins the event queue, the flight recorder taps
             # the network.
             self.obs_bundle.start(sim, network=self.cluster.network)
-        tap = NetworkTap(self.cluster.network, on_record=self.history.tally,
-                         keep_records=False)
+        self.cluster.network.add_filter(self.history.observe)
         # Production maintenance, minus the rebalancer: the assignment
         # should only move through the recovery paths under test.
         self.cluster.enable_maintenance(anti_entropy=False, rebalance=False)
@@ -299,7 +297,7 @@ class ChaosRunner:
                       if self.rebalancer is not None else [])
         anomalies = check_all(self.history, state, crashes=crash_times,
                               migrations=tuple(migrations))
-        tap.detach()
+        self.cluster.network.remove_filter(self.history.observe)
         report = ChaosReport(spec=self.spec, schedule=schedule,
                              history=self.history, anomalies=anomalies,
                              state=state, end_time=sim.now,

@@ -15,7 +15,7 @@ from typing import Any, Callable, Optional
 
 from .transport import Network
 
-__all__ = ["TapRecord", "NetworkTap"]
+__all__ = ["TapRecord", "NetworkTap", "classify"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,10 @@ class TapRecord:
     trace: Optional[int] = None
 
 
-def _classify(payload: Any) -> tuple[str, str]:
+def classify(payload: Any) -> tuple[str, str]:
+    """``(kind, method)`` of a payload: ``("req", method)``,
+    ``("resp", "")``, ``("notify", zk op)``, ``("wire", "")`` or
+    ``("raw", "")`` — the tap's ``TapRecord.kind``/``.method``."""
     if isinstance(payload, dict):
         kind = payload.get("kind", "")
         if kind == "req":
@@ -84,7 +87,7 @@ class NetworkTap:
         network.add_filter(self._observe)
 
     def _observe(self, src: str, dst: str, payload: Any) -> bool:
-        kind, method = _classify(payload)
+        kind, method = classify(payload)
         tracer = self.network.tracer
         trace = tracer.current_trace_id() if tracer is not None else None
         record = TapRecord(time=self.network.sim.now, src=src, dst=dst,
@@ -93,8 +96,10 @@ class NetworkTap:
             if self.keep_records:
                 self.records.append(record)
             if self.on_record is not None:
-                # Streaming hook: history recorders (repro.chaos) tally
-                # message flows without buffering every transmission.
+                # Streaming hook: the flight recorder (repro.obs) feeds
+                # its bounded ring from here.  A plain count needs no
+                # tap: a filter calling classify() is enough (the chaos
+                # history's message tally is one).
                 self.on_record(record)
         return True  # pass-through: taps never drop traffic
 

@@ -9,8 +9,10 @@ not a freshness violation, and must keep hard-failing staleness
 whenever any acker survived.
 """
 
+import time
+
 from repro.chaos.history import History
-from repro.chaos.invariants import (FinalState, check_freshness,
+from repro.chaos.invariants import (FinalState, check_all, check_freshness,
                                     check_migrations)
 
 
@@ -158,3 +160,37 @@ class TestMigrationInvariant:
     def test_no_ledger_no_work(self):
         assert check_migrations(_migration_history(),
                                 _migrated_state({})) == []
+
+
+class TestScale:
+    def test_check_all_stays_fast_on_a_long_history(self):
+        """40k records on 6 keys, about nine 120 s chaos runs' worth.
+        Rescanning the whole log per read took minutes on this; the
+        per-key index and the freshness sweep take a fraction of a
+        second, so 5 s leaves a wide margin."""
+        h = History()
+        keys = [f"lw-{i}" for i in range(6)]
+        latest = {}
+        for i in range(40_000):
+            key, client, t = keys[i % 6], f"c{i % 3}", i * 0.01
+            if (i // 6) % 4 == 0:       # every key: a write, three reads
+                record = h.begin(client, "write_latest", key, t,
+                                 value=i, ts=t)
+                h.complete(record, t + 0.005, "ok", acks=("n0", "n1"))
+                latest[key] = (t, client)
+            else:
+                record = h.begin(client, "read_latest", key, t)
+                ts, source = latest[key]
+                h.complete(record, t + 0.005, "found", responders=("n0",),
+                           result_ts=ts, result_source=source,
+                           result_value="v")
+        state = FinalState(
+            replica_sets={k: (0, ["n0"]) for k in keys},
+            holders={k: {"n0": [(source, ts, "v")]}
+                     for k, (ts, source) in latest.items()})
+        crashes = tuple((float(s), "n2") for s in range(0, 400, 10))
+        start = time.perf_counter()
+        anomalies = check_all(h, state, crashes=crashes)
+        elapsed = time.perf_counter() - start
+        assert len(h) == 40_000 and anomalies == []
+        assert elapsed < 5.0, f"check_all took {elapsed:.1f} s"
