@@ -2,8 +2,8 @@
 
 Makes ``src/`` importable without an installed package (tier-1 runs
 with ``PYTHONPATH=src``, but IDE/CI invocations may not) and loads the
-determinism-lint plugin so every session checks ``src/repro`` before
-tests run (docs/protocols.md §13).
+static-analysis plugin so every session analyzes the repository before
+tests run (docs/protocols.md §13.1).
 """
 
 import sys

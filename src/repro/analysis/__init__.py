@@ -6,13 +6,20 @@ rests on the simulation being *deterministic*: same seed, same
 schedule, same history.  This package enforces that instead of hoping
 for it:
 
-* :mod:`repro.analysis.lint` — an AST-based static checker
-  (stdlib ``ast``, no dependencies) with eight rules targeting the
-  codebase's determinism invariants: no wall-clock reads, no unseeded
+* ``python -m repro.analysis`` — one static analyzer (stdlib ``ast``,
+  no dependencies).  :mod:`~repro.analysis.index` parses the tree once;
+  over it run eight per-file determinism rules
+  (:mod:`~repro.analysis.lint`: no wall-clock reads, no unseeded
   randomness, no builtin-``hash`` ordering, no bare-``set`` iteration
   on fan-out paths, timeouts on every RPC, generator discipline for
-  processes and callbacks, no swallow-everything excepts.
-  Run as ``python -m repro.analysis.lint src``.
+  processes and callbacks, no swallow-everything excepts) and eight
+  interprocedural protocol rules (:mod:`~repro.analysis.protocol`:
+  RPC conformance, yield discipline, digest-purity taint).
+  :func:`~repro.analysis.report.analyze` is the entry point.
+
+* :mod:`repro.analysis.pytest_plugin` — runs that analysis at the
+  start of every pytest session (tier-1 included), so a stray
+  ``time.time()`` fails the build before it flakes a replay.
 
 * :mod:`repro.analysis.hazards` — an opt-in dynamic detector that
   instruments the :class:`~repro.net.simulator.Simulator`, builds a
@@ -22,26 +29,21 @@ for it:
   changes observable state.  Enabled with ``ChaosRunner(...,
   hazards=True)`` or ``python -m repro.chaos --hazards``.
 
-* :mod:`repro.analysis.pytest_plugin` — runs the lint automatically
-  at the start of every pytest session (tier-1 included), so a stray
-  ``time.time()`` fails the build before it flakes a replay.
-
 See docs/protocols.md §13 for the rule catalogue and the waiver
 syntax (``# repro: allow[rule-id]``).
 """
 
-__all__ = ["LintReport", "Violation", "lint_paths",
-           "HazardDetector", "TieHazard"]
+__all__ = ["Report", "Violation", "analyze", "HazardDetector", "TieHazard"]
 
 _EXPORTS = {
-    "LintReport": "lint", "Violation": "lint", "lint_paths": "lint",
+    "Report": "report", "Violation": "index", "analyze": "report",
     "HazardDetector": "hazards", "TieHazard": "hazards",
 }
 
 
 def __getattr__(name: str):
-    # Lazy so ``python -m repro.analysis.lint`` does not import the
-    # module twice (runpy warns when the package pre-imports it).
+    # Lazy so the chaos runner's hazard detector does not load the
+    # static analyzer, nor the analyzer the simulator.
     module_name = _EXPORTS.get(name)
     if module_name is None:
         raise AttributeError(name)

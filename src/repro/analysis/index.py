@@ -1,13 +1,13 @@
 """Project-wide AST index and heuristic call graph.
 
-The per-file determinism lint (:mod:`repro.analysis.lint`) deliberately
-never looks across file boundaries; the protocol analyzer
-(:mod:`repro.analysis.protocol`) has to.  This module builds the shared
-substrate both interprocedural passes run on:
+The substrate every analysis pass runs on -- the per-file determinism
+rules (:mod:`repro.analysis.lint`) and the interprocedural protocol
+passes (:mod:`repro.analysis.protocol`) alike:
 
 * every ``.py`` file under the analysis roots parsed once, with a
   child -> parent map so checks can walk *up* the tree (enclosing
-  function, enclosing ``try``),
+  function, enclosing ``try``); a rule-checked file that does not
+  parse is a ``parse-error`` finding, not a silent skip,
 * a table of every function/method (:class:`FunctionInfo`) keyed by
   qualified name, with generator-ness and parameter order precomputed,
 * a heuristic call graph: for each call site, the set of project
@@ -15,16 +15,18 @@ substrate both interprocedural passes run on:
   conservative -- same-module names and ``self.method`` lookups resolve
   exactly; bare attribute calls resolve only when the method name is
   close to unique project-wide.  The consumers are written so that an
-  unresolved call degrades to silence, never to a false positive.
+  unresolved call degrades to silence, never to a false positive,
+* the finding type every pass reports (:class:`Violation`) and the
+  one waiver dialect (:func:`is_waived`).
 
-The index is pure stdlib ``ast`` and rebuilds from scratch per run;
-the whole tree (~100 files) indexes in well under a second, which keeps
-the analyzer viable as a pytest-plugin pass.
+The index is pure stdlib ``ast`` and rebuilds from scratch per run,
+which keeps the analyzer viable as a pytest-plugin pass.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -32,6 +34,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 __all__ = [
+    "Violation",
+    "is_waived",
     "FunctionInfo",
     "SourceFile",
     "ProjectIndex",
@@ -39,6 +43,44 @@ __all__ = [
     "own_nodes",
     "iter_py_files",
 ]
+
+_WAIVER_RE = re.compile(r"#\s*repro:\s*allow\[([\w*-]+(?:\s*,\s*[\w*-]+)*)\]")
+
+
+def is_waived(lines: Sequence[str], rule: str, line: int) -> bool:
+    """True when ``rule`` is waived at 1-based ``line`` of ``lines``.
+
+    A waiver comment (``# repro: allow[rule-id]``; ``allow[*]`` matches
+    every rule, comma-separated ids are allowed) on the flagged line or
+    the line directly above it suppresses the finding.
+    """
+    for lineno in (line, line - 1):
+        if 1 <= lineno <= len(lines):
+            match = _WAIVER_RE.search(lines[lineno - 1])
+            if match:
+                allowed = {part.strip()
+                           for part in match.group(1).split(",")}
+                if rule in allowed or "*" in allowed:
+                    return True
+    return False
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One rule firing at one source location."""
+
+    rule: str
+    path: str
+    line: int
+    col: int
+    message: str
+    waived: bool = False
+
+    def render(self) -> str:
+        tag = " (waived)" if self.waived else ""
+        return f"{self.path}:{self.line}:{self.col}: [{self.rule}] " \
+               f"{self.message}{tag}"
+
 
 # How many candidates an attribute call may resolve to before we give
 # up and treat it as unresolved.  Small on purpose: a popular method
@@ -152,6 +194,14 @@ class SourceFile:
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return self.parent_of.get(id(node))
 
+    def flag(self, rule: str, node: ast.AST, message: str) -> Violation:
+        """A finding of ``rule`` at ``node``, waived per this file's lines."""
+        line = getattr(node, "lineno", 0)
+        return Violation(
+            rule=rule, path=self.path, line=line,
+            col=getattr(node, "col_offset", 0), message=message,
+            waived=is_waived(self.lines, rule, line))
+
     def enclosing_function(self, node: ast.AST) -> Optional[FunctionInfo]:
         cur: Optional[ast.AST] = self.parent(node)
         while cur is not None:
@@ -220,6 +270,8 @@ class ProjectIndex:
         self.callees: Dict[str, Set[str]] = {}
         # qualnames of generators handed to sim.process(...)
         self.process_targets: Set[str] = set()
+        # one per rule-checked file that does not parse
+        self.parse_errors: List[Violation] = []
 
     # -- construction --------------------------------------------------
 
@@ -234,7 +286,8 @@ class ProjectIndex:
         Files from ``call_site_paths`` (tests, benchmarks, ...) are
         indexed so their call sites count -- e.g. a handler exercised
         only from a test is not dead -- but rule findings are never
-        reported against them (``SourceFile.call_site_only``).
+        reported against them (``SourceFile.call_site_only``), and one
+        that does not parse is skipped rather than reported.
         """
         index = cls()
         checked = {p.resolve() for p in iter_py_files(checked_paths)}
@@ -248,7 +301,14 @@ class ProjectIndex:
         try:
             source = path.read_text(encoding="utf-8")
             tree = ast.parse(source, filename=str(path))
-        except (OSError, SyntaxError):
+        except OSError:
+            return
+        except SyntaxError as err:
+            if not call_site_only:
+                self.parse_errors.append(Violation(
+                    rule="parse-error", path=str(path),
+                    line=err.lineno or 0, col=err.offset or 0,
+                    message=f"unparseable file: {err.msg}"))
             return
         sfile = SourceFile(
             path=str(path),

@@ -1,10 +1,9 @@
-"""Determinism lint: an AST checker for the simulation codebase.
+"""The determinism rules: one per-file pass over the shared index.
 
-Stdlib-only (``ast`` + ``tokenize``), because the reproduction must
-not grow dependencies.  The rules are not generic style checks — each
-one encodes an invariant the deterministic kernel relies on, learned
-the hard way (PR 1 shipped a process-randomized ``hash()`` in gossip
-peer selection; PR 2's recovery bug was a tie-order artifact):
+The rules are not generic style checks — each one encodes an invariant
+the deterministic kernel relies on, learned the hard way (a
+process-randomized ``hash()`` once shipped in gossip peer selection; a
+recovery bug was a tie-order artifact):
 
 ``wall-clock``
     No ``time.time``/``time.monotonic``/``time.perf_counter`` /
@@ -37,32 +36,20 @@ peer selection; PR 2's recovery bug was a tie-order artifact):
     swallowing everything hides determinism bugs (and kernel
     misuse) on coordinate paths.
 
-Waive a finding with a ``# repro: allow[rule-id]`` comment on the
-flagged line or the line directly above it (``allow[*]`` waives all
-rules for that line); add a reason after ``--``.
-
-CLI::
-
-    python -m repro.analysis.lint src [--format text|json]
-
-Exit status is the number of unwaived violations (0 = clean).
+The pass never looks across files: a process or callback target
+resolves only to a def in the same file (:meth:`_Checker._resolve_callable`).
+:func:`primitive` is the one nondeterminism-primitive table; the
+interprocedural ``digest-taint`` pass reuses it.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
-import re
-import sys
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional
 
-__all__ = ["RULES", "Violation", "LintReport", "lint_source",
-           "lint_file", "lint_paths", "is_waived", "main"]
+from .index import FunctionInfo, ProjectIndex, SourceFile, Violation, dotted
 
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+__all__ = ["RULES", "primitive", "check"]
 
 #: rule-id -> one-line description (the catalogue; docs/protocols.md §13).
 RULES: dict[str, str] = {
@@ -84,28 +71,6 @@ RULES: dict[str, str] = {
         "except clause swallows everything with a bare pass",
 }
 
-_WAIVER_RE = re.compile(r"#\s*repro:\s*allow\[([\w*-]+(?:\s*,\s*[\w*-]+)*)\]")
-
-
-def is_waived(lines: Sequence[str], rule: str, line: int) -> bool:
-    """True when ``rule`` is waived at 1-based ``line`` of ``lines``.
-
-    A waiver comment (``# repro: allow[rule-id]``; ``allow[*]`` matches
-    every rule, comma-separated ids are allowed) on the flagged line or
-    the line directly above it suppresses the finding.  Shared by the
-    per-file lint and the interprocedural protocol analyzer so both
-    speak the exact same waiver dialect.
-    """
-    for lineno in (line, line - 1):
-        if 1 <= lineno <= len(lines):
-            match = _WAIVER_RE.search(lines[lineno - 1])
-            if match:
-                allowed = {part.strip()
-                           for part in match.group(1).split(",")}
-                if rule in allowed or "*" in allowed:
-                    return True
-    return False
-
 _WALL_CLOCK_SUFFIXES = (
     "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
     "time.perf_counter", "time.perf_counter_ns", "time.process_time",
@@ -123,90 +88,23 @@ _GLOBAL_RANDOM_FNS = frozenset({
 _UUID_FNS = frozenset({"uuid1", "uuid4"})
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One rule firing at one source location."""
-
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-    waived: bool = False
-
-    def render(self) -> str:
-        tag = " (waived)" if self.waived else ""
-        return f"{self.path}:{self.line}:{self.col}: [{self.rule}] " \
-               f"{self.message}{tag}"
-
-
-@dataclass
-class LintReport:
-    """All violations of one run, waived findings included."""
-
-    violations: list[Violation] = field(default_factory=list)
-    files_checked: int = 0
-
-    @property
-    def active(self) -> list[Violation]:
-        """Violations that were not waived inline."""
-        return [v for v in self.violations if not v.waived]
-
-    @property
-    def ok(self) -> bool:
-        return not self.active
-
-    def render(self) -> str:
-        lines = [v.render() for v in self.violations]
-        lines.append(f"{self.files_checked} file(s) checked, "
-                     f"{len(self.active)} violation(s)"
-                     f" ({len(self.violations) - len(self.active)} waived)")
-        return "\n".join(lines)
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
+def primitive(call: ast.Call) -> Optional[tuple[str, str]]:
+    """``(rule, dotted name)`` when ``call`` reads a nondeterminism
+    primitive: a wall clock, process-global randomness or builtin
+    ``hash``.  A seeded ``random.Random(7)`` is not one."""
+    name = dotted(call.func)
+    if name is None:
+        return None
+    if any(name == suffix or name.endswith("." + suffix)
+           for suffix in _WALL_CLOCK_SUFFIXES):
+        return "wall-clock", name
+    head, _, tail = name.partition(".")
+    if (head == "random" and tail in _GLOBAL_RANDOM_FNS) \
+            or (head == "uuid" and tail in _UUID_FNS):
+        return "unseeded-random", name
+    if name == "hash":
+        return "builtin-hash", name
     return None
-
-
-def _is_generator_fn(fn: FunctionNode) -> bool:
-    """True when ``fn``'s own body (nested defs excluded) yields."""
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)) and node is not fn:
-            continue
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            # ast.walk descends into nested defs; re-check ownership.
-            if _owning_function(fn, node) is fn:
-                return True
-    return False
-
-
-def _owning_function(root: FunctionNode,
-                     target: ast.AST) -> Optional[ast.AST]:
-    """The innermost def/lambda of ``root`` containing ``target``."""
-    owner: Optional[ast.AST] = None
-
-    def visit(node: ast.AST, current: Optional[ast.AST]) -> None:
-        nonlocal owner
-        if node is target:
-            owner = current
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            current = node
-        for child in ast.iter_child_nodes(node):
-            visit(child, current)
-
-    visit(root, root)
-    return owner
 
 
 class _Scope:
@@ -221,35 +119,32 @@ class _Scope:
 class _Checker(ast.NodeVisitor):
     """One file's worth of rule evaluation."""
 
-    def __init__(self, path: str, tree: ast.Module, source: str):
-        self.path = path
-        self.tree = tree
-        self.lines = source.splitlines()
+    def __init__(self, sfile: SourceFile):
+        self.sfile = sfile
         self.violations: list[Violation] = []
-        # Name -> def for module-level and nested functions in scope.
-        self._functions: dict[str, FunctionNode] = {}
-        # Class methods, per enclosing class: name -> def.
-        self._methods: list[dict[str, FunctionNode]] = []
+        # Name -> def for module-level functions (the last of a name
+        # wins, as at import) and, failing those, defs nested directly
+        # in a function body (the first wins).
+        self._functions: dict[str, FunctionInfo] = {}
+        for info in sfile.functions:
+            if isinstance(sfile.parent(info.node),
+                          (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._functions.setdefault(info.name, info)
+        self._functions.update(
+            (info.name, info) for info in sfile.functions
+            if isinstance(sfile.parent(info.node), ast.Module))
+        # Enclosing classes, innermost last.
+        self._classes: list[ast.ClassDef] = []
         # Attribute names assigned set-valued expressions (``self.x =
         # set()``), per enclosing class.
         self._set_attrs: list[set[str]] = []
         self._scopes: list[_Scope] = []
-        self._collect()
 
     # -- context collection ------------------------------------------------
-    def _collect(self) -> None:
-        for node in self.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._functions[node.name] = node
-
-    def _class_context(self, cls: ast.ClassDef) -> tuple[
-            dict[str, FunctionNode], set[str]]:
-        methods: dict[str, FunctionNode] = {}
+    def _class_set_attrs(self, cls: ast.ClassDef) -> set[str]:
         set_attrs: set[str] = set()
         for node in ast.walk(cls):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                methods.setdefault(node.name, node)
-            elif isinstance(node, ast.Assign):
+            if isinstance(node, ast.Assign):
                 for target in node.targets:
                     attr = self._self_attr(target)
                     if attr and self._is_set_expr(node.value, None):
@@ -258,7 +153,7 @@ class _Checker(ast.NodeVisitor):
                 attr = self._self_attr(node.target)
                 if attr and self._is_set_annotation(node.annotation):
                     set_attrs.add(attr)
-        return methods, set_attrs
+        return set_attrs
 
     @staticmethod
     def _self_attr(node: ast.AST) -> Optional[str]:
@@ -280,31 +175,20 @@ class _Checker(ast.NodeVisitor):
         return False
 
     # -- reporting ---------------------------------------------------------
-    def _waived(self, rule: str, line: int) -> bool:
-        return is_waived(self.lines, rule, line)
-
     def _flag(self, rule: str, node: ast.AST, detail: str = "") -> None:
-        line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
         message = RULES[rule] + (f": {detail}" if detail else "")
-        self.violations.append(Violation(
-            rule=rule, path=self.path, line=line, col=col,
-            message=message, waived=self._waived(rule, line)))
+        self.violations.append(self.sfile.flag(rule, node, message))
 
     # -- scope plumbing ----------------------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        methods, set_attrs = self._class_context(node)
-        self._methods.append(methods)
+        set_attrs = self._class_set_attrs(node)
+        self._classes.append(node)
         self._set_attrs.append(set_attrs)
         self.generic_visit(node)
-        self._methods.pop()
+        self._classes.pop()
         self._set_attrs.pop()
 
-    def _visit_function(self, node: FunctionNode) -> None:
-        for name, child in ((n.name, n) for n in node.body
-                            if isinstance(n, (ast.FunctionDef,
-                                              ast.AsyncFunctionDef))):
-            self._functions.setdefault(name, child)
+    def _visit_function(self, node: ast.AST) -> None:
         self._scopes.append(_Scope())
         self.generic_visit(node)
         self._scopes.pop()
@@ -360,74 +244,58 @@ class _Checker(ast.NodeVisitor):
 
     # -- the rules ---------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        self._check_wall_clock(node)
-        self._check_unseeded_random(node)
-        self._check_builtin_hash(node)
+        self._check_primitive(node)
         self._check_rpc_timeout(node)
         self._check_process_target(node)
         self._check_callback_target(node)
         self._check_set_consumer(node)
         self.generic_visit(node)
 
-    def _check_wall_clock(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
-        if dotted is None:
-            return
-        for suffix in _WALL_CLOCK_SUFFIXES:
-            if dotted == suffix or dotted.endswith("." + suffix):
-                self._flag("wall-clock", node, dotted)
-                return
-
-    def _check_unseeded_random(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
-        if dotted is None:
-            return
-        if dotted.startswith("random.") and \
-                dotted.split(".", 1)[1] in _GLOBAL_RANDOM_FNS:
-            self._flag("unseeded-random", node, dotted)
-        elif dotted.startswith("uuid.") and \
-                dotted.split(".", 1)[1] in _UUID_FNS:
-            self._flag("unseeded-random", node, dotted)
-
-    def _check_builtin_hash(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Name) and node.func.id == "hash":
-            self._flag("builtin-hash", node)
+    def _check_primitive(self, node: ast.Call) -> None:
+        found = primitive(node)
+        if found is not None:
+            rule, name = found
+            self._flag(rule, node, "" if rule == "builtin-hash" else name)
 
     def _check_rpc_timeout(self, node: ast.Call) -> None:
         if not (isinstance(node.func, ast.Attribute)
                 and node.func.attr == "call"):
             return
-        dotted = _dotted(node.func.value)
-        if dotted is None or "rpc" not in dotted.split("."):
+        chain = dotted(node.func.value)
+        if chain is None or "rpc" not in chain.split("."):
             return
         if len(node.args) >= 4:
             return
         if any(kw.arg == "timeout" for kw in node.keywords):
             return
-        self._flag("rpc-timeout", node, f"{dotted}.call")
+        self._flag("rpc-timeout", node, f"{chain}.call")
 
     def _resolve_callable(self,
-                          node: ast.AST) -> Optional[FunctionNode]:
-        """A same-file def for ``node`` (Name or ``self.method``)."""
+                          node: ast.AST) -> Optional[FunctionInfo]:
+        """A same-file def for ``node``: a Name, or ``self.method`` for
+        a method of the enclosing class (the first def of it wins)."""
         if isinstance(node, ast.Name):
             return self._functions.get(node.id)
         attr = self._self_attr(node)
-        if attr is not None and self._methods:
-            return self._methods[-1].get(attr)
-        return None
+        if attr is None or not self._classes:
+            return None
+        return next((info for info in self.sfile.functions
+                     if info.name == attr
+                     and self.sfile.parent(info.node) is self._classes[-1]),
+                    None)
 
     def _check_process_target(self, node: ast.Call) -> None:
         if not (isinstance(node.func, ast.Attribute)
                 and node.func.attr == "process" and node.args):
             return
-        dotted = _dotted(node.func.value)
-        if dotted is None or "sim" not in dotted.split("."):
+        chain = dotted(node.func.value)
+        if chain is None or "sim" not in chain.split("."):
             return
         target = node.args[0]
         if not isinstance(target, ast.Call):
             return
         fn = self._resolve_callable(target.func)
-        if fn is not None and not _is_generator_fn(fn):
+        if fn is not None and not fn.is_generator:
             self._flag("process-not-generator", node,
                        f"{fn.name}() never yields")
 
@@ -447,14 +315,14 @@ class _Checker(ast.NodeVisitor):
         fn = self._resolve_callable(target)
         if fn is None:
             return
-        if _is_generator_fn(fn):
+        if fn.is_generator:
             self._flag("callback-yields", node,
                        f"{fn.name}() is a generator; it will never run")
             return
-        for inner in ast.walk(fn):
+        for inner in ast.walk(fn.node):
             if isinstance(inner, ast.Call):
-                dotted = _dotted(inner.func)
-                if dotted is not None and dotted.endswith("sim.run"):
+                chain = dotted(inner.func)
+                if chain is not None and chain.endswith("sim.run"):
                     self._flag("callback-yields", node,
                                f"{fn.name}() re-enters sim.run")
                     return
@@ -509,73 +377,17 @@ class _Checker(ast.NodeVisitor):
             names = type_node.elts
         else:
             names = (type_node,)
-        for name in names:
-            dotted = _dotted(name)
-            if dotted in ("Exception", "BaseException"):
-                return True
-        return False
+        return any(dotted(name) in ("Exception", "BaseException")
+                   for name in names)
 
 
-def lint_source(source: str, path: str = "<string>") -> list[Violation]:
-    """Lint one source string; returns every violation (waived too)."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as err:
-        return [Violation(rule="parse-error", path=path,
-                          line=err.lineno or 0, col=err.offset or 0,
-                          message=f"unparseable file: {err.msg}")]
-    checker = _Checker(path, tree, source)
-    checker.visit(tree)
-    return sorted(checker.violations,
-                  key=lambda v: (v.path, v.line, v.col, v.rule))
-
-
-def lint_file(path: Path) -> list[Violation]:
-    """Lint one file."""
-    return lint_source(path.read_text(encoding="utf-8"), str(path))
-
-
-def _iter_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            yield from sorted(path.rglob("*.py"))
-        elif path.suffix == ".py":
-            yield path
-
-
-def lint_paths(paths: Sequence[Union[str, Path]]) -> LintReport:
-    """Lint every ``.py`` file under ``paths`` (dirs recurse)."""
-    report = LintReport()
-    for file_path in _iter_files(paths):
-        report.files_checked += 1
-        report.violations.extend(lint_file(file_path))
-    return report
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
-        description="Determinism lint for the simulation codebase.")
-    parser.add_argument("paths", nargs="+",
-                        help="files or directories to check")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--show-waived", action="store_true",
-                        help="list waived findings too")
-    args = parser.parse_args(argv)
-    report = lint_paths(args.paths)
-    shown = report.violations if args.show_waived else report.active
-    if args.format == "json":
-        print(json.dumps([v.__dict__ for v in shown], indent=2))
-    else:
-        for violation in shown:
-            print(violation.render())
-        print(f"{report.files_checked} file(s) checked, "
-              f"{len(report.active)} violation(s), "
-              f"{len(report.violations) - len(report.active)} waived")
-    return min(len(report.active), 125)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def check(index: ProjectIndex) -> list[Violation]:
+    """Every determinism finding (waived ones too) in the rule-checked
+    files of ``index``."""
+    violations: list[Violation] = []
+    for sfile in index.files:
+        if not sfile.call_site_only:
+            checker = _Checker(sfile)
+            checker.visit(sfile.tree)
+            violations.extend(checker.violations)
+    return violations

@@ -1,4 +1,4 @@
-"""Interprocedural protocol analyzer: ``python -m repro.analysis.protocol``.
+"""Interprocedural protocol passes of ``python -m repro.analysis``.
 
 Three passes over one shared :class:`repro.analysis.index.ProjectIndex`:
 
@@ -23,50 +23,37 @@ the way to a ``sim.process`` target with no ``try`` on the path and no
 running generator process (the late-registration window).
 
 **Pass C -- digest-purity taint.**  Whole-program extension of the
-per-file determinism lint: walks the transitive callee closure of the
+per-file determinism rules: walks the transitive callee closure of the
 golden-digest surface (``History``/``OpRecord``/``FinalState`` methods
-and any ``digest``-named function) and flags nondeterminism primitives
-(wall clock, process-global random, builtin ``hash``, ``uuid4``)
-anywhere in that closure -- even two calls away from the recorded
-state, and even if the line carries a waiver for a *different* rule.
-
-Findings reuse :class:`repro.analysis.lint.Violation`, the JSON report
-format, and the ``# repro: allow[rule-id]`` waiver dialect.  A
-checked-in baseline (``tests/analysis/protocol_baseline.json``) makes
-CI fail only on *new* findings; baseline entries are keyed on
-``(rule, path, message)`` -- deliberately line-number-free so pure code
-motion does not churn the baseline.
+and any ``digest``-named function) and flags the nondeterminism
+primitives of :func:`repro.analysis.lint.primitive` (wall clock,
+process-global random and uuid, builtin ``hash``) anywhere in that
+closure -- even two calls away from the recorded state, and even if
+the line carries a waiver for a *different* rule.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .index import (
     FunctionInfo,
     ProjectIndex,
     SourceFile,
+    Violation,
     dotted,
     own_nodes,
 )
-from .lint import LintReport, Violation, is_waived
+from .lint import primitive
 
 __all__ = [
     "PROTOCOL_RULES",
     "RegisterSite",
     "CallSite",
     "ProtocolAnalyzer",
-    "analyze_paths",
-    "load_baseline",
-    "baseline_key",
     "render_method_table",
-    "main",
 ]
 
 PROTOCOL_RULES: Dict[str, str] = {
@@ -109,12 +96,6 @@ _DIRECT_PAYLOAD_IDX = 2
 
 _PROTECTIVE_EXCEPTIONS: FrozenSet[str] = frozenset(
     {"RpcTimeout", "RpcRejected", "RpcError", "Exception", "BaseException"})
-
-_WALL_CLOCK = frozenset({
-    "time.time", "time.monotonic", "time.perf_counter", "time.time_ns",
-    "time.monotonic_ns", "time.perf_counter_ns", "datetime.now",
-    "datetime.utcnow", "datetime.today", "date.today",
-})
 
 _MODULE_NAME_SELF = "repro.net.rpc"  # the rpc layer itself is not a site
 
@@ -263,14 +244,8 @@ class ProtocolAnalyzer:
 
     def _flag(self, rule: str, sfile: SourceFile, node: ast.AST,
               message: str) -> None:
-        if sfile.call_site_only:
-            return
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        self.violations.append(Violation(
-            rule=rule, path=sfile.path, line=line, col=col,
-            message=message,
-            waived=is_waived(sfile.lines, rule, line)))
+        if not sfile.call_site_only:
+            self.violations.append(sfile.flag(rule, node, message))
 
     # -- site extraction -----------------------------------------------
 
@@ -988,33 +963,16 @@ class ProtocolAnalyzer:
             sfile = self.index.file_by_path.get(info.path)
             if sfile is None or sfile.call_site_only:
                 continue
-            for node, label in self._nondeterminism_in(info):
-                self._flag(
-                    "digest-taint", sfile, node,
-                    f"{label} inside the golden-digest closure: "
-                    f"{info.qualname} is reachable from "
-                    f"{origin[qual]}")
-
-    def _nondeterminism_in(
-            self, info: FunctionInfo) -> List[Tuple[ast.AST, str]]:
-        found: List[Tuple[ast.AST, str]] = []
-        for node in own_nodes(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = dotted(node.func)
-            if chain is None:
-                continue
-            tail2 = ".".join(chain.split(".")[-2:])
-            if tail2 in _WALL_CLOCK:
-                found.append((node, f"wall-clock read {chain}()"))
-            elif chain.split(".")[0] == "random" and "." in chain:
-                found.append(
-                    (node, f"process-global randomness {chain}()"))
-            elif chain == "hash":
-                found.append((node, "builtin hash()"))
-            elif chain.split(".")[-1] == "uuid4":
-                found.append((node, f"random uuid {chain}()"))
-        return found
+            for node in own_nodes(info.node):
+                found = primitive(node) \
+                    if isinstance(node, ast.Call) else None
+                if found is not None:
+                    rule, name = found
+                    self._flag(
+                        "digest-taint", sfile, node,
+                        f"{rule} primitive {name}() inside the "
+                        f"golden-digest closure: {info.qualname} is "
+                        f"reachable from {origin[qual]}")
 
     # -- driver --------------------------------------------------------
 
@@ -1022,7 +980,6 @@ class ProtocolAnalyzer:
         self.check_conformance()
         self.check_yield_discipline()
         self.check_digest_taint()
-        self.violations.sort(key=lambda v: (v.path, v.line, v.rule))
         return self.violations
 
     # -- wire-protocol table -------------------------------------------
@@ -1058,44 +1015,10 @@ class ProtocolAnalyzer:
         return rows
 
 
-# -- baseline ----------------------------------------------------------
-
-def baseline_key(violation: Violation) -> Tuple[str, str, str]:
-    """Line-number-free identity used for baseline matching."""
-    return (violation.rule, _norm_path(violation.path), violation.message)
-
-
-def _norm_path(path: str) -> str:
-    p = Path(path)
-    try:
-        p = p.resolve().relative_to(Path.cwd().resolve())
-    except ValueError:
-        pass
-    return p.as_posix()
-
-
-def load_baseline(path: Union[str, Path]) -> Set[Tuple[str, str, str]]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {(f["rule"], f["path"], f["message"])
-            for f in data.get("findings", [])}
-
-
-def write_baseline(path: Union[str, Path],
-                   violations: Sequence[Violation]) -> None:
-    findings = [
-        {"rule": rule, "path": norm, "message": message}
-        for rule, norm, message in sorted(
-            {baseline_key(v) for v in violations})
-    ]
-    Path(path).write_text(
-        json.dumps({"version": 1, "findings": findings}, indent=2)
-        + "\n", encoding="utf-8")
-
-
 # -- table rendering ---------------------------------------------------
 
 _TABLE_BEGIN = ("<!-- BEGIN GENERATED RPC TABLE "
-                "(python -m repro.analysis.protocol --table) -->")
+                "(python -m repro.analysis --table) -->")
 _TABLE_END = "<!-- END GENERATED RPC TABLE -->"
 
 
@@ -1124,140 +1047,3 @@ def render_method_table(rows: Sequence[Dict[str, object]]) -> str:
     lines += ["", _TABLE_END]
     return "\n".join(lines)
 
-
-# -- public API --------------------------------------------------------
-
-def build_analyzer(
-    checked_paths: Sequence[Union[str, Path]],
-    call_site_paths: Sequence[Union[str, Path]] = (),
-) -> ProtocolAnalyzer:
-    index = ProjectIndex.build(checked_paths, call_site_paths)
-    return ProtocolAnalyzer(index)
-
-
-def analyze_paths(
-    checked_paths: Sequence[Union[str, Path]],
-    call_site_paths: Sequence[Union[str, Path]] = (),
-) -> LintReport:
-    analyzer = build_analyzer(checked_paths, call_site_paths)
-    report = LintReport(violations=analyzer.run(),
-                        files_checked=len(analyzer.index.files))
-    return report
-
-
-def analyze_protocol_for_pytest(
-    root: Union[str, Path],
-    baseline: Optional[Union[str, Path]] = None,
-) -> Tuple[List[Violation], str]:
-    """Session-start entry point for the pytest plugin.
-
-    Returns ``(new_findings, one_line_summary)`` where new findings
-    are active (unwaived) violations not covered by the baseline.
-    """
-    root = Path(root)
-    checked = [p for p in (root / "src" / "repro", root / "src")
-               if p.is_dir()][:1]
-    if not checked:
-        checked = [root]
-    call_roots = [p for p in (root / "tests", root / "benchmarks",
-                              root / "examples") if p.is_dir()]
-    analyzer = build_analyzer(checked, call_roots)
-    violations = analyzer.run()
-    known: Set[Tuple[str, str, str]] = set()
-    if baseline is not None and Path(baseline).is_file():
-        known = load_baseline(baseline)
-    new = [v for v in violations
-           if not v.waived and baseline_key(v) not in known]
-    waived = sum(1 for v in violations if v.waived)
-    baselined = len(violations) - waived - len(new)
-    summary = (f"repro protocol analysis: "
-               f"{len(analyzer.index.files)} file(s) indexed, "
-               f"{len(new)} new finding(s), {baselined} baselined, "
-               f"{waived} waived")
-    return new, summary
-
-
-def _default_roots() -> List[str]:
-    for candidate in ("src/repro", "src"):
-        if Path(candidate).is_dir():
-            return [candidate]
-    return ["."]
-
-
-def _default_call_roots() -> List[str]:
-    return [d for d in ("tests", "benchmarks", "examples")
-            if Path(d).is_dir()]
-
-
-_DEFAULT_BASELINE = "tests/analysis/protocol_baseline.json"
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.protocol",
-        description="Interprocedural RPC/yield/digest protocol analyzer.")
-    parser.add_argument(
-        "paths", nargs="*",
-        help="rule-checked roots (default: src/repro)")
-    parser.add_argument(
-        "--calls-from", action="append", default=None, metavar="PATH",
-        help="extra roots whose call sites count for liveness but are "
-             "never flagged (default: tests, benchmarks, examples)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings as a JSON list")
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline of accepted findings (default: "
-             f"{_DEFAULT_BASELINE} when present)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline from current findings")
-    parser.add_argument("--table", action="store_true",
-                        help="print the generated wire-protocol table "
-                             "and exit")
-    parser.add_argument("--show-waived", action="store_true",
-                        help="list waived and baselined findings too")
-    args = parser.parse_args(argv)
-
-    checked = args.paths or _default_roots()
-    call_roots = args.calls_from if args.calls_from is not None \
-        else _default_call_roots()
-    analyzer = build_analyzer(checked, call_roots)
-
-    if args.table:
-        print(render_method_table(analyzer.method_table()))
-        return 0
-
-    violations = analyzer.run()
-
-    baseline_path = args.baseline
-    if baseline_path is None and Path(_DEFAULT_BASELINE).is_file():
-        baseline_path = _DEFAULT_BASELINE
-    baseline: Set[Tuple[str, str, str]] = set()
-    if baseline_path is not None and Path(baseline_path).is_file():
-        baseline = load_baseline(baseline_path)
-
-    if args.write_baseline:
-        target = baseline_path or _DEFAULT_BASELINE
-        active = [v for v in violations if not v.waived]
-        write_baseline(target, active)
-        print(f"wrote {len(active)} finding(s) to {target}")
-        return 0
-
-    new = [v for v in violations
-           if not v.waived and baseline_key(v) not in baseline]
-    shown = violations if args.show_waived else new
-    if args.json:
-        print(json.dumps([v.__dict__ for v in shown], indent=2))
-    else:
-        for violation in shown:
-            print(violation.render())
-        waived = sum(1 for v in violations if v.waived)
-        baselined = len(violations) - waived - len(new)
-        print(f"{len(analyzer.index.files)} file(s) indexed, "
-              f"{len(new)} new finding(s), {baselined} baselined, "
-              f"{waived} waived")
-    return min(len(new), 125)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,127 +1,52 @@
-"""Pytest plugin: run the determinism lint on every test session.
+"""Pytest plugin: run the static analyzer on every test session.
 
 Loaded from the repository's root ``conftest.py`` via
 ``pytest_plugins``, so tier-1 (``python -m pytest -x -q``) fails fast
-when sim code grows a wall-clock read, an unseeded RNG or a bare-set
-fan-out — before the flake it would cause ever reaches a chaos replay.
-
-The interprocedural protocol analyzer
-(:mod:`repro.analysis.protocol`) can ride the same hook.  It is off by
-default (it indexes the whole tree, not just the package) and enabled
-with ``REPRO_PROTOCOL_ANALYSIS=1`` or ``--repro-protocol`` — CI's
-tier-1 job sets the env var so protocol drift fails the suite exactly
-like a lint finding.
-
-Options
--------
-``--no-repro-lint``
-    Skip the session lint (e.g. while iterating on a known-dirty
-    tree).
-``--repro-lint-paths``
-    Comma-separated roots to lint; defaults to the installed
-    ``repro`` package source.
-``--repro-protocol``
-    Run the protocol analyzer too (same effect as
-    ``REPRO_PROTOCOL_ANALYSIS=1``).
+when sim code grows a wall-clock read, an unseeded RNG, a bare-set
+fan-out or a drifted RPC protocol — before the flake it would cause
+ever reaches a chaos replay.  The session analyzes the repository at
+its rootdir (:func:`~repro.analysis.report.repo_roots`), parsing each
+file once, and fails on any finding that is neither waived inline nor
+in the baseline.  ``--no-repro-lint`` skips it (e.g. while iterating
+on a known-dirty tree).
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import Optional
 
 import pytest
 
-from .lint import LintReport, lint_paths
-from .protocol import _DEFAULT_BASELINE, analyze_protocol_for_pytest
+from .report import DEFAULT_BASELINE, analyze, repo_roots
 
-
-def _default_paths() -> list[str]:
-    import repro
-    pkg_file = getattr(repro, "__file__", None)
-    if pkg_file is None:  # pragma: no cover - namespace-package edge
-        return []
-    return [str(Path(pkg_file).parent)]
+_SUMMARY = pytest.StashKey[str]()
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
-    group = parser.getgroup("repro-analysis")
-    group.addoption("--no-repro-lint", action="store_true",
-                    default=False,
-                    help="skip the determinism lint at session start")
-    group.addoption("--repro-lint-paths", default="",
-                    help="comma-separated paths to lint instead of "
-                         "the repro package")
-    group.addoption("--repro-protocol", action="store_true",
-                    default=False,
-                    help="run the interprocedural protocol analyzer "
-                         "(also enabled by REPRO_PROTOCOL_ANALYSIS=1)")
-
-
-class _LintSession:
-    """Holds the session's results for the terminal summary."""
-
-    def __init__(self) -> None:
-        self.report: Optional[LintReport] = None
-        self.protocol_summary: Optional[str] = None
-
-
-_STATE = _LintSession()
-
-
-def _protocol_enabled(config: pytest.Config) -> bool:
-    if config.getoption("--repro-protocol"):
-        return True
-    return os.environ.get("REPRO_PROTOCOL_ANALYSIS", "") not in ("", "0")
+    parser.getgroup("repro-analysis").addoption(
+        "--no-repro-lint", action="store_true", default=False,
+        help="skip the static analysis at session start")
 
 
 def pytest_configure(config: pytest.Config) -> None:
-    if config.getoption("--no-repro-lint"):
+    # Workers of xdist-style runs or nested sessions: analyze once.
+    if config.getoption("--no-repro-lint") \
+            or getattr(config, "workerinput", None) is not None:
         return
-    # Workers of xdist-style runs or nested sessions: lint once.
-    if getattr(config, "workerinput", None) is not None:
-        return
-    raw = config.getoption("--repro-lint-paths")
-    paths = ([p for p in raw.split(",") if p] if raw
-             else _default_paths())
-    if not paths:
-        return
-    report = lint_paths(paths)
-    _STATE.report = report
-    if not report.ok:
-        lines = [v.render() for v in report.active]
-        raise pytest.UsageError(
-            "determinism lint failed "
-            f"({len(report.active)} violation(s); see "
-            "docs/protocols.md §13, waive with '# repro: "
-            "allow[rule-id]'):\n" + "\n".join(lines))
-    if _protocol_enabled(config):
-        _run_protocol_analysis(config)
-
-
-def _run_protocol_analysis(config: pytest.Config) -> None:
     root = Path(str(config.rootpath))
-    new, summary = analyze_protocol_for_pytest(
-        root, baseline=root / _DEFAULT_BASELINE)
-    _STATE.protocol_summary = summary
-    if new:
-        lines = [v.render() for v in new]
+    report = analyze(*repo_roots(root), baseline=root / DEFAULT_BASELINE)
+    config.stash[_SUMMARY] = report.summary()
+    if report.new:
         raise pytest.UsageError(
-            f"protocol analysis failed ({len(new)} new finding(s); "
-            "see docs/protocols.md §18, waive with '# repro: "
+            f"repro analysis failed ({len(report.new)} new finding(s); "
+            "see docs/protocols.md §13, waive with '# repro: "
             "allow[rule-id]' or refresh the baseline with "
-            "'python -m repro.analysis.protocol --write-baseline'):\n"
-            + "\n".join(lines))
+            "'python -m repro.analysis --write-baseline'):\n"
+            + "\n".join(v.render() for v in report.new))
 
 
-def pytest_terminal_summary(terminalreporter) -> None:
-    report = _STATE.report
-    if report is None:
-        return
-    waived = len(report.violations) - len(report.active)
-    terminalreporter.write_line(
-        f"repro determinism lint: {report.files_checked} file(s) "
-        f"clean, {waived} waived finding(s)")
-    if _STATE.protocol_summary is not None:
-        terminalreporter.write_line(_STATE.protocol_summary)
+def pytest_terminal_summary(terminalreporter: pytest.TerminalReporter,
+                            config: pytest.Config) -> None:
+    summary = config.stash.get(_SUMMARY, None)
+    if summary is not None:
+        terminalreporter.write_line(f"repro analysis: {summary}")

@@ -1,50 +1,32 @@
 """Fixture suite and unit tests for the interprocedural analyzer.
 
 Every protocol rule has a ``bad_<slug>.py`` fixture it must fire on
-(and fire *alone*) and a ``waived_<slug>.py`` twin where the same
-finding is suppressed by an inline ``# repro: allow[rule-id]``.  Plus:
-dispatch-wrapper discovery, aliased registration, recursive payload
-read-sets, baseline round-trips, CLI behaviour, and the meta-checks
-that the shipped tree analyzes clean and fast enough to ride the
-pytest plugin.
+(and fire *alone* among the protocol rules) and a ``waived_<slug>.py``
+twin where the same finding is suppressed by an inline ``# repro:
+allow[rule-id]``.  Plus: dispatch-wrapper discovery, aliased
+registration, recursive payload read-sets, the shared primitive table,
+baseline round-trips, CLI behaviour, and the meta-checks that the
+shipped tree analyzes clean and fast enough to ride the pytest plugin.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.protocol import (
-    PROTOCOL_RULES,
-    analyze_paths,
-    analyze_protocol_for_pytest,
+from repro.analysis.__main__ import main
+from repro.analysis.protocol import PROTOCOL_RULES, render_method_table
+from repro.analysis.report import (
+    analyze,
     baseline_key,
-    build_analyzer,
     load_baseline,
-    main,
-    render_method_table,
     write_baseline,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "protocol"
 REPO = Path(__file__).resolve().parents[2]
-
-_TREE_CACHE = []
-
-
-def _tree_analyzer():
-    """The full-tree analyzer, built once per test session (same roots
-    as the CLI default from the repo root)."""
-    if not _TREE_CACHE:
-        analyzer = build_analyzer(
-            [REPO / "src" / "repro"],
-            [REPO / "tests", REPO / "benchmarks", REPO / "examples"])
-        analyzer.run()
-        _TREE_CACHE.append(analyzer)
-    return _TREE_CACHE[0]
 
 
 def _slug(rule: str) -> str:
@@ -52,7 +34,10 @@ def _slug(rule: str) -> str:
 
 
 def _analyze(path: Path):
-    return analyze_paths([path]).violations
+    """The protocol-rule findings on ``path`` (test_lint_rules.py pins
+    the determinism rules on the same fixtures)."""
+    return [v for v in analyze([path]).violations
+            if v.rule in PROTOCOL_RULES]
 
 
 @pytest.mark.parametrize("rule", sorted(PROTOCOL_RULES))
@@ -181,12 +166,13 @@ class TestInterprocedural:
             "        a = self.rpc.call_async('peer', 'fx.get', {'key': 1})\n"
             "        b = self.rpc.call_async('peer', 'fx.put', {'key': 1})\n"
             "        return a, b\n", encoding="utf-8")
-        analyzer = build_analyzer([tmp_path])
-        table = {row["method"]: row for row in analyzer.method_table()}
+        report = analyze([tmp_path])
+        table = {row["method"]: row
+                 for row in report.protocol.method_table()}
         assert set(table) == {"fx.get", "fx.put", "fx.rget", "fx.rput"}
         assert table["fx.get"]["handler"].endswith("C._h")
         assert table["fx.rget"]["callers"], "row literal is a call site"
-        violations = analyzer.run()
+        violations = report.violations
         assert {v.rule for v in violations} == {"rpc-payload-mismatch"}
         messages = sorted(v.message for v in violations)
         assert len(messages) == 2, messages
@@ -337,6 +323,18 @@ class TestInterprocedural:
             "    return time.time()\n", encoding="utf-8")
         assert _analyze(tmp_path) == []
 
+    def test_taint_uses_the_determinism_primitive_table(self):
+        """digest-taint and the determinism rules share one primitive
+        table: a CPU clock and ``uuid.uuid1()`` in the digest closure
+        are tainted, a seeded ``random.Random(7)`` is not."""
+        violations = _analyze(FIXTURES / "bad_digest_taint_primitives.py")
+        assert [(v.rule, v.line, v.waived) for v in violations] == [
+            ("digest-taint", 18, False), ("digest-taint", 22, False)]
+        assert "time.process_time()" in violations[0].message
+        assert "uuid.uuid1()" in violations[1].message
+        assert analyze(
+            [FIXTURES / "good_digest_taint_seeded.py"]).violations == []
+
 
 class TestBaseline:
     def test_round_trip_and_matching(self, tmp_path):
@@ -359,52 +357,45 @@ class TestBaseline:
                                                     capsys):
         fixture = FIXTURES / "bad_rpc_dead_handler.py"
         baseline = tmp_path / "baseline.json"
-        assert main([str(fixture), "--calls-from", str(tmp_path),
-                     "--write-baseline", "--baseline",
+        assert main([str(fixture), "--write-baseline", "--baseline",
                      str(baseline)]) == 0
-        assert main([str(fixture), "--calls-from", str(tmp_path),
-                     "--baseline", str(baseline)]) == 0
+        assert main([str(fixture), "--baseline", str(baseline)]) == 0
         # Without the baseline the same finding is fatal again.
-        assert main([str(fixture), "--calls-from", str(tmp_path)]) == 1
+        assert main([str(fixture), "--baseline",
+                     str(tmp_path / "absent.json")]) == 1
         capsys.readouterr()
 
 
 class TestCli:
     def test_exit_status_counts_new_findings(self, capsys):
-        assert main([str(FIXTURES / "bad_generator_dropped.py"),
-                     "--calls-from", str(FIXTURES)]) == 1
-        assert main([str(FIXTURES / "waived_generator_dropped.py"),
-                     "--calls-from", str(FIXTURES)]) == 0
+        assert main([str(FIXTURES / "bad_generator_dropped.py")]) == 1
+        assert main([str(FIXTURES / "waived_generator_dropped.py")]) == 0
         capsys.readouterr()
 
     def test_json_format(self, capsys):
-        main([str(FIXTURES / "bad_rpc_no_yield_from.py"),
-              "--calls-from", str(FIXTURES), "--json"])
+        main([str(FIXTURES / "bad_rpc_no_yield_from.py"), "--json"])
         out = capsys.readouterr().out
         findings = json.loads(out)
         assert findings and findings[0]["rule"] == "rpc-no-yield-from"
 
     def test_table_lists_registered_methods(self, capsys):
-        main([str(FIXTURES / "bad_rpc_dead_handler.py"),
-              "--calls-from", str(FIXTURES), "--table"])
+        main([str(FIXTURES / "bad_rpc_dead_handler.py"), "--table"])
         out = capsys.readouterr().out
         assert "| `fx.used` |" in out
         assert "*(dead)*" in out  # fx.dead has no caller anywhere
 
 
 class TestRealTree:
-    def test_shipped_tree_is_clean_and_fast(self):
-        t0 = time.monotonic()
-        new, summary = analyze_protocol_for_pytest(
-            REPO, baseline=REPO / "tests/analysis/protocol_baseline.json")
-        elapsed = time.monotonic() - t0
-        assert new == [], [v.render() for v in new]
-        assert "0 new finding(s)" in summary
+    def test_shipped_tree_is_clean_and_fast(self, repo_analysis):
+        report, elapsed = repo_analysis
+        assert report.new == [], [v.render() for v in report.new]
+        assert "0 new finding(s), 0 baselined" in report.summary()
         # Acceptance bound: viable as a pytest-plugin pass.
-        assert elapsed < 10.0, f"protocol analysis took {elapsed:.1f}s"
+        assert elapsed < 10.0, f"analysis took {elapsed:.1f}s"
 
-    def test_wire_surface_extraction_is_complete(self):
-        methods = {r["method"] for r in _tree_analyzer().method_table()}
+    def test_wire_surface_extraction_is_complete(self, repo_analysis):
+        report, _ = repo_analysis
+        methods = {r["method"] for r in report.protocol.method_table()}
         # Spot-check the protocol families documented in
         # docs/protocols.md; renames must show up here.
         for expected in ("sedna.write", "sedna.cread", "replica.write",
@@ -416,8 +407,8 @@ class TestRealTree:
         assert "zk.commit" not in methods
         assert "zk.new_leader" not in methods
 
-    def test_known_dispatch_wrappers_are_discovered(self):
-        wrappers = set(_tree_analyzer().wrappers)
+    def test_known_dispatch_wrappers_are_discovered(self, repo_analysis):
+        wrappers = set(repo_analysis[0].protocol.wrappers)
         for expected in ("repro.core.coordinator.QuorumCoordinator"
                          "._replica_call",
                          "repro.core.client.SednaClient._request",
@@ -427,13 +418,14 @@ class TestRealTree:
 
 
 class TestGeneratedDocsTable:
-    def test_docs_table_matches_extraction(self):
+    def test_docs_table_matches_extraction(self, repo_analysis):
         """Drift check: docs/protocols.md carries the generated wire
         table verbatim; regenerate with
-        ``python -m repro.analysis.protocol --table``."""
-        rendered = render_method_table(_tree_analyzer().method_table())
+        ``python -m repro.analysis --table``."""
+        rendered = render_method_table(
+            repo_analysis[0].protocol.method_table())
         docs = (REPO / "docs" / "protocols.md").read_text(encoding="utf-8")
         assert rendered in docs, (
             "docs/protocols.md RPC table is stale; regenerate with "
-            "'python -m repro.analysis.protocol --table' and paste "
+            "'python -m repro.analysis --table' and paste "
             "between the markers")

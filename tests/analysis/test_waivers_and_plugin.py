@@ -1,28 +1,32 @@
-"""Waiver-dialect edge cases and pytest-plugin failure reporting.
+"""Waiver-dialect edge cases and the pytest plugin's session behaviour.
 
-The waiver comment (``# repro: allow[rule-id]``) is shared between the
-per-file determinism lint and the interprocedural protocol analyzer,
-so its parsing edge cases get pinned here once, against the shared
-:func:`repro.analysis.lint.is_waived`, plus end-to-end through
-``lint_source``.  The second half drives the pytest plugin's *failure*
-paths in subprocess sessions — the success path runs on every tier-1
-session, so only the error reporting needs dedicated coverage.
+The waiver comment (``# repro: allow[rule-id]``) is one dialect for
+all sixteen rules, so its parsing edge cases get pinned here once,
+against :func:`repro.analysis.index.is_waived`, plus end-to-end through
+:func:`repro.analysis.report.analyze`.  The second half drives the
+pytest plugin in subprocess sessions: its *failure* paths on throwaway
+``src/repro`` trees (the success path runs on every tier-1 session),
+and the one-parse-per-file promise on the real repository.
 """
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis.lint import is_waived, lint_source
+from repro.analysis.index import is_waived
+from repro.analysis.report import analyze
 
 REPO = Path(__file__).resolve().parents[2]
 
 
-def _lint(source: str):
-    return lint_source(textwrap.dedent(source), path="waiver_fixture.py")
+def _lint(tmp_path: Path, source: str):
+    path = tmp_path / "waiver_fixture.py"
+    path.write_text(textwrap.dedent(source), encoding="utf-8")
+    return analyze([path]).violations
 
 
 class TestWaiverParsing:
@@ -69,8 +73,9 @@ class TestWaiverParsing:
         tail = ["x = 1", "# repro: allow[wall-clock]"]
         assert not is_waived(tail, "wall-clock", 1)
 
-    def test_lint_source_marks_waived_not_dropped(self):
+    def test_lint_source_marks_waived_not_dropped(self, tmp_path):
         violations = _lint(
+            tmp_path,
             """
             import time
 
@@ -81,8 +86,10 @@ class TestWaiverParsing:
         hits = [v for v in violations if v.rule == "wall-clock"]
         assert hits and all(v.waived for v in hits)
 
-    def test_lint_source_comma_list_covers_both_rules_on_one_line(self):
+    def test_lint_source_comma_list_covers_both_rules_on_one_line(
+            self, tmp_path):
         violations = _lint(
+            tmp_path,
             """
             import time
 
@@ -95,8 +102,9 @@ class TestWaiverParsing:
                                                 "builtin-hash"}
         assert all(v.waived for v in violations)
 
-    def test_lint_source_unknown_id_leaves_finding_active(self):
+    def test_lint_source_unknown_id_leaves_finding_active(self, tmp_path):
         violations = _lint(
+            tmp_path,
             """
             import time
 
@@ -108,13 +116,19 @@ class TestWaiverParsing:
         assert hits and not any(v.waived for v in hits)
 
 
-def _run_pytest(tmp_path: Path, *extra: str) -> subprocess.CompletedProcess:
-    """One isolated pytest session with the plugin loaded explicitly."""
+def _run_pytest(tmp_path: Path, modules: dict) -> subprocess.CompletedProcess:
+    """One isolated pytest session, plugin loaded explicitly, rooted at
+    a throwaway repository whose ``src/repro`` holds ``modules``."""
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("", encoding="utf-8")
+    for name, source in modules.items():
+        (pkg / name).write_text(textwrap.dedent(source), encoding="utf-8")
     (tmp_path / "test_dummy.py").write_text(
         "def test_ok():\n    assert True\n", encoding="utf-8")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-p", "repro.analysis.pytest_plugin", *extra, "test_dummy.py"],
+         "-p", "repro.analysis.pytest_plugin", "test_dummy.py"],
         cwd=tmp_path, capture_output=True, text=True,
         env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
     )
@@ -122,24 +136,21 @@ def _run_pytest(tmp_path: Path, *extra: str) -> subprocess.CompletedProcess:
 
 class TestPluginFailureReporting:
     def test_lint_failure_aborts_session_with_usage_error(self, tmp_path):
-        bad = tmp_path / "dirty.py"
-        bad.write_text(
-            "import time\n\ndef f():\n    return time.time()\n",
-            encoding="utf-8")
-        proc = _run_pytest(tmp_path, f"--repro-lint-paths={bad}")
+        proc = _run_pytest(tmp_path, {"dirty.py": """
+            import time
+
+            def f():
+                return time.time()
+            """})
         # pytest.UsageError exits with code 4 before collection.
         assert proc.returncode == 4
         err = proc.stderr + proc.stdout
-        assert "determinism lint failed" in err
+        assert "repro analysis failed" in err
         assert "wall-clock" in err
         assert "docs/protocols.md" in err
 
     def test_protocol_failure_aborts_after_clean_lint(self, tmp_path):
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        (pkg / "__init__.py").write_text("", encoding="utf-8")
-        (pkg / "mod.py").write_text(textwrap.dedent(
-            """
+        proc = _run_pytest(tmp_path, {"mod.py": """
             class Client:
                 def __init__(self, rpc):
                     self.rpc = rpc
@@ -148,34 +159,64 @@ class TestPluginFailureReporting:
                     out = yield from self.rpc.call(
                         "peer", "fx.nowhere", {}, timeout=1.0)
                     return out
-            """), encoding="utf-8")
-        clean = tmp_path / "clean.py"
-        clean.write_text("X = 1\n", encoding="utf-8")
-        proc = _run_pytest(
-            tmp_path, f"--repro-lint-paths={clean}", "--repro-protocol")
+            """})
         assert proc.returncode == 4
         err = proc.stderr + proc.stdout
-        assert "protocol analysis failed" in err
+        assert "repro analysis failed" in err
         assert "rpc-unregistered-method" in err
+        assert "wall-clock" not in err
         assert "docs/protocols.md" in err
 
-    def test_protocol_env_flag_reports_success_summary(self, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text("X = 1\n", encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p",
-             "no:cacheprovider", "-p", "repro.analysis.pytest_plugin",
-             f"--repro-lint-paths={clean}", "test_dummy.py"],
-            cwd=_seed_dummy(tmp_path), capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
-                 "REPRO_PROTOCOL_ANALYSIS": "1"},
-        )
+    def test_clean_tree_reports_success_summary(self, tmp_path):
+        proc = _run_pytest(tmp_path, {"clean.py": "X = 1\n"})
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "repro protocol analysis:" in proc.stdout
-        assert "0 new finding(s)" in proc.stdout
+        assert "repro analysis: 2 file(s) indexed, 0 new finding(s)" \
+            in proc.stdout
 
 
-def _seed_dummy(tmp_path: Path) -> Path:
-    (tmp_path / "test_dummy.py").write_text(
-        "def test_ok():\n    assert True\n", encoding="utf-8")
-    return tmp_path
+_COUNT_PARSES = """
+import ast, collections, json, sys
+import pytest
+
+counts = collections.Counter()
+parse = ast.parse
+
+def counting(source, filename="<unknown>", *args, **kwargs):
+    counts[str(filename)] += 1
+    return parse(source, filename, *args, **kwargs)
+
+ast.parse = counting
+code = pytest.main(sys.argv[1:])
+print("PARSES " + json.dumps({"exit": int(code), "counts": counts}))
+"""
+
+
+class TestPluginSession:
+    def test_each_indexed_file_is_parsed_once(self):
+        """A session analyzes the repository from one index: every
+        package, test, benchmark and example file is parsed exactly
+        once (assertion rewriting, which parses test modules again, is
+        off so only the analysis is counted)."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNT_PARSES, "-q", "-p",
+             "no:cacheprovider", "--assert=plain", "--co",
+             "tests/analysis/test_waivers_and_plugin.py"],
+            cwd=REPO, capture_output=True, text=True,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        line = next((ln for ln in proc.stdout.splitlines()
+                     if ln.startswith("PARSES ")), None)
+        assert line is not None, proc.stdout + proc.stderr
+        result = json.loads(line[len("PARSES "):])
+        assert result["exit"] == 0, proc.stdout + proc.stderr
+        per_file = {}
+        for name, count in result["counts"].items():
+            path = Path(name).resolve()
+            per_file[path] = per_file.get(path, 0) + count
+        package = set((REPO / "src" / "repro").rglob("*.py"))
+        assert package <= set(per_file), sorted(package - set(per_file))
+        indexed = {p: n for p, n in per_file.items()
+                   if any(p.is_relative_to(REPO / d) for d in
+                          ("src", "tests", "benchmarks", "examples"))}
+        assert len(indexed) > 250
+        assert {p: n for p, n in indexed.items() if n != 1} == {}
