@@ -120,9 +120,11 @@ class WireMemcachedClient:
             timeout_ev = self.sim.timeout(max(0.0, deadline - self.sim.now))
             from ..net.simulator import AnyOf
             yield AnyOf(self.sim, (waiter, timeout_ev))
-            if not waiter.triggered:
+            if waiter.triggered:
+                timeout_ev.defuse()
+            else:
                 self._waiter = None
-                waiter.callbacks = None  # defuse
+                waiter.defuse()
 
     _LINE_REPLIES = (b"STORED\r\n", b"NOT_STORED\r\n", b"EXISTS\r\n",
                      b"NOT_FOUND\r\n", b"DELETED\r\n", b"TOUCHED\r\n",

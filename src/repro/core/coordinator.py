@@ -445,6 +445,10 @@ class QuorumCoordinator:
         Called exactly once per fan-out, so it doubles as the sampling
         point for the fan-out-depth histogram and the laggard counter
         (replicas still silent when the quorum settled).
+
+        One callback watches both the reply and its silence timer; the
+        reply defuses the timer, so an answered laggard releases the
+        call at once instead of request_timeout later.
         """
         self._m_fanout.observe(float(len(calls)))
         self._m_laggards.inc(sum(1 for name, ev in calls
@@ -453,21 +457,22 @@ class QuorumCoordinator:
         for name, ev in calls:
             if name in already_ok:
                 continue
-
-            def check(done: Event, name=name) -> None:
-                if not done.ok:
-                    self._suspect(name, vnode_id)
-
             if ev.callbacks is None:
-                check(ev)
+                if not ev.ok:
+                    self._suspect(name, vnode_id)
                 continue
-            ev.callbacks.append(check)
+            silence = self.sim.timeout(self.config.request_timeout)
 
-            def silence(name=name, ev=ev) -> None:
-                if not ev.triggered:
+            def watch(fired: Event, name=name, ev=ev, silence=silence) -> None:
+                if fired is ev:
+                    silence.defuse()
+                    if not ev.ok:
+                        self._suspect(name, vnode_id)
+                elif not ev.triggered:
                     self._suspect(name, vnode_id)
 
-            self.sim.schedule_callback(self.config.request_timeout, silence)
+            ev.callbacks.append(watch)
+            silence.callbacks.append(watch)
 
     def _replica_set(self, key: str):
         """Replica set from the cache, with one invalidation retry."""

@@ -293,16 +293,28 @@ class RpcNode:
         """
         ev, call_id = self._issue(dst, method, args)
         deadline = self.sim.timeout(timeout)
-        yield AnyOf(self.sim, (ev, deadline))
-        if ev._triggered:
+        try:
+            yield AnyOf(self.sim, (ev, deadline))
+            if not ev._triggered:
+                # Timed out: forget the pending call so a late reply is
+                # ignored.
+                self.calls_timed_out += 1
+                self._pending.pop(call_id, None)
+                ev.defuse()
+                raise RpcTimeout(f"{method} to {dst} after {timeout}s")
+            # The reply won: the deadline is moot, and must not keep the
+            # race (and through it the reply) alive for `timeout` more.
+            deadline.defuse()
             if ev._ok:
                 return ev._value
             raise ev._value
-        # Timed out: forget the pending call so a late reply is ignored.
-        self.calls_timed_out += 1
-        self._pending.pop(call_id, None)
-        ev.callbacks = None  # defuse
-        raise RpcTimeout(f"{method} to {dst} after {timeout}s")
+        except RpcRejected:
+            # A refusal, which fails the race at once.  Its traceback
+            # holds this frame, so the frame lets go of the event that
+            # holds the refusal: no cycle is left behind.
+            deadline.defuse()
+            ev = None
+            raise
 
     def call_retry(self, dst: str, method: str, args: Any,
                    timeout: float, attempts: int = 2,
@@ -375,18 +387,23 @@ class QuorumWait:
     landed at t, which keeps repair/ack accounting identical to a
     coordinator that drains its mailbox before deciding.
 
-    Allocation note: the envelope deliberately is NOT free-list pooled.
-    Laggard replies hold callbacks into the wait long after it settles
-    (the coordinator's read-repair path feeds on them), so recycling
-    would need generation tags on every callback — and measured CPython
-    allocation is cheaper than the extra indirection.  Churn is cut
-    instead: anonymous entries share one bound reply handler (no
+    Allocation note: a wait lives exactly as long as something can
+    still act on it.  Arming it defuses its deadline (queued and
+    numbered as before, but it no longer holds the wait), so a wait
+    whose replicas all answered dies by refcount the instant it
+    settles.  Laggard replies may still hold the wait after it settles —
+    their callbacks reach it until they answer or their calls are
+    forgotten — which is also why the envelope is NOT free-list pooled:
+    recycling would need generation tags on every callback, and measured
+    CPython allocation is cheaper than the extra indirection.  Churn is
+    cut instead: anonymous entries share one bound reply handler (no
     per-call closure), the settle callback is a bound method (no
     lambda), and the observer noop is module-level.
     """
 
     __slots__ = ("sim", "needed", "fail_fast", "oks", "fails", "done",
-                 "_outstanding", "_settled", "_armed", "_pending_exc")
+                 "_outstanding", "_settled", "_armed", "_pending_exc",
+                 "_deadline")
 
     def __init__(self, sim: Simulator, calls: Iterable[Event],
                  needed: int, timeout: float,
@@ -404,6 +421,7 @@ class QuorumWait:
         self._settled = False
         self._armed = False
         self._pending_exc: Optional[RpcError] = None
+        self._deadline: Optional[Event] = None
         if not isinstance(calls, list):
             calls = list(calls)
         self._outstanding = len(calls)
@@ -421,7 +439,7 @@ class QuorumWait:
                 ev.callbacks.append(
                     lambda done_ev, _n=name: self._on_reply(_n, done_ev))
         if not self._armed:
-            deadline = sim.timeout(timeout)
+            self._deadline = deadline = sim.timeout(timeout)
             deadline.callbacks.append(self._on_deadline)
 
     def _impossible(self) -> bool:
@@ -459,6 +477,10 @@ class QuorumWait:
             return
         self._armed = True
         self._pending_exc = exc
+        if self._deadline is not None:
+            # Armed, the wait ignores its deadline: defuse it, so the
+            # wait dies when it settles, not request_timeout later.
+            self._deadline.defuse()
         # Same scheduling as schedule_callback(0.0, ...) — one timeout,
         # one sequence number — minus the wrapper lambda.
         self.sim.timeout(0.0).callbacks.append(self._finalize)

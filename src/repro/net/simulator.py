@@ -39,6 +39,12 @@ frames and C-heap traffic, so
   buffer always holds the global minimum, ties impossible because
   sequence numbers are unique.
 
+Release discipline: what settles lets go by refcount, so nothing on the
+data path needs CPython's cycle collector.  A timer that became moot is
+*defused* in place (:meth:`Event.defuse`: queued, numbered, runs
+nothing), and a finished :class:`Process` drops the bound resume
+callback that was its one reference back to itself.
+
 Every change here is guarded by the golden digest fixtures
 (``tests/chaos/test_golden_digests.py``) — the total order must not
 move by a single event.  The kernel is profiled by
@@ -111,8 +117,24 @@ class Event:
 
     @property
     def processed(self) -> bool:
-        """True once the event's callbacks have run."""
-        return self.callbacks is None
+        """True once the event's callbacks have run.
+
+        ``callbacks is None`` alone also holds for a *defused* event
+        that has not fired yet, so both halves are needed."""
+        return self._triggered and self.callbacks is None
+
+    def defuse(self) -> None:
+        """Let a moot event go: it drops its callbacks, and everything
+        they reach, but keeps its queue entry.
+
+        A defused event is still queued, still numbered and still pops
+        at its ``(time, priority, seq)``; it only runs nothing.  So the
+        total order, ``events_scheduled`` and every digest are those of
+        the undefused run, while the waiter the event would have woken
+        (a settled quorum wait, a finished call's race) dies by refcount
+        at once instead of when the event's instant arrives.  A new
+        waiter revives it (see :meth:`Process._resume`)."""
+        self.callbacks = None
 
     @property
     def ok(self) -> Optional[bool]:
@@ -266,9 +288,9 @@ class Process(Event):
         Interrupting a finished process is an error.  A process blocked
         on an event is *logically* detached from it: the stale callback
         stays in the event's list (removing it was an O(waiters) list
-        scan) but is defused by the ``_target`` guard in
+        scan) but is ignored by the ``_target`` guard in
         :meth:`_resume` — when the abandoned event later fires, the
-        stale resume is discarded.  The same guard defuses a scheduled
+        stale resume is discarded.  The same guard drops a scheduled
         interrupt whose process was terminated first at the same
         timestamp (e.g. by an earlier interrupt), which previously
         advanced a finished generator and crashed the kernel; when
@@ -291,7 +313,7 @@ class Process(Event):
         if event is not self._target:
             # Stale wakeup: an event this process abandoned (interrupt,
             # or an interrupt outrun by the process finishing at the
-            # same timestamp).  Mark-defused instead of list-removal.
+            # same timestamp).  A guard instead of list-removal.
             return
         self._target = None
         sim = self.sim
@@ -310,12 +332,19 @@ class Process(Event):
                 else:
                     nxt = generator.throw(deliver_exc)
             except StopIteration as stop:
+                # A finished process leaves no cycle: the bound resume
+                # callback is the only reference back to it.
+                self._resume_cb = None
                 self.succeed(stop.value)
                 return
             except BaseException as err:
                 if isinstance(err, (KeyboardInterrupt, SystemExit)):
                     raise
-                self.fail(err)
+                self._resume_cb = None
+                # The traceback's head is this frame, whose locals hold
+                # the process that now holds the error: start it at the
+                # generator's frame instead, so no cycle is left.
+                self.fail(err.with_traceback(err.__traceback__.tb_next))
                 return
             # Duck-validate the yield: anything without our kernel's
             # event shape (sim + callbacks slots) — or owned by another
@@ -332,12 +361,15 @@ class Process(Event):
                 deliver_val = None
                 continue
             if cbs is None:
-                # Already processed: resume immediately with its outcome.
-                if nxt._ok:
-                    deliver_exc, deliver_val = None, nxt._value
-                else:
-                    deliver_exc, deliver_val = nxt._value, None
-                continue
+                if nxt._triggered:
+                    # Already processed: resume at once with its outcome.
+                    if nxt._ok:
+                        deliver_exc, deliver_val = None, nxt._value
+                    else:
+                        deliver_exc, deliver_val = nxt._value, None
+                    continue
+                # Defused but not fired yet: waiting revives it.
+                nxt.callbacks = cbs = []
             cbs.append(resume_cb)
             self._target = nxt
             return
@@ -384,9 +416,11 @@ class RecurringTimer:
         d = self.interval if delay is None else delay
         sim = self.sim
         ev = self._event
-        if ev is None or ev.callbacks is not None or sim.tracer is not None:
-            # First use, previous tick still pending (two waiters would
-            # alias), or a tracer needs fresh identities: plain Timeout.
+        if (ev is None or ev.callbacks is not None or not ev._triggered
+                or sim.tracer is not None):
+            # First use, previous tick still queued (two waiters would
+            # alias; a defused tick is queued too), or a tracer needs
+            # fresh identities: plain Timeout.
             ev = sim.timeout(d)
             self._event = ev
             return ev
@@ -428,12 +462,16 @@ class _Condition(Event):
             self.succeed(self._values)
             return
         for ev in self.events:
-            if ev.callbacks is None:
+            cbs = ev.callbacks
+            if cbs is not None:
+                cbs.append(self._check)
+            elif ev._triggered:
                 self._check(ev)
+                if self._triggered:
+                    break
             else:
-                ev.callbacks.append(self._check)
-            if self._triggered:
-                break
+                # Defused but not fired yet: waiting revives it.
+                ev.callbacks = [self._check]
 
     def _collect(self) -> dict:
         """Outcomes of all triggered-and-successful child events so far."""
@@ -636,7 +674,7 @@ class Simulator:
         if callbacks is None:
             if tracer is not None:
                 tracer.on_step_done(event)
-            return  # defused: a waiter explicitly abandoned this event
+            return  # defused: queued and numbered, but runs nothing
         event.callbacks = None
         if tracer is None:
             for cb in callbacks:
@@ -677,7 +715,7 @@ class Simulator:
         queue = self._queue
         if isinstance(until, Event):
             stop = until
-            while stop.callbacks is not None:
+            while stop.callbacks is not None or not stop._triggered:
                 buf = self._nbuf
                 if buf is not None:
                     if queue and queue[0] < buf:
@@ -772,7 +810,7 @@ class Simulator:
         tracer sees every schedule/step/step-done transition."""
         if isinstance(until, Event):
             stop = until
-            while stop.callbacks is not None:
+            while stop.callbacks is not None or not stop._triggered:
                 if self._nbuf is None and not self._queue:
                     raise SimulationError(
                         "simulation ran dry before the awaited event triggered")

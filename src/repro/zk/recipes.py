@@ -91,6 +91,9 @@ class _SequenceProtocol:
                 # server failover.
                 waiters.append(self.zk.sim.timeout(2.0))
             yield AnyOf(self.zk.sim, waiters)
+            for loser in waiters:
+                if not loser.triggered:
+                    loser.defuse()
             if deadline is not None and self.zk.sim.now >= deadline \
                     and not fired.triggered:
                 yield from self._withdraw()

@@ -299,14 +299,17 @@ class ZkServer:
         deadline = self.sim.timeout(self.config.proposal_timeout)
 
         def check(_ev):
+            # Whichever side settles the race defuses the other.
             if result.triggered:
                 return
             if call.triggered:
+                deadline.defuse()
                 if call.ok:
                     result.succeed(call.value)
                 else:
                     result.fail(call.value)
             elif deadline.triggered:
+                call.defuse()
                 result.fail(RpcRejected("leader-timeout"))
         call.callbacks.append(check)
         deadline.callbacks.append(check)
@@ -638,7 +641,7 @@ class ZkServer:
                                   call.value["zxid"], call.value["name"]))
                     reachable += 1
                 elif not call.triggered:
-                    call.callbacks = None  # defuse the straggler
+                    call.defuse()  # the straggler's vote is moot
             if reachable < self.majority:
                 return  # cannot form a quorum; retry on next watchdog tick
             if max(votes) == my_vote:

@@ -141,6 +141,38 @@ class TestQuorumFailure:
         assert drive(sim, waiter()) == pytest.approx(0.5)
         assert wait.oks == [("r0", "a")]
 
+    def test_unsettled_wait_times_out_at_its_deadline(self, sim):
+        """Nothing answers: the deadline stays live and fails the wait
+        at exactly its instant."""
+        calls = [(n, deferred(sim, 99.0, n)) for n in ("r0", "r1", "r2")]
+        wait = QuorumWait(sim, calls, needed=2, timeout=0.75)
+        with pytest.raises(RpcTimeout):
+            drive(sim, wait.wait())
+        assert sim.now == pytest.approx(0.75)
+        assert wait.oks == [] and wait.fails == []
+
+    def test_armed_wait_deadline_runs_nothing(self, sim):
+        """Once armed the wait ignores its deadline, so the deadline is
+        defused: still queued and still popping at its instant (the
+        event count does not move), but holding and running nothing."""
+        made = []
+        timeout = sim.timeout
+
+        def spy(delay, value=None):
+            made.append(timeout(delay, value))
+            return made[-1]
+
+        sim.timeout = spy
+        calls = [(n, deferred(sim, 0.1, n)) for n in ("r0", "r1")]
+        wait = QuorumWait(sim, calls, needed=2, timeout=1.0)
+        deadline = next(t for t in made if t.delay == 1.0)
+        drive(sim, wait.wait())
+        assert deadline.callbacks is None and not deadline.triggered
+        scheduled = sim.events_scheduled
+        sim.run()
+        assert deadline.triggered and sim.now == pytest.approx(1.0)
+        assert sim.events_scheduled == scheduled
+
     def test_late_replies_not_recorded_after_settle(self, sim):
         calls = [("r0", deferred(sim, 0.1, "a")),
                  ("r1", deferred(sim, 0.2, "b")),
