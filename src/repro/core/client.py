@@ -33,7 +33,8 @@ from ..zk.server import ZkConfig
 from .cache import MappingCache
 from .config import SednaConfig
 from .coordinator import QuorumCoordinator
-from .types import DEFAULT_DATASET, DEFAULT_TABLE, FullKey
+from .types import (DEFAULT_DATASET, DEFAULT_TABLE, encode_key,
+                    encode_keys)
 
 __all__ = ["CausalReadResult", "CausalWriteAck", "SednaClient",
            "SmartSednaClient"]
@@ -202,18 +203,10 @@ class SednaClient:
             self._tracer.finish(span, **tags)
         return reply
 
-    @staticmethod
-    def _encode(key: str, table: str, dataset: str) -> str:
-        return FullKey(dataset=dataset, table=table, key=key).encoded()
-
-    def _encode_all(self, keys, table: str, dataset: str) -> dict[str, Any]:
-        """{encoded key: the caller's key}, first occurrence order."""
-        return {self._encode(k, table, dataset): k for k in keys}
-
     # -- write APIs (§III.F.1) ------------------------------------------------
     def _write(self, mode: str, key: str, value: Any, table: str,
                dataset: str):
-        args = {"key": self._encode(key, table, dataset), "value": value,
+        args = {"key": encode_key(key, table, dataset), "value": value,
                 "ts": self._timestamp(), "source": self.name, "mode": mode}
         reply = yield from self._op("write", "sedna.write", args)
         return WriteOutcome.FAILURE if reply is None else reply["status"]
@@ -236,7 +229,7 @@ class SednaClient:
     def read_latest(self, key: str, table: str = DEFAULT_TABLE,
                     dataset: str = DEFAULT_DATASET):
         """The freshest value regardless of writer; None when absent."""
-        args = {"key": self._encode(key, table, dataset), "mode": "latest"}
+        args = {"key": encode_key(key, table, dataset), "mode": "latest"}
         reply = yield from self._op("read", "sedna.read", args, read=True)
         if reply is None or not reply.get("found"):
             return None
@@ -246,7 +239,7 @@ class SednaClient:
                             dataset: str = DEFAULT_DATASET):
         """Like :meth:`read_latest` but returns the full element
         (source, timestamp, value)."""
-        args = {"key": self._encode(key, table, dataset), "mode": "latest"}
+        args = {"key": encode_key(key, table, dataset), "mode": "latest"}
         reply = yield from self._op("read", "sedna.read", args, read=True)
         if reply is None or not reply.get("found"):
             return None
@@ -256,7 +249,7 @@ class SednaClient:
                  dataset: str = DEFAULT_DATASET):
         """Every element of the value list ("all the values corresponding
         that key", §III.F.2); empty on failure."""
-        args = {"key": self._encode(key, table, dataset), "mode": "all"}
+        args = {"key": encode_key(key, table, dataset), "mode": "all"}
         reply = yield from self._op("read_all", "sedna.read", args, read=True)
         if reply is None:
             return []
@@ -265,7 +258,7 @@ class SednaClient:
     def delete(self, key: str, table: str = DEFAULT_TABLE,
                dataset: str = DEFAULT_DATASET):
         """Quorum delete of a key; True on success."""
-        args = {"key": self._encode(key, table, dataset)}
+        args = {"key": encode_key(key, table, dataset)}
         reply = yield from self._op("delete", "sedna.delete", args)
         return reply is not None
 
@@ -282,7 +275,7 @@ class SednaClient:
         concurrent versions.
         """
         context = context or ()
-        args = {"key": self._encode(key, table, dataset), "value": value,
+        args = {"key": encode_key(key, table, dataset), "value": value,
                 "ts": self._timestamp(), "source": self.name,
                 "ctx": [list(pair) for pair in context]}
         reply = yield from self._op("write_causal", "sedna.cwrite", args)
@@ -301,7 +294,7 @@ class SednaClient:
         """Quorum read of every surviving sibling plus the causal
         context to thread into the reconciling write; None on failure.
         """
-        args = {"key": self._encode(key, table, dataset)}
+        args = {"key": encode_key(key, table, dataset)}
         reply = yield from self._op("read_causal", "sedna.cread", args,
                                     read=True)
         if reply is None:
@@ -322,7 +315,7 @@ class SednaClient:
         ``replica.mwrite`` per replica per vnode-group, so the N-way
         round-trip cost is paid per *group*, not per key.
         """
-        enc = self._encode_all(items, table, dataset)
+        enc = encode_keys(items, table, dataset)
         args = {"entries": [
             {"key": ek, "value": items[uk], "ts": self._timestamp(),
              "source": self.name, "mode": mode} for ek, uk in enc.items()]}
@@ -334,7 +327,7 @@ class SednaClient:
 
     def _multi_read(self, mode: str, keys, table: str, dataset: str):
         """{the caller's key: its ``sedna.mread`` row, {} on failure}."""
-        enc = self._encode_all(keys, table, dataset)
+        enc = encode_keys(keys, table, dataset)
         args = {"keys": list(enc), "mode": mode}
         reply = yield from self._op("mread", "sedna.mread", args, read=True,
                                     keys=len(enc))
@@ -359,7 +352,7 @@ class SednaClient:
     def multi_delete(self, keys, table: str = DEFAULT_TABLE,
                      dataset: str = DEFAULT_DATASET):
         """Batched delete: {key: True/False} per-key success."""
-        enc = self._encode_all(keys, table, dataset)
+        enc = encode_keys(keys, table, dataset)
         reply = yield from self._op("mdelete", "sedna.mdelete",
                                     {"keys": list(enc)}, keys=len(enc))
         results = {} if reply is None else reply["results"]

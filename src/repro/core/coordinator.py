@@ -41,9 +41,8 @@ from typing import Any, Callable, NamedTuple, Optional
 from ..net.rpc import QuorumWait, RpcError, RpcNode, RpcRejected
 from ..net.simulator import Event, Simulator
 from ..net.transport import estimate_size
-from ..storage.versioned import (DvvRow, ValueElement, VersionedStore,
-                                 WriteOutcome, unwire_dvv_row, wire_context,
-                                 wire_dvv_row)
+from ..storage.versioned import (DvvRow, ValueElement, WriteOutcome,
+                                 unwire_dvv_row, wire_context, wire_dvv_row)
 from .cache import MappingCache
 from .config import SednaConfig
 
@@ -51,7 +50,9 @@ __all__ = ["OPS", "QuorumCoordinator", "wire_elements", "unwire_elements"]
 
 
 def wire_elements(elements: list[ValueElement]) -> list[tuple]:
-    """Serialize value-list elements for the simulated wire."""
+    """Serialize value-list elements for the simulated wire: plain
+    tuples, never the named tuple itself (it sizes as an opaque
+    object)."""
     return [(e.source, e.timestamp, e.value) for e in elements]
 
 
@@ -65,11 +66,16 @@ def _key(item: Any) -> str:
     return item["key"] if type(item) is dict else item
 
 
-def _holds(elements: list[ValueElement], latest: ValueElement) -> bool:
-    """Does a replica's answer contain the freshest version?"""
-    source, timestamp = latest.source, latest.timestamp
+def _order(el: tuple) -> tuple:
+    """:func:`~repro.storage.versioned.element_order` of a wire tuple."""
+    return (el[1], el[0])
+
+
+def _holds(elements, latest: tuple) -> bool:
+    """Does a replica's answer (wire tuples) hold the freshest version?"""
+    source, timestamp = latest[0], latest[1]
     for e in elements:
-        if e.source == source and e.timestamp == timestamp:
+        if e[0] == source and e[1] == timestamp:
             return True
     return False
 
@@ -77,13 +83,16 @@ def _holds(elements: list[ValueElement], latest: ValueElement) -> bool:
 class _LwwMerge:
     """Merge state of one ``latest``/``all`` read round over a group.
 
-    Newest element per source under the full (timestamp, source) order.
-    Each reply carries the row's write-mode flag so LWW rows collapse
-    here too — the repair payload must not re-inflate a collapsed row
-    on the replicas.  The single-key wire (``replica.read`` /
-    ``replica.repair``) and the batched one (``replica.mread`` /
-    ``replica.install``) differ only in :meth:`_rows` and
-    :meth:`repair_args`.
+    Newest element per source under the full (timestamp, source) order,
+    exactly as :meth:`VersionedStore.merge_elements` would merge the
+    replies into an empty store, but on the replies' own wire tuples:
+    a merged row is a list of the elements replicas sent, nothing is
+    rebuilt.  Each reply carries the row's write-mode flag so LWW rows
+    collapse here too — the repair payload must not re-inflate a
+    collapsed row on the replicas.  The single-key wire
+    (``replica.read`` / ``replica.repair``) and the batched one
+    (``replica.mread`` / ``replica.install``) differ only in
+    :meth:`_rows` and :meth:`repair_args`.
     """
 
     repair_failed = "read-repair-failed"
@@ -91,29 +100,48 @@ class _LwwMerge:
     def __init__(self, keys: list[str], single: bool):
         self.keys = keys
         self.single = single
-        self.store = VersionedStore()
-        #: replica -> key -> the elements it answered with.
-        self.responses: dict[str, dict[str, list[ValueElement]]] = {}
+        #: key -> merged wire row / its write-mode flag.
+        self.merged: dict[str, list[tuple]] = {}
+        self.lww: dict[str, Optional[bool]] = {}
+        #: replica -> key -> the wire row it answered with.
+        self.responses: dict[str, dict[str, list[tuple]]] = {}
 
     def _rows(self, reply: dict) -> tuple[dict, dict]:
-        """One replica reply as ({key: elements}, {key: lww flag})."""
+        """One replica reply as ({key: wire row}, {key: lww flag})."""
         if self.single:
             key = self.keys[0]
-            return ({key: unwire_elements(reply["elements"])},
-                    {key: reply.get("lww")})
-        return ({k: unwire_elements(blob)
-                 for k, blob in reply["rows"].items()}, reply.get("lww", {}))
+            return {key: reply["elements"]}, {key: reply.get("lww")}
+        return reply["rows"], reply.get("lww", {})
 
     def absorb(self, name: str, reply: dict) -> None:
         rows, flags = self._rows(reply)
         self.responses[name] = rows
+        merged, lww = self.merged, self.lww
         for k in self.keys:
-            self.store.merge_elements(k, rows.get(k, []), lww=flags.get(k))
+            row = merged.get(k)
+            if row is None:
+                row = merged[k] = []
+                lww[k] = None
+            flag = flags.get(k)
+            if flag is not None:
+                lww[k] = flag
+            for el in rows.get(k, ()):
+                source = el[0]
+                for i, mine in enumerate(row):
+                    if mine[0] == source:
+                        if (el[1], source) > (mine[1], mine[0]):
+                            del row[i]
+                            row.append(el)
+                        break
+                else:
+                    row.append(el)
+            if lww[k] and len(row) > 1:
+                row[:] = [max(row, key=_order)]
 
     def missing(self) -> bool:
         """Does some key look absent (what churn insurance re-checks)?"""
-        rows = self.store.rows
-        return any(not rows[k].elements for k in self.keys)
+        merged = self.merged
+        return any(not merged[k] for k in self.keys)
 
     def settle(self) -> list[str]:
         """Freeze the merged snapshot; returns the responders in reply
@@ -121,38 +149,40 @@ class _LwwMerge:
         order is part of the reply and of the repair fan-out)."""
         responders = (list(self.responses) if self.single
                       else sorted(self.responses))
-        self.latest: dict[str, Optional[ValueElement]] = {}
+        self.latest: dict[str, Optional[tuple]] = {}
+        #: key -> merged wire row, for the keys some replica holds.
         self.wire: dict[str, list[tuple]] = {}
         self.agree: dict[str, int] = {}
         #: stale replica -> {key: merged wire row} it has to be sent.
         self.repairs: dict[str, dict[str, list[tuple]]] = {}
+        answers = [(name, self.responses[name]) for name in responders]
         for k in self.keys:
-            row = self.store.rows[k]    # absorb() made one for every key
-            latest = self.latest[k] = row.latest()
-            elements = row.elements
-            if elements:
-                self.wire[k] = wire_elements(elements)
+            row = self.merged[k]    # absorb() made one for every key
+            if not row:
+                self.latest[k] = None
+                self.agree[k] = sum(1 for _n, rows in answers
+                                    if not rows.get(k))
+                continue
+            latest = self.latest[k] = (row[0] if len(row) == 1
+                                       else max(row, key=_order))
+            self.wire[k] = row
             agree = 0
-            for name in responders:
-                held = self.responses[name].get(k, [])
-                if latest is None:
-                    agree += not held
-                elif _holds(held, latest):
+            for name, rows in answers:
+                if _holds(rows.get(k, ()), latest):
                     agree += 1
-                elif elements:
-                    self.repairs.setdefault(name, {})[k] = self.wire[k]
+                else:
+                    self.repairs.setdefault(name, {})[k] = row
             self.agree[k] = agree
         return responders
 
     def repair_args(self, vnode_id: int, rows: dict) -> dict:
-        flags = {k: self.store.rows[k].lww for k in rows}
+        lww = self.lww
         if self.single:
             key = self.keys[0]
             return {"vnode": vnode_id, "key": key, "elements": rows[key],
-                    "lww": flags[key]}
+                    "lww": lww[key]}
         return {"vnode": vnode_id, "rows": rows,
-                "lww": {k: lww for k, lww in flags.items()
-                        if lww is not None}}
+                "lww": {k: lww[k] for k in rows if lww[k] is not None}}
 
     def lacking(self, reply: dict) -> dict:
         """Merged rows a late responder turns out to be missing."""
@@ -161,7 +191,7 @@ class _LwwMerge:
         rows, _flags = self._rows(reply)
         return {k: self.wire[k] for k, latest in self.latest.items()
                 if latest is not None and k in self.wire
-                and not _holds(rows.get(k, []), latest)}
+                and not _holds(rows.get(k, ()), latest)}
 
     def result(self, key: str, mode: str, responders: list[str]) -> dict:
         if mode == "all":
@@ -170,8 +200,9 @@ class _LwwMerge:
         latest = self.latest[key]
         if latest is None:
             return {"found": False, "responders": responders}
-        return {"found": True, "value": latest.value, "ts": latest.timestamp,
-                "source": latest.source, "responders": responders}
+        source, ts, value = latest
+        return {"found": True, "value": value, "ts": ts,
+                "source": source, "responders": responders}
 
 
 class _DvvMerge:
@@ -246,7 +277,8 @@ class _Op(NamedTuple):
     failed: str = ""    # reason prefix when the quorum is not met
     read: bool = False  # R-quorum + merge/repair; else W-quorum + acks
     batch: bool = False  # one process per vnode-group, per-key failures
-    #: (replica reply, key) -> that key's write status; None: always ok.
+    #: (replica reply, the group's first key) -> the keys that replica
+    #: applied; None: always ok.
     ack: Optional[Callable[[dict, str], Any]] = None
     merge: Any = None   # reads: _LwwMerge or _DvvMerge
     repair: str = ""    # reads: method that pushes the merged rows back
@@ -265,7 +297,8 @@ OPS: dict[str, _Op] = {
             "ts": args["ts"], "source": args["source"],
             "mode": args["mode"]},
         failed="write-quorum-failed",
-        ack=lambda reply, key: reply["status"]),
+        ack=lambda reply, key: (
+            (key,) if reply["status"] == WriteOutcome.OK else ())),
     "sedna.read": _Op(
         counter="coordinated_reads", span="coord.read",
         read=True, coalesce=True,
@@ -313,7 +346,8 @@ OPS: dict[str, _Op] = {
                          "ts": e["ts"], "source": e["source"],
                          "mode": e["mode"]} for e in items]},
         failed="write-quorum-failed",
-        ack=lambda reply, key: reply["statuses"].get(key)),
+        ack=lambda reply, key: [k for k, status in reply["statuses"].items()
+                                if status == WriteOutcome.OK]),
     "sedna.mread": _Op(
         counter="coordinated_multi_reads", span="coord.mread",
         read=True, batch=True,
@@ -474,13 +508,16 @@ class QuorumCoordinator:
             ev.callbacks.append(watch)
             silence.callbacks.append(watch)
 
-    def _replica_set(self, key: str):
-        """Replica set from the cache, with one invalidation retry."""
-        vnode_id, replicas = self.cache.replicas_for_key(key)
-        if len(replicas) < self.config.replicas:
-            yield from self.cache.invalidate(vnode_id)
-            vnode_id, replicas = self.cache.replicas_for_key(key)
-        return vnode_id, replicas
+    def _replica_set(self, key: str, found=None):
+        """``(vnode id, replicas)`` from the cache, with one invalidation
+        retry when the set is short; ``found`` is the caller's own
+        lookup of ``key``, when it made one."""
+        if found is None:
+            found = self.cache.replicas_for_key(key)
+        if len(found[1]) < self.config.replicas:
+            yield from self.cache.invalidate(found[0])
+            found = self.cache.replicas_for_key(key)
+        return found
 
     def _warm_wait_limit(self) -> int:
         """How many request_timeout periods a warming replica is worth
@@ -507,14 +544,20 @@ class QuorumCoordinator:
         try:
             if op.batch:
                 # Group by virtual node; the per-vnode quorums run
-                # concurrently and fail independently.
+                # concurrently and fail independently.  The cache is
+                # read directly; only a short replica set goes through
+                # _replica_set's invalidation.
                 groups: dict[int, list] = {}
                 placed: dict[int, tuple[int, list[str]]] = {}
+                lookup = self.cache.replicas_for_key
+                n = self.config.replicas
                 for item in items:
-                    vnode_id, replicas = yield from self._replica_set(
-                        _key(item))
-                    groups.setdefault(vnode_id, []).append(item)
-                    placed[vnode_id] = (vnode_id, replicas)
+                    key = _key(item)
+                    found = lookup(key)
+                    if len(found[1]) < n:
+                        found = yield from self._replica_set(key, found)
+                    groups.setdefault(found[0], []).append(item)
+                    placed[found[0]] = found
                 results: dict[str, Any] = {}
                 procs = [self.sim.process(
                     self._group(op, groups[v], args, placed[v], results),
@@ -696,15 +739,18 @@ class QuorumCoordinator:
         acks into per-key statuses."""
         self._post_quorum_watch(calls, vnode_id, {n for n, _v in oks})
         acks = [name for name, _v in oks]
+        # A key is ok when any W-quorum member applied it.
+        applied = None
+        if op.ack is not None:
+            first = _key(items[0])
+            applied = set()
+            for _n, reply in oks:
+                applied.update(op.ack(reply, first))
         rows = {}
         for item in items:
             key = _key(item)
-            status = "ok"
-            if op.ack is not None:
-                status = (WriteOutcome.OK
-                          if WriteOutcome.OK in [op.ack(reply, key)
-                                                 for _n, reply in oks]
-                          else WriteOutcome.OUTDATED)
+            status = ("ok" if applied is None or key in applied
+                      else WriteOutcome.OUTDATED)
             rows[key] = ({"status": status, "acks": acks} if op.batch else
                          {"status": status, "vnode": vnode_id, "acks": acks})
         return rows

@@ -28,9 +28,9 @@ from functools import partial
 from typing import Any, Optional
 
 from ..net.latency import LOCAL_STORE_OP, REQUEST_HANDLING
-from ..net.rpc import RpcNode, RpcRejected, RpcTimeout
+from ..net.rpc import RpcNode, RpcRejected, RpcTimeout, Sized, unsized
 from ..net.simulator import Event, Simulator
-from ..net.transport import Network
+from ..net.transport import Network, estimate_size
 from ..obs.metrics import VnodeStatsFeed
 from ..persistence.disk import SimDisk
 from ..persistence.strategy import make_strategy
@@ -48,6 +48,26 @@ from .coordinator import (OPS, QuorumCoordinator, unwire_elements,
 from .hashring import Ring, VnodeStatus
 
 __all__ = ["SednaNode"]
+
+# The batched replica replies are sized from their shape (see
+# repro.net.rpc.Sized): a fixed skeleton plus, per key, its string and
+# its status or row.  Keys are encoded full keys, so strings.
+_MWRITE_BASE = estimate_size({"statuses": {}}, 1)
+_MREAD_BASE = estimate_size({"rows": {}, "lww": {}}, 1)
+
+
+def _mread_row_size(wire: list) -> int:
+    """``estimate_size(wire, 3)``: a wire row where ``replica.mread``
+    puts it (reply, ``rows``, row), by its shape when the element
+    holds the usual string source, float timestamp and string value."""
+    size = 8
+    for element in wire:
+        source, ts, value = element
+        if type(source) is str and type(ts) is float and type(value) is str:
+            size += 16 + len(source) + len(value)
+        else:
+            size += estimate_size(element, 4)
+    return size
 
 
 class SednaNode:
@@ -508,12 +528,23 @@ class SednaNode:
     # Local indexing helpers
     # ------------------------------------------------------------------
     def _index_key(self, key: str) -> None:
-        vnode_id = self.cache.ring.vnode_of(key)
-        keys = self.vnode_keys.get(vnode_id)
-        if keys is None:
-            keys = self.vnode_keys[vnode_id] = set()
-        keys.add(key)
-        self.vstats.status(vnode_id).keys = len(keys)
+        self._index_keys((key,))
+
+    def _index_keys(self, keys) -> None:
+        """Add keys to the vnode index; each touched vnode's key count
+        is set once, not once per key."""
+        vnode_of = self.cache.ring.vnode_of
+        vnode_keys = self.vnode_keys
+        touched = {}
+        for key in keys:
+            vnode_id = vnode_of(key)
+            indexed = vnode_keys.get(vnode_id)
+            if indexed is None:
+                indexed = vnode_keys[vnode_id] = set()
+            indexed.add(key)
+            touched[vnode_id] = indexed
+        for vnode_id, indexed in touched.items():
+            self.vstats.status(vnode_id).keys = len(indexed)
 
     def _status(self, vnode_id: int) -> VnodeStatus:
         return self.vstats.status(vnode_id)
@@ -548,30 +579,34 @@ class SednaNode:
 
     def _apply_writes(self, vnode_id: int, entries: list) -> dict[str, str]:
         """Apply a vnode-group of writes: one ownership check, one
-        forward to a migration receiver; per-key outcomes."""
+        forward to a migration receiver, one stats update per touched
+        vnode; per-key outcomes (a key sent twice reports its last
+        entry's).  Each applied entry is logged by its own outcome."""
         self._guard_owner(vnode_id)
         self.replica_writes += len(entries)
         self.vstats.record_write(vnode_id, len(entries))
         store = self.store
         statuses = {}
-        for e in entries:   # duplicate keys: the last entry's outcome wins
+        outcomes = []
+        for e in entries:
             write = (store.write_latest if e["mode"] == "latest"
                      else store.write_all)
-            statuses[e["key"]] = write(e["key"], e["value"], e["ts"],
-                                       e["source"])
-        for e in entries:
-            key = e["key"]
-            self._index_key(key)
-            if statuses[key] == WriteOutcome.OK:
-                self.persistence.on_write(
-                    key, ValueElement(e["source"], e["ts"], e["value"]))
+            outcome = write(e["key"], e["value"], e["ts"], e["source"])
+            statuses[e["key"]] = outcome
+            outcomes.append(outcome)
+        self._index_keys(statuses)
+        persistence = self.persistence
+        if persistence.logs_writes:
+            for e, outcome in zip(entries, outcomes):
+                if outcome == WriteOutcome.OK:
+                    persistence.on_write(e["key"], ValueElement(
+                        e["source"], e["ts"], e["value"]))
         receiver = self._forward_target(vnode_id)
         if receiver is not None:
             self._spawn_forward(
                 receiver, vnode_id,
-                rows={e["key"]: wire_elements(
-                    [ValueElement(e["source"], e["ts"], e["value"])])
-                    for e in entries},
+                rows={e["key"]: [(e["source"], e["ts"], e["value"])]
+                      for e in entries},
                 lww={e["key"]: e["mode"] == "latest" for e in entries})
         return statuses
 
@@ -591,8 +626,10 @@ class SednaNode:
 
     def _h_replica_mwrite(self, src: str, args: Any):
         """Batched replica.write with per-key outcomes."""
-        return self._after_flush(
-            {"statuses": self._apply_writes(args["vnode"], args["entries"])})
+        statuses = self._apply_writes(args["vnode"], args["entries"])
+        size = (_MWRITE_BASE + sum(map(len, statuses))
+                + sum(map(len, statuses.values())))
+        return self._after_flush(Sized({"statuses": statuses}, size))
 
     def _read_rows(self, vnode_id: int, keys: list) -> dict:
         """Every element of each key, after one ownership/warming check."""
@@ -612,11 +649,25 @@ class SednaNode:
 
     def _h_replica_mread(self, src: str, args: Any):
         """Batched replica.read: one round-trip; keys with no row are
-        absent from ``rows``."""
-        rows = {key: wire_elements(elements) for key, elements
-                in self._read_rows(args["vnode"], args["keys"]).items()
-                if elements}
-        return {"rows": rows, "lww": self._lww_flags(rows)}
+        absent from ``rows``.  Each row's size is cached on it until
+        its next write."""
+        stored = self.store.rows
+        rows, flags = {}, {}
+        size = _MREAD_BASE
+        for key, elements in self._read_rows(args["vnode"],
+                                             args["keys"]).items():
+            if not elements:
+                continue
+            row = stored[key]
+            wire = rows[key] = wire_elements(elements)
+            row_size = row.wire_size
+            if row_size is None:
+                row_size = row.wire_size = _mread_row_size(wire)
+            size += len(key) + row_size
+            if row.lww is not None:
+                flags[key] = row.lww
+                size += len(key) + 1
+        return Sized({"rows": rows, "lww": flags}, size)
 
     def _apply_deletes(self, vnode_id: int, keys: list) -> dict[str, str]:
         """Drop a vnode-group of keys; per-key ``ok``/``missing``.
@@ -925,7 +976,7 @@ class SednaNode:
             if isinstance(result, Event):
                 def finish(inner: Event) -> None:
                     if inner.ok:
-                        ev.succeed(inner.value)
+                        ev.succeed(unsized(inner.value))
                     else:
                         ev.fail(inner.value)
                 if result.callbacks is None:
@@ -933,7 +984,7 @@ class SednaNode:
                 else:
                     result.callbacks.append(finish)
             else:
-                ev.succeed(result)
+                ev.succeed(unsized(result))
 
         self.sim.schedule_callback(LOCAL_STORE_OP, run)
         return ev

@@ -14,13 +14,50 @@ everywhere in the core and the trigger runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable
 
-__all__ = ["FullKey", "DEFAULT_DATASET", "DEFAULT_TABLE"]
+__all__ = ["FullKey", "DEFAULT_DATASET", "DEFAULT_TABLE", "encode_key",
+           "encode_keys"]
 
 DEFAULT_DATASET = "default"
 DEFAULT_TABLE = "default"
 
 _SEP = "\x1f"  # unit separator: cannot appear in user components
+
+
+def _check(part: str, name: str) -> None:
+    """The one rule for a key component."""
+    if _SEP in part:
+        raise ValueError(f"{name} may not contain the separator byte")
+    if not part:
+        raise ValueError(f"{name} must be non-empty")
+
+
+def encode_key(key: str, table: str = DEFAULT_TABLE,
+               dataset: str = DEFAULT_DATASET) -> str:
+    """``FullKey(dataset, table, key).encoded()``, with the same checks
+    and errors, without building the :class:`FullKey`."""
+    _check(dataset, "dataset")
+    _check(table, "table")
+    _check(key, "key")
+    return f"{dataset}{_SEP}{table}{_SEP}{key}"
+
+
+def encode_keys(keys: Iterable[Any], table: str = DEFAULT_TABLE,
+                dataset: str = DEFAULT_DATASET) -> dict[str, Any]:
+    """``{encode_key(k, table, dataset): k}``, first occurrence order;
+    the table and dataset are checked once, at the first key."""
+    out: dict[str, Any] = {}
+    prefix = None
+    for key in keys:
+        if prefix is None:
+            _check(dataset, "dataset")
+            _check(table, "table")
+            prefix = f"{dataset}{_SEP}{table}{_SEP}"
+        if not key or _SEP in key:
+            _check(key, "key")
+        out[f"{prefix}{key}"] = key
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -32,12 +69,9 @@ class FullKey:
     key: str
 
     def __post_init__(self):
-        for part, name in ((self.dataset, "dataset"), (self.table, "table"),
-                           (self.key, "key")):
-            if _SEP in part:
-                raise ValueError(f"{name} may not contain the separator byte")
-            if not part:
-                raise ValueError(f"{name} must be non-empty")
+        _check(self.dataset, "dataset")
+        _check(self.table, "table")
+        _check(self.key, "key")
 
     @classmethod
     def of(cls, key: str, table: str = DEFAULT_TABLE,

@@ -21,7 +21,9 @@ The three envelopes have a fixed skeleton, so their wire size is a
 constant plus the one string and the one body that vary; the constants
 below come from :func:`~repro.net.transport.estimate_size` itself, and
 a caller fanning one ``args`` object out to several peers sizes it once
-(``args_size``).
+(``args_size``).  A handler that knows its reply's size returns it
+wrapped in :class:`Sized` (directly, or as the value of its deferred
+event), and the reply is sent without walking it again.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .simulator import AnyOf, Event, Simulator
 from .transport import Message, Network, estimate_size
 
 __all__ = ["RpcError", "RpcTimeout", "RpcRejected", "LateRegistrationError",
-           "RpcNode", "QuorumWait", "gather_quorum"]
+           "RpcNode", "QuorumWait", "Sized", "gather_quorum", "unsized"]
 
 
 class RpcError(Exception):
@@ -79,6 +81,25 @@ _REQ_BASE = estimate_size(
 _RESP_BASE = estimate_size(
     {"kind": _RESP, "id": 0, "status": "", "result": ""})
 _NOTIFY_BASE = estimate_size({"kind": _NOTIFY, "body": ""})
+
+
+class Sized:
+    """A handler's reply together with ``estimate_size(value, 1)`` — the
+    reply sized where it sits, one level inside the response envelope —
+    worked out by a handler that knows the reply's shape.  Only the
+    value goes on the wire; the size is trusted as given, which
+    ``tests/net/test_size_model.py`` checks message by message."""
+
+    __slots__ = ("value", "size")
+
+    def __init__(self, value: Any, size: int) -> None:
+        self.value = value
+        self.size = size
+
+
+def unsized(result: Any) -> Any:
+    """A handler's reply without its :class:`Sized` wrapper, if any."""
+    return result.value if type(result) is Sized else result
 
 
 def _observed(_ev: Event) -> None:
@@ -227,11 +248,16 @@ class RpcNode:
         endpoint = self.endpoint
         if not endpoint.up:
             return
+        if type(result) is Sized:
+            size = result.size
+            result = result.value
+        else:
+            size = estimate_size(result, 1)
         endpoint.send(
             msg.src,
             {"kind": _RESP, "id": msg.payload["id"],
              "status": status, "result": result},
-            _RESP_BASE + len(status) + estimate_size(result, 1))
+            _RESP_BASE + len(status) + size)
 
     # -- one-way notifications ---------------------------------------------
     def on_notify(self, handler: Callable[[str, Any], None]) -> None:

@@ -5,7 +5,9 @@ node- or process-level series.  Handles are cached, so instrumented
 code asks the registry once (usually at construction) and then pays a
 single attribute bump per event.  A registry built with
 ``enabled=False`` hands out one shared no-op handle, so instrumented
-components never branch on "is observability on" at call sites.
+components never branch on "is observability on" at call sites.  A
+per-key path that already counts in a plain int registers that int
+instead (:meth:`MetricsRegistry.count_from`) and makes no call at all.
 
 Everything here is sim-clock friendly: no wall-clock reads, no
 randomness, no id()-keyed exports.  ``snapshot()`` is deterministic —
@@ -29,7 +31,8 @@ from bisect import bisect_left
 from typing import Any, Iterable, Optional
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "VnodeStatsFeed",
+    "Counter", "CountView", "Gauge", "Histogram", "MetricsRegistry",
+    "VnodeStatsFeed",
     "DEFAULT_BUCKETS", "NOOP", "DISABLED", "SNAPSHOT_SCHEMA",
     "diff_snapshots", "bucket_quantile", "bucket_fraction_le",
     "series_label",
@@ -88,6 +91,39 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
+
+    def export(self) -> dict:
+        return {"type": "counter", "value": self.value}
+
+
+class CountView:
+    """A counter series whose count is a plain int attribute of another
+    object, read at export time (see :meth:`MetricsRegistry.count_from`).
+
+    Binding a new source keeps what the old one counted: a restarted
+    node's fresh store continues its predecessor's series, exactly as a
+    shared :class:`Counter` handle would.
+    """
+
+    __slots__ = ("_source", "_attr", "_base")
+    kind = "counter"
+
+    def __init__(self) -> None:
+        self._source: Any = None
+        self._attr = ""
+        self._base = 0
+
+    def bind(self, source: Any, attr: str) -> None:
+        if self._source is not None:
+            self._base += getattr(self._source, self._attr)
+        self._source = source
+        self._attr = attr
+
+    @property
+    def value(self) -> int:
+        if self._source is None:
+            return self._base
+        return self._base + getattr(self._source, self._attr)
 
     def export(self) -> dict:
         return {"type": "counter", "value": self.value}
@@ -349,6 +385,19 @@ class MetricsRegistry:
                   vnode: Optional[int] = None,
                   buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> Any:
         return self._handle(Histogram, name, node, vnode, buckets)
+
+    def count_from(self, source: Any, attr: str, name: str, node: str = "",
+                   vnode: Optional[int] = None) -> None:
+        """Export the int ``source.<attr>`` as the counter series
+        ``name``, read at snapshot time.
+
+        For per-key paths that already count in plain ints: they make
+        no handle call at all, enabled or not.  The series takes its
+        slot (and its place under the cardinality cap) now, like any
+        other handle."""
+        handle = self._handle(CountView, name, node, vnode)
+        if handle is not NOOP:
+            handle.bind(source, attr)
 
     def _handle(self, cls: type, name: str, node: str,
                 vnode: Optional[int], *args: Any) -> Any:

@@ -29,10 +29,13 @@ class PersistenceStrategy:
 
     ``write_delay`` is charged synchronously on the replica write path;
     ``on_write`` records the mutation; ``recover`` rebuilds the store's
-    rows after a restart.
+    rows after a restart.  ``logs_writes`` is False for a strategy whose
+    ``on_write`` records nothing, so writers can skip building the
+    element.
     """
 
     name = "none"
+    logs_writes = False
 
     def write_delay(self) -> float:
         """Extra seconds a replica write must wait before acking."""
@@ -108,6 +111,7 @@ class WalPersistence(PersistenceStrategy):
     """Write-ahead log: every mutation appended before the ack."""
 
     name = "wal"
+    logs_writes = True
 
     def __init__(self, disk: SimDisk, node_name: str,
                  compact_every: int = 10_000):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
-                    Optional)
+                    NamedTuple, Optional, Union)
 
 if TYPE_CHECKING:
     from ..obs.metrics import MetricsRegistry
@@ -52,16 +52,32 @@ class WriteOutcome:
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class ValueElement:
-    """One element of a value list: (source server, timestamp, value)."""
+class ValueElement(NamedTuple):
+    """One element of a value list: (source server, timestamp, value).
+
+    A named tuple, so building one is a single allocation; its ``repr``
+    and ``hash`` are those of the frozen dataclass it replaced.  It is a
+    storage type and never rides the wire: the size model charges an
+    opaque object 32 bytes whatever it holds, so replies carry elements
+    as plain tuples (``wire_elements``).
+    """
 
     source: str
     timestamp: float
     value: Any
 
 
-@dataclass
+def _value_size(value: Any) -> int:
+    """Rough payload size for the byte-volume series."""
+    return len(value) if isinstance(value, (str, bytes)) else 8
+
+
+#: The Monitors column of every row nobody monitors: shared, and
+#: replaced by a real set on the row's first registration.
+_NO_MONITORS: frozenset = frozenset()
+
+
+@dataclass(slots=True)
 class Row:
     """A stored row: value list plus the Dirty/Monitors columns.
 
@@ -71,20 +87,29 @@ class Row:
     has only ever been populated by merges and the mode is unknown.
     Merges into an LWW row prune superseded sources so re-duplication
     and anti-entropy cannot re-inflate a collapsed row.
+
+    ``wire_size`` is a cache the replica plane may fill: the row's
+    elements as a ``replica.mread`` row, sized where that row sits in
+    its reply.  Every write to the row resets it to None.
     """
 
     elements: list[ValueElement] = field(default_factory=list)
     dirty: bool = False
     dirty_seq: int = 0
-    monitors: set[str] = field(default_factory=set)
+    monitors: Union[set[str], frozenset[str]] = _NO_MONITORS
     lww: Optional[bool] = None
+    wire_size: Optional[int] = field(default=None, repr=False,
+                                     compare=False)
 
     def latest(self) -> Optional[ValueElement]:
         """The element with the newest timestamp (ties: lexicographically
         greatest source, so replicas resolve ties identically)."""
-        if not self.elements:
+        elements = self.elements
+        if len(elements) == 1:
+            return elements[0]
+        if not elements:
             return None
-        return max(self.elements, key=element_order)
+        return max(elements, key=element_order)
 
     def element_from(self, source: str) -> Optional[ValueElement]:
         """The element written by ``source``, if any."""
@@ -269,8 +294,10 @@ class VersionedStore:
     metrics / node:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` plus the
         owning node's name; when given, op counts and rough byte sizes
-        are exported as ``store.*`` series.  Without a registry the
-        handles are shared no-ops.
+        are exported as ``store.*`` series.  The per-key paths count in
+        plain ints (``writes_ok``, ``reads``, ``bytes_read``, ...) and
+        the registry reads them at snapshot time, so a store makes no
+        metric call per key, observed or not.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
@@ -293,27 +320,20 @@ class VersionedStore:
         self.writes_ok = 0
         self.writes_outdated = 0
         self.reads = 0
+        self.bytes_written = 0
+        self.bytes_read = 0
         if metrics is None:
             from ..obs.metrics import DISABLED
             metrics = DISABLED
-        self._m_writes_ok = metrics.counter("store.writes_ok", node=node)
-        self._m_writes_outdated = metrics.counter(
-            "store.writes_outdated", node=node)
-        self._m_reads = metrics.counter("store.reads", node=node)
-        self._m_bytes_written = metrics.counter(
-            "store.bytes_written", node=node)
-        self._m_bytes_read = metrics.counter("store.bytes_read", node=node)
+        for attr in ("writes_ok", "writes_outdated", "reads",
+                     "bytes_written", "bytes_read"):
+            metrics.count_from(self, attr, f"store.{attr}", node=node)
         self._m_dvv_siblings = metrics.histogram(
             "dvv.siblings", node=node, buckets=(1, 2, 3, 5, 8, 13))
         self._m_dvv_ctx_miss = metrics.counter(
             "dvv.context_misses", node=node)
         self._m_dvv_prunes = metrics.counter(
             "dvv.sibling_prunes", node=node)
-
-    @staticmethod
-    def _value_size(value: Any) -> int:
-        """Rough payload size for the byte-volume series."""
-        return len(value) if isinstance(value, (str, bytes)) else 8
 
     # -- write paths -------------------------------------------------------
     def _mark_dirty(self, key: str, row: Row) -> None:
@@ -339,13 +359,14 @@ class VersionedStore:
         if current is not None and (timestamp, source) <= (
                 current.timestamp, current.source):
             self.writes_outdated += 1
-            self._m_writes_outdated.inc()
             return WriteOutcome.OUTDATED
         row.elements = [ValueElement(source, timestamp, value)]
+        row.wire_size = None
         self._mark_dirty(key, row)
         self.writes_ok += 1
-        self._m_writes_ok.inc()
-        self._m_bytes_written.inc(self._value_size(value))
+        # _value_size, inlined on the per-key paths.
+        self.bytes_written += (len(value) if isinstance(value, (str, bytes))
+                               else 8)
         return WriteOutcome.OK
 
     def write_all(self, key: str, value: Any, timestamp: float,
@@ -363,15 +384,14 @@ class VersionedStore:
         existing = row.element_from(source)
         if existing is not None and timestamp <= existing.timestamp:
             self.writes_outdated += 1
-            self._m_writes_outdated.inc()
             return WriteOutcome.OUTDATED
         if existing is not None:
             row.elements.remove(existing)
         row.elements.append(ValueElement(source, timestamp, value))
+        row.wire_size = None
         self._mark_dirty(key, row)
         self.writes_ok += 1
-        self._m_writes_ok.inc()
-        self._m_bytes_written.inc(self._value_size(value))
+        self.bytes_written += _value_size(value)
         return WriteOutcome.OK
 
     def write_multi(
@@ -405,21 +425,23 @@ class VersionedStore:
     def read_latest(self, key: str) -> Optional[ValueElement]:
         """The freshest element regardless of which node wrote it."""
         self.reads += 1
-        self._m_reads.inc()
         row = self.rows.get(key)
         latest = row.latest() if row is not None else None
         if latest is not None:
-            self._m_bytes_read.inc(self._value_size(latest.value))
+            self.bytes_read += _value_size(latest.value)
         return latest
 
     def read_all(self, key: str) -> list[ValueElement]:
         """Every element of the value list (empty when absent)."""
         self.reads += 1
-        self._m_reads.inc()
         row = self.rows.get(key)
-        elements = list(row.elements) if row is not None else []
+        if row is None:
+            return []
+        elements = list(row.elements)
         for el in elements:
-            self._m_bytes_read.inc(self._value_size(el.value))
+            value = el.value
+            self.bytes_read += (len(value) if isinstance(value, (str, bytes))
+                                else 8)
         return elements
 
     def read_multi(
@@ -458,12 +480,14 @@ class VersionedStore:
         if row is None:
             row = Row()
             self.rows[key] = row
+        if row.monitors is _NO_MONITORS:
+            row.monitors = set()
         row.monitors.add(monitor_id)
 
     def unregister_monitor(self, key: str, monitor_id: str) -> None:
         """Remove a monitor registration (no-op when absent)."""
         row = self.rows.get(key)
-        if row is not None:
+        if row is not None and row.monitors is not _NO_MONITORS:
             row.monitors.discard(monitor_id)
 
     def drain_dirty(self, limit: int = 0) -> list[tuple[str, Row]]:
@@ -536,6 +560,7 @@ class VersionedStore:
             row.elements = [top]
             changed = True
         if changed:
+            row.wire_size = None
             self._mark_dirty(key, row)
 
     # -- causal mode (DVV) -----------------------------------------------
@@ -565,8 +590,7 @@ class VersionedStore:
             self.dvv_sibling_prunes += pruned
             self._m_dvv_prunes.inc(pruned)
         self.writes_ok += 1
-        self._m_writes_ok.inc()
-        self._m_bytes_written.inc(self._value_size(value))
+        self.bytes_written += _value_size(value)
         self._m_dvv_siblings.observe(len(row.siblings))
         return dot, row
 
@@ -587,16 +611,14 @@ class VersionedStore:
             self._m_dvv_prunes.inc(pruned)
         if changed:
             self.writes_ok += 1
-            self._m_writes_ok.inc()
             self._m_dvv_siblings.observe(len(row.siblings))
         return changed
 
     def causal_read(self, key: str) -> Optional[DvvRow]:
         """The causal row (siblings + context); None when absent."""
         self.reads += 1
-        self._m_reads.inc()
         row = self.dvv_rows.get(key)
         if row is not None:
             for sib in row.siblings:
-                self._m_bytes_read.inc(self._value_size(sib.value))
+                self.bytes_read += _value_size(sib.value)
         return row

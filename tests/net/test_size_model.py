@@ -12,7 +12,12 @@ sizing the whole payload would give.  Three guards:
 * the depth cutoff is honoured where it falls inside an RPC body;
 * every message any scenario transmits — data plane, background plane,
   ZooKeeper, heartbeats, notifies, refusals — is booked at the size the
-  reference gives its whole payload, tracing on and off.
+  reference gives its whole payload, tracing on and off;
+* and holds builtin types only.  The walker sizes types differently: a
+  plain tuple item by item, a dataclass through its ``__dict__``, a
+  named tuple or slotted object as an opaque 32 bytes.  So a storage
+  type (``ValueElement``, ``Row``) on the wire would size by what it
+  is rather than what it holds, and none may ever ride it.
 """
 
 import pytest
@@ -26,6 +31,7 @@ from repro.net.latency import NoLatency
 from repro.net.rpc import RpcNode, RpcRejected
 from repro.net.simulator import Simulator
 from repro.net.transport import Network, estimate_size
+from repro.storage.versioned import Row, ValueElement
 from tests.core import test_wire_shapes as wire
 from tests.net.reference_size import reference_size
 
@@ -173,10 +179,32 @@ class TestCutoffInsideRpcBodies:
             {"kind": "req", "id": 1, "method": "op", "args": args})
 
 
+#: The types a payload may hold: the ones the size model walks by kind.
+_WIRE_TYPES = frozenset((str, int, float, bool, bytes, type(None), dict,
+                         list, tuple, set, frozenset))
+
+
+def foreign_types(payload) -> set:
+    """Names of the non-builtin types anywhere in ``payload``."""
+    found, stack = set(), [payload]
+    while stack:
+        obj = stack.pop()
+        kind = type(obj)
+        if kind not in _WIRE_TYPES:
+            found.add(kind.__qualname__)
+        elif kind is dict:
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif kind in (list, tuple, set, frozenset):
+            stack.extend(obj)
+    return found
+
+
 @pytest.fixture
 def every_message(monkeypatch):
-    """Check each transmission against the reference as it is booked."""
-    checked, wrong = [0], []
+    """Check each transmission against the reference as it is booked,
+    and for foreign types."""
+    checked, wrong, foreign = [0], [], []
     transmit = Network._transmit
 
     def checking(self, src, dst, payload, size=None):
@@ -186,15 +214,33 @@ def every_message(monkeypatch):
         want = reference_size(payload)
         if src.sent_bytes - before != want:
             wrong.append((src.sent_bytes - before, want, payload))
+        types = foreign_types(payload)
+        if types:
+            foreign.append((types, payload))
 
     monkeypatch.setattr(Network, "_transmit", checking)
 
     def verdict(at_least):
         assert not wrong, wrong[:3]
+        assert not foreign, foreign[:3]
         assert checked[0] >= at_least, checked[0]
         return checked[0]
 
     return verdict
+
+
+class TestStorageTypesStayOffTheWire:
+    def test_guard_sees_storage_types(self):
+        element = ValueElement("s", 1.0, "v")
+        assert foreign_types({"rows": {"k": [element]}}) == {"ValueElement"}
+        assert foreign_types([Row()]) == {"Row"}
+        assert foreign_types({"rows": {"k": [tuple(element)]},
+                              "keys": {b"x", 1}}) == set()
+
+    def test_an_element_sizes_by_its_type(self):
+        element = ValueElement("s", 1.0, "value")
+        assert estimate_size(element) == 32         # opaque
+        assert estimate_size(tuple(element)) == 8 + 1 + 8 + 5
 
 
 class TestEveryMessageIsSizedExactly:

@@ -63,6 +63,56 @@ class TestHandles:
         assert reg.counter("a") is a
 
 
+class _Source:
+    def __init__(self):
+        self.hits = 0
+
+
+class TestCountFrom:
+    """Series exported from a plain int, read at snapshot time."""
+
+    def test_exports_the_int_as_a_counter(self):
+        reg = MetricsRegistry()
+        source = _Source()
+        reg.count_from(source, "hits", "store.reads", node="n1")
+        source.hits += 3
+        assert reg.snapshot()["series"]["n1/store.reads"] == {
+            "type": "counter", "value": 3}
+
+    def test_a_new_source_continues_the_series(self):
+        """A restarted node's fresh store keeps its predecessor's
+        count, as a shared Counter handle did."""
+        reg = MetricsRegistry()
+        old, new = _Source(), _Source()
+        reg.count_from(old, "hits", "store.reads", node="n1")
+        old.hits = 5
+        reg.count_from(new, "hits", "store.reads", node="n1")
+        new.hits = 2
+        assert reg.snapshot()["series"]["n1/store.reads"]["value"] == 7
+
+    def test_disabled_and_capped_registries_export_nothing(self):
+        source = _Source()
+        off = MetricsRegistry(enabled=False)
+        off.count_from(source, "hits", "store.reads")
+        assert off.snapshot()["series"] == {}
+        capped = MetricsRegistry(max_series=1)
+        capped.counter("first")
+        capped.count_from(source, "hits", "store.reads")
+        assert capped.dropped_keys == ["-/store.reads"]
+
+    def test_takes_its_slot_when_registered(self):
+        """Registration order decides what the cap drops, as before."""
+        reg = MetricsRegistry(max_series=1)
+        reg.count_from(_Source(), "hits", "store.reads")
+        assert reg.counter("later") is NOOP
+
+    def test_kind_mismatch_raises(self):
+        reg = MetricsRegistry()
+        reg.gauge("store.reads")
+        with pytest.raises(ValueError, match="already registered"):
+            reg.count_from(_Source(), "hits", "store.reads")
+
+
 class TestHistogram:
     def test_boundary_lands_in_its_bucket(self):
         reg = MetricsRegistry()

@@ -8,6 +8,7 @@ very numbers the imbalance pusher publishes to ZooKeeper.
 import ast
 import json
 from dataclasses import replace
+from pathlib import Path
 
 from repro.chaos import ChaosRunner
 from repro.core.cache import ZkLayout
@@ -139,6 +140,25 @@ class TestComponentCounters:
                    if label.endswith("/quorum.fanout")]
         assert sum(h["count"] for h in fanouts) == 24
 
+    def test_store_series_continue_across_a_restart(self):
+        """``store.*`` is read from the store's own ints at snapshot
+        time; a restarted node's fresh store continues the series."""
+        obs = Observability(metrics=True)
+        cluster = _build(obs=obs)
+        client = cluster.client("w")
+        cluster.run(_workload(client))
+        node = cluster.nodes["node1"]
+        before = node.store.writes_ok
+        cluster.crash_node("node1")
+        cluster.settle(3.0)
+        cluster.restart_node("node1")
+        cluster.settle(1.0)
+        cluster.run(_workload(client))
+        after = node.store.writes_ok
+        series = obs.snapshot()["series"]
+        assert before > 0 and after > 0
+        assert series["node1/store.writes_ok"]["value"] == before + after
+
     def test_restart_rewires_metrics_and_feed(self):
         obs = Observability(metrics=True)
         cluster = _build(obs=obs)
@@ -161,6 +181,22 @@ class TestComponentCounters:
         cluster.run(more())
         snap = obs.snapshot()
         assert snap["vnodes"][victim]  # fresh feed exports rows
+
+
+class TestSeedZeroSnapshot:
+    """``python -m repro.obs --seed 0 --json`` equals the checked-in
+    ``snapshot_seed0.json``, series for series (CI diffs the two as
+    well).  Only a change to the obs series may regenerate it::
+
+        PYTHONPATH=src python -m repro.obs --seed 0 \\
+            --json tests/obs/snapshot_seed0.json
+    """
+
+    def test_matches_the_checked_in_copy(self, tmp_path):
+        out = tmp_path / "snapshot.json"
+        assert obs_cli.main(["--seed", "0", "--json", str(out)]) == 0
+        want = Path(__file__).with_name("snapshot_seed0.json")
+        assert json.loads(out.read_text()) == json.loads(want.read_text())
 
 
 class TestDisabledPath:

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
+from repro.net.rpc import RpcNode
 from repro.net.simulator import Simulator
 from repro.persistence.disk import SimDisk
 from repro.persistence.strategy import (NoPersistence, SnapshotPersistence,
                                         WalPersistence, make_strategy)
-from repro.storage.versioned import ValueElement
+from repro.storage.versioned import ValueElement, WriteOutcome
 from repro.zk.server import ZkConfig
 
 
@@ -193,3 +194,50 @@ class TestClusterPersistence:
             return values
 
         assert cluster.run(read_back()) == list(range(10))
+
+
+class TestBatchedWritesLogEachEntry:
+    """A key sent twice in one ``replica.mwrite`` is logged by each
+    entry's own outcome, not by the key's last one."""
+
+    KEY = "k"
+
+    def _call(self, entries):
+        cluster = SednaCluster(
+            n_nodes=3, zk_size=3,
+            config=SednaConfig(num_vnodes=8, persistence="wal"))
+        cluster.start()
+        vnode, replicas = cluster.nodes["node0"].cache.replicas_for_key(
+            self.KEY)
+        node = cluster.nodes[replicas[0]]
+        probe = RpcNode(cluster.network, "probe")
+        reply = cluster.run(probe.call(
+            node.name, "replica.mwrite",
+            {"vnode": vnode, "entries": [
+                {"key": self.KEY, "value": value, "ts": ts, "source": "c",
+                 "mode": "latest"} for ts, value in entries]},
+            timeout=1.0))
+        return node, reply
+
+    def test_newer_then_older_logs_the_newer(self):
+        node, reply = self._call([(5.0, "new"), (3.0, "old")])
+        assert reply == {"statuses": {self.KEY: WriteOutcome.OUTDATED}}
+        assert node.store.read_latest(self.KEY).value == "new"
+        assert node.disk.read_log(f"{node.name}.wal") == [
+            (self.KEY, ValueElement("c", 5.0, "new"))]
+        assert node.persistence.recover()[self.KEY] == [
+            ValueElement("c", 5.0, "new")]
+
+    def test_older_then_newer_logs_both(self):
+        node, reply = self._call([(3.0, "old"), (5.0, "new")])
+        assert reply == {"statuses": {self.KEY: WriteOutcome.OK}}
+        assert node.disk.read_log(f"{node.name}.wal") == [
+            (self.KEY, ValueElement("c", 3.0, "old")),
+            (self.KEY, ValueElement("c", 5.0, "new"))]
+
+    def test_outdated_entry_is_not_logged(self):
+        node, reply = self._call([(5.0, "new"), (4.0, "stale"),
+                                  (7.0, "newest")])
+        assert reply == {"statuses": {self.KEY: WriteOutcome.OK}}
+        assert [el.value for _key, el in
+                node.disk.read_log(f"{node.name}.wal")] == ["new", "newest"]

@@ -128,6 +128,71 @@ class TestDirtyTracking:
         assert store.dirty_count == 3
 
 
+class TestValueElement:
+    """A named tuple since it stopped being a frozen dataclass: the
+    repr and hash below are the dataclass's, recorded before the
+    change."""
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(ValueElement("node-1", 1.25, "value")) == (
+            "ValueElement(source='node-1', timestamp=1.25, value='value')")
+        assert repr(ValueElement("s", 3, b"\x00b")) == (
+            "ValueElement(source='s', timestamp=3, value=b'\\x00b')")
+        assert repr(ValueElement("s", 2.0, [1, ("a", None)])) == (
+            "ValueElement(source='s', timestamp=2.0, value=[1, ('a', None)])")
+
+    @pytest.mark.parametrize("fields, want", [
+        ((7, 1.5, 42), 7467552377755640006),
+        ((0, -2.25, 3), -4609631991746941172),
+        ((1, 0.0, 10 ** 20), -7828868150047147795),
+    ])
+    def test_hash_is_the_dataclass_hash(self, fields, want):
+        # Fields without str: their hash does not depend on PYTHONHASHSEED.
+        assert hash(ValueElement(*fields)) == want
+
+    def test_hash_and_fields_are_the_field_tuple(self):
+        el = ValueElement("s", 1.0, "v")
+        assert hash(el) == hash(("s", 1.0, "v"))
+        assert (el.source, el.timestamp, el.value) == tuple(el)
+
+
+class TestRow:
+    def test_row_has_no_instance_dict(self):
+        assert not hasattr(Row(), "__dict__")
+
+    def test_unmonitored_rows_share_one_empty_monitors(self, store):
+        store.write_latest("a", "v", 1.0, "s")
+        store.write_all("b", "v", 1.0, "s")
+        assert store.row("a").monitors is store.row("b").monitors
+        assert store.row("a").monitors == frozenset()
+        store.register_monitor("a", "m1")
+        assert store.row("a").monitors == {"m1"}
+        assert store.row("b").monitors == frozenset()
+        store.unregister_monitor("b", "m1")     # no-op on the shared one
+
+    def test_latest_of_one_element_row(self):
+        el = ValueElement("s", 1.0, "v")
+        assert Row([el]).latest() is el
+        assert Row().latest() is None
+
+    def test_every_write_resets_the_wire_size(self, store):
+        store.write_latest("k", "v", 1.0, "s")
+        row = store.row("k")
+        for write in (lambda: store.write_latest("k", "w", 2.0, "s"),
+                      lambda: store.write_all("k", "x", 3.0, "t"),
+                      lambda: store.merge_elements(
+                          "k", [ValueElement("u", 4.0, "y")])):
+            row.wire_size = 99
+            write()
+            assert row.wire_size is None
+        store.write_latest("q", "v", 2.0, "s")
+        row = store.row("q")
+        row.wire_size = 99
+        store.write_latest("q", "old", 0.5, "s")       # outdated
+        store.merge_elements("q", [ValueElement("s", 2.0, "v")])  # no change
+        assert row.wire_size == 99
+
+
 class TestMonitors:
     def test_register_on_missing_key_creates_row(self, store):
         store.register_monitor("future", "m1")
