@@ -41,8 +41,7 @@ class WireMemcachedServer:
         self.name = name
         self.store = MemStore(memory_limit=memory_limit,
                               clock=lambda: sim.now)
-        self.endpoint = network.endpoint(name)
-        self.endpoint.on_message(self._on_message)
+        self.endpoint = network.endpoint(name, self._on_message)
         self.sessions: dict[str, ProtocolSession] = {}
         self._busy_until = 0.0
 
@@ -91,8 +90,7 @@ class WireMemcachedClient:
         self.name = name
         self.server = server
         self.timeout = timeout
-        self.endpoint = network.endpoint(name)
-        self.endpoint.on_message(self._on_message)
+        self.endpoint = network.endpoint(name, self._on_message)
         self._rx = b""
         self._waiter: Optional[Event] = None
 

@@ -146,9 +146,9 @@ class AntiEntropyManager:
                 if self.node.name in ring.replicas_for(v, n)]
 
     def _loop(self):
-        pass_timer = self.sim.recurring(self.interval)
+        interval = self.interval
         while self.running and self.node.running:
-            yield pass_timer.tick()
+            yield self.sim.timeout(interval)
             if not (self.running and self.node.running):
                 return
             yield from self.run_pass()

@@ -228,10 +228,9 @@ class MappingCache:
                 and self.zk.rpc.endpoint.up)
 
     def _lease_loop(self, generation: int):
-        # tick(self.lease): the adaptive lease length changes per round.
-        lease_timer = self.sim.recurring(self.lease)
         while self._alive(generation):
-            yield lease_timer.tick(self.lease)
+            # Read per round: the adaptive lease length changes.
+            yield self.sim.timeout(self.lease)
             if not self._alive(generation):
                 return
             changes = yield from self.refresh()

@@ -67,9 +67,9 @@ class ActiveDetector:
         return [n for n in ring.real_nodes() if n != self.node.name]
 
     def _loop(self):
-        probe_timer = self.sim.recurring(self.interval)
+        interval = self.interval
         while self.running and self.node.running:
-            yield probe_timer.tick()
+            yield self.sim.timeout(interval)
             if not (self.running and self.node.running):
                 return
             peers = self._known_peers()

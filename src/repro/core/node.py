@@ -472,9 +472,9 @@ class SednaNode:
     def _imbalance_pusher(self):
         """Periodically publish this node's imbalance-table row (§III.B)."""
         path = ZkLayout.imbalance(self.name)
-        push_timer = self.sim.recurring(self.config.imbalance_push_interval)
+        interval = self.config.imbalance_push_interval
         while True:
-            yield push_timer.tick()
+            yield self.sim.timeout(interval)
             if not (self.running and self.rpc.endpoint.up):
                 return
             # The row is the stats feed's aggregate — the same numbers

@@ -280,10 +280,10 @@ class Rebalancer:
 
     # ------------------------------------------------------------------
     def _loop(self):
-        pass_timer = self.sim.recurring(self.interval)
+        interval = self.interval
         try:
             while self.running and self.node.running:
-                yield pass_timer.tick()
+                yield self.sim.timeout(interval)
                 if not (self.running and self.node.running):
                     return
                 try:

@@ -53,8 +53,7 @@ class GossipNode:
         # convergence timing — differ between otherwise identical runs.
         self._rng = random.Random(
             rng_seed ^ zlib.crc32(name.encode()) & 0xFFFF)
-        self.endpoint = network.endpoint(name)
-        self.endpoint.on_message(self._on_message)
+        self.endpoint = network.endpoint(name, self._on_message)
         self.heartbeat = 0
         # name -> [heartbeat, last_local_bump, status]
         self.view: dict[str, list] = {
@@ -77,9 +76,9 @@ class GossipNode:
 
     # -- protocol ------------------------------------------------------------
     def _loop(self):
-        beat = self.sim.recurring(self.interval)
+        interval = self.interval
         while self.running:
-            yield beat.tick()
+            yield self.sim.timeout(interval)
             if not self.running:
                 return
             self.heartbeat += 1

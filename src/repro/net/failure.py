@@ -94,12 +94,14 @@ class FailureInjector:
         self.partitions: list[Partition] = []
 
     def crash(self, name: str) -> None:
-        """Crash the endpoint ``name`` (messages to/from it are lost)."""
-        self.network.endpoint(name).crash()
+        """Crash the endpoint ``name`` (messages to/from it are lost).
+
+        An unknown name raises :class:`KeyError`."""
+        self.network.endpoints[name].crash()
 
     def restart(self, name: str) -> None:
-        """Restart a crashed endpoint."""
-        self.network.endpoint(name).restart()
+        """Restart a crashed endpoint; an unknown name raises."""
+        self.network.endpoints[name].restart()
 
     def partition(self, group_a: Iterable[str], group_b: Iterable[str]) -> Partition:
         """Install and track a partition between two groups."""

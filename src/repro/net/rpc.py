@@ -8,8 +8,8 @@ provides:
   issues requests: :meth:`~RpcNode.call` (with a timeout),
   :meth:`~RpcNode.call_retry`, :meth:`~RpcNode.call_async` (an event,
   no deadline) and one-way :meth:`~RpcNode.notify`.
-* :class:`QuorumWait` / :func:`gather_quorum` — the N-way fan-in over
-  ``call_async`` events.
+* :class:`QuorumWait` — the N-way fan-in over ``call_async`` events;
+  a process waits with ``oks, fails = yield wait.done``.
 * :class:`RpcError` / :class:`RpcTimeout` / :class:`RpcRejected` —
   the failure vocabulary the paper uses ("timeout", "refuse").
 
@@ -34,7 +34,7 @@ from .simulator import AnyOf, Event, Simulator
 from .transport import Message, Network, estimate_size
 
 __all__ = ["RpcError", "RpcTimeout", "RpcRejected", "LateRegistrationError",
-           "RpcNode", "QuorumWait", "Sized", "gather_quorum", "unsized"]
+           "RpcNode", "QuorumWait", "Sized", "unsized"]
 
 
 class RpcError(Exception):
@@ -48,8 +48,7 @@ class LateRegistrationError(RuntimeError):
     request is dispatched; otherwise whether a request lands on a
     handler or a ``no-such-method`` refusal depends on delivery order.
     Swapping the handler of an already-registered method stays legal
-    (fault injection and tracing wrappers patch the dispatch table),
-    as does an explicit ``allow_late=True``.
+    (fault injection and tracing wrappers patch the dispatch table).
     """
 
 
@@ -127,8 +126,7 @@ class RpcNode:
         self.network = network
         self.sim: Simulator = network.sim
         self.name = name
-        self.endpoint = network.endpoint(name)
-        self.endpoint.on_message(self._on_message)
+        self.endpoint = network.endpoint(name, self._on_message)
         self.service_time = service_time
         self._busy_until = 0.0
         self._handlers: dict[str, Callable[[str, Any], Any]] = {}
@@ -142,15 +140,14 @@ class RpcNode:
         self.requests_served = 0
 
     # -- server side ------------------------------------------------------
-    def register(self, method: str, handler: Callable[[str, Any], Any],
-                 *, allow_late: bool = False) -> None:
+    def register(self, method: str, handler: Callable[[str, Any], Any]) -> None:
         """Register ``handler(src_name, args)`` for ``method`` requests.
 
         Raises :class:`LateRegistrationError` when ``method`` is new
         and the endpoint has already served a request; see that class
-        for the rationale and the sanctioned exceptions.
+        for the rationale.
         """
-        if self._served and method not in self._handlers and not allow_late:
+        if self._served and method not in self._handlers:
             raise LateRegistrationError(
                 f"{self.name}: method {method!r} registered after the "
                 f"endpoint served traffic")
@@ -343,22 +340,19 @@ class RpcNode:
             raise
 
     def call_retry(self, dst: str, method: str, args: Any,
-                   timeout: float, attempts: int = 2,
-                   backoff: float = 0.0) -> Generator[Event, Any, Any]:
+                   timeout: float, attempts: int = 2) -> Generator[Event, Any, Any]:
         """:meth:`call` with bounded retries on timeout/refusal.
 
         Used by best-effort side channels (migration write forwarding,
         chunk pulls) where one transient drop should not abort a whole
-        protocol round.  Retries are paced by ``backoff`` simulated
-        seconds; the last failure is re-raised so callers still see the
+        protocol round.  A retry goes out as soon as the previous try
+        failed; the last failure is re-raised so callers still see the
         terminal outcome.
         """
         if attempts < 1:
             raise ValueError("attempts must be >= 1")
         last: Optional[RpcError] = None
-        for attempt in range(attempts):
-            if attempt > 0 and backoff > 0.0:
-                yield self.sim.timeout(backoff)
+        for _ in range(attempts):
             try:
                 result = yield from self.call(dst, method, args,
                                               timeout=timeout)
@@ -404,8 +398,8 @@ class QuorumWait:
         the instant the wait settled (late completions are not added).
     done:
         Event succeeding with ``(oks, fails)`` or failing with
-        :class:`RpcTimeout` / :class:`RpcError`.  Use :meth:`wait` from
-        a process.
+        :class:`RpcTimeout` / :class:`RpcError`; a process waits with
+        ``oks, fails = yield wait.done``.
 
     The settle is deferred by one zero-delay callback so every reply
     arriving at the *same simulated instant* as the deciding one is
@@ -519,31 +513,3 @@ class QuorumWait:
             self.done.succeed((self.oks, self.fails))
         else:
             self.done.fail(self._pending_exc)
-
-    @property
-    def settled(self) -> bool:
-        """True once the wait reached an outcome."""
-        return self._settled
-
-    def wait(self) -> Generator[Event, Any, Any]:
-        """Process helper: ``oks, fails = yield from qw.wait()``."""
-        result = yield self.done
-        return result
-
-
-def gather_quorum(sim: Simulator, events: list[Event], needed: int,
-                  timeout: float) -> Generator[Event, Any, Any]:
-    """Process helper: wait until ``needed`` of ``events`` succeed.
-
-    Returns ``(successes, failures)`` where successes is a list of
-    values (length >= needed on success) and failures a list of
-    exceptions.  Raises :class:`RpcTimeout` when the deadline passes
-    first, and :class:`RpcError` when too many events failed for the
-    quorum to ever be reached.
-
-    Thin anonymous wrapper over :class:`QuorumWait` (the attributed
-    form the quorum coordinator uses).
-    """
-    wait = QuorumWait(sim, [(None, ev) for ev in events], needed, timeout)
-    oks, fails = yield from wait.wait()
-    return [value for _n, value in oks], [exc for _n, exc in fails]

@@ -8,17 +8,15 @@ single deterministic event loop whose clock is simulated time in
 seconds.
 
 The design follows the SimPy process-interaction style (generators that
-``yield`` events), but is implemented from scratch and trimmed to what
-the reproduction needs:
+``yield`` events), but is implemented from scratch and offers only what
+the reproduction uses:
 
 * :class:`Event` — a one-shot occurrence that processes can wait on.
-* :class:`Timeout` — an event that fires after a simulated delay.
+* :class:`Timeout` — an event that fires after a simulated delay, made
+  by ``sim.timeout`` (periodic daemons yield one per round).
 * :class:`Process` — a generator-based coroutine driven by the loop.
 * :class:`AnyOf` / :class:`AllOf` — condition events for fan-in waits
-  (quorum waits, RPC-with-timeout races).
-* :class:`RecurringTimer` — a reusable timeout for the homogeneous
-  periodic streams (gossip beats, lease renewals, trigger scans) that
-  would otherwise allocate one fresh :class:`Timeout` per tick.
+  (RPC-with-timeout races, joins).
 * :class:`Simulator` — the event loop itself.
 
 Determinism: event ordering is a strict ``(time, priority, sequence)``
@@ -30,7 +28,7 @@ CPython the costs that matter at these event rates are interpreter
 frames and C-heap traffic, so
 
 * ``sim.timeout`` builds the event inline — no ``type.__call__`` →
-  ``__init__`` → ``_schedule`` chain;
+  ``__init__`` → push chain;
 * ``run`` dispatches callbacks inline — no per-event ``step`` frame;
 * the queue keeps its *minimum entry* in a buffer slot (``_nbuf``)
   beside the heap, so the dominant schedule-fire-schedule rhythm of
@@ -63,8 +61,6 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "Interrupt",
-    "RecurringTimer",
     "SimulationError",
     "Simulator",
 ]
@@ -72,17 +68,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double-trigger, yielding foreign events...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Priorities: lower runs first at equal timestamps.
@@ -97,9 +82,13 @@ class Event:
     :meth:`succeed` or :meth:`fail`, after which its callbacks run at
     the current simulated time.  Waiting processes resume with the
     event's ``value`` (or have the failure exception thrown in).
+
+    ``_ok`` is None exactly while the event may still be triggered:
+    every queued event has it set (a :class:`Timeout`'s outcome is known
+    when it is made), and a plain event sets it in ``succeed``/``fail``.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_scheduled")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -107,7 +96,6 @@ class Event:
         self._value: Any = None
         self._ok: Optional[bool] = None
         self._triggered = False
-        self._scheduled = False
 
     # -- state inspection -------------------------------------------------
     @property
@@ -149,13 +137,7 @@ class Event:
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        try:
-            already = self._triggered or self._scheduled
-        except AttributeError:
-            # A hot-constructed Timeout leaves _scheduled unset (it is
-            # scheduled by construction) — see Simulator.timeout.
-            already = True
-        if already:
+        if self._ok is not None:
             raise SimulationError(f"{self!r} already triggered")
         self._triggered = True
         self._ok = True
@@ -183,11 +165,7 @@ class Event:
         """
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        try:
-            already = self._triggered or self._scheduled
-        except AttributeError:
-            already = True
-        if already:
+        if self._ok is not None:
             raise SimulationError(f"{self!r} already triggered")
         self._triggered = True
         self._ok = False
@@ -216,25 +194,12 @@ class Event:
 class Timeout(Event):
     """An event that triggers itself ``delay`` seconds in the future.
 
-    Note: ``sim.timeout(...)`` is the hot constructor — it builds the
-    object inline without this ``__init__`` (see :meth:`Simulator.timeout`).
+    Made only by :meth:`Simulator.timeout`, which builds it inline.  Its
+    outcome is known up front (``_ok`` is set), but it only counts as
+    *triggered* when its simulated instant is reached.
     """
 
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.sim = sim
-        self.callbacks = []
-        # A Timeout's outcome is known up front, but it only counts as
-        # *triggered* when its simulated instant is reached.
-        self._value = value
-        self._ok = True
-        self._triggered = False
-        self._scheduled = True
-        self.delay = delay
-        sim._push(self, NORMAL, delay)
+    __slots__ = ()
 
 
 # Preresolved allocator for Simulator.timeout: skips the LOAD_ATTR on
@@ -250,9 +215,8 @@ class _Initialize(Event):
     def __init__(self, sim: "Simulator", process: "Process") -> None:
         super().__init__(sim)
         self._ok = True
-        self._value = None
-        self.callbacks.append(process._resume_cb)
-        sim._schedule(self, URGENT, 0.0)
+        self.callbacks = [process._resume_cb]
+        sim._push(self, URGENT, 0.0)
 
 
 class Process(Event):
@@ -260,10 +224,11 @@ class Process(Event):
 
     The process *is itself an event* that triggers when the generator
     returns (value = the ``return`` value) or raises (failure).  Other
-    processes can therefore ``yield proc`` to join it.
+    processes can therefore ``yield proc`` to join it.  A process waits
+    on one event at a time, so every resume is for the event it waits on.
     """
 
-    __slots__ = ("_generator", "_target", "_resume_cb", "name")
+    __slots__ = ("_generator", "_resume_cb", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
         super().__init__(sim)
@@ -273,49 +238,15 @@ class Process(Event):
         # ever waits on; materializing the bound method once instead of
         # per yield saves an allocation per wait.
         self._resume_cb = self._resume
-        # _target doubles as the resume guard: _resume only acts on the
-        # event the process is actually waiting for (see interrupt()).
-        self._target: Optional[Event] = _Initialize(sim, self)
+        _Initialize(sim, self)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error.  A process blocked
-        on an event is *logically* detached from it: the stale callback
-        stays in the event's list (removing it was an O(waiters) list
-        scan) but is ignored by the ``_target`` guard in
-        :meth:`_resume` — when the abandoned event later fires, the
-        stale resume is discarded.  The same guard drops a scheduled
-        interrupt whose process was terminated first at the same
-        timestamp (e.g. by an earlier interrupt), which previously
-        advanced a finished generator and crashed the kernel; when
-        several interrupts race at one instant, the latest cause wins.
-        """
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is self:
-            raise SimulationError("a process cannot interrupt itself synchronously")
-        interrupt_ev = Event(self.sim)
-        interrupt_ev.callbacks.append(self._resume_cb)
-        # Re-aim the guard *before* fail(): the old target (and any
-        # previously scheduled interrupt) is now stale and will be
-        # dropped by the guard instead of double-resuming us.
-        self._target = interrupt_ev
-        interrupt_ev.fail(Interrupt(cause))
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        if event is not self._target:
-            # Stale wakeup: an event this process abandoned (interrupt,
-            # or an interrupt outrun by the process finishing at the
-            # same timestamp).  A guard instead of list-removal.
-            return
-        self._target = None
         sim = self.sim
         if event._ok:
             deliver_exc: Optional[BaseException] = None
@@ -371,70 +302,7 @@ class Process(Event):
                 # Defused but not fired yet: waiting revives it.
                 nxt.callbacks = cbs = []
             cbs.append(resume_cb)
-            self._target = nxt
             return
-
-
-class RecurringTimer:
-    """A reusable timeout for homogeneous periodic event streams.
-
-    Gossip beats, lease renewals, failure-detector probes and trigger
-    scans all run ``while True: yield sim.timeout(interval)`` loops —
-    each tick allocates and initializes a fresh :class:`Timeout` that
-    lives for exactly one loop iteration.  A ``RecurringTimer`` batches
-    that stream onto **one** recycled event object::
-
-        timer = sim.recurring(0.05)
-        while True:
-            yield timer.tick()          # same delay every tick
-            ...
-        # or timer.tick(other_delay) for drifting periods
-
-    Scheduling behaviour is byte-identical to the ``timeout()`` loop:
-    every tick consumes one sequence number and enters the queue as one
-    ``(now + delay, NORMAL, seq)`` entry, so histories and digests do
-    not move.  The only change is allocation: the event object (and its
-    slots) is reused across ticks instead of being rebuilt.
-
-    When a kernel tracer is attached (hazard detection, span tracing)
-    the timer transparently degrades to fresh :class:`Timeout` objects,
-    because tracers key their happens-before graphs on event identity
-    and must never see the same object twice.
-    """
-
-    __slots__ = ("sim", "interval", "_event")
-
-    def __init__(self, sim: "Simulator", interval: float) -> None:
-        if interval < 0:
-            raise SimulationError(f"negative interval {interval}")
-        self.sim = sim
-        self.interval = interval
-        self._event: Optional[Timeout] = None
-
-    def tick(self, delay: Optional[float] = None) -> Event:
-        """Arm the timer ``delay`` (default: the interval) seconds out."""
-        d = self.interval if delay is None else delay
-        sim = self.sim
-        ev = self._event
-        if (ev is None or ev.callbacks is not None or not ev._triggered
-                or sim.tracer is not None):
-            # First use, previous tick still queued (two waiters would
-            # alias; a defused tick is queued too), or a tracer needs
-            # fresh identities: plain Timeout.
-            ev = sim.timeout(d)
-            self._event = ev
-            return ev
-        # Re-arm the processed event in place.
-        if d < 0:
-            raise SimulationError(f"negative delay {d}")
-        ev.callbacks = []
-        ev._value = None
-        ev._ok = True
-        ev._triggered = False
-        ev._scheduled = True
-        ev.delay = d
-        sim._push(ev, NORMAL, d)
-        return ev
 
 
 class _Condition(Event):
@@ -573,10 +441,11 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` simulated seconds from now.
 
-        This is the kernel's hottest allocation; the object is built
-        and enqueued inline (no ``type.__call__`` → ``__init__`` →
-        ``_schedule`` chain, no heap traffic when the buffer slot is
-        free) — worth ~35% kernel throughput combined.
+        This is the kernel's hottest allocation and the only way to
+        make a :class:`Timeout`; the object is built and enqueued inline
+        (no ``type.__call__`` → ``__init__`` → push chain, no heap
+        traffic when the buffer slot is free) — worth ~35% kernel
+        throughput combined.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
@@ -586,10 +455,6 @@ class Simulator:
         t._value = value
         t._ok = True
         t._triggered = False
-        # _scheduled is deliberately left unset: a Timeout is scheduled
-        # by construction, and succeed()/fail() treat the missing slot
-        # as "already in the queue" (one fewer store per event here).
-        t.delay = delay
         self._seq = seq = self._seq + 1
         when = self.now + delay
         entry = (when, NORMAL, seq, t)
@@ -605,25 +470,13 @@ class Simulator:
             self.tracer.on_schedule(t, NORMAL, when)
         return t
 
-    def recurring(self, interval: float) -> RecurringTimer:
-        """A reusable timer for periodic loops (see :class:`RecurringTimer`)."""
-        return RecurringTimer(self, interval)
-
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a process starting at the current time."""
         return Process(self, generator, name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition event: first child to trigger wins."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition event: triggers when all children have."""
-        return AllOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
     def _push(self, event: Event, priority: int, delay: float) -> None:
-        """Enqueue ``event`` (already marked scheduled) ``delay`` out."""
+        """Enqueue ``event`` (its ``_ok`` already set) ``delay`` out."""
         self._seq = seq = self._seq + 1
         when = self.now + delay
         entry = (when, priority, seq, event)
@@ -637,12 +490,6 @@ class Simulator:
             heappush(self._queue, entry)
         if self.tracer is not None:
             self.tracer.on_schedule(event, priority, when)
-
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        if event._scheduled:
-            return
-        event._scheduled = True
-        self._push(event, priority, delay)
 
     def schedule_callback(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` without spawning a process."""

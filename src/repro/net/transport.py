@@ -1,11 +1,12 @@
 """Message transport over the simulated network.
 
-A :class:`Network` connects named endpoints.  Each endpoint owns an
-inbox; ``send`` schedules delivery after the latency model's delay and
-the failure injector's verdict.  Components built on top (the RPC layer,
-Sedna nodes, the ZooKeeper ensemble) never talk to the simulator
-directly for messaging — everything goes through here so partitions,
-crashes and message drops apply uniformly.
+A :class:`Network` connects named endpoints.  Each endpoint is created
+with the handler its messages are pushed to, under a name no other
+endpoint has; ``send`` schedules delivery after the latency model's
+delay and the failure injector's verdict.  Components built on top (the
+RPC layer, Sedna nodes, the ZooKeeper ensemble) never talk to the
+simulator directly for messaging — everything goes through here so
+partitions, crashes and message drops apply uniformly.
 """
 
 from __future__ import annotations
@@ -111,26 +112,20 @@ class Message:
 
 
 class Endpoint:
-    """A named network endpoint with an inbox.
+    """A named network endpoint; each delivered message is pushed to
+    the handler it was made with (:meth:`Network.endpoint`).
 
-    Handlers may be attached with :meth:`on_message`; otherwise
-    processes pull messages with :meth:`recv` (an event yielding the
-    next message).  An endpoint can be taken *down* to simulate a crash:
-    messages to a down endpoint vanish, and sends from it raise.
+    An endpoint can be taken *down* to simulate a crash: messages to a
+    down endpoint vanish, and sends from it raise.
     """
 
-    def __init__(self, network: "Network", name: str) -> None:
+    def __init__(self, network: "Network", name: str,
+                 handler: Callable[[Message], None]) -> None:
         self.network = network
         self.name = name
         self.up = True
-        self._handler: Optional[Callable[[Message], None]] = None
-        self._waiters: list[Event] = []
-        self._backlog: list[Message] = []
-        # Counters for the stats module.
-        self.sent_count = 0
-        self.recv_count = 0
+        self._handler = handler
         self.sent_bytes = 0
-        self.recv_bytes = 0
 
     # -- sending ------------------------------------------------------------
     def send(self, dst: str, payload: Any,
@@ -144,40 +139,10 @@ class Endpoint:
             raise RuntimeError(f"endpoint {self.name} is down")
         self.network._transmit(self, dst, payload, size)
 
-    # -- receiving ----------------------------------------------------------
-    def on_message(self, handler: Callable[[Message], None]) -> None:
-        """Install a push handler; drains any backlog immediately."""
-        self._handler = handler
-        while self._backlog and self._handler is not None:
-            self._handler(self._backlog.pop(0))
-
-    def recv(self) -> Event:
-        """Event that succeeds with the next :class:`Message`."""
-        ev = self.network.sim.event()
-        if self._backlog:
-            ev.succeed(self._backlog.pop(0))
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def _deliver(self, msg: Message) -> None:
-        self.recv_count += 1
-        self.recv_bytes += msg.size
-        if self._handler is not None:
-            self._handler(msg)
-            return
-        while self._waiters:
-            waiter = self._waiters.pop(0)
-            if not waiter.triggered:
-                waiter.succeed(msg)
-                return
-        self._backlog.append(msg)
-
     # -- lifecycle ------------------------------------------------------------
     def crash(self) -> None:
         """Take the endpoint down; in-flight and future messages are lost."""
         self.up = False
-        self._backlog.clear()
 
     def restart(self) -> None:
         """Bring the endpoint back up (state recovery is the owner's job)."""
@@ -210,12 +175,15 @@ class Network:
         # taps read the tracer from here.
         self.tracer: Optional[Any] = None
 
-    def endpoint(self, name: str) -> Endpoint:
-        """Create (or return) the endpoint called ``name``."""
-        ep = self.endpoints.get(name)
-        if ep is None:
-            ep = Endpoint(self, name)
-            self.endpoints[name] = ep
+    def endpoint(self, name: str,
+                 handler: Callable[[Message], None]) -> Endpoint:
+        """Create the endpoint called ``name``, pushing what it receives
+        to ``handler``.  A name is taken once: a second endpoint under
+        it would steal the first one's replies, so it raises.  Look an
+        existing endpoint up in :attr:`endpoints`."""
+        if name in self.endpoints:
+            raise ValueError(f"endpoint name {name!r} is taken")
+        ep = self.endpoints[name] = Endpoint(self, name, handler)
         return ep
 
     def add_filter(self, fn: Callable[[str, str, Any], bool]) -> None:
@@ -233,7 +201,6 @@ class Network:
                   size: Optional[int] = None) -> None:
         if size is None:
             size = estimate_size(payload)
-        src.sent_count += 1
         src.sent_bytes += size
         for flt in self._filters:
             if not flt(src.name, dst, payload):
@@ -262,4 +229,4 @@ class Network:
             return
         msg.delivered_at = self.sim.now
         self.delivered += 1
-        target._deliver(msg)
+        target._handler(msg)

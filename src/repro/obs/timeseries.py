@@ -4,7 +4,7 @@ A :class:`MetricsRegistry` snapshot is a point-in-time export; an
 operator (or the SLO evaluator, or the flight recorder) wants the
 *shape over time* — rates, levels and latency distributions per
 sampling window.  :class:`TimeSeriesRecorder` samples the registry on
-the simulated clock (one ``sim.recurring`` tick per interval), turns
+the simulated clock (one ``sim.timeout`` per interval), turns
 each sample into per-series **deltas** (counters and histograms) or
 **levels** (gauges), and keeps them in bounded per-series ring
 buffers.
@@ -132,9 +132,9 @@ class TimeSeriesRecorder:
         self._running = False
 
     def _loop(self, sim: Any):
-        timer = sim.recurring(self.interval)
+        interval = self.interval
         while self._running:
-            yield timer.tick()
+            yield sim.timeout(interval)
             if not self._running:
                 return
             self.sample(sim.now)

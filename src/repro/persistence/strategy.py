@@ -87,9 +87,9 @@ class SnapshotPersistence(PersistenceStrategy):
         self._running = False
 
     def _flusher(self):
-        flush_timer = self._sim.recurring(self.interval)
+        interval = self.interval
         while self._running:
-            yield flush_timer.tick()
+            yield self._sim.timeout(interval)
             if not self._running:
                 return
             self.flush_now()

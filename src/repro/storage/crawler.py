@@ -65,9 +65,9 @@ class ExpiryCrawler:
         self.running = False
 
     def _loop(self) -> Generator[object, object, None]:
-        sweep = self.sim.recurring(self.interval)
+        interval = self.interval
         while self.running:
-            yield sweep.tick()
+            yield self.sim.timeout(interval)
             if not self.running:
                 return
             self.passes += 1

@@ -115,9 +115,9 @@ class TriggerRuntime:
     # -- scanning -------------------------------------------------------------
     def _scanner(self, node: SednaNode, tid: int):
         batch = 64
-        scan_timer = self.sim.recurring(self.config.scan_interval)
+        interval = self.config.scan_interval
         while True:
-            yield scan_timer.tick()
+            yield self.sim.timeout(interval)
             if not self._started:
                 return
             if not (node.running and node.rpc.endpoint.up):

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..net.latency import ZK_READ_OP
-from ..net.rpc import (RpcError, RpcNode, RpcRejected, RpcTimeout,
-                       gather_quorum)
+from ..net.rpc import (QuorumWait, RpcError, RpcNode, RpcRejected,
+                       RpcTimeout)
 from ..net.simulator import Simulator
 from ..net.transport import Network
 from .session import SessionTable
@@ -344,11 +344,11 @@ class ZkServer:
         epoch = self.epoch
         payload = {"epoch": epoch, "zxid": zxid, "op": op}
         if acks_needed > 0:
-            events = [self.rpc.call_async(peer, "zk.propose", payload)
-                      for peer in self.peers]
+            acks = [(None, self.rpc.call_async(peer, "zk.propose", payload))
+                    for peer in self.peers]
             try:
-                yield from gather_quorum(self.sim, events, acks_needed,
-                                         self.config.proposal_timeout)
+                yield QuorumWait(self.sim, acks, acks_needed,
+                                 self.config.proposal_timeout).done
             except RpcError as err:
                 ev = self._result_events.pop(zxid, None)
                 if ev is not None and not ev.triggered:

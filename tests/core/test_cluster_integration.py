@@ -190,6 +190,22 @@ class TestClusterShape:
         assert stats["zk"]["leader"] is not None
 
 
+class TestEndpointNames:
+    def test_a_taken_client_name_raises(self, cluster):
+        """A second handle under one name would take the first one's
+        replies, and the first one's writes would report failure."""
+        first = cluster.client("dup")
+        with pytest.raises(ValueError, match="taken"):
+            cluster.client("dup")
+        assert cluster.run(first.write_latest("dup-k", "v")) == WriteOutcome.OK
+
+    def test_crashing_an_unknown_name_raises(self, cluster):
+        """A mistyped node name is an error, not a new endpoint."""
+        with pytest.raises(KeyError):
+            cluster.failures.crash("nod0")
+        assert "nod0" not in cluster.network.endpoints
+
+
 class TestClientFailover:
     def test_round_robin_client_survives_dead_coordinator(self, cluster):
         """The thin client retries the next coordinator on timeout."""

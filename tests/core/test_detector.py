@@ -76,9 +76,9 @@ class TestActiveDetector:
             d.start()
         # Take only the *data* endpoint down briefly; the -zk endpoint
         # (and so the session) stays up.
-        cluster.network.endpoint("node3").crash()
+        cluster.network.endpoints["node3"].crash()
         cluster.settle(3.0)
-        cluster.network.endpoint("node3").restart()
+        cluster.network.endpoints["node3"].restart()
         cluster.settle(2.0)
         for d in dets:
             d.stop()

@@ -6,8 +6,7 @@ event's callbacks (and everything they reach) are dropped.  Two
 contracts follow, pinned here:
 
 * *defused is not fired* — a defused event that has not reached its
-  instant is still pending, so a new waiter waits for that instant and
-  a recurring timer does not re-arm it in place;
+  instant is still pending, so a new waiter waits for that instant;
 * *order neutrality* — a run that defuses its moot timers schedules the
   same events, fires its live callbacks in the same order and walks the
   same clock as the run that lets them fire and do nothing.
@@ -30,26 +29,6 @@ class TestDefusedIsNotFired:
         assert not ev.processed and not ev.triggered
         sim.run()
         assert ev.processed
-
-    def test_recurring_timer_does_not_rearm_a_queued_defused_tick(self, sim):
-        """Re-arming in place would queue the object twice and fire it
-        at the old instant."""
-        timer = sim.recurring(1.0)
-        first = timer.tick()
-        first.defuse()
-        second = timer.tick(5.0)
-        assert second is not first
-        fired = []
-        second.callbacks.append(lambda _ev: fired.append(sim.now))
-        sim.run()
-        assert fired == [5.0]
-
-    def test_recurring_timer_reuses_a_popped_defused_tick(self, sim):
-        timer = sim.recurring(1.0)
-        first = timer.tick()
-        first.defuse()
-        sim.run()
-        assert timer.tick() is first
 
     def test_yielding_a_defused_timeout_waits_for_its_instant(self, sim):
         pending = sim.timeout(3.0, "late")

@@ -21,9 +21,8 @@ def net(sim):
 def wire(net, names):
     boxes = {}
     for name in names:
-        ep = net.endpoint(name)
         inbox = []
-        ep.on_message(lambda m, inbox=inbox: inbox.append(m.payload))
+        net.endpoint(name, lambda m, inbox=inbox: inbox.append(m.payload))
         boxes[name] = inbox
     return boxes
 
@@ -32,25 +31,25 @@ class TestPartition:
     def test_partition_cuts_both_directions(self, sim, net):
         boxes = wire(net, ["a", "b"])
         Partition(net, ["a"], ["b"])
-        net.endpoint("a").send("b", "ab")
-        net.endpoint("b").send("a", "ba")
+        net.endpoints["a"].send("b", "ab")
+        net.endpoints["b"].send("a", "ba")
         sim.run()
         assert boxes["a"] == [] and boxes["b"] == []
 
     def test_traffic_within_group_unaffected(self, sim, net):
         boxes = wire(net, ["a1", "a2", "b"])
         Partition(net, ["a1", "a2"], ["b"])
-        net.endpoint("a1").send("a2", "intra")
+        net.endpoints["a1"].send("a2", "intra")
         sim.run()
         assert boxes["a2"] == ["intra"]
 
     def test_heal_restores(self, sim, net):
         boxes = wire(net, ["a", "b"])
         part = Partition(net, ["a"], ["b"])
-        net.endpoint("a").send("b", "lost")
+        net.endpoints["a"].send("b", "lost")
         part.heal()
         assert not part.active
-        net.endpoint("a").send("b", "found")
+        net.endpoints["a"].send("b", "found")
         sim.run()
         assert boxes["b"] == ["found"]
 
@@ -65,7 +64,7 @@ class TestMessageLoss:
         boxes = wire(net, ["a", "b"])
         MessageLoss(net, 0.0)
         for i in range(50):
-            net.endpoint("a").send("b", i)
+            net.endpoints["a"].send("b", i)
         sim.run()
         assert len(boxes["b"]) == 50
 
@@ -73,7 +72,7 @@ class TestMessageLoss:
         boxes = wire(net, ["a", "b"])
         loss = MessageLoss(net, 1.0)
         for i in range(50):
-            net.endpoint("a").send("b", i)
+            net.endpoints["a"].send("b", i)
         sim.run()
         assert boxes["b"] == [] and loss.dropped == 50
 
@@ -84,7 +83,7 @@ class TestMessageLoss:
             boxes = wire(n, ["a", "b"])
             MessageLoss(n, 0.3, seed=seed)
             for i in range(100):
-                n.endpoint("a").send("b", i)
+                n.endpoints["a"].send("b", i)
             s.run()
             return boxes["b"]
 
@@ -94,8 +93,8 @@ class TestMessageLoss:
     def test_scope_restricts_loss(self, sim, net):
         boxes = wire(net, ["a", "b", "c"])
         MessageLoss(net, 1.0, scope=["c"])
-        net.endpoint("a").send("b", "safe")
-        net.endpoint("a").send("c", "doomed")
+        net.endpoints["a"].send("b", "safe")
+        net.endpoints["a"].send("c", "doomed")
         sim.run()
         assert boxes["b"] == ["safe"] and boxes["c"] == []
 
@@ -107,7 +106,7 @@ class TestMessageLoss:
         boxes = wire(net, ["a", "b"])
         loss = MessageLoss(net, 1.0)
         loss.stop()
-        net.endpoint("a").send("b", "x")
+        net.endpoints["a"].send("b", "x")
         sim.run()
         assert boxes["b"] == ["x"]
 
@@ -117,12 +116,24 @@ class TestFailureInjector:
         boxes = wire(net, ["a", "b"])
         inj = FailureInjector(net)
         inj.crash("b")
-        net.endpoint("a").send("b", "lost")
+        net.endpoints["a"].send("b", "lost")
         sim.run()
         inj.restart("b")
-        net.endpoint("a").send("b", "ok")
+        net.endpoints["a"].send("b", "ok")
         sim.run()
         assert boxes["b"] == ["ok"]
+
+    def test_unknown_name_raises(self, sim, net):
+        """A mistyped name is an error, not a new endpoint that nothing
+        sends to."""
+        wire(net, ["node0"])
+        inj = FailureInjector(net)
+        with pytest.raises(KeyError):
+            inj.crash("nod0")
+        with pytest.raises(KeyError):
+            inj.restart("nod0")
+        assert list(net.endpoints) == ["node0"]
+        assert net.endpoints["node0"].up
 
     def test_heal_all(self, sim, net):
         boxes = wire(net, ["a", "b", "c"])
@@ -130,7 +141,7 @@ class TestFailureInjector:
         inj.partition(["a"], ["b"])
         inj.partition(["a"], ["c"])
         inj.heal_all()
-        net.endpoint("a").send("b", "1")
-        net.endpoint("a").send("c", "2")
+        net.endpoints["a"].send("b", "1")
+        net.endpoints["a"].send("c", "2")
         sim.run()
         assert boxes["b"] == ["1"] and boxes["c"] == ["2"]

@@ -1,17 +1,18 @@
 """Unit tests for the callback-driven :class:`QuorumWait` primitive.
 
-QuorumWait replaced the rescan-based ``gather_quorum`` loop and the
-coordinator's private ``_quorum_fanout``; these tests pin down the
-semantics both call sites rely on: attribution, same-instant
-absorption, fail-fast vs collect-laggards, deadline behaviour, and the
-O(1) bookkeeping of timed-out RPC calls.
+A process waits on one with ``oks, fails = yield wait.done``.  These
+tests pin down the semantics both call sites rely on -- the quorum
+coordinator's attributed entries and the ZooKeeper proposal round's
+anonymous ones: attribution, same-instant absorption, fail-fast vs
+collect-laggards, deadline behaviour, and the O(1) bookkeeping of
+timed-out RPC calls.
 """
 
 import pytest
 
 from repro.net.latency import NoLatency
 from repro.net.rpc import (QuorumWait, RpcError, RpcNode, RpcRejected,
-                           RpcTimeout, gather_quorum)
+                           RpcTimeout)
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 
@@ -24,6 +25,11 @@ def sim():
 def drive(sim, gen):
     proc = sim.process(gen)
     return sim.run(until=proc)
+
+
+def waiting(wait):
+    """A process body that waits on the fan-in and returns its value."""
+    return (yield wait.done)
 
 
 def deferred(sim, delay, value=None, exc=None):
@@ -47,10 +53,10 @@ class TestQuorumMet:
                  ("r1", deferred(sim, 0.3, "b")),
                  ("r2", deferred(sim, 9.9, "never"))]
         wait = QuorumWait(sim, calls, needed=2, timeout=1.0)
-        oks, fails = drive(sim, wait.wait())
+        oks, fails = drive(sim, waiting(wait))
         assert oks == [("r0", "a"), ("r1", "b")]
         assert fails == []
-        assert wait.settled
+        assert wait.done.triggered
 
     def test_same_instant_replies_are_absorbed(self, sim):
         """Three acks landing at the same simulated instant all appear
@@ -58,7 +64,7 @@ class TestQuorumMet:
         settle defers one zero-delay callback."""
         calls = [(n, deferred(sim, 0.2, n)) for n in ("r0", "r1", "r2")]
         wait = QuorumWait(sim, calls, needed=2, timeout=1.0)
-        oks, _fails = drive(sim, wait.wait())
+        oks, _fails = drive(sim, waiting(wait))
         assert [n for n, _v in oks] == ["r0", "r1", "r2"]
 
     def test_already_processed_events_count_at_construction(self, sim):
@@ -67,7 +73,7 @@ class TestQuorumMet:
         sim.run(until=sim.now + 0.01)  # let the event process
         calls = [("r0", done), ("r1", deferred(sim, 0.1, "late"))]
         wait = QuorumWait(sim, calls, needed=2, timeout=1.0)
-        oks, _fails = drive(sim, wait.wait())
+        oks, _fails = drive(sim, waiting(wait))
         assert ("r0", "early") in oks
         assert ("r1", "late") in oks
 
@@ -76,7 +82,7 @@ class TestQuorumMet:
                  ("r1", deferred(sim, 0.2, "b")),
                  ("r2", deferred(sim, 0.3, "c"))]
         wait = QuorumWait(sim, calls, needed=2, timeout=1.0)
-        oks, fails = drive(sim, wait.wait())
+        oks, fails = drive(sim, waiting(wait))
         assert [n for n, _v in oks] == ["r1", "r2"]
         assert [n for n, _e in fails] == ["r0"]
 
@@ -92,7 +98,7 @@ class TestQuorumFailure:
 
         def waiter():
             with pytest.raises(RpcError):
-                yield from wait.wait()
+                yield wait.done
             return sim.now
 
         settled_at = drive(sim, waiter())
@@ -110,7 +116,7 @@ class TestQuorumFailure:
 
         def waiter():
             with pytest.raises(RpcError):
-                yield from wait.wait()
+                yield wait.done
             return sim.now
 
         settled_at = drive(sim, waiter())
@@ -123,7 +129,7 @@ class TestQuorumFailure:
                  ("r2", deferred(sim, 0.9, "c"))]
         wait = QuorumWait(sim, calls, needed=2, timeout=5.0,
                           fail_fast=False)
-        oks, fails = drive(sim, wait.wait())
+        oks, fails = drive(sim, waiting(wait))
         assert [n for n, _v in oks] == ["r1", "r2"]
         assert len(fails) == 1
 
@@ -135,7 +141,7 @@ class TestQuorumFailure:
 
         def waiter():
             with pytest.raises(RpcTimeout):
-                yield from wait.wait()
+                yield wait.done
             return sim.now
 
         assert drive(sim, waiter()) == pytest.approx(0.5)
@@ -147,7 +153,7 @@ class TestQuorumFailure:
         calls = [(n, deferred(sim, 99.0, n)) for n in ("r0", "r1", "r2")]
         wait = QuorumWait(sim, calls, needed=2, timeout=0.75)
         with pytest.raises(RpcTimeout):
-            drive(sim, wait.wait())
+            drive(sim, waiting(wait))
         assert sim.now == pytest.approx(0.75)
         assert wait.oks == [] and wait.fails == []
 
@@ -159,14 +165,14 @@ class TestQuorumFailure:
         timeout = sim.timeout
 
         def spy(delay, value=None):
-            made.append(timeout(delay, value))
-            return made[-1]
+            made.append((delay, timeout(delay, value)))
+            return made[-1][1]
 
         sim.timeout = spy
         calls = [(n, deferred(sim, 0.1, n)) for n in ("r0", "r1")]
         wait = QuorumWait(sim, calls, needed=2, timeout=1.0)
-        deadline = next(t for t in made if t.delay == 1.0)
-        drive(sim, wait.wait())
+        deadline = next(t for delay, t in made if delay == 1.0)
+        drive(sim, waiting(wait))
         assert deadline.callbacks is None and not deadline.triggered
         scheduled = sim.events_scheduled
         sim.run()
@@ -178,27 +184,32 @@ class TestQuorumFailure:
                  ("r1", deferred(sim, 0.2, "b")),
                  ("r2", deferred(sim, 0.4, "late"))]
         wait = QuorumWait(sim, calls, needed=2, timeout=1.0)
-        oks, _fails = drive(sim, wait.wait())
+        oks, _fails = drive(sim, waiting(wait))
         assert [n for n, _v in oks] == ["r0", "r1"]
         sim.run(until=sim.now + 1.0)
         assert [n for n, _v in wait.oks] == ["r0", "r1"]
 
 
 class TestGatherQuorumWrapper:
+    """Anonymous entries, the form the ZooKeeper proposal round uses."""
+
     def test_returns_plain_values(self, sim):
         events = [deferred(sim, 0.1, "a"),
                   deferred(sim, 0.2, exc=RpcRejected("no")),
                   deferred(sim, 0.3, "c")]
-        oks, fails = drive(sim, gather_quorum(sim, events, 2, 1.0))
-        assert oks == ["a", "c"]
-        assert len(fails) == 1 and isinstance(fails[0], RpcRejected)
+        wait = QuorumWait(sim, [(None, ev) for ev in events], 2, 1.0)
+        oks, fails = drive(sim, waiting(wait))
+        assert oks == [(None, "a"), (None, "c")]
+        assert len(fails) == 1 and fails[0][0] is None
+        assert isinstance(fails[0][1], RpcRejected)
 
     def test_timeout_propagates(self, sim):
         events = [deferred(sim, 9.0, "a")]
 
         def waiter():
             with pytest.raises(RpcTimeout):
-                yield from gather_quorum(sim, events, 1, 0.2)
+                yield QuorumWait(sim, [(None, ev) for ev in events], 1,
+                                 0.2).done
             return True
 
         assert drive(sim, waiter())

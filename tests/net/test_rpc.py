@@ -1,10 +1,10 @@
-"""Unit tests for the RPC layer and quorum gathering."""
+"""Unit tests for the RPC layer and the quorum fan-in over its calls."""
 
 import pytest
 
 from repro.net.latency import NoLatency, UniformLatency
-from repro.net.rpc import (RpcError, RpcNode, RpcRejected, RpcTimeout,
-                           gather_quorum)
+from repro.net.rpc import (QuorumWait, RpcError, RpcNode, RpcRejected,
+                           RpcTimeout)
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 
@@ -141,6 +141,13 @@ class TestBasicCalls:
         assert server.requests_served == 2
 
 
+def quorum(sim, events, needed, timeout):
+    """The fan-in over anonymous entries, as the ZooKeeper proposal
+    round builds it: ``oks, fails = yield quorum(...)``."""
+    return QuorumWait(sim, [(None, ev) for ev in events], needed,
+                      timeout).done
+
+
 class TestGatherQuorum:
     def _fanout(self, sim, net, n_servers, handler_for):
         client = RpcNode(net, "client")
@@ -154,7 +161,7 @@ class TestGatherQuorum:
 
         def coordinator():
             events = [client.call_async(f"s{i}", "op", None) for i in range(3)]
-            oks, fails = yield from gather_quorum(sim, events, needed=2, timeout=1.0)
+            oks, fails = yield quorum(sim, events, needed=2, timeout=1.0)
             return len(oks) >= 2 and not fails
 
         proc = sim.process(coordinator())
@@ -178,7 +185,7 @@ class TestGatherQuorum:
 
         def coordinator():
             events = [client.call_async(f"s{i}", "op", None) for i in range(3)]
-            oks, _ = yield from gather_quorum(sim, events, needed=2, timeout=10.0)
+            oks, _ = yield quorum(sim, events, needed=2, timeout=10.0)
             return sim.now, len(oks)
 
         proc = sim.process(coordinator())
@@ -192,7 +199,7 @@ class TestGatherQuorum:
         def coordinator():
             events = [client.call_async(f"s{i}", "op", None) for i in range(3)]
             with pytest.raises(RpcTimeout):
-                yield from gather_quorum(sim, events, needed=2, timeout=0.5)
+                yield quorum(sim, events, needed=2, timeout=0.5)
             return sim.now
 
         proc = sim.process(coordinator())
@@ -206,7 +213,7 @@ class TestGatherQuorum:
         def coordinator():
             events = [client.call_async(f"s{i}", "op", None) for i in range(3)]
             with pytest.raises(RpcError):
-                yield from gather_quorum(sim, events, needed=2, timeout=10.0)
+                yield quorum(sim, events, needed=2, timeout=10.0)
             return sim.now
 
         proc = sim.process(coordinator())
@@ -225,8 +232,8 @@ class TestGatherQuorum:
 
         def coordinator():
             events = [client.call_async(f"s{i}", "op", None) for i in range(3)]
-            oks, fails = yield from gather_quorum(sim, events, needed=2, timeout=1.0)
-            return sorted(oks), len(fails)
+            oks, fails = yield quorum(sim, events, needed=2, timeout=1.0)
+            return sorted(value for _name, value in oks), len(fails)
 
         proc = sim.process(coordinator())
         oks, nfails = sim.run(until=proc)

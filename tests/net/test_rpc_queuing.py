@@ -138,7 +138,7 @@ class TestServePath:
         # The request was already inside the server: it executes, but a
         # dead endpoint says nothing.
         assert ran == ["queued"] and not done.triggered
-        assert server.endpoint.sent_count == 0
+        assert server.endpoint.sent_bytes == 0
 
     @pytest.mark.parametrize("service_time", [0.0, 0.01])
     def test_reply_payload_and_size_per_handler_outcome(self, world,

@@ -2,13 +2,54 @@
 
 import pytest
 
-from repro.net.simulator import (AllOf, AnyOf, Event, Interrupt,
-                                 SimulationError, Simulator)
+from repro.net.simulator import (AllOf, AnyOf, Event, SimulationError,
+                                 Simulator)
 
 
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+class _FirstScheduled:
+    """Kernel tracer keeping the first event pushed onto the queue."""
+
+    def __init__(self):
+        self.event = None
+
+    def on_schedule(self, event, priority, when):
+        if self.event is None:
+            self.event = event
+
+    def on_step(self, event, when, priority):
+        pass
+
+    def on_step_done(self, event):
+        pass
+
+
+def _pending_timeout(sim):
+    return sim.timeout(1.0)
+
+
+def _process_start_event(sim):
+    tracer = _FirstScheduled()
+    sim.tracer = tracer
+
+    def worker():
+        yield sim.timeout(1.0)
+
+    sim.process(worker())
+    sim.tracer = None
+    return tracer.event
+
+
+def _processed_event(sim):
+    ev = sim.event()
+    ev.succeed("done")
+    sim.run()
+    assert ev.processed
+    return ev
 
 
 class TestEvent:
@@ -46,6 +87,21 @@ class TestEvent:
         ev.fail(ValueError("boom"))
         with pytest.raises(ValueError, match="boom"):
             sim.run()
+
+    @pytest.mark.parametrize("make", [_pending_timeout, _process_start_event,
+                                      _processed_event])
+    def test_queued_or_processed_event_cannot_be_triggered(self, sim, make):
+        """A queued event already has its outcome, and a processed one
+        has run it: succeed() and fail() both refuse, and the queue
+        does not grow."""
+        ev = make(sim)
+        assert ev is not None
+        scheduled = sim.events_scheduled
+        with pytest.raises(SimulationError, match="already triggered"):
+            ev.succeed("again")
+        with pytest.raises(SimulationError, match="already triggered"):
+            ev.fail(ValueError("again"))
+        assert sim.events_scheduled == scheduled
 
 
 class TestTimeout:
@@ -144,33 +200,6 @@ class TestProcess:
         proc = sim.process(bad())
         with pytest.raises(SimulationError, match="invalid target"):
             sim.run(until=proc)
-
-    def test_interrupt_waiting_process(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-                return "slept"
-            except Interrupt as irq:
-                return f"interrupted:{irq.cause}"
-
-        proc = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            proc.interrupt("wake")
-
-        sim.process(interrupter())
-        assert sim.run(until=proc) == "interrupted:wake"
-        assert sim.now == 1.0
-
-    def test_interrupt_finished_process_errors(self, sim):
-        def quick():
-            yield sim.timeout(0.0)
-
-        proc = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
 
     def test_is_alive(self, sim):
         def worker():

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.simulator import (AllOf, AnyOf, Event, Interrupt,
-                                 SimulationError, Simulator)
+from repro.net.simulator import AllOf, AnyOf, Simulator
 
 
 @pytest.fixture
@@ -27,56 +26,6 @@ class TestDefusedEvents:
         ev.callbacks = None
         ev.fail(ValueError("ignored"))
         sim.run()  # must not raise
-
-
-class TestInterruptSemantics:
-    def test_interrupt_cause_is_delivered(self, sim):
-        causes = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100)
-            except Interrupt as irq:
-                causes.append(irq.cause)
-
-        proc = sim.process(sleeper())
-        sim.schedule_callback(1.0, lambda: proc.interrupt({"why": "test"}))
-        sim.run()
-        assert causes == [{"why": "test"}]
-
-    def test_interrupted_process_can_wait_again(self, sim):
-        trace = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100)
-            except Interrupt:
-                trace.append(("interrupted", sim.now))
-            yield sim.timeout(1.0)
-            trace.append(("resumed", sim.now))
-
-        proc = sim.process(sleeper())
-        sim.schedule_callback(2.0, lambda: proc.interrupt())
-        sim.run()
-        assert trace == [("interrupted", 2.0), ("resumed", 3.0)]
-
-    def test_interrupt_detaches_from_original_event(self, sim):
-        """After an interrupt, the originally awaited event firing must
-        not resume the process a second time."""
-        resumptions = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(2.0)
-            except Interrupt:
-                pass
-            resumptions.append(sim.now)
-            yield sim.timeout(10.0)
-
-        proc = sim.process(sleeper())
-        sim.schedule_callback(1.0, lambda: proc.interrupt())
-        sim.run(until=5.0)
-        assert resumptions == [1.0]
 
 
 class TestConditionEdgeCases:

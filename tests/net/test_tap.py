@@ -11,6 +11,10 @@ from repro.net.transport import Network
 from repro.net.tap import NetworkTap
 
 
+def sink(_msg):
+    """Handler of an endpoint whose deliveries the test does not read."""
+
+
 class TestTapBasics:
     def test_records_requests_and_responses(self):
         sim = Simulator()
@@ -32,9 +36,9 @@ class TestTapBasics:
         sim = Simulator()
         net = Network(sim, latency=NoLatency())
         NetworkTap(net)
-        a, b = net.endpoint("a"), net.endpoint("b")
         got = []
-        b.on_message(lambda m: got.append(m.payload))
+        a = net.endpoint("a", sink)
+        net.endpoint("b", lambda m: got.append(m.payload))
         a.send("b", "x")
         sim.run()
         assert got == ["x"] and net.dropped == 0
@@ -43,8 +47,8 @@ class TestTapBasics:
         sim = Simulator()
         net = Network(sim, latency=NoLatency())
         tap = NetworkTap(net)
-        a = net.endpoint("a")
-        net.endpoint("b")
+        a = net.endpoint("a", sink)
+        net.endpoint("b", sink)
         a.send("b", {"kind": "req", "id": 1, "method": "m", "args": None})
         tap.clear()
         tap.detach()
@@ -56,9 +60,9 @@ class TestTapBasics:
         sim = Simulator()
         net = Network(sim, latency=NoLatency())
         tap = NetworkTap(net, predicate=lambda r: r.dst == "b")
-        a = net.endpoint("a")
-        net.endpoint("b")
-        net.endpoint("c")
+        a = net.endpoint("a", sink)
+        net.endpoint("b", sink)
+        net.endpoint("c", sink)
         a.send("b", "to-b")
         a.send("c", "to-c")
         sim.run()
@@ -70,8 +74,8 @@ class TestTapBasics:
         sim = Simulator()
         net = Network(sim, latency=NoLatency())
         tap = NetworkTap(net)
-        a, b = net.endpoint("a"), net.endpoint("b")
-        net.endpoint("c")
+        a, b = net.endpoint("a", sink), net.endpoint("b", sink)
+        net.endpoint("c", sink)
         a.send("b", "fwd")
         b.send("a", "back")
         a.send("c", "other")
@@ -84,8 +88,8 @@ class TestTapBasics:
         sim = Simulator()
         net = Network(sim, latency=NoLatency())
         tap = NetworkTap(net)
-        a = net.endpoint("a")
-        net.endpoint("b")
+        a = net.endpoint("a", sink)
+        net.endpoint("b", sink)
         a.send("b", "one")
         a.send("b", "two")
         sim.run()

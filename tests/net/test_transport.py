@@ -17,6 +17,16 @@ def net(sim):
     return Network(sim, latency=NoLatency())
 
 
+def ignore(_msg):
+    """Handler of an endpoint that only sends."""
+
+
+def inbox(net, name):
+    """An endpoint recording every message pushed to it."""
+    got = []
+    return net.endpoint(name, got.append), got
+
+
 class TestEstimateSize:
     def test_primitives(self):
         assert estimate_size(None) == 1
@@ -65,107 +75,108 @@ class TestLatencyModels:
 
 
 class TestEndpointMessaging:
-    def test_send_and_pull_receive(self, sim, net):
-        a, b = net.endpoint("a"), net.endpoint("b")
-
-        def receiver():
-            msg = yield b.recv()
-            return (msg.src, msg.payload)
-
-        proc = sim.process(receiver())
+    def test_send_and_receive(self, sim, net):
+        a = net.endpoint("a", ignore)
+        _b, got = inbox(net, "b")
         a.send("b", {"hello": 1})
-        assert sim.run(until=proc) == ("a", {"hello": 1})
+        sim.run()
+        assert [(m.src, m.dst, m.payload) for m in got] == \
+            [("a", "b", {"hello": 1})]
 
     def test_push_handler(self, sim, net):
-        got = []
-        a, b = net.endpoint("a"), net.endpoint("b")
-        b.on_message(lambda m: got.append(m.payload))
+        a = net.endpoint("a", ignore)
+        _b, got = inbox(net, "b")
         a.send("b", "one")
         a.send("b", "two")
         sim.run()
-        assert got == ["one", "two"]
-
-    def test_backlog_drained_when_handler_installed(self, sim, net):
-        a, b = net.endpoint("a"), net.endpoint("b")
-        a.send("b", "early")
-        sim.run()
-        got = []
-        b.on_message(lambda m: got.append(m.payload))
-        assert got == ["early"]
+        assert [m.payload for m in got] == ["one", "two"]
 
     def test_latency_applied(self, sim):
         net = Network(sim, latency=UniformLatency(propagation=0.25, jitter=0.0))
-        a, b = net.endpoint("a"), net.endpoint("b")
-
-        def receiver():
-            msg = yield b.recv()
-            return sim.now, msg.delivered_at
-
-        proc = sim.process(receiver())
+        a = net.endpoint("a", ignore)
+        arrivals = []
+        net.endpoint("b", lambda m: arrivals.append((sim.now, m.delivered_at)))
         a.send("b", "x")
-        now, delivered = sim.run(until=proc)
+        sim.run()
+        ((now, delivered),) = arrivals
         assert now == pytest.approx(0.25)
         assert delivered == pytest.approx(0.25)
 
     def test_message_ordering_preserved_fixed_latency(self, sim):
         net = Network(sim, latency=UniformLatency(propagation=0.1, jitter=0.0))
-        a, b = net.endpoint("a"), net.endpoint("b")
-        got = []
-        b.on_message(lambda m: got.append(m.payload))
+        a = net.endpoint("a", ignore)
+        _b, got = inbox(net, "b")
         for i in range(10):
             a.send("b", i)
         sim.run()
-        assert got == list(range(10))
+        assert [m.payload for m in got] == list(range(10))
 
     def test_send_to_unknown_endpoint_drops(self, sim, net):
-        a = net.endpoint("a")
+        a = net.endpoint("a", ignore)
         a.send("ghost", "x")
         sim.run()
         assert net.dropped == 1
 
     def test_counters(self, sim, net):
-        a, b = net.endpoint("a"), net.endpoint("b")
-        b.on_message(lambda m: None)
+        a = net.endpoint("a", ignore)
+        _b, got = inbox(net, "b")
         a.send("b", "xyz")
         sim.run()
-        assert a.sent_count == 1 and b.recv_count == 1
-        assert a.sent_bytes == 3 and b.recv_bytes == 3
+        assert a.sent_bytes == 3 and net.delivered == 1
+        assert [m.size for m in got] == [3]
+
+
+class TestEndpointNames:
+    def test_taken_name_raises(self, sim, net):
+        """A second endpoint under a name would take the first one's
+        messages: creating it raises, and the first keeps its handler."""
+        a = net.endpoint("a", ignore)
+        _b, got = inbox(net, "b")
+        with pytest.raises(ValueError, match="taken"):
+            net.endpoint("b", ignore)
+        a.send("b", "still mine")
+        sim.run()
+        assert [m.payload for m in got] == ["still mine"]
+
+    def test_lookup_does_not_create(self, sim, net):
+        net.endpoint("a", ignore)
+        assert net.endpoints["a"].name == "a"
+        with pytest.raises(KeyError):
+            net.endpoints["ghost"]
+        assert list(net.endpoints) == ["a"]
 
 
 class TestCrash:
     def test_crashed_endpoint_drops_incoming(self, sim, net):
-        a, b = net.endpoint("a"), net.endpoint("b")
-        got = []
-        b.on_message(lambda m: got.append(m.payload))
+        a = net.endpoint("a", ignore)
+        b, got = inbox(net, "b")
         b.crash()
         a.send("b", "lost")
         sim.run()
         assert got == [] and net.dropped == 1
 
     def test_crashed_endpoint_cannot_send(self, sim, net):
-        a = net.endpoint("a")
-        net.endpoint("b")
+        a = net.endpoint("a", ignore)
+        net.endpoint("b", ignore)
         a.crash()
         with pytest.raises(RuntimeError):
             a.send("b", "x")
 
     def test_restart_resumes_delivery(self, sim, net):
-        a, b = net.endpoint("a"), net.endpoint("b")
-        got = []
-        b.on_message(lambda m: got.append(m.payload))
+        a = net.endpoint("a", ignore)
+        b, got = inbox(net, "b")
         b.crash()
         a.send("b", "lost")
         sim.run()
         b.restart()
         a.send("b", "found")
         sim.run()
-        assert got == ["found"]
+        assert [m.payload for m in got] == ["found"]
 
     def test_message_in_flight_to_crashing_node_lost(self, sim):
         net = Network(sim, latency=UniformLatency(propagation=1.0, jitter=0.0))
-        a, b = net.endpoint("a"), net.endpoint("b")
-        got = []
-        b.on_message(lambda m: got.append(m.payload))
+        a = net.endpoint("a", ignore)
+        b, got = inbox(net, "b")
         a.send("b", "inflight")
         sim.schedule_callback(0.5, b.crash)
         sim.run()
@@ -175,24 +186,22 @@ class TestCrash:
 
 class TestFilters:
     def test_filter_drops(self, sim, net):
-        a, b = net.endpoint("a"), net.endpoint("b")
-        got = []
-        b.on_message(lambda m: got.append(m.payload))
+        a = net.endpoint("a", ignore)
+        _b, got = inbox(net, "b")
         net.add_filter(lambda src, dst, payload: payload != "bad")
         a.send("b", "bad")
         a.send("b", "good")
         sim.run()
-        assert got == ["good"]
+        assert [m.payload for m in got] == ["good"]
         assert net.dropped == 1
 
     def test_filter_removal(self, sim, net):
-        a, b = net.endpoint("a"), net.endpoint("b")
-        got = []
-        b.on_message(lambda m: got.append(m.payload))
+        a = net.endpoint("a", ignore)
+        _b, got = inbox(net, "b")
         flt = lambda src, dst, payload: False
         net.add_filter(flt)
         a.send("b", "x")
         net.remove_filter(flt)
         a.send("b", "y")
         sim.run()
-        assert got == ["y"]
+        assert [m.payload for m in got] == ["y"]

@@ -173,7 +173,7 @@ class TestEnvelopePropagation:
         net.add_filter(
             lambda src, dst, p: payloads.append(p) or True)
         deliver = server.endpoint._handler
-        server.endpoint.on_message(
+        server.endpoint._handler = (
             lambda msg: contexts.append(msg.trace) or deliver(msg))
 
         def go():
