@@ -27,7 +27,8 @@ Sub-packages:
 * :mod:`repro.persistence` — WAL / snapshot strategies.
 * :mod:`repro.baselines` — the memcached comparison system.
 * :mod:`repro.workloads` — benchmark workload generators.
-* :mod:`repro.bench` — figure/table regeneration harness.
+* :mod:`repro.bench` — the paper suite: ``PAPER`` maps each figure,
+  table and ablation to its runner (``benchmarks/test_paper.py``).
 """
 
 from .core import (FullKey, LatencySeries, MappingCache, Ring, SednaClient,

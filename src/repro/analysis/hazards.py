@@ -44,7 +44,7 @@ byte-stable across runs — asserted by
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from ..net.simulator import Event, Process, Simulator
@@ -110,11 +110,6 @@ def _fmt_site(site: _Site) -> str:
                 break
         return f"{_shorten(code)[0]}:{line}"
     return str(site)
-
-
-def _site_from_stack() -> str:
-    """``file:line`` of the innermost frame outside the kernel/detector."""
-    return _fmt_site(_raw_site())
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ hops greedily until it reaches the key's successor.
 
 Only the *routing* is Chord; once the owner is found the same storage
 op runs — so the ablation isolates pure routing latency
-(``benchmarks/test_ablation_routing.py``).
+(``test_paper[ablation_routing]`` in ``benchmarks/test_paper.py``).
 """
 
 from __future__ import annotations

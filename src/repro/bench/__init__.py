@@ -1,38 +1,36 @@
 """Benchmark harness: one runner per paper table/figure plus ablations.
 
-See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-recorded paper-vs-measured outcomes.
+:data:`PAPER` is the whole suite: every runner that returns a
+:class:`~repro.bench.harness.FigureResult`, keyed by its name.
+``benchmarks/test_paper.py`` runs each entry and asserts its
+expectations.  See DESIGN.md §4 for the experiment index and
+EXPERIMENTS.md for the recorded paper-vs-measured outcomes.
 """
 
-from .harness import FigureResult, ascii_chart, bench_ops, format_table
-from .figures import fig7a, fig7b, fig8, memcached_write_read, sedna_write_read
-from .usecase import MicroblogSearchEngine, fig4_ripple, fig6_freshness
-from .ablations import (ablation_fanout, ablation_persistence,
-                        ablation_quorum, ablation_vnodes, table1,
-                        zk_bottleneck)
+from typing import Callable
 
-__all__ = [
-    "FigureResult", "ascii_chart", "bench_ops", "format_table",
-    "fig7a", "fig7b", "fig8", "memcached_write_read", "sedna_write_read",
-    "MicroblogSearchEngine", "fig4_ripple", "fig6_freshness",
-    "ablation_fanout", "ablation_persistence", "ablation_quorum",
-    "ablation_vnodes", "table1", "zk_bottleneck",
-]
+from . import (ablations, bootcost, figures, relatedwork, scalability,
+               triggerperf, usecase)
+from .harness import FigureResult
 
-from .scalability import scalability, throughput_at_size
+__all__ = ["PAPER"]
 
-__all__ += ["scalability", "throughput_at_size"]
-
-from .bootcost import boot_cost, boot_cost_at
-
-__all__ += ["boot_cost", "boot_cost_at"]
-
-from .triggerperf import trigger_latency, trigger_latency_at
-
-__all__ += ["trigger_latency", "trigger_latency_at"]
-
-from .relatedwork import (ablation_membership, ablation_routing,
-                          ablation_write_protocol)
-
-__all__ += ["ablation_membership", "ablation_routing",
-            "ablation_write_protocol"]
+PAPER: dict[str, Callable[[], FigureResult]] = {
+    "fig4": usecase.fig4_ripple,
+    "fig6": usecase.fig6_freshness,
+    "fig7a": figures.fig7a,
+    "fig7b": figures.fig7b,
+    "fig8": figures.fig8,
+    "table1": ablations.table1,
+    "zk_bottleneck": ablations.zk_bottleneck,
+    "boot_cost": bootcost.boot_cost,
+    "scalability": scalability.scalability,
+    "ablation_quorum": ablations.ablation_quorum,
+    "ablation_vnodes": ablations.ablation_vnodes,
+    "ablation_persistence": ablations.ablation_persistence,
+    "ablation_fanout": ablations.ablation_fanout,
+    "ablation_triggers": triggerperf.trigger_latency,
+    "ablation_routing": relatedwork.ablation_routing,
+    "ablation_membership": relatedwork.ablation_membership,
+    "ablation_write_protocol": relatedwork.ablation_write_protocol,
+}

@@ -23,7 +23,7 @@ from ..core.coordinator import QuorumCoordinator
 from ..core.stats import summarize
 from ..workloads.kv import PAPER_VALUE, paper_keys
 from ..zk.server import ZkConfig
-from .harness import FigureResult
+from .harness import FigureResult, write_then_read
 
 __all__ = ["zk_bottleneck", "ablation_quorum", "ablation_vnodes",
            "ablation_persistence", "ablation_fanout", "table1"]
@@ -167,18 +167,8 @@ def _quorum_run(n: int, r: int, w: int, ops: int = 400,
                            write_quorum=w))
     cluster.start()
     client = cluster.smart_client("q-bench")
-    keys = paper_keys(ops, seed=seed)
-
-    def run():
-        yield from client.connect()
-        for key in keys:
-            yield from client.write_latest(key.decode(),
-                                           PAPER_VALUE.decode())
-        for key in keys:
-            yield from client.read_latest(key.decode())
-        return True
-
-    cluster.run(run())
+    cluster.run(write_then_read(client, paper_keys(ops, seed=seed),
+                                read=True))
     return {
         "write": summarize(client.write_latencies),
         "read": summarize(client.read_latencies),
@@ -227,16 +217,7 @@ def _vnode_run(num_vnodes: int, keys: int = 600, seed: int = 42) -> dict:
                            config=SednaConfig(num_vnodes=num_vnodes))
     cluster.start()
     client = cluster.smart_client("v-bench")
-    workload = paper_keys(keys, seed=seed)
-
-    def run():
-        yield from client.connect()
-        for key in workload:
-            yield from client.write_latest(key.decode(),
-                                           PAPER_VALUE.decode())
-        return True
-
-    cluster.run(run())
+    cluster.run(write_then_read(client, paper_keys(keys, seed=seed)))
     cluster.settle(0.5)
     loads = sorted(len(node.store) for node in cluster.nodes.values())
     mean = sum(loads) / len(loads)
@@ -273,16 +254,7 @@ def _persistence_run(kind: str, ops: int = 300, seed: int = 42) -> dict:
         zk_config=ZkConfig(session_timeout=1.0))
     cluster.start()
     client = cluster.smart_client("p-bench")
-    keys = paper_keys(ops, seed=seed)
-
-    def run():
-        yield from client.connect()
-        for key in keys:
-            yield from client.write_latest(key.decode(),
-                                           PAPER_VALUE.decode())
-        return True
-
-    cluster.run(run())
+    cluster.run(write_then_read(client, paper_keys(ops, seed=seed)))
     cluster.settle(2.0)  # let a snapshot interval pass
     # Whole-cluster power loss.
     total_before = sum(len(n.store) for n in cluster.nodes.values())
@@ -349,13 +321,6 @@ def ablation_fanout(ops: int = 400, seed: int = 42) -> FigureResult:
     seq_client = cluster.smart_client("fan-seq")
     keys = paper_keys(ops, seed=seed)
 
-    def run_parallel():
-        yield from parallel_client.connect()
-        for key in keys:
-            yield from parallel_client.write_latest(f"p-{key.decode()}",
-                                                    PAPER_VALUE.decode())
-        return True
-
     def run_sequential():
         """Same replica writes, issued one at a time."""
         yield from seq_client.connect()
@@ -375,7 +340,7 @@ def ablation_fanout(ops: int = 400, seed: int = 42) -> FigureResult:
             t_list.append(cluster.sim.now - t0)
         return True
 
-    cluster.run(run_parallel())
+    cluster.run(write_then_read(parallel_client, keys, prefix="p-"))
     cluster.run(run_sequential())
     par = summarize(parallel_client.write_latencies)
     seq = summarize(seq_client.write_latencies)

@@ -19,7 +19,7 @@ from ..net.latency import LanGigabit
 from ..net.simulator import AllOf, Simulator
 from ..net.transport import Network
 from ..workloads.kv import PAPER_VALUE, paper_keys
-from .harness import FigureResult, bench_ops
+from .harness import FigureResult
 
 __all__ = ["sedna_write_read", "memcached_write_read", "fig7a", "fig7b",
            "fig8"]
@@ -134,10 +134,9 @@ def _linearity(points: list[tuple[int, float]]) -> float:
     return worst
 
 
-def fig7a(ops: int | None = None, seed: int = 42) -> FigureResult:
+def fig7a(ops: int = 10_000, seed: int = 42) -> FigureResult:
     """Fig. 7(a): Memcached writing/reading 3 copies sequentially vs
     Sedna's 3 parallel replicas.  Expectation: Sedna wins both."""
-    ops = ops if ops is not None else bench_ops()
     sedna = sedna_write_read(ops, seed=seed)
     mc3 = memcached_write_read(ops, copies=3, seed=seed)
     result = FigureResult(
@@ -169,12 +168,11 @@ def fig7a(ops: int | None = None, seed: int = 42) -> FigureResult:
     return result
 
 
-def fig7b(ops: int | None = None, seed: int = 42) -> FigureResult:
+def fig7b(ops: int = 10_000, seed: int = 42) -> FigureResult:
     """Fig. 7(b): Memcached writing each datum once vs Sedna.
 
     Expectation: "Sedna performance is quite stable, and slightly
     slower than original write-once Memcached performance"."""
-    ops = ops if ops is not None else bench_ops()
     sedna = sedna_write_read(ops, seed=seed)
     mc1 = memcached_write_read(ops, copies=1, seed=seed)
     result = FigureResult(
@@ -207,13 +205,12 @@ def fig7b(ops: int | None = None, seed: int = 42) -> FigureResult:
     return result
 
 
-def fig8(ops: int | None = None, seed: int = 42) -> FigureResult:
+def fig8(ops: int = 5_000, seed: int = 42) -> FigureResult:
     """Fig. 8: one client vs nine concurrent clients.
 
     Expectations: per-client time rises under contention ("the
     individual client's speed slower"), aggregate throughput rises
     ("the overall throughput is larger than one client")."""
-    ops = ops if ops is not None else max(1, bench_ops() // 2)
     one = sedna_write_read(ops, seed=seed, n_clients=1)
     nine = sedna_write_read(ops, seed=seed, n_clients=9)
     result = FigureResult("Fig.8", "R/W speed, nine clients vs one client")

@@ -6,23 +6,33 @@ figure as a :class:`FigureResult`: the same series, the paper's
 qualitative expectations as machine-checked assertions, and an ASCII
 rendering for the bench log.
 
-Scale: ``SEDNA_BENCH_OPS`` (default 10,000; the paper runs 60,000).
-The time model is per-operation, so the series are straight lines and
-every comparison (who wins, by what factor, where crossovers fall) is
-invariant to the op count.
+Scale: Fig. 7 runs 10,000 ops and Fig. 8 5,000 per client (the paper
+runs 60,000).  The time model is per-operation, so the series are
+straight lines and every comparison (who wins, by what factor, where
+crossovers fall) is invariant to the op count.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-__all__ = ["bench_ops", "FigureResult", "ascii_chart", "format_table"]
+from ..workloads.kv import PAPER_VALUE
+
+__all__ = ["FigureResult", "write_then_read", "ascii_chart", "format_table"]
 
 
-def bench_ops(default: int = 10_000) -> int:
-    """Operation count for figure benches (env: SEDNA_BENCH_OPS)."""
-    return int(os.environ.get("SEDNA_BENCH_OPS", default))
+def write_then_read(client, keys: list[bytes],
+                    value: str = PAPER_VALUE.decode(), prefix: str = "",
+                    read: bool = False):
+    """Connect ``client``, ``write_latest`` every ``prefix + key``, then
+    (``read=True``) ``read_latest`` each back in the same order: the
+    load the ablations and the scalability bench drive."""
+    yield from client.connect()
+    for key in keys:
+        yield from client.write_latest(prefix + key.decode(), value)
+    if read:
+        for key in keys:
+            yield from client.read_latest(prefix + key.decode())
 
 
 @dataclass

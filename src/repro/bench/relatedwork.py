@@ -22,9 +22,9 @@ from ..core.stats import summarize
 from ..gossip.membership import GossipCluster
 from ..net.latency import LanGigabit
 from ..net.simulator import Simulator
-from ..net.transport import Network, estimate_size
+from ..net.transport import Network
 from ..workloads.kv import PAPER_VALUE, paper_keys
-from .harness import FigureResult
+from .harness import FigureResult, write_then_read
 
 __all__ = ["ablation_routing", "ablation_membership",
            "ablation_write_protocol"]
@@ -63,16 +63,7 @@ def ablation_routing(ops: int = 300, n_nodes: int = 16,
                                               read_quorum=1, write_quorum=1))
     cluster.start()
     sedna_client = cluster.smart_client("route-cli")
-
-    def sedna_run():
-        yield from sedna_client.connect()
-        for key in keys:
-            yield from sedna_client.write_latest(key.decode(), "v")
-        for key in keys:
-            yield from sedna_client.read_latest(key.decode())
-        return True
-
-    cluster.run(sedna_run())
+    cluster.run(write_then_read(sedna_client, keys, value="v", read=True))
     sedna = summarize(sedna_client.write_latencies
                       + sedna_client.read_latencies)
 
@@ -167,23 +158,17 @@ def ablation_write_protocol(ops: int = 300, seed: int = 42) -> FigureResult:
     cluster.start()
     lww = cluster.smart_client("lww")
     rbw = cluster.smart_client("rbw")
-    keys = [k.decode() for k in paper_keys(ops, seed=seed)]
-
-    def lww_run():
-        yield from lww.connect()
-        for key in keys:
-            yield from lww.write_latest(f"l-{key}", "v")
-        return True
+    keys = paper_keys(ops, seed=seed)
 
     def rbw_run():
         """Dynamo: a write first reads the current version vector."""
         yield from rbw.connect()
         for key in keys:
-            yield from rbw.read_all(f"r-{key}")       # fetch context
-            yield from rbw.write_latest(f"r-{key}", "v")
+            yield from rbw.read_all(f"r-{key.decode()}")   # fetch context
+            yield from rbw.write_latest(f"r-{key.decode()}", "v")
         return True
 
-    cluster.run(lww_run())
+    cluster.run(write_then_read(lww, keys, value="v", prefix="l-"))
     cluster.run(rbw_run())
     lww_stats = summarize(lww.write_latencies)
     # For read-before-write, one logical write = one read + one write.

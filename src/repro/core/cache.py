@@ -13,9 +13,9 @@ bottleneck, all implemented here:
    vnodes that actually changed instead of the whole ring.
 
 Watches are deliberately not used (watch-storm argument, §III.E); the
-ablation bench ``benchmarks/test_zk_bottleneck.py`` quantifies all
-four variants (no cache / fixed lease / adaptive lease / adaptive +
-changelog).
+ablation ``test_paper[zk_bottleneck]`` (``benchmarks/test_paper.py``)
+quantifies all four variants (no cache / fixed lease / adaptive lease /
+adaptive + changelog).
 """
 
 from __future__ import annotations

@@ -546,9 +546,6 @@ class SednaNode:
         for vnode_id, indexed in touched.items():
             self.vstats.status(vnode_id).keys = len(indexed)
 
-    def _status(self, vnode_id: int) -> VnodeStatus:
-        return self.vstats.status(vnode_id)
-
     # ------------------------------------------------------------------
     # Replica-side handlers (the storage plane)
     # ------------------------------------------------------------------
@@ -601,7 +598,7 @@ class SednaNode:
                 if outcome == WriteOutcome.OK:
                     persistence.on_write(e["key"], ValueElement(
                         e["source"], e["ts"], e["value"]))
-        receiver = self._forward_target(vnode_id)
+        receiver = self.migrating_out.get(vnode_id)
         if receiver is not None:
             self._spawn_forward(
                 receiver, vnode_id,
@@ -683,7 +680,7 @@ class SednaNode:
             if indexed is not None:
                 indexed.discard(key)
             statuses[key] = "ok" if existed else "missing"
-        receiver = self._forward_target(vnode_id)
+        receiver = self.migrating_out.get(vnode_id)
         if receiver is not None:
             self._spawn_forward(receiver, vnode_id, deletes=list(keys))
         return statuses
@@ -708,7 +705,7 @@ class SednaNode:
             unwire_context(args.get("ctx")), self.name)
         self._index_key(key)
         self.vstats.record_write(vnode_id)
-        receiver = self._forward_target(vnode_id)
+        receiver = self.migrating_out.get(vnode_id)
         if receiver is not None:
             self._spawn_forward(receiver, vnode_id,
                                 dvv_rows={key: wire_dvv_row(row)})
@@ -725,7 +722,7 @@ class SednaNode:
         self.store.causal_merge(key, unwire_dvv_row(args["row"]))
         self._index_key(key)
         self.vstats.record_write(vnode_id)
-        receiver = self._forward_target(vnode_id)
+        receiver = self.migrating_out.get(vnode_id)
         if receiver is not None:
             row = self.store.causal_read(key)
             self._spawn_forward(receiver, vnode_id,
@@ -929,9 +926,6 @@ class SednaNode:
         yield self.sim.timeout(self.config.lease_base * 2)
         if self.running:
             yield from self.reconcile_vnode(vnode_id)
-
-    def _forward_target(self, vnode_id: int) -> Optional[str]:
-        return self.migrating_out.get(vnode_id)
 
     def _spawn_forward(self, receiver: str, vnode_id: int,
                        rows: Optional[dict] = None,

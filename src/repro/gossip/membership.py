@@ -3,9 +3,9 @@
 "we ... avoid Gossip mechanism to maintain a consistent cluster status
 like Cassandra and Redis does", relying on the ZooKeeper sub-cluster
 instead.  To *quantify* that argument (see
-``benchmarks/test_ablation_membership.py``) we implement the thing
-being avoided: an anti-entropy push gossip in the Scuttlebutt/Dynamo
-family.
+``test_paper[ablation_membership]`` in ``benchmarks/test_paper.py``)
+we implement the thing being avoided: an anti-entropy push gossip in
+the Scuttlebutt/Dynamo family.
 
 Protocol per node, every ``interval``:
 

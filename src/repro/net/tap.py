@@ -160,11 +160,3 @@ class NetworkTap:
         """Every transmission attributed to one request trace."""
         return [record for record in self.records
                 if record.trace == trace_id]
-
-    def methods_histogram(self) -> dict[str, int]:
-        """Request count per RPC method (diagnostics)."""
-        histogram: dict[str, int] = {}
-        for record in self.records:
-            if record.kind == "req":
-                histogram[record.method] = histogram.get(record.method, 0) + 1
-        return histogram

@@ -3,7 +3,7 @@
 §II's technique table: "Periodically flush or write-ahead logs —
 different speed and availability according users' needs".  The
 trade-off reproduced here (and measured by
-``benchmarks/test_ablation_persistence.py``):
+``test_paper[ablation_persistence]`` in ``benchmarks/test_paper.py``):
 
 * ``none`` — fastest writes, every un-replicated byte dies with the
   cluster.

@@ -16,7 +16,7 @@ match the real engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["SlabClass", "SlabAllocator", "OutOfMemory"]
 
@@ -38,11 +38,6 @@ class SlabClass:
     # Lifetime counters for the stats command.
     total_allocs: int = 0
     total_frees: int = 0
-
-    @property
-    def total_chunks(self) -> int:
-        """Chunks carved so far (used + free)."""
-        return self.used_chunks + self.free_chunks
 
 
 class SlabAllocator:
@@ -84,11 +79,6 @@ class SlabAllocator:
         self.classes.append(SlabClass(index=idx, chunk_size=page_size,
                                       chunks_per_page=1))
         self.pages_allocated = 0
-
-    @property
-    def max_item_size(self) -> int:
-        """Largest storable item (one page)."""
-        return self.page_size
 
     @property
     def memory_used(self) -> int:

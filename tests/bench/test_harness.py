@@ -1,19 +1,6 @@
 """Unit tests for the bench harness utilities."""
 
-import pytest
-
-from repro.bench.harness import (FigureResult, ascii_chart, bench_ops,
-                                 format_table)
-
-
-class TestBenchOps:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("SEDNA_BENCH_OPS", raising=False)
-        assert bench_ops(1234) == 1234
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SEDNA_BENCH_OPS", "777")
-        assert bench_ops() == 777
+from repro.bench.harness import FigureResult, ascii_chart, format_table
 
 
 class TestFigureResult:

@@ -41,7 +41,7 @@ class TestHandoffWarming:
             {"key": key, "value": "v", "ts": 1.0, "source": "c1",
              "mode": "latest"}))
         holder = cluster.nodes[replicas[0]]
-        holder._status(vnode_id).warming = True
+        holder.vstats.status(vnode_id).warming = True
 
         def probe():
             try:
@@ -66,7 +66,7 @@ class TestHandoffWarming:
             {"key": key, "value": "fresh", "ts": 2.0, "source": "c1",
              "mode": "latest"}))
         # Block a full read quorum: all but one replica warming.
-        statuses = [cluster.nodes[r]._status(vnode_id)
+        statuses = [cluster.nodes[r].vstats.status(vnode_id)
                     for r in replicas[:-1]]
         for status in statuses:
             status.warming = True
@@ -112,7 +112,7 @@ class TestHandoffWarming:
         predecessor = replicas[0]
         cluster.crash_node(predecessor)
 
-        status = claimer._status(vnode_id)
+        status = claimer.vstats.status(vnode_id)
         status.warming = True
         cluster.sim.process(
             claimer._finish_handoff(vnode_id, predecessor, status),
@@ -140,7 +140,7 @@ class TestHandoffWarming:
         key = FullKey.of("wk3").encoded()
         vnode_id, replicas = replica_set(cluster, key)
         for name in replicas:
-            cluster.nodes[name]._status(vnode_id).warming = True
+            cluster.nodes[name].vstats.status(vnode_id).warming = True
         result = cluster.run(client.coordinator.coordinate("sedna.write",
             {"key": key, "value": "v", "ts": 3.0, "source": "c1",
              "mode": "latest"}))
