@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from ..net.simulator import Event, Process, Simulator
 
@@ -393,11 +393,11 @@ class HazardDetector:
     def track_store(self, owner: str, store: Any) -> Any:
         """Wrap a :class:`VersionedStore`-shaped object's accessors.
 
-        Reads (``read_all``/``read_latest``/``read_multi``) and writes
-        (``write_latest``/``write_all``/``write_multi``/
-        ``merge_elements``/``delete``) are reported per key under the
-        state key ``"{owner}/{key}"``.  Wrapping is per *instance*, so
-        a restarted node's fresh store must be re-tracked.
+        Reads (``read_all``/``read_latest``) and writes
+        (``write_latest``/``write_all``/``merge_elements``/``delete``)
+        are reported per key under the state key ``"{owner}/{key}"``.
+        Wrapping is per *instance*, so a restarted node's fresh store
+        must be re-tracked.
         """
         detector = self
 
@@ -421,18 +421,6 @@ class HazardDetector:
                 return method(key, *args, **kwargs)
             return wrapped
 
-        def wrap_multi(method: Callable, write: bool,
-                       key_of: Callable[[Any], str]) -> Callable:
-            def wrapped(items: Iterable, *args: Any, **kwargs: Any) -> Any:
-                items = list(items)
-                site = (_raw_site()
-                        if detector.capture_access_sites else None)
-                for item in items:
-                    detector.on_access(f"{owner}/{key_of(item)}", write,
-                                       site=site)
-                return method(items, *args, **kwargs)
-            return wrapped
-
         for name in ("read_all", "read_latest"):
             if hasattr(store, name):
                 setattr(store, name,
@@ -442,12 +430,6 @@ class HazardDetector:
             if hasattr(store, name):
                 setattr(store, name,
                         wrap_keyed(getattr(store, name), write=True))
-        if hasattr(store, "read_multi"):
-            store.read_multi = wrap_multi(store.read_multi, False,
-                                          lambda key: key)
-        if hasattr(store, "write_multi"):
-            store.write_multi = wrap_multi(store.write_multi, True,
-                                           lambda entry: entry[0])
         return store
 
     def tracked_dict(self, name: str,

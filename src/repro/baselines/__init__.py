@@ -3,8 +3,6 @@
 from .memcached import (MemcachedCluster, MemcachedClusterClient,
                         MemcachedServer)
 from .ketama import KetamaRing
-from .wire import WireMemcachedClient, WireMemcachedServer
 
 __all__ = ["KetamaRing",
-           "MemcachedCluster", "MemcachedClusterClient", "MemcachedServer",
-           "WireMemcachedClient", "WireMemcachedServer"]
+           "MemcachedCluster", "MemcachedClusterClient", "MemcachedServer"]

@@ -82,12 +82,11 @@ class ChordNode:
         self.ring = ring
         self.node_id = chord_id(name.encode())
         self.fingers = ring.finger_table(name)
-        self.store = MemStore(memory_limit=64 << 20, clock=lambda: sim.now)
+        self.store = MemStore(memory_limit=64 << 20)
         self.rpc = RpcNode(network, name, service_time=REQUEST_HANDLING)
         self.rpc.register("chord.lookup", self._h_lookup)
         self.rpc.register("chord.get", self._h_get)
         self.rpc.register("chord.set", self._h_set)
-        self.lookups_forwarded = 0
 
     def _closest_preceding(self, target: int) -> Optional[str]:
         for finger in reversed(self.fingers):
@@ -113,7 +112,6 @@ class ChordNode:
         nxt = self._closest_preceding(target)
         if nxt is None:
             nxt = self.fingers[0]
-        self.lookups_forwarded += 1
         return self.rpc.call_async(nxt, "chord.lookup",
                                    {"target": target, "hops": hops + 1})
 

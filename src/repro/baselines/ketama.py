@@ -53,18 +53,6 @@ class KetamaRing:
             self._points.append((point, server))
         self._points.sort()
 
-    def remove_server(self, server: str) -> None:
-        """Remove a server (its keys remap to clockwise successors)."""
-        if server not in self._servers:
-            return
-        self._servers.discard(server)
-        self._points = [(p, s) for p, s in self._points if s != server]
-
-    @property
-    def servers(self) -> set[str]:
-        """Current member set."""
-        return set(self._servers)
-
     def node_for(self, key: bytes, offset: int = 0) -> str:
         """The server owning ``key``.
 
@@ -84,10 +72,3 @@ class KetamaRing:
                 if len(seen) > offset:
                     return seen[offset]
         return seen[-1]
-
-    def distribution(self, keys: Iterable[bytes]) -> dict[str, int]:
-        """Key counts per server (balance diagnostics)."""
-        counts: dict[str, int] = {s: 0 for s in sorted(self._servers)}
-        for key in keys:
-            counts[self.node_for(key)] += 1
-        return counts

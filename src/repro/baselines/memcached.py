@@ -36,20 +36,16 @@ class MemcachedServer:
                  memory_limit: int = 64 << 20):
         self.sim = sim
         self.name = name
-        self.store = MemStore(memory_limit=memory_limit,
-                              clock=lambda: sim.now)
+        self.store = MemStore(memory_limit=memory_limit)
         self.rpc = RpcNode(network, name, service_time=MEMCACHED_OP)
         self.rpc.register("mc.set", self._h_set)
         self.rpc.register("mc.get", self._h_get)
         self.rpc.register("mc.mget", self._h_mget)
         self.rpc.register("mc.mset", self._h_mset)
         self.rpc.register("mc.delete", self._h_delete)
-        self.rpc.register("mc.stats", self._h_stats)
 
     def _h_set(self, src: str, args: Any):
-        return self.store.set(args["key"], args["value"],
-                              flags=args.get("flags", 0),
-                              ttl=args.get("ttl", 0))
+        return self.store.set(args["key"], args["value"])
 
     def _h_get(self, src: str, args: Any):
         value = self.store.get(args["key"])
@@ -57,20 +53,13 @@ class MemcachedServer:
 
     def _h_mget(self, src: str, args: Any):
         """``get k1 k2 ...`` — many keys, one round-trip."""
-        return {"values": self.store.get_multi(args["keys"])}
+        return {"values": self.store.get_many(args["keys"])}
 
     def _h_mset(self, src: str, args: Any):
         return {"results": self.store.set_multi(args["pairs"])}
 
     def _h_delete(self, src: str, args: Any):
         return self.store.delete(args["key"])
-
-    def _h_stats(self, src: str, args: Any):
-        return self.store.stats()
-
-    def crash(self) -> None:
-        """Take the server down."""
-        self.rpc.endpoint.crash()
 
 
 class MemcachedClusterClient:
@@ -194,17 +183,6 @@ class MemcachedClusterClient:
         self.read_latencies.append(self.sim.now - t0)
         return found
 
-    def stats(self):
-        """Fleet-wide ``stats`` sweep: one dict per reachable server."""
-        per_server: dict[str, Any] = {}
-        for server in self.servers:
-            try:
-                per_server[server] = yield from self.rpc.call(
-                    server, "mc.stats", {}, timeout=self.timeout)
-            except (RpcTimeout, RpcRejected):
-                self.failures += 1
-        return per_server
-
 
 class MemcachedCluster:
     """Assembly: N memcached servers on the simulated network."""
@@ -224,7 +202,3 @@ class MemcachedCluster:
         return MemcachedClusterClient(
             self.sim, self.network, name or f"mc-client{self._clients}",
             self.names)
-
-    def total_items(self) -> int:
-        """Items stored across the fleet."""
-        return sum(len(server.store) for server in self.servers)

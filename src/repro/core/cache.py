@@ -84,14 +84,13 @@ class MappingCache:
             from ..obs.metrics import DISABLED
             metrics = DISABLED
         owner = owner or zk.name
-        self._m_full_loads = metrics.counter("cache.full_loads", node=owner)
-        self._m_refreshes = metrics.counter("cache.refreshes", node=owner)
-        self._m_vnode_reads = metrics.counter("cache.vnode_reads", node=owner)
-        self._m_invalidations = metrics.counter(
-            "cache.invalidations", node=owner)
-        # Counted per key on the data path: a plain int the registry
-        # reads at snapshot time.
-        metrics.count_from(self, "lookups", "cache.lookups", node=owner)
+        # Plain ints the registry reads at snapshot time.
+        for attr, name in (("full_loads", "cache.full_loads"),
+                           ("incremental_refreshes", "cache.refreshes"),
+                           ("vnode_reads", "cache.vnode_reads"),
+                           ("invalidations", "cache.invalidations"),
+                           ("lookups", "cache.lookups")):
+            metrics.count_from(self, attr, name, node=owner)
 
     # -- full load ---------------------------------------------------------
     def load_full(self):
@@ -106,13 +105,11 @@ class MappingCache:
         returned the old owner, and no refresh ever looks again.
         """
         self.full_loads += 1
-        self._m_full_loads.inc()
         seq = yield from self._newest_changelog_seq()
         for vnode_id in range(self.config.num_vnodes):
             try:
                 data, _stat = yield from self.zk.get(ZkLayout.vnode(vnode_id))
                 self.vnode_reads += 1
-                self._m_vnode_reads.inc()
                 self.ring.assign(vnode_id, data.decode())
             except NoNodeError:
                 self.ring.assign(vnode_id, Ring.UNASSIGNED)
@@ -138,7 +135,6 @@ class MappingCache:
             return sum(1 for a, b in zip(before, self.ring.snapshot())
                        if a != b)
         self.incremental_refreshes += 1
-        self._m_refreshes.inc()
         try:
             children = yield from self.zk.get_children(ZkLayout.CHANGELOG)
         except NoNodeError:
@@ -184,7 +180,6 @@ class MappingCache:
             try:
                 data, _ = yield from self.zk.get(ZkLayout.vnode(vnode_id))
                 self.vnode_reads += 1
-                self._m_vnode_reads.inc()
                 owner = data.decode()
             except NoNodeError:
                 owner = Ring.UNASSIGNED
@@ -196,11 +191,9 @@ class MappingCache:
     def invalidate(self, vnode_id: int):
         """Targeted re-read after a 'reject'/'timeout' (§III.E strategy 1)."""
         self.invalidations += 1
-        self._m_invalidations.inc()
         try:
             data, _ = yield from self.zk.get(ZkLayout.vnode(vnode_id))
             self.vnode_reads += 1
-            self._m_vnode_reads.inc()
             self.ring.assign(vnode_id, data.decode())
         except NoNodeError:
             self.ring.assign(vnode_id, Ring.UNASSIGNED)

@@ -126,7 +126,7 @@ class SednaClient:
         self._m_write_lat = metrics.histogram("client.write_seconds",
                                               node=name)
         self._m_read_lat = metrics.histogram("client.read_seconds", node=name)
-        self._m_failures = metrics.counter("client.failures", node=name)
+        metrics.count_from(self, "failures", "client.failures", node=name)
 
     # -- plumbing ---------------------------------------------------------
     def _timestamp(self) -> float:
@@ -173,7 +173,6 @@ class SednaClient:
         (self.read_latencies if read else self.write_latencies).append(dt)
         if failed:
             self.failures += 1
-            self._m_failures.inc()
         else:
             (self._m_read_lat if read else self._m_write_lat).observe(dt)
 

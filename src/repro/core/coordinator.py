@@ -435,10 +435,10 @@ class QuorumCoordinator:
             buckets=(1.0, 2.0, 3.0, 5.0, 8.0, 13.0))
         self._m_laggards = metrics.counter("quorum.laggards", node=owner)
         self._m_suspects = metrics.counter("quorum.suspects", node=owner)
-        self._m_read_repairs = metrics.counter(
-            "quorum.read_repairs", node=owner)
-        self._m_coalesced = metrics.counter(
-            "quorum.coalesced_reads", node=owner)
+        metrics.count_from(self, "read_repairs", "quorum.read_repairs",
+                           node=owner)
+        metrics.count_from(self, "coalesced_reads", "quorum.coalesced_reads",
+                           node=owner)
         # End-to-end coordinator latency (the number the rebalance bench
         # reports as p99): observed per request at quorum settle.
         self._m_latency = {
@@ -602,7 +602,6 @@ class QuorumCoordinator:
             if entry is None:
                 break
             self.coalesced_reads += 1
-            self._m_coalesced.inc()
             try:
                 shared = yield entry.done
             except RpcError:
@@ -792,7 +791,6 @@ class QuorumCoordinator:
         if repairs:
             repaired = len({k for rows in repairs.values() for k in rows})
             self.read_repairs += repaired
-            self._m_read_repairs.inc(repaired)
             repair_calls = [
                 (n, self._replica_call(
                     n, op.repair, merge.repair_args(vnode_id, repairs[n])))

@@ -314,17 +314,6 @@ class ImbalanceTable:
     def __init__(self) -> None:
         self.rows: dict[str, dict] = {}
 
-    @staticmethod
-    def row_from_statuses(statuses: dict[int, VnodeStatus]) -> dict:
-        """Aggregate one node's vnode statuses into its table row."""
-        return {
-            "vnodes": len(statuses),
-            "keys": sum(s.keys for s in statuses.values()),
-            "bytes": sum(s.bytes for s in statuses.values()),
-            "reads": sum(s.reads for s in statuses.values()),
-            "writes": sum(s.writes for s in statuses.values()),
-        }
-
     def update(self, node: str, row: dict) -> None:
         """Install/refresh a node's row."""
         self.rows[node] = dict(row)
@@ -381,9 +370,3 @@ class ImbalanceTable:
         values = [row_heat(row, weights) for row in self.rows.values()]
         return max(values) - min(values)
 
-    def mean_heat(self, weights: Optional[dict] = None) -> float:
-        """Average heat across rows (0 when empty)."""
-        if not self.rows:
-            return 0.0
-        return sum(row_heat(row, weights)
-                   for row in self.rows.values()) / len(self.rows)

@@ -124,9 +124,10 @@ class SednaNode:
         self.repairs = 0
         self.migration_forwards = 0
         self.migration_forward_failures = 0
-        self._m_forwards = handles.counter("migrate.forwards", node=name)
-        self._m_forward_fails = handles.counter(
-            "migrate.forward_failures", node=name)
+        handles.count_from(self, "migration_forwards", "migrate.forwards",
+                           node=name)
+        handles.count_from(self, "migration_forward_failures",
+                           "migrate.forward_failures", node=name)
         self._m_chunks_served = handles.counter(
             "migrate.chunks_served", node=name)
 
@@ -144,7 +145,7 @@ class SednaNode:
         self.cache = MappingCache(self.sim, self.zk, self.config,
                                   metrics=metrics, owner=self.name)
         self.store = VersionedStore(
-            clock=lambda: self.sim.now, metrics=metrics, node=self.name,
+            metrics=metrics, node=self.name,
             dvv_sibling_cap=self.config.dvv_sibling_cap)
         self.persistence = make_strategy(self.config.persistence, self.disk,
                                          self.name,
@@ -936,7 +937,6 @@ class SednaNode:
         migration receiver (one retry; terminal failures are counted —
         the pre-cutover digest verify re-pulls anything still missing)."""
         self.migration_forwards += 1
-        self._m_forwards.inc()
         args = {"vnode": vnode_id, "rows": rows or {},
                 "deletes": deletes or [], "lww": lww or {},
                 "dvv_rows": dvv_rows or {}}
@@ -950,7 +950,6 @@ class SednaNode:
                 timeout=self.config.request_timeout, attempts=2)
         except (RpcTimeout, RpcRejected):
             self.migration_forward_failures += 1
-            self._m_forward_fails.inc()
 
     # ------------------------------------------------------------------
     # Coordinator plumbing

@@ -224,15 +224,17 @@ class Rebalancer:
         if metrics is None:
             from ..obs.metrics import DISABLED
             metrics = DISABLED
-        self._m_passes = metrics.counter("rebalance.passes", node=node.name)
-        self._m_moves = metrics.counter("rebalance.moves", node=node.name)
+        metrics.count_from(self, "passes", "rebalance.passes",
+                           node=node.name)
+        metrics.count_from(self, "moves", "rebalance.moves", node=node.name)
         self._m_spread = metrics.gauge("rebalance.vnode_spread",
                                        node=node.name)
         self._m_heat_spread = metrics.gauge("rebalance.heat_spread",
                                             node=node.name)
-        self._m_chunks = metrics.counter("migrate.chunks", node=node.name)
-        self._m_bytes = metrics.counter("migrate.bytes", node=node.name)
-        self._m_aborts = metrics.counter("migrate.aborts", node=node.name)
+        for attr, name in (("chunks", "migrate.chunks"),
+                           ("bytes_moved", "migrate.bytes"),
+                           ("aborts", "migrate.aborts")):
+            metrics.count_from(self, attr, name, node=node.name)
 
     def start(self) -> None:
         """Spawn the balance loop (or revive it after a host crash)."""
@@ -327,7 +329,6 @@ class Rebalancer:
     def run_pass(self):
         """One balance pass; returns the number of vnodes moved."""
         self.passes += 1
-        self._m_passes.inc()
         table, live = yield from self.read_table()
         if len(table.rows) < 2:
             return 0
@@ -467,8 +468,6 @@ class Rebalancer:
                 migration.bytes_moved += chunk["bytes"]
                 self.chunks += 1
                 self.bytes_moved += chunk["bytes"]
-                self._m_chunks.inc()
-                self._m_bytes.inc(chunk["bytes"])
                 budget -= max(chunk["bytes"], 1)
                 if chunk["done"]:
                     break
@@ -490,7 +489,6 @@ class Rebalancer:
             self.pending.pop(vnode_id, None)
             self.completed.append(migration)
             self.moves += 1
-            self._m_moves.inc()
             return True, budget
         except (RpcTimeout, RpcRejected) as err:
             self.transfer_failures += 1
@@ -581,7 +579,6 @@ class Rebalancer:
         self.pending.pop(migration.vnode, None)
         self.completed.append(migration)
         self.aborts += 1
-        self._m_aborts.inc()
         self.sim.process(self._close_donor_window(migration),
                          name=f"{self.node.name}-abort-{migration.vnode}")
 

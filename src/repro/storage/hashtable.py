@@ -5,8 +5,7 @@ is *incrementally* migrated to a doubled array when the load factor
 passes 1.5 — a full stop-the-world rehash would violate the latency
 target, so each subsequent operation moves a handful of buckets.  We
 reproduce that structure (rather than using a plain ``dict``) because
-the migration behaviour matters for tail latency and because it gives
-the store a place to hang per-bucket statistics.
+the migration behaviour matters for tail latency.
 """
 
 from __future__ import annotations
@@ -64,19 +63,8 @@ class HashTable:
         self.max_load = max_load
         self.migrate_per_op = migrate_per_op
         self.count = 0
-        self.expansions = 0
 
     # -- internal helpers ------------------------------------------------
-    @property
-    def buckets(self) -> int:
-        """Current bucket-array size."""
-        return len(self._buckets)
-
-    @property
-    def expanding(self) -> bool:
-        """True while an incremental migration is in progress."""
-        return self._old is not None
-
     def _bucket_of(self, h: int, table: list[Optional[_Cell]]) -> int:
         return h & (len(table) - 1)
 
@@ -108,7 +96,6 @@ class HashTable:
             self._migrated = 0
             self._power += 1
             self._buckets = [None] * (1 << self._power)
-            self.expansions += 1
 
     def _find(self, key: bytes) -> tuple[
             Optional[list[Optional[_Cell]]], Optional[int],
@@ -179,8 +166,3 @@ class HashTable:
                 while cell is not None:
                     yield cell.key, cell.value
                     cell = cell.next
-
-    def keys(self) -> Iterator[bytes]:
-        """Iterate all keys."""
-        for key, _value in self.items():
-            yield key

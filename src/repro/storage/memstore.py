@@ -1,26 +1,19 @@
-"""MemStore — the memcached-compatible in-memory store.
+"""MemStore — the memcached-style in-memory store of the Fig. 7 baseline.
 
-This is the "modified Memcached" of the paper (§VI): Sedna runs one
-MemStore per real node as its local memory storage, and the Fig. 7
-baseline (a plain memcached cluster accessed through a client-side
-sharding client) uses unmodified MemStores.
+Each server of the memcached baseline (``repro.baselines``) holds one
+MemStore: a slab allocator, a chained hash table and one LRU list per
+slab class, under a byte budget.  It offers what the baseline runs:
 
-Implemented command set (the memcached text-protocol core):
+``set / get / get_many / set_multi / delete``
 
-``set / add / replace / append / prepend / cas / get / gets / delete /
-incr / decr / touch / flush_all / stats``
-
-Semantics follow the memcached protocol description: per-item TTL with
-lazy expiry, per-slab-class LRU eviction under the memory limit, CAS
-token invalidated by every mutation.
+A set that finds no free chunk in its slab class evicts that class's
+least recently used item (memcached's per-class LRU eviction); a get
+marks the item as just used.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
-
-if TYPE_CHECKING:
-    from ..obs.metrics import MetricsRegistry
+from typing import Optional
 
 from .hashtable import HashTable
 from .lru import LruList, LruNode
@@ -33,8 +26,6 @@ class StoreResult:
     """String constants used as command outcomes."""
 
     STORED = "STORED"
-    NOT_STORED = "NOT_STORED"
-    EXISTS = "EXISTS"          # cas: token mismatch
     NOT_FOUND = "NOT_FOUND"
     DELETED = "DELETED"
     TOO_LARGE = "SERVER_ERROR object too large"
@@ -44,24 +35,16 @@ ITEM_OVERHEAD = 48  # bytes of per-item metadata, matching memcached's order
 
 
 class Item:
-    """A stored item: value bytes plus protocol metadata."""
+    """A stored item: value bytes plus its slab and LRU bookkeeping."""
 
-    __slots__ = ("key", "value", "flags", "expires_at", "cas", "slab_class",
-                 "lru_node")
+    __slots__ = ("key", "value", "slab_class", "lru_node")
 
-    def __init__(self, key: bytes, value: bytes, flags: int,
-                 expires_at: float, cas: int, slab_class: SlabClass) -> None:
+    def __init__(self, key: bytes, value: bytes,
+                 slab_class: SlabClass) -> None:
         self.key = key
         self.value = value
-        self.flags = flags
-        self.expires_at = expires_at  # 0.0 = never
-        self.cas = cas
         self.slab_class = slab_class
-        self.lru_node: Optional[LruNode] = None
-
-    def size(self) -> int:
-        """Accounted byte footprint (key + value + metadata)."""
-        return len(self.key) + len(self.value) + ITEM_OVERHEAD
+        self.lru_node = LruNode(self)
 
 
 class MemStore:
@@ -71,42 +54,13 @@ class MemStore:
     ----------
     memory_limit:
         Byte budget (paper: 4 GB per non-ZooKeeper server).
-    clock:
-        Zero-argument callable returning the current time in seconds;
-        inject ``lambda: sim.now`` to run on simulated time.
-    metrics / node:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` plus an
-        owner label; when given, command counts and byte volumes are
-        exported as ``mem.*`` series (no-op handles otherwise).
     """
 
-    def __init__(self, memory_limit: int = 64 << 20,
-                 clock: Optional[Callable[[], float]] = None,
-                 metrics: Optional["MetricsRegistry"] = None,
-                 node: str = "") -> None:
+    def __init__(self, memory_limit: int = 64 << 20) -> None:
         self.slabs = SlabAllocator(memory_limit)
         self.table = HashTable(initial_power=6)
-        self.clock = clock if clock is not None else (lambda: 0.0)
         self._lrus: dict[int, LruList] = {}
-        self._cas_counter = 0
-        # Stats counters (memcached "stats" command).
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
-        self.expired_reclaims = 0
-        self.cmd_get = 0
-        self.cmd_set = 0
-        self.flush_epoch = -1.0
-        if metrics is None:
-            from ..obs.metrics import DISABLED
-            metrics = DISABLED
-        self._m_get = metrics.counter("mem.cmd_get", node=node)
-        self._m_set = metrics.counter("mem.cmd_set", node=node)
-        self._m_hits = metrics.counter("mem.hits", node=node)
-        self._m_misses = metrics.counter("mem.misses", node=node)
-        self._m_evictions = metrics.counter("mem.evictions", node=node)
-        self._m_bytes_in = metrics.counter("mem.bytes_in", node=node)
-        self._m_bytes_out = metrics.counter("mem.bytes_out", node=node)
 
     # -- internals ----------------------------------------------------------
     def _lru(self, cls: SlabClass) -> LruList:
@@ -116,26 +70,9 @@ class MemStore:
             self._lrus[cls.index] = lru
         return lru
 
-    def _next_cas(self) -> int:
-        self._cas_counter += 1
-        return self._cas_counter
-
-    def _live(self, item: Optional[Item]) -> Optional[Item]:
-        """Return the item if live, reclaiming it lazily when stale."""
-        if item is None:
-            return None
-        now = self.clock()
-        stale = (item.expires_at != 0.0 and item.expires_at <= now)
-        if stale:
-            self._unlink(item)
-            self.expired_reclaims += 1
-            return None
-        return item
-
     def _unlink(self, item: Item) -> None:
         self.table.remove(item.key)
-        if item.lru_node is not None and item.lru_node.owner is not None:
-            self._lru(item.slab_class).unlink(item.lru_node)
+        self._lru(item.slab_class).unlink(item.lru_node)
         self.slabs.free(item.slab_class)
 
     def _evict_one(self, cls: SlabClass) -> bool:
@@ -147,15 +84,16 @@ class MemStore:
         self.table.remove(victim.key)
         self.slabs.free(victim.slab_class)
         self.evictions += 1
-        self._m_evictions.inc()
         return True
 
-    def _store(self, key: bytes, value: bytes, flags: int, ttl: float) -> str:
+    # -- commands -------------------------------------------------------------
+    def set(self, key: bytes, value: bytes) -> str:
+        """Unconditionally store."""
         size = len(key) + len(value) + ITEM_OVERHEAD
         cls = self.slabs.class_for(size)
         if cls is None:
             return StoreResult.TOO_LARGE
-        old = self._live(self.table.get(key))
+        old = self.table.get(key)
         if old is not None:
             self._unlink(old)
         while True:
@@ -165,97 +103,18 @@ class MemStore:
             except OutOfMemory:
                 if not self._evict_one(cls):
                     return StoreResult.TOO_LARGE
-        expires = self.clock() + ttl if ttl > 0 else 0.0
-        item = Item(key, value, flags, expires, self._next_cas(), cls)
-        node = LruNode(item)
-        item.lru_node = node
-        self._lru(cls).push_front(node)
+        item = Item(key, value, cls)
+        self._lru(cls).push_front(item.lru_node)
         self.table.put(key, item)
-        self._m_bytes_in.inc(len(key) + len(value))
         return StoreResult.STORED
 
-    def _lookup(self, key: bytes) -> Optional[Item]:
-        item = self._live(self.table.get(key))
-        if item is not None and item.lru_node is not None:
-            self._lru(item.slab_class).touch(item.lru_node)
-        return item
-
-    # -- protocol commands ----------------------------------------------------
-    def set(self, key: bytes, value: bytes, flags: int = 0, ttl: float = 0) -> str:
-        """Unconditionally store."""
-        self.cmd_set += 1
-        self._m_set.inc()
-        return self._store(key, value, flags, ttl)
-
-    def add(self, key: bytes, value: bytes, flags: int = 0, ttl: float = 0) -> str:
-        """Store only when the key does not exist."""
-        self.cmd_set += 1
-        self._m_set.inc()
-        if self._live(self.table.get(key)) is not None:
-            return StoreResult.NOT_STORED
-        return self._store(key, value, flags, ttl)
-
-    def replace(self, key: bytes, value: bytes, flags: int = 0, ttl: float = 0) -> str:
-        """Store only when the key already exists."""
-        self.cmd_set += 1
-        self._m_set.inc()
-        if self._live(self.table.get(key)) is None:
-            return StoreResult.NOT_STORED
-        return self._store(key, value, flags, ttl)
-
-    def append(self, key: bytes, suffix: bytes) -> str:
-        """Concatenate ``suffix`` after the existing value."""
-        item = self._live(self.table.get(key))
-        if item is None:
-            return StoreResult.NOT_STORED
-        return self._store(key, item.value + suffix, item.flags,
-                           0 if not item.expires_at else item.expires_at - self.clock())
-
-    def prepend(self, key: bytes, prefix: bytes) -> str:
-        """Concatenate ``prefix`` before the existing value."""
-        item = self._live(self.table.get(key))
-        if item is None:
-            return StoreResult.NOT_STORED
-        return self._store(key, prefix + item.value, item.flags,
-                           0 if not item.expires_at else item.expires_at - self.clock())
-
-    def cas(self, key: bytes, value: bytes, cas_token: int,
-            flags: int = 0, ttl: float = 0) -> str:
-        """Compare-and-swap against the token from :meth:`gets`."""
-        item = self._live(self.table.get(key))
-        if item is None:
-            return StoreResult.NOT_FOUND
-        if item.cas != cas_token:
-            return StoreResult.EXISTS
-        return self._store(key, value, flags, ttl)
-
     def get(self, key: bytes) -> Optional[bytes]:
-        """Value bytes, or None on miss/expiry."""
-        self.cmd_get += 1
-        self._m_get.inc()
-        item = self._lookup(key)
+        """Value bytes, or None on a miss; a hit marks the item as used."""
+        item = self.table.get(key)
         if item is None:
-            self.misses += 1
-            self._m_misses.inc()
             return None
-        self.hits += 1
-        self._m_hits.inc()
-        self._m_bytes_out.inc(len(item.value))
+        self._lru(item.slab_class).touch(item.lru_node)
         return item.value
-
-    def gets(self, key: bytes) -> Optional[tuple[bytes, int]]:
-        """(value, cas token) for CAS round-trips."""
-        self.cmd_get += 1
-        self._m_get.inc()
-        item = self._lookup(key)
-        if item is None:
-            self.misses += 1
-            self._m_misses.inc()
-            return None
-        self.hits += 1
-        self._m_hits.inc()
-        self._m_bytes_out.inc(len(item.value))
-        return item.value, item.cas
 
     def get_many(self, keys: list[bytes]) -> dict[bytes, bytes]:
         """Multi-get; missing keys are simply absent from the result."""
@@ -266,85 +125,20 @@ class MemStore:
                 out[key] = value
         return out
 
-    # Protocol-facing name (memcached ``get k1 k2 ...`` retrieves many
-    # keys in one round-trip).
-    get_multi = get_many
-
-    def set_multi(self, pairs: dict[bytes, bytes], flags: int = 0,
-                  ttl: float = 0) -> dict[bytes, str]:
+    def set_multi(self, pairs: dict[bytes, bytes]) -> dict[bytes, str]:
         """Batch :meth:`set`: one result per key, applied in order."""
-        return {key: self.set(key, value, flags, ttl)
-                for key, value in pairs.items()}
+        return {key: self.set(key, value) for key, value in pairs.items()}
 
     def delete(self, key: bytes) -> str:
         """Remove ``key``."""
-        item = self._live(self.table.get(key))
+        item = self.table.get(key)
         if item is None:
             return StoreResult.NOT_FOUND
         self._unlink(item)
         return StoreResult.DELETED
 
-    def _arith(self, key: bytes, delta: int) -> Optional[int]:
-        item = self._live(self.table.get(key))
-        if item is None:
-            return None
-        try:
-            current = int(item.value)
-        except ValueError:
-            raise ValueError("cannot increment or decrement non-numeric value")
-        new = max(0, current + delta)  # memcached clamps decr at 0
-        item.value = str(new).encode()
-        item.cas = self._next_cas()
-        return new
-
-    def incr(self, key: bytes, delta: int = 1) -> Optional[int]:
-        """Increment a numeric value; None when the key is missing."""
-        return self._arith(key, delta)
-
-    def decr(self, key: bytes, delta: int = 1) -> Optional[int]:
-        """Decrement (clamped at zero); None when the key is missing."""
-        return self._arith(key, -delta)
-
-    def touch(self, key: bytes, ttl: float) -> str:
-        """Reset the TTL without reading the value."""
-        item = self._live(self.table.get(key))
-        if item is None:
-            return StoreResult.NOT_FOUND
-        item.expires_at = self.clock() + ttl if ttl > 0 else 0.0
-        return StoreResult.STORED
-
-    def flush_all(self) -> None:
-        """Drop everything (eagerly, unlike real memcached's lazy flush)."""
-        for key in list(self.table.keys()):
-            item = self.table.get(key)
-            if item is not None:
-                self._unlink(item)
-
-    def keys(self) -> Iterator[bytes]:
-        """All live keys (test/diagnostic aid; not a memcached verb)."""
-        now = self.clock()
-        for key, item in list(self.table.items()):
-            if item.expires_at == 0.0 or item.expires_at > now:
-                yield key
-
     def __len__(self) -> int:
         return len(self.table)
 
     def __contains__(self, key: bytes) -> bool:
-        return self._live(self.table.get(key)) is not None
-
-    def stats(self) -> dict:
-        """memcached-style statistics snapshot."""
-        return {
-            "curr_items": len(self.table),
-            "cmd_get": self.cmd_get,
-            "cmd_set": self.cmd_set,
-            "get_hits": self.hits,
-            "get_misses": self.misses,
-            "evictions": self.evictions,
-            "expired_reclaims": self.expired_reclaims,
-            "bytes_limit": self.slabs.memory_limit,
-            "bytes_pages": self.slabs.memory_used,
-            "hash_buckets": self.table.buckets,
-            "hash_expansions": self.table.expansions,
-        }
+        return self.table.get(key) is not None

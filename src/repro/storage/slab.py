@@ -32,12 +32,8 @@ class SlabClass:
     index: int
     chunk_size: int
     chunks_per_page: int
-    pages: int = 0
     used_chunks: int = 0
     free_chunks: int = 0
-    # Lifetime counters for the stats command.
-    total_allocs: int = 0
-    total_frees: int = 0
 
 
 class SlabAllocator:
@@ -80,11 +76,6 @@ class SlabAllocator:
                                       chunks_per_page=1))
         self.pages_allocated = 0
 
-    @property
-    def memory_used(self) -> int:
-        """Bytes of pages handed out so far."""
-        return self.pages_allocated * self.page_size
-
     def class_for(self, size: int) -> SlabClass | None:
         """Smallest class whose chunks fit ``size``; None when too large.
 
@@ -113,11 +104,9 @@ class SlabAllocator:
             if (self.pages_allocated + 1) * self.page_size > self.memory_limit:
                 raise OutOfMemory(f"class {cls.index} exhausted")
             self.pages_allocated += 1
-            cls.pages += 1
             cls.free_chunks += cls.chunks_per_page
         cls.free_chunks -= 1
         cls.used_chunks += 1
-        cls.total_allocs += 1
 
     def free(self, cls: SlabClass) -> None:
         """Return one chunk to ``cls``'s free list."""
@@ -125,22 +114,3 @@ class SlabAllocator:
             raise ValueError(f"double free in class {cls.index}")
         cls.used_chunks -= 1
         cls.free_chunks += 1
-        cls.total_frees += 1
-
-    def stats(self) -> dict:
-        """Per-class and global accounting snapshot."""
-        return {
-            "memory_limit": self.memory_limit,
-            "memory_used": self.memory_used,
-            "pages": self.pages_allocated,
-            "classes": [
-                {
-                    "index": c.index,
-                    "chunk_size": c.chunk_size,
-                    "pages": c.pages,
-                    "used_chunks": c.used_chunks,
-                    "free_chunks": c.free_chunks,
-                }
-                for c in self.classes if c.pages > 0
-            ],
-        }

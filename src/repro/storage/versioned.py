@@ -1,4 +1,4 @@
-"""Sedna's local storage extensions over MemStore.
+"""Sedna's local store: timestamped value lists with Dirty/Monitors columns.
 
 The paper stores every datum with a timestamp and keeps, for
 ``write_all`` keys, a *value list* with one element per source server
@@ -22,7 +22,7 @@ trigger runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
+from typing import (TYPE_CHECKING, Any, Iterable,
                     NamedTuple, Optional, Union)
 
 if TYPE_CHECKING:
@@ -177,14 +177,6 @@ class DvvRow:
         self.siblings: list[DvvSibling] = sorted(siblings or [],
                                                  key=_sibling_order)
 
-    def context(self) -> dict[str, int]:
-        """The causal context handed to clients on read."""
-        return dict(self.vv)
-
-    def values(self) -> list[Any]:
-        """Current sibling values, oldest first."""
-        return [s.value for s in self.siblings]
-
     def shape(self) -> tuple:
         """Canonical comparable form: (vv items, sibling dots)."""
         return (tuple(sorted(self.vv.items())),
@@ -287,10 +279,6 @@ class VersionedStore:
 
     Parameters
     ----------
-    clock:
-        Simulated-time source used for bookkeeping (not for versioning
-        — versions come from client-supplied timestamps, as the paper
-        specifies writes carry their own timestamps).
     metrics / node:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` plus the
         owning node's name; when given, op counts and rough byte sizes
@@ -300,10 +288,8 @@ class VersionedStore:
         metric call per key, observed or not.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 metrics: Optional["MetricsRegistry"] = None,
+    def __init__(self, metrics: Optional["MetricsRegistry"] = None,
                  node: str = "", dvv_sibling_cap: int = 16) -> None:
-        self.clock = clock if clock is not None else (lambda: 0.0)
         self.rows: dict[str, Row] = {}
         # Causal-mode (DVV) rows live beside the timestamped rows; a
         # key is one or the other, never both, by API discipline.
@@ -313,10 +299,6 @@ class VersionedStore:
         self.dvv_sibling_prunes = 0
         self._dirty_seq = 0
         self._dirty_keys: dict[str, int] = {}
-        # Observers called as fn(key, old_latest, new_latest) on change;
-        # the trigger scanner hooks here *in addition to* polling the
-        # Dirty column, mirroring the paper's scan threads without
-        # forcing benchmarks to pay a scan on every write.
         self.writes_ok = 0
         self.writes_outdated = 0
         self.reads = 0
@@ -330,10 +312,10 @@ class VersionedStore:
             metrics.count_from(self, attr, f"store.{attr}", node=node)
         self._m_dvv_siblings = metrics.histogram(
             "dvv.siblings", node=node, buckets=(1, 2, 3, 5, 8, 13))
-        self._m_dvv_ctx_miss = metrics.counter(
-            "dvv.context_misses", node=node)
-        self._m_dvv_prunes = metrics.counter(
-            "dvv.sibling_prunes", node=node)
+        metrics.count_from(self, "dvv_context_misses",
+                           "dvv.context_misses", node=node)
+        metrics.count_from(self, "dvv_sibling_prunes",
+                           "dvv.sibling_prunes", node=node)
 
     # -- write paths -------------------------------------------------------
     def _mark_dirty(self, key: str, row: Row) -> None:
@@ -394,26 +376,6 @@ class VersionedStore:
         self.bytes_written += _value_size(value)
         return WriteOutcome.OK
 
-    def write_multi(
-            self,
-            entries: Iterable[tuple[str, Any, float, str, str]],
-    ) -> dict[str, str]:
-        """Apply a batch of writes in order; one outcome per key.
-
-        ``entries`` yields ``(key, value, timestamp, source, mode)``
-        tuples where ``mode`` is ``"latest"`` or ``"all"``.  The store
-        side of the batched replication round (``replica.mwrite``):
-        the whole group is applied under one handler dispatch.  With
-        duplicate keys the last entry's outcome wins.
-        """
-        out: dict[str, str] = {}
-        for key, value, timestamp, source, mode in entries:
-            if mode == "latest":
-                out[key] = self.write_latest(key, value, timestamp, source)
-            else:
-                out[key] = self.write_all(key, value, timestamp, source)
-        return out
-
     def delete(self, key: str) -> bool:
         """Remove a row entirely; True when it existed."""
         existed = self.rows.pop(key, None) is not None
@@ -444,29 +406,11 @@ class VersionedStore:
                                 else 8)
         return elements
 
-    def read_multi(
-            self, keys: Iterable[str]) -> dict[str, list[ValueElement]]:
-        """Batch :meth:`read_all`; absent keys map to empty lists.
-
-        The store side of the batched quorum read
-        (``replica.mread``): one dict per group instead of one lookup
-        round per key.
-        """
-        return {key: self.read_all(key) for key in keys}
-
-    def row(self, key: str) -> Optional[Row]:
-        """The raw row (monitors/dirty included); None when absent."""
-        return self.rows.get(key)
-
     def __contains__(self, key: str) -> bool:
         return key in self.rows
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def keys(self) -> Iterator[str]:
-        """All stored keys."""
-        return iter(self.rows)
 
     # -- dirty / monitor support (trigger substrate) -----------------------
     def register_monitor(self, key: str, monitor_id: str) -> None:
@@ -483,12 +427,6 @@ class VersionedStore:
         if row.monitors is _NO_MONITORS:
             row.monitors = set()
         row.monitors.add(monitor_id)
-
-    def unregister_monitor(self, key: str, monitor_id: str) -> None:
-        """Remove a monitor registration (no-op when absent)."""
-        row = self.rows.get(key)
-        if row is not None and row.monitors is not _NO_MONITORS:
-            row.monitors.discard(monitor_id)
 
     def drain_dirty(self, limit: int = 0) -> list[tuple[str, Row]]:
         """Take up to ``limit`` dirty rows (0 = all), clearing their flags.
@@ -509,21 +447,7 @@ class VersionedStore:
             out.append((key, row))
         return out
 
-    @property
-    def dirty_count(self) -> int:
-        """Rows currently flagged dirty."""
-        return len(self._dirty_keys)
-
     # -- replication support -------------------------------------------------
-    def snapshot_range(self, predicate: Callable[[str], bool]) -> dict[str, list[ValueElement]]:
-        """Dump rows whose key satisfies ``predicate``.
-
-        Used by replica re-duplication (§III.C) and rebalancing to copy
-        a virtual node's contents to a new owner.
-        """
-        return {key: list(row.elements)
-                for key, row in self.rows.items() if predicate(key)}
-
     def merge_elements(self, key: str, elements: list[ValueElement],
                        lww: Optional[bool] = None) -> None:
         """Merge foreign elements into a row (idempotent, newest wins).
@@ -583,12 +507,10 @@ class VersionedStore:
             # (stale replica, or read served elsewhere): the update is
             # still safe — ctx only widens vv — but worth counting.
             self.dvv_context_misses += 1
-            self._m_dvv_ctx_miss.inc()
         dot, pruned = row.update(ctx, source, timestamp, value,
                                  replica_id, self.dvv_sibling_cap)
         if pruned:
             self.dvv_sibling_prunes += pruned
-            self._m_dvv_prunes.inc(pruned)
         self.writes_ok += 1
         self.bytes_written += _value_size(value)
         self._m_dvv_siblings.observe(len(row.siblings))
@@ -608,7 +530,6 @@ class VersionedStore:
         changed, pruned = row.merge(incoming, self.dvv_sibling_cap)
         if pruned:
             self.dvv_sibling_prunes += pruned
-            self._m_dvv_prunes.inc(pruned)
         if changed:
             self.writes_ok += 1
             self._m_dvv_siblings.observe(len(row.siblings))

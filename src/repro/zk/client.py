@@ -101,7 +101,7 @@ class ZkClient:
         self._m_writes = metrics.counter("zk.writes", node=name)
         self._m_watch_set = metrics.counter("zk.watches_set", node=name)
         self._m_watch_fired = metrics.counter("zk.watches_fired", node=name)
-        self._m_retries = metrics.counter("zk.retries", node=name)
+        metrics.count_from(self, "retries", "zk.retries", node=name)
 
     # -- connection management ---------------------------------------------
     @property
@@ -115,7 +115,6 @@ class ZkClient:
     def _rotate(self) -> None:
         self._server_idx += 1
         self.retries += 1
-        self._m_retries.inc()
 
     def _call(self, method: str, args: Any):
         """Issue an RPC with server rotation on connectivity failures."""

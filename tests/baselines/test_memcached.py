@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.memcached import MemcachedCluster
+from repro.storage.memstore import ITEM_OVERHEAD
 from repro.net.latency import LanGigabit
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
@@ -67,7 +68,7 @@ class TestMemcachedCluster:
         holders = sum(1 for s in cluster.servers
                       if s.store.get(b"replicated") is not None)
         assert holders == 3
-        assert cluster.total_items() == 3
+        assert sum(len(s.store) for s in cluster.servers) == 3
 
     def test_sequential_copies_slower_than_single(self, world):
         sim, _net, cluster = world
@@ -119,7 +120,7 @@ class TestMemcachedCluster:
             return True
 
         run(sim, seed())
-        cluster.servers[0].crash()
+        cluster.servers[0].rpc.endpoint.crash()
 
         def read_all():
             hits = 0
@@ -133,3 +134,39 @@ class TestMemcachedCluster:
         lost = 40 - hits
         assert 0 < lost < 40, "only the crashed shard's keys disappear"
         assert client.failures == lost
+
+
+class TestMemoryLimit:
+    """The server's byte budget, seen only through the sharding client."""
+
+    def test_lru_evicts_oldest_and_a_read_keeps_a_key(self):
+        sim = Simulator()
+        net = Network(sim, latency=LanGigabit(seed=3))
+        cluster = MemcachedCluster(sim, net, size=1, memory_limit=1 << 20)
+        client = cluster.client()
+        store = cluster.servers[0].store
+        value = b"x" * 900
+        # One 1 MB page: the budget holds one page of this item's class.
+        capacity = store.slabs.class_for(
+            len(b"k0000") + len(value) + ITEM_OVERHEAD).chunks_per_page
+        keys = [f"k{i:04d}".encode() for i in range(capacity)]
+        fresh = [f"n{i:04d}".encode() for i in range(3)]
+
+        def script():
+            for key in keys:
+                assert (yield from client.set(key, value))
+            assert (yield from client.get(keys[0])) == value
+            for key in fresh:
+                assert (yield from client.set(key, value))
+            found = {}
+            for key in keys + fresh:
+                found[key] = yield from client.get(key)
+            return found
+
+        found = run(sim, script())
+        assert found[keys[0]] == value, "the read key stays resident"
+        assert [found[k] for k in keys[1:4]] == [None, None, None], (
+            "the three least recently used keys are evicted")
+        assert all(found[k] == value for k in keys[4:] + fresh)
+        assert store.evictions == 3
+        assert client.failures == 0

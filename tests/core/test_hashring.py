@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import hashring
 from repro.core.hashring import ImbalanceTable, Ring, VnodeStatus
+from repro.obs.metrics import VnodeStatsFeed
 from repro.storage.hashtable import fnv1a
 
 
@@ -237,9 +238,10 @@ class TestImbalanceTable:
     def test_row_from_statuses(self):
         statuses = {0: VnodeStatus(keys=5, reads=10, writes=3),
                     1: VnodeStatus(keys=2, reads=1, writes=1)}
-        row = ImbalanceTable.row_from_statuses(statuses)
-        assert row == {"vnodes": 2, "keys": 7, "bytes": 0,
-                       "reads": 11, "writes": 4}
+        feed = VnodeStatsFeed("n", VnodeStatus)
+        feed.statuses.update(statuses)
+        assert feed.row() == {"vnodes": 2, "keys": 7, "bytes": 0,
+                              "reads": 11, "writes": 4}
 
     def test_most_least_loaded(self):
         table = ImbalanceTable()

@@ -68,7 +68,6 @@ class TestImbalanceTableProperties:
             if not table.rows:
                 assert table.hottest() is None
                 assert table.coldest() is None
-                assert table.mean_heat() == 0.0
                 continue
             heats = {name: table.heat(name) for name in table.rows}
             hottest = table.hottest()
@@ -78,8 +77,6 @@ class TestImbalanceTableProperties:
             if len(table.rows) >= 2:
                 assert table.heat_spread() == pytest.approx(
                     heats[hottest] - heats[coldest])
-            assert table.mean_heat() == pytest.approx(
-                sum(heats.values()) / len(heats))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_heat_tiebreak_is_insertion_order_independent(self, seed):

@@ -20,6 +20,11 @@ REPLICAS = ["nodeA", "nodeB", "nodeC"]
 CLIENTS = ["c0", "c1", "c2"]
 
 
+def values(row):
+    """A row's sibling values, oldest first."""
+    return [s.value for s in row.siblings]
+
+
 def random_history(rng, n_events, cap=None):
     """Replay ``n_events`` random causal writes onto per-replica rows.
 
@@ -68,7 +73,7 @@ class TestMergeAlgebra:
         ab = merged(a, b)
         ba = merged(b, a)
         assert ab.shape() == ba.shape()
-        assert sorted(ab.values()) == sorted(ba.values())
+        assert sorted(values(ab)) == sorted(values(ba))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_associative(self, seed):
@@ -126,7 +131,7 @@ class TestContextSemantics:
         for i in range(n):
             row.update({}, f"c{i}", float(i + 1), f"v{i}", "nodeA")
         assert len(row.siblings) == n
-        assert sorted(row.values()) == sorted(f"v{i}" for i in range(n))
+        assert sorted(values(row)) == sorted(f"v{i}" for i in range(n))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_partial_context_keeps_concurrent_sibling(self, seed):
@@ -136,8 +141,8 @@ class TestContextSemantics:
         ctx = dict(row.vv)            # covers "left" only
         row.update({}, "c1", 2.0, "right", "nodeB")
         row.update(ctx, "c2", 3.0, "over-left", "nodeA")
-        values = set(row.values())
-        assert values == {"right", "over-left"}, values
+        survivors = set(values(row))
+        assert survivors == {"right", "over-left"}, survivors
         del rng  # seed reserved for parametrized replay symmetry
 
 
@@ -166,7 +171,7 @@ class TestSiblingCap:
         assert len(row.siblings) == 3
         changed, _ = row.merge(stale, cap=3)
         assert len(row.siblings) == 3
-        surviving = sorted(row.values())
+        surviving = sorted(values(row))
         # The newest three (highest storage order) survive.
         assert surviving == sorted(f"v{i}" for i in range(5, 8))
         del rng, changed

@@ -60,8 +60,7 @@ class TestHashTable:
         ht = HashTable(initial_power=2, max_load=1.0)
         for i in range(20):
             ht.put(f"k{i}".encode(), i)
-        assert ht.expansions >= 1
-        assert ht.buckets > 4
+        assert len(ht._buckets) > 4
 
     def test_all_readable_during_expansion(self):
         ht = HashTable(initial_power=2, max_load=1.0, migrate_per_op=1)
@@ -79,7 +78,7 @@ class TestHashTable:
         # Drive operations until migration finishes.
         for _ in range(200):
             ht.get(b"k0")
-        assert not ht.expanding
+        assert ht._old is None, "the old bucket array is released"
 
     def test_items_iterates_everything(self):
         ht = HashTable(initial_power=2, migrate_per_op=1)
@@ -96,7 +95,7 @@ class TestHashTable:
         for k in keys[::3]:
             assert ht.remove(k) is not None
         survivors = {k for i, k in enumerate(keys) if i % 3 != 0}
-        assert set(ht.keys()) == survivors
+        assert set(dict(ht.items())) == survivors
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,24 +5,9 @@ import pytest
 from repro.storage.memstore import MemStore, StoreResult
 
 
-class Clock:
-    """Controllable time source."""
-
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-
 @pytest.fixture
-def clock():
-    return Clock()
-
-
-@pytest.fixture
-def store(clock):
-    return MemStore(memory_limit=4 << 20, clock=clock)
+def store():
+    return MemStore(memory_limit=4 << 20)
 
 
 class TestBasicCommands:
@@ -32,31 +17,12 @@ class TestBasicCommands:
 
     def test_get_missing(self, store):
         assert store.get(b"nope") is None
-        assert store.stats()["get_misses"] == 1
 
     def test_set_overwrites(self, store):
         store.set(b"k", b"v1")
         store.set(b"k", b"v2")
         assert store.get(b"k") == b"v2"
         assert len(store) == 1
-
-    def test_add_only_when_absent(self, store):
-        assert store.add(b"k", b"v") == StoreResult.STORED
-        assert store.add(b"k", b"w") == StoreResult.NOT_STORED
-        assert store.get(b"k") == b"v"
-
-    def test_replace_only_when_present(self, store):
-        assert store.replace(b"k", b"v") == StoreResult.NOT_STORED
-        store.set(b"k", b"v")
-        assert store.replace(b"k", b"w") == StoreResult.STORED
-        assert store.get(b"k") == b"w"
-
-    def test_append_prepend(self, store):
-        assert store.append(b"k", b"!") == StoreResult.NOT_STORED
-        store.set(b"k", b"mid")
-        store.append(b"k", b">")
-        store.prepend(b"k", b"<")
-        assert store.get(b"k") == b"<mid>"
 
     def test_delete(self, store):
         store.set(b"k", b"v")
@@ -69,106 +35,26 @@ class TestBasicCommands:
         store.set(b"b", b"2")
         assert store.get_many([b"a", b"b", b"c"]) == {b"a": b"1", b"b": b"2"}
 
+    def test_set_multi_one_result_per_key(self, store):
+        results = store.set_multi({b"a": b"1", b"b": b"2"})
+        assert results == {b"a": StoreResult.STORED,
+                           b"b": StoreResult.STORED}
+        assert store.get(b"a") == b"1"
+        assert store.get(b"b") == b"2"
+
     def test_contains_len(self, store):
         store.set(b"a", b"1")
         assert b"a" in store and b"b" not in store
         assert len(store) == 1
-
-    def test_flush_all(self, store):
-        store.set(b"a", b"1")
-        store.set(b"b", b"2")
-        store.flush_all()
-        assert len(store) == 0
-        assert store.get(b"a") is None
 
     def test_too_large_value_rejected(self, store):
         huge = b"x" * (2 << 20)
         assert store.set(b"k", huge) == StoreResult.TOO_LARGE
 
 
-class TestCas:
-    def test_gets_returns_token(self, store):
-        store.set(b"k", b"v")
-        value, token = store.gets(b"k")
-        assert value == b"v" and token > 0
-
-    def test_cas_succeeds_with_fresh_token(self, store):
-        store.set(b"k", b"v")
-        _, token = store.gets(b"k")
-        assert store.cas(b"k", b"w", token) == StoreResult.STORED
-        assert store.get(b"k") == b"w"
-
-    def test_cas_fails_after_mutation(self, store):
-        store.set(b"k", b"v")
-        _, token = store.gets(b"k")
-        store.set(b"k", b"other")
-        assert store.cas(b"k", b"w", token) == StoreResult.EXISTS
-        assert store.get(b"k") == b"other"
-
-    def test_cas_missing_key(self, store):
-        assert store.cas(b"k", b"v", 1) == StoreResult.NOT_FOUND
-
-
-class TestArithmetic:
-    def test_incr_decr(self, store):
-        store.set(b"n", b"10")
-        assert store.incr(b"n", 5) == 15
-        assert store.decr(b"n", 3) == 12
-        assert store.get(b"n") == b"12"
-
-    def test_decr_clamps_at_zero(self, store):
-        store.set(b"n", b"3")
-        assert store.decr(b"n", 100) == 0
-
-    def test_arith_missing_key(self, store):
-        assert store.incr(b"n") is None
-
-    def test_arith_non_numeric_raises(self, store):
-        store.set(b"n", b"abc")
-        with pytest.raises(ValueError):
-            store.incr(b"n")
-
-
-class TestTtl:
-    def test_expiry_is_lazy_but_effective(self, store, clock):
-        store.set(b"k", b"v", ttl=10.0)
-        clock.t = 5.0
-        assert store.get(b"k") == b"v"
-        clock.t = 10.0
-        assert store.get(b"k") is None
-        assert store.stats()["expired_reclaims"] == 1
-
-    def test_zero_ttl_never_expires(self, store, clock):
-        store.set(b"k", b"v", ttl=0)
-        clock.t = 1e9
-        assert store.get(b"k") == b"v"
-
-    def test_touch_extends(self, store, clock):
-        store.set(b"k", b"v", ttl=10.0)
-        clock.t = 9.0
-        assert store.touch(b"k", 10.0) == StoreResult.STORED
-        clock.t = 15.0
-        assert store.get(b"k") == b"v"
-
-    def test_touch_missing(self, store):
-        assert store.touch(b"k", 5.0) == StoreResult.NOT_FOUND
-
-    def test_add_succeeds_over_expired(self, store, clock):
-        store.set(b"k", b"v", ttl=1.0)
-        clock.t = 2.0
-        assert store.add(b"k", b"w") == StoreResult.STORED
-        assert store.get(b"k") == b"w"
-
-    def test_keys_skips_expired(self, store, clock):
-        store.set(b"a", b"1", ttl=1.0)
-        store.set(b"b", b"2")
-        clock.t = 2.0
-        assert list(store.keys()) == [b"b"]
-
-
 class TestEviction:
-    def test_lru_eviction_under_pressure(self, clock):
-        store = MemStore(memory_limit=1 << 20, clock=clock)  # one page
+    def test_lru_eviction_under_pressure(self):
+        store = MemStore(memory_limit=1 << 20)  # one page
         value = b"x" * 900
         cls = store.slabs.class_for(len(b"k0000") + len(value) + 48)
         capacity = cls.chunks_per_page
@@ -180,8 +66,8 @@ class TestEviction:
         assert store.get(keys[0]) is None
         assert store.get(keys[-1]) == value
 
-    def test_get_protects_from_eviction(self, clock):
-        store = MemStore(memory_limit=1 << 20, clock=clock)
+    def test_get_protects_from_eviction(self):
+        store = MemStore(memory_limit=1 << 20)
         value = b"x" * 900
         cls = store.slabs.class_for(5 + len(value) + 48)
         capacity = cls.chunks_per_page
@@ -194,8 +80,8 @@ class TestEviction:
         assert store.get(keys[0]) == value, "recently read key must survive"
         assert store.get(keys[1]) is None, "the true LRU key is evicted"
 
-    def test_delete_frees_chunk_for_reuse(self, clock):
-        store = MemStore(memory_limit=1 << 20, clock=clock)
+    def test_delete_frees_chunk_for_reuse(self):
+        store = MemStore(memory_limit=1 << 20)
         value = b"x" * 900
         cls = store.slabs.class_for(5 + len(value) + 48)
         for i in range(cls.chunks_per_page):
@@ -204,15 +90,3 @@ class TestEviction:
         store.set(b"fresh", value)
         assert store.evictions == 0
 
-
-class TestStats:
-    def test_counters(self, store):
-        store.set(b"k", b"v")
-        store.get(b"k")
-        store.get(b"miss")
-        stats = store.stats()
-        assert stats["cmd_set"] == 1
-        assert stats["cmd_get"] == 2
-        assert stats["get_hits"] == 1
-        assert stats["get_misses"] == 1
-        assert stats["curr_items"] == 1

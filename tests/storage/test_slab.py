@@ -46,19 +46,18 @@ class TestAllocFree:
         alloc = SlabAllocator(memory_limit=1 << 22)
         cls = alloc.class_for(100)
         alloc.alloc(cls)
-        assert cls.pages == 1
+        assert alloc.pages_allocated == 1
         assert cls.used_chunks == 1
         assert cls.free_chunks == cls.chunks_per_page - 1
-        assert alloc.memory_used == alloc.page_size
 
     def test_allocs_fill_page_before_new_page(self):
         alloc = SlabAllocator(memory_limit=1 << 22)
         cls = alloc.class_for(100)
         for _ in range(cls.chunks_per_page):
             alloc.alloc(cls)
-        assert cls.pages == 1
+        assert alloc.pages_allocated == 1
         alloc.alloc(cls)
-        assert cls.pages == 2
+        assert alloc.pages_allocated == 2
 
     def test_free_returns_chunk(self):
         alloc = SlabAllocator(memory_limit=1 << 22)
@@ -98,12 +97,3 @@ class TestAllocFree:
         alloc.free(cls)
         alloc.alloc(cls)  # must not raise
         assert cls.free_chunks == 0
-
-    def test_stats(self):
-        alloc = SlabAllocator(memory_limit=1 << 22)
-        cls = alloc.class_for(500)
-        alloc.alloc(cls)
-        stats = alloc.stats()
-        assert stats["pages"] == 1
-        assert len(stats["classes"]) == 1
-        assert stats["classes"][0]["used_chunks"] == 1

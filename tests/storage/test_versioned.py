@@ -92,28 +92,28 @@ class TestReadsAndDelete:
         store.write_latest("a", 1, 1.0, "s")
         store.write_latest("b", 2, 1.0, "s")
         assert len(store) == 2 and "a" in store
-        assert set(store.keys()) == {"a", "b"}
+        assert set(store.rows) == {"a", "b"}
 
 
 class TestDirtyTracking:
     def test_write_sets_dirty(self, store):
         store.write_latest("k", "v", 1.0, "s")
-        assert store.row("k").dirty
-        assert store.dirty_count == 1
+        assert store.rows["k"].dirty
+        assert [k for k, _ in store.drain_dirty()] == ["k"]
 
     def test_outdated_write_does_not_set_dirty(self, store):
         store.write_latest("k", "v", 2.0, "s")
         store.drain_dirty()
         store.write_latest("k", "w", 1.0, "s")
-        assert store.dirty_count == 0
+        assert store.drain_dirty() == []
 
     def test_drain_clears_flags_in_order(self, store):
         store.write_latest("b", 1, 1.0, "s")
         store.write_latest("a", 2, 1.0, "s")
         drained = store.drain_dirty()
         assert [k for k, _ in drained] == ["b", "a"], "dirty order, not key order"
-        assert store.dirty_count == 0
-        assert not store.row("a").dirty
+        assert store.drain_dirty() == []
+        assert not store.rows["a"].dirty
 
     def test_rewrite_moves_key_to_back_of_dirty_order(self, store):
         store.write_latest("a", 1, 1.0, "s")
@@ -125,7 +125,7 @@ class TestDirtyTracking:
         for i in range(5):
             store.write_latest(f"k{i}", i, 1.0, "s")
         assert len(store.drain_dirty(limit=2)) == 2
-        assert store.dirty_count == 3
+        assert len(store.drain_dirty()) == 3
 
 
 class TestValueElement:
@@ -163,12 +163,11 @@ class TestRow:
     def test_unmonitored_rows_share_one_empty_monitors(self, store):
         store.write_latest("a", "v", 1.0, "s")
         store.write_all("b", "v", 1.0, "s")
-        assert store.row("a").monitors is store.row("b").monitors
-        assert store.row("a").monitors == frozenset()
+        assert store.rows["a"].monitors is store.rows["b"].monitors
+        assert store.rows["a"].monitors == frozenset()
         store.register_monitor("a", "m1")
-        assert store.row("a").monitors == {"m1"}
-        assert store.row("b").monitors == frozenset()
-        store.unregister_monitor("b", "m1")     # no-op on the shared one
+        assert store.rows["a"].monitors == {"m1"}
+        assert store.rows["b"].monitors == frozenset()
 
     def test_latest_of_one_element_row(self):
         el = ValueElement("s", 1.0, "v")
@@ -177,7 +176,7 @@ class TestRow:
 
     def test_every_write_resets_the_wire_size(self, store):
         store.write_latest("k", "v", 1.0, "s")
-        row = store.row("k")
+        row = store.rows["k"]
         for write in (lambda: store.write_latest("k", "w", 2.0, "s"),
                       lambda: store.write_all("k", "x", 3.0, "t"),
                       lambda: store.merge_elements(
@@ -186,7 +185,7 @@ class TestRow:
             write()
             assert row.wire_size is None
         store.write_latest("q", "v", 2.0, "s")
-        row = store.row("q")
+        row = store.rows["q"]
         row.wire_size = 99
         store.write_latest("q", "old", 0.5, "s")       # outdated
         store.merge_elements("q", [ValueElement("s", 2.0, "v")])  # no change
@@ -196,27 +195,15 @@ class TestRow:
 class TestMonitors:
     def test_register_on_missing_key_creates_row(self, store):
         store.register_monitor("future", "m1")
-        assert store.row("future").monitors == {"m1"}
+        assert store.rows["future"].monitors == {"m1"}
 
     def test_monitors_survive_writes(self, store):
         store.register_monitor("k", "m1")
         store.write_latest("k", "v", 1.0, "s")
-        assert store.row("k").monitors == {"m1"}
-
-    def test_unregister(self, store):
-        store.register_monitor("k", "m1")
-        store.unregister_monitor("k", "m1")
-        assert store.row("k").monitors == set()
-        store.unregister_monitor("nope", "m1")  # no-op
+        assert store.rows["k"].monitors == {"m1"}
 
 
 class TestReplicationSupport:
-    def test_snapshot_range(self, store):
-        store.write_latest("a:1", 1, 1.0, "s")
-        store.write_latest("b:1", 2, 1.0, "s")
-        snap = store.snapshot_range(lambda k: k.startswith("a"))
-        assert set(snap) == {"a:1"}
-
     def test_merge_newest_wins_per_source(self, store):
         store.write_all("k", "mine", 2.0, "s1")
         store.merge_elements("k", [
