@@ -35,6 +35,13 @@ class TestBasicCommands:
         store.set(b"b", b"2")
         assert store.get_many([b"a", b"b", b"c"]) == {b"a": b"1", b"b": b"2"}
 
+    def test_get_multi_skips_misses(self, store):
+        # Deleted keys are misses too, not just keys never set.
+        store.set(b"a", b"1")
+        store.set(b"b", b"2")
+        store.delete(b"b")
+        assert store.get_many([b"a", b"b", b"ghost"]) == {b"a": b"1"}
+
     def test_set_multi_one_result_per_key(self, store):
         results = store.set_multi({b"a": b"1", b"b": b"2"})
         assert results == {b"a": StoreResult.STORED,
