@@ -281,6 +281,11 @@ class HazardDetector:
         """Callback window of the stepped event closed."""
         self._current = None
 
+    def on_drop(self, event: Any) -> None:
+        """A cancelled deadline will never step: forget its info (its
+        id may be reused by a later event)."""
+        self._info.pop(id(event), None)
+
     # -- state-access reporting --------------------------------------------
     def on_access(self, state_key: str, write: bool,
                   site: Optional[_Site] = None) -> None:

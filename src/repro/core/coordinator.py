@@ -479,34 +479,42 @@ class QuorumCoordinator:
         Called exactly once per fan-out, so it doubles as the sampling
         point for the fan-out-depth histogram and the laggard counter
         (replicas still silent when the quorum settled).
-
-        One callback watches both the reply and its silence timer; the
-        reply defuses the timer, so an answered laggard releases the
-        call at once instead of request_timeout later.
         """
         self._m_fanout.observe(float(len(calls)))
-        self._m_laggards.inc(sum(1 for name, ev in calls
-                                 if name not in already_ok
-                                 and not ev.triggered))
+        laggards = 0
+        for name, ev in calls:
+            if name not in already_ok and not ev._triggered:
+                laggards += 1
+        self._m_laggards.inc(laggards)
         for name, ev in calls:
             if name in already_ok:
                 continue
             if ev.callbacks is None:
-                if not ev.ok:
+                if not ev._ok:
                     self._suspect(name, vnode_id)
                 continue
-            silence = self.sim.timeout(self.config.request_timeout)
+            self._watch(name, ev, vnode_id)
 
-            def watch(fired: Event, name=name, ev=ev, silence=silence) -> None:
-                if fired is ev:
-                    silence.defuse()
-                    if not ev.ok:
-                        self._suspect(name, vnode_id)
-                elif not ev.triggered:
+    def _watch(self, name: str, ev: Event, vnode_id: int) -> None:
+        """Suspect a laggard that refuses or stays silent for
+        ``request_timeout``.
+
+        One callback watches both the reply and the silence
+        :class:`~repro.net.simulator.Deadline`.  The reply cancels the
+        deadline, so an answered laggard releases the call at once; a
+        fired or cancelled deadline drops the callback, so the two never
+        hold each other in a cycle.
+        """
+        def watch(fired: Any) -> None:
+            if fired is ev:
+                silence.cancel()
+                if not ev._ok:
                     self._suspect(name, vnode_id)
+            elif not ev._triggered:
+                self._suspect(name, vnode_id)
 
-            ev.callbacks.append(watch)
-            silence.callbacks.append(watch)
+        silence = self.sim.deadline(self.config.request_timeout, watch)
+        ev.callbacks.append(watch)
 
     def _replica_set(self, key: str, found=None):
         """``(vnode id, replicas)`` from the cache, with one invalidation
@@ -611,10 +619,9 @@ class QuorumCoordinator:
                 return dict(shared)
             # The settled round predates us (its replica responses may
             # miss writes acked before we invoked) or failed: loop.
-        entry = _InflightRead(self.sim.event(), self.sim.now)
-        # Observable, never mandatory: every follower may have detached
-        # by the time the round settles.
-        entry.done.callbacks.append(lambda _e: None)
+        # Observable, never mandatory (quiet): every follower may have
+        # detached by the time the round settles.
+        entry = _InflightRead(self.sim.quiet_event(), self.sim.now)
         self._inflight_reads[token] = entry
         try:
             result = yield from self._run(op, args)
@@ -817,7 +824,7 @@ class QuorumCoordinator:
         # their late responses against the merged snapshot and repair
         # fire-and-forget.
         def late_check(done: Event, name: str) -> None:
-            lacking = merge.lacking(done.value) if done.ok else None
+            lacking = merge.lacking(done._value) if done._ok else None
             if lacking:
                 self._replica_call(name, op.repair,
                                    merge.repair_args(vnode_id, lacking))

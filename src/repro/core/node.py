@@ -52,6 +52,7 @@ __all__ = ["SednaNode"]
 # The batched replica replies are sized from their shape (see
 # repro.net.rpc.Sized): a fixed skeleton plus, per key, its string and
 # its status or row.  Keys are encoded full keys, so strings.
+_WRITE_BASE = estimate_size({"status": ""}, 1)
 _MWRITE_BASE = estimate_size({"statuses": {}}, 1)
 _MREAD_BASE = estimate_size({"rows": {}, "lww": {}}, 1)
 
@@ -529,23 +530,11 @@ class SednaNode:
     # Local indexing helpers
     # ------------------------------------------------------------------
     def _index_key(self, key: str) -> None:
-        self._index_keys((key,))
-
-    def _index_keys(self, keys) -> None:
-        """Add keys to the vnode index; each touched vnode's key count
-        is set once, not once per key."""
-        vnode_of = self.cache.ring.vnode_of
-        vnode_keys = self.vnode_keys
-        touched = {}
-        for key in keys:
-            vnode_id = vnode_of(key)
-            indexed = vnode_keys.get(vnode_id)
-            if indexed is None:
-                indexed = vnode_keys[vnode_id] = set()
-            indexed.add(key)
-            touched[vnode_id] = indexed
-        for vnode_id, indexed in touched.items():
-            self.vstats.status(vnode_id).keys = len(indexed)
+        """Add a key to the vnode index and its vnode's key count."""
+        vnode_id = self.cache.ring.vnode_of(key)
+        indexed = self.vnode_keys.setdefault(vnode_id, set())
+        indexed.add(key)
+        self.vstats.status(vnode_id).keys = len(indexed)
 
     # ------------------------------------------------------------------
     # Replica-side handlers (the storage plane)
@@ -577,12 +566,15 @@ class SednaNode:
 
     def _apply_writes(self, vnode_id: int, entries: list) -> dict[str, str]:
         """Apply a vnode-group of writes: one ownership check, one
-        forward to a migration receiver, one stats update per touched
-        vnode; per-key outcomes (a key sent twice reports its last
-        entry's).  Each applied entry is logged by its own outcome."""
+        forward to a migration receiver, one status record for the
+        group's vnode, whose id indexes every key (a coordinator groups
+        keys by the vnode they hash to); per-key outcomes (a key sent
+        twice reports its last entry's).  Each applied entry is logged
+        by its own outcome."""
         self._guard_owner(vnode_id)
         self.replica_writes += len(entries)
-        self.vstats.record_write(vnode_id, len(entries))
+        status = self.vstats.status(vnode_id)
+        status.writes += len(entries)
         store = self.store
         statuses = {}
         outcomes = []
@@ -592,7 +584,11 @@ class SednaNode:
             outcome = write(e["key"], e["value"], e["ts"], e["source"])
             statuses[e["key"]] = outcome
             outcomes.append(outcome)
-        self._index_keys(statuses)
+        indexed = self.vnode_keys.get(vnode_id)
+        if indexed is None:
+            indexed = self.vnode_keys[vnode_id] = set()
+        indexed.update(statuses)
+        status.keys = len(indexed)
         persistence = self.persistence
         if persistence.logs_writes:
             for e, outcome in zip(entries, outcomes):
@@ -608,26 +604,30 @@ class SednaNode:
                 lww={e["key"]: e["mode"] == "latest" for e in entries})
         return statuses
 
-    def _after_flush(self, reply: dict):
-        """``reply``, held back by the persistence strategy's write
-        delay (one flush for the whole group)."""
-        delay = self.persistence.write_delay()
-        if delay <= 0.0:
-            return reply
+    def _after_flush(self, reply: Sized) -> Event:
+        """``reply``, held back by the write delay of a persistence
+        strategy that ``delays_writes`` (one flush for the whole group)."""
         ev = self.sim.event()
-        self.sim.schedule_callback(delay, lambda: ev.succeed(reply))
+        self.sim.schedule_callback(self.persistence.write_delay(),
+                                   lambda: ev.succeed(reply))
         return ev
 
     def _h_replica_write(self, src: str, args: Any):
-        statuses = self._apply_writes(args["vnode"], [args])
-        return self._after_flush({"status": statuses[args["key"]]})
+        status = self._apply_writes(args["vnode"], [args])[args["key"]]
+        reply = Sized({"status": status}, _WRITE_BASE + len(status))
+        if self.persistence.delays_writes:
+            return self._after_flush(reply)
+        return reply
 
     def _h_replica_mwrite(self, src: str, args: Any):
         """Batched replica.write with per-key outcomes."""
         statuses = self._apply_writes(args["vnode"], args["entries"])
         size = (_MWRITE_BASE + sum(map(len, statuses))
                 + sum(map(len, statuses.values())))
-        return self._after_flush(Sized({"statuses": statuses}, size))
+        reply = Sized({"statuses": statuses}, size)
+        if self.persistence.delays_writes:
+            return self._after_flush(reply)
+        return reply
 
     def _read_rows(self, vnode_id: int, keys: list) -> dict:
         """Every element of each key, after one ownership/warming check."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .simulator import AnyOf, Event, Simulator
+from .simulator import AnyOf, Deadline, Event, Simulator, Timeout
 from .transport import Message, Network, estimate_size
 
 __all__ = ["RpcError", "RpcTimeout", "RpcRejected", "LateRegistrationError",
@@ -101,12 +101,6 @@ def unsized(result: Any) -> Any:
     return result.value if type(result) is Sized else result
 
 
-def _observed(_ev: Event) -> None:
-    """Shared no-op observer: marks an event's outcome as witnessed so
-    the kernel's unhandled-failure alarm stays quiet.  One module-level
-    function instead of a fresh lambda per call/wait."""
-
-
 class RpcNode:
     """An endpoint that speaks request/response.
 
@@ -154,39 +148,41 @@ class RpcNode:
         self._handlers[method] = handler
 
     def _on_message(self, msg: Message) -> None:
-        kind = msg.payload.get("kind")
+        payload = msg.payload
+        kind = payload.get("kind")
         if kind == _REQ:
-            self._serve(msg)
-        elif kind == _NOTIFY:
-            if self._notify_handler is not None:
-                self._notify_handler(msg.src, msg.payload["body"])
+            self._served = True
+            service_time = self.service_time
+            if service_time > 0.0:
+                # Single service queue: concurrent requests line up
+                # (this is what makes the paper's Fig. 8 multi-client
+                # contention reproducible — servers have finite CPU).
+                # The message rides the queue timeout, whose callback
+                # serves it.
+                sim = self.sim
+                now = sim.now
+                busy = self._busy_until
+                self._busy_until = busy = (
+                    busy if busy > now else now) + service_time
+                sim.timeout(busy - now, msg).callbacks.append(self._execute)
+            else:
+                self._execute(msg)
         elif kind == _RESP:
-            payload = msg.payload
             ev = self._pending.pop(payload["id"], None)
             if ev is not None and not ev._triggered:
                 if payload["status"] == "ok":
                     ev.succeed(payload["result"])
                 else:
                     ev.fail(RpcRejected(payload.get("result", "")))
+        elif kind == _NOTIFY:
+            if self._notify_handler is not None:
+                self._notify_handler(msg.src, payload["body"])
 
-    def _serve(self, msg: Message) -> None:
-        self._served = True
-        if self.service_time > 0.0:
-            # Single service queue: concurrent requests line up (this is
-            # what makes the paper's Fig. 8 multi-client contention
-            # reproducible — servers have finite CPU).
-            now = self.sim.now
-            start = max(now, self._busy_until)
-            self._busy_until = start + self.service_time
-            self.sim.timeout(self._busy_until - now, msg).callbacks.append(
-                self._dequeue)
-        else:
-            self._execute(msg)
-
-    def _dequeue(self, timeout: Event) -> None:
-        self._execute(timeout._value)
-
-    def _execute(self, msg: Message) -> None:
+    def _execute(self, step: Any) -> None:
+        """Serve one request: ``step`` is the service-queue timeout
+        carrying its message, or the message itself when the node has
+        no service time."""
+        msg: Message = step._value if type(step) is Timeout else step
         payload = msg.payload
         method = payload["method"]
         # Dispatch-table lookup happens here, at execution time, not
@@ -223,10 +219,10 @@ class RpcNode:
             # Deferred completion: the one place a request needs a
             # closure, to carry (msg, span) to the event's outcome.
             def finish(ev: Event) -> None:
-                if ev.ok:
-                    self._respond(msg, span, "ok", ev.value)
+                if ev._ok:
+                    self._respond(msg, span, "ok", ev._value)
                 else:
-                    exc = ev.value
+                    exc = ev._value
                     self._respond(
                         msg, span, "refuse",
                         exc.reason if isinstance(exc, RpcRejected) else repr(exc))
@@ -250,8 +246,8 @@ class RpcNode:
             result = result.value
         else:
             size = estimate_size(result, 1)
-        endpoint.send(
-            msg.src,
+        self.network._transmit(
+            endpoint, msg.src,
             {"kind": _RESP, "id": msg.payload["id"],
              "status": status, "result": result},
             _RESP_BASE + len(status) + size)
@@ -263,10 +259,11 @@ class RpcNode:
 
     def notify(self, dst: str, body: Any) -> None:
         """Fire-and-forget message (watch events, heartbeats)."""
-        if not self.endpoint.up:
+        endpoint = self.endpoint
+        if not endpoint.up:
             return
-        self.endpoint.send(dst, {"kind": _NOTIFY, "body": body},
-                           _NOTIFY_BASE + estimate_size(body, 1))
+        self.network._transmit(endpoint, dst, {"kind": _NOTIFY, "body": body},
+                               _NOTIFY_BASE + estimate_size(body, 1))
 
     # -- client side --------------------------------------------------------
     def _issue(self, dst: str, method: str, args: Any,
@@ -276,19 +273,23 @@ class RpcNode:
         Handing the id back to the caller lets :meth:`call` forget a
         timed-out call with one ``_pending`` pop — the previous design
         kept a reverse event→id dict updated on every issue and reply.
+
+        A down endpoint raises before anything is allocated or counted.
+        The completion event is :class:`~repro.net.simulator.Quiet`:
+        RPC outcomes are observable, never mandatory to wait for, so a
+        fire-and-forget call refused by its peer is not an error.
         """
+        endpoint = self.endpoint
+        if not endpoint.up:
+            raise RuntimeError(f"endpoint {self.name} is down")
         if args_size is None:
             args_size = estimate_size(args, 1)
         self._last_id = call_id = self._last_id + 1
-        ev = self.sim.event()
-        # RPC outcomes are always *observable*, never mandatory-to-wait:
-        # a fire-and-forget call whose reply is a refusal must not trip
-        # the kernel's unhandled-failure alarm.
-        ev.callbacks.append(_observed)
+        ev = self.sim.quiet_event()
         self._pending[call_id] = ev
         self.calls_issued += 1
-        self.endpoint.send(
-            dst,
+        self.network._transmit(
+            endpoint, dst,
             {"kind": _REQ, "id": call_id, "method": method, "args": args},
             _REQ_BASE + len(method) + args_size)
         return ev, call_id
@@ -408,22 +409,25 @@ class QuorumWait:
     coordinator that drains its mailbox before deciding.
 
     Allocation note: a wait lives exactly as long as something can
-    still act on it.  Arming it defuses its deadline (queued and
-    numbered as before, but it no longer holds the wait), so a wait
-    whose replicas all answered dies by refcount the instant it
-    settles.  Laggard replies may still hold the wait after it settles —
-    their callbacks reach it until they answer or their calls are
-    forgotten — which is also why the envelope is NOT free-list pooled:
-    recycling would need generation tags on every callback, and measured
-    CPython allocation is cheaper than the extra indirection.  Churn is
-    cut instead: anonymous entries share one bound reply handler (no
-    per-call closure), the settle callback is a bound method (no
-    lambda), and the observer noop is module-level.
+    still act on it.  Its deadline is a
+    :class:`~repro.net.simulator.Deadline`, cancelled when the wait
+    arms (numbered as before, but it no longer holds the wait and
+    never reaches the queue unless it heads its FIFO), so a wait whose
+    replicas all answered dies by refcount the instant it settles.
+    Laggard replies may still hold the wait after it settles — their
+    callbacks reach it until they answer or their calls are forgotten —
+    which is also why the envelope is NOT free-list pooled: recycling
+    would need generation tags on every callback, and measured CPython
+    allocation is cheaper than the extra indirection.  Churn is cut
+    instead: every entry shares one bound reply handler that looks its
+    name up by event (no per-call closure), the settle callback is a
+    bound method (no lambda), and ``done`` is a quiet event (no
+    observer callback).
     """
 
     __slots__ = ("sim", "needed", "fail_fast", "oks", "fails", "done",
                  "_outstanding", "_settled", "_armed", "_pending_exc",
-                 "_deadline")
+                 "_deadline", "_names")
 
     def __init__(self, sim: Simulator, calls: Iterable[Event],
                  needed: int, timeout: float,
@@ -433,59 +437,55 @@ class QuorumWait:
         self.fail_fast = fail_fast
         self.oks: list[tuple[Any, Any]] = []
         self.fails: list[tuple[Any, BaseException]] = []
-        self.done = sim.event()
         # The wait is observable, never mandatory: a waiter that went
         # away (coalesced follower, fire-and-forget repair) must not
         # trip the kernel's unhandled-failure alarm.
-        self.done.callbacks.append(_observed)
+        self.done = sim.quiet_event()
         self._settled = False
         self._armed = False
         self._pending_exc: Optional[RpcError] = None
-        self._deadline: Optional[Event] = None
+        self._deadline: Optional[Deadline] = None
         if not isinstance(calls, list):
             calls = list(calls)
         self._outstanding = len(calls)
-        anon_cb = None
+        #: event -> its entry's name (anonymous entries are absent);
+        #: dropped at settle, so a settled wait holds no laggard event.
+        self._names: Optional[dict[Event, Any]] = {}
+        names = self._names
+        on_reply = self._on_reply
         for name, ev in calls:
+            if name is not None:
+                names[ev] = name
             if ev.callbacks is None:
-                self._on_reply(name, ev)
-            elif name is None:
-                # Anonymous entry: one shared bound handler instead of a
-                # closure per in-flight call.
-                if anon_cb is None:
-                    anon_cb = self._on_anon_reply
-                ev.callbacks.append(anon_cb)
+                on_reply(ev)
             else:
-                ev.callbacks.append(
-                    lambda done_ev, _n=name: self._on_reply(_n, done_ev))
+                ev.callbacks.append(on_reply)
         if not self._armed:
-            self._deadline = deadline = sim.timeout(timeout)
-            deadline.callbacks.append(self._on_deadline)
+            self._deadline = sim.deadline(timeout, self._on_deadline)
 
     def _impossible(self) -> bool:
         if self.fail_fast:
             return len(self.oks) + self._outstanding < self.needed
         return self._outstanding == 0 and len(self.oks) < self.needed
 
-    def _on_anon_reply(self, ev: Event) -> None:
-        self._on_reply(None, ev)
-
-    def _on_reply(self, name: Any, ev: Event) -> None:
+    def _on_reply(self, ev: Event) -> None:
         if self._settled:
             return
         self._outstanding -= 1
-        if ev.ok:
-            self.oks.append((name, ev.value))
-            if len(self.oks) >= self.needed:
+        name = self._names.get(ev)
+        if ev._ok:
+            oks = self.oks
+            oks.append((name, ev._value))
+            if len(oks) >= self.needed:
                 self._arm(None)
         else:
-            self.fails.append((name, ev.value))
+            self.fails.append((name, ev._value))
             if self._impossible():
                 self._arm(RpcError(
                     f"quorum unreachable: {len(self.oks)} ok, "
                     f"{len(self.fails)} failed, needed {self.needed}"))
 
-    def _on_deadline(self, _ev: Event) -> None:
+    def _on_deadline(self, _deadline: Deadline) -> None:
         if not self._settled:
             self._arm(RpcTimeout(
                 f"quorum {self.needed} not met; {len(self.oks)} ok so far"))
@@ -498,17 +498,18 @@ class QuorumWait:
         self._armed = True
         self._pending_exc = exc
         if self._deadline is not None:
-            # Armed, the wait ignores its deadline: defuse it, so the
+            # Armed, the wait ignores its deadline: cancel it, so the
             # wait dies when it settles, not request_timeout later.
-            self._deadline.defuse()
+            self._deadline.cancel()
         # Same scheduling as schedule_callback(0.0, ...) — one timeout,
         # one sequence number — minus the wrapper lambda.
         self.sim.timeout(0.0).callbacks.append(self._finalize)
 
-    def _finalize(self, _ev: Optional[Event] = None) -> None:
+    def _finalize(self, _ev: Event) -> None:
         if self._settled:
             return
         self._settled = True
+        self._names = None
         if len(self.oks) >= self.needed:
             self.done.succeed((self.oks, self.fails))
         else:

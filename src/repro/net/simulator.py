@@ -14,6 +14,11 @@ the reproduction uses:
 * :class:`Event` — a one-shot occurrence that processes can wait on.
 * :class:`Timeout` — an event that fires after a simulated delay, made
   by ``sim.timeout`` (periodic daemons yield one per round).
+* :class:`Quiet` — an event whose failure may go unwatched (RPC calls
+  and quorum waits, made by ``sim.quiet_event``).
+* :class:`Deadline` — a cancellable callback reserved ``delay`` out by
+  ``sim.deadline``: the timeout/refuse failure detector's timers, which
+  almost never fire.
 * :class:`Process` — a generator-based coroutine driven by the loop.
 * :class:`AnyOf` / :class:`AllOf` — condition events for fan-in waits
   (RPC-with-timeout races, joins).
@@ -38,8 +43,14 @@ frames and C-heap traffic, so
   sequence numbers are unique.
 
 Release discipline: what settles lets go by refcount, so nothing on the
-data path needs CPython's cycle collector.  A timer that became moot is
-*defused* in place (:meth:`Event.defuse`: queued, numbered, runs
+data path needs CPython's cycle collector, and what never fires stays
+off the heap.  A request deadline is a :class:`Deadline`: its
+reservation takes a sequence number like any event, but only the head
+of its per-delay FIFO sits in the queue, and ``cancel()`` drops its
+callback at once.  A steady write loop therefore keeps the queue at
+O(in-flight) entries instead of one defused timer per request in the
+last ``request_timeout``.  A moot *event* (a call's ``AnyOf`` race) is
+still *defused* in place (:meth:`Event.defuse`: queued, numbered, runs
 nothing), and a finished :class:`Process` drops the bound resume
 callback that was its one reference back to itself.
 
@@ -51,6 +62,7 @@ move by a single event.  The kernel is profiled by
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -58,6 +70,8 @@ from typing import Any, Callable, Generator, Iterable, Optional
 __all__ = [
     "Event",
     "Timeout",
+    "Quiet",
+    "Deadline",
     "Process",
     "AnyOf",
     "AllOf",
@@ -202,9 +216,90 @@ class Timeout(Event):
     __slots__ = ()
 
 
-# Preresolved allocator for Simulator.timeout: skips the LOAD_ATTR on
-# Timeout.__new__ per call (partial dispatches straight into C).
+class Quiet(Event):
+    """An event whose outcome is observable, never mandatory to wait
+    for: it may fail with nobody waiting without tripping the kernel's
+    unhandled-failure alarm.  RPC calls and quorum waits are quiet — a
+    fire-and-forget call refused by its peer, or a wait whose waiter
+    went away, is not an error.  Made by :meth:`Simulator.quiet_event`.
+    """
+
+    __slots__ = ()
+
+
+class Deadline:
+    """A callback reserved for ``(now + delay, NORMAL, seq)`` by
+    :meth:`Simulator.deadline`, most likely to be cancelled.
+
+    The reservation takes its sequence number at once, so the total
+    order and ``events_scheduled`` are those of an eager timer, but the
+    entry waits in its delay's FIFO (:class:`_DeadlineLine`) and only
+    the FIFO's head sits in the queue.  :meth:`cancel` drops the
+    callback, and everything it reaches, at once; a cancelled head
+    still pops at its instant, runs nothing, does not move the clock,
+    and queues the next live entry of its FIFO.
+
+    Not an :class:`Event`: nothing can wait on a deadline.  The run
+    loop only needs the three slots it touches on every entry.
+    """
+
+    __slots__ = ("fn", "callbacks", "_ok", "_triggered", "_line")
+
+    def cancel(self) -> None:
+        """Drop the callback; a fired or cancelled deadline ignores it."""
+        if self.fn is None:
+            return
+        self.fn = None
+        self.callbacks = None
+        tracer = self._line.sim.tracer
+        if tracer is not None:
+            tracer.on_drop(self)
+
+
+class _DeadlineLine:
+    """The reservations of one delay, in ``(time, seq)`` order.
+
+    Both ``now`` and ``seq`` only grow, so appending keeps a per-delay
+    FIFO sorted.  While the FIFO is not empty its head is queued with
+    the tuple it was reserved for; when the head pops, the next live
+    entry is queued, and cancelled ones met on the way are let go.
+    """
+
+    __slots__ = ("sim", "fifo", "fire")
+
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
+        self.fifo: deque[tuple[float, int, int, Deadline]] = deque()
+        #: The callbacks list of a live queued head (shared: the run
+        #: loop never mutates an event's list).
+        self.fire = [self._fire]
+
+    def _fire(self, head: Deadline) -> None:
+        """A live head popped: queue the next entry, run the callback."""
+        self.skip()
+        fn = head.fn
+        head.fn = None
+        fn(head)
+
+    def skip(self) -> None:
+        """The head popped: queue the next live entry."""
+        fifo = self.fifo
+        fifo.popleft()
+        while fifo:
+            entry = fifo[0]
+            if entry[3].fn is not None:
+                entry[3].callbacks = self.fire
+                self.sim._enqueue(entry)
+                return
+            fifo.popleft()
+
+
+# Preresolved allocators for the factories below: skip the LOAD_ATTR on
+# __new__ per call (partial dispatches straight into C).
 _make_timeout = partial(Timeout.__new__, Timeout)
+_make_event = partial(Event.__new__, Event)
+_make_quiet = partial(Quiet.__new__, Quiet)
+_make_deadline = partial(Deadline.__new__, Deadline)
 
 
 class _Initialize(Event):
@@ -303,6 +398,12 @@ class Process(Event):
                 nxt.callbacks = cbs = []
             cbs.append(resume_cb)
             return
+
+
+# Events whose failure nobody has to wait for (the unhandled-failure
+# alarm skips them): a process is joined at will, a quiet event watched
+# at will.
+_UNWATCHED = (Process, Quiet)
 
 
 class _Condition(Event):
@@ -423,20 +524,39 @@ class Simulator:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._nbuf: Optional[tuple[float, int, int, Event]] = None
         self._seq = 0
+        # delay -> the FIFO of its deadline reservations (Deadline).
+        self._lines: dict[float, _DeadlineLine] = {}
         # Opt-in observation hook (repro.analysis.hazards).  When set,
-        # the kernel reports every schedule and step; the plain path
-        # pays one ``is None`` check per operation.
+        # the kernel reports every schedule, step and dropped deadline;
+        # the plain path pays one ``is None`` check per operation.
         self.tracer: Optional[Any] = None
 
     @property
     def events_scheduled(self) -> int:
-        """Total events pushed through the queue (perf accounting)."""
+        """Sequence numbers taken (perf accounting): every event
+        queued, and every deadline reserved, cancelled or not."""
         return self._seq
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
-        """A fresh pending event."""
-        return Event(self)
+        """A fresh pending event, built inline like :meth:`timeout`."""
+        ev: Event = _make_event()
+        ev.sim = self
+        ev.callbacks = []
+        ev._value = None
+        ev._ok = None
+        ev._triggered = False
+        return ev
+
+    def quiet_event(self) -> Quiet:
+        """A fresh pending :class:`Quiet` event."""
+        ev: Quiet = _make_quiet()
+        ev.sim = self
+        ev.callbacks = []
+        ev._value = None
+        ev._ok = None
+        ev._triggered = False
+        return ev
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` simulated seconds from now.
@@ -479,7 +599,12 @@ class Simulator:
         """Enqueue ``event`` (its ``_ok`` already set) ``delay`` out."""
         self._seq = seq = self._seq + 1
         when = self.now + delay
-        entry = (when, priority, seq, event)
+        self._enqueue((when, priority, seq, event))
+        if self.tracer is not None:
+            self.tracer.on_schedule(event, priority, when)
+
+    def _enqueue(self, entry: tuple[float, int, int, Any]) -> None:
+        """Queue an entry that already holds its sequence number."""
         buf = self._nbuf
         if buf is None:
             self._nbuf = entry
@@ -488,8 +613,41 @@ class Simulator:
             self._nbuf = entry
         else:
             heappush(self._queue, entry)
+
+    def deadline(self, delay: float,
+                 fn: Callable[[Deadline], None]) -> Deadline:
+        """Run ``fn(deadline)`` ``delay`` seconds from now unless the
+        returned :class:`Deadline` is cancelled first.
+
+        Ordered exactly like ``sim.timeout(delay)`` with ``fn`` as its
+        callback: the reservation is numbered now and counts in
+        ``events_scheduled``.  Unlike that timer, a cancelled deadline
+        holds nothing and, unless it heads its delay's FIFO, never
+        reaches the queue.  Meant for a few fixed delays (request
+        timeouts): each distinct ``delay`` keeps a FIFO.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        d: Deadline = _make_deadline()
+        d.fn = fn
+        d.callbacks = None
+        d._ok = True
+        d._triggered = False
+        line = self._lines.get(delay)
+        if line is None:
+            line = self._lines[delay] = _DeadlineLine(self)
+        d._line = line
+        self._seq = seq = self._seq + 1
+        when = self.now + delay
+        entry = (when, NORMAL, seq, d)
+        fifo = line.fifo
+        fifo.append(entry)
+        if len(fifo) == 1:
+            d.callbacks = line.fire
+            self._enqueue(entry)
         if self.tracer is not None:
-            self.tracer.on_schedule(event, priority, when)
+            self.tracer.on_schedule(d, NORMAL, when)
+        return d
 
     def schedule_callback(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` without spawning a process."""
@@ -510,14 +668,21 @@ class Simulator:
         return heappop(queue)
 
     def step(self) -> None:
-        """Process the single next event.  Raises IndexError when empty."""
+        """Process the single next event.  Raises IndexError when empty.
+
+        A cancelled :class:`Deadline` at the head of the queue is taken
+        without running anything, reporting a step or moving the clock
+        (the tracer saw it dropped when it was cancelled)."""
         when, prio, _seq, event = self._pop()
+        callbacks = event.callbacks
+        if callbacks is None and type(event) is Deadline:
+            event._line.skip()
+            return
         self.now = when
         event._triggered = True
         tracer = self.tracer
         if tracer is not None:
             tracer.on_step(event, when, prio)
-        callbacks = event.callbacks
         if callbacks is None:
             if tracer is not None:
                 tracer.on_step_done(event)
@@ -532,7 +697,7 @@ class Simulator:
                     cb(event)
             finally:
                 tracer.on_step_done(event)
-        if event._ok is False and not callbacks and not isinstance(event, Process):
+        if event._ok is False and not callbacks and not isinstance(event, _UNWATCHED):
             # A failed event nobody waited for: surface the error loudly
             # instead of losing it (mirrors SimPy semantics).
             raise event._value
@@ -576,18 +741,23 @@ class Simulator:
                     raise SimulationError(
                         "simulation ran dry before the awaited event triggered")
                 event = entry[3]
-                self.now = entry[0]
-                event._triggered = True
                 callbacks = event.callbacks
                 if callbacks is None:
+                    if type(event) is Deadline:
+                        event._line.skip()  # cancelled: no clock move
+                    else:
+                        self.now = entry[0]
+                        event._triggered = True
                     continue
+                self.now = entry[0]
+                event._triggered = True
                 event.callbacks = None
                 if len(callbacks) == 1:
                     callbacks[0](event)
                 else:
                     for cb in callbacks:
                         cb(event)
-                if event._ok is False and not callbacks and not isinstance(event, Process):
+                if event._ok is False and not callbacks and not isinstance(event, _UNWATCHED):
                     raise event._value
             if stop._ok:
                 return stop._value
@@ -610,18 +780,23 @@ class Simulator:
                 else:
                     break
                 event = entry[3]
-                self.now = entry[0]
-                event._triggered = True
                 callbacks = event.callbacks
                 if callbacks is None:
+                    if type(event) is Deadline:
+                        event._line.skip()  # cancelled: no clock move
+                    else:
+                        self.now = entry[0]
+                        event._triggered = True
                     continue
+                self.now = entry[0]
+                event._triggered = True
                 event.callbacks = None
                 if len(callbacks) == 1:
                     callbacks[0](event)
                 else:
                     for cb in callbacks:
                         cb(event)
-                if event._ok is False and not callbacks and not isinstance(event, Process):
+                if event._ok is False and not callbacks and not isinstance(event, _UNWATCHED):
                     raise event._value
             self.now = horizon
             return None
@@ -638,18 +813,23 @@ class Simulator:
             else:
                 return None
             event = entry[3]
-            self.now = entry[0]
-            event._triggered = True
             callbacks = event.callbacks
             if callbacks is None:
+                if type(event) is Deadline:
+                    event._line.skip()  # cancelled: no clock move
+                else:
+                    self.now = entry[0]
+                    event._triggered = True
                 continue
+            self.now = entry[0]
+            event._triggered = True
             event.callbacks = None
             if len(callbacks) == 1:
                 callbacks[0](event)
             else:
                 for cb in callbacks:
                     cb(event)
-            if event._ok is False and not callbacks and not isinstance(event, Process):
+            if event._ok is False and not callbacks and not isinstance(event, _UNWATCHED):
                 raise event._value
 
     def _run_traced(self, until: Optional[float | Event]) -> Any:

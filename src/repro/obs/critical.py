@@ -19,7 +19,7 @@ Phase attribution rules (docs/protocols.md §19.2).  Walking the
 critical path parent→child, each edge splits into:
 
 * ``queue_wait`` — the serving endpoint's service-queue wait, carried
-  as the child's ``queue`` tag (stamped by ``RpcNode._serve``);
+  as the child's ``queue`` tag (stamped by ``RpcNode._execute``);
 * ``rpc_flight`` — the rest of the dispatch gap (request on the wire)
   plus, for non-quorum parents, the settle gap (reply on the wire);
 * ``quorum_wait`` — the settle gap under a ``coord.*`` parent: time

@@ -13,7 +13,7 @@ read repair, ZK lookups.  Propagation never touches a payload:
   and network deliveries stay in-trace with zero per-site wiring.
 * **``Message.trace``** (explicit): ``Network._transmit`` stamps the
   active context on the :class:`~repro.net.transport.Message`, beside
-  the payload, and ``RpcNode._serve`` re-adopts it before running the
+  the payload, and ``RpcNode._execute`` re-adopts it before running the
   handler — so a request parked in a busy server's service queue is
   still served under its caller's span.  The network tap reads its
   trace id from the same ambient context.  Nothing is added to a
@@ -129,6 +129,10 @@ class SpanTracer:
 
     def on_step_done(self, event: Any) -> None:
         self._current = None
+
+    def on_drop(self, event: Any) -> None:
+        """A cancelled deadline will never step: forget its context."""
+        self._ctx.pop(id(event), None)
 
     # -- span API (instrumentation sites) --------------------------------
     def start_trace(self, name: str, node: str = "") -> Span:

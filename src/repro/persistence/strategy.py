@@ -31,11 +31,13 @@ class PersistenceStrategy:
     ``on_write`` records the mutation; ``recover`` rebuilds the store's
     rows after a restart.  ``logs_writes`` is False for a strategy whose
     ``on_write`` records nothing, so writers can skip building the
-    element.
+    element; ``delays_writes`` is False for one whose ``write_delay`` is
+    always 0, so the write path can skip asking.
     """
 
     name = "none"
     logs_writes = False
+    delays_writes = False
 
     def write_delay(self) -> float:
         """Extra seconds a replica write must wait before acking."""
@@ -112,6 +114,7 @@ class WalPersistence(PersistenceStrategy):
 
     name = "wal"
     logs_writes = True
+    delays_writes = True
 
     def __init__(self, disk: SimDisk, node_name: str,
                  compact_every: int = 10_000):

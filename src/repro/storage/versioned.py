@@ -22,6 +22,7 @@ trigger runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (TYPE_CHECKING, Any, Iterable,
                     NamedTuple, Optional, Union)
 
@@ -79,7 +80,9 @@ _NO_MONITORS: frozenset = frozenset()
 
 @dataclass(slots=True)
 class Row:
-    """A stored row: value list plus the Dirty/Monitors columns.
+    """A stored row: value list plus the Monitors column.  Whether the
+    row is dirty (written since the trigger scanners last drained it)
+    is the store's to know: :meth:`VersionedStore.drain_dirty`.
 
     ``lww`` records the row's write discipline: True once the row has
     been written through ``write_latest`` (it then holds at most one
@@ -94,8 +97,6 @@ class Row:
     """
 
     elements: list[ValueElement] = field(default_factory=list)
-    dirty: bool = False
-    dirty_seq: int = 0
     monitors: Union[set[str], frozenset[str]] = _NO_MONITORS
     lww: Optional[bool] = None
     wire_size: Optional[int] = field(default=None, repr=False,
@@ -297,8 +298,9 @@ class VersionedStore:
         self.dvv_sibling_cap = dvv_sibling_cap
         self.dvv_context_misses = 0
         self.dvv_sibling_prunes = 0
-        self._dirty_seq = 0
-        self._dirty_keys: dict[str, int] = {}
+        # Keys written since the last drain, in last-mark order: a
+        # re-marked key is re-inserted at the end.
+        self._dirty_keys: dict[str, None] = {}
         self.writes_ok = 0
         self.writes_outdated = 0
         self.reads = 0
@@ -318,11 +320,11 @@ class VersionedStore:
                            "dvv.sibling_prunes", node=node)
 
     # -- write paths -------------------------------------------------------
-    def _mark_dirty(self, key: str, row: Row) -> None:
-        self._dirty_seq += 1
-        row.dirty = True
-        row.dirty_seq = self._dirty_seq
-        self._dirty_keys[key] = self._dirty_seq
+    def _mark_dirty(self, key: str) -> None:
+        dirty = self._dirty_keys
+        if key in dirty:
+            del dirty[key]
+        dirty[key] = None
 
     def write_latest(self, key: str, value: Any, timestamp: float,
                      source: str) -> str:
@@ -337,14 +339,20 @@ class VersionedStore:
             row = Row()
             self.rows[key] = row
         row.lww = True
-        current = row.latest()
-        if current is not None and (timestamp, source) <= (
-                current.timestamp, current.source):
-            self.writes_outdated += 1
-            return WriteOutcome.OUTDATED
+        elements = row.elements
+        if elements:
+            current = (elements[0] if len(elements) == 1
+                       else max(elements, key=element_order))
+            if (timestamp, source) <= (current.timestamp, current.source):
+                self.writes_outdated += 1
+                return WriteOutcome.OUTDATED
         row.elements = [ValueElement(source, timestamp, value)]
         row.wire_size = None
-        self._mark_dirty(key, row)
+        # _mark_dirty, inlined on the per-key path.
+        dirty = self._dirty_keys
+        if key in dirty:
+            del dirty[key]
+        dirty[key] = None
         self.writes_ok += 1
         # _value_size, inlined on the per-key paths.
         self.bytes_written += (len(value) if isinstance(value, (str, bytes))
@@ -371,7 +379,7 @@ class VersionedStore:
             row.elements.remove(existing)
         row.elements.append(ValueElement(source, timestamp, value))
         row.wire_size = None
-        self._mark_dirty(key, row)
+        self._mark_dirty(key)
         self.writes_ok += 1
         self.bytes_written += _value_size(value)
         return WriteOutcome.OK
@@ -429,22 +437,21 @@ class VersionedStore:
         row.monitors.add(monitor_id)
 
     def drain_dirty(self, limit: int = 0) -> list[tuple[str, Row]]:
-        """Take up to ``limit`` dirty rows (0 = all), clearing their flags.
+        """Take up to ``limit`` dirty rows (0 = all); they are clean
+        until written again.
 
-        Rows are returned in dirty order (oldest first), which is what
-        the sequential scanner threads of §IV.C observe.
+        Rows are returned in dirty order (least recently marked first),
+        which is what the sequential scanner threads of §IV.C observe.
         """
-        keys = sorted(self._dirty_keys, key=self._dirty_keys.__getitem__)
-        if limit > 0:
-            keys = keys[:limit]
+        dirty = self._dirty_keys
+        keys = list(dirty if limit <= 0 else islice(dirty, limit))
         out: list[tuple[str, Row]] = []
+        rows = self.rows
         for key in keys:
-            del self._dirty_keys[key]
-            row = self.rows.get(key)
-            if row is None:
-                continue
-            row.dirty = False
-            out.append((key, row))
+            del dirty[key]
+            row = rows.get(key)
+            if row is not None:
+                out.append((key, row))
         return out
 
     # -- replication support -------------------------------------------------
@@ -485,7 +492,7 @@ class VersionedStore:
             changed = True
         if changed:
             row.wire_size = None
-            self._mark_dirty(key, row)
+            self._mark_dirty(key)
 
     # -- causal mode (DVV) -----------------------------------------------
     def causal_update(self, key: str, value: Any, timestamp: float,

@@ -330,10 +330,9 @@ class ZkServer:
         """Run the ZAB round for ``op``; returns a deferred result event."""
         self.next_zxid += 1
         zxid = self.next_zxid
-        result = self.sim.event()
         # Background proposals (e.g. session expiry) may ignore the
-        # outcome; a quorum failure is then simply dropped.
-        result.callbacks.append(lambda _e: None)
+        # outcome (quiet): a quorum failure is then simply dropped.
+        result = self.sim.quiet_event()
         self._result_events[zxid] = result
         self.sim.process(self._proposal_round(zxid, op),
                          name=f"{self.name}-prop-{zxid}")

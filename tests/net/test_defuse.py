@@ -74,6 +74,9 @@ class _Steps:
     def on_step_done(self, event):
         pass
 
+    def on_drop(self, event):
+        pass
+
 
 def _script(defuse):
     """Callers racing replies against deadlines, the shape of

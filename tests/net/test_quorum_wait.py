@@ -158,25 +158,20 @@ class TestQuorumFailure:
         assert wait.oks == [] and wait.fails == []
 
     def test_armed_wait_deadline_runs_nothing(self, sim):
-        """Once armed the wait ignores its deadline, so the deadline is
-        defused: still queued and still popping at its instant (the
-        event count does not move), but holding and running nothing."""
-        made = []
-        timeout = sim.timeout
-
-        def spy(delay, value=None):
-            made.append((delay, timeout(delay, value)))
-            return made[-1][1]
-
-        sim.timeout = spy
+        """Once armed the wait ignores its deadline, so it cancels it:
+        the reservation keeps its sequence number (draining the run
+        schedules nothing more) but holds nothing, fires nothing and
+        does not walk the clock to its instant."""
         calls = [(n, deferred(sim, 0.1, n)) for n in ("r0", "r1")]
         wait = QuorumWait(sim, calls, needed=2, timeout=1.0)
-        deadline = next(t for delay, t in made if delay == 1.0)
+        deadline = wait._deadline
+        assert deadline.fn is not None
         drive(sim, waiting(wait))
-        assert deadline.callbacks is None and not deadline.triggered
+        assert deadline.fn is None and deadline.callbacks is None
         scheduled = sim.events_scheduled
         sim.run()
-        assert deadline.triggered and sim.now == pytest.approx(1.0)
+        assert sim.now == pytest.approx(0.1)
+        assert not deadline._triggered
         assert sim.events_scheduled == scheduled
 
     def test_late_replies_not_recorded_after_settle(self, sim):
@@ -232,6 +227,19 @@ class TestRpcNodeCleanup:
         assert drive(sim, caller())
         assert client._pending == {}
         assert client.calls_timed_out == 1
+
+    def test_call_from_a_down_endpoint_leaves_nothing_behind(self, sim):
+        """A crashed endpoint raises before it allocates a call id or
+        an event, so nothing is pending and no call is counted."""
+        net = Network(sim, latency=NoLatency())
+        client = RpcNode(net, "down-client")
+        RpcNode(net, "down-server").register("ping", lambda src, args: "pong")
+        client.endpoint.crash()
+        with pytest.raises(RuntimeError, match="down"):
+            client.call_async("down-server", "ping", None)
+        assert client._pending == {}
+        assert client.calls_issued == 0
+        assert net.dropped == 0 and sim.events_scheduled == 0
 
     def test_answered_call_is_forgotten(self, sim):
         net = Network(sim, latency=NoLatency())

@@ -1,12 +1,13 @@
 """Release guard: what settles lets go by refcount.
 
 Nothing on the data path may need CPython's cycle collector.  A moot
-timer is defused in place (queued, numbered, runs nothing) instead of
-holding its waiter until its instant, and a finished process drops the
-bound resume callback that was its one reference back to itself.  Each
-check below runs with the collector disabled, so an object that only a
-collection could free shows up as a live weakref or as a non-zero
-``gc.collect()``.
+request deadline is cancelled (it keeps its sequence number, drops its
+callback) and a moot timer is defused in place (queued, numbered, runs
+nothing) instead of holding its waiter until its instant, and a
+finished process drops the bound resume callback that was its one
+reference back to itself.  Each check below runs with the collector
+disabled, so an object that only a collection could free shows up as a
+live weakref or as a non-zero ``gc.collect()``.
 """
 
 import gc
@@ -18,7 +19,7 @@ import repro.core.coordinator as coordinator_mod
 import repro.net.rpc as rpc_mod
 from repro.core.cluster import SednaCluster
 from repro.net.rpc import RpcRejected, RpcTimeout
-from repro.net.simulator import AnyOf, Process, Simulator
+from repro.net.simulator import AnyOf, Deadline, Process, Simulator
 
 
 @pytest.fixture
@@ -131,6 +132,69 @@ def test_settled_waits_and_races_die_while_their_deadlines_queue(
     assert cluster.sim.now < started + cluster.config.request_timeout
     assert len(waits) == 0
     assert len(races) == 0
+
+
+class _DeadlineCount:
+    """Kernel tracer counting deadlines that fired and that were
+    cancelled."""
+
+    def __init__(self):
+        self.fired = self.cancelled = 0
+
+    def on_schedule(self, event, priority, when):
+        pass
+
+    def on_step(self, event, when, priority):
+        if type(event) is Deadline:
+            self.fired += 1
+
+    def on_step_done(self, event):
+        pass
+
+    def on_drop(self, event):
+        self.cancelled += 1
+
+
+def test_silence_deadlines_leave_no_cycles(collector_off):
+    """A crashed replica never answers, so the silence deadline of each
+    write it lags on fires; the live replicas' answers cancel theirs.
+    Neither path leaves the watch callback and its deadline in a cycle."""
+    c = SednaCluster(n_nodes=4, zk_size=3, seed=11)
+    c.start()
+    smart = c.smart_client()
+    c.run(smart.connect())
+    c.settle(c.config.imbalance_push_interval + 1.0)
+    c.crash_node("node3")
+    gc.collect()
+    count = c.sim.tracer = _DeadlineCount()
+    try:
+        for i in range(40):
+            assert c.run(smart.write_latest(f"silent-{i}", "v")) == "ok"
+        c.settle(2 * c.config.request_timeout)
+    finally:
+        c.sim.tracer = None
+    assert count.fired > 0 and count.cancelled > 0
+    assert gc.collect() == 0
+
+
+def test_zero_hop_writes_keep_the_queue_at_in_flight_depth():
+    """Cancelled request deadlines stay off the heap: after a few
+    hundred zero-hop writes the kernel queue holds what is in flight
+    (periodic daemons, one head per deadline FIFO), not one defused
+    timer per request of the last ``request_timeout``."""
+    c = SednaCluster(n_nodes=9, zk_size=3, seed=3)
+    c.start()
+    smart = c.smart_client()
+    c.run(smart.connect())
+    c.settle(10.0)  # past every timer the boot itself left queued
+
+    def writes():
+        for i in range(400):
+            assert (yield from smart.write_latest(f"depth-{i}", "v")) == "ok"
+
+    c.run(writes())
+    sim = c.sim
+    assert len(sim._queue) + (sim._nbuf is not None) < 100
 
 
 class _WeakProcess(Process):

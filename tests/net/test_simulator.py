@@ -27,6 +27,9 @@ class _FirstScheduled:
     def on_step_done(self, event):
         pass
 
+    def on_drop(self, event):
+        pass
+
 
 def _pending_timeout(sim):
     return sim.timeout(1.0)

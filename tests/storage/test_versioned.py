@@ -98,8 +98,7 @@ class TestReadsAndDelete:
 class TestDirtyTracking:
     def test_write_sets_dirty(self, store):
         store.write_latest("k", "v", 1.0, "s")
-        assert store.rows["k"].dirty
-        assert [k for k, _ in store.drain_dirty()] == ["k"]
+        assert store.drain_dirty() == [("k", store.rows["k"])]
 
     def test_outdated_write_does_not_set_dirty(self, store):
         store.write_latest("k", "v", 2.0, "s")
@@ -113,7 +112,8 @@ class TestDirtyTracking:
         drained = store.drain_dirty()
         assert [k for k, _ in drained] == ["b", "a"], "dirty order, not key order"
         assert store.drain_dirty() == []
-        assert not store.rows["a"].dirty
+        store.write_latest("a", 3, 2.0, "s")
+        assert [k for k, _ in store.drain_dirty()] == ["a"], "clean until rewritten"
 
     def test_rewrite_moves_key_to_back_of_dirty_order(self, store):
         store.write_latest("a", 1, 1.0, "s")
