@@ -2,7 +2,5 @@
 
 from .memcached import (MemcachedCluster, MemcachedClusterClient,
                         MemcachedServer)
-from .ketama import KetamaRing
 
-__all__ = ["KetamaRing",
-           "MemcachedCluster", "MemcachedClusterClient", "MemcachedServer"]
+__all__ = ["MemcachedCluster", "MemcachedClusterClient", "MemcachedServer"]

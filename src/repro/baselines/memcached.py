@@ -66,29 +66,19 @@ class MemcachedClusterClient:
     """Client-side sharding client (the paper's test-program behaviour)."""
 
     def __init__(self, sim: Simulator, network: Network, name: str,
-                 servers: list[str], timeout: float = 2.0,
-                 hashing: str = "mod"):
+                 servers: list[str], timeout: float = 2.0):
         self.sim = sim
         self.name = name
         self.servers = list(servers)
         self.timeout = timeout
         self.rpc = RpcNode(network, name)
-        if hashing == "ketama":
-            from .ketama import KetamaRing
-            self.ketama = KetamaRing(self.servers)
-        elif hashing == "mod":
-            self.ketama = None
-        else:
-            raise ValueError(f"unknown hashing strategy {hashing!r}")
         self.write_latencies: list[float] = []
         self.read_latencies: list[float] = []
         self.failures = 0
 
     def _shard(self, key: bytes, offset: int = 0) -> str:
-        """Key → server: hash-mod (classic) or ketama continuum, plus
-        ``offset`` selecting the next distinct server for extra copies."""
-        if self.ketama is not None:
-            return self.ketama.node_for(key, offset)
+        """Key → server by hash-mod, plus ``offset`` selecting the next
+        distinct server for extra copies."""
         idx = (fnv1a(key) + offset) % len(self.servers)
         return self.servers[idx]
 

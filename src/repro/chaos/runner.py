@@ -38,7 +38,7 @@ from ..core.types import FullKey
 from ..net.rpc import RpcRejected, RpcTimeout
 from ..storage.versioned import wire_dvv_row
 from ..net.simulator import AllOf
-from ..zk.server import ZkConfig
+from ..zk.server import RPC_TIMEOUT, ZkConfig
 from .history import History
 from .invariants import Anomaly, FinalState, causal_outcomes, check_all
 from .schedule import Schedule, ScheduleGenerator
@@ -710,7 +710,7 @@ class ChaosRunner:
                 return
             except (RpcTimeout, RpcRejected):
                 node.crash()
-                yield self.sim.timeout(self.zk_config.rpc_timeout)
+                yield self.sim.timeout(RPC_TIMEOUT)
 
     # -- quiesce ----------------------------------------------------------
     def _quiesce(self):

@@ -40,8 +40,10 @@ class RunSpec:
     # fault schedule (adds the migration invariant).
     rebalance: bool = False
     # With rebalance: keyword overrides for the hosted
-    # core.rebalance.Rebalancer (pass_byte_budget, chunk_bytes, weights,
-    # ...).  None keeps the historical defaults, digest for digest.
+    # core.rebalance.Rebalancer (interval, threshold, max_moves_per_pass,
+    # mode, pass_byte_budget, chunk_bytes, weights; its retry cap is the
+    # constant MAX_ATTEMPTS).  None keeps the historical defaults, digest
+    # for digest.
     rebalance_opts: Optional[Mapping[str, Any]] = None
     # SednaConfig field overrides; see sedna_config().
     config: Mapping[str, Any] = field(default_factory=dict)

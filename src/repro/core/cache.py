@@ -30,6 +30,12 @@ from .hashring import Ring
 
 __all__ = ["ZkLayout", "MappingCache"]
 
+#: Bounds of the adaptive lease (§III.E, simulated seconds): the floor
+#: after repeated halving under churn, the cap after repeated doubling
+#: on a quiet cluster.
+LEASE_MIN = 0.25
+LEASE_MAX = 16.0
+
 
 class ZkLayout:
     """Canonical znode paths of a Sedna cluster."""
@@ -231,10 +237,10 @@ class MappingCache:
                 if changes > 0:
                     # "lease time will reduce to half if there are lots of
                     # changes in ZooKeeper in last lease time"
-                    self.lease = max(self.config.lease_min, self.lease / 2)
+                    self.lease = max(LEASE_MIN, self.lease / 2)
                 else:
                     # "...and grow to double if no change in last lease time"
-                    self.lease = min(self.config.lease_max, self.lease * 2)
+                    self.lease = min(LEASE_MAX, self.lease * 2)
 
     # -- lookups -----------------------------------------------------------
     def replicas_for_key(self, encoded_key: str) -> tuple[int, list[str]]:

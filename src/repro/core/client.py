@@ -39,6 +39,10 @@ from .types import (DEFAULT_DATASET, DEFAULT_TABLE, encode_key,
 __all__ = ["CausalReadResult", "CausalWriteAck", "SednaClient",
            "SmartSednaClient"]
 
+#: A proxy client's deadline for one coordinator request (simulated
+#: seconds).
+CLIENT_TIMEOUT = 2.0
+
 
 @dataclass(frozen=True)
 class CausalWriteAck:
@@ -149,14 +153,14 @@ class SednaClient:
         coordinator = self._coordinator()
         try:
             result = yield from self.rpc.call(coordinator, method, args,
-                                              timeout=self.config.client_timeout)
+                                              timeout=CLIENT_TIMEOUT)
             return result
         except (RpcTimeout, RpcRejected):
             fallback = self._coordinator()
             if fallback == coordinator and len(self.nodes) > 1:
                 fallback = self._coordinator()
             result = yield from self.rpc.call(fallback, method, args,
-                                              timeout=self.config.client_timeout)
+                                              timeout=CLIENT_TIMEOUT)
             return result
 
     def _record(self, read: bool, t0: float, failed: bool) -> None:

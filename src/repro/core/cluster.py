@@ -113,8 +113,7 @@ class SednaCluster:
         for path in (ZkLayout.REAL_NODES, ZkLayout.VNODES,
                      ZkLayout.CHANGELOG, ZkLayout.IMBALANCE):
             yield from zk.create(path, b"")
-        owners = build_assignment(self.config.num_vnodes, self.node_names,
-                                  self.config.placement)
+        owners = build_assignment(self.config.num_vnodes, self.node_names)
         for vnode_id, owner in enumerate(owners):
             yield from zk.create(ZkLayout.vnode(vnode_id), owner.encode())
         yield from zk.create(ZkLayout.CONFIG,

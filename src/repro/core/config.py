@@ -1,18 +1,26 @@
 """Sedna cluster configuration.
 
-One dataclass gathering every knob the paper exposes or implies:
-virtual-node count (fixed for the cluster's lifetime, §III.D), quorum
-parameters with the paper's two constraints (R + W > N, W > N/2,
-§III.C), ZooKeeper lease adaptation bounds (§III.E), retrieval-thread
-count for vnode acquisition (§III.D), and trigger flow-control
-intervals (§IV.B).
+One dataclass gathering the values a deployment sets: virtual-node
+count (fixed for the cluster's lifetime, §III.D), quorum parameters
+with the paper's two constraints (R + W > N, W > N/2, §III.C), the
+initial ZooKeeper lease (§III.E), trigger flow-control intervals
+(§IV.B) and the persistence strategy.  A value the paper implies but no
+deployment varies is a named constant at the code that reads it (the
+lease bounds in ``core.cache``, the retrieval-thread count in
+``core.node``, the scanner count in ``triggers.runtime``, the client
+deadline in ``core.client``); :data:`REQUEST_TIMEOUT` lives here
+because four modules read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["SednaConfig"]
+__all__ = ["SednaConfig", "REQUEST_TIMEOUT"]
+
+#: Deadline for one node-to-node RPC: a coordinator's replica call, a
+#: recovery or rebalance step, a GC digest check (simulated seconds).
+REQUEST_TIMEOUT = 0.5
 
 
 @dataclass
@@ -24,15 +32,6 @@ class SednaConfig:
     """Virtual-node count; fixed once the cluster starts (§III.D).  The
     paper sizes ~100 vnodes per real node (e.g. 100,000 for 1,000
     servers); tests use smaller rings."""
-
-    placement: str = "modulo"
-    """Bootstrap vnode → node placement: ``modulo`` (round-robin
-    striping, the historical default) or ``jump`` (jump consistent
-    hash — minimal monotonic remapping as the cluster grows; see
-    ``core.hashring.build_assignment``)."""
-
-    retrieval_threads: int = 8
-    """Concurrent vnode-acquisition workers during join (paper: 8-16)."""
 
     # Replication (§III.C).
     replicas: int = 3
@@ -49,22 +48,9 @@ class SednaConfig:
     oldest siblings beyond the cap are dropped; their dots stay covered
     by the row's version vector, so capping is merge-safe."""
 
-    # Request handling.
-    request_timeout: float = 0.5
-    """Coordinator deadline for one replica RPC."""
-
-    client_timeout: float = 2.0
-    """Client deadline for one coordinator request."""
-
     # ZooKeeper cache lease (§III.E).
     lease_base: float = 1.0
     """Initial mapping-cache sync period."""
-
-    lease_min: float = 0.25
-    """Lower bound after repeated halving (busy churn)."""
-
-    lease_max: float = 16.0
-    """Upper bound after repeated doubling (quiet cluster)."""
 
     # Node management (§III.D).
     imbalance_push_interval: float = 5.0
@@ -73,10 +59,6 @@ class SednaConfig:
     # Triggers (§IV).
     scan_interval: float = 0.05
     """Dirty-column sweep cadence of the scanner threads."""
-
-    scan_threads: int = 4
-    """Concurrent scanner workers per node ("according to the data
-    size", §IV.C)."""
 
     trigger_interval: float = 0.2
     """Default per-application trigger interval — the flow-control
@@ -99,9 +81,15 @@ class SednaConfig:
             raise ValueError("quorum constraint violated: need W > N/2")
         if self.num_vnodes < 1:
             raise ValueError("num_vnodes must be >= 1")
-        if self.placement not in ("modulo", "jump"):
-            raise ValueError(f"unknown placement {self.placement!r}")
         if self.dvv_sibling_cap < 1:
             raise ValueError("dvv_sibling_cap must be >= 1")
         if self.persistence not in ("none", "snapshot", "wal"):
             raise ValueError(f"unknown persistence strategy {self.persistence!r}")
+        # A zero lease polls ZooKeeper in a tight loop and a negative
+        # one kills the lease loop; a zero push or scan interval spins.
+        for name in ("lease_base", "imbalance_push_interval",
+                     "scan_interval", "snapshot_interval"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if not self.trigger_interval >= 0:
+            raise ValueError("trigger_interval must be >= 0")

@@ -44,7 +44,7 @@ from ..net.transport import estimate_size
 from ..storage.versioned import (DvvRow, ValueElement, WriteOutcome,
                                  unwire_dvv_row, wire_context, wire_dvv_row)
 from .cache import MappingCache
-from .config import SednaConfig
+from .config import REQUEST_TIMEOUT, SednaConfig
 
 __all__ = ["OPS", "QuorumCoordinator", "wire_elements", "unwire_elements"]
 
@@ -497,7 +497,7 @@ class QuorumCoordinator:
 
     def _watch(self, name: str, ev: Event, vnode_id: int) -> None:
         """Suspect a laggard that refuses or stays silent for
-        ``request_timeout``.
+        ``REQUEST_TIMEOUT``.
 
         One callback watches both the reply and the silence
         :class:`~repro.net.simulator.Deadline`.  The reply cancels the
@@ -513,7 +513,7 @@ class QuorumCoordinator:
             elif not ev._triggered:
                 self._suspect(name, vnode_id)
 
-        silence = self.sim.deadline(self.config.request_timeout, watch)
+        silence = self.sim.deadline(REQUEST_TIMEOUT, watch)
         ev.callbacks.append(watch)
 
     def _replica_set(self, key: str, found=None):
@@ -528,10 +528,10 @@ class QuorumCoordinator:
         return found
 
     def _warm_wait_limit(self) -> int:
-        """How many request_timeout periods a warming replica is worth
+        """How many REQUEST_TIMEOUT periods a warming replica is worth
         waiting out (two lease periods: the stale-cache window)."""
         return int(self.config.lease_base * 2
-                   / self.config.request_timeout) + 2
+                   / REQUEST_TIMEOUT) + 2
 
     # -- the entry point ----------------------------------------------------
     def coordinate(self, method: str, args: Any):
@@ -668,7 +668,7 @@ class QuorumCoordinator:
 
         Each attempt is one fan-out round: parallel calls to all N
         replicas, answered at the R/W quorum (§III.C/F).  A failed
-        round is retried — after ``request_timeout`` while a freshly
+        round is retried — after ``REQUEST_TIMEOUT`` while a freshly
         claimed replica is still ``warming`` (its handoff catch-up is
         transient, so reads wait it out), otherwise **once** after
         invalidating the mapping: a stale mapping fails a quorum with
@@ -704,7 +704,7 @@ class QuorumCoordinator:
                 size = estimate_size(payload, 1)
                 calls = [(r, self._replica_call(r, op.replica, payload, size))
                          for r in replicas]
-                wait = QuorumWait(sim, calls, quorum, cfg.request_timeout)
+                wait = QuorumWait(sim, calls, quorum, REQUEST_TIMEOUT)
                 try:
                     oks, fails = yield wait.done
                 except RpcError as err:
@@ -728,7 +728,7 @@ class QuorumCoordinator:
                 return rows
             if warming and warm_waits < self._warm_wait_limit():
                 warm_waits += 1
-                yield sim.timeout(cfg.request_timeout)
+                yield sim.timeout(REQUEST_TIMEOUT)
             elif not retried:
                 retried = True
                 yield from self.cache.invalidate(vnode_id)
@@ -785,7 +785,7 @@ class QuorumCoordinator:
             # wait out the remaining replies before concluding.
             pending = [(n, ev) for n, ev in calls if n not in merge.responses]
             laggards = QuorumWait(self.sim, pending, len(pending),
-                                  cfg.request_timeout, fail_fast=False)
+                                  REQUEST_TIMEOUT, fail_fast=False)
             try:
                 yield laggards.done
             except RpcError:
@@ -808,7 +808,7 @@ class QuorumCoordinator:
                 needed = min(cfg.read_quorum - merge.agree[k], len(kcalls))
                 if needed > 0:
                     waits.append((k, QuorumWait(self.sim, kcalls, needed,
-                                                cfg.request_timeout)))
+                                                REQUEST_TIMEOUT)))
         failed = {}
         for k, wait in waits:
             try:
@@ -868,7 +868,7 @@ class QuorumCoordinator:
         for candidate in replicas:
             wait = QuorumWait(self.sim, [(candidate, self._replica_call(
                 candidate, "replica.cwrite", payload))], 1,
-                cfg.request_timeout)
+                REQUEST_TIMEOUT)
             try:
                 oks, _fails = yield wait.done
             except RpcError as err:
@@ -887,7 +887,7 @@ class QuorumCoordinator:
         acks = [minter]
         needed = min(cfg.write_quorum - 1, len(calls))
         if needed > 0:
-            wait = QuorumWait(self.sim, calls, needed, cfg.request_timeout)
+            wait = QuorumWait(self.sim, calls, needed, REQUEST_TIMEOUT)
             try:
                 oks, fails = yield wait.done
             except RpcError as err:

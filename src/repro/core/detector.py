@@ -23,19 +23,23 @@ from .node import SednaNode
 
 __all__ = ["ActiveDetector"]
 
+#: Seconds between probe passes.
+PROBE_INTERVAL = 2.0
+#: Peers pinged per pass, round-robin over the known ring.
+PEERS_PER_PASS = 2
+#: Proactive vnode recoveries per pass, so background repair never
+#: swamps foreground traffic.
+REPAIRS_PER_PASS = 4
+#: Deadline of one ``replica.ping`` probe.
+PROBE_TIMEOUT = 0.3
+
 
 class ActiveDetector:
     """Background liveness prober + proactive replica repair."""
 
-    def __init__(self, node: SednaNode, interval: float = 2.0,
-                 peers_per_pass: int = 2, repairs_per_pass: int = 4,
-                 probe_timeout: float = 0.3):
+    def __init__(self, node: SednaNode):
         self.node = node
         self.sim = node.sim
-        self.interval = interval
-        self.peers_per_pass = peers_per_pass
-        self.repairs_per_pass = repairs_per_pass
-        self.probe_timeout = probe_timeout
         self.running = False
         self._rr = 0
         # Vnodes still awaiting proactive repair, per confirmed corpse.
@@ -67,23 +71,22 @@ class ActiveDetector:
         return [n for n in ring.real_nodes() if n != self.node.name]
 
     def _loop(self):
-        interval = self.interval
         while self.running and self.node.running:
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(PROBE_INTERVAL)
             if not (self.running and self.node.running):
                 return
             peers = self._known_peers()
-            for offset in range(min(self.peers_per_pass, len(peers))):
+            for offset in range(min(PEERS_PER_PASS, len(peers))):
                 peer = peers[(self._rr + offset) % len(peers)]
                 yield from self._probe(peer)
-            self._rr += self.peers_per_pass
+            self._rr += PEERS_PER_PASS
             yield from self._drain_repairs()
 
     def _probe(self, peer: str):
         self.probes += 1
         try:
             yield from self.node.rpc.call(peer, "replica.ping", {},
-                                          timeout=self.probe_timeout)
+                                          timeout=PROBE_TIMEOUT)
             return
         except (RpcTimeout, RpcRejected):
             pass
@@ -113,7 +116,7 @@ class ActiveDetector:
 
     def _drain_repairs(self):
         """Run a bounded batch of queued recoveries per pass."""
-        budget = self.repairs_per_pass
+        budget = REPAIRS_PER_PASS
         for dead in list(self._repair_queue):
             queue = self._repair_queue[dead]
             while queue and budget > 0:

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from ..net.rpc import RpcRejected, RpcTimeout
 from .antientropy import digest_diff, dvv_covered
+from .config import REQUEST_TIMEOUT
 
 if TYPE_CHECKING:
     from .node import SednaNode
@@ -97,7 +98,7 @@ class GarbageCollector:
             try:
                 reply = yield from node.rpc.call(
                     peer, "replica.digest", {"vnode": vnode_id},
-                    timeout=node.config.request_timeout)
+                    timeout=REQUEST_TIMEOUT)
             except (RpcTimeout, RpcRejected):
                 return 0  # cannot verify -> keep the data, retry later
             _pull, push = digest_diff(mine, reply["digest"])
@@ -106,7 +107,7 @@ class GarbageCollector:
                 bundle = node._export_rows(push, dvv_push)
                 if not (yield from node._push_rows(
                         peer, vnode_id, bundle,
-                        node.config.request_timeout * 2)):
+                        REQUEST_TIMEOUT * 2)):
                     return 0
                 self.rows_pushed += (len(bundle["rows"])
                                      + len(bundle["dvv_rows"]))

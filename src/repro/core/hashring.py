@@ -7,19 +7,9 @@ node; the virtual node maps to a *real node* (its primary, r1) and its
 data is replicated on the next distinct real nodes along the ring
 (r2, r3).
 
-The vnode → real-node *placement* used at bootstrap is pluggable
-(:func:`build_assignment`):
-
-* ``modulo`` — round-robin striping (``vnode % n``), the historical
-  default.  Perfectly even, but growing the cluster by one node
-  reshuffles almost every vnode.
-* ``jump`` — jump consistent hash (Lamping & Veach, 2014): an O(1)
-  memory, ~5-line function whose placement is a pure function of
-  ``(vnode id, node count)``.  Growing from n to n+1 nodes moves
-  exactly the ~1/(n+1) of vnodes that land on the new node and no
-  others — minimal, monotonic remapping, which is what makes the
-  100–1000 node north star tractable (rebalances proportional to the
-  change, not to the cluster).
+At bootstrap the vnodes are striped round-robin over the real nodes
+(:func:`build_assignment`); joins and the rebalancer move them from
+there.
 
 The ring also records per-virtual-node status (capacity, read/write
 frequency) from which each real node computes an *imbalance table* row
@@ -37,11 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ..storage.hashtable import fnv1a
 
 __all__ = ["VnodeStatus", "Ring", "ImbalanceTable", "HEAT_WEIGHTS",
-           "row_heat", "vnode_heat", "jump_hash", "build_assignment",
-           "PLACEMENTS"]
-
-_MASK64 = (1 << 64) - 1
-_JUMP_LCG = 2862933555777941757
+           "row_heat", "vnode_heat", "build_assignment"]
 
 
 @lru_cache(maxsize=4096)
@@ -54,68 +40,17 @@ def _key_hash(encoded_key: str) -> int:
     return fnv1a(encoded_key.encode("utf-8"))
 
 
-def _mix64(h: int) -> int:
-    """splitmix64 finalizer: small sequential ints (vnode ids) need an
-    avalanche pass before feeding the jump LCG, whose low bits are weak
-    for clustered keys."""
-    h = (h + 0x9E3779B97F4A7C15) & _MASK64
-    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return h ^ (h >> 31)
+def build_assignment(num_vnodes: int, nodes: Sequence[str]) -> list[str]:
+    """Initial vnode → owner assignment: modulo striping (``vnode % n``).
 
-
-def jump_hash(key: int, num_buckets: int) -> int:
-    """Jump consistent hash (Lamping & Veach): key → [0, num_buckets).
-
-    O(ln n) time, O(1) memory, and *monotone*: growing to n+1 buckets
-    only ever moves keys into bucket n.  ``key`` should be well-mixed
-    64-bit (see :func:`_mix64`).
-    """
-    if num_buckets < 1:
-        raise ValueError("need at least one bucket")
-    key &= _MASK64
-    b, j = -1, 0
-    while j < num_buckets:
-        b = j
-        key = (key * _JUMP_LCG + 1) & _MASK64
-        j = int((b + 1) * ((1 << 31) / ((key >> 33) + 1)))
-    return b
-
-
-def _modulo_assignment(num_vnodes: int, nodes: Sequence[str]) -> list[str]:
-    n = len(nodes)
-    return [nodes[v % n] for v in range(num_vnodes)]
-
-
-def _jump_assignment(num_vnodes: int, nodes: Sequence[str]) -> list[str]:
-    n = len(nodes)
-    return [nodes[jump_hash(_mix64(v), n)] for v in range(num_vnodes)]
-
-
-PLACEMENTS = {
-    "modulo": _modulo_assignment,
-    "jump": _jump_assignment,
-}
-
-
-def build_assignment(num_vnodes: int, nodes: Sequence[str],
-                     placement: str = "modulo") -> list[str]:
-    """Initial vnode → owner assignment under the named placement.
-
-    The result is a pure function of its arguments — every node and
-    client bootstrapping from the same config derives the same map,
-    which is why the placement name can live in SednaConfig instead of
-    ZooKeeper.
+    A pure function of its arguments, so every node and client
+    bootstrapping from the same config derives the same map.
     """
     if not nodes:
         raise ValueError("need at least one node")
-    try:
-        fn = PLACEMENTS[placement]
-    except KeyError:
-        raise ValueError(
-            f"unknown placement {placement!r}; "
-            f"expected one of {sorted(PLACEMENTS)}") from None
-    return fn(num_vnodes, nodes)
+    n = len(nodes)
+    return [nodes[v % n] for v in range(num_vnodes)]
+
 
 #: Default heat-metric weights (§III.B: capacity *and* read/write
 #: frequency).  One owned vnode carries a base weight so an idle

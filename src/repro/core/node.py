@@ -42,12 +42,16 @@ from ..zk.server import ZkConfig
 from ..zk.znode import BadVersionError, NodeExistsError, NoNodeError
 from .antientropy import digest_diff, dvv_digest_diff
 from .cache import MappingCache, ZkLayout
-from .config import SednaConfig
+from .config import REQUEST_TIMEOUT, SednaConfig
 from .coordinator import (OPS, QuorumCoordinator, unwire_elements,
                           wire_elements)
 from .hashring import Ring, VnodeStatus
 
 __all__ = ["SednaNode"]
+
+#: Concurrent vnode-acquisition workers during a join (§III.D; paper:
+#: 8-16).
+RETRIEVAL_THREADS = 8
 
 # The batched replica replies are sized from their shape (see
 # repro.net.rpc.Sized): a fixed skeleton plus, per key, its string and
@@ -204,7 +208,7 @@ class SednaNode:
         2. connect to ZooKeeper, run the initial procedure when first;
         3. register the ephemeral liveness znode;
         4. load the mapping and acquire virtual nodes with
-           ``retrieval_threads`` concurrent workers;
+           :data:`RETRIEVAL_THREADS` concurrent workers;
         5. start the lease loop, imbalance pusher and persistence.
         """
         yield from self.zk.connect()
@@ -279,7 +283,7 @@ class SednaNode:
                     state["mine"] += 1
 
         workers = [self.sim.process(worker(), name=f"{self.name}-acq{i}")
-                   for i in range(self.config.retrieval_threads)]
+                   for i in range(RETRIEVAL_THREADS)]
         for proc in workers:
             yield proc
 
@@ -384,7 +388,7 @@ class SednaNode:
                     target: Optional[str] = None):
         """Copy a vnode's rows from ``source`` into the local store or,
         given another node as ``target``, relay them there."""
-        timeout = self.config.request_timeout * 4
+        timeout = REQUEST_TIMEOUT * 4
         try:
             bundle = yield from self.rpc.call(
                 source, "replica.transfer", {"vnode": vnode_id},
@@ -536,6 +540,12 @@ class SednaNode:
         indexed.add(key)
         self.vstats.status(vnode_id).keys = len(indexed)
 
+    def _recount(self, vnode_id: int, indexed: Optional[set]) -> None:
+        """Bring a vnode's key count down to its index after deletes."""
+        status = self.vnode_status.get(vnode_id)
+        if indexed is not None and status is not None:
+            status.keys = len(indexed)
+
     # ------------------------------------------------------------------
     # Replica-side handlers (the storage plane)
     # ------------------------------------------------------------------
@@ -681,6 +691,7 @@ class SednaNode:
             if indexed is not None:
                 indexed.discard(key)
             statuses[key] = "ok" if existed else "missing"
+        self._recount(vnode_id, indexed)
         receiver = self.migrating_out.get(vnode_id)
         if receiver is not None:
             self._spawn_forward(receiver, vnode_id, deletes=list(keys))
@@ -873,11 +884,13 @@ class SednaNode:
         """Receiver side of the forwarding window: merge double-applied
         writes (and replay deletes) for a vnode migrating in."""
         self._import_rows(args)
+        vnode_id = args["vnode"]
+        keys = self.vnode_keys.get(vnode_id)
         for key in args.get("deletes", ()):
             self.store.delete(key)
-            keys = self.vnode_keys.get(args["vnode"])
             if keys is not None:
                 keys.discard(key)
+        self._recount(vnode_id, keys)
         return {"status": "ok"}
 
     def _h_migrate_end(self, src: str, args: Any):
@@ -947,7 +960,7 @@ class SednaNode:
         try:
             yield from self.rpc.call_retry(
                 receiver, "migrate.forward", args,
-                timeout=self.config.request_timeout, attempts=2)
+                timeout=REQUEST_TIMEOUT, attempts=2)
         except (RpcTimeout, RpcRejected):
             self.migration_forward_failures += 1
 
@@ -1086,7 +1099,7 @@ class SednaNode:
         if keys and target != self.name:
             yield from self._push_rows(
                 target, vnode_id, self._export_rows(sorted(keys)),
-                self.config.request_timeout * 4)
+                REQUEST_TIMEOUT * 4)
             return
         # We took the vnode over ourselves, or hold nothing of it: the
         # rows come from another member of the (new) replica set, for
@@ -1121,7 +1134,7 @@ class SednaNode:
             try:
                 reply = yield from self.rpc.call(
                     peer, "replica.digest", {"vnode": vnode_id},
-                    timeout=self.config.request_timeout)
+                    timeout=REQUEST_TIMEOUT)
             except (RpcTimeout, RpcRejected):
                 failed_peers += 1
                 continue
@@ -1141,7 +1154,7 @@ class SednaNode:
                         peer, "replica.fetch",
                         {"vnode": vnode_id, "keys": pull,
                          "dvv_keys": dvv_pull},
-                        timeout=self.config.request_timeout * 2)
+                        timeout=REQUEST_TIMEOUT * 2)
                 except (RpcTimeout, RpcRejected):
                     failed_peers += 1
                 else:
@@ -1153,7 +1166,7 @@ class SednaNode:
                 sent = len(bundle["rows"]) + len(bundle["dvv_rows"])
                 if sent and (yield from self._push_rows(
                         peer, vnode_id, bundle,
-                        self.config.request_timeout * 2)):
+                        REQUEST_TIMEOUT * 2)):
                     pushed += sent
         return pulled, pushed, failed_peers
 

@@ -40,6 +40,7 @@ from ..net.rpc import RpcRejected, RpcTimeout
 from ..zk.znode import BadVersionError, NoNodeError
 from .antientropy import digest_diff, dvv_covered
 from .cache import ZkLayout
+from .config import REQUEST_TIMEOUT
 from .hashring import HEAT_WEIGHTS, ImbalanceTable, vnode_heat
 from .node import SednaNode
 
@@ -50,6 +51,10 @@ __all__ = ["Rebalancer", "Migration", "plan_move", "pick_migration_vnode",
 #: slack: a vnode only moves when its own heat fits well inside the
 #: gap, so near-balanced nodes never swap vnodes back and forth.
 HEAT_SLACK_FRAC = 0.25
+
+#: Begin/copy/verify failures tolerated per migration before it is
+#: abandoned (``aborted``).
+MAX_ATTEMPTS = 4
 
 #: Cumulative counters in stats rows (everything else is a level).
 _COUNTER_FIELDS = ("reads", "writes")
@@ -181,15 +186,12 @@ class Rebalancer:
         unfinished copy parks in the ledger and resumes next pass.
     chunk_bytes:
         Byte budget per ``migrate.chunk`` pull.
-    max_attempts:
-        Begin/copy/verify failures tolerated per migration before it
-        is abandoned (``aborted``).
     """
 
     def __init__(self, node: SednaNode, interval: float = 5.0,
                  threshold: int = 2, max_moves_per_pass: int = 4,
                  mode: str = "heat", pass_byte_budget: int = 512 * 1024,
-                 chunk_bytes: int = 16 * 1024, max_attempts: int = 4,
+                 chunk_bytes: int = 16 * 1024,
                  weights: Optional[dict] = None):
         if mode not in ("heat", "count"):
             raise ValueError(f"unknown rebalance mode {mode!r}")
@@ -201,7 +203,6 @@ class Rebalancer:
         self.mode = mode
         self.pass_byte_budget = pass_byte_budget
         self.chunk_bytes = chunk_bytes
-        self.max_attempts = max_attempts
         self.weights = dict(weights if weights is not None else HEAT_WEIGHTS)
         self.running = False
         self._in_pass = False
@@ -419,7 +420,7 @@ class Rebalancer:
         try:
             reply = yield from self.node.rpc.call(
                 donor, "stats.vnodes", {},
-                timeout=self.node.config.request_timeout)
+                timeout=REQUEST_TIMEOUT)
             raw = reply["stats"]
         except (RpcTimeout, RpcRejected):
             raw = {}
@@ -441,10 +442,10 @@ class Rebalancer:
         """Advance one migration; returns (committed, remaining budget).
 
         Any RPC failure parks the migration for a retry next pass
-        (bounded by ``max_attempts``) — never a silent drop.
+        (bounded by :data:`MAX_ATTEMPTS`) — never a silent drop.
         """
         rpc = self.node.rpc
-        timeout = self.node.config.request_timeout
+        timeout = REQUEST_TIMEOUT
         vnode_id = migration.vnode
         try:
             if migration.state == "pending":
@@ -504,13 +505,13 @@ class Rebalancer:
                 migration.receiver, "migrate.forward",
                 {"vnode": migration.vnode, "rows": bundle["rows"],
                  "lww": bundle["lww"], "dvv_rows": bundle["dvv_rows"]},
-                timeout=self.node.config.request_timeout)
+                timeout=REQUEST_TIMEOUT)
 
     def _verify(self, migration: Migration):
         """Digest check + bounded repair pulls; True when receiver has
         every key/version the donor has for the vnode."""
         rpc = self.node.rpc
-        timeout = self.node.config.request_timeout
+        timeout = REQUEST_TIMEOUT
         vnode_id = migration.vnode
         for _ in range(3):
             donor_d = yield from rpc.call(
@@ -537,7 +538,7 @@ class Rebalancer:
     def _cutover(self, migration: Migration):
         """Version-checked assignment flip, then settle/end notices."""
         rpc = self.node.rpc
-        timeout = self.node.config.request_timeout
+        timeout = REQUEST_TIMEOUT
         vnode_id = migration.vnode
         try:
             if not (yield from self.node.reassign(
@@ -568,7 +569,7 @@ class Rebalancer:
         migration.state = "pending"
         migration.cursor = 0
         migration.note(f"retry:{reason}")
-        if migration.attempts >= self.max_attempts:
+        if migration.attempts >= MAX_ATTEMPTS:
             self._abort(migration, reason)
 
     def _abort(self, migration: Migration, reason: str) -> None:
@@ -588,6 +589,6 @@ class Rebalancer:
             yield from self.node.rpc.call(
                 migration.donor, "migrate.end",
                 {"vnode": migration.vnode, "committed": False},
-                timeout=self.node.config.request_timeout)
+                timeout=REQUEST_TIMEOUT)
         except (RpcTimeout, RpcRejected):
             migration.note("abort-end-lost")

@@ -23,6 +23,9 @@ from .disk import DiskTimings, SimDisk
 __all__ = ["PersistenceStrategy", "NoPersistence", "SnapshotPersistence",
            "WalPersistence", "make_strategy"]
 
+#: WAL appends between compactions (the log folds into the base blob).
+COMPACT_EVERY = 10_000
+
 
 class PersistenceStrategy:
     """Interface each strategy implements.
@@ -116,12 +119,10 @@ class WalPersistence(PersistenceStrategy):
     logs_writes = True
     delays_writes = True
 
-    def __init__(self, disk: SimDisk, node_name: str,
-                 compact_every: int = 10_000):
+    def __init__(self, disk: SimDisk, node_name: str):
         self.disk = disk
         self.log = f"{node_name}.wal"
         self.blob = f"{node_name}.walbase"
-        self.compact_every = compact_every
         self._since_compact = 0
         self._rows: Optional[Callable[[], dict]] = None
 
@@ -131,7 +132,7 @@ class WalPersistence(PersistenceStrategy):
     def on_write(self, key: str, element: ValueElement) -> None:
         self.disk.append(self.log, (key, element))
         self._since_compact += 1
-        if self._rows is not None and self._since_compact >= self.compact_every:
+        if self._rows is not None and self._since_compact >= COMPACT_EVERY:
             self.compact()
 
     def start(self, sim: Simulator, store_rows: Callable[[], dict]) -> None:

@@ -8,7 +8,7 @@ piece."
 
 Mechanics here:
 
-* every real node runs ``scan_threads`` scanner processes over its own
+* every real node runs :data:`SCAN_THREADS` scanner processes over its own
   :class:`~repro.storage.versioned.VersionedStore`;
 * a change fires only on the vnode's *primary* replica, so one logical
   write activates a trigger exactly once despite N physical copies;
@@ -34,6 +34,10 @@ from .api import Job
 from .flow import FlowControl
 
 __all__ = ["TriggerRuntime"]
+
+#: Concurrent scanner workers per node ("according to the data size",
+#: §IV.C).
+SCAN_THREADS = 4
 
 
 class TriggerRuntime:
@@ -76,7 +80,7 @@ class TriggerRuntime:
             self._clients[name] = SednaClient(
                 self.sim, self.cluster.network, f"{name}-triggers",
                 [name], self.config, pinned=name)
-            for tid in range(self.config.scan_threads):
+            for tid in range(SCAN_THREADS):
                 self.sim.process(self._scanner(node, tid),
                                  name=f"{name}-scan{tid}")
 

@@ -21,7 +21,8 @@ from typing import Any, Callable, Optional
 from ..net.rpc import RpcNode, RpcRejected, RpcTimeout
 from ..net.simulator import Simulator
 from ..net.transport import Network
-from .server import ZkConfig
+from .server import PROPOSAL_TIMEOUT, RPC_TIMEOUT, ZkConfig
+from .watches import EVENT_CHILD
 from .znode import (BadVersionError, NodeExistsError, NoNodeError,
                     NotEmptyError, ZkError)
 
@@ -89,7 +90,10 @@ class ZkClient:
         # on the next ``get``.
         self.last_epoch = 0
         self.last_zxid = 0
-        self._watch_callbacks: dict[str, list[Callable[[dict], None]]] = {}
+        # path -> one-shot callbacks, one table per watch kind: the
+        # server fires data and child watches on the same path apart.
+        self._data_watches: dict[str, list[Callable[[dict], None]]] = {}
+        self._child_watches: dict[str, list[Callable[[dict], None]]] = {}
         self._ping_proc = None
         # Stats for the ZK-usage benches.
         self.ops_sent = 0
@@ -138,7 +142,7 @@ class ZkClient:
             try:
                 result = yield from self.rpc.call(
                     self.current_server(), method, args,
-                    timeout=self.config.proposal_timeout)
+                    timeout=PROPOSAL_TIMEOUT)
                 return result
             except RpcTimeout as err:
                 last = err
@@ -148,7 +152,7 @@ class ZkClient:
                                   "server-behind"):
                     last = rej
                     self._rotate()
-                    yield self.sim.timeout(self.config.rpc_timeout)
+                    yield self.sim.timeout(RPC_TIMEOUT)
                     continue
                 raise _translate(rej)
         raise last
@@ -286,7 +290,7 @@ class ZkClient:
         self._advance_frontier(result)
         if watch is not None:
             self._m_watch_set.inc()
-            self._watch_callbacks.setdefault(path, []).append(watch)
+            self._data_watches.setdefault(path, []).append(watch)
         return result["data"], result["stat"]
 
     def exists(self, path: str, watch: Optional[Callable[[dict], None]] = None):
@@ -301,7 +305,7 @@ class ZkClient:
         self._advance_frontier(result)
         if watch is not None:
             self._m_watch_set.inc()
-            self._watch_callbacks.setdefault(path, []).append(watch)
+            self._data_watches.setdefault(path, []).append(watch)
         return result["stat"]
 
     def get_children(self, path: str,
@@ -317,7 +321,7 @@ class ZkClient:
         self._advance_frontier(result)
         if watch is not None:
             self._m_watch_set.inc()
-            self._watch_callbacks.setdefault(path, []).append(watch)
+            self._child_watches.setdefault(path, []).append(watch)
         return result["children"]
 
     # -- watch dispatch ------------------------------------------------------
@@ -325,7 +329,9 @@ class ZkClient:
         if body.get("zk") != "watch":
             return
         event = body["event"]
-        callbacks = self._watch_callbacks.pop(event["path"], [])
+        table = (self._child_watches if event["type"] == EVENT_CHILD
+                 else self._data_watches)
+        callbacks = table.pop(event["path"], [])
         if callbacks:
             self._m_watch_fired.inc(len(callbacks))
         for cb in callbacks:

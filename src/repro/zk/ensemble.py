@@ -17,6 +17,9 @@ from .server import ZkConfig, ZkServer
 
 __all__ = ["ZkEnsemble"]
 
+#: Endpoint name prefix of the members.
+NAME_PREFIX = "zk"
+
 
 class ZkEnsemble:
     """A running ensemble of :class:`~repro.zk.server.ZkServer`.
@@ -26,22 +29,20 @@ class ZkEnsemble:
     sim, network:
         Simulation substrate.
     size:
-        Member count (odd; the paper's deployment uses 3).
-    prefix:
-        Endpoint name prefix; members are ``{prefix}0 .. {prefix}{n-1}``.
+        Member count (odd; the paper's deployment uses 3).  Members are
+        named ``zk0 .. zk{n-1}``.
     config:
         Shared timing configuration.
     """
 
     def __init__(self, sim: Simulator, network: Network, size: int = 3,
-                 prefix: str = "zk", config: Optional[ZkConfig] = None,
-                 durable: bool = False):
+                 config: Optional[ZkConfig] = None, durable: bool = False):
         if size < 1:
             raise ValueError("ensemble needs at least one member")
         self.sim = sim
         self.network = network
         self.config = config if config is not None else ZkConfig()
-        self.names = [f"{prefix}{i}" for i in range(size)]
+        self.names = [f"{NAME_PREFIX}{i}" for i in range(size)]
         self.disks = None
         if durable:
             from ..persistence.disk import SimDisk

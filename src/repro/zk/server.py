@@ -22,7 +22,8 @@ ZooKeeper Atomic Broadcast):
   down* — it may be minority-partitioned, and committing locally
   without majority agreement would diverge from the elected history.
 
-Timing constants live in :class:`ZkConfig`; defaults are scaled to the
+Timing constants live in this module (the session timeout, the one
+timing deployments vary, in :class:`ZkConfig`); they are scaled to the
 paper's sub-millisecond LAN.
 """
 
@@ -40,19 +41,21 @@ from .session import SessionTable
 from .watches import WatchRegistry
 from .znode import ZkError, ZnodeTree, parent_of
 
-__all__ = ["ZkConfig", "ZkServer"]
+__all__ = ["ZkConfig", "ZkServer", "RPC_TIMEOUT", "PROPOSAL_TIMEOUT"]
+
+# Ensemble timings (simulated seconds).
+EXPIRY_CHECK_INTERVAL = 0.5  # leader scan for dead sessions
+LEADER_BEAT_INTERVAL = 0.4   # leader heartbeat multicast
+BEATS_MISSED_FOR_ELECTION = 3
+RPC_TIMEOUT = 0.5            # intra-ensemble call deadline
+PROPOSAL_TIMEOUT = 1.0       # quorum wait deadline
 
 
 @dataclass
 class ZkConfig:
-    """Ensemble timing and behaviour knobs (simulated seconds)."""
+    """Ensemble configuration (simulated seconds)."""
 
     session_timeout: float = 2.0       # default client session timeout
-    expiry_check_interval: float = 0.5  # leader scan for dead sessions
-    leader_beat_interval: float = 0.4   # leader heartbeat multicast
-    beats_missed_for_election: int = 3
-    rpc_timeout: float = 0.5            # intra-ensemble call deadline
-    proposal_timeout: float = 1.0       # quorum wait deadline
 
 
 class ZkServer:
@@ -296,7 +299,7 @@ class ZkServer:
             raise RpcRejected("no-leader")
         result = self.sim.event()
         call = self.rpc.call_async(self.leader_name, method, args)
-        deadline = self.sim.timeout(self.config.proposal_timeout)
+        deadline = self.sim.timeout(PROPOSAL_TIMEOUT)
 
         def check(_ev):
             # Whichever side settles the race defuses the other.
@@ -347,7 +350,7 @@ class ZkServer:
                     for peer in self.peers]
             try:
                 yield QuorumWait(self.sim, acks, acks_needed,
-                                 self.config.proposal_timeout).done
+                                 PROPOSAL_TIMEOUT).done
             except RpcError as err:
                 ev = self._result_events.pop(zxid, None)
                 if ev is not None and not ev.triggered:
@@ -470,12 +473,12 @@ class ZkServer:
         try:
             # Grace first: the missing commit usually arrives within an
             # RTT when it was merely reordered rather than dropped.
-            yield self.sim.timeout(self.config.rpc_timeout)
+            yield self.sim.timeout(RPC_TIMEOUT)
             while self.running and not self.is_leader and self._behind():
                 yield from self._sync_from(self.leader_name)
                 self._apply_ready()
                 if self._behind():
-                    yield self.sim.timeout(self.config.rpc_timeout)
+                    yield self.sim.timeout(RPC_TIMEOUT)
         finally:
             self._gap_healing = False
 
@@ -592,11 +595,11 @@ class ZkServer:
                 self.rpc.notify(peer, {"zk": "beat", "epoch": self.epoch,
                                        "leader": self.name,
                                        "committed": self.applied_zxid})
-            yield self.sim.timeout(self.config.leader_beat_interval)
+            yield self.sim.timeout(LEADER_BEAT_INTERVAL)
 
     def _expiry_scan(self):
         while self.running and self.is_leader:
-            yield self.sim.timeout(self.config.expiry_check_interval)
+            yield self.sim.timeout(EXPIRY_CHECK_INTERVAL)
             if not (self.running and self.is_leader):
                 return
             for sid in self.sessions.expired(self.sim.now):
@@ -606,8 +609,7 @@ class ZkServer:
     # Election
     # ======================================================================
     def _follower_watchdog(self):
-        wait = (self.config.leader_beat_interval
-                * self.config.beats_missed_for_election)
+        wait = LEADER_BEAT_INTERVAL * BEATS_MISSED_FOR_ELECTION
         while self.running and not self.is_leader:
             yield self.sim.timeout(wait)
             if not self.running or self.is_leader or self._electing:
@@ -631,7 +633,7 @@ class ZkServer:
                                          {"candidate": self.name,
                                           "zxid": self.applied_zxid})
                      for peer in self.peers]
-            yield self.sim.timeout(self.config.rpc_timeout)
+            yield self.sim.timeout(RPC_TIMEOUT)
             votes = [my_vote]
             reachable = 1
             for call in calls:
@@ -702,7 +704,7 @@ class ZkServer:
             target = ev.value["zxid"]
 
             def wait():
-                deadline = self.sim.now + self.config.proposal_timeout
+                deadline = self.sim.now + PROPOSAL_TIMEOUT
                 while self.applied_zxid < target:
                     if self.sim.now >= deadline:
                         # Fall back to an explicit snapshot sync.
@@ -739,7 +741,7 @@ class ZkServer:
             return
         try:
             snap = yield from self.rpc.call(leader, "zk.sync_req", {},
-                                            timeout=self.config.proposal_timeout)
+                                            timeout=PROPOSAL_TIMEOUT)
         except (RpcTimeout, RpcRejected):
             return
         snap_epoch = snap.get("epoch", self.epoch)

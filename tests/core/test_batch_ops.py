@@ -188,7 +188,7 @@ class BatchCache:
 def batch_world():
     sim = Simulator()
     network = Network(sim, latency=NoLatency())
-    config = SednaConfig(num_vnodes=4, request_timeout=0.5)
+    config = SednaConfig(num_vnodes=4)
     replicas = {name: BatchReplica(sim, network, name)
                 for name in ("r0", "r1", "r2")}
     cache = BatchCache(config)

@@ -39,6 +39,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SednaConfig(persistence="raid")
 
+    @pytest.mark.parametrize("field, value", [
+        ("lease_base", 0), ("lease_base", -1),
+        ("imbalance_push_interval", 0), ("scan_interval", 0),
+        ("snapshot_interval", -5.0), ("trigger_interval", -0.1),
+        ("lease_base", float("nan")),
+    ])
+    def test_rejects_non_positive_durations(self, field, value):
+        """A zero lease floods ZooKeeper with reads, a negative one
+        kills the lease loop, a zero push interval spins."""
+        with pytest.raises(ValueError, match=field):
+            SednaConfig(**{field: value})
+
+    def test_zero_trigger_interval_allowed(self):
+        # 0.0 is "flooding": every change fires, none is coalesced.
+        assert SednaConfig(trigger_interval=0.0).trigger_interval == 0.0
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7))
     def test_validation_property(self, n, r, w):

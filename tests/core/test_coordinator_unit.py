@@ -91,7 +91,7 @@ class Replica:
 def world():
     sim = Simulator()
     network = Network(sim, latency=NoLatency())
-    config = SednaConfig(num_vnodes=4, request_timeout=0.5)
+    config = SednaConfig(num_vnodes=4)
     replicas = {name: Replica(sim, network, name)
                 for name in ("r0", "r1", "r2")}
     cache = FakeCache(config, ["r0", "r1", "r2"])

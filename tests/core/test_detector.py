@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.detector as detector_mod
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
 from repro.core.detector import ActiveDetector
@@ -18,15 +19,15 @@ def build(n_nodes=5):
     return cluster
 
 
-def detectors_for(cluster, **kwargs):
-    return [ActiveDetector(node, **kwargs)
-            for node in cluster.nodes.values()]
+def detectors_for(cluster):
+    return [ActiveDetector(node) for node in cluster.nodes.values()]
 
 
 class TestActiveDetector:
-    def test_probes_run_quietly_on_healthy_cluster(self):
+    def test_probes_run_quietly_on_healthy_cluster(self, monkeypatch):
+        monkeypatch.setattr(detector_mod, "PROBE_INTERVAL", 0.5)
         cluster = build()
-        dets = detectors_for(cluster, interval=0.5)
+        dets = detectors_for(cluster)
         for d in dets:
             d.start()
         cluster.settle(5.0)
@@ -36,9 +37,11 @@ class TestActiveDetector:
         assert all(d.deaths_confirmed == 0 for d in dets)
         assert all(d.proactive_recoveries == 0 for d in dets)
 
-    def test_recovers_dead_node_without_any_traffic(self):
+    def test_recovers_dead_node_without_any_traffic(self, monkeypatch):
         """The gap active detection closes: full replication restored
         with ZERO client reads."""
+        monkeypatch.setattr(detector_mod, "PROBE_INTERVAL", 0.5)
+        monkeypatch.setattr(detector_mod, "REPAIRS_PER_PASS", 8)
         cluster = build()
         client = cluster.client()
 
@@ -48,7 +51,7 @@ class TestActiveDetector:
             return True
 
         cluster.run(seed())
-        dets = detectors_for(cluster, interval=0.5, repairs_per_pass=8)
+        dets = detectors_for(cluster)
         for d in dets:
             d.start()
         cluster.crash_node("node2")
@@ -67,11 +70,13 @@ class TestActiveDetector:
                 under.append((f"ad{i}", copies))
         assert not under, f"still under-replicated without reads: {under}"
 
-    def test_transient_silence_not_treated_as_death(self):
+    def test_transient_silence_not_treated_as_death(self, monkeypatch):
         """A node whose ZooKeeper session is alive is never repaired
         away, however unresponsive its data endpoint briefly is."""
+        monkeypatch.setattr(detector_mod, "PROBE_INTERVAL", 0.5)
+        monkeypatch.setattr(detector_mod, "PROBE_TIMEOUT", 0.2)
         cluster = build()
-        dets = detectors_for(cluster, interval=0.5, probe_timeout=0.2)
+        dets = detectors_for(cluster)
         for d in dets:
             d.start()
         # Take only the *data* endpoint down briefly; the -zk endpoint
@@ -88,7 +93,9 @@ class TestActiveDetector:
         ring = cluster.nodes["node0"].cache.ring
         assert len(ring.vnodes_of("node3")) > 0
 
-    def test_bounded_repairs_per_pass(self):
+    def test_bounded_repairs_per_pass(self, monkeypatch):
+        monkeypatch.setattr(detector_mod, "PROBE_INTERVAL", 1.0)
+        monkeypatch.setattr(detector_mod, "REPAIRS_PER_PASS", 2)
         cluster = build()
         client = cluster.client()
 
@@ -98,8 +105,7 @@ class TestActiveDetector:
             return True
 
         cluster.run(seed())
-        det = ActiveDetector(cluster.nodes["node0"], interval=1.0,
-                             repairs_per_pass=2)
+        det = ActiveDetector(cluster.nodes["node0"])
         det.start()
         cluster.crash_node("node1")
         cluster.settle(2.5)  # expiry + first detection pass

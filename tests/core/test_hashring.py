@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import hashring
-from repro.core.hashring import ImbalanceTable, Ring, VnodeStatus
+from repro.core.hashring import (ImbalanceTable, Ring, VnodeStatus,
+                                 build_assignment)
 from repro.obs.metrics import VnodeStatsFeed
 from repro.storage.hashtable import fnv1a
 
@@ -113,6 +114,28 @@ class TestReplicaPlacement:
         vnode, replicas = ring.replicas_for_key("some-key", 3)
         assert vnode == ring.vnode_of("some-key")
         assert replicas == ring.replicas_for(vnode, 3)
+
+
+class TestBuildAssignment:
+    """Bootstrap placement: modulo striping."""
+
+    def test_modulo_matches_historical_striping(self):
+        nodes = ["n0", "n1", "n2"]
+        assert build_assignment(8, nodes) \
+            == [nodes[v % 3] for v in range(8)]
+
+    def test_needs_nodes(self):
+        with pytest.raises(ValueError):
+            build_assignment(8, [])
+
+    def test_modulo_remap_on_add_is_catastrophic(self):
+        """Striping reshuffles nearly everything when the node count
+        changes; joins claim vnodes instead of re-striping."""
+        num_vnodes = 4096
+        before = build_assignment(num_vnodes, [f"n{i}" for i in range(9)])
+        after = build_assignment(num_vnodes, [f"n{i}" for i in range(10)])
+        moved = sum(a != b for a, b in zip(before, after))
+        assert moved > num_vnodes * 0.5
 
 
 def walk(assignment, vnode, n, exclude=()):

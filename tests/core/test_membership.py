@@ -4,6 +4,7 @@ from unittest import mock
 
 import pytest
 
+import repro.core.cache as cache_mod
 from repro.core.cache import ZkLayout
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
@@ -148,11 +149,11 @@ class TestLateJoiner:
 
 
 class TestMappingCacheSync:
-    def test_lease_doubles_when_quiet(self):
+    def test_lease_doubles_when_quiet(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "LEASE_MAX", 4.0)
         cluster = SednaCluster(n_nodes=3, zk_size=3,
                                config=SednaConfig(num_vnodes=16,
-                                                  lease_base=0.5,
-                                                  lease_max=4.0))
+                                                  lease_base=0.5))
         cluster.start()
         node = cluster.nodes["node0"]
         start_lease = node.cache.lease
@@ -163,8 +164,7 @@ class TestMappingCacheSync:
     def test_lease_halves_on_churn(self):
         cluster = SednaCluster(n_nodes=4, zk_size=3,
                                config=SednaConfig(num_vnodes=16,
-                                                  lease_base=2.0,
-                                                  lease_min=0.25))
+                                                  lease_base=2.0))
         cluster.start()
         node = cluster.nodes["node0"]
         cluster.settle(0.1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.rebalance as rebalance_mod
 from repro.core.cache import ZkLayout
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
@@ -216,9 +217,10 @@ class TestLiveMigration:
 
         assert cluster.run(read_back()) == list(range(40))
 
-    def test_transfer_failure_lands_in_ledger_and_retries(self):
+    def test_transfer_failure_lands_in_ledger_and_retries(self, monkeypatch):
         """Satellite bugfix: a failed transfer is recorded and retried
         next pass instead of silently swallowed — the keys arrive."""
+        monkeypatch.setattr(rebalance_mod, "MAX_ATTEMPTS", 20)
         cluster = build_skewed()
         client = self.seed_keys(cluster)
         # Cut the receiver-to-be (node1 owns nothing, so it is the
@@ -227,7 +229,7 @@ class TestLiveMigration:
         others = [n for n in cluster.network.endpoints if n != "node1"]
         part = cluster.failures.partition(["node1"], others)
         rebalancer = Rebalancer(cluster.nodes["node2"], interval=1.0,
-                                threshold=1, max_attempts=20)
+                                threshold=1)
         rebalancer.start()
         cluster.settle(4.0)
         assert rebalancer.transfer_failures > 0, \

@@ -27,6 +27,7 @@ import itertools
 
 import pytest
 
+import repro.core.node as node_mod
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
 from repro.core.gc import GarbageCollector
@@ -137,9 +138,14 @@ def record_background():
     puts it into the replica sets of vnodes 10 and 11 with no rows, and
     leaves ``node2`` holding orphaned copies of vnodes 0-2.
     """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(node_mod, "RETRIEVAL_THREADS", 1)
+        return _background_steps()
+
+
+def _background_steps():
     cluster = SednaCluster(n_nodes=3, zk_size=3, seed=7,
-                           config=SednaConfig(num_vnodes=12, lease_base=0.5,
-                                              retrieval_threads=1))
+                           config=SednaConfig(num_vnodes=12, lease_base=0.5))
     cluster.start("assign")
     client = cluster.client("wire", pinned="node0")
 

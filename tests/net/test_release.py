@@ -18,6 +18,7 @@ import pytest
 import repro.core.coordinator as coordinator_mod
 import repro.net.rpc as rpc_mod
 from repro.core.cluster import SednaCluster
+from repro.core.config import REQUEST_TIMEOUT
 from repro.net.rpc import RpcRejected, RpcTimeout
 from repro.net.simulator import AnyOf, Deadline, Process, Simulator
 
@@ -129,7 +130,7 @@ def test_settled_waits_and_races_die_while_their_deadlines_queue(
     # One quorum wait per op on the coordinator, one call per op on the
     # client; none can have been freed by its deadline firing.
     assert sorted(made) == ["race", "race", "wait", "wait"]
-    assert cluster.sim.now < started + cluster.config.request_timeout
+    assert cluster.sim.now < started + REQUEST_TIMEOUT
     assert len(waits) == 0
     assert len(races) == 0
 
@@ -170,7 +171,7 @@ def test_silence_deadlines_leave_no_cycles(collector_off):
     try:
         for i in range(40):
             assert c.run(smart.write_latest(f"silent-{i}", "v")) == "ok"
-        c.settle(2 * c.config.request_timeout)
+        c.settle(2 * REQUEST_TIMEOUT)
     finally:
         c.sim.tracer = None
     assert count.fired > 0 and count.cancelled > 0
@@ -181,7 +182,7 @@ def test_zero_hop_writes_keep_the_queue_at_in_flight_depth():
     """Cancelled request deadlines stay off the heap: after a few
     hundred zero-hop writes the kernel queue holds what is in flight
     (periodic daemons, one head per deadline FIFO), not one defused
-    timer per request of the last ``request_timeout``."""
+    timer per request of the last ``REQUEST_TIMEOUT``."""
     c = SednaCluster(n_nodes=9, zk_size=3, seed=3)
     c.start()
     smart = c.smart_client()

@@ -14,6 +14,7 @@ from repro.chaos import ChaosRunner
 from repro.core.cache import ZkLayout
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
+from repro.core.types import FullKey
 from repro.obs import Observability
 from repro.obs import __main__ as obs_cli
 from repro.obs.metrics import DISABLED
@@ -97,6 +98,38 @@ class TestImbalanceAccounting:
         n = cluster.config.replicas
         assert total_writes == 12 * n
         assert total_reads >= 12 * n  # read repair may add more
+
+    def test_deletes_lower_the_key_count(self):
+        """A delete takes its key out of the vnode's ``keys`` stat at
+        once, on the replica path and on a migration's forwarded
+        deletes alike, not at the vnode's next write."""
+        cluster = SednaCluster(n_nodes=3, zk_size=3,
+                               config=SednaConfig(num_vnodes=4))
+        cluster.start()
+        client = cluster.client("w")
+        names = [f"d{i}" for i in range(6)]
+
+        def write_then_delete():
+            for name in names:
+                yield from client.write_latest(name, "v")
+            for name in names[:3]:
+                yield from client.delete(name)
+            yield from client.multi_delete(names[3:])
+            return True
+
+        cluster.run(write_then_delete())
+        assert {name: node.vstats.row()["keys"]
+                for name, node in cluster.nodes.items()} \
+            == dict.fromkeys(cluster.node_names, 0)
+
+        node = cluster.nodes["node0"]
+        cluster.run(client.write_latest("f", "v"))
+        vnode = node.cache.ring.vnode_of(FullKey.of("f").encoded())
+        assert node.vstats.row()["keys"] == 1
+        node._h_migrate_forward("node1", {
+            "vnode": vnode, "rows": {},
+            "deletes": [FullKey.of("f").encoded()]})
+        assert node.vstats.row()["keys"] == 0
 
     def test_snapshot_vnode_feed_matches_node_statuses(self):
         obs = Observability(metrics=True)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.persistence.strategy as strategy_mod
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
 from repro.net.rpc import RpcNode
@@ -66,10 +67,11 @@ class TestStrategies:
     def test_wal_has_write_delay(self):
         assert WalPersistence(SimDisk(), "n").write_delay() > 0.0
 
-    def test_wal_compaction_preserves_data(self):
+    def test_wal_compaction_preserves_data(self, monkeypatch):
+        monkeypatch.setattr(strategy_mod, "COMPACT_EVERY", 5)
         disk = SimDisk()
         store_rows = {}
-        strategy = WalPersistence(disk, "n", compact_every=5)
+        strategy = WalPersistence(disk, "n")
         strategy.start(None, lambda: store_rows)
         for i in range(12):
             el = ValueElement("s", float(i), f"v{i}")

@@ -105,3 +105,24 @@ class TestWatchSemantics:
         proc = sim.process(main())
         got = sim.run(until=proc)
         assert len(got) == 1 and got[0]["type"] == "created"
+
+    def test_data_and_child_watches_on_one_path_fire_apart(self, world):
+        """A child event fires only the child watch and a data event
+        only the data watch, though both sit on the same path."""
+        sim, ens = world
+        data_events, child_events = [], []
+        zk = ens.client("w")
+
+        def main():
+            yield from zk.connect()
+            yield from zk.create("/p", b"")
+            yield from zk.get("/p", watch=data_events.append)
+            yield from zk.get_children("/p", watch=child_events.append)
+            yield from zk.create("/p/c", b"")
+            yield sim.timeout(0.5)
+            yield from zk.set("/p", b"new")
+            yield sim.timeout(0.5)
+
+        sim.run(until=sim.process(main()))
+        assert [e["type"] for e in data_events] == ["changed"]
+        assert [e["type"] for e in child_events] == ["child"]
