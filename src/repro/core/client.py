@@ -26,7 +26,7 @@ from typing import Any, Optional
 
 from ..net.rpc import RpcNode, RpcRejected, RpcTimeout
 from ..net.simulator import Simulator
-from ..net.transport import Network
+from ..net.transport import Network, estimate_size
 from ..storage.versioned import ValueElement, WriteOutcome
 from ..zk.client import ZkClient
 from ..zk.server import ZkConfig
@@ -42,6 +42,26 @@ __all__ = ["CausalReadResult", "CausalWriteAck", "SednaClient",
 #: A proxy client's deadline for one coordinator request (simulated
 #: seconds).
 CLIENT_TIMEOUT = 2.0
+
+# The single-key request args have a fixed skeleton: keys, sources and
+# modes are strings and a timestamp is a float, so only a write's value
+# may need a walk (see repro.net.rpc.Sized).
+_READ_ARGS = estimate_size({"key": "", "mode": ""}, 1)
+_WRITE_ARGS = estimate_size(
+    {"key": "", "value": "", "ts": 0.0, "source": "", "mode": ""}, 1)
+
+
+def _args_size(method: str, args: Any) -> int:
+    """``estimate_size(args, 1)`` for a ``sedna.*`` request."""
+    if method == "sedna.read":
+        return _READ_ARGS + len(args["key"]) + len(args["mode"])
+    if method == "sedna.write":
+        value = args["value"]
+        return (_WRITE_ARGS + len(args["key"]) + len(args["source"])
+                + len(args["mode"])
+                + (len(value) if type(value) is str
+                   else estimate_size(value, 2)))
+    return estimate_size(args, 1)
 
 
 @dataclass(frozen=True)
@@ -149,18 +169,22 @@ class SednaClient:
         return node
 
     def _request(self, method: str, args: Any):
-        """The route: one coordinator RPC with a single failover retry."""
+        """The route: one coordinator RPC with a single failover retry,
+        both sending ``args`` sized once."""
         coordinator = self._coordinator()
+        size = _args_size(method, args)
         try:
-            result = yield from self.rpc.call(coordinator, method, args,
-                                              timeout=CLIENT_TIMEOUT)
+            result = yield from self.rpc.call(
+                coordinator, method, args, timeout=CLIENT_TIMEOUT,
+                args_size=size)
             return result
         except (RpcTimeout, RpcRejected):
             fallback = self._coordinator()
             if fallback == coordinator and len(self.nodes) > 1:
                 fallback = self._coordinator()
-            result = yield from self.rpc.call(fallback, method, args,
-                                              timeout=CLIENT_TIMEOUT)
+            result = yield from self.rpc.call(
+                fallback, method, args, timeout=CLIENT_TIMEOUT,
+                args_size=size)
             return result
 
     def _record(self, read: bool, t0: float, failed: bool) -> None:

@@ -48,6 +48,10 @@ from .config import REQUEST_TIMEOUT, SednaConfig
 
 __all__ = ["OPS", "QuorumCoordinator", "wire_elements", "unwire_elements"]
 
+#: ``estimate_size({"vnode": id, "key": key}, 1) - len(key)``: a vnode id
+#: is an int and an encoded key a string.
+_KEY_PAYLOAD = estimate_size({"vnode": 0, "key": ""}, 1)
+
 
 def wire_elements(elements: list[ValueElement]) -> list[tuple]:
     """Serialize value-list elements for the simulated wire: plain
@@ -285,6 +289,8 @@ class _Op(NamedTuple):
     latency: str = ""   # coord.<latency>.latency observed per attempt
     coalesce: bool = False  # concurrent callers share fan-out rounds
     mint: bool = False  # causal write: dot-minting two-phase round
+    #: The fan-out payload is ``{"vnode", "key"}``: sized from its shape.
+    key_payload: bool = False
 
 
 OPS: dict[str, _Op] = {
@@ -303,7 +309,7 @@ OPS: dict[str, _Op] = {
         counter="coordinated_reads", span="coord.read",
         read=True, coalesce=True,
         items=lambda args: [args["key"]],
-        replica="replica.read",
+        replica="replica.read", key_payload=True,
         replica_args=lambda vnode, items, args: {
             "vnode": vnode, "key": args["key"]},
         failed="read-quorum-failed",
@@ -314,7 +320,7 @@ OPS: dict[str, _Op] = {
     "sedna.delete": _Op(
         counter="coordinated_deletes", span="coord.delete",
         items=lambda args: [args["key"]],
-        replica="replica.delete",
+        replica="replica.delete", key_payload=True,
         replica_args=lambda vnode, items, args: {
             "vnode": vnode, "key": args["key"]},
         failed="delete-quorum-failed"),
@@ -331,7 +337,7 @@ OPS: dict[str, _Op] = {
         counter="coordinated_causal_reads", span="coord.cread",
         read=True, latency="read",
         items=lambda args: [args["key"]],
-        replica="replica.cread",
+        replica="replica.cread", key_payload=True,
         replica_args=lambda vnode, items, args: {
             "vnode": vnode, "key": args["key"]},
         failed="causal-read-failed",
@@ -420,6 +426,7 @@ class QuorumCoordinator:
         # retried write counts twice, a batch once per vnode-group.
         for op in OPS.values():
             setattr(self, op.counter, 0)
+        #: Reads answered by a round another read led.
         self.coalesced_reads = 0
         self.read_repairs = 0
         # Observability: fan-out depth / laggard / repair series plus
@@ -609,12 +616,12 @@ class QuorumCoordinator:
             entry = self._inflight_reads.get(token)
             if entry is None:
                 break
-            self.coalesced_reads += 1
             try:
                 shared = yield entry.done
             except RpcError:
                 shared = None  # the round's leader failed: detach
             if shared is not None and entry.started >= invoked:
+                self.coalesced_reads += 1
                 self._m_latency["read"].observe(self.sim.now - invoked)
                 return dict(shared)
             # The settled round predates us (its replica responses may
@@ -701,7 +708,8 @@ class QuorumCoordinator:
                     op.replica_args(vnode_id, items, args))
             else:
                 payload = op.replica_args(vnode_id, items, args)
-                size = estimate_size(payload, 1)
+                size = (_KEY_PAYLOAD + len(key) if op.key_payload
+                        else estimate_size(payload, 1))
                 calls = [(r, self._replica_call(r, op.replica, payload, size))
                          for r in replicas]
                 wait = QuorumWait(sim, calls, quorum, REQUEST_TIMEOUT)

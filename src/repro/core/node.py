@@ -53,25 +53,31 @@ __all__ = ["SednaNode"]
 #: 8-16).
 RETRIEVAL_THREADS = 8
 
-# The batched replica replies are sized from their shape (see
+# The replica replies are sized from their shape (see
 # repro.net.rpc.Sized): a fixed skeleton plus, per key, its string and
 # its status or row.  Keys are encoded full keys, so strings.
 _WRITE_BASE = estimate_size({"status": ""}, 1)
 _MWRITE_BASE = estimate_size({"statuses": {}}, 1)
+_READ_BASE = estimate_size({"elements": "", "lww": None}, 1)
 _MREAD_BASE = estimate_size({"rows": {}, "lww": {}}, 1)
 
 
-def _mread_row_size(wire: list) -> int:
-    """``estimate_size(wire, 3)``: a wire row where ``replica.mread``
-    puts it (reply, ``rows``, row), by its shape when the element
-    holds the usual string source, float timestamp and string value."""
+def _row_size(row, wire: list, depth: int) -> int:
+    """``estimate_size(wire, depth)`` for ``row``'s wire list.
+
+    When every element holds the usual string source, float timestamp
+    and string value, the size is the same at any depth a reply puts
+    the row (at most 5), so it is worked out from the shape and cached
+    on the row until its next write.  Any other row is walked.
+    """
     size = 8
     for element in wire:
         source, ts, value = element
         if type(source) is str and type(ts) is float and type(value) is str:
             size += 16 + len(source) + len(value)
         else:
-            size += estimate_size(element, 4)
+            return estimate_size(wire, depth)
+    row.wire_size = size
     return size
 
 
@@ -649,16 +655,28 @@ class SednaNode:
         return {key: read_all(key) for key in keys}
 
     def _h_replica_read(self, src: str, args: Any):
+        """:meth:`_read_rows` for one key, flat: the same checks and
+        counts without the one-key list and dict."""
+        vnode_id = args["vnode"]
         key = args["key"]
-        elements = self._read_rows(args["vnode"], [key])[key]
-        row = self.store.rows.get(key)
-        return {"elements": wire_elements(elements),
-                "lww": row.lww if row is not None else None}
+        self._guard_owner(vnode_id)
+        self._guard_warm(vnode_id)
+        self.replica_reads += 1
+        self.vstats.record_read(vnode_id, 1)
+        store = self.store
+        wire = wire_elements(store.read_all(key))
+        row = store.rows.get(key)
+        if row is None:
+            # No row: an empty element list, 8 bytes.
+            return Sized({"elements": wire, "lww": None}, _READ_BASE + 8)
+        size = row.wire_size
+        if size is None:
+            size = _row_size(row, wire, 2)
+        return Sized({"elements": wire, "lww": row.lww}, _READ_BASE + size)
 
     def _h_replica_mread(self, src: str, args: Any):
         """Batched replica.read: one round-trip; keys with no row are
-        absent from ``rows``.  Each row's size is cached on it until
-        its next write."""
+        absent from ``rows``."""
         stored = self.store.rows
         rows, flags = {}, {}
         size = _MREAD_BASE
@@ -670,7 +688,7 @@ class SednaNode:
             wire = rows[key] = wire_elements(elements)
             row_size = row.wire_size
             if row_size is None:
-                row_size = row.wire_size = _mread_row_size(wire)
+                row_size = _row_size(row, wire, 3)
             size += len(key) + row_size
             if row.lww is not None:
                 flags[key] = row.lww
@@ -969,31 +987,32 @@ class SednaNode:
     # ------------------------------------------------------------------
     def _local_dispatch(self, method: str, args: Any) -> Event:
         """Replica op against ourselves: skip the network, still pay the
-        local store-op cost."""
+        local store-op cost.  The request rides that cost's timeout, as
+        a message rides the service queue's."""
         ev = self.sim.event()
-
-        def run() -> None:
-            handler = self.rpc._handlers[method]
-            try:
-                result = handler(self.name, args)
-            except RpcRejected as rej:
-                ev.fail(rej)
-                return
-            if isinstance(result, Event):
-                def finish(inner: Event) -> None:
-                    if inner.ok:
-                        ev.succeed(unsized(inner.value))
-                    else:
-                        ev.fail(inner.value)
-                if result.callbacks is None:
-                    finish(result)
-                else:
-                    result.callbacks.append(finish)
-            else:
-                ev.succeed(unsized(result))
-
-        self.sim.schedule_callback(LOCAL_STORE_OP, run)
+        self.sim.timeout(LOCAL_STORE_OP, (method, args, ev)).callbacks.append(
+            self._run_local)
         return ev
+
+    def _run_local(self, step: Event) -> None:
+        method, args, ev = step._value
+        try:
+            result = self.rpc._handlers[method](self.name, args)
+        except RpcRejected as rej:
+            ev.fail(rej)
+            return
+        if isinstance(result, Event):
+            def finish(inner: Event) -> None:
+                if inner._ok:
+                    ev.succeed(unsized(inner._value))
+                else:
+                    ev.fail(inner._value)
+            if result.callbacks is None:
+                finish(result)
+            else:
+                result.callbacks.append(finish)
+        else:
+            ev.succeed(unsized(result))
 
     def _deferred(self, gen, label: str) -> Event:
         """Run ``gen`` as a process whose outcome feeds a fresh event."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .simulator import AnyOf, Deadline, Event, Simulator, Timeout
+from .simulator import Deadline, Event, Simulator, Timeout
 from .transport import Message, Network, estimate_size
 
 __all__ = ["RpcError", "RpcTimeout", "RpcRejected", "LateRegistrationError",
@@ -99,6 +99,33 @@ class Sized:
 def unsized(result: Any) -> Any:
     """A handler's reply without its :class:`Sized` wrapper, if any."""
     return result.value if type(result) is Sized else result
+
+
+class _Race(Event):
+    """What :meth:`RpcNode.call` waits on: settled by the call's reply
+    or by its deadline, whichever comes first.
+
+    Numbered like an ``AnyOf(reply, sim.timeout(timeout))`` race
+    (``tests/net/reference_call.py``): the deadline takes the number
+    the timer would, and the race's ``succeed``/``fail`` the number the
+    ``AnyOf``'s would.  A reply triggered but not yet stepped when the
+    deadline fires still wins: the caller looks at the reply, not at
+    what settled the race.
+    """
+
+    __slots__ = ("deadline",)
+
+    def on_reply(self, reply: Event) -> None:
+        if self._ok is not None:
+            return  # the deadline settled the race first
+        self.deadline.cancel()
+        if reply._ok:
+            self.succeed(reply._value)
+        else:
+            self.fail(reply._value)
+
+    def on_deadline(self, _deadline: Deadline) -> None:
+        self.succeed()
 
 
 class RpcNode:
@@ -308,17 +335,25 @@ class RpcNode:
         """
         return self._issue(dst, method, args, args_size)[0]
 
-    def call(self, dst: str, method: str, args: Any,
-             timeout: float) -> Generator[Event, Any, Any]:
+    def call(self, dst: str, method: str, args: Any, timeout: float,
+             args_size: Optional[int] = None) -> Generator[Event, Any, Any]:
         """Process helper: ``result = yield from node.call(...)``.
 
         Raises :class:`RpcTimeout` when no response arrives in
         ``timeout`` seconds and :class:`RpcRejected` on refuse.
+        ``args_size`` is as for :meth:`call_async`.
+
+        The reply cancels the call's
+        :class:`~repro.net.simulator.Deadline`, so an answered call
+        leaves nothing queued.  Callers pass one of a few constant
+        timeouts: each keeps one deadline FIFO.
         """
-        ev, call_id = self._issue(dst, method, args)
-        deadline = self.sim.timeout(timeout)
+        ev, call_id = self._issue(dst, method, args, args_size)
+        race = _Race(self.sim)
+        race.deadline = self.sim.deadline(timeout, race.on_deadline)
+        ev.callbacks.append(race.on_reply)
         try:
-            yield AnyOf(self.sim, (ev, deadline))
+            yield race
             if not ev._triggered:
                 # Timed out: forget the pending call so a late reply is
                 # ignored.
@@ -326,18 +361,14 @@ class RpcNode:
                 self._pending.pop(call_id, None)
                 ev.defuse()
                 raise RpcTimeout(f"{method} to {dst} after {timeout}s")
-            # The reply won: the deadline is moot, and must not keep the
-            # race (and through it the reply) alive for `timeout` more.
-            deadline.defuse()
             if ev._ok:
                 return ev._value
             raise ev._value
         except RpcRejected:
-            # A refusal, which fails the race at once.  Its traceback
-            # holds this frame, so the frame lets go of the event that
-            # holds the refusal: no cycle is left behind.
-            deadline.defuse()
-            ev = None
+            # A refusal, held by the reply and the race.  Its traceback
+            # holds this frame, so the frame lets go of both: no cycle
+            # is left behind.
+            ev = race = None
             raise
 
     def call_retry(self, dst: str, method: str, args: Any,

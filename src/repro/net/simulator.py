@@ -21,7 +21,7 @@ the reproduction uses:
   almost never fire.
 * :class:`Process` — a generator-based coroutine driven by the loop.
 * :class:`AnyOf` / :class:`AllOf` — condition events for fan-in waits
-  (RPC-with-timeout races, joins).
+  (a lock waiter's watch-or-timer race, joins).
 * :class:`Simulator` — the event loop itself.
 
 Determinism: event ordering is a strict ``(time, priority, sequence)``
@@ -47,12 +47,13 @@ data path needs CPython's cycle collector, and what never fires stays
 off the heap.  A request deadline is a :class:`Deadline`: its
 reservation takes a sequence number like any event, but only the head
 of its per-delay FIFO sits in the queue, and ``cancel()`` drops its
-callback at once.  A steady write loop therefore keeps the queue at
+callback at once.  A steady request loop therefore keeps the queue at
 O(in-flight) entries instead of one defused timer per request in the
-last ``request_timeout``.  A moot *event* (a call's ``AnyOf`` race) is
-still *defused* in place (:meth:`Event.defuse`: queued, numbered, runs
-nothing), and a finished :class:`Process` drops the bound resume
-callback that was its one reference back to itself.
+last timeout.  A moot *event* (a reply that lost to its deadline) is
+*defused* in place (:meth:`Event.defuse`: it drops its callbacks, and
+if queued still pops, numbered, running nothing), and a finished
+:class:`Process` drops the bound resume callback that was its one
+reference back to itself.
 
 Every change here is guarded by the golden digest fixtures
 (``tests/chaos/test_golden_digests.py``) — the total order must not

@@ -91,9 +91,10 @@ class Row:
     Merges into an LWW row prune superseded sources so re-duplication
     and anti-entropy cannot re-inflate a collapsed row.
 
-    ``wire_size`` is a cache the replica plane may fill: the row's
-    elements as a ``replica.mread`` row, sized where that row sits in
-    its reply.  Every write to the row resets it to None.
+    ``wire_size`` is a cache the replica plane may fill: the size of
+    the row's elements as a wire list, for a row whose size does not
+    depend on where a reply puts it.  Every write to the row resets it
+    to None.
     """
 
     elements: list[ValueElement] = field(default_factory=list)

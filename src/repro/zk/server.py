@@ -299,23 +299,27 @@ class ZkServer:
             raise RpcRejected("no-leader")
         result = self.sim.event()
         call = self.rpc.call_async(self.leader_name, method, args)
-        deadline = self.sim.timeout(PROPOSAL_TIMEOUT)
 
-        def check(_ev):
-            # Whichever side settles the race defuses the other.
-            if result.triggered:
-                return
-            if call.triggered:
-                deadline.defuse()
-                if call.ok:
-                    result.succeed(call.value)
-                else:
-                    result.fail(call.value)
-            elif deadline.triggered:
+        def on_reply(_call):
+            if result._ok is not None:
+                return  # settled at the deadline, this reply included
+            deadline.cancel()
+            if call._ok:
+                result.succeed(call._value)
+            else:
+                result.fail(call._value)
+
+        def on_deadline(_deadline):
+            if call._triggered:
+                # The reply came in at this instant but has not run
+                # yet: it still wins.
+                on_reply(call)
+            else:
                 call.defuse()
                 result.fail(RpcRejected("leader-timeout"))
-        call.callbacks.append(check)
-        deadline.callbacks.append(check)
+
+        deadline = self.sim.deadline(PROPOSAL_TIMEOUT, on_deadline)
+        call.callbacks.append(on_reply)
         return result
 
     @staticmethod

@@ -110,6 +110,28 @@ class TestReadCoalescing:
 
         assert cluster.run(script()) == 0
 
+    def test_waiting_out_an_older_round_is_not_coalescing(
+            self, batch_cluster):
+        """A read invoked while an older round of its key is in flight
+        may not adopt that round's result: it waits the round out, then
+        leads its own.  Two full fan-outs, nothing shared, so nothing
+        counts as coalesced."""
+        cluster = batch_cluster
+        smart = cluster.smart_client("late-client")
+
+        def script():
+            yield from smart.connect()
+            yield from smart.write_latest("late-key", "v")
+            rpcs = smart.rpc.calls_issued
+            base = smart.coordinator.coalesced_reads
+            first = cluster.sim.process(smart.read_latest("late-key"))
+            yield cluster.sim.timeout(1e-4)
+            second = yield from smart.read_latest("late-key")
+            return ((yield first), second, smart.rpc.calls_issued - rpcs,
+                    smart.coordinator.coalesced_reads - base)
+
+        assert cluster.run(script()) == ("v", "v", 6, 0)
+
 
 # ======================================================================
 # Unit: scripted replicas

@@ -20,7 +20,7 @@ import repro.net.rpc as rpc_mod
 from repro.core.cluster import SednaCluster
 from repro.core.config import REQUEST_TIMEOUT
 from repro.net.rpc import RpcRejected, RpcTimeout
-from repro.net.simulator import AnyOf, Deadline, Process, Simulator
+from repro.net.simulator import Deadline, Process, Simulator
 
 
 @pytest.fixture
@@ -95,7 +95,7 @@ def test_scripted_mix_leaves_no_cycles(cluster, collector_off):
 
 def test_settled_waits_and_races_die_while_their_deadlines_queue(
         cluster, collector_off, monkeypatch):
-    """Once an op returns, its QuorumWait and RpcNode.call's AnyOf are
+    """Once an op returns, its QuorumWait and RpcNode.call's race are
     gone, though the deadlines they armed have not fired yet."""
     waits, races = weakref.WeakSet(), weakref.WeakSet()
     made = []
@@ -108,7 +108,7 @@ def test_settled_waits_and_races_die_while_their_deadlines_queue(
             waits.add(self)
             made.append("wait")
 
-    class TrackedAnyOf(AnyOf):
+    class TrackedRace(rpc_mod._Race):
         __slots__ = ("__weakref__",)
 
         def __init__(self, *args, **kwargs):
@@ -117,7 +117,7 @@ def test_settled_waits_and_races_die_while_their_deadlines_queue(
             made.append("race")
 
     monkeypatch.setattr(coordinator_mod, "QuorumWait", TrackedWait)
-    monkeypatch.setattr(rpc_mod, "AnyOf", TrackedAnyOf)
+    monkeypatch.setattr(rpc_mod, "_Race", TrackedRace)
     proxy = cluster.client()
     started = cluster.sim.now
     assert cluster.run(proxy.write_latest("release-k", "v")) == "ok"
@@ -196,6 +196,25 @@ def test_zero_hop_writes_keep_the_queue_at_in_flight_depth():
     c.run(writes())
     sim = c.sim
     assert len(sim._queue) + (sim._nbuf is not None) < 100
+
+
+def test_proxy_reads_keep_the_queue_at_in_flight_depth():
+    """A proxy call's reply cancels its deadline: after 500 sequential
+    proxy reads the queue holds what is in flight, not one timer per
+    read of the last ``CLIENT_TIMEOUT``."""
+    c = SednaCluster(n_nodes=9, zk_size=3, seed=3)
+    c.start()
+    proxy = c.client()
+    assert c.run(proxy.write_latest("depth-k", "v")) == "ok"
+    c.settle(10.0)  # past every timer the boot itself left queued
+
+    def reads():
+        for _ in range(500):
+            assert (yield from proxy.read_latest("depth-k")) == "v"
+
+    c.run(reads())
+    sim = c.sim
+    assert len(sim._queue) + (sim._nbuf is not None) <= 100
 
 
 class _WeakProcess(Process):

@@ -259,6 +259,42 @@ class TestEveryMessageIsSizedExactly:
         cluster.start("join")
         every_message(1000)
 
+    def test_values_that_are_not_strings(self, every_message):
+        """Numbers and containers nested past the walk's depth cutoff
+        size differently at each depth a message puts them, so the
+        proxy request and the ``replica.read``/``replica.mread`` rows
+        that hold them are walked, never sized by shape.  Each key is
+        read both ways, batched first, then single, then batched."""
+        cluster = SednaCluster(n_nodes=4, zk_size=3, seed=5)
+        cluster.start()
+        proxy = cluster.client()
+        smart = cluster.smart_client()
+        deep = [[[[[["x"]]]]]]
+        values = {"int": 7, "float": 0.5, "deep": deep,
+                  "dict": {"a": [1, {"b": deep}]}, "str": "s"}
+        latest = [f"u-{name}" for name in values]
+        lists = [f"ua-{name}" for name in values]
+
+        def script():
+            yield from smart.connect()
+            for name, value in values.items():
+                assert (yield from proxy.write_latest(
+                    f"u-{name}", value)) == "ok"
+                assert (yield from proxy.write_all(
+                    f"ua-{name}", value)) == "ok"
+            for _ in range(2):
+                got = yield from smart.multi_read(latest)
+                assert list(got.values()) == list(values.values())
+                yield from smart.multi_read_all(lists)
+                for name, value in values.items():
+                    assert (yield from proxy.read_latest(
+                        f"u-{name}")) == value
+                    assert [e.value for e in (yield from proxy.read_all(
+                        f"ua-{name}"))] == [value]
+
+        cluster.run(script())
+        every_message(200)
+
     def test_refusals(self, every_message, pair):
         sim, client, server = pair
 
