@@ -716,6 +716,9 @@ class QuorumCoordinator:
                 try:
                     oks, fails = yield wait.done
                 except RpcError as err:
+                    # ``wait.done`` keeps the error; its traceback would
+                    # keep this frame, which keeps the wait.
+                    err.__traceback__ = None
                     self._post_quorum_watch(calls, vnode_id, set())
                     reason = f"{op.failed}:{err}"
                     warming = op.read and any(
@@ -822,6 +825,7 @@ class QuorumCoordinator:
             try:
                 yield wait.done
             except RpcError as err:
+                err.__traceback__ = None  # as in _attempts
                 failed[k] = f"{merge.repair_failed}:{err}"
                 if not op.batch:
                     raise RpcRejected(failed[k])

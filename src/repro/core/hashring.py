@@ -155,6 +155,10 @@ class Ring:
         """Distinct owners in the assignment (sorted)."""
         return sorted({o for o in self.assignment if o != self.UNASSIGNED})
 
+    def load_of(self, owner: str) -> int:
+        """How many vnodes have ``owner`` as their primary."""
+        return self.assignment.count(owner)
+
     def load_counts(self) -> dict[str, int]:
         """Owner -> primary-vnode count."""
         counts: dict[str, int] = {}

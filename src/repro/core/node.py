@@ -304,8 +304,7 @@ class SednaNode:
             self.cache.ring.assign(vnode_id, owner)
             return False
         if owner != Ring.UNASSIGNED:
-            counts = self.cache.ring.load_counts()
-            if counts.get(owner, 0) <= target:
+            if self.cache.ring.load_of(owner) <= target:
                 return False  # no longer overloaded
         try:
             yield from self.write_assignment(vnode_id, self.name,

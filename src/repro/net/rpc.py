@@ -21,9 +21,10 @@ The three envelopes have a fixed skeleton, so their wire size is a
 constant plus the one string and the one body that vary; the constants
 below come from :func:`~repro.net.transport.estimate_size` itself, and
 a caller fanning one ``args`` object out to several peers sizes it once
-(``args_size``).  A handler that knows its reply's size returns it
-wrapped in :class:`Sized` (directly, or as the value of its deferred
-event), and the reply is sent without walking it again.
+(``args_size``); :meth:`~RpcNode.notify` takes a known ``body_size``
+the same way.  A handler that knows its reply's size returns it wrapped
+in :class:`Sized` (directly, or as the value of its deferred event),
+and the reply is sent without walking it again.
 """
 
 from __future__ import annotations
@@ -284,13 +285,17 @@ class RpcNode:
         """Install ``handler(src, body)`` for one-way notifications."""
         self._notify_handler = handler
 
-    def notify(self, dst: str, body: Any) -> None:
-        """Fire-and-forget message (watch events, heartbeats)."""
+    def notify(self, dst: str, body: Any,
+               body_size: Optional[int] = None) -> None:
+        """Fire-and-forget message (watch events, heartbeats);
+        ``body_size`` is as ``args_size`` for :meth:`call_async`."""
         endpoint = self.endpoint
         if not endpoint.up:
             return
+        if body_size is None:
+            body_size = estimate_size(body, 1)
         self.network._transmit(endpoint, dst, {"kind": _NOTIFY, "body": body},
-                               _NOTIFY_BASE + estimate_size(body, 1))
+                               _NOTIFY_BASE + body_size)
 
     # -- client side --------------------------------------------------------
     def _issue(self, dst: str, method: str, args: Any,

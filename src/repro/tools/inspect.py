@@ -21,10 +21,15 @@ __all__ = ["ring_summary", "zk_summary", "node_summary",
 
 
 def ring_summary(cluster: SednaCluster) -> dict:
-    """Vnode-ownership balance as seen by node0's cache."""
+    """Vnode-ownership balance as seen by node0's cache.
+
+    Every cluster node is counted, a node that owns no vnode as 0, so a
+    node left with nothing shows in ``owners`` and widens ``spread``.
+    """
     any_node = next(iter(cluster.nodes.values()))
     ring = any_node.cache.ring
-    counts = ring.load_counts()
+    counts = dict.fromkeys(cluster.nodes, 0)
+    counts.update(ring.load_counts())
     unassigned = len(ring.unassigned())
     values = list(counts.values()) or [0]
     return {

@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional
 
 from ..net.rpc import RpcNode, RpcRejected, RpcTimeout
 from ..net.simulator import Simulator
-from ..net.transport import Network
+from ..net.transport import Network, estimate_size
 from .server import PROPOSAL_TIMEOUT, RPC_TIMEOUT, ZkConfig
 from .watches import EVENT_CHILD
 from .znode import (BadVersionError, NodeExistsError, NoNodeError,
@@ -32,6 +32,12 @@ __all__ = ["SessionExpired", "ZkClient"]
 class SessionExpired(ZkError):
     """The ensemble expired our session; ephemerals are gone."""
 
+
+# A ``zk.read`` request with its three strings empty, sized at depth 1
+# where it sits in the request; the request adds their lengths.  The
+# frontier it carries is two ints at every attempt.
+_READ_ARGS = estimate_size({"op": "", "path": "", "watch": False,
+                            "watcher": "", "epoch": 0, "zxid": 0}, 1)
 
 _ERROR_MAP = {
     "NoNodeError": NoNodeError,
@@ -120,11 +126,17 @@ class ZkClient:
         self._server_idx += 1
         self.retries += 1
 
-    def _call(self, method: str, args: Any):
-        """Issue an RPC with server rotation on connectivity failures."""
+    def _call(self, method: str, args: Any, args_size: Optional[int] = None):
+        """Issue an RPC with server rotation on connectivity failures.
+
+        ``args_size`` is as for :meth:`RpcNode.call
+        <repro.net.rpc.RpcNode.call>`, and holds for every attempt.  The
+        last failure is re-raised from its handler and no local keeps an
+        earlier one: a kept error's traceback would hold this frame, a
+        cycle only the collector could free.
+        """
         attempts = 2 * len(self.servers) + 1
-        last: Exception = RpcTimeout("unreachable")
-        for _ in range(attempts):
+        for attempt in range(1, attempts + 1):
             self.ops_sent += 1
             if isinstance(args, dict) and "zxid" in args and "epoch" in args:
                 # Re-stamp the read frontier at every attempt.  A retry
@@ -142,20 +154,21 @@ class ZkClient:
             try:
                 result = yield from self.rpc.call(
                     self.current_server(), method, args,
-                    timeout=PROPOSAL_TIMEOUT)
+                    timeout=PROPOSAL_TIMEOUT, args_size=args_size)
                 return result
-            except RpcTimeout as err:
-                last = err
+            except RpcTimeout:
                 self._rotate()
+                if attempt == attempts:
+                    raise
             except RpcRejected as rej:
                 if rej.reason in ("no-leader", "leader-timeout", "not-leader",
                                   "server-behind"):
-                    last = rej
                     self._rotate()
                     yield self.sim.timeout(RPC_TIMEOUT)
+                    if attempt == attempts:
+                        raise
                     continue
                 raise _translate(rej)
-        raise last
 
     def connect(self, timeout: Optional[float] = None):
         """Open a session and start the keep-alive pinger."""
@@ -280,14 +293,23 @@ class ZkClient:
         if seen > (self.last_epoch, self.last_zxid):
             self.last_epoch, self.last_zxid = seen
 
+    def _read(self, op: str, path: str, watched: bool):
+        """One ``zk.read``, its request sized by shape; the reply's
+        frontier is adopted."""
+        self._m_reads.inc()
+        # Fail-fast by design: see connect().
+        # repro: allow[rpc-unhandled-failure]
+        result = yield from self._call(
+            "zk.read", {"op": op, "path": path, "watch": watched,
+                        "watcher": self.name, "epoch": self.last_epoch,
+                        "zxid": self.last_zxid},
+            _READ_ARGS + len(op) + len(path) + len(self.name))
+        self._advance_frontier(result)
+        return result
+
     def get(self, path: str, watch: Optional[Callable[[dict], None]] = None):
         """(data, stat) with an optional one-shot data watch."""
-        args = {"op": "get", "path": path, "watch": watch is not None,
-                "watcher": self.name, "epoch": self.last_epoch,
-                "zxid": self.last_zxid}
-        self._m_reads.inc()
-        result = yield from self._call("zk.read", args)
-        self._advance_frontier(result)
+        result = yield from self._read("get", path, watch is not None)
         if watch is not None:
             self._m_watch_set.inc()
             self._data_watches.setdefault(path, []).append(watch)
@@ -295,14 +317,7 @@ class ZkClient:
 
     def exists(self, path: str, watch: Optional[Callable[[dict], None]] = None):
         """Stat dict or None, with an optional one-shot watch."""
-        args = {"op": "exists", "path": path, "watch": watch is not None,
-                "watcher": self.name, "epoch": self.last_epoch,
-                "zxid": self.last_zxid}
-        self._m_reads.inc()
-        # Fail-fast by design: see connect().
-        # repro: allow[rpc-unhandled-failure]
-        result = yield from self._call("zk.read", args)
-        self._advance_frontier(result)
+        result = yield from self._read("exists", path, watch is not None)
         if watch is not None:
             self._m_watch_set.inc()
             self._data_watches.setdefault(path, []).append(watch)
@@ -311,14 +326,8 @@ class ZkClient:
     def get_children(self, path: str,
                      watch: Optional[Callable[[dict], None]] = None):
         """Sorted child names, with an optional one-shot child watch."""
-        args = {"op": "get_children", "path": path, "watch": watch is not None,
-                "watcher": self.name, "epoch": self.last_epoch,
-                "zxid": self.last_zxid}
-        self._m_reads.inc()
-        # Fail-fast by design: see connect().
-        # repro: allow[rpc-unhandled-failure]
-        result = yield from self._call("zk.read", args)
-        self._advance_frontier(result)
+        result = yield from self._read("get_children", path,
+                                       watch is not None)
         if watch is not None:
             self._m_watch_set.inc()
             self._child_watches.setdefault(path, []).append(watch)

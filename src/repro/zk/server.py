@@ -25,6 +25,16 @@ ZooKeeper Atomic Broadcast):
 Timing constants live in this module (the session timeout, the one
 timing deployments vary, in :class:`ZkConfig`); they are scaled to the
 paper's sub-millisecond LAN.
+
+Every message the ensemble sends has a fixed skeleton, so it is sized
+by shape: a constant from :func:`~repro.net.transport.estimate_size`
+plus the lengths of its strings, and a proposal's ``op`` is sized once,
+at its depth inside the payload, for every peer's ``zk.propose`` and
+every commit notify (``tests/net/test_size_model.py`` holds each size
+to the walker).  A failed transaction is an outcome, not a raise:
+:meth:`ZkServer._apply` returns the :class:`~repro.zk.znode.ZkError`
+with no traceback, so a lost version check frees by refcount instead
+of leaving an error -> traceback -> frame cycle for the collector.
 """
 
 from __future__ import annotations
@@ -34,12 +44,12 @@ from typing import Any, Optional
 
 from ..net.latency import ZK_READ_OP
 from ..net.rpc import (QuorumWait, RpcError, RpcNode, RpcRejected,
-                       RpcTimeout)
+                       RpcTimeout, Sized)
 from ..net.simulator import Simulator
-from ..net.transport import Network
+from ..net.transport import Network, estimate_size
 from .session import SessionTable
 from .watches import WatchRegistry
-from .znode import ZkError, ZnodeTree, parent_of
+from .znode import Stat, ZkError, ZnodeTree, parent_of
 
 __all__ = ["ZkConfig", "ZkServer", "RPC_TIMEOUT", "PROPOSAL_TIMEOUT"]
 
@@ -49,6 +59,21 @@ LEADER_BEAT_INTERVAL = 0.4   # leader heartbeat multicast
 BEATS_MISSED_FOR_ELECTION = 3
 RPC_TIMEOUT = 0.5            # intra-ensemble call deadline
 PROPOSAL_TIMEOUT = 1.0       # quorum wait deadline
+
+# Message sizes with every string and ``op`` empty, each sized at depth
+# 1, where an RPC body sits; a message adds the lengths of its strings
+# (bytes included) and its ``op`` sized at depth 2.
+_STAT = vars(Stat())                         # six ints
+_GET_REPLY = estimate_size(
+    {"data": b"", "stat": _STAT, "epoch": 0, "zxid": 0}, 1)
+_EXISTS_REPLY = estimate_size({"stat": _STAT, "epoch": 0, "zxid": 0}, 1)
+_EXISTS_NONE = estimate_size({"stat": None, "epoch": 0, "zxid": 0}, 1)
+_CHILDREN_REPLY = estimate_size({"children": [], "epoch": 0, "zxid": 0}, 1)
+_PROPOSE = estimate_size({"epoch": 0, "zxid": 0, "op": ""}, 1)
+_COMMIT = estimate_size(
+    {"zk": "commit", "zxid": 0, "op": "", "epoch": 0}, 1)
+_WATCH = estimate_size({"zk": "watch", "event": {"type": "", "path": ""}}, 1)
+_ACK = Sized("ack", len("ack"))
 
 
 @dataclass
@@ -256,24 +281,34 @@ class ZkServer:
         path = args["path"]
         watch = args.get("watch", False)
         watcher = args.get("watcher", src)
-        frontier = {"epoch": self.epoch, "zxid": self.applied_zxid}
+        epoch = self.epoch
+        zxid = self.applied_zxid
         try:
             if op == "get":
                 data, stat = self.tree.get(path)
                 if watch:
                     self.watches.add_data(path, watcher)
-                return {"data": data, "stat": vars(stat).copy(), **frontier}
+                reply = {"data": data, "stat": vars(stat).copy(),
+                         "epoch": epoch, "zxid": zxid}
+                if type(data) is bytes:
+                    return Sized(reply, _GET_REPLY + len(data))
+                return reply
             if op == "exists":
                 stat = self.tree.exists(path)
                 if watch:
                     self.watches.add_data(path, watcher)
-                return {"stat": vars(stat).copy() if stat else None,
-                        **frontier}
+                if stat:
+                    return Sized({"stat": vars(stat).copy(), "epoch": epoch,
+                                  "zxid": zxid}, _EXISTS_REPLY)
+                return Sized({"stat": None, "epoch": epoch, "zxid": zxid},
+                             _EXISTS_NONE)
             if op == "get_children":
                 children = self.tree.get_children(path)
                 if watch:
                     self.watches.add_child(path, watcher)
-                return {"children": children, **frontier}
+                return Sized({"children": children, "epoch": epoch,
+                              "zxid": zxid},
+                             _CHILDREN_REPLY + sum(map(len, children)))
         except ZkError as err:
             raise RpcRejected(f"{type(err).__name__}:{err}")
         raise RpcRejected(f"unknown-read-op:{op}")
@@ -349,8 +384,12 @@ class ZkServer:
         acks_needed = self.majority - 1  # self counts as one ack
         epoch = self.epoch
         payload = {"epoch": epoch, "zxid": zxid, "op": op}
+        # ``op`` sits at depth 2 in the proposal and in the commit alike.
+        op_size = estimate_size(op, 2) if self.peers else 0
         if acks_needed > 0:
-            acks = [(None, self.rpc.call_async(peer, "zk.propose", payload))
+            size = _PROPOSE + op_size
+            acks = [(None, self.rpc.call_async(peer, "zk.propose", payload,
+                                               size))
                     for peer in self.peers]
             try:
                 yield QuorumWait(self.sim, acks, acks_needed,
@@ -375,9 +414,10 @@ class ZkServer:
             return
         # Commit locally (in order) and tell the followers.
         self._commit(zxid, op)
+        body = {"zk": "commit", "zxid": zxid, "op": op, "epoch": self.epoch}
+        size = _COMMIT + op_size
         for peer in self.peers:
-            self.rpc.notify(peer, {"zk": "commit", "zxid": zxid, "op": op,
-                                   "epoch": self.epoch})
+            self.rpc.notify(peer, body, size)
 
     def _step_down(self, reason: str) -> None:
         """Abdicate after losing contact with the majority.
@@ -408,7 +448,7 @@ class ZkServer:
         if args["epoch"] < self.epoch:
             raise RpcRejected("stale-epoch")
         self._pending[args["zxid"]] = args["op"]
-        return "ack"
+        return _ACK
 
     def _on_commit(self, zxid: int, op: Optional[dict], epoch: int,
                    src: Optional[str] = None) -> None:
@@ -491,6 +531,10 @@ class ZkServer:
 
         Deterministic across members; returns the op result or the
         :class:`ZkError` it raised.  Fires local watches.
+
+        A returned error carries no traceback: the traceback would hold
+        this frame, and through it the caller's frame whose ``outcome``
+        is the error, a cycle only the collector could free.
         """
         self.applied_zxid = zxid
         if self.is_leader and zxid > self.next_zxid:
@@ -528,7 +572,7 @@ class ZkServer:
                     self._fire_watches("delete", path)
                 return {"removed": removed}
         except ZkError as err:
-            return err
+            return err.with_traceback(None)
         return ZkError(f"unknown-op:{kind}")
 
     def _apply_datum(self, zxid: int, op: dict,
@@ -562,7 +606,8 @@ class ZkServer:
         for client, event in self.watches.events_for_txn(
                 op_type, path, parent_of(path)):
             self.watch_events_sent += 1
-            self.rpc.notify(client, {"zk": "watch", "event": dict(event)})
+            self.rpc.notify(client, {"zk": "watch", "event": dict(event)},
+                            _WATCH + len(event["type"]) + len(event["path"]))
 
     # ======================================================================
     # Leader duties: heartbeats and session expiry

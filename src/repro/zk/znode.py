@@ -87,6 +87,30 @@ class Znode:
     seq_counter: int = 0  # for sequential children
 
 
+# Snapshot codec for ZnodeTree.dump/load.  Module functions, not nested
+# closures: a recursive closure holds itself through its cell, a cycle
+# each sync would leave for the collector.
+def encode(node: Znode) -> dict:
+    """One subtree as plain data."""
+    return {
+        "data": node.data,
+        "stat": vars(node.stat).copy(),
+        "seq": node.seq_counter,
+        "children": {name: encode(child)
+                     for name, child in node.children.items()},
+    }
+
+
+def decode(blob: dict) -> Znode:
+    """The inverse of :func:`encode`."""
+    node = Znode(data=blob["data"])
+    node.stat = Stat(**blob["stat"])
+    node.seq_counter = blob["seq"]
+    node.children = {name: decode(child)
+                     for name, child in blob["children"].items()}
+    return node
+
+
 class ZnodeTree:
     """The hierarchical namespace, applied-transaction side.
 
@@ -289,14 +313,6 @@ class ZnodeTree:
     # -- replication helpers -------------------------------------------------
     def dump(self) -> dict:
         """Serializable full snapshot (leader -> lagging follower sync)."""
-        def encode(node: Znode) -> dict:
-            return {
-                "data": node.data,
-                "stat": vars(node.stat).copy(),
-                "seq": node.seq_counter,
-                "children": {name: encode(child)
-                             for name, child in node.children.items()},
-            }
         return {"root": encode(self.root),
                 "ephemerals": {sid: sorted(paths)
                                for sid, paths in self._ephemerals.items()}}
@@ -304,13 +320,6 @@ class ZnodeTree:
     @classmethod
     def load(cls, snapshot: dict) -> "ZnodeTree":
         """Rebuild a tree from :meth:`dump` output."""
-        def decode(blob: dict) -> Znode:
-            node = Znode(data=blob["data"])
-            node.stat = Stat(**blob["stat"])
-            node.seq_counter = blob["seq"]
-            node.children = {name: decode(child)
-                             for name, child in blob["children"].items()}
-            return node
         tree = cls()
         tree.root = decode(snapshot["root"])
         tree._ephemerals = {sid: set(paths)

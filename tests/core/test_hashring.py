@@ -56,6 +56,18 @@ class TestRingBasics:
         ring = balanced_ring(num_vnodes=8, nodes=("a", "b"))
         assert ring.load_counts() == {"a": 4, "b": 4}
 
+    @settings(max_examples=200, deadline=None)
+    @given(assignment=st.lists(
+        st.sampled_from(("a", "b", "c", Ring.UNASSIGNED)), min_size=1,
+        max_size=64))
+    def test_load_of_is_one_owners_load_count(self, assignment):
+        ring = Ring(len(assignment))
+        for vnode, owner in enumerate(assignment):
+            ring.assign(vnode, owner)
+        counts = ring.load_counts()
+        for owner in ("a", "b", "c"):
+            assert ring.load_of(owner) == counts.get(owner, 0)
+
     def test_snapshot_load_roundtrip(self):
         ring = balanced_ring()
         clone = Ring(ring.num_vnodes)

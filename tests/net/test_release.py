@@ -5,9 +5,12 @@ request deadline is cancelled (it keeps its sequence number, drops its
 callback) and a moot timer is defused in place (queued, numbered, runs
 nothing) instead of holding its waiter until its instant, and a
 finished process drops the bound resume callback that was its one
-reference back to itself.  Each check below runs with the collector
-disabled, so an object that only a collection could free shows up as a
-live weakref or as a non-zero ``gc.collect()``.
+reference back to itself.  An error that is kept rather than raised on
+(a ZooKeeper transaction's outcome, a failed quorum's, a retried call's)
+holds no traceback, whose frames would hold it back.  Each check below
+runs with the collector disabled, so an object that only a collection
+could free shows up as a live weakref, as a non-zero ``gc.collect()``
+or in ``gc.garbage`` under ``DEBUG_SAVEALL``.
 """
 
 import gc
@@ -18,9 +21,10 @@ import pytest
 import repro.core.coordinator as coordinator_mod
 import repro.net.rpc as rpc_mod
 from repro.core.cluster import SednaCluster
-from repro.core.config import REQUEST_TIMEOUT
+from repro.core.config import REQUEST_TIMEOUT, SednaConfig
 from repro.net.rpc import RpcRejected, RpcTimeout
 from repro.net.simulator import Deadline, Process, Simulator
+from repro.zk.client import ZkClient
 
 
 @pytest.fixture
@@ -80,11 +84,6 @@ def test_scripted_mix_leaves_no_cycles(cluster, collector_off):
     proxy = cluster.client()
     smart = cluster.smart_client()
     cluster.run(smart.connect())
-    # Boot, connect and each node's first imbalance push (a ZooKeeper
-    # set that misses, then a create) leave exception -> traceback ->
-    # frame cycles of their own, outside the data path; the mix must not.
-    cluster.settle(cluster.config.imbalance_push_interval + 1.0)
-    gc.collect()
     assert cluster.run(_mix(proxy, "proxy")) == ["y"]
     assert cluster.run(_mix(smart, "smart")) == ["y"]
     assert cluster.run(_failures(proxy.rpc, "node0")) == [
@@ -215,6 +214,83 @@ def test_proxy_reads_keep_the_queue_at_in_flight_depth():
     c.run(reads())
     sim = c.sim
     assert len(sim._queue) + (sim._nbuf is not None) <= 100
+
+
+def _exceptions_only_a_collection_frees() -> list[str]:
+    """Type names of the exceptions among the cyclic garbage."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return [type(obj).__name__ for obj in gc.garbage
+                if isinstance(obj, BaseException)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_contested_join_boot_leaves_no_exception_cycles(collector_off):
+    """Nine joiners race for 128 vnodes through version-checked multis,
+    and most claims lose.  The leader returns each failed transaction's
+    error instead of raising it on, and the joiner catches what its
+    client raises; neither may leave an error in a cycle."""
+    c = SednaCluster(n_nodes=9, zk_size=3, seed=7,
+                     config=SednaConfig(num_vnodes=128))
+    c.start("join")
+    assert _exceptions_only_a_collection_frees() == []
+
+
+def test_faults_leave_no_exception_cycles(collector_off, monkeypatch):
+    """A ZooKeeper call to a stopped server times out and is retried on
+    the next one; a quorum write to a crashed replica set fails.  Each
+    error that is kept (the retried call's, the failed quorum's) holds
+    no traceback, so none is left in a cycle."""
+    c = SednaCluster(n_nodes=4, zk_size=3, seed=7)
+    c.start()
+    smart = c.smart_client()
+    c.run(smart.connect())
+    gc.collect()
+
+    stopped, *others = c.ensemble.servers[1:] + c.ensemble.servers[:1]
+    assert not stopped.is_leader
+    stopped.stop()
+    probe = ZkClient(c.sim, c.network, "probe",
+                     [s.name for s in (stopped, *others)])
+
+    def zk_script():
+        yield from probe.connect()
+        yield from probe.get("/")
+
+    c.run(zk_script())
+    assert probe.retries == 1
+
+    waits = []
+
+    class TrackedWait(coordinator_mod.QuorumWait):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            waits.append(self)
+
+    monkeypatch.setattr(coordinator_mod, "QuorumWait", TrackedWait)
+    c.crash_node("node1")
+    c.crash_node("node2")
+
+    def writes():
+        statuses = []
+        for i in range(8):
+            statuses.append((yield from smart.write_latest(f"faulted-{i}",
+                                                           "v")))
+        return statuses
+
+    assert "failure" in c.run(writes())
+    monkeypatch.undo()
+    c.settle(2 * REQUEST_TIMEOUT)
+    # A crashed replica's call never completes, so its wait (and the
+    # error the wait failed with) stays reachable: check the error
+    # holds no frame, as well as what the collector would free.
+    failed = [w.done.value for w in waits if not w.done.ok]
+    assert failed and all(isinstance(e, RpcTimeout) for e in failed)
+    assert [e for e in failed if e.__traceback__ is not None] == []
+    assert _exceptions_only_a_collection_frees() == []
 
 
 class _WeakProcess(Process):

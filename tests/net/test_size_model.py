@@ -32,6 +32,9 @@ from repro.net.rpc import RpcNode, RpcRejected
 from repro.net.simulator import Simulator
 from repro.net.transport import Network, estimate_size
 from repro.storage.versioned import Row, ValueElement
+from repro.zk.client import ZkClient
+from repro.zk.ensemble import ZkEnsemble
+from repro.zk.znode import BadVersionError
 from tests.core import test_wire_shapes as wire
 from tests.net.reference_size import reference_size
 
@@ -294,6 +297,53 @@ class TestEveryMessageIsSizedExactly:
 
         cluster.run(script())
         every_message(200)
+
+    def test_zookeeper_scenario(self, every_message):
+        """ZooKeeper's reads, replies, proposals, commits and watch
+        notifies are sized by shape: each kind once, against the walker.
+        One multi sub-op carries a key the tree ignores, nested three
+        lists deep, so the proposal's ``op`` reaches past the walk's
+        depth cutoff, where only its true depth gives its size."""
+        sim = Simulator()
+        net = Network(sim, latency=NoLatency())
+        ens = ZkEnsemble(sim, net, size=3)
+        ens.start()
+        leader, *followers = ens.names
+        zk = ZkClient(sim, net, "c", ens.names)
+        relayed = ZkClient(sim, net, "f", followers + [leader])
+        doomed = ZkClient(sim, net, "d", ens.names)
+        fired = []
+
+        def script():
+            for client in (zk, relayed, doomed):
+                yield from client.connect()
+            yield from zk.create("/a", b"payload")
+            yield from relayed.create("/a/b", b"")   # a follower forwards
+            yield from doomed.create("/a/e", b"", ephemeral=True)
+            data, stat = yield from zk.get("/a", watch=fired.append)
+            assert (data, stat["version"]) == (b"payload", 0)
+            assert (yield from zk.exists("/missing")) is None
+            assert (yield from zk.get_children(
+                "/a", watch=fired.append)) == ["b", "e"]
+            yield from zk.set("/a", b"v2")           # the data watch fires
+            deep = dict(zk.op_create("/a/d"), note=[[["x"]]])
+            assert len((yield from zk.multi([deep]))) == 1
+            with pytest.raises(BadVersionError):
+                yield from zk.multi([zk.op_set("/a", b"x", version=0),
+                                     zk.op_create("/a/c")])
+            for server in ens.servers:               # not bytes: walked
+                server.tree.root.children["a"].data = [b"o", b"dd"]
+            assert (yield from zk.get("/a"))[0] == [b"o", b"dd"]
+            doomed.crash()
+            # The session expires, its ephemeral goes, the child watch
+            # fires.
+            yield sim.timeout(3 * doomed.session_timeout)
+            assert (yield from zk.get_children("/a")) == ["b", "d"]
+
+        sim.run(until=sim.process(script()))
+        assert [(e["type"], e["path"]) for e in fired] == [
+            ("changed", "/a"), ("child", "/a")]
+        every_message(150)
 
     def test_refusals(self, every_message, pair):
         sim, client, server = pair

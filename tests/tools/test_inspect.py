@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
+from repro.core.hashring import build_assignment
 from repro.tools.inspect import (describe_cluster, node_summary,
                                  replication_health, ring_summary,
                                  zk_summary)
@@ -32,6 +33,17 @@ class TestSummaries:
         assert sum(ring["owners"].values()) == 24
         assert ring["unassigned"] == 0
         assert ring["spread"] <= 1
+
+    def test_ring_summary_counts_a_node_that_owns_nothing(self):
+        c = SednaCluster(n_nodes=4, zk_size=3,
+                         config=SednaConfig(num_vnodes=16))
+        ring = c.nodes["node0"].cache.ring
+        for vnode, owner in enumerate(build_assignment(16, c.node_names)):
+            ring.assign(vnode, "node0" if owner == "node3" else owner)
+        summary = ring_summary(c)
+        assert summary["owners"] == {"node0": 8, "node1": 4, "node2": 4,
+                                     "node3": 0}
+        assert summary["spread"] == 8
 
     def test_zk_summary(self, cluster):
         zk = zk_summary(cluster)

@@ -12,7 +12,7 @@ entry as trimmed.
 import pytest
 
 from repro.net.latency import NoLatency
-from repro.net.rpc import RpcRejected
+from repro.net.rpc import RpcRejected, unsized
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
 from repro.zk.ensemble import ZkEnsemble
@@ -51,17 +51,17 @@ class TestServerSideRejection:
         sim, ens = world
         leader = ens.leader()
         leader.epoch += 1  # pretend an election advanced the epoch
-        result = leader._h_read("probe", {
+        result = unsized(leader._h_read("probe", {
             "op": "exists", "path": "/nope",
             "epoch": leader.epoch - 1,
             "zxid": leader.applied_zxid + 100,
-        })
+        }))
         assert result["epoch"] == leader.epoch
 
     def test_reads_carry_the_frontier(self, world):
         sim, ens = world
         leader = ens.leader()
-        result = leader._h_read("probe", {"op": "get", "path": "/"})
+        result = unsized(leader._h_read("probe", {"op": "get", "path": "/"}))
         assert result["epoch"] == leader.epoch
         assert result["zxid"] == leader.applied_zxid
 
