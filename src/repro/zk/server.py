@@ -28,10 +28,11 @@ paper's sub-millisecond LAN.
 
 Every message the ensemble sends has a fixed skeleton, so it is sized
 by shape: a constant from :func:`~repro.net.transport.estimate_size`
-plus the lengths of its strings, and a proposal's ``op`` is sized once,
-at its depth inside the payload, for every peer's ``zk.propose`` and
-every commit notify (``tests/net/test_size_model.py`` holds each size
-to the walker).  A failed transaction is an outcome, not a raise:
+plus the lengths of its strings; a ``get`` reply's data and a
+proposal's ``op`` are sized at their depth inside the payload, the
+``op`` once for every peer's ``zk.propose`` and every commit notify
+(``tests/net/test_size_model.py`` holds each size to the walker).
+A failed transaction is an outcome, not a raise:
 :meth:`ZkServer._apply` returns the :class:`~repro.zk.znode.ZkError`
 with no traceback, so a lost version check frees by refcount instead
 of leaving an error -> traceback -> frame cycle for the collector.
@@ -62,7 +63,7 @@ PROPOSAL_TIMEOUT = 1.0       # quorum wait deadline
 
 # Message sizes with every string and ``op`` empty, each sized at depth
 # 1, where an RPC body sits; a message adds the lengths of its strings
-# (bytes included) and its ``op`` sized at depth 2.
+# and its ``op`` or ``get`` data sized at depth 2 (``b""`` adds nothing).
 _STAT = vars(Stat())                         # six ints
 _GET_REPLY = estimate_size(
     {"data": b"", "stat": _STAT, "epoch": 0, "zxid": 0}, 1)
@@ -288,11 +289,9 @@ class ZkServer:
                 data, stat = self.tree.get(path)
                 if watch:
                     self.watches.add_data(path, watcher)
-                reply = {"data": data, "stat": vars(stat).copy(),
-                         "epoch": epoch, "zxid": zxid}
-                if type(data) is bytes:
-                    return Sized(reply, _GET_REPLY + len(data))
-                return reply
+                return Sized({"data": data, "stat": vars(stat).copy(),
+                              "epoch": epoch, "zxid": zxid},
+                             _GET_REPLY + estimate_size(data, 2))
             if op == "exists":
                 stat = self.tree.exists(path)
                 if watch:

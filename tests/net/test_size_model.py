@@ -302,8 +302,9 @@ class TestEveryMessageIsSizedExactly:
         """ZooKeeper's reads, replies, proposals, commits and watch
         notifies are sized by shape: each kind once, against the walker.
         One multi sub-op carries a key the tree ignores, nested three
-        lists deep, so the proposal's ``op`` reaches past the walk's
-        depth cutoff, where only its true depth gives its size."""
+        lists deep, and one ``get`` returns data six lists deep, so the
+        proposal's ``op`` and the reply's data reach past the walk's
+        depth cutoff, where only their true depth gives their size."""
         sim = Simulator()
         net = Network(sim, latency=NoLatency())
         ens = ZkEnsemble(sim, net, size=3)
@@ -331,9 +332,10 @@ class TestEveryMessageIsSizedExactly:
             with pytest.raises(BadVersionError):
                 yield from zk.multi([zk.op_set("/a", b"x", version=0),
                                      zk.op_create("/a/c")])
-            for server in ens.servers:               # not bytes: walked
-                server.tree.root.children["a"].data = [b"o", b"dd"]
-            assert (yield from zk.get("/a"))[0] == [b"o", b"dd"]
+            nested = [b"o", [[[[[b"dd"]]]]]]
+            for server in ens.servers:               # not bytes
+                server.tree.root.children["a"].data = nested
+            assert (yield from zk.get("/a"))[0] == nested
             doomed.crash()
             # The session expires, its ephemeral goes, the child watch
             # fires.
