@@ -6,14 +6,18 @@ on every sample, and a flight recorder hooked into span finishes and
 sample deltas.  This bench pins two bounds against the **plain obs**
 baseline (live metrics registry + attached span tracer, no pipeline):
 
-* **disabled** — pipeline stages constructed (sampler, evaluator
-  subscribed) but never started, and no flight recorder.  This
-  over-approximates the shipped default, which does not construct the
-  stages at all; even so it must stay within **1.15x** of plain.
+* **disabled** — every stage constructed (sampler, evaluator and
+  flight recorder subscribed to the sampler) but never started: what a
+  built, unstarted ``Observability()`` costs.  Must stay within
+  **1.15x** of plain.
 * **enabled** — sampler running every 0.25 simulated seconds, three
   SLO specs (one per kind) evaluated per sample, and a flight recorder
   exporting every finished span plus filtering every sample's deltas.
   Must stay within **3x** of plain.
+
+The three configurations are built from the stage classes, so the
+bench can evaluate its own three SLO specs (``Observability()`` always
+evaluates ``default_slos()``).
 
 Workload: four staggered workers doing the obs-heavy inner loop real
 components run — one trace per iteration, a counter bump, a histogram
@@ -32,8 +36,11 @@ import time
 from pathlib import Path
 
 from repro.net.simulator import Simulator
-from repro.obs import Observability
-from repro.obs.slo import SloSpec
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import FlightRecorder
+from repro.obs.slo import SloEvaluator, SloSpec
+from repro.obs.timeseries import TimeSeriesRecorder
+from repro.obs.trace import SpanTracer
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -56,20 +63,34 @@ def _bench_slos() -> list[SloSpec]:
     ]
 
 
-def _bundle(mode: str) -> Observability:
-    """The obs bundle for one configuration."""
-    if mode == "plain":
-        return Observability(tracing=True)
-    if mode == "disabled":
-        # Stages constructed and subscribed but never started: the
-        # per-event residue a run pays for having the pipeline armed.
-        return Observability(tracing=True, timeseries=True,
-                             slos=_bench_slos())
-    return Observability(tracing=True, timeseries=True,
-                         slos=_bench_slos(), flight=True)
+class _Bundle:
+    """One configuration's stages: registry + tracer, plus (unless
+    ``plain``) the sampler, the evaluator and the flight recorder."""
+
+    def __init__(self, mode: str) -> None:
+        self.metrics = MetricsRegistry()
+        self.tracer = SpanTracer()
+        self.timeseries = self.flight = None
+        if mode != "plain":
+            # Constructed and subscribed; only start() hooks the tracer
+            # and runs the sampler.
+            self.timeseries = TimeSeriesRecorder(self.metrics)
+            SloEvaluator(self.timeseries, _bench_slos())
+            self.flight = FlightRecorder().observe_timeseries(
+                self.timeseries)
+
+    def start(self, sim: Simulator) -> None:
+        self.timeseries.start(sim)
+        self.flight.observe_tracer(self.tracer)
+
+    def detach(self) -> None:
+        self.tracer.detach()
+        if self.timeseries is not None:
+            self.timeseries.stop()
+            self.flight.detach()
 
 
-def _build_workload(sim: Simulator, obs: Observability) -> None:
+def _build_workload(sim: Simulator, obs: _Bundle) -> None:
     """Obs-heavy inner loop: a span + metric bumps per iteration."""
     counter = obs.metrics.counter("bench.ops", node="w")
     histogram = obs.metrics.histogram("bench.lat", node="w")
@@ -96,8 +117,8 @@ def _build_workload(sim: Simulator, obs: Observability) -> None:
 def _run(mode: str) -> tuple[float, int]:
     """One measured run; returns (wallclock seconds, kernel events)."""
     sim = Simulator()
-    obs = _bundle(mode)
-    obs.attach(sim)
+    obs = _Bundle(mode)
+    obs.tracer.attach(sim)
     if mode == "enabled":
         obs.start(sim)
     _build_workload(sim, obs)
@@ -140,9 +161,9 @@ class TestSloOverhead:
             "trials": TRIALS,
             "notes": (
                 "plain = live registry + attached tracer, no pipeline; "
-                "disabled = sampler/evaluator constructed but never "
-                "started (over-approximates the shipped default, which "
-                "constructs nothing); enabled = sampler every 0.25 "
+                "disabled = sampler/evaluator/flight recorder "
+                "constructed but never started (a built, unstarted "
+                "Observability()); enabled = sampler every 0.25 "
                 "sim-seconds + 3 SLO specs per sample + flight recorder "
                 "on every span finish.  Workload = 4 workers, one trace "
                 "+ counter/histogram bump per iteration, to a fixed "

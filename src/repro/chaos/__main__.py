@@ -5,9 +5,8 @@ Examples::
     python -m repro.chaos --seed 7 --profile mixed
     python -m repro.chaos --seed 7 --hazards        # tie-hazard scan
     python -m repro.chaos --seeds 0-9 --hazards     # sweep
-    python -m repro.chaos --seed 7 --slo            # burn-rate alerts
     python -m repro.chaos --seed 7 --scenario flash-crowd
-    python -m repro.chaos --seed 7 --record out.json  # flight recorder
+    python -m repro.chaos --seed 7 --record out.json  # observed: SLOs + dump
 
 Exit status: 0 when every run held all invariants (and, with
 ``--hazards``, surfaced no tie hazard), 1 otherwise.
@@ -74,17 +73,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "invariant), 'lww' runs the identical "
                              "concurrency pattern through plain "
                              "write_latest for comparison")
-    parser.add_argument("--slo", action="store_true",
-                        help="evaluate the default SLOs with "
-                             "multi-window burn-rate alerting "
-                             "(implies the observability bundle)")
     parser.add_argument("--record", metavar="PATH", default=None,
-                        help="arm the flight recorder; on any hard "
-                             "invariant violation its dump is written "
-                             "to PATH (seed suffix added on sweeps)")
-    parser.add_argument("--record-always", action="store_true",
-                        help="with --record: dump even on clean runs "
-                             "(CI artifact collection)")
+                        help="observe the run (metrics, spans, SLO "
+                             "burn-rate alerts, flight recorder) and "
+                             "write its flight dump to PATH (seed "
+                             "suffix added on sweeps)")
     args = parser.parse_args(argv)
 
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
@@ -95,12 +88,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failed = 0
     for seed in seeds:
         report = ChaosRunner(replace(base, seed=seed),
-                             hazards=args.hazards, slo=args.slo,
-                             record=args.record is not None,
-                             record_always=(args.record is not None
-                                            and args.record_always)).run()
+                             hazards=args.hazards,
+                             obs=args.record is not None).run()
         print(report.describe())
-        if args.record is not None and report.flight_dump:
+        if args.record is not None:
             path = args.record if len(seeds) == 1 else \
                 f"{args.record}.seed{seed}"
             with open(path, "w") as fh:

@@ -38,6 +38,7 @@ from ..core.types import FullKey
 from ..net.rpc import RpcRejected, RpcTimeout
 from ..storage.versioned import wire_dvv_row
 from ..net.simulator import AllOf
+from ..obs import OFF, Observability
 from ..zk.server import RPC_TIMEOUT, ZkConfig
 from .history import History
 from .invariants import Anomaly, FinalState, causal_outcomes, check_all
@@ -65,17 +66,17 @@ class ChaosReport:
     # ``hazard_report`` for whether it ran.
     hazards: list = field(default_factory=list)
     hazard_report: str = ""
-    # Metrics snapshot from the opt-in observability bundle
-    # (obs=True); empty dict when obs was off.
+    # Metrics snapshot of the observed run (obs=True); empty dict when
+    # obs was off, like the three pipeline fields below.
     obs_snapshot: dict = field(default_factory=dict)
     # Rebalancer ledger rows (spec.rebalance); empty when it was off.
     migrations: list = field(default_factory=list)
-    # SLO evaluation artifacts (slo=True): exported alert transitions
-    # and the whole-run per-spec status table.
+    # SLO alert transitions and the per-spec status table over the last
+    # 60 s (the ring), then the flight-recorder dump: taken on every
+    # observed run, its anomalies are the run's hard ones (none when
+    # clean), each with its violating traces.
     slo_alerts: list = field(default_factory=list)
     slo_status: dict = field(default_factory=dict)
-    # Flight-recorder dump (record=True): non-empty exactly when a
-    # hard anomaly tripped it (or record_always forced a dump).
     flight_dump: dict = field(default_factory=dict)
 
     @property
@@ -156,11 +157,11 @@ class ChaosRunner:
     What runs is one :class:`~repro.chaos.spec.RunSpec` — pass it, or
     its fields as keywords (``ChaosRunner(seed=3, duration=6.0)``).
     Every other keyword only watches — the run, its schedule and its
-    digest are the spec's whichever of them is on.  ``obs`` attaches the
-    metrics + tracing bundle; the diagnosis-pipeline observers (``slo``,
-    ``record``, ``record_always``, ``timeseries``) ride it, so each
-    implies it.  ``hazards`` and the bundle both want the kernel's one
-    tracer slot: to get both views of a seed, run it twice.
+    digest are the spec's whichever of them is on.  ``obs`` runs the
+    whole diagnosis pipeline (:class:`~repro.obs.Observability`: metrics,
+    spans, samples, SLOs, flight dump); ``hazards`` the tie-hazard
+    detector.  Both want the kernel's one tracer slot: to get both views
+    of a seed, run it twice.
     """
 
     LW_PREFIX = "lw"     # write_latest keys, shared across clients
@@ -181,15 +182,12 @@ class ChaosRunner:
     ZK_SESSION_TIMEOUT = 1.0
 
     def __init__(self, spec: Optional[RunSpec] = None, *,
-                 hazards: bool = False, obs: bool = False, slo: Any = False,
-                 record: bool = False, record_always: bool = False,
-                 timeseries: bool = False, **fields):
+                 hazards: bool = False, obs: bool = False, **fields):
         if spec is None:
             spec = RunSpec(**fields)
         elif fields:
             raise TypeError("pass a RunSpec or its fields, not both: "
                             + ", ".join(sorted(fields)))
-        obs = bool(obs or slo or record or record_always or timeseries)
         if hazards and obs:
             # Both want the simulator's single tracer slot.
             raise ValueError("hazards and obs are mutually exclusive: "
@@ -202,22 +200,10 @@ class ChaosRunner:
         self._contexts: dict[tuple[str, str], list] = {}
         self.hazards = hazards
         self.hazard_detector = None
-        self.record_always = record_always
         self.rebalancer = None
-        # The live Observability bundle (obs=True): span timelines stay
-        # readable through it after run() returns.
-        self.obs_bundle = None
-        if obs:
-            # Local import: plain chaos runs must not pay for the
-            # observability layer (same rule as the hazard detector).
-            from ..obs import Observability
-            slos = None
-            if slo:
-                from ..obs.slo import default_slos
-                slos = default_slos() if slo is True else list(slo)
-            self.obs_bundle = Observability(
-                metrics=True, tracing=True, timeseries=timeseries,
-                slos=slos, flight=record or record_always)
+        # The live bundle (OFF unobserved): span timelines, series and
+        # SLO reports stay readable through it after run() returns.
+        self.obs_bundle = Observability() if obs else OFF
         self.history = History()
         self.cluster: Optional[SednaCluster] = None
         self.clients: list = []
@@ -244,11 +230,10 @@ class ChaosRunner:
                 node = self.cluster.nodes[name]
                 self.hazard_detector.track_store(name, node.store)
         self.cluster.start()
-        if self.obs_bundle is not None:
-            # Start the diagnosis pipeline (no-op without stages): the
-            # sampler joins the event queue, the flight recorder taps
-            # the network.
-            self.obs_bundle.start(sim, network=self.cluster.network)
+        if self.obs_bundle is not OFF:
+            # The sampler joins the event queue, the flight recorder
+            # hooks the tracer and taps the network.
+            self.obs_bundle.start(sim, self.cluster.network)
         self.cluster.network.add_filter(self.history.observe)
         # Production maintenance, minus the rebalancer: the assignment
         # should only move through the recovery paths under test.
@@ -308,17 +293,14 @@ class ChaosRunner:
             self.hazard_detector.detach()
             report.hazards = list(self.hazard_detector.hazards)
             report.hazard_report = self.hazard_detector.report()
-        if self.obs_bundle is not None:
-            report.obs_snapshot = self.obs_bundle.snapshot()
-            if self.obs_bundle.slo is not None:
-                report.slo_alerts = [a.export()
-                                     for a in self.obs_bundle.slo.alerts]
-                report.slo_status = self.obs_bundle.slo.status()
-            if self.obs_bundle.flight is not None:
-                hard = [a for a in anomalies if not a.expected]
-                if hard or self.record_always:
-                    report.flight_dump = self.obs_bundle.flight.dump(
-                        anomalies=hard, time=sim.now)
+        if self.obs_bundle is not OFF:
+            bundle = self.obs_bundle
+            report.obs_snapshot = bundle.snapshot()
+            report.slo_alerts = [a.export() for a in bundle.slo.alerts]
+            report.slo_status = bundle.slo.status()
+            report.flight_dump = bundle.flight.dump(
+                anomalies=[a for a in anomalies if not a.expected],
+                time=sim.now)
         return report
 
     # -- fault execution --------------------------------------------------
@@ -489,8 +471,7 @@ class ChaosRunner:
         completed as ``failure`` and None comes back.
         """
         self._op_counts[name] = self._op_counts.get(name, 0) + 1
-        tracer = self.obs_bundle.tracer if self.obs_bundle is not None \
-            else None
+        tracer = self.obs_bundle.tracer
         span = None
         if tracer is not None:
             span = tracer.start_trace(f"chaos.{name}", node=client.name)

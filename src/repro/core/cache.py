@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..net.simulator import Simulator
+from ..obs.metrics import DISABLED
 from ..zk.client import ZkClient
 from ..zk.znode import NoNodeError
 from .config import SednaConfig
@@ -68,7 +69,7 @@ class MappingCache:
 
     def __init__(self, sim: Simulator, zk: ZkClient, config: SednaConfig,
                  adaptive: bool = True, use_changelog: bool = True,
-                 metrics=None, owner: str = ""):
+                 metrics=DISABLED, owner: str = ""):
         self.sim = sim
         self.zk = zk
         self.config = config
@@ -86,9 +87,6 @@ class MappingCache:
         self.vnode_reads = 0
         self.invalidations = 0
         self.lookups = 0
-        if metrics is None:
-            from ..obs.metrics import DISABLED
-            metrics = DISABLED
         owner = owner or zk.name
         # Plain ints the registry reads at snapshot time.
         for attr, name in (("full_loads", "cache.full_loads"),

@@ -27,6 +27,7 @@ from typing import Any, Optional
 from ..net.rpc import RpcNode, RpcRejected, RpcTimeout
 from ..net.simulator import Simulator
 from ..net.transport import Network, estimate_size
+from ..obs import OFF
 from ..storage.versioned import ValueElement, WriteOutcome
 from ..zk.client import ZkClient
 from ..zk.server import ZkConfig
@@ -125,7 +126,7 @@ class SednaClient:
 
     def __init__(self, sim: Simulator, network: Network, name: str,
                  nodes: list[str], config: Optional[SednaConfig] = None,
-                 pinned: Optional[str] = None, obs=None):
+                 pinned: Optional[str] = None, obs=OFF):
         self.sim = sim
         self.name = name
         self.nodes = list(nodes)
@@ -140,13 +141,10 @@ class SednaClient:
         self.failures = 0
         # The client is where a request-scoped trace is minted — it is
         # the entry point of every operation — and where the end-to-end
-        # latency histograms live.  Without an obs bundle every handle
-        # is a no-op.
-        self._tracer = obs.tracer if obs is not None else None
-        metrics = obs.metrics if obs is not None else None
-        if metrics is None:
-            from ..obs.metrics import DISABLED
-            metrics = DISABLED
+        # latency histograms live.  Unobserved (``OFF``) every handle is
+        # a no-op and there is no tracer.
+        self._tracer = obs.tracer
+        metrics = obs.metrics
         self._m_write_lat = metrics.histogram("client.write_seconds",
                                               node=name)
         self._m_read_lat = metrics.histogram("client.read_seconds", node=name)
@@ -407,13 +405,12 @@ class SmartSednaClient(SednaClient):
     def __init__(self, sim: Simulator, network: Network, name: str,
                  zk_servers: list[str],
                  config: Optional[SednaConfig] = None,
-                 zk_config: Optional[ZkConfig] = None, obs=None):
+                 zk_config: Optional[ZkConfig] = None, obs=OFF):
         super().__init__(sim, network, name, nodes=[], config=config, obs=obs)
-        metrics = obs.metrics if obs is not None else None
         self.zk = ZkClient(sim, network, f"{name}-zk", zk_servers, zk_config,
-                           metrics=metrics)
+                           metrics=obs.metrics)
         self.cache = MappingCache(sim, self.zk, self.config,
-                                  metrics=metrics, owner=name)
+                                  metrics=obs.metrics, owner=name)
         self.coordinator = QuorumCoordinator(sim, self.rpc, self.cache,
                                              self.config, obs=obs)
 

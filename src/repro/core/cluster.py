@@ -23,6 +23,7 @@ from ..net.latency import LanGigabit, LatencyModel
 from ..net.failure import FailureInjector
 from ..net.simulator import AllOf, Simulator
 from ..net.transport import Network
+from ..obs import OFF
 from ..persistence.disk import SimDisk
 from ..zk.ensemble import ZkEnsemble
 from ..zk.server import ZkConfig
@@ -61,7 +62,7 @@ class SednaCluster:
                  sim: Optional[Simulator] = None,
                  seed: int = 42,
                  zk_durable: bool = False,
-                 obs=None):
+                 obs=OFF):
         self.sim = sim if sim is not None else Simulator()
         self.network = Network(
             self.sim,
@@ -70,11 +71,11 @@ class SednaCluster:
         self.zk_config = zk_config if zk_config is not None else ZkConfig()
         # Observability bundle: attach the span tracer to the kernel
         # and hand it to the network, where every RPC endpoint and tap
-        # reads it — the one wiring point.
+        # reads it — the one wiring point.  Unobserved (``OFF``) there
+        # is no tracer.
         self.obs = obs
-        if obs is not None:
-            obs.attach(self.sim)
-            self.network.tracer = obs.tracer
+        obs.attach(self.sim)
+        self.network.tracer = obs.tracer
         self.ensemble = ZkEnsemble(self.sim, self.network, size=zk_size,
                                    config=self.zk_config,
                                    durable=zk_durable)

@@ -41,6 +41,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from ..net.rpc import QuorumWait, RpcError, RpcNode, RpcRejected
 from ..net.simulator import Event, Simulator
 from ..net.transport import estimate_size
+from ..obs import OFF
 from ..storage.versioned import (DvvRow, ValueElement, WriteOutcome,
                                  unwire_dvv_row, wire_context, wire_dvv_row)
 from .cache import MappingCache
@@ -412,7 +413,7 @@ class QuorumCoordinator:
                  local_name: Optional[str] = None,
                  local_dispatch: Optional[Callable[[str, Any], Event]] = None,
                  on_suspect: Optional[Callable[[str, int], None]] = None,
-                 obs=None):
+                 obs=OFF):
         self.sim = sim
         self.rpc = rpc
         self.cache = cache
@@ -430,12 +431,9 @@ class QuorumCoordinator:
         self.coalesced_reads = 0
         self.read_repairs = 0
         # Observability: fan-out depth / laggard / repair series plus
-        # coordinator-level spans (both no-ops without an obs bundle).
-        self._tracer = obs.tracer if obs is not None else None
-        metrics = obs.metrics if obs is not None else None
-        if metrics is None:
-            from ..obs.metrics import DISABLED
-            metrics = DISABLED
+        # coordinator-level spans (both no-ops unobserved).
+        self._tracer = obs.tracer
+        metrics = obs.metrics
         owner = local_name or rpc.name
         self._m_fanout = metrics.histogram(
             "quorum.fanout", node=owner,

@@ -31,6 +31,7 @@ from ..net.latency import LOCAL_STORE_OP, REQUEST_HANDLING
 from ..net.rpc import RpcNode, RpcRejected, RpcTimeout, Sized, unsized
 from ..net.simulator import Event, Simulator
 from ..net.transport import Network, estimate_size
+from ..obs import OFF
 from ..obs.metrics import VnodeStatsFeed
 from ..persistence.disk import SimDisk
 from ..persistence.strategy import make_strategy
@@ -87,22 +88,17 @@ class SednaNode:
     def __init__(self, sim: Simulator, network: Network, name: str,
                  zk_servers: list[str], config: Optional[SednaConfig] = None,
                  zk_config: Optional[ZkConfig] = None,
-                 disk: Optional[SimDisk] = None, obs=None):
+                 disk: Optional[SimDisk] = None, obs=OFF):
         self.sim = sim
         self.network = network
         self.name = name
         self.config = config if config is not None else SednaConfig()
-        # Observability bundle (repro.obs.Observability), optional.
+        # Observability bundle (repro.obs.Observability, or OFF).
         self.obs = obs
-        metrics = obs.metrics if obs is not None else None
-        if metrics is None:
-            from ..obs.metrics import DISABLED
-            handles = DISABLED
-        else:
-            handles = metrics
+        handles = obs.metrics
         self.rpc = RpcNode(network, name, service_time=REQUEST_HANDLING)
         self.zk = ZkClient(sim, network, f"{name}-zk", zk_servers, zk_config,
-                           metrics=metrics)
+                           metrics=handles)
         self.disk = disk if disk is not None else SimDisk()
         self._reset_volatile()
         self.coordinator = QuorumCoordinator(
@@ -152,7 +148,7 @@ class SednaNode:
         vnode index, persistence strategy (its disk survives).  Both
         construction and :meth:`restart` come through here, so a
         restarted node cannot drift from a new one."""
-        metrics = self.obs.metrics if self.obs is not None else None
+        metrics = self.obs.metrics
         self.cache = MappingCache(self.sim, self.zk, self.config,
                                   metrics=metrics, owner=self.name)
         self.store = VersionedStore(
@@ -168,8 +164,7 @@ class SednaNode:
         self.vnode_keys: dict[int, set[str]] = {}
         self.vstats = VnodeStatsFeed(self.name, VnodeStatus)
         self.vnode_status: dict[int, VnodeStatus] = self.vstats.statuses
-        if self.obs is not None:
-            self.obs.metrics.register_feed(self.vstats)
+        metrics.register_feed(self.vstats)
 
     def _register_rpc(self) -> None:
         r = self.rpc.register

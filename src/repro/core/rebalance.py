@@ -221,10 +221,7 @@ class Rebalancer:
         self.bytes_moved = 0
         self.aborts = 0
         self.transfer_failures = 0
-        metrics = node.obs.metrics if node.obs is not None else None
-        if metrics is None:
-            from ..obs.metrics import DISABLED
-            metrics = DISABLED
+        metrics = node.obs.metrics
         metrics.count_from(self, "passes", "rebalance.passes",
                            node=node.name)
         metrics.count_from(self, "moves", "rebalance.moves", node=node.name)

@@ -70,17 +70,13 @@ class NetworkTap:
 
     def __init__(self, network: Network,
                  predicate: Optional[Callable[[TapRecord], bool]] = None,
-                 on_record: Optional[Callable[[TapRecord], None]] = None,
-                 keep_records: bool = True,
                  max_records: Optional[int] = None) -> None:
         self.network = network
         self.predicate = predicate
-        self.on_record = on_record
-        self.keep_records = keep_records
         #: With ``max_records`` set the buffer is a ring holding only
-        #: the most recent transmissions (flight-recorder taps stay
-        #: O(1) in memory over arbitrarily long runs); unbounded
-        #: otherwise.  Assertion helpers work on either.
+        #: the most recent transmissions (the flight recorder's packet
+        #: ring stays O(1) in memory over arbitrarily long runs);
+        #: unbounded otherwise.  Assertion helpers work on either.
         self.records: Any = ([] if max_records is None
                              else deque(maxlen=max_records))
         self._attached = True
@@ -93,14 +89,7 @@ class NetworkTap:
         record = TapRecord(time=self.network.sim.now, src=src, dst=dst,
                            kind=kind, method=method, trace=trace)
         if self.predicate is None or self.predicate(record):
-            if self.keep_records:
-                self.records.append(record)
-            if self.on_record is not None:
-                # Streaming hook: the flight recorder (repro.obs) feeds
-                # its bounded ring from here.  A plain count needs no
-                # tap: a filter calling classify() is enough (the chaos
-                # history's message tally is one).
-                self.on_record(record)
+            self.records.append(record)
         return True  # pass-through: taps never drop traffic
 
     def detach(self) -> None:

@@ -1,8 +1,8 @@
 """CLI for observability-instrumented runs.
 
-Runs a chaos schedule with the metrics registry and span tracer
-attached, then dumps the snapshot, renders per-request span
-timelines, or verifies that observing did not move the run (the seed
+Runs one observed chaos schedule (``ChaosRunner(obs=True)``: the
+whole diagnosis pipeline), then dumps the metrics snapshot, renders
+per-request span timelines, or verifies that observing did not move the run (the seed
 replayed plain must end on the same digest — the CI smoke).
 
 Examples::
@@ -14,8 +14,8 @@ Examples::
     python -m repro.obs --seed 0 --verify              # observed == plain
     python -m repro.obs --diff before.json after.json  # snapshot diff
 
-Diagnosis-pipeline subcommands (each runs one chaos schedule with the
-relevant stage enabled)::
+Diagnosis-pipeline subcommands (each runs one observed chaos schedule
+and prints one stage's view of it)::
 
     python -m repro.obs series --seed 0                # sparklines
     python -m repro.obs series --pattern '*/coord.*'   # filtered
@@ -41,11 +41,11 @@ from .metrics import SNAPSHOT_SCHEMA, diff_snapshots
 from .trace import format_timeline
 
 
-def _run(args: argparse.Namespace, obs: bool = True, **observers):
+def _run(args: argparse.Namespace, obs: bool = True):
     runner = ChaosRunner(RunSpec(seed=args.seed, profile=args.profile,
                                  duration=args.duration,
                                  n_nodes=args.nodes),
-                         obs=obs, **observers)
+                         obs=obs)
     return runner, runner.run()
 
 
@@ -59,7 +59,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    runner, report = _run(args, timeseries=True)
+    runner, report = _run(args)
     _emit(runner.obs_bundle.timeseries.format_series(args.pattern),
           args.out)
     return 0 if report.ok else 1
@@ -82,7 +82,7 @@ def _cmd_flame(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    runner, report = _run(args, slo=True)
+    runner, report = _run(args)
     _emit(runner.obs_bundle.slo.format_slo(), args.out)
     return 0 if report.ok else 1
 
@@ -153,8 +153,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Run a chaos schedule with metrics + tracing on; "
-                    "dump, verify, or diff the resulting snapshots.")
+        description="Run an observed chaos schedule; dump, verify, "
+                    "or diff the resulting snapshots.")
     parser.add_argument("command", nargs="?", default=None,
                         choices=sorted(_COMMANDS),
                         help="diagnosis-pipeline subcommand: 'series' "
@@ -213,9 +213,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.json, "w") as fh:
                 fh.write(payload + "\n")
             print(f"snapshot -> {args.json}")
-    if args.text and bundle is not None:
+    if args.text:
         print(bundle.metrics.to_text())
-    if args.timelines and bundle is not None and bundle.tracer:
+    if args.timelines:
         for tid in _slowest_traces(bundle.tracer, args.timelines):
             print()
             print(format_timeline(bundle.tracer, tid))

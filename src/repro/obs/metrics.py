@@ -423,8 +423,11 @@ class MetricsRegistry:
         """Expose a node's live per-vnode feed in snapshots.
 
         Re-registering under the same node name replaces the old feed
-        (nodes rebuild their feed on restart)."""
-        self._feeds[feed.node] = feed
+        (nodes rebuild their feed on restart).  A disabled registry
+        keeps nothing: ``DISABLED`` is shared by every unobserved
+        cluster in the process."""
+        if self.enabled:
+            self._feeds[feed.node] = feed
         return feed
 
     def feeds(self) -> Iterable[VnodeStatsFeed]:

@@ -6,7 +6,7 @@ whole run is exactly what the bounded tracer/tap caps exist to avoid.
 The flight recorder squares that: it continuously feeds three small
 ring buffers (recent finished spans, recent non-zero metric deltas,
 recent tap packets) at O(1) memory, and the chaos runner calls
-:meth:`dump` only when an invariant actually fails — producing a
+:meth:`dump` at the end of every observed run — producing a
 deterministic JSON artifact with the crash-adjacent context, like an
 aircraft recorder surviving the incident it recorded.
 
@@ -16,13 +16,13 @@ runner stamps on workload traces, and the matching traces are embedded
 *in full* (pulled from the live tracer, not the ring) under
 ``traces`` — so the artifact alone shows the violating operation's
 span tree, the cluster-wide metric movement around it, and the raw
-message flow.
+message flow.  A clean run's dump lists no anomalies and no traces.
 
-Feeds are hook-based and opt-in: ``SpanTracer.on_finish`` for spans,
-``TimeSeriesRecorder.on_sample`` for deltas, and a second
-:class:`~repro.net.tap.NetworkTap` (pass-through, bounded by
-``max_records``) for packets.  A run without a flight recorder pays
-for none of this.
+Feeds are hook-based: ``SpanTracer.on_finish`` appends the finished
+:class:`~repro.obs.trace.Span` itself (exported only by :meth:`dump`),
+``TimeSeriesRecorder.on_sample`` feeds deltas, and the packet ring is
+the ``max_records`` ring of a pass-through
+:class:`~repro.net.tap.NetworkTap`.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from ..net.tap import NetworkTap, TapRecord
+from ..net.tap import NetworkTap
 from .timeseries import TimeSeriesRecorder
-from .trace import Span, SpanTracer
+from .trace import SpanTracer
 
 __all__ = ["FlightRecorder", "FLIGHT_SCHEMA"]
 
@@ -51,6 +51,7 @@ class FlightRecorder:
                  max_packets: int = 512) -> None:
         self.spans: deque = deque(maxlen=max_spans)
         self.samples: deque = deque(maxlen=max_samples)
+        #: The packet tap's own ring once :meth:`observe_network` ran.
         self.packets: deque = deque(maxlen=max_packets)
         self.dumps_taken = 0
         self._tracer: Optional[SpanTracer] = None
@@ -59,7 +60,7 @@ class FlightRecorder:
     # -- feeds -----------------------------------------------------------
     def observe_tracer(self, tracer: SpanTracer) -> "FlightRecorder":
         self._tracer = tracer
-        tracer.on_finish.append(self._on_span)
+        tracer.on_finish.append(self.spans.append)
         return self
 
     def observe_timeseries(self,
@@ -70,28 +71,23 @@ class FlightRecorder:
     def observe_network(self, network: Any) -> "FlightRecorder":
         """Attach the packet feed (a pass-through bounded tap)."""
         if self._tap is None:
-            self._tap = NetworkTap(network, on_record=self._on_packet,
-                                   keep_records=False)
+            self._tap = NetworkTap(network,
+                                   max_records=self.packets.maxlen)
+            self.packets = self._tap.records
         return self
 
     def detach(self) -> None:
         if self._tap is not None:
             self._tap.detach()
             self._tap = None
-        if self._tracer is not None and self._on_span in \
+        if self._tracer is not None and self.spans.append in \
                 self._tracer.on_finish:
-            self._tracer.on_finish.remove(self._on_span)
-
-    def _on_span(self, span: Span) -> None:
-        self.spans.append(span.export())
+            self._tracer.on_finish.remove(self.spans.append)
 
     def _on_sample(self, now: float, deltas: dict) -> None:
         moved = {label: point for label, point in deltas.items()
                  if self._nonzero(point)}
         self.samples.append((now, moved))
-
-    def _on_packet(self, record: TapRecord) -> None:
-        self.packets.append(record)
 
     @staticmethod
     def _nonzero(point: Any) -> bool:
@@ -147,7 +143,7 @@ class FlightRecorder:
                           for a in anomalies],
             "violating_traces": {k: violating[k] for k in sorted(violating)},
             "traces": {k: traces[k] for k in sorted(traces, key=int)},
-            "recent_spans": list(self.spans),
+            "recent_spans": [span.export() for span in self.spans],
             "samples": [{"time": round(now, 9),
                          "deltas": {label: self._export_point(point)
                                     for label, point in sorted(

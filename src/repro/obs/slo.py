@@ -130,7 +130,8 @@ class SloAlert:
 
 
 def default_slos() -> list[SloSpec]:
-    """The chaos runner's stock objectives (``--slo``).
+    """The stock objectives every :class:`~repro.obs.Observability`
+    evaluates.
 
     Latency targets ride the coordinator histograms; availability
     rides the client failure counter against the end-to-end latency
@@ -190,9 +191,8 @@ class SloEvaluator:
                 track = rec.tracks[label]
                 if track.kind != "histogram":
                     continue
-                window = rec.window(label, samples)
-                counts = [sum(p[2][i] for p in window)
-                          for i in range(len(track.bounds) + 1)]
+                counts = [sum(column) for column in zip(
+                    *(p[2] for p in rec.window(label, samples)))]
                 total = sum(counts)
                 if total == 0:
                     continue
@@ -248,7 +248,9 @@ class SloEvaluator:
                       if on)
 
     def status(self) -> dict:
-        """Whole-buffer compliance per spec (deterministic)."""
+        """Per-spec compliance over the last 60 s (the ring: the last
+        ``capacity × interval`` simulated seconds), not the whole run.
+        Deterministic."""
         out = {}
         for spec in self.specs:
             totals = self._totals(spec, self.recorder.capacity)

@@ -12,9 +12,8 @@ buffers.
 Everything is sim-clock deterministic: sampling rides the kernel's
 event queue like any other daemon, points are plain ints/floats, and
 :meth:`export` emits sorted labels — two runs of one seed produce
-byte-identical JSON.  With the recorder absent (the default shipped
-configuration) nothing here is imported on the hot path, so disabled
-runs keep byte-identical digests.
+byte-identical JSON.  Sampling reads the registry and schedules only
+its own timer, so an observed run keeps the plain run's digest.
 
 Point shapes per series kind:
 
@@ -32,6 +31,8 @@ ring stays index-aligned with the shared sample-time ring.
 from __future__ import annotations
 
 from collections import deque
+from fnmatch import fnmatchcase
+from itertools import islice
 from typing import Any, Callable, Optional
 
 from .metrics import MetricsRegistry, series_label
@@ -116,6 +117,11 @@ class TimeSeriesRecorder:
         self.samples_taken = 0
         self.on_sample: list[Callable[[float, dict], None]] = []
         self._last: dict[str, Any] = {}
+        #: ``(label, handle)`` in sample order, rebuilt when the
+        #: registry grows (series are never removed).
+        self._order: list[tuple[str, Any]] = []
+        #: pattern -> :meth:`matching` result; cleared on a new track.
+        self._matches: dict[str, list[str]] = {}
         self._running = False
         self._proc: Optional[Any] = None
 
@@ -146,19 +152,21 @@ class TimeSeriesRecorder:
         self.samples_taken += 1
         deltas: dict[str, Any] = {}
         seen = len(self.times)
-        for key in sorted(self.registry._series,
-                          key=lambda k: (k[0],
-                                         -1 if k[1] is None else k[1],
-                                         k[2])):
-            node, vnode, name = key
-            handle = self.registry._series[key]
-            label = series_label(node, vnode, name)
+        series = self.registry._series
+        if len(self._order) != len(series):
+            self._order = [
+                (series_label(*key), series[key]) for key in sorted(
+                    series, key=lambda k: (k[0],
+                                           -1 if k[1] is None else k[1],
+                                           k[2]))]
+        for label, handle in self._order:
             track = self.tracks.get(label)
             if track is None:
                 bounds = (tuple(handle.bounds)
                           if handle.kind == "histogram" else ())
                 track = self.tracks[label] = _Track(
                     handle.kind, self.capacity, bounds)
+                self._matches.clear()
                 # Left-pad so this ring stays index-aligned with the
                 # shared time ring (the series carried zero before it
                 # was registered).
@@ -190,10 +198,10 @@ class TimeSeriesRecorder:
         track = self.tracks.get(label)
         if track is None:
             return []
-        points = list(track.points)
-        if samples is not None:
-            points = points[-samples:]
-        return points
+        points = track.points
+        if not samples or samples >= len(points):
+            return list(points)
+        return list(islice(points, len(points) - samples, None))
 
     def rate(self, label: str, samples: Optional[int] = None) -> float:
         """Windowed per-second rate of a counter (or histogram count).
@@ -213,10 +221,14 @@ class TimeSeriesRecorder:
         return total / (len(points) * self.interval)
 
     def matching(self, pattern: str) -> list[str]:
-        """Sorted labels matching a ``fnmatch`` pattern."""
-        from fnmatch import fnmatchcase
-        return sorted(label for label in self.tracks
-                      if fnmatchcase(label, pattern))
+        """Sorted labels matching a ``fnmatch`` pattern (memoised until
+        the next new series; do not mutate the result)."""
+        labels = self._matches.get(pattern)
+        if labels is None:
+            labels = self._matches[pattern] = sorted(
+                label for label in self.tracks
+                if fnmatchcase(label, pattern))
+        return labels
 
     # -- export ----------------------------------------------------------
     def export(self) -> dict:

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import (TYPE_CHECKING, Any, Iterable,
-                    NamedTuple, Optional, Union)
+from typing import Any, Iterable, NamedTuple, Optional, Union
 
-if TYPE_CHECKING:
-    from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import DISABLED, MetricsRegistry
 
 __all__ = ["ValueElement", "Row", "WriteOutcome", "VersionedStore",
            "element_order", "DvvSibling", "DvvRow", "ctx_covers",
@@ -282,15 +280,15 @@ class VersionedStore:
     Parameters
     ----------
     metrics / node:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` plus the
-        owning node's name; when given, op counts and rough byte sizes
-        are exported as ``store.*`` series.  The per-key paths count in
+        The :class:`~repro.obs.metrics.MetricsRegistry` (``DISABLED``
+        when unobserved) plus the owning node's name; op counts and
+        rough byte sizes are exported as ``store.*`` series.  The per-key paths count in
         plain ints (``writes_ok``, ``reads``, ``bytes_read``, ...) and
         the registry reads them at snapshot time, so a store makes no
         metric call per key, observed or not.
     """
 
-    def __init__(self, metrics: Optional["MetricsRegistry"] = None,
+    def __init__(self, metrics: MetricsRegistry = DISABLED,
                  node: str = "", dvv_sibling_cap: int = 16) -> None:
         self.rows: dict[str, Row] = {}
         # Causal-mode (DVV) rows live beside the timestamped rows; a
@@ -307,9 +305,6 @@ class VersionedStore:
         self.reads = 0
         self.bytes_written = 0
         self.bytes_read = 0
-        if metrics is None:
-            from ..obs.metrics import DISABLED
-            metrics = DISABLED
         for attr in ("writes_ok", "writes_outdated", "reads",
                      "bytes_written", "bytes_read"):
             metrics.count_from(self, attr, f"store.{attr}", node=node)

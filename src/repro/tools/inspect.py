@@ -15,6 +15,7 @@ from typing import Optional
 from ..bench.harness import format_table
 from ..core.cluster import SednaCluster
 from ..core.types import FullKey
+from ..obs import OFF
 
 __all__ = ["ring_summary", "zk_summary", "node_summary",
            "replication_health", "obs_summary", "describe_cluster"]
@@ -84,10 +85,9 @@ def replication_health(cluster: SednaCluster, keys: list[str],
 def obs_summary(cluster: SednaCluster, top: int = 10) -> dict:
     """Metrics-registry digest: biggest counter series plus span totals.
 
-    Empty dict when the cluster was built without an observability
-    bundle."""
+    Empty dict when the cluster is unobserved (``OFF``)."""
     obs = cluster.obs
-    if obs is None:
+    if obs is OFF:
         return {}
     snap = obs.snapshot()
     counters = [(label, data["value"])
@@ -98,8 +98,7 @@ def obs_summary(cluster: SednaCluster, top: int = 10) -> dict:
         "series": len(snap["series"]),
         "dropped_series": snap["dropped_series"],
         "top_counters": counters[:top],
-        "tracing": snap.get("tracing",
-                            {"traces": 0, "spans": 0, "dropped_spans": 0}),
+        "tracing": snap["tracing"],
     }
 
 

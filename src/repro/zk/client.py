@@ -21,6 +21,7 @@ from typing import Any, Callable, Optional
 from ..net.rpc import RpcNode, RpcRejected, RpcTimeout
 from ..net.simulator import Simulator
 from ..net.transport import Network, estimate_size
+from ..obs.metrics import DISABLED
 from .server import PROPOSAL_TIMEOUT, RPC_TIMEOUT, ZkConfig
 from .watches import EVENT_CHILD
 from .znode import (BadVersionError, NodeExistsError, NoNodeError,
@@ -76,7 +77,7 @@ class ZkClient:
 
     def __init__(self, sim: Simulator, network: Network, name: str,
                  servers: list[str], config: Optional[ZkConfig] = None,
-                 metrics=None):
+                 metrics=DISABLED):
         self.sim = sim
         self.name = name
         self.servers = list(servers)
@@ -104,9 +105,6 @@ class ZkClient:
         # Stats for the ZK-usage benches.
         self.ops_sent = 0
         self.retries = 0
-        if metrics is None:
-            from ..obs.metrics import DISABLED
-            metrics = DISABLED
         self._m_reads = metrics.counter("zk.reads", node=name)
         self._m_writes = metrics.counter("zk.writes", node=name)
         self._m_watch_set = metrics.counter("zk.watches_set", node=name)

@@ -44,8 +44,7 @@ class TestObserversOnlyWatch:
     @pytest.mark.parametrize("config", sorted(GOLDEN_CONFIGS))
     def test_every_watcher_on_reproduces_the_golden(self, config):
         spec = RunSpec(seed=1, **GOLDEN_CONFIGS[config])
-        report = ChaosRunner(spec, obs=True, slo=True, record=True,
-                             record_always=True, timeseries=True).run()
+        report = ChaosRunner(spec, obs=True).run()
         assert report.spec == spec
         assert report.obs_snapshot["tracing"]["spans"] > 0
         assert report.flight_dump and report.slo_status

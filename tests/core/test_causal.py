@@ -148,7 +148,7 @@ class TestCausalReplication:
     def test_metrics_track_siblings(self, cluster):
         """dvv.siblings histogram observes on every causal update."""
         from repro.obs import Observability
-        obs = Observability(metrics=True, tracing=False)
+        obs = Observability()
         local = SednaCluster(n_nodes=3, zk_size=1,
                              config=SednaConfig(num_vnodes=16), obs=obs)
         local.start()

@@ -36,16 +36,17 @@ from repro.core.rebalance import Migration, Rebalancer
 from repro.core.types import FullKey
 from repro.net.tap import NetworkTap
 from repro.net.transport import estimate_size
-from repro.obs import Observability
+from repro.obs import OFF, Observability
 
 
 class SizingTap(NetworkTap):
-    """A tap that also sizes the data-plane requests and their replies."""
+    """A tap that sizes the data-plane requests and their replies, and
+    keeps no records of its own."""
 
     def __init__(self, network):
         self.calls = []          # [method, request size, reply size | None]
         self._open = {}          # (caller, call id) -> its row in calls
-        super().__init__(network, keep_records=False)
+        super().__init__(network)
 
     def _observe(self, src, dst, payload):
         kind = payload.get("kind") if isinstance(payload, dict) else None
@@ -57,7 +58,7 @@ class SizingTap(NetworkTap):
         elif kind == "resp" and (dst, payload["id"]) in self._open:
             self._open.pop((dst, payload["id"]))[2] = estimate_size(
                 payload["result"])
-        return super()._observe(src, dst, payload)
+        return True  # pass-through, like every tap
 
     def drain(self):
         calls, self.calls = [tuple(row) for row in self.calls], []
@@ -106,7 +107,7 @@ def record_shapes(traced=False):
     heartbeats included."""
     shapes, wire_bytes = {}, {}
     for route in ("proxy", "zero-hop"):
-        obs = Observability(metrics=False, tracing=True) if traced else None
+        obs = Observability() if traced else OFF
         cluster = SednaCluster(n_nodes=3, zk_size=3, seed=7,
                                config=SednaConfig(num_vnodes=8), obs=obs)
         cluster.start("assign")
@@ -125,7 +126,7 @@ def record_shapes(traced=False):
         shapes[route] = per_verb
         wire_bytes[route] = sum(
             ep.sent_bytes for ep in cluster.network.endpoints.values())
-        assert obs is None or len(obs.tracer.traces) == len(per_verb)
+        assert not traced or len(obs.tracer.traces) == len(per_verb)
     return shapes, wire_bytes
 
 

@@ -104,7 +104,7 @@ class TestTapBasics:
 class TestTraceSlicing:
     def test_tap_slices_traffic_per_request_trace(self):
         from repro.obs import Observability
-        obs = Observability(metrics=False, tracing=True)
+        obs = Observability()
         cluster = SednaCluster(n_nodes=3, zk_size=3,
                                config=SednaConfig(num_vnodes=16), obs=obs)
         cluster.start()

@@ -24,7 +24,7 @@ class TestFeeds:
         for i in range(4):
             span = tracer.start_trace(f"op{i}")
             tracer.finish(span)
-        names = [s["name"] for s in rec.spans]
+        names = [s.name for s in rec.spans]
         assert names == ["op2", "op3"]
 
     def test_sample_ring_keeps_only_nonzero_deltas(self):
@@ -137,7 +137,7 @@ class _SabotagedRunner(ChaosRunner):
 @pytest.mark.slow
 class TestChaosAutoDump:
     def test_forced_violation_dumps_flight_data(self):
-        runner = _SabotagedRunner(seed=3, duration=3.0, record=True)
+        runner = _SabotagedRunner(seed=3, duration=3.0, obs=True)
         report = runner.run()
         assert runner.sabotaged_key is not None
         assert not report.ok
@@ -160,7 +160,11 @@ class TestChaosAutoDump:
         assert dump["packets"], "recent wire traffic"
         assert json.loads(json.dumps(dump)) == dump
 
-    def test_clean_run_with_record_does_not_dump(self):
-        report = ChaosRunner(seed=3, duration=3.0, record=True).run()
+    def test_clean_observed_run_dumps_no_anomalies(self):
+        report = ChaosRunner(seed=3, duration=3.0, obs=True).run()
         assert report.ok
-        assert report.flight_dump == {}
+        dump = report.flight_dump
+        assert dump["schema"] == FLIGHT_SCHEMA
+        assert dump["anomalies"] == []
+        assert dump["violating_traces"] == {} and dump["traces"] == {}
+        assert dump["recent_spans"] and dump["samples"] and dump["packets"]

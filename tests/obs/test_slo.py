@@ -200,3 +200,31 @@ class TestReporting:
         text = ev.format_slo()
         assert "MISS lat" in text
         assert "alerts:" in text
+
+
+class TestObservedChaosRun:
+    def test_seed3_alerts_and_status_are_pinned(self):
+        """The stock SLOs over a real observed run: seed 3 (default
+        RunSpec) burns the read-latency budget fast for half a second."""
+        from repro.chaos import ChaosRunner
+        report = ChaosRunner(seed=3, obs=True).run()
+        assert report.slo_alerts == [
+            {"time": 8.772223873, "slo": "coord-read-50ms",
+             "window": "fast", "state": "fire",
+             "burn_long": 8.0, "burn_short": 20.0},
+            {"time": 9.272223873, "slo": "coord-read-50ms",
+             "window": "fast", "state": "resolve",
+             "burn_long": 8.0, "burn_short": 0.0},
+        ]
+        assert report.slo_status == {
+            "coord-read-50ms": {
+                "kind": "latency", "objective": 0.95, "events": 59.0,
+                "attainment": 0.966102, "met": True,
+                "percentile": 0.000525},
+            "coord-write-50ms": {
+                "kind": "latency", "objective": 0.95, "events": 64.0,
+                "attainment": 1.0, "met": True, "percentile": 0.000475},
+            "client-availability": {
+                "kind": "error_rate", "objective": 0.9, "events": 175.0,
+                "attainment": 0.988571, "met": True},
+        }

@@ -119,6 +119,19 @@ class TestQueries:
         assert rec.matching("*/ops") == ["n1/ops", "n2/ops"]
         assert rec.matching("n1/*") == ["n1/depth", "n1/ops"]
 
+    def test_matching_sees_a_series_registered_after_the_query(self):
+        """``matching`` is memoised per pattern; a new series must
+        still join every pattern asked for before it existed."""
+        reg, rec = _recorder()
+        reg.counter("ops", node="n1")
+        rec.sample(0.25)
+        assert rec.matching("*/ops") == ["n1/ops"]
+        assert rec.matching("n3/*") == []
+        reg.counter("ops", node="n3")
+        rec.sample(0.50)
+        assert rec.matching("*/ops") == ["n1/ops", "n3/ops"]
+        assert rec.matching("n3/*") == ["n3/ops"]
+
 
 class TestSimDriven:
     def test_recurring_sampling_on_the_sim_clock(self):

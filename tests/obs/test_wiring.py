@@ -15,7 +15,7 @@ from repro.core.cache import ZkLayout
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
 from repro.core.types import FullKey
-from repro.obs import Observability
+from repro.obs import OFF, Observability
 from repro.obs import __main__ as obs_cli
 from repro.obs.metrics import DISABLED
 
@@ -28,7 +28,7 @@ def _workload(client, n=12):
     return True
 
 
-def _build(seed=7, obs=None, **cfg):
+def _build(seed=7, obs=OFF, **cfg):
     cluster = SednaCluster(n_nodes=4, zk_size=3,
                            config=SednaConfig(num_vnodes=32, **cfg),
                            seed=seed, obs=obs)
@@ -38,7 +38,7 @@ def _build(seed=7, obs=None, **cfg):
 
 class TestDeterminism:
     def _snapshot(self):
-        obs = Observability(metrics=True, tracing=True)
+        obs = Observability()
         cluster = _build(obs=obs)
         cluster.run(_workload(cluster.client("w")))
         cluster.settle(1.0)
@@ -56,9 +56,9 @@ class TestDeterminism:
         assert obs_cli.main(argv) == 0
         assert "observed == plain" in capsys.readouterr().out
 
-        def moved(spec, obs, **observers):
+        def moved(spec, obs):
             return ChaosRunner(spec if obs else replace(spec, seed=1),
-                               obs=obs, **observers)
+                               obs=obs)
 
         monkeypatch.setattr(obs_cli, "ChaosRunner", moved)
         assert obs_cli.main(argv) == 1
@@ -69,7 +69,7 @@ class TestImbalanceAccounting:
     def test_snapshot_row_equals_zk_published_row(self):
         """The frequencies an operator reads in a snapshot are
         definitionally the ones the rebalancer sees in ZooKeeper."""
-        obs = Observability(metrics=True)
+        obs = Observability()
         cluster = _build(obs=obs)
         cluster.run(_workload(cluster.client("w")))
         # Let every node push its imbalance row, then read the table
@@ -132,7 +132,7 @@ class TestImbalanceAccounting:
         assert node.vstats.row()["keys"] == 0
 
     def test_snapshot_vnode_feed_matches_node_statuses(self):
-        obs = Observability(metrics=True)
+        obs = Observability()
         cluster = _build(obs=obs)
         cluster.run(_workload(cluster.client("w")))
         snap = obs.snapshot()
@@ -143,7 +143,7 @@ class TestImbalanceAccounting:
 
 class TestComponentCounters:
     def test_workload_populates_each_layer(self):
-        obs = Observability(metrics=True, tracing=True)
+        obs = Observability()
         cluster = _build(obs=obs)
         client = cluster.client("w")
         cluster.run(_workload(client))
@@ -171,7 +171,7 @@ class TestComponentCounters:
     def test_store_series_continue_across_a_restart(self):
         """``store.*`` is read from the store's own ints at snapshot
         time; a restarted node's fresh store continues the series."""
-        obs = Observability(metrics=True)
+        obs = Observability()
         cluster = _build(obs=obs)
         client = cluster.client("w")
         cluster.run(_workload(client))
@@ -188,7 +188,7 @@ class TestComponentCounters:
         assert series["node1/store.writes_ok"]["value"] == before + after
 
     def test_restart_rewires_metrics_and_feed(self):
-        obs = Observability(metrics=True)
+        obs = Observability()
         cluster = _build(obs=obs)
         cluster.run(_workload(cluster.client("w")))
         victim = cluster.node_names[0]
@@ -230,7 +230,7 @@ class TestSeedZeroSnapshot:
 class TestDisabledPath:
     def test_plain_cluster_does_not_touch_shared_registry(self):
         before = len(list(DISABLED.feeds()))
-        cluster = _build(obs=None)
+        cluster = _build()
         cluster.run(_workload(cluster.client("w")))
         assert len(list(DISABLED.feeds())) == before
         assert DISABLED.snapshot()["series"] == {}
@@ -238,6 +238,19 @@ class TestDisabledPath:
         total = sum(node.vstats.row()["writes"]
                     for node in cluster.nodes.values())
         assert total == 12 * cluster.config.replicas
+
+    def test_unobserved_clusters_leave_disabled_empty(self):
+        """``OFF`` is shared by every cluster in the process: the
+        ``DISABLED`` registry behind it keeps no feed and no series,
+        so no cluster stays reachable through it."""
+        for seed in (7, 8):
+            cluster = _build(seed=seed)
+            cluster.run(_workload(cluster.client("w")))
+            assert cluster.obs is OFF
+        assert OFF.metrics is DISABLED
+        assert list(DISABLED.feeds()) == []
+        assert DISABLED.snapshot()["series"] == {}
+        assert DISABLED.snapshot()["vnodes"] == {}
 
     def test_disabled_and_enabled_histories_match(self):
         """Metrics-only observability must not perturb the simulation:
@@ -248,4 +261,4 @@ class TestDisabledPath:
             return {name: sorted(node.store.rows)
                     for name, node in cluster.nodes.items()}
 
-        assert run(None) == run(Observability(metrics=True))
+        assert run(OFF) == run(Observability())
