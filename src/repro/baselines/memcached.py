@@ -40,9 +40,6 @@ class MemcachedServer:
         self.rpc = RpcNode(network, name, service_time=MEMCACHED_OP)
         self.rpc.register("mc.set", self._h_set)
         self.rpc.register("mc.get", self._h_get)
-        self.rpc.register("mc.mget", self._h_mget)
-        self.rpc.register("mc.mset", self._h_mset)
-        self.rpc.register("mc.delete", self._h_delete)
 
     def _h_set(self, src: str, args: Any):
         return self.store.set(args["key"], args["value"])
@@ -50,16 +47,6 @@ class MemcachedServer:
     def _h_get(self, src: str, args: Any):
         value = self.store.get(args["key"])
         return {"value": value}
-
-    def _h_mget(self, src: str, args: Any):
-        """``get k1 k2 ...`` — many keys, one round-trip."""
-        return {"values": self.store.get_many(args["keys"])}
-
-    def _h_mset(self, src: str, args: Any):
-        return {"results": self.store.set_multi(args["pairs"])}
-
-    def _h_delete(self, src: str, args: Any):
-        return self.store.delete(args["key"])
 
 
 class MemcachedClusterClient:
@@ -117,59 +104,6 @@ class MemcachedClusterClient:
             self.failures += 1
             self.read_latencies.append(self.sim.now - t0)
             return found
-        self.read_latencies.append(self.sim.now - t0)
-        return found
-
-    def delete(self, key: bytes, copies: int = 1):
-        """Delete from ``copies`` shards sequentially."""
-        for c in range(copies):
-            try:
-                yield from self.rpc.call(self._shard(key, c), "mc.delete",
-                                         {"key": key}, timeout=self.timeout)
-            except (RpcTimeout, RpcRejected):
-                self.failures += 1
-        return True
-
-    def set_multi(self, pairs: dict):
-        """Batch store: shard the pairs, one ``mc.mset`` per server.
-
-        Real memcached clients coalesce multi-key writes into one
-        round-trip per shard; this is the fair-comparison counterpart
-        of Sedna's ``mwrite`` batch path.
-        """
-        t0 = self.sim.now
-        by_server: dict[str, dict] = {}
-        for key, value in pairs.items():
-            by_server.setdefault(self._shard(key), {})[key] = value
-        stored = 0
-        for server in sorted(by_server):
-            try:
-                result = yield from self.rpc.call(
-                    server, "mc.mset", {"pairs": by_server[server]},
-                    timeout=self.timeout)
-                stored += sum(1 for ok in result["results"].values() if ok)
-            except (RpcTimeout, RpcRejected):
-                self.failures += 1
-        self.write_latencies.append(self.sim.now - t0)
-        return stored
-
-    def get_multi(self, keys: list):
-        """Batch read: one ``mc.mget`` per shard, merged result dict."""
-        t0 = self.sim.now
-        by_server: dict[str, list] = {}
-        for key in keys:
-            by_server.setdefault(self._shard(key), []).append(key)
-        found: dict = {}
-        for server in sorted(by_server):
-            try:
-                result = yield from self.rpc.call(
-                    server, "mc.mget", {"keys": by_server[server]},
-                    timeout=self.timeout)
-                for key, value in result["values"].items():
-                    if value is not None:
-                        found[key] = value
-            except (RpcTimeout, RpcRejected):
-                self.failures += 1
         self.read_latencies.append(self.sim.now - t0)
         return found
 

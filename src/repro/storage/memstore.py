@@ -2,9 +2,8 @@
 
 Each server of the memcached baseline (``repro.baselines``) holds one
 MemStore: a slab allocator, a chained hash table and one LRU list per
-slab class, under a byte budget.  It offers what the baseline runs:
-
-``set / get / get_many / set_multi / delete``
+slab class, under a byte budget.  It offers what the baselines run:
+``set`` and ``get``.
 
 A set that finds no free chunk in its slab class evicts that class's
 least recently used item (memcached's per-class LRU eviction); a get
@@ -26,8 +25,6 @@ class StoreResult:
     """String constants used as command outcomes."""
 
     STORED = "STORED"
-    NOT_FOUND = "NOT_FOUND"
-    DELETED = "DELETED"
     TOO_LARGE = "SERVER_ERROR object too large"
 
 
@@ -115,27 +112,6 @@ class MemStore:
             return None
         self._lru(item.slab_class).touch(item.lru_node)
         return item.value
-
-    def get_many(self, keys: list[bytes]) -> dict[bytes, bytes]:
-        """Multi-get; missing keys are simply absent from the result."""
-        out: dict[bytes, bytes] = {}
-        for key in keys:
-            value = self.get(key)
-            if value is not None:
-                out[key] = value
-        return out
-
-    def set_multi(self, pairs: dict[bytes, bytes]) -> dict[bytes, str]:
-        """Batch :meth:`set`: one result per key, applied in order."""
-        return {key: self.set(key, value) for key, value in pairs.items()}
-
-    def delete(self, key: bytes) -> str:
-        """Remove ``key``."""
-        item = self.table.get(key)
-        if item is None:
-            return StoreResult.NOT_FOUND
-        self._unlink(item)
-        return StoreResult.DELETED
 
     def __len__(self) -> int:
         return len(self.table)

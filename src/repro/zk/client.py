@@ -1,4 +1,4 @@
-"""ZooKeeper client: sessions, retries, watches.
+"""ZooKeeper client: sessions, retries, one-shot data watches.
 
 The client connects to one ensemble member, keeps its session alive
 with pings, and transparently rotates to another member when its server
@@ -23,7 +23,6 @@ from ..net.simulator import Simulator
 from ..net.transport import Network, estimate_size
 from ..obs.metrics import DISABLED
 from .server import PROPOSAL_TIMEOUT, RPC_TIMEOUT, ZkConfig
-from .watches import EVENT_CHILD
 from .znode import (BadVersionError, NodeExistsError, NoNodeError,
                     NotEmptyError, ZkError)
 
@@ -36,7 +35,11 @@ class SessionExpired(ZkError):
 
 # A ``zk.read`` request with its three strings empty, sized at depth 1
 # where it sits in the request; the request adds their lengths.  The
-# frontier it carries is two ints at every attempt.
+# frontier it carries is two ints at every attempt.  Every read carries
+# the ``watch`` flag and the ``watcher`` name, though only a ``get`` can
+# set a watch (real ZooKeeper read requests carry a watch flag too):
+# their bytes are in every read's size, so dropping them is a change of
+# its own that moves every digest.
 _READ_ARGS = estimate_size({"op": "", "path": "", "watch": False,
                             "watcher": "", "epoch": 0, "zxid": 0}, 1)
 
@@ -97,10 +100,8 @@ class ZkClient:
         # on the next ``get``.
         self.last_epoch = 0
         self.last_zxid = 0
-        # path -> one-shot callbacks, one table per watch kind: the
-        # server fires data and child watches on the same path apart.
+        # path -> one-shot data-watch callbacks.
         self._data_watches: dict[str, list[Callable[[dict], None]]] = {}
-        self._child_watches: dict[str, list[Callable[[dict], None]]] = {}
         self._ping_proc = None
         # Stats for the ZK-usage benches.
         self.ops_sent = 0
@@ -231,18 +232,6 @@ class ZkClient:
                                          "sequential": sequential})
         return result["path"]
 
-    def ensure_path(self, path: str):
-        """Create all missing ancestors of ``path`` (and ``path`` itself)."""
-        parts = [p for p in path.strip("/").split("/") if p]
-        current = ""
-        for part in parts:
-            current += "/" + part
-            try:
-                yield from self.create(current)
-            except NodeExistsError:
-                pass
-        return path
-
     def set(self, path: str, data: bytes, version: int = -1):
         """Replace data; returns the new stat dict."""
         result = yield from self._write({"type": "set", "path": path,
@@ -253,12 +242,6 @@ class ZkClient:
         """Delete a childless znode."""
         yield from self._write({"type": "delete", "path": path,
                                 "version": version})
-
-    def sync(self):
-        """Catch the connected member up to the leader's zxid before
-        reading (read-your-writes across members)."""
-        result = yield from self._call("zk.sync", {})
-        return result["zxid"]
 
     # -- transactions --------------------------------------------------------
     @staticmethod
@@ -291,9 +274,10 @@ class ZkClient:
         if seen > (self.last_epoch, self.last_zxid):
             self.last_epoch, self.last_zxid = seen
 
-    def _read(self, op: str, path: str, watched: bool):
+    def _read(self, op: str, path: str, watched: bool = False):
         """One ``zk.read``, its request sized by shape; the reply's
-        frontier is adopted."""
+        frontier is adopted.  ``watch`` and ``watcher`` ride every read
+        (see ``_READ_ARGS``); the server reads them for a ``get`` only."""
         self._m_reads.inc()
         # Fail-fast by design: see connect().
         # repro: allow[rpc-unhandled-failure]
@@ -313,22 +297,14 @@ class ZkClient:
             self._data_watches.setdefault(path, []).append(watch)
         return result["data"], result["stat"]
 
-    def exists(self, path: str, watch: Optional[Callable[[dict], None]] = None):
-        """Stat dict or None, with an optional one-shot watch."""
-        result = yield from self._read("exists", path, watch is not None)
-        if watch is not None:
-            self._m_watch_set.inc()
-            self._data_watches.setdefault(path, []).append(watch)
+    def exists(self, path: str):
+        """Stat dict or None."""
+        result = yield from self._read("exists", path)
         return result["stat"]
 
-    def get_children(self, path: str,
-                     watch: Optional[Callable[[dict], None]] = None):
-        """Sorted child names, with an optional one-shot child watch."""
-        result = yield from self._read("get_children", path,
-                                       watch is not None)
-        if watch is not None:
-            self._m_watch_set.inc()
-            self._child_watches.setdefault(path, []).append(watch)
+    def get_children(self, path: str):
+        """Sorted child names."""
+        result = yield from self._read("get_children", path)
         return result["children"]
 
     # -- watch dispatch ------------------------------------------------------
@@ -336,9 +312,7 @@ class ZkClient:
         if body.get("zk") != "watch":
             return
         event = body["event"]
-        table = (self._child_watches if event["type"] == EVENT_CHILD
-                 else self._data_watches)
-        callbacks = table.pop(event["path"], [])
+        callbacks = self._data_watches.pop(event["path"], [])
         if callbacks:
             self._m_watch_fired.inc(len(callbacks))
         for cb in callbacks:

@@ -50,7 +50,7 @@ from ..net.simulator import Simulator
 from ..net.transport import Network, estimate_size
 from .session import SessionTable
 from .watches import WatchRegistry
-from .znode import Stat, ZkError, ZnodeTree, parent_of
+from .znode import Stat, ZkError, ZnodeTree
 
 __all__ = ["ZkConfig", "ZkServer", "RPC_TIMEOUT", "PROPOSAL_TIMEOUT"]
 
@@ -222,7 +222,6 @@ class ZkServer:
         # entries here.
         r("zk.propose", self._h_propose)
         r("zk.sync_req", self._h_sync_req)
-        r("zk.sync", self._h_sync)
         r("zk.vote_req", self._h_vote_req)
 
     # ======================================================================
@@ -266,7 +265,8 @@ class ZkServer:
                                     "session": args["session"]})
 
     def _h_read(self, src: str, args: Any):
-        """Serve get/exists/get_children locally; register watches.
+        """Serve get/exists/get_children locally; a watched ``get``
+        registers a data watch.
 
         A client whose read frontier (epoch, zxid) is ahead of our
         applied state is refused with ``server-behind`` — serving it
@@ -280,22 +280,18 @@ class ZkServer:
         self.reads_served += 1
         op = args["op"]
         path = args["path"]
-        watch = args.get("watch", False)
-        watcher = args.get("watcher", src)
         epoch = self.epoch
         zxid = self.applied_zxid
         try:
             if op == "get":
                 data, stat = self.tree.get(path)
-                if watch:
-                    self.watches.add_data(path, watcher)
+                if args.get("watch"):
+                    self.watches.add_data(path, args.get("watcher", src))
                 return Sized({"data": data, "stat": vars(stat).copy(),
                               "epoch": epoch, "zxid": zxid},
                              _GET_REPLY + estimate_size(data, 2))
             if op == "exists":
                 stat = self.tree.exists(path)
-                if watch:
-                    self.watches.add_data(path, watcher)
                 if stat:
                     return Sized({"stat": vars(stat).copy(), "epoch": epoch,
                                   "zxid": zxid}, _EXISTS_REPLY)
@@ -303,8 +299,6 @@ class ZkServer:
                              _EXISTS_NONE)
             if op == "get_children":
                 children = self.tree.get_children(path)
-                if watch:
-                    self.watches.add_child(path, watcher)
                 return Sized({"children": children, "epoch": epoch,
                               "zxid": zxid},
                              _CHILDREN_REPLY + sum(map(len, children)))
@@ -580,7 +574,8 @@ class ZkServer:
 
         Watch firings are appended to ``pending_watches`` instead of
         sent immediately, so multi transactions can defer them until
-        the whole batch commits.
+        the whole batch commits.  A create fires none: a data watch sits
+        only on a znode a ``get`` found.
         """
         kind = op["type"]
         if kind == "create":
@@ -588,7 +583,6 @@ class ZkServer:
             actual = self.tree.create(op["path"], op["data"], zxid,
                                       ephemeral_owner=owner,
                                       sequential=op.get("sequential", False))
-            pending_watches.append(("create", actual))
             return {"path": actual}
         if kind == "set":
             stat = self.tree.set(op["path"], op["data"], zxid,
@@ -602,8 +596,7 @@ class ZkServer:
         raise ZkError(f"unknown-multi-op:{kind}")
 
     def _fire_watches(self, op_type: str, path: str) -> None:
-        for client, event in self.watches.events_for_txn(
-                op_type, path, parent_of(path)):
+        for client, event in self.watches.events_for_txn(op_type, path):
             self.watch_events_sent += 1
             self.rpc.notify(client, {"zk": "watch", "event": dict(event)},
                             _WATCH + len(event["type"]) + len(event["path"]))
@@ -735,38 +728,6 @@ class ZkServer:
     # ======================================================================
     # Snapshot sync
     # ======================================================================
-    def _h_sync(self, src: str, args: Any):
-        """Client ``sync``: wait until this member has applied at least
-        the leader's current zxid — read-your-writes for reads served by
-        a lagging follower (the real ZooKeeper sync semantics)."""
-        if self.is_leader:
-            return {"zxid": self.applied_zxid}
-        result = self.sim.event()
-        call = self.rpc.call_async(self.leader_name or "", "zk.sync", {})
-
-        def leader_answered(ev):
-            if not ev.ok:
-                if not result.triggered:
-                    result.fail(RpcRejected("no-leader"))
-                return
-            target = ev.value["zxid"]
-
-            def wait():
-                deadline = self.sim.now + PROPOSAL_TIMEOUT
-                while self.applied_zxid < target:
-                    if self.sim.now >= deadline:
-                        # Fall back to an explicit snapshot sync.
-                        yield from self._sync_from(self.leader_name)
-                        break
-                    yield self.sim.timeout(0.01)
-                if not result.triggered:
-                    result.succeed({"zxid": self.applied_zxid})
-
-            self.sim.process(wait(), name=f"{self.name}-sync-wait")
-
-        call.callbacks.append(leader_answered)
-        return result
-
     def _h_sync_req(self, src: str, args: Any):
         """Leader: ship a full snapshot to a lagging member."""
         if not self.is_leader:

@@ -1,26 +1,24 @@
-"""One-shot watch registry, per ensemble member.
+"""One-shot data watch registry, per ensemble member.
 
 ZooKeeper watches are registered at the server a client is connected to
-and fire *once* when that server applies a transaction touching the
-watched path.  Sedna deliberately avoids them for the vnode mapping
-("any change will result in an uncontrollable network storm", §III.E) —
-we implement them anyway because (a) the substrate should be complete
-and (b) the ZK-bottleneck ablation bench demonstrates the storm the
-paper worries about.
+and fire *once* when that server applies a transaction that sets or
+deletes the watched znode.  Sedna deliberately avoids them for the vnode
+mapping ("any change will result in an uncontrollable network storm",
+§III.E); they exist only so the ZK-bottleneck ablation can measure the
+storm the paper worries about, and that ablation sets ``get`` watches.
+So only data watches exist: no child watches, and no ``exists`` watch
+that fires on creation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+__all__ = ["WatchEvent", "WatchRegistry", "EVENT_DELETED", "EVENT_CHANGED"]
 
-__all__ = ["WatchEvent", "WatchRegistry",
-           "EVENT_CREATED", "EVENT_DELETED", "EVENT_CHANGED",
-           "EVENT_CHILD"]
-
-EVENT_CREATED = "created"
 EVENT_DELETED = "deleted"
 EVENT_CHANGED = "changed"
-EVENT_CHILD = "child"
+
+# The event a committed transaction of each kind fires on its path.
+_TXN_EVENTS = {"set": EVENT_CHANGED, "delete": EVENT_DELETED}
 
 
 class WatchEvent(dict):
@@ -31,57 +29,25 @@ class WatchEvent(dict):
 
 
 class WatchRegistry:
-    """Tracks data and child watches per (path, client)."""
+    """Tracks data watches per (path, client)."""
 
     def __init__(self):
         # path -> set of client endpoint names
         self.data_watches: dict[str, set[str]] = {}
-        self.child_watches: dict[str, set[str]] = {}
 
     def add_data(self, path: str, client: str) -> None:
-        """Watch data changes / creation / deletion of ``path``."""
+        """Watch data changes / deletion of ``path``."""
         self.data_watches.setdefault(path, set()).add(client)
-
-    def add_child(self, path: str, client: str) -> None:
-        """Watch the child list of ``path``."""
-        self.child_watches.setdefault(path, set()).add(client)
-
-    def drop_client(self, client: str) -> None:
-        """Remove every watch owned by a disconnected client."""
-        for table in (self.data_watches, self.child_watches):
-            for path in list(table):
-                table[path].discard(client)
-                if not table[path]:
-                    del table[path]
-
-    def _take(self, table: dict[str, set[str]], path: str) -> set[str]:
-        return table.pop(path, set())
 
     def fire_data(self, path: str, event_type: str) -> list[tuple[str, WatchEvent]]:
         """Consume data watches on ``path``; returns (client, event) pairs."""
         return [(client, WatchEvent(event_type, path))
-                for client in sorted(self._take(self.data_watches, path))]
+                for client in sorted(self.data_watches.pop(path, ()))]
 
-    def fire_child(self, path: str) -> list[tuple[str, WatchEvent]]:
-        """Consume child watches on ``path``."""
-        return [(client, WatchEvent(EVENT_CHILD, path))
-                for client in sorted(self._take(self.child_watches, path))]
-
-    def events_for_txn(self, op_type: str, path: str,
-                       parent: str) -> list[tuple[str, WatchEvent]]:
+    def events_for_txn(self, op_type: str,
+                       path: str) -> list[tuple[str, WatchEvent]]:
         """All watch firings a committed transaction causes."""
-        out: list[tuple[str, WatchEvent]] = []
-        if op_type == "create":
-            out += self.fire_data(path, EVENT_CREATED)
-            out += self.fire_child(parent)
-        elif op_type == "delete":
-            out += self.fire_data(path, EVENT_DELETED)
-            out += self.fire_child(parent)
-        elif op_type == "set":
-            out += self.fire_data(path, EVENT_CHANGED)
-        return out
-
-    def count(self) -> int:
-        """Total outstanding watch registrations (both kinds)."""
-        return (sum(len(s) for s in self.data_watches.values())
-                + sum(len(s) for s in self.child_watches.values()))
+        event_type = _TXN_EVENTS.get(op_type)
+        if event_type is None:
+            return []
+        return self.fire_data(path, event_type)

@@ -400,7 +400,7 @@ class TestRealTree:
         # docs/protocols.md; renames must show up here.
         for expected in ("sedna.write", "sedna.cread", "replica.write",
                          "replica.ping", "replica.fetch", "migrate.begin",
-                         "zk.propose", "zk.vote_req", "mc.mget",
+                         "zk.propose", "zk.vote_req", "mc.get",
                          "stats.vnodes"):
             assert expected in methods, expected
         # The notify-path zk control messages must NOT be RPC methods.

@@ -99,17 +99,6 @@ class TestMemcachedCluster:
 
         assert run(sim, script()) == b"v"
 
-    def test_delete(self, world):
-        sim, _net, cluster = world
-        client = cluster.client()
-
-        def script():
-            yield from client.set(b"k", b"v", copies=3)
-            yield from client.delete(b"k", copies=3)
-            return (yield from client.get(b"k", copies=3))
-
-        assert run(sim, script()) is None
-
     def test_crashed_server_fails_its_shard_only(self, world):
         sim, _net, cluster = world
         client = cluster.client()

@@ -50,8 +50,3 @@ def test_elastic_scaling():
     out = run_example("elastic_scaling.py")
     assert "300/300 keys correct after scaling" in out
     assert "post-GC verification: 300/300" in out
-
-
-def test_coordination():
-    out = run_example("coordination.py")
-    assert "every job consumed exactly once" in out

@@ -323,9 +323,9 @@ class TestEveryMessageIsSizedExactly:
             yield from doomed.create("/a/e", b"", ephemeral=True)
             data, stat = yield from zk.get("/a", watch=fired.append)
             assert (data, stat["version"]) == (b"payload", 0)
+            yield from zk.get("/a/e", watch=fired.append)
             assert (yield from zk.exists("/missing")) is None
-            assert (yield from zk.get_children(
-                "/a", watch=fired.append)) == ["b", "e"]
+            assert (yield from zk.get_children("/a")) == ["b", "e"]
             yield from zk.set("/a", b"v2")           # the data watch fires
             deep = dict(zk.op_create("/a/d"), note=[[["x"]]])
             assert len((yield from zk.multi([deep]))) == 1
@@ -337,14 +337,14 @@ class TestEveryMessageIsSizedExactly:
                 server.tree.root.children["a"].data = nested
             assert (yield from zk.get("/a"))[0] == nested
             doomed.crash()
-            # The session expires, its ephemeral goes, the child watch
-            # fires.
+            # The session expires, its ephemeral goes, the ephemeral's
+            # data watch fires.
             yield sim.timeout(3 * doomed.session_timeout)
             assert (yield from zk.get_children("/a")) == ["b", "d"]
 
         sim.run(until=sim.process(script()))
         assert [(e["type"], e["path"]) for e in fired] == [
-            ("changed", "/a"), ("child", "/a")]
+            ("changed", "/a"), ("deleted", "/a/e")]
         every_message(150)
 
     def test_refusals(self, every_message, pair):

@@ -24,31 +24,6 @@ class TestBasicCommands:
         assert store.get(b"k") == b"v2"
         assert len(store) == 1
 
-    def test_delete(self, store):
-        store.set(b"k", b"v")
-        assert store.delete(b"k") == StoreResult.DELETED
-        assert store.delete(b"k") == StoreResult.NOT_FOUND
-        assert store.get(b"k") is None
-
-    def test_get_many(self, store):
-        store.set(b"a", b"1")
-        store.set(b"b", b"2")
-        assert store.get_many([b"a", b"b", b"c"]) == {b"a": b"1", b"b": b"2"}
-
-    def test_get_multi_skips_misses(self, store):
-        # Deleted keys are misses too, not just keys never set.
-        store.set(b"a", b"1")
-        store.set(b"b", b"2")
-        store.delete(b"b")
-        assert store.get_many([b"a", b"b", b"ghost"]) == {b"a": b"1"}
-
-    def test_set_multi_one_result_per_key(self, store):
-        results = store.set_multi({b"a": b"1", b"b": b"2"})
-        assert results == {b"a": StoreResult.STORED,
-                           b"b": StoreResult.STORED}
-        assert store.get(b"a") == b"1"
-        assert store.get(b"b") == b"2"
-
     def test_contains_len(self, store):
         store.set(b"a", b"1")
         assert b"a" in store and b"b" not in store
@@ -87,13 +62,16 @@ class TestEviction:
         assert store.get(keys[0]) == value, "recently read key must survive"
         assert store.get(keys[1]) is None, "the true LRU key is evicted"
 
-    def test_delete_frees_chunk_for_reuse(self):
+    def test_overwrite_frees_chunk_for_reuse(self):
+        """An overwrite frees the old item's chunk before it allocates,
+        so rewriting a key in a full class evicts nothing."""
         store = MemStore(memory_limit=1 << 20)
         value = b"x" * 900
         cls = store.slabs.class_for(5 + len(value) + 48)
         for i in range(cls.chunks_per_page):
             store.set(f"k{i:04d}".encode(), value)
-        store.delete(b"k0000")
-        store.set(b"fresh", value)
+        assert store.set(b"k0000", b"y" * 900) == StoreResult.STORED
         assert store.evictions == 0
+        assert store.get(b"k0000") == b"y" * 900
+        assert len(store) == cls.chunks_per_page
 

@@ -103,16 +103,6 @@ class TestBasicOps:
 
         assert run_client(sim, ens, script) == "ok"
 
-    def test_ensure_path(self, world):
-        sim, _net, ens = world
-
-        def script(zk):
-            yield from zk.ensure_path("/a/b/c")
-            yield from zk.ensure_path("/a/b/c")  # idempotent
-            return (yield from zk.exists("/a/b/c")) is not None
-
-        assert run_client(sim, ens, script) is True
-
 
 class TestReplication:
     def test_all_members_converge(self, world):
@@ -198,6 +188,40 @@ class TestEphemerals:
         sim.run(until=sim.now + 1.0)
         assert ens.leader().tree.exists("/live") is None
 
+    def test_sequential_ephemerals_of_an_expired_session_go(self, world):
+        """Sequential ephemerals from two sessions interleave in one
+        numbering; an expiry removes only the dead session's, and the
+        sequence never reuses their numbers."""
+        sim, _net, ens = world
+        dying, living = ens.client("dying"), ens.client("living")
+
+        def setup():
+            for zk in (dying, living):
+                yield from zk.connect()
+            yield from living.create("/q", b"")
+            made = []
+            for zk in (dying, living, dying):
+                made.append((yield from zk.create("/q/n-", b"",
+                                                  ephemeral=True,
+                                                  sequential=True)))
+            return made
+
+        made = sim.run(until=sim.process(setup()))
+        assert made == ["/q/n-0000000000", "/q/n-0000000001",
+                        "/q/n-0000000002"]
+        dying.crash()
+        sim.run(until=sim.now + 4 * ens.config.session_timeout)
+
+        def after():
+            children = yield from living.get_children("/q")
+            fresh = yield from living.create("/q/n-", b"", ephemeral=True,
+                                             sequential=True)
+            return children, fresh
+
+        children, fresh = sim.run(until=sim.process(after()))
+        assert children == ["n-0000000001"]
+        assert fresh == "/q/n-0000000003"
+
 
 class TestWatches:
     def test_data_watch_fires_on_set(self, world):
@@ -228,20 +252,6 @@ class TestWatches:
             return events
 
         assert len(run_client(sim, ens, script)) == 1
-
-    def test_child_watch_fires_on_create(self, world):
-        sim, _net, ens = world
-        events = []
-
-        def script(zk):
-            yield from zk.create("/p", b"")
-            yield from zk.get_children("/p", watch=events.append)
-            yield from zk.create("/p/kid", b"")
-            yield sim.timeout(0.5)
-            return events
-
-        got = run_client(sim, ens, script)
-        assert got and got[0]["type"] == "child"
 
 
 class TestFailover:

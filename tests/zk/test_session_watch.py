@@ -1,8 +1,7 @@
 """Unit tests for the session table and watch registry."""
 
 from repro.zk.session import SessionTable
-from repro.zk.watches import (EVENT_CHANGED, EVENT_CHILD, EVENT_CREATED,
-                              EVENT_DELETED, WatchRegistry)
+from repro.zk.watches import EVENT_CHANGED, EVENT_DELETED, WatchRegistry
 
 
 class TestSessionTable:
@@ -64,45 +63,26 @@ class TestWatchRegistry:
         fired = reg.fire_data("/a", EVENT_DELETED)
         assert [c for c, _ in fired] == ["c1", "c2"]
 
-    def test_child_watch(self):
+    def test_events_for_set(self):
         reg = WatchRegistry()
-        reg.add_child("/p", "c1")
-        fired = reg.fire_child("/p")
-        assert fired[0][1]["type"] == EVENT_CHILD
-
-    def test_events_for_create(self):
-        reg = WatchRegistry()
-        reg.add_data("/p/x", "c1")   # exists-watch on the new node
-        reg.add_child("/p", "c2")    # child-watch on the parent
-        events = reg.events_for_txn("create", "/p/x", "/p")
-        types = sorted(e["type"] for _, e in events)
-        assert types == [EVENT_CHILD, EVENT_CREATED]
+        reg.add_data("/p/x", "c1")
+        reg.add_data("/p", "c2")     # the parent's watch stays put
+        assert reg.events_for_txn("set", "/p/x") == [
+            ("c1", {"type": EVENT_CHANGED, "path": "/p/x"})]
+        assert reg.events_for_txn("set", "/p/x") == []
+        assert reg.data_watches == {"/p": {"c2"}}
 
     def test_events_for_delete(self):
         reg = WatchRegistry()
         reg.add_data("/p/x", "c1")
-        reg.add_child("/p", "c1")
-        events = reg.events_for_txn("delete", "/p/x", "/p")
-        assert len(events) == 2
+        reg.add_data("/p", "c2")
+        assert reg.events_for_txn("delete", "/p/x") == [
+            ("c1", {"type": EVENT_DELETED, "path": "/p/x"})]
+        assert reg.data_watches == {"/p": {"c2"}}
 
-    def test_events_for_set_no_child_watch(self):
+    def test_events_for_create(self):
+        """A create fires nothing, on its path or its parent."""
         reg = WatchRegistry()
-        reg.add_child("/p", "c1")
-        assert reg.events_for_txn("set", "/p/x", "/p") == []
-
-    def test_drop_client(self):
-        reg = WatchRegistry()
-        reg.add_data("/a", "c1")
-        reg.add_data("/a", "c2")
-        reg.add_child("/b", "c1")
-        reg.drop_client("c1")
-        assert reg.count() == 1
-        assert reg.fire_data("/a", EVENT_CHANGED) == [
-            ("c2", {"type": EVENT_CHANGED, "path": "/a"})]
-
-    def test_count(self):
-        reg = WatchRegistry()
-        assert reg.count() == 0
-        reg.add_data("/a", "c1")
-        reg.add_child("/a", "c1")
-        assert reg.count() == 2
+        reg.add_data("/p", "c1")
+        assert reg.events_for_txn("create", "/p/x") == []
+        assert reg.data_watches == {"/p": {"c1"}}
