@@ -79,7 +79,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\nrunning the data-balance manager...")
     rebalancer = Rebalancer(cluster.nodes["node0"], interval=0.5,
-                            threshold=1, max_moves_per_pass=6)
+                            max_moves_per_pass=6)
     rebalancer.start()
     cluster.settle(20.0)
     rebalancer.stop()

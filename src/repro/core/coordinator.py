@@ -30,8 +30,9 @@ batched operations group their keys by virtual node and run the groups
 concurrently, issuing **one** ``replica.mread``/``mwrite``/``mdelete``
 per replica per group (Keyspace/Spinnaker-style batching: the
 per-message and per-quorum overhead is amortized over the whole
-group).  Concurrent single-key reads of the same key coalesce onto
-shared fan-out rounds (thundering-herd protection).
+group).  A single-key read is exactly the paper's one fan-out: every
+caller pays its own round.  A timed op is observed once, from its
+invocation to its reply, retries included.
 """
 
 from __future__ import annotations
@@ -287,8 +288,7 @@ class _Op(NamedTuple):
     ack: Optional[Callable[[dict, str], Any]] = None
     merge: Any = None   # reads: _LwwMerge or _DvvMerge
     repair: str = ""    # reads: method that pushes the merged rows back
-    latency: str = ""   # coord.<latency>.latency observed per attempt
-    coalesce: bool = False  # concurrent callers share fan-out rounds
+    latency: str = ""   # coord.<latency>.latency: invocation→reply, once
     mint: bool = False  # causal write: dot-minting two-phase round
     #: The fan-out payload is ``{"vnode", "key"}``: sized from its shape.
     key_payload: bool = False
@@ -308,7 +308,7 @@ OPS: dict[str, _Op] = {
             (key,) if reply["status"] == WriteOutcome.OK else ())),
     "sedna.read": _Op(
         counter="coordinated_reads", span="coord.read",
-        read=True, coalesce=True,
+        read=True, latency="read",
         items=lambda args: [args["key"]],
         replica="replica.read", key_payload=True,
         replica_args=lambda vnode, items, args: {
@@ -375,22 +375,6 @@ OPS: dict[str, _Op] = {
 }
 
 
-class _InflightRead:
-    """One in-flight read round in the coalescing map.
-
-    ``done`` carries the round's result to followers; ``started`` is
-    the simulated instant the round's fan-out was issued — the
-    freshness-safety watermark followers compare their own invocation
-    time against.
-    """
-
-    __slots__ = ("done", "started")
-
-    def __init__(self, done: Event, started: float):
-        self.done = done
-        self.started = started
-
-
 class QuorumCoordinator:
     """Runs quorum reads/writes against the replica plane.
 
@@ -421,13 +405,12 @@ class QuorumCoordinator:
         self.local_name = local_name
         self.local_dispatch = local_dispatch
         self.on_suspect = on_suspect
-        # In-flight read rounds, keyed by (key, mode), for coalescing.
-        self._inflight_reads: dict[tuple[str, str], _InflightRead] = {}
         # Stats.  The coordinated_* counters count fan-out *rounds*: a
         # retried write counts twice, a batch once per vnode-group.
         for op in OPS.values():
             setattr(self, op.counter, 0)
-        #: Reads answered by a round another read led.
+        #: Always 0: every read leads its own round.  Kept only for its
+        #: one reader, ``snapshot`` in ``benchmarks/e2e/workloads.py``.
         self.coalesced_reads = 0
         self.read_repairs = 0
         # Observability: fan-out depth / laggard / repair series plus
@@ -442,10 +425,8 @@ class QuorumCoordinator:
         self._m_suspects = metrics.counter("quorum.suspects", node=owner)
         metrics.count_from(self, "read_repairs", "quorum.read_repairs",
                            node=owner)
-        metrics.count_from(self, "coalesced_reads", "quorum.coalesced_reads",
-                           node=owner)
         # End-to-end coordinator latency (the number the rebalance bench
-        # reports as p99): observed per request at quorum settle.
+        # reports as p99): observed once per request, invocation→reply.
         self._m_latency = {
             kind: metrics.histogram(
                 f"coord.{kind}.latency", node=owner,
@@ -547,11 +528,6 @@ class QuorumCoordinator:
         instead, inside ``reply["results"]``).
         """
         op = OPS[method]
-        if op.coalesce:
-            return self._coalesced(op, args)
-        return self._run(op, args)
-
-    def _run(self, op: _Op, args: Any):
         span = self._span(op.span)
         items = op.items(args)
         try:
@@ -590,55 +566,6 @@ class QuorumCoordinator:
             raise
         if span is not None:
             self._tracer.finish(span, **tags)
-        return result
-
-    def _coalesced(self, op: _Op, args: Any):
-        """Single-key read entry: coalesces concurrent readers.
-
-        Concurrent reads of the same ``(key, mode)`` share fan-out
-        rounds instead of each paying its own N-way RPC storm
-        (thundering-herd protection).  Sharing is *freshness-safe*: a
-        follower only adopts a result whose fan-out started at or after
-        the follower's own invocation — every write acked before the
-        follower invoked is then visible in the shared result through
-        the R+W>N overlap.  Followers that arrive while an older round
-        is in flight wait it out and share the *next* round, so a herd
-        of K concurrent readers costs at most two fan-outs.  When a
-        round fails, its followers detach safely: each loops to either
-        share a round a sibling just started or lead its own.
-        """
-        key = op.items(args)[0]
-        token = (key, args.get("mode", "latest"))
-        invoked = self.sim.now
-        while True:
-            entry = self._inflight_reads.get(token)
-            if entry is None:
-                break
-            try:
-                shared = yield entry.done
-            except RpcError:
-                shared = None  # the round's leader failed: detach
-            if shared is not None and entry.started >= invoked:
-                self.coalesced_reads += 1
-                self._m_latency["read"].observe(self.sim.now - invoked)
-                return dict(shared)
-            # The settled round predates us (its replica responses may
-            # miss writes acked before we invoked) or failed: loop.
-        # Observable, never mandatory (quiet): every follower may have
-        # detached by the time the round settles.
-        entry = _InflightRead(self.sim.quiet_event(), self.sim.now)
-        self._inflight_reads[token] = entry
-        try:
-            result = yield from self._run(op, args)
-        except BaseException as err:
-            self._inflight_reads.pop(token, None)
-            if isinstance(err, Exception) and not entry.done.triggered:
-                entry.done.fail(err)
-            raise
-        self._inflight_reads.pop(token, None)
-        if not entry.done.triggered:
-            entry.done.succeed(result)
-        self._m_latency["read"].observe(self.sim.now - invoked)
         return result
 
     # -- the pipeline -------------------------------------------------------
@@ -681,6 +608,8 @@ class QuorumCoordinator:
 
         ``placed`` is the group's ``(vnode id, replicas)`` when the
         caller already looked it up (batches do, to form the groups).
+        An op with a ``latency`` series is observed once, from before
+        the first attempt to the reply, so retries and warm waits count.
         """
         cfg = self.config
         sim = self.sim
@@ -688,9 +617,9 @@ class QuorumCoordinator:
         quorum = cfg.read_quorum if op.read else cfg.write_quorum
         retried = False
         warm_waits = 0
+        started = sim.now
         while True:
             setattr(self, op.counter, getattr(self, op.counter) + 1)
-            started = sim.now
             if placed is None:
                 placed = yield from self._replica_set(key)
             vnode_id, replicas = placed

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ..storage.hashtable import fnv1a
 
@@ -122,7 +122,7 @@ class Ring:
             raise ValueError("need at least one virtual node")
         self.num_vnodes = num_vnodes
         self.assignment: list[str] = [self.UNASSIGNED] * num_vnodes
-        # n -> vnode -> replica set, for replicas_for without exclude.
+        # n -> vnode -> replica set, for replicas_for.
         # Valid for one state of ``assignment``: assign() and load(),
         # its only writers, clear it.
         self._replica_memo: dict[int, dict[int, list[str]]] = {}
@@ -168,9 +168,9 @@ class Ring:
         return counts
 
     # -- replica placement ------------------------------------------------
-    def replicas_for(self, vnode: int, n: int,
-                     exclude: Iterable[str] = ()) -> list[str]:
-        """The replica set [r1, r2, ... rn] for ``vnode``.
+    def replicas_for(self, vnode: int, n: int) -> list[str]:
+        """The replica set [r1, r2, ... rn] for ``vnode``: the owners
+        :meth:`walk_positions` finds, memoised.
 
         r1 is the vnode's primary; r2.. are the owners of the following
         vnodes walking clockwise, skipping duplicates — the classic
@@ -178,31 +178,14 @@ class Ring:
         Fewer than ``n`` names are returned when the cluster is smaller
         than the replication factor.  The list is the caller's own.
         """
-        by_vnode = None
-        if not exclude:
-            by_vnode = self._replica_memo.get(n)
-            if by_vnode is None:
-                by_vnode = self._replica_memo[n] = {}
-            memo = by_vnode.get(vnode)
-            if memo is not None:
-                return list(memo)
-        excluded = set(exclude)
-        out: list[str] = []
-        primary = self.assignment[vnode]
-        if primary != self.UNASSIGNED and primary not in excluded:
-            out.append(primary)
-        idx = vnode
-        for _ in range(self.num_vnodes):
-            if len(out) >= n:
-                break
-            idx = (idx + 1) % self.num_vnodes
-            candidate = self.assignment[idx]
-            if (candidate != self.UNASSIGNED and candidate not in out
-                    and candidate not in excluded):
-                out.append(candidate)
-        if by_vnode is not None:
-            by_vnode[vnode] = list(out)
-        return out
+        by_vnode = self._replica_memo.get(n)
+        if by_vnode is None:
+            by_vnode = self._replica_memo[n] = {}
+        memo = by_vnode.get(vnode)
+        if memo is None:
+            memo = by_vnode[vnode] = [
+                owner for _idx, owner in self.walk_positions(vnode, n)]
+        return list(memo)
 
     def replicas_for_key(self, encoded_key: str, n: int) -> tuple[int, list[str]]:
         """(vnode, replica set) for a key."""

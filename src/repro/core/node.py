@@ -1196,7 +1196,6 @@ class SednaNode:
             "vnodes": len(self.cache.ring.vnodes_of(self.name)),
             **{op.counter: getattr(coordinator, op.counter)
                for op in OPS.values()},
-            "coalesced_reads": coordinator.coalesced_reads,
             "replica_writes": self.replica_writes,
             "replica_reads": self.replica_reads,
             "investigations": self.investigations,

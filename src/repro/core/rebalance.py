@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..net.rpc import RpcRejected, RpcTimeout
@@ -154,10 +154,6 @@ class Migration:
     bytes_moved: int = 0
     reason: str = ""                # last failure, '' while healthy
     started_at: float = 0.0
-    history: list[str] = field(default_factory=list)
-
-    def note(self, event: str) -> None:
-        self.history.append(event)
 
 
 class Rebalancer:
@@ -452,7 +448,6 @@ class Rebalancer:
                     timeout=timeout)
                 migration.state = "copying"
                 migration.cursor = 0
-                migration.note("begin")
             # Chunked copy: donor walks its begin-time snapshot.
             while True:
                 chunk = yield from rpc.call(
@@ -470,7 +465,6 @@ class Rebalancer:
                 if chunk["done"]:
                     break
                 if budget <= 0:
-                    migration.note("parked")
                     return False, 0
             # Verified cutover: the receiver must hold everything the
             # donor holds before the assignment flips.
@@ -483,7 +477,6 @@ class Rebalancer:
                 self._abort(migration, "lost-ownership-race")
                 return False, budget
             migration.state = "done"
-            migration.note("committed")
             self.pending.pop(vnode_id, None)
             self.completed.append(migration)
             self.moves += 1
@@ -529,7 +522,6 @@ class Rebalancer:
                 {"keys": pull, "dvv_keys": dvv_pull},
                 timeout=timeout)
             yield from self._relay(migration, fetched)
-            migration.note(f"verify-pull:{len(pull) + len(dvv_pull)}")
         return False
 
     def _cutover(self, migration: Migration):
@@ -550,13 +542,13 @@ class Rebalancer:
             yield from rpc.call(migration.receiver, "migrate.settle",
                                 {"vnode": vnode_id}, timeout=timeout)
         except (RpcTimeout, RpcRejected):
-            migration.note("settle-lost")
+            pass
         try:
             yield from rpc.call(migration.donor, "migrate.end",
                                 {"vnode": vnode_id, "committed": True},
                                 timeout=timeout)
         except (RpcTimeout, RpcRejected):
-            migration.note("end-lost")
+            pass
         return True
 
     def _retry(self, migration: Migration, reason: str) -> None:
@@ -565,7 +557,6 @@ class Rebalancer:
         migration.reason = reason
         migration.state = "pending"
         migration.cursor = 0
-        migration.note(f"retry:{reason}")
         if migration.attempts >= MAX_ATTEMPTS:
             self._abort(migration, reason)
 
@@ -573,7 +564,6 @@ class Rebalancer:
         """Give up on a migration: the donor keeps the vnode."""
         migration.state = "aborted"
         migration.reason = reason
-        migration.note(f"abort:{reason}")
         self.pending.pop(migration.vnode, None)
         self.completed.append(migration)
         self.aborts += 1
@@ -588,4 +578,4 @@ class Rebalancer:
                 {"vnode": migration.vnode, "committed": False},
                 timeout=REQUEST_TIMEOUT)
         except (RpcTimeout, RpcRejected):
-            migration.note("abort-end-lost")
+            pass

@@ -473,9 +473,10 @@ class QuorumWait:
         self.fail_fast = fail_fast
         self.oks: list[tuple[Any, Any]] = []
         self.fails: list[tuple[Any, BaseException]] = []
-        # The wait is observable, never mandatory: a waiter that went
-        # away (coalesced follower, fire-and-forget repair) must not
-        # trip the kernel's unhandled-failure alarm.
+        # The wait is observable, never mandatory: a wait that fails
+        # before its waiter yields it (a batch read yields its per-key
+        # repair waits one by one) must not trip the kernel's
+        # unhandled-failure alarm.
         self.done = sim.quiet_event()
         self._settled = False
         self._armed = False

@@ -53,7 +53,6 @@ class FlightRecorder:
         self.samples: deque = deque(maxlen=max_samples)
         #: The packet tap's own ring once :meth:`observe_network` ran.
         self.packets: deque = deque(maxlen=max_packets)
-        self.dumps_taken = 0
         self._tracer: Optional[SpanTracer] = None
         self._tap: Optional[NetworkTap] = None
 
@@ -124,7 +123,6 @@ class FlightRecorder:
         rows; the full span trees of the traces that touched a
         violating key are embedded under ``traces``.
         """
-        self.dumps_taken += 1
         violating = self._violating_traces(list(anomalies))
         traces: dict[str, dict] = {}
         if self._tracer is not None:

@@ -38,13 +38,10 @@ class SimDisk:
     def __init__(self):
         self.logs: dict[str, list[Any]] = {}
         self.blobs: dict[str, Any] = {}
-        self.appends = 0
-        self.snapshots = 0
 
     def append(self, log_name: str, record: Any) -> None:
         """Append one record to a named log."""
         self.logs.setdefault(log_name, []).append(record)
-        self.appends += 1
 
     def read_log(self, log_name: str) -> list[Any]:
         """All records of a log (empty when absent)."""
@@ -57,7 +54,6 @@ class SimDisk:
     def write_blob(self, name: str, value: Any) -> None:
         """Atomically replace a whole-file blob (snapshot)."""
         self.blobs[name] = value
-        self.snapshots += 1
 
     def read_blob(self, name: str, default: Any = None) -> Any:
         """Blob contents or ``default``."""

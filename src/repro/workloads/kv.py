@@ -76,7 +76,6 @@ class ZipfGenerator:
             raise ValueError("space must be >= 1")
         if theta <= 0:
             raise ValueError("theta must be positive")
-        self.space = space
         self.theta = theta
         self._rng = random.Random(seed)
         self._cdf = _zipf_cdf(space, theta)

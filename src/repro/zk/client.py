@@ -102,9 +102,7 @@ class ZkClient:
         self.last_zxid = 0
         # path -> one-shot data-watch callbacks.
         self._data_watches: dict[str, list[Callable[[dict], None]]] = {}
-        self._ping_proc = None
         # Stats for the ZK-usage benches.
-        self.ops_sent = 0
         self.retries = 0
         self._m_reads = metrics.counter("zk.reads", node=name)
         self._m_writes = metrics.counter("zk.writes", node=name)
@@ -136,7 +134,6 @@ class ZkClient:
         """
         attempts = 2 * len(self.servers) + 1
         for attempt in range(1, attempts + 1):
-            self.ops_sent += 1
             if isinstance(args, dict) and "zxid" in args and "epoch" in args:
                 # Re-stamp the read frontier at every attempt.  A retry
                 # can go out long after the call was built, and other
@@ -180,8 +177,7 @@ class ZkClient:
         self.session_id = result["session"]
         self.session_timeout = result["timeout"]
         self.expired = False
-        self._ping_proc = self.sim.process(self._pinger(),
-                                           name=f"{self.name}-pinger")
+        self.sim.process(self._pinger(), name=f"{self.name}-pinger")
         return self.session_id
 
     def _pinger(self):

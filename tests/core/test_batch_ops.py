@@ -1,9 +1,9 @@
 """Batched quorum operations: vnode grouping, RPC budget, per-key
-statuses, partial-retry safety and read coalescing.
+statuses and partial-retry safety; single-key reads as one round each.
 
 The headline acceptance numbers live in the integration half (a 64-key
-``multi_read`` over 3 vnodes costs at most N x 3 = 9 replica RPCs; a
-herd of 8 concurrent readers costs one fan-out); the unit half pins
+``multi_read`` over 3 vnodes costs at most N x 3 = 9 replica RPCs; 8
+concurrent single-key readers cost 8 fan-outs); the unit half pins
 down the per-group decision logic against scripted replicas, mirroring
 ``test_coordinator_unit.py``.
 """
@@ -11,13 +11,14 @@ down the per-group decision logic against scripted replicas, mirroring
 import pytest
 
 from repro.core.cluster import SednaCluster
-from repro.core.config import SednaConfig
+from repro.core.config import REQUEST_TIMEOUT, SednaConfig
 from repro.core.coordinator import QuorumCoordinator, wire_elements
 from repro.core.hashring import Ring
-from repro.net.latency import NoLatency
+from repro.net.latency import NoLatency, UniformLatency
 from repro.net.rpc import RpcNode, RpcRejected
 from repro.net.simulator import Simulator
 from repro.net.transport import Network
+from repro.obs import Observability
 from repro.storage.versioned import ValueElement, WriteOutcome
 
 
@@ -73,8 +74,12 @@ class TestBatchRpcBudget:
         assert rpcs <= 9, f"multi_write cost {rpcs} RPCs"
 
 
-class TestReadCoalescing:
-    def test_concurrent_herd_shares_one_round(self, batch_cluster):
+class TestOneRoundPerRead:
+    """A single-key read is exactly one fan-out to all N replicas
+    (§III.C): concurrent reads of one key never share or wait on each
+    other's rounds."""
+
+    def test_concurrent_reads_each_fan_out(self, batch_cluster):
         cluster = batch_cluster
         smart = cluster.smart_client("herd-client")
 
@@ -83,54 +88,84 @@ class TestReadCoalescing:
             yield from smart.write_latest("herd-key", "herd-value")
 
         cluster.run(write())
-        before_rpcs = smart.rpc.calls_issued
-        before_coalesced = smart.coordinator.coalesced_reads
+        before = smart.rpc.calls_issued
         results = cluster.run_all(
             [smart.read_latest("herd-key") for _ in range(8)])
-        herd_rpcs = smart.rpc.calls_issued - before_rpcs
-        coalesced = smart.coordinator.coalesced_reads - before_coalesced
         assert results == ["herd-value"] * 8
-        assert coalesced == 7, "seven of eight readers shared the round"
-        assert herd_rpcs <= 3, f"herd cost {herd_rpcs} RPCs, not one fan-out"
+        assert smart.rpc.calls_issued - before == 8 * 3
 
-    def test_sequential_reads_do_not_coalesce(self, batch_cluster):
-        """Back-to-back (non-overlapping) reads each lead their own
-        round — coalescing must never serve a round that started before
-        the reader invoked."""
-        cluster = batch_cluster
-        smart = cluster.smart_client("seq-client")
-
-        def script():
-            yield from smart.connect()
-            yield from smart.write_latest("seq-key", "v")
-            base = smart.coordinator.coalesced_reads
-            yield from smart.read_latest("seq-key")
-            yield from smart.read_latest("seq-key")
-            return smart.coordinator.coalesced_reads - base
-
-        assert cluster.run(script()) == 0
-
-    def test_waiting_out_an_older_round_is_not_coalescing(
-            self, batch_cluster):
-        """A read invoked while an older round of its key is in flight
-        may not adopt that round's result: it waits the round out, then
-        leads its own.  Two full fan-outs, nothing shared, so nothing
-        counts as coalesced."""
-        cluster = batch_cluster
+    def test_a_read_never_waits_out_an_older_round(self):
+        """A read invoked while an older read of its key is in flight
+        takes exactly as long as one invoked the same way behind a read
+        of another key: one round, behind the same service queues."""
+        cluster = SednaCluster(
+            n_nodes=3, zk_size=1, config=SednaConfig(num_vnodes=3),
+            latency=UniformLatency(propagation=200e-6, jitter=0.0))
+        cluster.start()
         smart = cluster.smart_client("late-client")
 
+        def timed(key):
+            invoked = cluster.sim.now
+            value = yield from smart.read_latest(key)
+            return value, cluster.sim.now - invoked
+
+        def behind(older, key):
+            first = cluster.sim.process(timed(older))
+            yield cluster.sim.timeout(1e-4)
+            second = yield from timed(key)
+            yield first
+            return second
+
         def script():
             yield from smart.connect()
-            yield from smart.write_latest("late-key", "v")
+            yield from smart.write_latest("key-a", "va")
+            yield from smart.write_latest("key-b", "vb")
+            other = yield from behind("key-b", "key-a")
             rpcs = smart.rpc.calls_issued
-            base = smart.coordinator.coalesced_reads
-            first = cluster.sim.process(smart.read_latest("late-key"))
-            yield cluster.sim.timeout(1e-4)
-            second = yield from smart.read_latest("late-key")
-            return ((yield first), second, smart.rpc.calls_issued - rpcs,
-                    smart.coordinator.coalesced_reads - base)
+            same = yield from behind("key-a", "key-a")
+            return other, same, smart.rpc.calls_issued - rpcs
 
-        assert cluster.run(script()) == ("v", "v", 6, 0)
+        other, same, rpcs = cluster.run(script())
+        assert rpcs == 2 * 3, "two reads, two fan-outs"
+        assert other[0] == same[0] == "va"
+        assert same[1] == pytest.approx(other[1], rel=1e-9)
+
+
+class TestLatencyFromInvocation:
+    def test_a_retried_write_records_its_whole_latency(self):
+        """``coord.write.latency`` times a write from its invocation to
+        its reply, once: a first round that times out counts."""
+        obs = Observability()
+        cluster = SednaCluster(n_nodes=3, zk_size=1,
+                               config=SednaConfig(num_vnodes=3), seed=7,
+                               obs=obs)
+        cluster.start()
+        smart = cluster.smart_client("retry-client")
+        # Two of the three replicas drop their first replica.write.
+        for name in cluster.node_names[:2]:
+            rpc = cluster.nodes[name].rpc
+            handler = rpc._handlers["replica.write"]
+            silent = [cluster.sim.event()]
+
+            def once(src, args, handler=handler, silent=silent):
+                return silent.pop() if silent else handler(src, args)
+
+            rpc.register("replica.write", once)
+
+        def script():
+            yield from smart.connect()
+            invoked = cluster.sim.now
+            status = yield from smart.write_latest("slow-key", "v")
+            return status, cluster.sim.now - invoked
+
+        status, took = cluster.run(script())
+        assert status == WriteOutcome.OK
+        assert smart.coordinator.coordinated_writes == 2, "retried once"
+        latency = obs.snapshot()["series"][
+            "retry-client/coord.write.latency"]
+        assert latency["count"] == 1
+        assert latency["sum"] == pytest.approx(took)
+        assert latency["sum"] >= REQUEST_TIMEOUT
 
 
 # ======================================================================

@@ -105,11 +105,6 @@ class TestReplicaPlacement:
         ring.assign(1, "only")
         assert ring.replicas_for(0, 3) == ["only"]
 
-    def test_exclude(self):
-        ring = balanced_ring(nodes=("a", "b", "c", "d"))
-        replicas = ring.replicas_for(0, 3, exclude=["a"])
-        assert "a" not in replicas and len(replicas) == 3
-
     def test_walk_positions_matches_replicas(self):
         ring = balanced_ring()
         for v in (0, 7, 33):
@@ -150,14 +145,13 @@ class TestBuildAssignment:
         assert moved > num_vnodes * 0.5
 
 
-def walk(assignment, vnode, n, exclude=()):
+def walk(assignment, vnode, n):
     """Successor-list placement spelled out (what ``replicas_for``
     computed before it remembered answers)."""
     out = []
     for step in range(len(assignment) + 1):
         owner = assignment[(vnode + step) % len(assignment)]
-        if (step == 0 or len(out) < n) and owner and owner not in out \
-                and owner not in exclude:
+        if (step == 0 or len(out) < n) and owner and owner not in out:
             out.append(owner)
     return out
 
@@ -197,24 +191,15 @@ class TestMemosStayFresh:
         assert ring.replicas_for(0, 0) == ["a"]    # r1 whatever n says
         assert ring.replicas_for(0, 3) == ["a", "b", "c"]
 
-    def test_exclude_bypasses_the_memo(self):
-        ring = balanced_ring(8, ("a", "b", "c", "d"))
-        assert ring.replicas_for(0, 3) == ["a", "b", "c"]
-        assert ring.replicas_for(0, 3, exclude=["b"]) == ["a", "c", "d"]
-        assert ring.replicas_for(0, 3, exclude={"a"}) == ["b", "c", "d"]
-        assert ring.replicas_for(0, 3, exclude=iter(["c"])) == ["a", "b", "d"]
-        assert ring.replicas_for(0, 3) == ["a", "b", "c"]
-
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from(["", "a", "b", "c", "d", "e"]),
                     min_size=1, max_size=12),
            st.lists(st.tuples(st.integers(0, 11),
                               st.sampled_from(["", "a", "b", "f"])),
                     max_size=6),
-           st.integers(1, 4),
-           st.sets(st.sampled_from(["a", "b", "c"]), max_size=2))
+           st.integers(1, 4))
     def test_matches_the_plain_walk_through_reassignments(
-            self, owners, moves, n, exclude):
+            self, owners, moves, n):
         ring = Ring(len(owners))
         ring.load(owners)
 
@@ -223,8 +208,6 @@ class TestMemosStayFresh:
                 for _ in range(2):      # miss, then hit
                     assert ring.replicas_for(v, n) == walk(
                         ring.assignment, v, n)
-                assert ring.replicas_for(v, n, exclude) == walk(
-                    ring.assignment, v, n, exclude)
 
         check()
         for vnode, owner in moves:
