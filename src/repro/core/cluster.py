@@ -27,7 +27,7 @@ from ..obs import OFF
 from ..persistence.disk import SimDisk
 from ..zk.ensemble import ZkEnsemble
 from ..zk.server import ZkConfig
-from .cache import ZkLayout
+from .cache import create_namespace
 from .hashring import build_assignment
 from .client import SednaClient, SmartSednaClient
 from .config import SednaConfig
@@ -110,15 +110,9 @@ class SednaCluster:
         """Create the /sedna namespace with a balanced assignment."""
         zk = self.ensemble.client("bootstrap")
         yield from zk.connect()
-        yield from zk.create(ZkLayout.ROOT, b"")
-        for path in (ZkLayout.REAL_NODES, ZkLayout.VNODES,
-                     ZkLayout.CHANGELOG, ZkLayout.IMBALANCE):
-            yield from zk.create(path, b"")
-        owners = build_assignment(self.config.num_vnodes, self.node_names)
-        for vnode_id, owner in enumerate(owners):
-            yield from zk.create(ZkLayout.vnode(vnode_id), owner.encode())
-        yield from zk.create(ZkLayout.CONFIG,
-                             str(self.config.num_vnodes).encode())
+        yield from create_namespace(
+            zk, self.config.num_vnodes,
+            build_assignment(self.config.num_vnodes, self.node_names))
         yield from zk.close()
 
     # -- handles ---------------------------------------------------------------

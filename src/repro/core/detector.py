@@ -18,7 +18,6 @@ to close that gap: :class:`ActiveDetector` runs on every node and
 from __future__ import annotations
 
 from ..net.rpc import RpcRejected, RpcTimeout
-from .cache import ZkLayout
 from .node import SednaNode
 
 __all__ = ["ActiveDetector"]
@@ -90,13 +89,10 @@ class ActiveDetector:
             return
         except (RpcTimeout, RpcRejected):
             pass
-        # Silent peer: confirm against ZooKeeper (§III.D).
-        try:
-            stat = yield from self.node.zk.exists(ZkLayout.real_node(peer))
-        except (RpcTimeout, RpcRejected):
+        # Silent peer: confirm against ZooKeeper (§III.D); a live
+        # ephemeral means a transient hiccup.
+        if not (yield from self.node.placement.confirm_dead(peer)):
             return
-        if stat is not None:
-            return  # transient; the ephemeral still lives
         self.deaths_confirmed += 1
         self._enqueue_repairs(peer)
 
@@ -124,7 +120,7 @@ class ActiveDetector:
                 self.proactive_recoveries += 1
                 # Heal the mapping if the corpse is still in this
                 # vnode's walk (another detector may have beaten us)...
-                yield from self.node._recover_vnode(dead, vnode_id)
+                yield from self.node.recover(dead, vnode_id)
                 # ...then make sure every current member has the data.
                 yield from self.node.reconcile_vnode(vnode_id)
                 budget -= 1

@@ -10,20 +10,16 @@ Every server in the data center runs the same components (§III.A):
   :class:`~repro.core.coordinator.QuorumCoordinator` hashes the key to
   a virtual node, fans the operation out to all N replicas in parallel
   and answers once the R/W quorum is met (§III.C);
-* the **ZooKeeper client**: ephemeral registration under
-  ``/sedna/real_nodes``, the mapping cache with adaptive lease, and the
-  periodic imbalance-table push (§III.D–E);
-* **lazy recovery**: a replica that times out or refuses during a
-  read/write triggers an asynchronous investigation — if ZooKeeper
-  confirms the node is gone, the affected assignment entries are
-  rewritten and the lost replica re-duplicated from a healthy copy
-  (§III.C);
+* the **ZooKeeper client**, reached through the mapping cache and
+  :class:`~repro.core.cache.Placement` (§III.D–E);
+* **lazy recovery**: a replica that times out or refuses triggers an
+  investigation; placement rewrites a confirmed corpse's entries and
+  the node re-duplicates the lost replicas (§III.C);
 * the configured **persistence strategy** (none / snapshot / WAL).
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import Any, Optional
 
@@ -40,19 +36,14 @@ from ..storage.versioned import (ValueElement, VersionedStore, WriteOutcome,
                                  wire_dvv_row)
 from ..zk.client import ZkClient
 from ..zk.server import ZkConfig
-from ..zk.znode import BadVersionError, NodeExistsError, NoNodeError
 from .antientropy import digest_diff, dvv_digest_diff
-from .cache import MappingCache, ZkLayout
+from .cache import MappingCache, Placement
 from .config import REQUEST_TIMEOUT, SednaConfig
 from .coordinator import (OPS, QuorumCoordinator, unwire_elements,
                           wire_elements)
 from .hashring import Ring, VnodeStatus
 
 __all__ = ["SednaNode"]
-
-#: Concurrent vnode-acquisition workers during a join (§III.D; paper:
-#: 8-16).
-RETRIEVAL_THREADS = 8
 
 # The replica replies are sized from their shape (see
 # repro.net.rpc.Sized): a fixed skeleton plus, per key, its string and
@@ -101,6 +92,9 @@ class SednaNode:
                            metrics=handles)
         self.disk = disk if disk is not None else SimDisk()
         self._reset_volatile()
+        # The node's handle on the cluster state in ZooKeeper.  Like the
+        # coordinator it outlives a crash and follows the new cache.
+        self.placement = Placement(self.cache, name)
         self.coordinator = QuorumCoordinator(
             sim, self.rpc, self.cache, self.config,
             local_name=name, local_dispatch=self._local_dispatch,
@@ -206,21 +200,15 @@ class SednaNode:
         """The full join protocol; run as ``yield from node.join()``.
 
         1. local store is already up (constructed);
-        2. connect to ZooKeeper, run the initial procedure when first;
-        3. register the ephemeral liveness znode;
-        4. load the mapping and acquire virtual nodes with
-           :data:`RETRIEVAL_THREADS` concurrent workers;
-        5. start the lease loop, imbalance pusher and persistence.
+        2. connect to ZooKeeper, run the initial procedure when first,
+           register the ephemeral liveness znode;
+        3. load the mapping and claim virtual nodes (placement);
+        4. start the lease loop, imbalance pusher and persistence.
         """
         yield from self.zk.connect()
-        yield from self._ensure_initialized()
-        try:
-            yield from self.zk.create(ZkLayout.real_node(self.name), b"",
-                                      ephemeral=True)
-        except NodeExistsError:
-            pass  # stale ephemeral from a fast restart; session replaces it
+        yield from self.placement.register()
         yield from self.cache.load_full()
-        yield from self._acquire_vnodes()
+        yield from self.placement.acquire(self._took_over)
         self.cache.start_lease_loop()
         self.sim.process(self._imbalance_pusher(),
                          name=f"{self.name}-imbalance")
@@ -236,88 +224,20 @@ class SednaNode:
         return {key: list(row.elements)
                 for key, row in self.store.rows.items()}
 
-    def _ensure_initialized(self):
-        """First node creates the whole /sedna namespace (§III.E: 'it
-        only happens once when the Sedna cluster firstly starts up')."""
-        try:
-            yield from self.zk.create(ZkLayout.ROOT, b"")
-            initializer = True
-        except NodeExistsError:
-            initializer = False
-        if initializer:
-            for path in (ZkLayout.REAL_NODES, ZkLayout.VNODES,
-                         ZkLayout.CHANGELOG, ZkLayout.IMBALANCE):
-                yield from self.zk.create(path, b"")
-            for vnode_id in range(self.config.num_vnodes):
-                yield from self.zk.create(ZkLayout.vnode(vnode_id), b"")
-            yield from self.zk.create(
-                ZkLayout.CONFIG,
-                str(self.config.num_vnodes).encode())
-            return
-        # Someone else is initializing: wait for the config marker.
-        while True:
-            stat = yield from self.zk.exists(ZkLayout.CONFIG)
-            if stat is not None:
-                return
-            yield self.sim.timeout(0.2)
-
-    def _acquire_vnodes(self):
-        """Claim a fair share of virtual nodes, concurrently (§III.D)."""
-        live = yield from self.zk.get_children(ZkLayout.REAL_NODES)
-        target = max(1, math.ceil(self.config.num_vnodes / max(1, len(live))))
-        counts = self.cache.ring.load_counts()
-        mine = len(self.cache.ring.vnodes_of(self.name))
-        # Work list: unassigned vnodes first, then vnodes of overloaded owners.
-        candidates = self.cache.ring.unassigned()
-        overloaded = [v for v, owner in enumerate(self.cache.ring.assignment)
-                      if owner not in (Ring.UNASSIGNED, self.name)
-                      and counts.get(owner, 0) > target]
-        candidates.extend(overloaded)
-        queue = list(reversed(candidates))
-        state = {"mine": mine}
-
-        def worker():
-            while queue and state["mine"] < target:
-                vnode_id = queue.pop()
-                claimed = yield from self._try_claim(vnode_id, target)
-                if claimed:
-                    state["mine"] += 1
-
-        workers = [self.sim.process(worker(), name=f"{self.name}-acq{i}")
-                   for i in range(RETRIEVAL_THREADS)]
-        for proc in workers:
-            yield proc
-
-    def _try_claim(self, vnode_id: int, target: int):
-        """Version-checked claim of one vnode; True on success."""
-        try:
-            data, stat = yield from self.zk.get(ZkLayout.vnode(vnode_id))
-        except NoNodeError:
-            return False
-        owner = data.decode()
-        if owner == self.name:
-            self.cache.ring.assign(vnode_id, owner)
-            return False
-        if owner != Ring.UNASSIGNED:
-            if self.cache.ring.load_of(owner) <= target:
-                return False  # no longer overloaded
-        try:
-            yield from self.write_assignment(vnode_id, self.name,
-                                             stat["version"])
-        except (BadVersionError, NoNodeError):
-            return False  # raced with another joiner
-        self.cache.ring.assign(vnode_id, self.name)
+    def _took_over(self, vnode_id: int, predecessor: str):
+        """A join claim committed: track the vnode and, when it had an
+        owner, take its rows over."""
         status = self.vnode_status.setdefault(vnode_id, VnodeStatus())
-        if owner != Ring.UNASSIGNED:
+        if predecessor != Ring.UNASSIGNED:
             # The claim-time pull gives us the vnode's history up to
             # now, but coordinators with stale mapping caches keep
             # routing writes to the old replica set for up to a lease;
             # serve no reads until that window is swept.
             status.warming = True
-            yield from self._pull_vnode(vnode_id, owner)
-            self.sim.process(self._finish_handoff(vnode_id, owner, status),
-                             name=f"{self.name}-handoff-{vnode_id}")
-        return True
+            yield from self._pull_vnode(vnode_id, predecessor)
+            self.sim.process(
+                self._finish_handoff(vnode_id, predecessor, status),
+                name=f"{self.name}-handoff-{vnode_id}")
 
     def _finish_handoff(self, vnode_id: int, predecessor: str,
                         status: VnodeStatus):
@@ -351,38 +271,6 @@ class SednaNode:
                 yield self.sim.timeout(self.config.lease_base)
         finally:
             status.warming = False
-
-    def write_assignment(self, vnode_id: int, owner: str, version: int):
-        """Version-checked ownership rewrite plus its changelog entry,
-        as ONE transaction.
-
-        The two writes must be atomic: if the mapping set applied but
-        the changelog append was lost (response dropped, client died
-        between the calls), every cache following the changelog would
-        stay stale on that vnode forever.
-        """
-        yield from self.zk.multi([
-            self.zk.op_set(ZkLayout.vnode(vnode_id), owner.encode(),
-                           version=version),
-            self.zk.op_create(f"{ZkLayout.CHANGELOG}/e-",
-                              str(vnode_id).encode(), sequential=True),
-        ])
-
-    def reassign(self, vnode_id: int, expected_owner: str, new_owner: str):
-        """Version-checked ownership move in ZooKeeper + changelog; True
-        when this call moved the vnode.  If someone else (a concurrent
-        recovery or rebalancer) rewrote the entry first, their choice is
-        adopted into the local ring.  ZooKeeper errors, a lost version
-        race included, propagate: each caller has its own policy."""
-        data, stat = yield from self.zk.get(ZkLayout.vnode(vnode_id))
-        owner = data.decode()
-        if owner != expected_owner:
-            self.cache.ring.assign(vnode_id, owner)
-            return False
-        yield from self.write_assignment(vnode_id, new_owner,
-                                         stat["version"])
-        self.cache.ring.assign(vnode_id, new_owner)
-        return True
 
     def _pull_vnode(self, vnode_id: int, source: str,
                     target: Optional[str] = None):
@@ -477,7 +365,6 @@ class SednaNode:
 
     def _imbalance_pusher(self):
         """Periodically publish this node's imbalance-table row (§III.B)."""
-        path = ZkLayout.imbalance(self.name)
         interval = self.config.imbalance_push_interval
         while True:
             yield self.sim.timeout(interval)
@@ -486,20 +373,7 @@ class SednaNode:
             # The row is the stats feed's aggregate — the same numbers
             # an obs snapshot exports per vnode, so the published table
             # and the metrics can never disagree.
-            row = self.vstats.row()
-            # Ownership comes from the (lease-synced) ring, not from the
-            # touched-vnode statuses — a node may own cold vnodes.
-            row["vnodes"] = len(self.cache.ring.vnodes_of(self.name))
-            payload = repr(row).encode()
-            try:
-                yield from self.zk.set(path, payload)
-            except NoNodeError:
-                try:
-                    yield from self.zk.create(path, payload)
-                except (NodeExistsError, NoNodeError):
-                    pass
-            except (RpcTimeout, RpcRejected):
-                pass
+            yield from self.placement.publish_imbalance(self.vstats.row())
 
     # ------------------------------------------------------------------
     # Crash / restart
@@ -527,7 +401,7 @@ class SednaNode:
         self.zk.session_id = None
         self.zk.expired = False
         self._reset_volatile()
-        self.coordinator.cache = self.cache
+        self.coordinator.cache = self.placement.cache = self.cache
         yield from self.join()
 
     # ------------------------------------------------------------------
@@ -837,16 +711,12 @@ class SednaNode:
         stale.
         """
         stats = {}
+        idle = VnodeStatus()
         for vnode_id in self.cache.ring.vnodes_of(self.name):
-            status = self.vstats.statuses.get(vnode_id)
-            if status is None:
-                stats[vnode_id] = {"keys": 0, "bytes": 0,
-                                   "reads": 0, "writes": 0}
-            else:
-                stats[vnode_id] = {"keys": status.keys,
-                                   "bytes": status.bytes,
-                                   "reads": status.reads,
-                                   "writes": status.writes}
+            status = self.vstats.statuses.get(vnode_id, idle)
+            stats[vnode_id] = {"keys": status.keys, "bytes": status.bytes,
+                               "reads": status.reads,
+                               "writes": status.writes}
         return {"stats": stats}
 
     def _h_migrate_begin(self, src: str, args: Any):
@@ -1049,57 +919,20 @@ class SednaNode:
 
     def _investigate(self, suspect: str, vnode_id: int):
         try:
-            # "check their existence by asking the ZooKeeper service"
-            try:
-                stat = yield from self.zk.exists(ZkLayout.real_node(suspect))
-            except (RpcTimeout, RpcRejected):
-                return
-            if stat is not None:
-                return  # alive: transient hiccup, nothing to do (§III.D)
-            yield from self._recover_vnode(suspect, vnode_id)
+            if (yield from self.placement.confirm_dead(suspect)):
+                yield from self.recover(suspect, vnode_id)
         finally:
             self._investigating.discard((suspect, vnode_id))
 
-    def _recover_vnode(self, dead: str, vnode_id: int):
-        """Rewrite the assignment entries that placed ``dead`` in this
-        vnode's replica set, then re-duplicate the data (§III.C)."""
-        positions = self.cache.ring.walk_positions(vnode_id,
-                                                   self.config.replicas)
-        old_members = {owner for _v, owner in positions}
-        dead_positions = [v for v, owner in positions if owner == dead]
-        if not dead_positions:
+    def recover(self, dead: str, vnode_id: int):
+        """Rewrite the entries that placed ``dead`` in this vnode's
+        replica set (:meth:`Placement.recover`), then re-duplicate the
+        data to every member a replica set gained (§III.C)."""
+        healed = yield from self.placement.recover(dead, vnode_id)
+        if healed is None:
             return
-        try:
-            live = yield from self.zk.get_children(ZkLayout.REAL_NODES)
-        except (RpcTimeout, RpcRejected, NoNodeError):
-            return
-        current_owners = {owner for _v, owner in positions if owner != dead}
-        candidates = [n for n in live
-                      if n != dead and n not in current_owners]
-        if not candidates:
-            candidates = [n for n in live if n != dead]
-        if not candidates:
-            return
-        counts = self.cache.ring.load_counts()
-        candidates.sort(key=lambda n: (counts.get(n, 0), n))
-        # Rewriting a position shifts the successor chain of *every*
-        # vnode whose replica walk crosses it, not just this one's: a
-        # node can enter vnode Q's replica set because position P≠Q
-        # changed hands.  Snapshot all replica sets first, so each
-        # vnode's rows follow each of its new members — a member left
-        # empty here later satisfies read quorums with no data, which
-        # breaks R/W intersection for writes the old set acked.
-        before = {v: set(self.cache.ring.replicas_for(v,
-                                                      self.config.replicas))
-                  for v in range(self.config.num_vnodes)}
-        for position in dead_positions:
-            try:
-                moved = yield from self.reassign(position, dead,
-                                                 candidates[0])
-            except (BadVersionError, NoNodeError, RpcTimeout, RpcRejected):
-                continue
-            if moved:
-                self.recoveries += 1
+        moved, before = healed
+        self.recoveries += moved
         for v in range(self.config.num_vnodes):
             for member in self.cache.ring.replicas_for(
                     v, self.config.replicas):

@@ -31,7 +31,6 @@ dropped.
 
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -39,7 +38,6 @@ from typing import Optional
 from ..net.rpc import RpcRejected, RpcTimeout
 from ..zk.znode import BadVersionError, NoNodeError
 from .antientropy import digest_diff, dvv_covered
-from .cache import ZkLayout
 from .config import REQUEST_TIMEOUT
 from .hashring import HEAT_WEIGHTS, ImbalanceTable, vnode_heat
 from .node import SednaNode
@@ -292,38 +290,11 @@ class Rebalancer:
         finally:
             self._loop_alive = False
 
-    def read_table(self):
-        """Fetch the imbalance table and prune departed nodes' rows."""
-        zk = self.node.zk
-        table = ImbalanceTable()
-        live = yield from zk.get_children(ZkLayout.REAL_NODES)
-        live_set = set(live)
-        try:
-            rows = yield from zk.get_children(ZkLayout.IMBALANCE)
-        except NoNodeError:
-            return table, live_set
-        for name in rows:
-            if name not in live_set:
-                try:
-                    yield from zk.delete(f"{ZkLayout.IMBALANCE}/{name}")
-                    self.rows_dropped += 1
-                except (NoNodeError, BadVersionError):
-                    pass
-                continue
-            try:
-                data, _ = yield from zk.get(f"{ZkLayout.IMBALANCE}/{name}")
-            except NoNodeError:
-                continue
-            try:
-                table.update(name, ast.literal_eval(data.decode()))
-            except (ValueError, SyntaxError):
-                continue
-        return table, live_set
-
     def run_pass(self):
         """One balance pass; returns the number of vnodes moved."""
         self.passes += 1
-        table, live = yield from self.read_table()
+        table, live, dropped = yield from self.node.placement.read_imbalance()
+        self.rows_dropped += dropped
         if len(table.rows) < 2:
             return 0
         # Ownership counts come from the host's lease-synced ring — the
@@ -530,8 +501,9 @@ class Rebalancer:
         timeout = REQUEST_TIMEOUT
         vnode_id = migration.vnode
         try:
-            if not (yield from self.node.reassign(
-                    vnode_id, migration.donor, migration.receiver)):
+            if (yield from self.node.placement.rewrite(
+                    vnode_id, migration.receiver,
+                    lambda owner: owner == migration.donor)) is None:
                 # A concurrent rebalancer (or recovery) moved it first.
                 return False
         except (BadVersionError, NoNodeError):

@@ -27,7 +27,7 @@ import itertools
 
 import pytest
 
-import repro.core.node as node_mod
+import repro.core.cache as cache_mod
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
 from repro.core.gc import GarbageCollector
@@ -140,7 +140,7 @@ def record_background():
     leaves ``node2`` holding orphaned copies of vnodes 0-2.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(node_mod, "RETRIEVAL_THREADS", 1)
+        patch.setattr(cache_mod, "RETRIEVAL_THREADS", 1)
         return _background_steps()
 
 
