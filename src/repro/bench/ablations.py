@@ -67,10 +67,14 @@ def _churn_run(adaptive: bool, use_changelog: bool, duration: float = 20.0,
             vnode = (r * 7) % 64
             data, stat = yield from zk.get(ZkLayout.vnode(vnode))
             flipped = "node1" if data.decode() != "node1" else "node2"
-            yield from zk.set(ZkLayout.vnode(vnode), flipped.encode(),
-                              version=stat["version"])
-            yield from zk.create(f"{ZkLayout.CHANGELOG}/e-",
-                                 str(vnode).encode(), sequential=True)
+            # The set and its changelog entry are one transaction, as
+            # Placement.rewrite commits them.
+            yield from zk.multi([
+                zk.op_set(ZkLayout.vnode(vnode), flipped.encode(),
+                          version=stat["version"]),
+                zk.op_create(f"{ZkLayout.CHANGELOG}/e-",
+                             str(vnode).encode(), sequential=True),
+            ])
             yield cluster.sim.timeout(churn_period)
         return True
 

@@ -346,6 +346,13 @@ class Placement:
             v for v, owner in enumerate(ring.assignment)
             if owner not in (Ring.UNASSIGNED, self.name)
             and counts.get(owner, 0) > target]
+        # A fresh joiner (one that owns nothing yet) starts its walk at
+        # its own slice, so concurrent joiners do not race for the same
+        # vnodes; a lone joiner and a node that owns some walk from 0.
+        fresh = sorted(name for name in live if name not in counts)
+        if self.name in fresh and len(fresh) > 1:
+            offset = fresh.index(self.name) * len(queue) // len(fresh)
+            queue = queue[offset:] + queue[:offset]
         queue.reverse()
 
         def worker():

@@ -2,7 +2,8 @@
 ZooKeeper (§III.D–E), one writer of a vnode entry.
 
 Covers the writer's outcomes, the two bootstraps' shared namespace
-builder, a race of two recoverers, and a pin on the module surface:
+builder, the order of a join's claim walk and a concurrent join boot,
+a race of two recoverers, and a pin on the module surface:
 nothing else in ``core/`` spells the ZooKeeper layout or builds the
 set + changelog transaction.
 """
@@ -13,7 +14,7 @@ import pathlib
 import pytest
 
 import repro.core
-from repro.core.cache import ZkLayout
+from repro.core.cache import Placement, ZkLayout
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
 from repro.core.hashring import Ring
@@ -139,6 +140,86 @@ class TestNamespace:
         assert set(assigned) >= {ZkLayout.vnode(v) for v in range(8)}
         assert assigned_owners == [f"node{v % 3}" for v in range(8)]
         assert set(joined_owners) <= {"node0", "node1", "node2"}
+
+
+def _walk(cluster, name, cleared, monkeypatch):
+    """The vnodes ``name``'s ``acquire`` tries, in order, after the
+    vnodes of the ``cleared`` owners are unassigned in its cached ring;
+    every claim is refused, so the walk covers the whole work list."""
+    node = cluster.nodes[name]
+    ring = node.cache.ring
+    for v, owner in enumerate(ring.assignment):
+        if owner in cleared:
+            ring.assign(v, Ring.UNASSIGNED)
+    walked = []
+
+    def refused(vnode_id, target, took_over):
+        walked.append(vnode_id)
+        return False
+        yield
+
+    monkeypatch.setattr(node.placement, "_claim", refused)
+    cluster.run(node.placement.acquire(None))
+    return walked
+
+
+class TestClaimWalk:
+    """``Placement.acquire`` walks unassigned vnodes, then those of
+    overloaded owners; a fresh joiner (one that owns no vnode in its
+    cached ring) among several starts at its own slice."""
+
+    def test_a_lone_fresh_joiner_walks_from_the_start(self, monkeypatch):
+        cluster = _cluster()
+        assert _walk(cluster, "node2", {"node2"}, monkeypatch) == [2, 6, 10]
+
+    def test_a_joiner_that_owns_vnodes_walks_from_the_start(
+            self, monkeypatch):
+        cluster = _cluster()
+        # node1 keeps vnode 1; node2 and node3 look fresh to it.
+        cluster.nodes["node1"].cache.ring.assign(5, Ring.UNASSIGNED)
+        cluster.nodes["node1"].cache.ring.assign(9, Ring.UNASSIGNED)
+        assert _walk(cluster, "node1", {"node2", "node3"}, monkeypatch) \
+            == [2, 3, 5, 6, 7, 9, 10, 11]
+
+    def test_fresh_joiners_start_at_their_own_slices(self, monkeypatch):
+        cluster = _cluster()
+        cleared = {"node2", "node3"}
+        assert _walk(cluster, "node2", cleared, monkeypatch) \
+            == [2, 3, 6, 7, 10, 11]
+        assert _walk(cluster, "node3", cleared, monkeypatch) \
+            == [7, 10, 11, 2, 3, 6]
+
+
+class TestConcurrentJoin:
+    """Nine nodes boot by ``join`` on 128 vnodes; their claim walks
+    start apart, so no claim loses its version race."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_no_claim_loses_its_race(self, seed, monkeypatch):
+        lost = []
+        rewrite = Placement.rewrite
+
+        def counted(self, vnode_id, new_owner, replaceable, adopt=True):
+            try:
+                return (yield from rewrite(self, vnode_id, new_owner,
+                                           replaceable, adopt))
+            except BadVersionError:
+                lost.append(vnode_id)
+                raise
+
+        monkeypatch.setattr(Placement, "rewrite", counted)
+        cluster = SednaCluster(n_nodes=9, zk_size=3, seed=seed,
+                               config=SednaConfig(num_vnodes=128))
+        cluster.start("join")
+        assert lost == []
+        live = set(_tree(cluster).get_children(ZkLayout.REAL_NODES))
+        owners = [_owner(cluster, v) for v in range(128)]
+        assert set(owners) <= live
+        # Eight joiners take 16 vnodes each; the namespace initialiser
+        # ends with none (ROADMAP known-red (d)).
+        assert sorted(owners.count(name) for name in live) == [0] + [16] * 8
+        # 989 at seed 1 when every joiner walked from the same start.
+        assert cluster.ensemble.stats()["writes_led"] == 407
 
 
 class TestConcurrentRecovery:

@@ -20,11 +20,13 @@ import pytest
 
 import repro.core.coordinator as coordinator_mod
 import repro.net.rpc as rpc_mod
+from repro.core.cache import ZkLayout
 from repro.core.cluster import SednaCluster
 from repro.core.config import REQUEST_TIMEOUT, SednaConfig
 from repro.net.rpc import RpcRejected, RpcTimeout
 from repro.net.simulator import Deadline, Process, Simulator
 from repro.zk.client import ZkClient
+from repro.zk.znode import BadVersionError
 
 
 @pytest.fixture
@@ -229,13 +231,29 @@ def _exceptions_only_a_collection_frees() -> list[str]:
 
 
 def test_contested_join_boot_leaves_no_exception_cycles(collector_off):
-    """Nine joiners race for 128 vnodes through version-checked multis,
-    and most claims lose.  The leader returns each failed transaction's
-    error instead of raising it on, and the joiner catches what its
-    client raises; neither may leave an error in a cycle."""
+    """Nine joiners boot on 128 vnodes, then two of them claim one
+    vnode at once, both planning from its current owner, through
+    version-checked multis, so one claim loses.  The leader returns the failed
+    transaction's error instead of raising it on, and the claimant
+    catches what its client raises; neither may leave an error in a
+    cycle."""
     c = SednaCluster(n_nodes=9, zk_size=3, seed=7,
                      config=SednaConfig(num_vnodes=128))
     c.start("join")
+    planned = c.ensemble.leader().tree.get(ZkLayout.vnode(0))[0].decode()
+    claimants = [c.nodes[name] for name in sorted(c.nodes)
+                 if name != planned][:2]
+    lost = []
+
+    def claim(node):
+        try:
+            yield from node.placement.rewrite(
+                0, node.name, lambda owner: owner == planned, adopt=False)
+        except BadVersionError:
+            lost.append(node.name)
+
+    c.run_all([claim(node) for node in claimants])
+    assert len(lost) == 1
     assert _exceptions_only_a_collection_frees() == []
 
 
