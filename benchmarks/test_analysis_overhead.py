@@ -1,6 +1,6 @@
 """Hazard-detector overhead: instrumented kernel vs plain kernel.
 
-The tie-hazard detector (ISSUE 3) hooks every ``_schedule``/``step``
+The tie-hazard detector hooks every schedule and every step
 of the DES kernel and records tracked-state accesses, so its cost is
 paid on the hot path of every simulation that opts in.  This bench
 pins that cost: the hazard-instrumented kernel must stay **within 3x

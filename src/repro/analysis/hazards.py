@@ -224,7 +224,7 @@ class HazardDetector:
     # -- kernel hooks (called by Simulator) --------------------------------
     def on_schedule(self, event: Event, priority: int,
                     when: float) -> None:
-        """One event entered the queue; runs inside ``_schedule``."""
+        """One event entered the queue; runs where the kernel queues it."""
         self._next_id += 1
         site: _Site = "?"
         if self.capture_sites:
@@ -255,7 +255,7 @@ class HazardDetector:
             self._next_id, self._current, site, label)
 
     def on_step(self, event: Event, when: float, priority: int) -> None:
-        """One event popped; runs at the top of ``step``."""
+        """One event popped; runs before its callbacks in ``Simulator.run``."""
         self.events_seen += 1
         if when != self._group_time:
             if self._group:

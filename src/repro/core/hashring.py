@@ -98,6 +98,8 @@ class VnodeStatus:
     """Per-virtual-node bookkeeping (§III.B)."""
 
     keys: int = 0
+    # Always 0 (nothing sizes a vnode's rows), but the pushed imbalance
+    # row carries it: dropping it moves wire sizes and every digest.
     bytes: int = 0
     reads: int = 0
     writes: int = 0

@@ -33,8 +33,12 @@ CPython the costs that matter at these event rates are interpreter
 frames and C-heap traffic, so
 
 * ``sim.timeout`` builds the event inline — no ``type.__call__`` →
-  ``__init__`` → push chain;
-* ``run`` dispatches callbacks inline — no per-event ``step`` frame;
+  ``__init__`` → push chain — and it and ``Event.succeed`` push
+  inline; every colder push goes through ``_push``/``_enqueue``;
+* ``run`` is one loop for all three stop modes, and the only code that
+  pops the queue: it dispatches callbacks inline (no per-event frame)
+  and reaches the tracer's hooks from the same loop, so an observed
+  run pays two hook calls per event and nothing more;
 * the queue keeps its *minimum entry* in a buffer slot (``_nbuf``)
   beside the heap, so the dominant schedule-fire-schedule rhythm of
   timeout chains never touches ``heappush``/``heappop`` (~220 ns per
@@ -157,7 +161,9 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        # Inlined buffered push (hot: every event trigger).
+        # Inlined buffered push: every reply and wake-up triggers one,
+        # and through ``_push`` a succeed-driven loop ran ~15 % fewer
+        # events/s (best of 15 alternated rounds, CPython 3.11).
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         entry = (sim.now, NORMAL, seq, self)
@@ -185,19 +191,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        entry = (sim.now, NORMAL, seq, self)
-        buf = sim._nbuf
-        if buf is None:
-            sim._nbuf = entry
-        elif entry < buf:
-            heappush(sim._queue, buf)
-            sim._nbuf = entry
-        else:
-            heappush(sim._queue, entry)
-        if sim.tracer is not None:
-            sim.tracer.on_schedule(self, NORMAL, sim.now)
+        self.sim._push(self, NORMAL, 0.0)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -335,11 +329,6 @@ class Process(Event):
         # per yield saves an allocation per wait.
         self._resume_cb = self._resume
         _Initialize(sim, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self._triggered
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
@@ -510,8 +499,8 @@ class Simulator:
         sim.run()
         assert sim.now == 1.0 and proc.value == "done"
 
-    Attach observation hooks (``tracer``) while the loop is idle — the
-    run loops latch the no-tracer fast path per ``run()`` call.
+    Attach observation hooks (``tracer``) while the loop is idle —
+    ``run()`` latches it once per call.
     """
 
     def __init__(self) -> None:
@@ -566,7 +555,9 @@ class Simulator:
         make a :class:`Timeout`; the object is built and enqueued inline
         (no ``type.__call__`` → ``__init__`` → push chain, no heap
         traffic when the buffer slot is free) — worth ~35% kernel
-        throughput combined.
+        throughput combined; the push alone, through ``_push``, cost a
+        timeout-chain ticker ~12 % of its events/s (best of 15
+        alternated rounds, CPython 3.11).
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
@@ -657,203 +648,80 @@ class Simulator:
         return ev
 
     # -- execution -------------------------------------------------------------
-    def _pop(self) -> tuple[float, int, int, Event]:
-        """Take the next entry (buffer slot first).  IndexError when empty."""
-        buf = self._nbuf
-        queue = self._queue
-        if buf is not None:
-            if queue and queue[0] < buf:
-                return heappop(queue)
-            self._nbuf = None
-            return buf
-        return heappop(queue)
-
-    def step(self) -> None:
-        """Process the single next event.  Raises IndexError when empty.
-
-        A cancelled :class:`Deadline` at the head of the queue is taken
-        without running anything, reporting a step or moving the clock
-        (the tracer saw it dropped when it was cancelled)."""
-        when, prio, _seq, event = self._pop()
-        callbacks = event.callbacks
-        if callbacks is None and type(event) is Deadline:
-            event._line.skip()
-            return
-        self.now = when
-        event._triggered = True
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_step(event, when, prio)
-        if callbacks is None:
-            if tracer is not None:
-                tracer.on_step_done(event)
-            return  # defused: queued and numbered, but runs nothing
-        event.callbacks = None
-        if tracer is None:
-            for cb in callbacks:
-                cb(event)
-        else:
-            try:
-                for cb in callbacks:
-                    cb(event)
-            finally:
-                tracer.on_step_done(event)
-        if event._ok is False and not callbacks and not isinstance(event, _UNWATCHED):
-            # A failed event nobody waited for: surface the error loudly
-            # instead of losing it (mirrors SimPy semantics).
-            raise event._value
-
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` when the queue is empty."""
-        buf = self._nbuf
-        if buf is not None:
-            return buf[0] if not self._queue or buf < self._queue[0] \
-                else self._queue[0][0]
-        return self._queue[0][0] if self._queue else float("inf")
-
     def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run the loop.
+        """Run the loop; the only code that takes entries off the queue.
 
         * ``until=None`` — run until the queue drains.
-        * ``until=<float>`` — run until simulated time reaches it.
+        * ``until=<float>`` — run until simulated time reaches it; the
+          clock ends there.
         * ``until=<Event>`` — run until that event is processed and
-          return its value (re-raising on failure).
+          return its value (re-raising on failure); running dry first
+          raises.
 
-        The no-tracer paths below inline :meth:`step` (pop, clock
-        advance, callback dispatch): the per-event method indirection
-        costs ~15% of kernel throughput at these event rates.
+        A popped cancelled :class:`Deadline` head queues its FIFO's next
+        live entry and is otherwise unseen: no step, no clock move (the
+        tracer saw it dropped when it was cancelled).  A defused event
+        is a numbered step that runs nothing.  A failure nobody waited
+        for is raised once its step is done.  ``tracer`` is latched per
+        call: attach it while the loop is idle.
         """
-        if self.tracer is not None:
-            return self._run_traced(until)
-        queue = self._queue
+        stop: Optional[Event] = None
+        horizon = float("inf")
         if isinstance(until, Event):
             stop = until
-            while stop.callbacks is not None or not stop._triggered:
-                buf = self._nbuf
-                if buf is not None:
-                    if queue and queue[0] < buf:
-                        entry = heappop(queue)
-                    else:
-                        self._nbuf = None
-                        entry = buf
-                elif queue:
-                    entry = heappop(queue)
-                else:
-                    raise SimulationError(
-                        "simulation ran dry before the awaited event triggered")
-                event = entry[3]
-                callbacks = event.callbacks
-                if callbacks is None:
-                    if type(event) is Deadline:
-                        event._line.skip()  # cancelled: no clock move
-                    else:
-                        self.now = entry[0]
-                        event._triggered = True
-                    continue
-                self.now = entry[0]
-                event._triggered = True
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for cb in callbacks:
-                        cb(event)
-                if event._ok is False and not callbacks and not isinstance(event, _UNWATCHED):
-                    raise event._value
-            if stop._ok:
-                return stop._value
-            raise stop._value
-        if until is not None:
+        elif until is not None:
             horizon = float(until)
             if horizon < self.now:
                 raise SimulationError("cannot run into the past")
-            while True:
-                buf = self._nbuf
-                if buf is not None and (not queue or buf < queue[0]):
-                    if buf[0] > horizon:
-                        break
-                    self._nbuf = None
-                    entry = buf
-                elif queue:
-                    if queue[0][0] > horizon:
-                        break
-                    entry = heappop(queue)
-                else:
-                    break
-                event = entry[3]
-                callbacks = event.callbacks
-                if callbacks is None:
-                    if type(event) is Deadline:
-                        event._line.skip()  # cancelled: no clock move
-                    else:
-                        self.now = entry[0]
-                        event._triggered = True
-                    continue
-                self.now = entry[0]
-                event._triggered = True
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for cb in callbacks:
-                        cb(event)
-                if event._ok is False and not callbacks and not isinstance(event, _UNWATCHED):
-                    raise event._value
-            self.now = horizon
-            return None
-        while True:
+        tracer = self.tracer
+        queue = self._queue
+        while stop is None or stop.callbacks is not None or not stop._triggered:
             buf = self._nbuf
-            if buf is not None:
-                if queue and queue[0] < buf:
-                    entry = heappop(queue)
-                else:
-                    self._nbuf = None
-                    entry = buf
+            if buf is not None and (not queue or buf < queue[0]):
+                if buf[0] > horizon:
+                    break
+                self._nbuf = None
+                entry = buf
             elif queue:
+                if queue[0][0] > horizon:
+                    break
                 entry = heappop(queue)
+            elif stop is None:
+                break
             else:
-                return None
+                raise SimulationError(
+                    "simulation ran dry before the awaited event triggered")
             event = entry[3]
             callbacks = event.callbacks
-            if callbacks is None:
-                if type(event) is Deadline:
-                    event._line.skip()  # cancelled: no clock move
-                else:
-                    self.now = entry[0]
-                    event._triggered = True
+            if callbacks is None and type(event) is Deadline:
+                event._line.skip()  # cancelled: no step, no clock move
                 continue
             self.now = entry[0]
             event._triggered = True
-            event.callbacks = None
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
+            if tracer is None:
+                if callbacks is None:
+                    continue  # defused: queued and numbered, runs nothing
+                event.callbacks = None
                 for cb in callbacks:
                     cb(event)
+            else:
+                tracer.on_step(event, entry[0], entry[1])
+                try:
+                    if callbacks is None:
+                        continue  # defused; ``finally`` reports it done
+                    event.callbacks = None
+                    for cb in callbacks:
+                        cb(event)
+                finally:
+                    tracer.on_step_done(event)
             if event._ok is False and not callbacks and not isinstance(event, _UNWATCHED):
+                # A failed event nobody waited for: surface the error
+                # loudly instead of losing it (mirrors SimPy semantics).
                 raise event._value
-
-    def _run_traced(self, until: Optional[float | Event]) -> Any:
-        """The observed run loop: one ``step()`` frame per event so the
-        tracer sees every schedule/step/step-done transition."""
-        if isinstance(until, Event):
-            stop = until
-            while stop.callbacks is not None or not stop._triggered:
-                if self._nbuf is None and not self._queue:
-                    raise SimulationError(
-                        "simulation ran dry before the awaited event triggered")
-                self.step()
+        if stop is not None:
             if stop._ok:
                 return stop._value
             raise stop._value
         if until is not None:
-            horizon = float(until)
-            if horizon < self.now:
-                raise SimulationError("cannot run into the past")
-            while self.peek() <= horizon:
-                self.step()
             self.now = horizon
-            return None
-        while self._nbuf is not None or self._queue:
-            self.step()
         return None

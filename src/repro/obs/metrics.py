@@ -259,7 +259,7 @@ class VnodeStatsFeed:
     Owns the vnode-id -> status mapping (the record type is injected —
     the node passes :class:`~repro.core.hashring.VnodeStatus` — so this
     module stays import-free of ``core``).  Replica handlers report
-    reads/writes/key churn here, the imbalance pusher aggregates with
+    reads and writes here, the imbalance pusher aggregates with
     :meth:`row`, and a :class:`MetricsRegistry` snapshot walks the same
     objects via :meth:`per_vnode`.
     """
@@ -270,10 +270,9 @@ class VnodeStatsFeed:
         self.node = node
         self._factory = status_factory or _PlainStatus
         self.statuses: dict[int, Any] = {}
-        #: Times a removal would have driven a counter below zero
-        #: (migration/GC races double-reporting a key's departure).
-        #: Clamped removals keep the imbalance row non-negative; the
-        #: counter makes the race diagnosable instead of silent.
+        #: Always 0: the node sets ``keys`` from its index instead of
+        #: counting arrivals and departures.  Snapshots still carry it
+        #: (``feed_underflows``).
         self.underflows = 0
 
     def status(self, vnode_id: int) -> Any:
@@ -288,20 +287,6 @@ class VnodeStatsFeed:
 
     def record_write(self, vnode_id: int, n: int = 1) -> None:
         self.status(vnode_id).writes += n
-
-    def key_added(self, vnode_id: int, size: int) -> None:
-        status = self.status(vnode_id)
-        status.keys += 1
-        status.bytes += size
-
-    def key_removed(self, vnode_id: int, size: int) -> None:
-        status = self.status(vnode_id)
-        status.keys -= 1
-        status.bytes -= size
-        if status.keys < 0 or status.bytes < 0:
-            self.underflows += 1
-            status.keys = max(status.keys, 0)
-            status.bytes = max(status.bytes, 0)
 
     def discard(self, vnode_id: int) -> None:
         self.statuses.pop(vnode_id, None)

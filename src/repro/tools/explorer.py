@@ -17,8 +17,10 @@ The searched config space (``DIMENSIONS``):
 * ``rw`` — (R, W) quorum pairs, all satisfying R + W > N and W > N/2;
 * ``lease_base`` — the §III.E mapping-cache lease starting period;
 * ``pass_byte_budget`` — the rebalancer's per-pass migration budget;
-* ``heat_write_weight`` — the ``writes`` entry of ``HEAT_WEIGHTS``;
-* ``scan_interval`` — the §IV.C trigger dirty-column sweep cadence.
+* ``heat_write_weight`` — the ``writes`` entry of ``HEAT_WEIGHTS``.
+
+The §IV.C trigger sweep cadence (``scan_interval``) is not an axis: a
+chaos run hosts no trigger runtime, so it could not move a cell.
 
 CLI (``python -m repro.explore``)::
 
@@ -65,7 +67,6 @@ DIMENSIONS: dict[str, tuple] = {
     "lease_base": (0.5, 1.0, 2.0),
     "pass_byte_budget": (32 * 1024, 64 * 1024, 128 * 1024),
     "heat_write_weight": (1.0, 2.0, 4.0),
-    "scan_interval": (0.05, 0.2),
 }
 
 
@@ -78,7 +79,6 @@ class ConfigPoint:
     lease_base: float = 1.0
     pass_byte_budget: int = 64 * 1024
     heat_write_weight: float = 2.0
-    scan_interval: float = 0.05
     num_vnodes: int = 16
 
     def label(self) -> str:
@@ -86,8 +86,7 @@ class ConfigPoint:
         return (f"R{self.read_quorum}W{self.write_quorum}"
                 f"-lease{self.lease_base:g}"
                 f"-budget{self.pass_byte_budget // 1024}k"
-                f"-hw{self.heat_write_weight:g}"
-                f"-scan{self.scan_interval:g}")
+                f"-hw{self.heat_write_weight:g}")
 
     def apply(self, spec: RunSpec) -> RunSpec:
         """``spec`` run at this point.  The rebalancer axes only exist
@@ -101,24 +100,21 @@ class ConfigPoint:
             **spec.config, "num_vnodes": self.num_vnodes,
             "read_quorum": self.read_quorum,
             "write_quorum": self.write_quorum,
-            "lease_base": self.lease_base,
-            "scan_interval": self.scan_interval})
+            "lease_base": self.lease_base})
 
 
 def grid_points(limit: Optional[int] = None) -> list[ConfigPoint]:
-    """The full cartesian grid (|rw|·|lease|·|budget|·|hw|·|scan| =
-    216 points), optionally truncated to the first ``limit``."""
+    """The full cartesian grid (|rw|·|lease|·|budget|·|hw| = 108
+    points), optionally truncated to the first ``limit``."""
     points = []
-    for rw, lease, budget, hw, scan in itertools.product(
+    for rw, lease, budget, hw in itertools.product(
             *(DIMENSIONS[dim] for dim in ("rw", "lease_base",
                                           "pass_byte_budget",
-                                          "heat_write_weight",
-                                          "scan_interval"))):
+                                          "heat_write_weight"))):
         points.append(ConfigPoint(read_quorum=rw[0], write_quorum=rw[1],
                                   lease_base=lease,
                                   pass_byte_budget=budget,
-                                  heat_write_weight=hw,
-                                  scan_interval=scan))
+                                  heat_write_weight=hw))
     return points[:limit] if limit else points
 
 
@@ -136,8 +132,7 @@ def random_points(n: int, seed: int = 0) -> list[ConfigPoint]:
             read_quorum=rw[0], write_quorum=rw[1],
             lease_base=rng.choice(DIMENSIONS["lease_base"]),
             pass_byte_budget=rng.choice(DIMENSIONS["pass_byte_budget"]),
-            heat_write_weight=rng.choice(DIMENSIONS["heat_write_weight"]),
-            scan_interval=rng.choice(DIMENSIONS["scan_interval"]))
+            heat_write_weight=rng.choice(DIMENSIONS["heat_write_weight"]))
         if point not in seen:
             seen.add(point)
             out.append(point)

@@ -121,11 +121,16 @@ class TestCancel:
         assert sim.now == 0.2
 
     def test_step_takes_a_cancelled_head_without_moving_the_clock(self, sim):
-        sim.deadline(3.0, lambda _d: None).cancel()
-        sim.step()
+        hooks = sim.tracer = _Hooks()
+        dead = sim.deadline(3.0, lambda _d: None)
+        dead.cancel()
+        sim.run()
+        # Taken off the queue, but no step is reported and the clock
+        # stays where it was.
         assert sim.now == 0.0 and _depth(sim) == 0
-        with pytest.raises(IndexError):
-            sim.step()
+        assert hooks.log == [("schedule", dead, 3.0), ("drop", dead)]
+        sim.run()  # nothing left to take
+        assert sim.now == 0.0
 
     def test_cancel_from_a_fired_deadline_of_the_same_delay(self, sim):
         ran = []

@@ -327,7 +327,7 @@ def test_finished_process_dies_on_del(collector_off, fails):
 
     proc = _WeakProcess(sim, body())
     sim.run()
-    assert not proc.is_alive and proc.ok is (not fails)
+    assert proc.triggered and proc.ok is (not fails)
     ref = weakref.ref(proc)
     del proc
     assert ref() is None

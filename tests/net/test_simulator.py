@@ -204,14 +204,6 @@ class TestProcess:
         with pytest.raises(SimulationError, match="invalid target"):
             sim.run(until=proc)
 
-    def test_is_alive(self, sim):
-        def worker():
-            yield sim.timeout(5.0)
-
-        proc = sim.process(worker())
-        assert proc.is_alive
-        sim.run()
-        assert not proc.is_alive
 
 
 class TestConditions:
@@ -277,11 +269,6 @@ class TestRun:
         ev = sim.event()
         with pytest.raises(SimulationError, match="ran dry"):
             sim.run(until=ev)
-
-    def test_peek(self, sim):
-        assert sim.peek() == float("inf")
-        sim.timeout(3.0)
-        assert sim.peek() == 3.0
 
     def test_determinism(self):
         def build_and_run(seed):

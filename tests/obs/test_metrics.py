@@ -151,10 +151,9 @@ class TestVnodeStatsFeed:
         feed.record_read(3)
         feed.record_read(3)
         feed.record_write(7, n=5)
-        feed.key_added(3, size=10)
-        feed.key_added(7, size=4)
-        feed.key_removed(7, size=4)
-        assert feed.row() == {"vnodes": 2, "keys": 1, "bytes": 10,
+        feed.status(3).keys = 4  # the node sets it from its index
+        feed.status(7).keys = 1
+        assert feed.row() == {"vnodes": 2, "keys": 5, "bytes": 0,
                               "reads": 2, "writes": 5}
 
     def test_per_vnode_sorted_export(self):
@@ -251,33 +250,13 @@ class TestDroppedSeries:
 
 
 class TestFeedUnderflow:
-    def test_removal_clamped_at_zero_and_counted(self):
-        feed = VnodeStatsFeed("n1")
-        feed.key_added(3, 100)
-        feed.key_removed(3, 100)
-        assert feed.underflows == 0
-        feed.key_removed(3, 50)  # double-reported departure
-        assert feed.underflows == 1
-        status = feed.status(3)
-        assert status.keys == 0
-        assert status.bytes == 0
-        assert feed.row()["keys"] == 0
-
-    def test_bytes_only_underflow_also_clamped(self):
-        feed = VnodeStatsFeed("n1")
-        feed.key_added(1, 10)
-        feed.key_added(1, 10)
-        feed.key_removed(1, 30)  # keys fine (1 left), bytes negative
-        assert feed.underflows == 1
-        assert feed.status(1).keys == 1
-        assert feed.status(1).bytes == 0
-
     def test_snapshot_reports_underflows_per_feed(self):
         reg = MetricsRegistry()
-        feed = reg.register_feed(VnodeStatsFeed("n1"))
-        feed.key_removed(0, 5)
+        reg.register_feed(VnodeStatsFeed("n1"))
+        reg.register_feed(VnodeStatsFeed("n0"))
         snap = reg.snapshot()
-        assert snap["feed_underflows"] == {"n1": 1}
+        assert snap["feed_underflows"] == {"n0": 0, "n1": 0}
+        assert list(snap["feed_underflows"]) == ["n0", "n1"]
 
 
 class TestDiffMeta:
