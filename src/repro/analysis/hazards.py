@@ -398,7 +398,7 @@ class HazardDetector:
     def track_store(self, owner: str, store: Any) -> Any:
         """Wrap a :class:`VersionedStore`-shaped object's accessors.
 
-        Reads (``read_all``/``read_latest``) and writes
+        Reads (``read_all``/``read_latest``/``read_row``) and writes
         (``write_latest``/``write_all``/``merge_elements``/``delete``)
         are reported per key under the state key ``"{owner}/{key}"``.
         Wrapping is per *instance*, so a restarted node's fresh store
@@ -426,7 +426,7 @@ class HazardDetector:
                 return method(key, *args, **kwargs)
             return wrapped
 
-        for name in ("read_all", "read_latest"):
+        for name in ("read_all", "read_latest", "read_row"):
             if hasattr(store, name):
                 setattr(store, name,
                         wrap_keyed(getattr(store, name), write=False))

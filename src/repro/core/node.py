@@ -513,47 +513,42 @@ class SednaNode:
             return self._after_flush(reply)
         return reply
 
-    def _read_rows(self, vnode_id: int, keys: list) -> dict:
-        """Every element of each key, after one ownership/warming check."""
-        self._guard_owner(vnode_id)
-        self._guard_warm(vnode_id)
-        self.replica_reads += len(keys)
-        self.vstats.record_read(vnode_id, len(keys))
-        read_all = self.store.read_all
-        return {key: read_all(key) for key in keys}
-
     def _h_replica_read(self, src: str, args: Any):
-        """:meth:`_read_rows` for one key, flat: the same checks and
-        counts without the one-key list and dict."""
+        """:meth:`_h_replica_mread` for one key, flat: the same checks
+        and counts without the one-key list and dict."""
         vnode_id = args["vnode"]
-        key = args["key"]
         self._guard_owner(vnode_id)
         self._guard_warm(vnode_id)
         self.replica_reads += 1
         self.vstats.record_read(vnode_id, 1)
-        store = self.store
-        wire = wire_elements(store.read_all(key))
-        row = store.rows.get(key)
+        row = self.store.read_row(args["key"])
         if row is None:
             # No row: an empty element list, 8 bytes.
-            return Sized({"elements": wire, "lww": None}, _READ_BASE + 8)
+            return Sized({"elements": [], "lww": None}, _READ_BASE + 8)
+        wire = row.wire()
         size = row.wire_size
         if size is None:
             size = _row_size(row, wire, 2)
         return Sized({"elements": wire, "lww": row.lww}, _READ_BASE + size)
 
     def _h_replica_mread(self, src: str, args: Any):
-        """Batched replica.read: one round-trip; keys with no row are
-        absent from ``rows``."""
-        stored = self.store.rows
+        """Batched replica.read: one round-trip, one ownership/warming
+        check; keys with no element are absent from ``rows``.  Keys
+        arrive deduplicated (the coordinator's ``mread`` items)."""
+        vnode_id = args["vnode"]
+        keys = args["keys"]
+        self._guard_owner(vnode_id)
+        self._guard_warm(vnode_id)
+        self.replica_reads += len(keys)
+        self.vstats.record_read(vnode_id, len(keys))
+        read_row = self.store.read_row
         rows, flags = {}, {}
         size = _MREAD_BASE
-        for key, elements in self._read_rows(args["vnode"],
-                                             args["keys"]).items():
-            if not elements:
+        for key in keys:
+            row = read_row(key)
+            if row is None or row.source is None:
                 continue
-            row = stored[key]
-            wire = rows[key] = wire_elements(elements)
+            wire = rows[key] = row.wire()
             row_size = row.wire_size
             if row_size is None:
                 row_size = _row_size(row, wire, 3)

@@ -21,9 +21,9 @@ trigger runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterable, NamedTuple, Optional, Union
+from typing import Any, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ..obs.metrics import DISABLED, MetricsRegistry
 
@@ -76,11 +76,18 @@ def _value_size(value: Any) -> int:
 _NO_MONITORS: frozenset = frozenset()
 
 
-@dataclass(slots=True)
 class Row:
     """A stored row: value list plus the Monitors column.  Whether the
     row is dirty (written since the trigger scanners last drained it)
     is the store's to know: :meth:`VersionedStore.drain_dirty`.
+
+    A row is one object.  The value list's first element lives in the
+    row's own ``source``, ``timestamp`` and ``value`` slots (``source``
+    None: the row holds no element), and any further elements, in
+    order, in the ``more`` tuple, which is empty for an LWW row.  So a
+    ``write_latest`` row costs one allocation when its key is new and
+    none when it is rewritten.  :attr:`elements` is the read-side view:
+    a fresh ``list[ValueElement]`` in value-list order.
 
     ``lww`` records the row's write discipline: True once the row has
     been written through ``write_latest`` (it then holds at most one
@@ -95,28 +102,80 @@ class Row:
     to None.
     """
 
-    elements: list[ValueElement] = field(default_factory=list)
-    monitors: Union[set[str], frozenset[str]] = _NO_MONITORS
-    lww: Optional[bool] = None
-    wire_size: Optional[int] = field(default=None, repr=False,
-                                     compare=False)
+    __slots__ = ("source", "timestamp", "value", "more", "monitors",
+                 "lww", "wire_size")
+
+    def __init__(self, elements: Sequence[ValueElement] = (),
+                 monitors: Union[set[str], frozenset[str]] = _NO_MONITORS,
+                 lww: Optional[bool] = None) -> None:
+        self.source: Any = None
+        self.timestamp: Any = None
+        self.value: Any = None
+        self.more: tuple[ValueElement, ...] = ()
+        if elements:
+            first, *rest = elements
+            self.source, self.timestamp, self.value = first
+            self.more = tuple(ValueElement._make(el) for el in rest)
+        self.monitors = monitors
+        self.lww = lww
+        self.wire_size: Optional[int] = None
+
+    @property
+    def elements(self) -> list[ValueElement]:
+        """The value list as a fresh list, in order: a source's element
+        moves to the back when that source writes it again."""
+        if self.source is None:
+            return []
+        return [ValueElement(self.source, self.timestamp, self.value),
+                *self.more]
+
+    def wire(self) -> list[tuple]:
+        """The value list as plain ``(source, timestamp, value)`` tuples,
+        the form replies carry (``core.coordinator.wire_elements``)."""
+        if self.source is None:
+            return []
+        return [(self.source, self.timestamp, self.value),
+                *map(tuple, self.more)]
 
     def latest(self) -> Optional[ValueElement]:
         """The element with the newest timestamp (ties: lexicographically
         greatest source, so replicas resolve ties identically)."""
-        elements = self.elements
-        if len(elements) == 1:
-            return elements[0]
-        if not elements:
+        if self.source is None:
             return None
-        return max(elements, key=element_order)
+        if not self.more:
+            return ValueElement(self.source, self.timestamp, self.value)
+        return max(self.elements, key=element_order)
 
     def element_from(self, source: str) -> Optional[ValueElement]:
         """The element written by ``source``, if any."""
-        for el in self.elements:
+        if self.source is None:
+            return None
+        if self.source == source:
+            return ValueElement(self.source, self.timestamp, self.value)
+        for el in self.more:
             if el.source == source:
                 return el
         return None
+
+    def _put(self, source: str, timestamp: float, value: Any) -> None:
+        """Drop ``source``'s element, if any, and append the new one."""
+        more = self.more
+        if self.source is None or (self.source == source and not more):
+            self.source, self.timestamp, self.value = source, timestamp, value
+            return
+        if self.source == source:
+            self.source, self.timestamp, self.value = more[0]
+            more = more[1:]
+        else:
+            for i, el in enumerate(more):
+                if el.source == source:
+                    more = more[:i] + more[i + 1:]
+                    break
+        self.more = more + (ValueElement(source, timestamp, value),)
+
+    def __repr__(self) -> str:
+        return (f"Row(elements={self.elements!r}, "
+                f"monitors={self.monitors!r}, lww={self.lww!r})")
 
 
 @dataclass(frozen=True)
@@ -335,14 +394,16 @@ class VersionedStore:
             row = Row()
             self.rows[key] = row
         row.lww = True
-        elements = row.elements
-        if elements:
-            current = (elements[0] if len(elements) == 1
-                       else max(elements, key=element_order))
+        if row.source is not None:
+            # The newest of a write_all row's list, else the row's slots.
+            current: Any = row.latest() if row.more else row
             if (timestamp, source) <= (current.timestamp, current.source):
                 self.writes_outdated += 1
                 return WriteOutcome.OUTDATED
-        row.elements = [ValueElement(source, timestamp, value)]
+            row.more = ()
+        row.source = source
+        row.timestamp = timestamp
+        row.value = value
         row.wire_size = None
         # _mark_dirty, inlined on the per-key path.
         dirty = self._dirty_keys
@@ -371,9 +432,7 @@ class VersionedStore:
         if existing is not None and timestamp <= existing.timestamp:
             self.writes_outdated += 1
             return WriteOutcome.OUTDATED
-        if existing is not None:
-            row.elements.remove(existing)
-        row.elements.append(ValueElement(source, timestamp, value))
+        row._put(source, timestamp, value)
         row.wire_size = None
         self._mark_dirty(key)
         self.writes_ok += 1
@@ -397,13 +456,29 @@ class VersionedStore:
             self.bytes_read += _value_size(latest.value)
         return latest
 
+    def read_row(self, key: str) -> Optional[Row]:
+        """The stored row, counted as a :meth:`read_all` of it (the
+        replica read handlers build their wire tuples from its slots)."""
+        self.reads += 1
+        row = self.rows.get(key)
+        if row is None or row.source is None:
+            return row
+        # _value_size, inlined on the per-key paths.
+        value = row.value
+        size = len(value) if isinstance(value, (str, bytes)) else 8
+        for el in row.more:
+            value = el.value
+            size += len(value) if isinstance(value, (str, bytes)) else 8
+        self.bytes_read += size
+        return row
+
     def read_all(self, key: str) -> list[ValueElement]:
         """Every element of the value list (empty when absent)."""
         self.reads += 1
         row = self.rows.get(key)
         if row is None:
             return []
-        elements = list(row.elements)
+        elements = row.elements
         for el in elements:
             value = el.value
             self.bytes_read += (len(value) if isinstance(value, (str, bytes))
@@ -478,13 +553,12 @@ class VersionedStore:
         for el in elements:
             mine = row.element_from(el.source)
             if mine is None or element_order(el) > element_order(mine):
-                if mine is not None:
-                    row.elements.remove(mine)
-                row.elements.append(el)
+                row._put(el.source, el.timestamp, el.value)
                 changed = True
-        if row.lww and len(row.elements) > 1:
-            top = max(row.elements, key=element_order)
-            row.elements = [top]
+        if row.lww and row.more:
+            row.source, row.timestamp, row.value = max(row.elements,
+                                                       key=element_order)
+            row.more = ()
             changed = True
         if changed:
             row.wire_size = None

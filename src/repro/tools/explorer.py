@@ -10,7 +10,8 @@ fitness regresses past ``corpus_bound`` × the scenario's best — is
 frozen into a replayable corpus entry under
 ``tests/chaos/regressions/`` that the tier-1 suite auto-discovers and
 re-runs with byte-identical digests (``tests/chaos/
-test_regression_corpus.py``).
+test_regression_corpus.py``).  A cell whose digest an entry already
+pins is not promoted again.
 
 The searched config space (``DIMENSIONS``):
 
@@ -193,7 +194,9 @@ def explore(scenarios: Sequence[ScenarioSpec],
     Every cell is ``base`` with one scenario and one config point.
     ``corpus_dir=None`` disables corpus promotion; otherwise every
     violating cell and every cell whose score exceeds ``corpus_bound``
-    × the scenario best is written out as a regression entry.
+    × the scenario best is written out as a regression entry, unless an
+    entry in ``corpus_dir`` already carries its digest (a replay of the
+    same run adds no coverage).
     """
     scenarios_out: dict[str, dict] = {}
     for scenario in scenarios:
@@ -224,6 +227,8 @@ def explore(scenarios: Sequence[ScenarioSpec],
         best = table[0]
         promoted: list[str] = []
         if corpus_dir is not None:
+            pinned = {entry["digest"]: path.name
+                      for path, entry in load_corpus(corpus_dir)}
             best_score = best["fitness"]["score"]
             for row, cell in zip(evals, cells):
                 fit = row["fitness"]
@@ -236,14 +241,21 @@ def explore(scenarios: Sequence[ScenarioSpec],
                     reason = (f"fitness-regression: score {fit['score']:g} "
                               f"> {corpus_bound:g}x scenario best "
                               f"{best_score:g}")
-                if reason is not None:
-                    entry = corpus_entry(cell, row["label"], row["digest"],
-                                         fit, reason)
-                    path = write_corpus_entry(corpus_dir, entry)
-                    promoted.append(path.name)
+                if reason is None:
+                    continue
+                if row["digest"] in pinned:
                     if log is not None:
-                        log(f"[{scenario.name}] promoted {path.name}: "
-                            f"{reason}")
+                        log(f"[{scenario.name}] not promoting "
+                            f"{row['label']}: digest already pinned by "
+                            f"{pinned[row['digest']]}")
+                    continue
+                entry = corpus_entry(cell, row["label"], row["digest"],
+                                     fit, reason)
+                path = write_corpus_entry(corpus_dir, entry)
+                pinned[row["digest"]] = path.name
+                promoted.append(path.name)
+                if log is not None:
+                    log(f"[{scenario.name}] promoted {path.name}: {reason}")
         scenarios_out[scenario.name] = {
             "spec": scenario.to_dict(), "best": best, "table": table,
             "trajectory": trajectory, "promoted": promoted}

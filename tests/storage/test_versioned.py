@@ -171,7 +171,7 @@ class TestRow:
 
     def test_latest_of_one_element_row(self):
         el = ValueElement("s", 1.0, "v")
-        assert Row([el]).latest() is el
+        assert Row([el]).latest() == el
         assert Row().latest() is None
 
     def test_every_write_resets_the_wire_size(self, store):

@@ -105,6 +105,28 @@ class TestCorpusRoundtrip:
         assert not report.obs_snapshot, \
             "the cell was scored observed; its replay is the plain run"
 
+    def test_a_pinned_digest_is_promoted_once(self, tmp_path):
+        """Without a rebalancer the budget axis is inert, so these two
+        cells are one run under two labels: the first is promoted, the
+        second and a whole second search find its digest pinned."""
+        points = [ConfigPoint(), ConfigPoint(pass_byte_budget=32 * 1024)]
+        logged = []
+        out = explore([SCENARIOS["zipf-hot"]], points, TINY,
+                      corpus_dir=tmp_path, corpus_bound=0.5,
+                      log=logged.append)
+        table = out["scenarios"]["zipf-hot"]["table"]
+        assert table[0]["digest"] == table[1]["digest"]
+        assert table[0]["fitness"]["score"] > 0, "bound 0.5 promotes both"
+        promoted = out["scenarios"]["zipf-hot"]["promoted"]
+        assert len(promoted) == 1
+        again = explore([SCENARIOS["zipf-hot"]], points, TINY,
+                        corpus_dir=tmp_path, corpus_bound=0.5,
+                        log=logged.append)
+        assert again["scenarios"]["zipf-hot"]["promoted"] == []
+        assert [p.name for p, _ in load_corpus(tmp_path)] == promoted
+        assert sum("already pinned by " + promoted[0] in line
+                   for line in logged) == 3
+
     def test_replay_rejects_unknown_schema(self):
         # /1 spelled the run as runner + scenario + config blocks; /2
         # carried an "obs" key in the spec.
