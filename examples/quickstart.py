@@ -36,17 +36,20 @@ def main() -> None:
     # 1. Basic write/read through a thin client (coordinator on a node).
     # ------------------------------------------------------------------
     client = cluster.client("app")
+    sim = cluster.sim
 
     def basic():
+        t0 = sim.now
         status = yield from client.write_latest("greeting", "hello, sedna")
+        t1 = sim.now
         value = yield from client.read_latest("greeting")
-        return status, value
+        return status, value, t1 - t0, sim.now - t1
 
-    status, value = cluster.run(basic())
+    status, value, write_s, read_s = cluster.run(basic())
     print(f"write_latest('greeting') -> {status};"
           f" read_latest -> {value!r}")
-    print(f"  write latency {client.write_latencies[-1]*1e3:.3f} ms, "
-          f"read latency {client.read_latencies[-1]*1e3:.3f} ms (simulated)")
+    print(f"  write latency {write_s*1e3:.3f} ms, "
+          f"read latency {read_s*1e3:.3f} ms (simulated)")
 
     # ------------------------------------------------------------------
     # 2. write_all: one element per source server (§III.F).
@@ -71,13 +74,15 @@ def main() -> None:
     def hierarchical():
         yield from client.write_latest("k1", "in tweets", table="tweets",
                                        dataset="web")
+        t0 = sim.now
         yield from client.write_latest("k1", "in users", table="users",
                                        dataset="web")
+        write_s = sim.now - t0
         t = yield from client.read_latest("k1", table="tweets", dataset="web")
         u = yield from client.read_latest("k1", table="users", dataset="web")
-        return t, u
+        return t, u, write_s
 
-    t, u = cluster.run(hierarchical())
+    t, u, thin_write_s = cluster.run(hierarchical())
     print(f"\nsame key, two tables: web/tweets/k1={t!r}, web/users/k1={u!r}")
 
     # ------------------------------------------------------------------
@@ -87,12 +92,15 @@ def main() -> None:
 
     def zero_hop():
         yield from smart.connect()
+        t0 = sim.now
         yield from smart.write_latest("direct", "no extra hop")
-        return (yield from smart.read_latest("direct"))
+        write_s = sim.now - t0
+        return (yield from smart.read_latest("direct")), write_s
 
-    print(f"\nsmart client (zero-hop DHT): {cluster.run(zero_hop())!r}")
-    print(f"  smart write {smart.write_latencies[-1]*1e3:.3f} ms vs thin "
-          f"client {client.write_latencies[-1]*1e3:.3f} ms")
+    direct, smart_write_s = cluster.run(zero_hop())
+    print(f"\nsmart client (zero-hop DHT): {direct!r}")
+    print(f"  smart write {smart_write_s*1e3:.3f} ms vs thin "
+          f"client {thin_write_s*1e3:.3f} ms")
 
     # ------------------------------------------------------------------
     # 5. Crash a node; reads keep working and lazily repair (§III.C).

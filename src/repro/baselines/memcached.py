@@ -59,8 +59,6 @@ class MemcachedClusterClient:
         self.servers = list(servers)
         self.timeout = timeout
         self.rpc = RpcNode(network, name)
-        self.write_latencies: list[float] = []
-        self.read_latencies: list[float] = []
         self.failures = 0
 
     def _shard(self, key: bytes, offset: int = 0) -> str:
@@ -75,7 +73,6 @@ class MemcachedClusterClient:
         copies=1 reproduces Memcached(1); copies=3 reproduces the
         Memcached(3) series of Fig. 7(a).
         """
-        t0 = self.sim.now
         try:
             for c in range(copies):
                 yield from self.rpc.call(self._shard(key, c), "mc.set",
@@ -83,15 +80,12 @@ class MemcachedClusterClient:
                                          timeout=self.timeout)
         except (RpcTimeout, RpcRejected):
             self.failures += 1
-            self.write_latencies.append(self.sim.now - t0)
             return False
-        self.write_latencies.append(self.sim.now - t0)
         return True
 
     def get(self, key: bytes, copies: int = 1):
         """Read the key from ``copies`` shards sequentially; returns the
         first non-None value (paper's 3x-read comparison)."""
-        t0 = self.sim.now
         found: Optional[bytes] = None
         try:
             for c in range(copies):
@@ -102,9 +96,6 @@ class MemcachedClusterClient:
                     found = result["value"]
         except (RpcTimeout, RpcRejected):
             self.failures += 1
-            self.read_latencies.append(self.sim.now - t0)
-            return found
-        self.read_latencies.append(self.sim.now - t0)
         return found
 
 

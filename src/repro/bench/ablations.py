@@ -171,11 +171,11 @@ def _quorum_run(n: int, r: int, w: int, ops: int = 400,
                            write_quorum=w))
     cluster.start()
     client = cluster.smart_client("q-bench")
-    cluster.run(write_then_read(client, paper_keys(ops, seed=seed),
-                                read=True))
+    writes, reads = cluster.run(write_then_read(
+        client, paper_keys(ops, seed=seed), read=True))
     return {
-        "write": summarize(client.write_latencies),
-        "read": summarize(client.read_latencies),
+        "write": summarize(writes),
+        "read": summarize(reads),
         "replica_writes": sum(n.replica_writes
                               for n in cluster.nodes.values()),
     }
@@ -258,7 +258,8 @@ def _persistence_run(kind: str, ops: int = 300, seed: int = 42) -> dict:
         zk_config=ZkConfig(session_timeout=1.0))
     cluster.start()
     client = cluster.smart_client("p-bench")
-    cluster.run(write_then_read(client, paper_keys(ops, seed=seed)))
+    writes, _reads = cluster.run(write_then_read(client,
+                                                 paper_keys(ops, seed=seed)))
     cluster.settle(2.0)  # let a snapshot interval pass
     # Whole-cluster power loss.
     total_before = sum(len(n.store) for n in cluster.nodes.values())
@@ -269,7 +270,7 @@ def _persistence_run(kind: str, ops: int = 300, seed: int = 42) -> dict:
         cluster.restart_node(name)
     total_after = sum(len(n.store) for n in cluster.nodes.values())
     return {
-        "write_mean": summarize(client.write_latencies)["mean"],
+        "write_mean": summarize(writes)["mean"],
         "recovered_fraction": total_after / max(1, total_before),
     }
 
@@ -329,7 +330,7 @@ def ablation_fanout(ops: int = 400, seed: int = 42) -> FigureResult:
         """Same replica writes, issued one at a time."""
         yield from seq_client.connect()
         coord: QuorumCoordinator = seq_client.coordinator
-        t_list = seq_client.write_latencies
+        t_list = []
         for key in keys:
             encoded_key = f"seq\x1fdefault\x1fs-{key.decode()}"
             ts = seq_client._timestamp()
@@ -342,12 +343,13 @@ def ablation_fanout(ops: int = 400, seed: int = 42) -> FigureResult:
                 yield from coord.rpc.call(replica, "replica.write", payload,
                                           timeout=1.0)
             t_list.append(cluster.sim.now - t0)
-        return True
+        return t_list
 
-    cluster.run(write_then_read(parallel_client, keys, prefix="p-"))
-    cluster.run(run_sequential())
-    par = summarize(parallel_client.write_latencies)
-    seq = summarize(seq_client.write_latencies)
+    par_writes, _reads = cluster.run(write_then_read(parallel_client, keys,
+                                                     prefix="p-"))
+    seq_writes = cluster.run(run_sequential())
+    par = summarize(par_writes)
+    seq = summarize(seq_writes)
     result = FigureResult("ablation",
                           "Replica fan-out: parallel vs sequential")
     result.totals = {

@@ -49,13 +49,16 @@ def sedna_write_read(ops: int, seed: int = 42, n_nodes: int = 9,
     def run_one(i):
         client = clients[i]
         wseries, rseries = series[i]
+        sim = cluster.sim
         yield from client.connect()
         for key in keyspaces[i]:
+            t0 = sim.now
             yield from client.write_latest(key.decode(), PAPER_VALUE.decode())
-            wseries.record(client.write_latencies[-1], every=every)
+            wseries.record(sim.now - t0, every=every)
         for key in keyspaces[i]:
+            t0 = sim.now
             yield from client.read_latest(key.decode())
-            rseries.record(client.read_latencies[-1], every=every)
+            rseries.record(sim.now - t0, every=every)
         wseries.finish()
         rseries.finish()
 
@@ -100,11 +103,13 @@ def memcached_write_read(ops: int, copies: int, seed: int = 42,
 
     def run():
         for key in keys:
+            t0 = sim.now
             yield from client.set(key, PAPER_VALUE, copies=copies)
-            wseries.record(client.write_latencies[-1], every=every)
+            wseries.record(sim.now - t0, every=every)
         for key in keys:
+            t0 = sim.now
             yield from client.get(key, copies=copies)
-            rseries.record(client.read_latencies[-1], every=every)
+            rseries.record(sim.now - t0, every=every)
         wseries.finish()
         rseries.finish()
         return True

@@ -26,13 +26,23 @@ def write_then_read(client, keys: list[bytes],
                     read: bool = False):
     """Connect ``client``, ``write_latest`` every ``prefix + key``, then
     (``read=True``) ``read_latest`` each back in the same order: the
-    load the ablations and the scalability bench drive."""
+    load the ablations and the scalability bench drive.  Returns the
+    ``(writes, reads)`` latency lists, each op timed by ``sim.now``
+    around its call."""
+    sim = client.sim
+    writes: list[float] = []
+    reads: list[float] = []
     yield from client.connect()
     for key in keys:
+        t0 = sim.now
         yield from client.write_latest(prefix + key.decode(), value)
+        writes.append(sim.now - t0)
     if read:
         for key in keys:
+            t0 = sim.now
             yield from client.read_latest(prefix + key.decode())
+            reads.append(sim.now - t0)
+    return writes, reads
 
 
 @dataclass

@@ -63,9 +63,9 @@ def ablation_routing(ops: int = 300, n_nodes: int = 16,
                                               read_quorum=1, write_quorum=1))
     cluster.start()
     sedna_client = cluster.smart_client("route-cli")
-    cluster.run(write_then_read(sedna_client, keys, value="v", read=True))
-    sedna = summarize(sedna_client.write_latencies
-                      + sedna_client.read_latencies)
+    writes, reads = cluster.run(write_then_read(sedna_client, keys,
+                                                value="v", read=True))
+    sedna = summarize(writes + reads)
 
     result = FigureResult("§VII-routing",
                           "Zero-hop DHT vs Chord multi-hop lookup")
@@ -159,21 +159,26 @@ def ablation_write_protocol(ops: int = 300, seed: int = 42) -> FigureResult:
     lww = cluster.smart_client("lww")
     rbw = cluster.smart_client("rbw")
     keys = paper_keys(ops, seed=seed)
+    sim = cluster.sim
 
     def rbw_run():
-        """Dynamo: a write first reads the current version vector."""
+        """Dynamo: a write first reads the current version vector.  For
+        read-before-write, one logical write = one read + one write."""
+        paired = []
         yield from rbw.connect()
         for key in keys:
+            t0 = sim.now
             yield from rbw.read_all(f"r-{key.decode()}")   # fetch context
+            read = sim.now - t0
+            t0 = sim.now
             yield from rbw.write_latest(f"r-{key.decode()}", "v")
-        return True
+            paired.append(read + (sim.now - t0))
+        return paired
 
-    cluster.run(write_then_read(lww, keys, value="v", prefix="l-"))
-    cluster.run(rbw_run())
-    lww_stats = summarize(lww.write_latencies)
-    # For read-before-write, one logical write = one read + one write.
-    paired = [r + w for r, w in zip(rbw.read_latencies,
-                                    rbw.write_latencies)]
+    writes, _reads = cluster.run(write_then_read(lww, keys, value="v",
+                                                 prefix="l-"))
+    paired = cluster.run(rbw_run())
+    lww_stats = summarize(writes)
     rbw_stats = summarize(paired)
     result = FigureResult(
         "§VII-write", "LWW timestamps vs read-before-write (Dynamo)")

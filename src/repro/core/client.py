@@ -15,8 +15,9 @@ is defined once and goes through :meth:`SednaClient._op`; only
 :meth:`SednaClient._request` differs between the routes.
 
 All operations are process helpers — use ``yield from`` inside a
-simulation process.  Per-operation latencies are recorded for the
-benchmark harness.
+simulation process.  A client keeps nothing per operation: a caller
+that wants one op's latency reads ``sim.now`` around the call (the
+same float the client observes).
 """
 
 from __future__ import annotations
@@ -135,9 +136,6 @@ class SednaClient:
         self.pinned = pinned
         self._rr = 0
         self._last_ts = 0.0
-        # Measurements for the harness.
-        self.write_latencies: list[float] = []
-        self.read_latencies: list[float] = []
         self.failures = 0
         # The client is where a request-scoped trace is minted — it is
         # the entry point of every operation — and where the end-to-end
@@ -188,19 +186,17 @@ class SednaClient:
     def _record(self, read: bool, t0: float, failed: bool) -> None:
         """The one accounting rule, for every verb and both routes.
 
-        The latency since ``t0`` always joins the harness series (reads
-        → ``read_latencies``, everything else → ``write_latencies``).
-        A completed op is observed in ``client.read_seconds`` /
-        ``client.write_seconds``; a failed one counts in
-        ``client.failures`` instead, which is how ``repro.obs.fitness``
-        reads the three series (ops = observations + failures).
+        A completed op's latency since ``t0`` is observed in
+        ``client.read_seconds`` (reads) or ``client.write_seconds``
+        (everything else); a failed one counts in ``client.failures``
+        instead, which is how ``repro.obs.fitness`` reads the three
+        series (ops = observations + failures).
         """
-        dt = self.sim.now - t0
-        (self.read_latencies if read else self.write_latencies).append(dt)
         if failed:
             self.failures += 1
         else:
-            (self._m_read_lat if read else self._m_write_lat).observe(dt)
+            (self._m_read_lat if read else self._m_write_lat).observe(
+                self.sim.now - t0)
 
     def _op(self, name: str, method: str, args: Any, read: bool = False,
             **tags: Any):

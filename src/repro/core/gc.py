@@ -60,8 +60,8 @@ class GarbageCollector:
         node = self.node
         ring = node.cache.ring
         n = node.config.replicas
-        return [v for v, keys in node.vnode_keys.items()
-                if keys and node.name not in ring.replicas_for(v, n)]
+        return [v for v in node.store.indexed_vnodes()
+                if node.name not in ring.replicas_for(v, n)]
 
     def _loop(self):
         interval = self.interval
@@ -90,7 +90,8 @@ class GarbageCollector:
         mine = node.vnode_digest(vnode_id)
         mine_dvv = node.vnode_dvv_digest(vnode_id)
         if not mine and not mine_dvv:
-            node.vnode_keys.pop(vnode_id, None)
+            # Element-less rows only: unindex them, keep them.
+            node.store.forget_vnode(vnode_id)
             return 0
         # Every current replica must dominate our versions first —
         # causal rows included (vv dominance, see dvv_covered).
@@ -112,11 +113,12 @@ class GarbageCollector:
                 self.rows_pushed += (len(bundle["rows"])
                                      + len(bundle["dvv_rows"]))
         # Safe: drop the local copies.
-        keys = node.vnode_keys.pop(vnode_id, set())
+        store = node.store
         dropped = 0
-        for key in keys:
-            if node.store.delete(key):
+        for key in store.keys_of(vnode_id):
+            if store.delete(key):
                 dropped += 1
+        store.forget_vnode(vnode_id)
         self.rows_dropped += dropped
         node.vnode_status.pop(vnode_id, None)
         return dropped

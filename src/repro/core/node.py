@@ -54,13 +54,13 @@ _READ_BASE = estimate_size({"elements": "", "lww": None}, 1)
 _MREAD_BASE = estimate_size({"rows": {}, "lww": {}}, 1)
 
 
-def _row_size(row, wire: list, depth: int) -> int:
-    """``estimate_size(wire, depth)`` for ``row``'s wire list.
+def _row_size(wire: list, depth: int) -> int:
+    """``estimate_size(wire, depth)`` for a row's wire list.
 
     When every element holds the usual string source, float timestamp
     and string value, the size is the same at any depth a reply puts
-    the row (at most 5), so it is worked out from the shape and cached
-    on the row until its next write.  Any other row is walked.
+    the row (at most 5), so it is worked out from the shape.  Any other
+    row is walked.
     """
     size = 8
     for element in wire:
@@ -69,7 +69,6 @@ def _row_size(row, wire: list, depth: int) -> int:
             size += 16 + len(source) + len(value)
         else:
             return estimate_size(wire, depth)
-    row.wire_size = size
     return size
 
 
@@ -91,6 +90,9 @@ class SednaNode:
         self.zk = ZkClient(sim, network, f"{name}-zk", zk_servers, zk_config,
                            metrics=handles)
         self.disk = disk if disk is not None else SimDisk()
+        # Whether a trigger runtime scans this node's Dirty column
+        # (keep_dirty); a restart keeps it.
+        self.scanned = False
         self._reset_volatile()
         # The node's handle on the cluster state in ZooKeeper.  Like the
         # coordinator it outlives a crash and follows the new cache.
@@ -138,24 +140,28 @@ class SednaNode:
     # Wiring
     # ------------------------------------------------------------------
     def _reset_volatile(self) -> None:
-        """Build, empty, what a crash loses: mapping cache, store,
-        vnode index, persistence strategy (its disk survives).  Both
+        """Build, empty, what a crash loses: mapping cache, store (with
+        its vnode index, and its Dirty column when the node is
+        scanned), persistence strategy (its disk survives).  Both
         construction and :meth:`restart` come through here, so a
-        restarted node cannot drift from a new one."""
+        restarted node cannot drift from a new one, and the Dirty
+        column exists before :meth:`join` merges the recovered rows."""
         metrics = self.obs.metrics
         self.cache = MappingCache(self.sim, self.zk, self.config,
                                   metrics=metrics, owner=self.name)
         self.store = VersionedStore(
             metrics=metrics, node=self.name,
-            dvv_sibling_cap=self.config.dvv_sibling_cap)
+            dvv_sibling_cap=self.config.dvv_sibling_cap,
+            vnode_of=self.cache.ring.vnode_of)
+        if self.scanned:
+            self.store.keep_dirty()
         self.persistence = make_strategy(self.config.persistence, self.disk,
                                          self.name,
                                          self.config.snapshot_interval)
-        # Vnode-local bookkeeping.  The per-vnode stats feed is the
-        # single source of the read/write frequencies behind the
-        # imbalance table (§III.B); ``vnode_status`` stays as an alias
-        # of the feed's mapping for handoff/GC code and tests.
-        self.vnode_keys: dict[int, set[str]] = {}
+        # The per-vnode stats feed is the single source of the
+        # read/write frequencies behind the imbalance table (§III.B);
+        # ``vnode_status`` stays as an alias of the feed's mapping for
+        # handoff/GC code and tests.
         self.vstats = VnodeStatsFeed(self.name, VnodeStatus)
         self.vnode_status: dict[int, VnodeStatus] = self.vstats.statuses
         metrics.register_feed(self.vstats)
@@ -216,7 +222,7 @@ class SednaNode:
         recovered = self.persistence.recover()
         for key, elements in recovered.items():
             self.store.merge_elements(key, elements)
-            self._index_key(key)
+        self._count_keys(map(self.cache.ring.vnode_of, recovered))
         self.running = True
         return self.name
 
@@ -299,7 +305,6 @@ class SednaNode:
         sources instead of re-inflating the value list.
         """
         self.store.merge_elements(key, elements, lww=lww)
-        self._index_key(key)
         for element in elements:
             self.persistence.on_write(key, element)
 
@@ -343,13 +348,15 @@ class SednaNode:
         durability across power loss comes from the replica set, not
         the disk strategies (documented in docs/protocols.md §16)."""
         flags = bundle.get("lww", {})
-        for key, blob in bundle["rows"].items():
+        rows = bundle["rows"]
+        for key, blob in rows.items():
             self._merge_durably(key, unwire_elements(blob),
                                 lww=flags.get(key))
-        merged = len(bundle["rows"])
-        for key, blob in (bundle.get("dvv_rows") or {}).items():
+        merged = len(rows)
+        dvv_rows = bundle.get("dvv_rows") or {}
+        for key, blob in dvv_rows.items():
             merged += self.store.causal_merge(key, unwire_dvv_row(blob))
-            self._index_key(key)
+        self._count_keys(map(self.cache.ring.vnode_of, (*rows, *dvv_rows)))
         return merged
 
     def _push_rows(self, peer: str, vnode_id: int, bundle: dict,
@@ -404,21 +411,20 @@ class SednaNode:
         self.coordinator.cache = self.placement.cache = self.cache
         yield from self.join()
 
-    # ------------------------------------------------------------------
-    # Local indexing helpers
-    # ------------------------------------------------------------------
-    def _index_key(self, key: str) -> None:
-        """Add a key to the vnode index and its vnode's key count."""
-        vnode_id = self.cache.ring.vnode_of(key)
-        indexed = self.vnode_keys.setdefault(vnode_id, set())
-        indexed.add(key)
-        self.vstats.status(vnode_id).keys = len(indexed)
+    def keep_dirty(self) -> None:
+        """Keep the Dirty column for a trigger runtime's scanners, from
+        now on and across restarts (rows written before are not
+        dirty)."""
+        self.scanned = True
+        self.store.keep_dirty()
 
-    def _recount(self, vnode_id: int, indexed: Optional[set]) -> None:
-        """Bring a vnode's key count down to its index after deletes."""
-        status = self.vnode_status.get(vnode_id)
-        if indexed is not None and status is not None:
-            status.keys = len(indexed)
+    def _count_keys(self, vnode_ids) -> None:
+        """Copy the store's key count of each vnode that has a key list
+        into its stats row (made when missing)."""
+        for vnode_id in dict.fromkeys(vnode_ids):
+            count = self.store.key_count(vnode_id)
+            if count is not None:
+                self.vstats.status(vnode_id).keys = count
 
     # ------------------------------------------------------------------
     # Replica-side handlers (the storage plane)
@@ -451,10 +457,10 @@ class SednaNode:
     def _apply_writes(self, vnode_id: int, entries: list) -> dict[str, str]:
         """Apply a vnode-group of writes: one ownership check, one
         forward to a migration receiver, one status record for the
-        group's vnode, whose id indexes every key (a coordinator groups
-        keys by the vnode they hash to); per-key outcomes (a key sent
-        twice reports its last entry's).  Each applied entry is logged
-        by its own outcome."""
+        group's vnode, which every key hashes to (a coordinator groups
+        keys by their vnode); per-key outcomes (a key sent twice
+        reports its last entry's).  Each applied entry is logged by its
+        own outcome."""
         self._guard_owner(vnode_id)
         self.replica_writes += len(entries)
         status = self.vstats.status(vnode_id)
@@ -468,11 +474,7 @@ class SednaNode:
             outcome = write(e["key"], e["value"], e["ts"], e["source"])
             statuses[e["key"]] = outcome
             outcomes.append(outcome)
-        indexed = self.vnode_keys.get(vnode_id)
-        if indexed is None:
-            indexed = self.vnode_keys[vnode_id] = set()
-        indexed.update(statuses)
-        status.keys = len(indexed)
+        status.keys = store.key_count(vnode_id)
         persistence = self.persistence
         if persistence.logs_writes:
             for e, outcome in zip(entries, outcomes):
@@ -526,10 +528,8 @@ class SednaNode:
             # No row: an empty element list, 8 bytes.
             return Sized({"elements": [], "lww": None}, _READ_BASE + 8)
         wire = row.wire()
-        size = row.wire_size
-        if size is None:
-            size = _row_size(row, wire, 2)
-        return Sized({"elements": wire, "lww": row.lww}, _READ_BASE + size)
+        return Sized({"elements": wire, "lww": row.lww},
+                     _READ_BASE + _row_size(wire, 2))
 
     def _h_replica_mread(self, src: str, args: Any):
         """Batched replica.read: one round-trip, one ownership/warming
@@ -549,10 +549,7 @@ class SednaNode:
             if row is None or row.source is None:
                 continue
             wire = rows[key] = row.wire()
-            row_size = row.wire_size
-            if row_size is None:
-                row_size = _row_size(row, wire, 3)
-            size += len(key) + row_size
+            size += len(key) + _row_size(wire, 3)
             if row.lww is not None:
                 flags[key] = row.lww
                 size += len(key) + 1
@@ -565,14 +562,9 @@ class SednaNode:
         guard, so a non-owner acks deletes (recorded under ROADMAP aim
         3; adding the guard moves digests).
         """
-        indexed = self.vnode_keys.get(vnode_id)
-        statuses = {}
-        for key in keys:
-            existed = self.store.delete(key)
-            if indexed is not None:
-                indexed.discard(key)
-            statuses[key] = "ok" if existed else "missing"
-        self._recount(vnode_id, indexed)
+        delete = self.store.delete
+        statuses = {key: "ok" if delete(key) else "missing" for key in keys}
+        self._count_keys((vnode_id,))
         receiver = self.migrating_out.get(vnode_id)
         if receiver is not None:
             self._spawn_forward(receiver, vnode_id, deletes=list(keys))
@@ -596,7 +588,7 @@ class SednaNode:
         dot, row = self.store.causal_update(
             key, args["value"], args["ts"], args["source"],
             unwire_context(args.get("ctx")), self.name)
-        self._index_key(key)
+        self._count_keys((vnode_id,))
         self.vstats.record_write(vnode_id)
         receiver = self.migrating_out.get(vnode_id)
         if receiver is not None:
@@ -613,7 +605,7 @@ class SednaNode:
         self.replica_writes += 1
         key = args["key"]
         self.store.causal_merge(key, unwire_dvv_row(args["row"]))
-        self._index_key(key)
+        self._count_keys((vnode_id,))
         self.vstats.record_write(vnode_id)
         receiver = self.migrating_out.get(vnode_id)
         if receiver is not None:
@@ -634,10 +626,7 @@ class SednaNode:
 
     def _h_replica_transfer(self, src: str, args: Any):
         """Ship every row of one vnode (re-duplication / rebalance)."""
-        # sorted(): set order is hash order, and the row dict's order
-        # is wire-visible (replay identity across PYTHONHASHSEEDs).
-        return self._export_rows(
-            sorted(self.vnode_keys.get(args["vnode"], set())))
+        return self._export_rows(self.store.keys_of(args["vnode"]))
 
     def _h_replica_install(self, src: str, args: Any):
         """Receive a vnode's rows (the re-duplication target side)."""
@@ -649,8 +638,10 @@ class SednaNode:
     def _h_replica_repair(self, src: str, args: Any):
         """Read-repair: merge the coordinator's freshest elements."""
         self.repairs += 1
-        self._merge_durably(args["key"], unwire_elements(args["elements"]),
+        key = args["key"]
+        self._merge_durably(key, unwire_elements(args["elements"]),
                             lww=args.get("lww"))
+        self._count_keys((self.cache.ring.vnode_of(key),))
         return {"status": "ok"}
 
     def vnode_digest(self, vnode_id: int) -> dict[str, list[tuple]]:
@@ -660,7 +651,7 @@ class SednaNode:
         whole vnodes, so a quiet cluster syncs for metadata cost only.
         """
         digest: dict[str, list[tuple]] = {}
-        for key in sorted(self.vnode_keys.get(vnode_id, set())):
+        for key in self.store.keys_of(vnode_id):
             elements = self.store.read_all(key)
             if elements:
                 digest[key] = sorted((e.source, e.timestamp)
@@ -675,7 +666,7 @@ class SednaNode:
         shipping sibling values.
         """
         digest: dict[str, list] = {}
-        for key in sorted(self.vnode_keys.get(vnode_id, set())):
+        for key in self.store.keys_of(vnode_id):
             row = self.store.dvv_rows.get(key)
             if row is not None and (row.vv or row.siblings):
                 digest[key] = [
@@ -724,7 +715,7 @@ class SednaNode:
         self.migrating_out[vnode_id] = receiver
         self._migration_gen[vnode_id] = \
             self._migration_gen.get(vnode_id, 0) + 1
-        snapshot = sorted(self.vnode_keys.get(vnode_id, set()))
+        snapshot = self.store.keys_of(vnode_id)
         self._migration_snaps[vnode_id] = snapshot
         return {"status": "ok", "keys": len(snapshot)}
 
@@ -761,13 +752,9 @@ class SednaNode:
         """Receiver side of the forwarding window: merge double-applied
         writes (and replay deletes) for a vnode migrating in."""
         self._import_rows(args)
-        vnode_id = args["vnode"]
-        keys = self.vnode_keys.get(vnode_id)
         for key in args.get("deletes", ()):
             self.store.delete(key)
-            if keys is not None:
-                keys.discard(key)
-        self._recount(vnode_id, keys)
+        self._count_keys((args["vnode"],))
         return {"status": "ok"}
 
     def _h_migrate_end(self, src: str, args: Any):
@@ -936,10 +923,10 @@ class SednaNode:
 
     def _reduplicate(self, vnode_id: int, target: str):
         """Copy the vnode's rows to its new owner from a healthy copy."""
-        keys = self.vnode_keys.get(vnode_id)
+        keys = self.store.keys_of(vnode_id)
         if keys and target != self.name:
             yield from self._push_rows(
-                target, vnode_id, self._export_rows(sorted(keys)),
+                target, vnode_id, self._export_rows(keys),
                 REQUEST_TIMEOUT * 4)
             return
         # We took the vnode over ourselves, or hold nothing of it: the

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import (Any, Callable, Iterable, NamedTuple, Optional, Sequence,
+                    Union)
 
 from ..obs.metrics import DISABLED, MetricsRegistry
 
@@ -96,14 +97,11 @@ class Row:
     Merges into an LWW row prune superseded sources so re-duplication
     and anti-entropy cannot re-inflate a collapsed row.
 
-    ``wire_size`` is a cache the replica plane may fill: the size of
-    the row's elements as a wire list, for a row whose size does not
-    depend on where a reply puts it.  Every write to the row resets it
-    to None.
+    Six slots make 80 bytes, one pymalloc size class below the 88 a
+    seventh would ask for.
     """
 
-    __slots__ = ("source", "timestamp", "value", "more", "monitors",
-                 "lww", "wire_size")
+    __slots__ = ("source", "timestamp", "value", "more", "monitors", "lww")
 
     def __init__(self, elements: Sequence[ValueElement] = (),
                  monitors: Union[set[str], frozenset[str]] = _NO_MONITORS,
@@ -118,7 +116,6 @@ class Row:
             self.more = tuple(ValueElement._make(el) for el in rest)
         self.monitors = monitors
         self.lww = lww
-        self.wire_size: Optional[int] = None
 
     @property
     def elements(self) -> list[ValueElement]:
@@ -336,6 +333,22 @@ class VersionedStore:
     only and no node embeds it — the node borrows just its ``fnv1a``,
     via ``core/hashring.py``.
 
+    A stored key costs its row and its rows-dict entry, plus, in a
+    node's store, its place in the vnode index: given ``vnode_of`` (the
+    node's ring), the store keeps one key list per vnode, entered when
+    a key gets its first row and left when it is deleted.  The lists
+    are what the node's bulk paths walk (:meth:`keys_of`).  Deletes
+    leave their keys in the lists until the next index read or entry,
+    which filters each touched list once, so a batch of deletes costs
+    one pass per vnode rather than one per key.  Two kinds of row are
+    in no list: a row :meth:`register_monitor` created for a key never
+    written, and the rows of a vnode whose list :meth:`forget_vnode`
+    dropped; a write to one of them enters it.
+
+    The Dirty column exists only on a store a trigger scanner drains:
+    :meth:`keep_dirty` starts it, and only rows written from then on
+    are dirty.
+
     Parameters
     ----------
     metrics / node:
@@ -345,10 +358,14 @@ class VersionedStore:
         plain ints (``writes_ok``, ``reads``, ``bytes_read``, ...) and
         the registry reads them at snapshot time, so a store makes no
         metric call per key, observed or not.
+    vnode_of:
+        Key -> vnode id, from the owning node's ring; None (a store
+        outside a node) keeps no vnode index.
     """
 
     def __init__(self, metrics: MetricsRegistry = DISABLED,
-                 node: str = "", dvv_sibling_cap: int = 16) -> None:
+                 node: str = "", dvv_sibling_cap: int = 16,
+                 vnode_of: Optional[Callable[[str], int]] = None) -> None:
         self.rows: dict[str, Row] = {}
         # Causal-mode (DVV) rows live beside the timestamped rows; a
         # key is one or the other, never both, by API discipline.
@@ -357,8 +374,15 @@ class VersionedStore:
         self.dvv_context_misses = 0
         self.dvv_sibling_prunes = 0
         # Keys written since the last drain, in last-mark order: a
-        # re-marked key is re-inserted at the end.
-        self._dirty_keys: dict[str, None] = {}
+        # re-marked key is re-inserted at the end.  None: nobody scans.
+        self._dirty_keys: Optional[dict[str, None]] = None
+        # The vnode index: per vnode, its keys in entry order (vnodes
+        # in first-entry order); deleted keys still listed; keys with a
+        # row in no list.
+        self._vnode_of = vnode_of
+        self._vnode_keys: dict[int, list[str]] = {}
+        self._stale: dict[str, None] = {}
+        self._unlisted: set[str] = set()
         self.writes_ok = 0
         self.writes_outdated = 0
         self.reads = 0
@@ -374,12 +398,78 @@ class VersionedStore:
         metrics.count_from(self, "dvv_sibling_prunes",
                            "dvv.sibling_prunes", node=node)
 
+    # -- the vnode index ---------------------------------------------------
+    def _list(self, key: str, had_row: bool) -> None:
+        """Enter ``key``, which now has a row, in its vnode's key list
+        unless it is listed already, as a key that ``had_row`` is
+        unless it was left out (:meth:`register_monitor`,
+        :meth:`forget_vnode`)."""
+        vnode_of = self._vnode_of
+        if vnode_of is None:
+            return
+        if had_row:
+            if key not in self._unlisted:
+                return
+            self._unlisted.remove(key)
+        if self._stale:
+            self._prune()
+        vnode_id = vnode_of(key)
+        keys = self._vnode_keys.get(vnode_id)
+        if keys is None:
+            self._vnode_keys[vnode_id] = [key]
+        else:
+            keys.append(key)
+
+    def _prune(self) -> None:
+        """Take the keys deleted since the last prune out of their
+        lists: one pass over each list they were in."""
+        stale = self._stale
+        lists = self._vnode_keys
+        vnode_of = self._vnode_of
+        assert vnode_of is not None, "only a store with an index lists"
+        for vnode_id in dict.fromkeys(map(vnode_of, stale)):
+            keys = lists[vnode_id]
+            keys[:] = [key for key in keys if key not in stale]
+        stale.clear()
+
+    def keys_of(self, vnode_id: int) -> list[str]:
+        """The vnode's listed keys, sorted: the order every bulk path
+        (transfer, digest, migration snapshot, re-duplication, GC)
+        walks, since it reaches the wire."""
+        if self._stale:
+            self._prune()
+        return sorted(self._vnode_keys.get(vnode_id, ()))
+
+    def key_count(self, vnode_id: int) -> Optional[int]:
+        """How many keys the vnode's list holds; None when the store
+        keeps no list for it."""
+        if self._stale:
+            self._prune()
+        keys = self._vnode_keys.get(vnode_id)
+        return None if keys is None else len(keys)
+
+    def indexed_vnodes(self) -> list[int]:
+        """The vnodes whose lists hold a key, in first-entry order; a
+        vnode whose keys were all deleted keeps its place."""
+        if self._stale:
+            self._prune()
+        return [vnode_id for vnode_id, keys in self._vnode_keys.items()
+                if keys]
+
+    def forget_vnode(self, vnode_id: int) -> None:
+        """Drop the vnode's key list.  Its rows stay, in no list, until
+        a write enters them again or a delete removes them."""
+        if self._stale:
+            self._prune()
+        self._unlisted.update(self._vnode_keys.pop(vnode_id, ()))
+
     # -- write paths -------------------------------------------------------
     def _mark_dirty(self, key: str) -> None:
         dirty = self._dirty_keys
-        if key in dirty:
-            del dirty[key]
-        dirty[key] = None
+        if dirty is not None:
+            if key in dirty:
+                del dirty[key]
+            dirty[key] = None
 
     def write_latest(self, key: str, value: Any, timestamp: float,
                      source: str) -> str:
@@ -393,6 +483,9 @@ class VersionedStore:
         if row is None:
             row = Row()
             self.rows[key] = row
+            self._list(key, key in self.dvv_rows)
+        elif self._unlisted:
+            self._list(key, True)
         row.lww = True
         if row.source is not None:
             # The newest of a write_all row's list, else the row's slots.
@@ -404,12 +497,12 @@ class VersionedStore:
         row.source = source
         row.timestamp = timestamp
         row.value = value
-        row.wire_size = None
         # _mark_dirty, inlined on the per-key path.
         dirty = self._dirty_keys
-        if key in dirty:
-            del dirty[key]
-        dirty[key] = None
+        if dirty is not None:
+            if key in dirty:
+                del dirty[key]
+            dirty[key] = None
         self.writes_ok += 1
         # _value_size, inlined on the per-key paths.
         self.bytes_written += (len(value) if isinstance(value, (str, bytes))
@@ -427,13 +520,15 @@ class VersionedStore:
         if row is None:
             row = Row()
             self.rows[key] = row
+            self._list(key, key in self.dvv_rows)
+        elif self._unlisted:
+            self._list(key, True)
         row.lww = False
         existing = row.element_from(source)
         if existing is not None and timestamp <= existing.timestamp:
             self.writes_outdated += 1
             return WriteOutcome.OUTDATED
         row._put(source, timestamp, value)
-        row.wire_size = None
         self._mark_dirty(key)
         self.writes_ok += 1
         self.bytes_written += _value_size(value)
@@ -443,7 +538,13 @@ class VersionedStore:
         """Remove a row entirely; True when it existed."""
         existed = self.rows.pop(key, None) is not None
         existed = (self.dvv_rows.pop(key, None) is not None) or existed
-        self._dirty_keys.pop(key, None)
+        if self._dirty_keys is not None:
+            self._dirty_keys.pop(key, None)
+        if existed and self._vnode_of is not None:
+            if key in self._unlisted:
+                self._unlisted.remove(key)
+            else:
+                self._stale[key] = None
         return existed
 
     # -- read paths -----------------------------------------------------------
@@ -498,14 +599,25 @@ class VersionedStore:
         Registering on a missing key creates an empty row, so triggers
         can watch keys that do not exist yet (the realtime-search use
         case watches the crawl output table before the first tweet).
+        Such a row holds no element and is in no vnode list until its
+        key is written.
         """
         row = self.rows.get(key)
         if row is None:
             row = Row()
             self.rows[key] = row
+            if self._vnode_of is not None and key not in self.dvv_rows:
+                self._unlisted.add(key)
         if row.monitors is _NO_MONITORS:
             row.monitors = set()
         row.monitors.add(monitor_id)
+
+    def keep_dirty(self) -> None:
+        """Start keeping the Dirty column that :meth:`drain_dirty`
+        drains.  A store nobody scans keeps none, so a row written
+        before this call is not dirty."""
+        if self._dirty_keys is None:
+            self._dirty_keys = {}
 
     def drain_dirty(self, limit: int = 0) -> list[tuple[str, Row]]:
         """Take up to ``limit`` dirty rows (0 = all); they are clean
@@ -513,8 +625,11 @@ class VersionedStore:
 
         Rows are returned in dirty order (least recently marked first),
         which is what the sequential scanner threads of §IV.C observe.
+        Nothing is dirty on a store that does not :meth:`keep_dirty`.
         """
         dirty = self._dirty_keys
+        if dirty is None:
+            return []
         keys = list(dirty if limit <= 0 else islice(dirty, limit))
         out: list[tuple[str, Row]] = []
         rows = self.rows
@@ -547,6 +662,9 @@ class VersionedStore:
         if row is None:
             row = Row()
             self.rows[key] = row
+            self._list(key, key in self.dvv_rows)
+        elif self._unlisted:
+            self._list(key, True)
         if lww is not None:
             row.lww = lww
         changed = False
@@ -561,7 +679,6 @@ class VersionedStore:
             row.more = ()
             changed = True
         if changed:
-            row.wire_size = None
             self._mark_dirty(key)
 
     # -- causal mode (DVV) -----------------------------------------------
@@ -579,6 +696,9 @@ class VersionedStore:
         if row is None:
             row = DvvRow()
             self.dvv_rows[key] = row
+            self._list(key, key in self.rows)
+        elif self._unlisted:
+            self._list(key, True)
         if any(cnt > row.vv.get(rep, 0) for rep, cnt in ctx.items()):
             # Client context references events we have not seen yet
             # (stale replica, or read served elsewhere): the update is
@@ -604,6 +724,9 @@ class VersionedStore:
         if row is None:
             row = DvvRow()
             self.dvv_rows[key] = row
+            self._list(key, key in self.rows)
+        elif self._unlisted:
+            self._list(key, True)
         changed, pruned = row.merge(incoming, self.dvv_sibling_cap)
         if pruned:
             self.dvv_sibling_prunes += pruned

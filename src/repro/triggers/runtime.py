@@ -9,7 +9,8 @@ piece."
 Mechanics here:
 
 * every real node runs :data:`SCAN_THREADS` scanner processes over its own
-  :class:`~repro.storage.versioned.VersionedStore`;
+  :class:`~repro.storage.versioned.VersionedStore`, whose Dirty column
+  :meth:`TriggerRuntime.start` turns on (a node nobody scans keeps none);
 * a change fires only on the vnode's *primary* replica, so one logical
   write activates a trigger exactly once despite N physical copies;
 * matched events pass the job's :class:`~repro.triggers.api.Filter`
@@ -72,11 +73,15 @@ class TriggerRuntime:
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
-        """Spawn the scanner processes on every running node."""
+        """Start the Dirty column and spawn the scanner processes on
+        every node.  A node keeps no Dirty column until then, so writes
+        made before ``start()`` are never scanned: start the runtime
+        before the first write it should see."""
         if self._started:
             return
         self._started = True
         for name, node in self.cluster.nodes.items():
+            node.keep_dirty()
             self._clients[name] = SednaClient(
                 self.sim, self.cluster.network, f"{name}-triggers",
                 [name], self.config, pinned=name)

@@ -76,15 +76,15 @@ class TestMemcachedCluster:
         c3 = cluster.client("triple")
 
         def script():
+            t0 = sim.now
             for i in range(50):
                 yield from c1.set(f"a{i}".encode(), b"v", copies=1)
+            t1 = sim.now
             for i in range(50):
                 yield from c3.set(f"b{i}".encode(), b"v", copies=3)
-            return True
+            return t1 - t0, sim.now - t1
 
-        run(sim, script())
-        t1 = sum(c1.write_latencies)
-        t3 = sum(c3.write_latencies)
+        t1, t3 = run(sim, script())
         assert t3 > 2.0 * t1, (
             "sequential 3-copy writes must cost ~3x a single write "
             f"(got {t3:.4f}s vs {t1:.4f}s)")

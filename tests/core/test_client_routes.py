@@ -11,20 +11,31 @@ vocabulary (``failure`` / ``None`` / ``[]`` / ``False`` /
 
 import pytest
 
-from repro.core.client import CausalReadResult, CausalWriteAck
+from repro.core.client import (CausalReadResult, CausalWriteAck,
+                               SednaClient, SmartSednaClient)
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
+from repro.obs import OFF, Observability
 from repro.storage.versioned import ValueElement, WriteOutcome
 
 ROUTES = ["proxy", "zero-hop"]
 
 
-def make_client(cluster, route, name):
+def make_client(cluster, route, name, obs=OFF):
     if route == "proxy":
-        return cluster.client(name)
-    client = cluster.smart_client(name)
+        return SednaClient(cluster.sim, cluster.network, name,
+                           cluster.node_names, cluster.config, obs=obs)
+    client = SmartSednaClient(cluster.sim, cluster.network, name,
+                              cluster.ensemble.names, cluster.config,
+                              cluster.zk_config, obs=obs)
     cluster.run(client.connect())
     return client
+
+
+def latency_series(obs, client):
+    """The client's (read, write) latency histograms."""
+    return (obs.metrics.histogram("client.read_seconds", node=client.name),
+            obs.metrics.histogram("client.write_seconds", node=client.name))
 
 
 def plain(value, me, ns):
@@ -51,12 +62,18 @@ def plain(value, me, ns):
     return value
 
 
-def transcript(cluster, client, ns):
-    """Every verb once, on keys of namespace ``ns``; [(verb, result)]."""
+def transcript(cluster, client, ns, latencies=None):
+    """Every verb once, on keys of namespace ``ns``; [(verb, result)].
+    Each call's ``(verb, latency)``, timed by ``sim.now`` around it,
+    joins ``latencies`` when given."""
     log = []
+    sim = cluster.sim
 
     def run(verb, *args, **kwargs):
+        t0 = sim.now
         out = yield from getattr(client, verb)(*args, **kwargs)
+        if latencies is not None:
+            latencies.append((verb, sim.now - t0))
         log.append((verb, plain(out, client.name, ns)))
         return out
 
@@ -151,16 +168,24 @@ def test_the_answers_are_the_right_ones(transcripts, route):
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_every_verb_is_accounted_by_one_rule(cluster, route):
-    """Reads join ``read_latencies``, everything else (deletes and the
-    batched forms included) ``write_latencies``; nothing failed."""
-    client = make_client(cluster, route, f"acct-{route}")
-    log = transcript(cluster, client, f"acct-{route}")
-    reads = sum(1 for verb, _r in log if "read" in verb)
-    assert len(client.read_latencies) == reads
-    assert len(client.write_latencies) == len(log) - reads
+    """Reads are observed in ``client.read_seconds``, everything else
+    (deletes and the batched forms included) in
+    ``client.write_seconds``, each with the latency its caller reads
+    off ``sim.now``; nothing failed."""
+    obs = Observability()
+    client = make_client(cluster, route, f"acct-{route}", obs)
+    timed = []
+    log = transcript(cluster, client, f"acct-{route}", timed)
+    reads = [dt for verb, dt in timed if "read" in verb]
+    writes = [dt for verb, dt in timed if "read" not in verb]
+    read_hist, write_hist = latency_series(obs, client)
+    assert read_hist.count == len(reads) == sum(
+        1 for verb, _r in log if "read" in verb)
+    assert write_hist.count == len(writes) == len(log) - len(reads)
+    assert read_hist.total == sum(reads)
+    assert write_hist.total == sum(writes)
     assert client.failures == 0
-    assert all(dt > 0 for dt in client.read_latencies
-               + client.write_latencies)
+    assert all(dt > 0 for dt in reads + writes)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -171,7 +196,8 @@ def test_failure_vocabulary(route):
     cluster = SednaCluster(n_nodes=3, zk_size=1, seed=5,
                            config=SednaConfig(num_vnodes=8))
     cluster.start()
-    client = make_client(cluster, route, "doomed")
+    obs = Observability()
+    client = make_client(cluster, route, "doomed", obs)
     cluster.run(client.write_causal("ctx", "seed"))
     cluster.crash_node("node1")
     cluster.crash_node("node2")
@@ -201,10 +227,16 @@ def test_failure_vocabulary(route):
         {"a": None, "b": None}, {"a": [], "b": []},
         {"a": False, "b": False},
     ]
-    assert len(client.read_latencies) == 6
-    assert len(client.write_latencies) == 6 + 1      # + the seeding write
+    # Every op is accounted once: observed when it completed, counted
+    # in ``failures`` when it failed.
+    read_hist, write_hist = latency_series(obs, client)
+    assert read_hist.count + write_hist.count + client.failures == \
+        6 + 6 + 1                                     # + the seeding write
     # The eight single-key verbs fail as operations.  A batch fails per
     # key inside a successful reply, so it only counts as a failed
     # operation when a proxy client found no live coordinator at all.
-    assert client.failures == 8 if route == "zero-hop" \
-        else 8 <= client.failures <= 12
+    if route == "zero-hop":
+        assert client.failures == 8
+        assert (read_hist.count, write_hist.count) == (2, 1 + 2)
+    else:
+        assert 8 <= client.failures <= 12

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.client import SednaClient
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
 from repro.core.types import FullKey
+from repro.obs import Observability
 from repro.storage.versioned import WriteOutcome
 from repro.zk.server import ZkConfig
 
@@ -90,17 +92,24 @@ class TestWriteRead:
         assert cluster.run(script()) == ("in-t1", "in-t2")
 
     def test_latencies_recorded(self, cluster):
-        client = cluster.client()
+        obs = Observability()
+        client = SednaClient(cluster.sim, cluster.network, "lat",
+                             cluster.node_names, cluster.config, obs=obs)
+        sim = cluster.sim
 
         def script():
+            t0 = sim.now
             yield from client.write_latest("lat", "v")
+            t1 = sim.now
             yield from client.read_latest("lat")
-            return True
+            return t1 - t0, sim.now - t1
 
-        cluster.run(script())
-        assert len(client.write_latencies) == 1
-        assert len(client.read_latencies) == 1
-        assert 0 < client.write_latencies[0] < 0.1
+        write_s, read_s = cluster.run(script())
+        writes = obs.metrics.histogram("client.write_seconds", node="lat")
+        reads = obs.metrics.histogram("client.read_seconds", node="lat")
+        assert (writes.count, writes.total) == (1, write_s)
+        assert (reads.count, reads.total) == (1, read_s)
+        assert 0 < write_s < 0.1
 
 
 class TestReplication:

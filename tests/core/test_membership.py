@@ -137,14 +137,14 @@ class TestLateJoiner:
         cluster.settle(2.0)
 
         stolen = newcomer.cache.ring.vnodes_of("node2")
-        with_data = [v for v in stolen if newcomer.vnode_keys.get(v)]
-        keys_seeded = any(newcomer.vnode_keys.get(v) for v in stolen)
+        with_data = [v for v in stolen if newcomer.store.keys_of(v)]
+        keys_seeded = bool(with_data)
         # Some stolen vnodes may legitimately hold no keys; but if any
         # stolen vnode had data at the old owner it must have moved.
         assert newcomer.running
         if stolen and keys_seeded:
             for v in with_data:
-                for key in newcomer.vnode_keys[v]:
+                for key in newcomer.store.keys_of(v):
                     assert key in newcomer.store
 
 

@@ -251,7 +251,7 @@ class TestLiveMigration:
         assert moved_here
         held = 0
         for m in moved_here:
-            for key in sorted(node1.vnode_keys.get(m["vnode"], set())):
+            for key in node1.store.keys_of(m["vnode"]):
                 if node1.store.read_all(key):
                     held += 1
         assert held > 0, "migrated keys must be present on the receiver"

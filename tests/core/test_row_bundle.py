@@ -58,17 +58,18 @@ def spare(cluster):
 
 def everything(node):
     """The whole of ``node`` as one bundle."""
-    return node._export_rows(sorted(k for keys in node.vnode_keys.values()
-                                    for k in keys))
+    store = node.store
+    return node._export_rows(sorted(k for v in store.indexed_vnodes()
+                                    for k in store.keys_of(v)))
 
 
 def state(node):
     """What an import may change: digests, content, index, key stats."""
-    vnodes = sorted(node.vnode_keys)
+    vnodes = sorted(node.store.indexed_vnodes())
     return ({v: node.vnode_digest(v) for v in vnodes},
             {v: node.vnode_dvv_digest(v) for v in vnodes},
             everything(node),
-            {v: sorted(node.vnode_keys[v]) for v in vnodes},
+            {v: node.store.keys_of(v) for v in vnodes},
             {v: status.keys for v, status in node.vnode_status.items()})
 
 
@@ -107,8 +108,9 @@ class TestImportIsIdempotent:
 
     def test_export_import_round_trips_a_vnode(self, cluster):
         source, target = cluster.nodes["node0"], spare(cluster)
-        for vnode_id, keys in sorted(source.vnode_keys.items()):
-            target._import_rows(source._export_rows(sorted(keys)))
+        for vnode_id in sorted(source.store.indexed_vnodes()):
+            target._import_rows(
+                source._export_rows(source.store.keys_of(vnode_id)))
             assert target.vnode_digest(vnode_id) == \
                 source.vnode_digest(vnode_id)
             assert target.vnode_dvv_digest(vnode_id) == \

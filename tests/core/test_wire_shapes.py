@@ -186,7 +186,7 @@ def _background_steps():
     assert [ring.replicas_for(v, 3) for v in (0, 10, 11)] == [
         ["node3", "node0", "node1"], ["node1", "node2", "node3"],
         ["node2", "node3", "node0"]]
-    assert sorted(node3.vnode_keys) == [0, 1, 2]
+    assert sorted(node3.store.indexed_vnodes()) == [0, 1, 2]
 
     # Vnode 0 = l7 (latest), a0 (all), c11 (causal): node3 lacks two
     # rows node0 has, node0 lacks one node3 has; node1 needs nothing.

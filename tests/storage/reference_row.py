@@ -10,15 +10,24 @@ hold their first element in their own slots, to give the same
 outcomes, elements (order included), write modes, Monitors columns,
 dirty order and counters as this reference on random operation
 sequences.
+
+The reference also keeps the vnode index the way the node kept it
+before the store owned it: a set of keys per vnode, in first-entry
+order, that every write path (causal ones included) adds its key to
+after the write, that a delete takes the key out of and that
+:meth:`ReferenceStore.forget_vnode` pops; a monitor registration
+indexes nothing.  The store's per-vnode key lists, vnode order and key
+counts must equal it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
-from repro.storage.versioned import ValueElement, WriteOutcome, element_order
+from repro.storage.versioned import (DvvRow, ValueElement, WriteOutcome,
+                                     element_order)
 
 _NO_MONITORS: frozenset = frozenset()
 
@@ -32,8 +41,6 @@ class ReferenceRow:
     elements: list[ValueElement] = field(default_factory=list)
     monitors: Union[set[str], frozenset[str]] = _NO_MONITORS
     lww: Optional[bool] = None
-    wire_size: Optional[int] = field(default=None, repr=False,
-                                     compare=False)
 
     def latest(self) -> Optional[ValueElement]:
         elements = self.elements
@@ -53,17 +60,34 @@ class ReferenceRow:
 class ReferenceStore:
     """The LWW half of the store over :class:`ReferenceRow`."""
 
-    def __init__(self) -> None:
+    def __init__(self, vnode_of: Callable[[str], int],
+                 dvv_sibling_cap: int = 16) -> None:
         self.rows: dict[str, ReferenceRow] = {}
-        self._dirty_keys: dict[str, None] = {}
+        self.dvv_rows: dict[str, DvvRow] = {}
+        self.dvv_sibling_cap = dvv_sibling_cap
+        self._dirty_keys: Optional[dict[str, None]] = None
+        self.vnode_of = vnode_of
+        self.vnode_keys: dict[int, set[str]] = {}
         self.writes_ok = 0
         self.writes_outdated = 0
         self.reads = 0
         self.bytes_written = 0
         self.bytes_read = 0
 
+    def _index_key(self, key: str) -> None:
+        self.vnode_keys.setdefault(self.vnode_of(key), set()).add(key)
+
+    def forget_vnode(self, vnode_id: int) -> None:
+        self.vnode_keys.pop(vnode_id, None)
+
+    def keep_dirty(self) -> None:
+        if self._dirty_keys is None:
+            self._dirty_keys = {}
+
     def _mark_dirty(self, key: str) -> None:
         dirty = self._dirty_keys
+        if dirty is None:
+            return
         if key in dirty:
             del dirty[key]
         dirty[key] = None
@@ -75,6 +99,7 @@ class ReferenceStore:
             row = ReferenceRow()
             self.rows[key] = row
         row.lww = True
+        self._index_key(key)
         elements = row.elements
         if elements:
             current = (elements[0] if len(elements) == 1
@@ -83,7 +108,6 @@ class ReferenceStore:
                 self.writes_outdated += 1
                 return WriteOutcome.OUTDATED
         row.elements = [ValueElement(source, timestamp, value)]
-        row.wire_size = None
         self._mark_dirty(key)
         self.writes_ok += 1
         self.bytes_written += _value_size(value)
@@ -96,6 +120,7 @@ class ReferenceStore:
             row = ReferenceRow()
             self.rows[key] = row
         row.lww = False
+        self._index_key(key)
         existing = row.element_from(source)
         if existing is not None and timestamp <= existing.timestamp:
             self.writes_outdated += 1
@@ -103,7 +128,6 @@ class ReferenceStore:
         if existing is not None:
             row.elements.remove(existing)
         row.elements.append(ValueElement(source, timestamp, value))
-        row.wire_size = None
         self._mark_dirty(key)
         self.writes_ok += 1
         self.bytes_written += _value_size(value)
@@ -111,7 +135,12 @@ class ReferenceStore:
 
     def delete(self, key: str) -> bool:
         existed = self.rows.pop(key, None) is not None
-        self._dirty_keys.pop(key, None)
+        existed = (self.dvv_rows.pop(key, None) is not None) or existed
+        if self._dirty_keys is not None:
+            self._dirty_keys.pop(key, None)
+        indexed = self.vnode_keys.get(self.vnode_of(key))
+        if indexed is not None:
+            indexed.discard(key)
         return existed
 
     def read_latest(self, key: str) -> Optional[ValueElement]:
@@ -143,6 +172,8 @@ class ReferenceStore:
 
     def drain_dirty(self, limit: int = 0) -> list[tuple[str, ReferenceRow]]:
         dirty = self._dirty_keys
+        if dirty is None:
+            return []
         keys = list(dirty if limit <= 0 else islice(dirty, limit))
         out: list[tuple[str, ReferenceRow]] = []
         rows = self.rows
@@ -161,6 +192,7 @@ class ReferenceStore:
             self.rows[key] = row
         if lww is not None:
             row.lww = lww
+        self._index_key(key)
         changed = False
         for el in elements:
             mine = row.element_from(el.source)
@@ -174,5 +206,23 @@ class ReferenceStore:
             row.elements = [top]
             changed = True
         if changed:
-            row.wire_size = None
             self._mark_dirty(key)
+
+    def causal_update(self, key: str, value: Any, timestamp: float,
+                      source: str, ctx: dict[str, int],
+                      replica_id: str) -> tuple[tuple[str, int], DvvRow]:
+        row = self.dvv_rows.setdefault(key, DvvRow())
+        dot, _pruned = row.update(ctx, source, timestamp, value,
+                                  replica_id, self.dvv_sibling_cap)
+        self._index_key(key)
+        self.writes_ok += 1
+        self.bytes_written += _value_size(value)
+        return dot, row
+
+    def causal_merge(self, key: str, incoming: DvvRow) -> bool:
+        row = self.dvv_rows.setdefault(key, DvvRow())
+        changed, _pruned = row.merge(incoming, self.dvv_sibling_cap)
+        self._index_key(key)
+        if changed:
+            self.writes_ok += 1
+        return changed

@@ -96,6 +96,28 @@ class TestReadsAndDelete:
 
 
 class TestDirtyTracking:
+    @pytest.fixture
+    def store(self):
+        """A store a trigger scanner drains: it keeps the Dirty column."""
+        store = VersionedStore()
+        store.keep_dirty()
+        return store
+
+    def test_an_unscanned_store_keeps_no_dirty_column(self):
+        store = VersionedStore()
+        store.write_latest("k", "v", 1.0, "s")
+        store.write_all("l", "v", 1.0, "s")
+        store.merge_elements("m", [ValueElement("s", 1.0, "v")])
+        assert store._dirty_keys is None
+        assert store.drain_dirty() == []
+
+    def test_writes_before_keep_dirty_are_not_dirty(self):
+        store = VersionedStore()
+        store.write_latest("before", "v", 1.0, "s")
+        store.keep_dirty()
+        store.write_latest("after", "v", 1.0, "s")
+        assert [k for k, _ in store.drain_dirty()] == ["after"]
+
     def test_write_sets_dirty(self, store):
         store.write_latest("k", "v", 1.0, "s")
         assert store.drain_dirty() == [("k", store.rows["k"])]
@@ -173,23 +195,6 @@ class TestRow:
         el = ValueElement("s", 1.0, "v")
         assert Row([el]).latest() == el
         assert Row().latest() is None
-
-    def test_every_write_resets_the_wire_size(self, store):
-        store.write_latest("k", "v", 1.0, "s")
-        row = store.rows["k"]
-        for write in (lambda: store.write_latest("k", "w", 2.0, "s"),
-                      lambda: store.write_all("k", "x", 3.0, "t"),
-                      lambda: store.merge_elements(
-                          "k", [ValueElement("u", 4.0, "y")])):
-            row.wire_size = 99
-            write()
-            assert row.wire_size is None
-        store.write_latest("q", "v", 2.0, "s")
-        row = store.rows["q"]
-        row.wire_size = 99
-        store.write_latest("q", "old", 0.5, "s")       # outdated
-        store.merge_elements("q", [ValueElement("s", 2.0, "v")])  # no change
-        assert row.wire_size == 99
 
 
 class TestMonitors:

@@ -35,7 +35,7 @@ class TestPoints:
 
     def test_grid_covers_space(self):
         grid = grid_points()
-        assert len(grid) == 4 * 3 * 3 * 3
+        assert len(grid) == 4 * 3 * 1 * 3
         assert len(set(grid)) == len(grid)
         assert grid_points(limit=5) == grid[:5]
 
