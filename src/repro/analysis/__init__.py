@@ -21,32 +21,15 @@ for it:
   start of every pytest session (tier-1 included), so a stray
   ``time.time()`` fails the build before it flakes a replay.
 
-* :mod:`repro.analysis.hazards` — an opt-in dynamic detector that
-  instruments the :class:`~repro.net.simulator.Simulator`, builds a
-  happens-before graph over event-trigger and process-resume edges,
-  logs same-timestep shared-state accesses, and flags *tie hazards*:
-  two events at identical ``(time, priority)`` whose relative order
-  changes observable state.  Enabled with ``ChaosRunner(...,
-  hazards=True)`` or ``python -m repro.chaos --hazards``.
+Which order same-instant events run in is not analysed here but run:
+``RunSpec.tie_seed`` (``python -m repro.chaos --ties K``) replays a
+seed under other tie orders (docs/protocols.md §13.2).
 
 See docs/protocols.md §13 for the rule catalogue and the waiver
 syntax (``# repro: allow[rule-id]``).
 """
 
-__all__ = ["Report", "Violation", "analyze", "HazardDetector", "TieHazard"]
+from .index import Violation
+from .report import Report, analyze
 
-_EXPORTS = {
-    "Report": "report", "Violation": "index", "analyze": "report",
-    "HazardDetector": "hazards", "TieHazard": "hazards",
-}
-
-
-def __getattr__(name: str):
-    # Lazy so the chaos runner's hazard detector does not load the
-    # static analyzer, nor the analyzer the simulator.
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(name)
-    import importlib
-    module = importlib.import_module(f".{module_name}", __name__)
-    return getattr(module, name)
+__all__ = ["Report", "Violation", "analyze"]

@@ -37,7 +37,7 @@ from ..core.gc import GarbageCollector
 from ..core.types import FullKey
 from ..net.rpc import RpcRejected, RpcTimeout
 from ..storage.versioned import wire_dvv_row
-from ..net.simulator import AllOf
+from ..net.simulator import AllOf, Simulator
 from ..obs import OFF, Observability
 from ..zk.server import RPC_TIMEOUT, ZkConfig
 from .history import History
@@ -61,11 +61,6 @@ class ChaosReport:
     crashes: int = 0
     restarts: int = 0
     op_counts: dict = field(default_factory=dict)
-    # Tie hazards found by the opt-in detector (hazards=True); empty
-    # both when clean and when detection was off — check
-    # ``hazard_report`` for whether it ran.
-    hazards: list = field(default_factory=list)
-    hazard_report: str = ""
     # Metrics snapshot of the observed run (obs=True); empty dict when
     # obs was off, like the three pipeline fields below.
     obs_snapshot: dict = field(default_factory=dict)
@@ -101,6 +96,8 @@ class ChaosReport:
         """Human-readable summary (bench output, failure triage)."""
         lines = [
             f"chaos seed={self.spec.seed} profile={self.spec.profile} "
+            + (f"tie_seed={self.spec.tie_seed} "
+               if self.spec.tie_seed is not None else "")
             + (f"scenario={self.scenario} " if self.scenario else "")
             + f"ops={len(self.history)} digest={self.digest[:16]}…",
             f"  faults: {len(self.schedule.events)} events "
@@ -146,8 +143,6 @@ class ChaosReport:
                 f"{len(self.flight_dump.get('packets', ()))} packets "
                 f"({len(self.flight_dump.get('violating_traces', {}))} "
                 f"violating keys cross-referenced)")
-        if self.hazard_report:
-            lines.append("  " + self.hazard_report.replace("\n", "\n  "))
         return "\n".join(lines)
 
 
@@ -156,12 +151,11 @@ class ChaosRunner:
 
     What runs is one :class:`~repro.chaos.spec.RunSpec` — pass it, or
     its fields as keywords (``ChaosRunner(seed=3, duration=6.0)``).
-    Every other keyword only watches — the run, its schedule and its
-    digest are the spec's whichever of them is on.  ``obs`` runs the
-    whole diagnosis pipeline (:class:`~repro.obs.Observability`: metrics,
-    spans, samples, SLOs, flight dump); ``hazards`` the tie-hazard
-    detector.  Both want the kernel's one tracer slot: to get both views
-    of a seed, run it twice.
+    ``obs`` only watches — the run, its schedule and its digest are the
+    spec's whether it is on or not — and runs the whole diagnosis
+    pipeline (:class:`~repro.obs.Observability`: metrics, spans,
+    samples, SLOs, flight dump).  ``spec.tie_seed`` runs the spec's
+    other same-instant interleavings, observed or not.
     """
 
     LW_PREFIX = "lw"     # write_latest keys, shared across clients
@@ -182,24 +176,18 @@ class ChaosRunner:
     ZK_SESSION_TIMEOUT = 1.0
 
     def __init__(self, spec: Optional[RunSpec] = None, *,
-                 hazards: bool = False, obs: bool = False, **fields):
+                 obs: bool = False, **fields):
         if spec is None:
             spec = RunSpec(**fields)
         elif fields:
             raise TypeError("pass a RunSpec or its fields, not both: "
                             + ", ".join(sorted(fields)))
-        if hazards and obs:
-            # Both want the simulator's single tracer slot.
-            raise ValueError("hazards and obs are mutually exclusive: "
-                             "the kernel has one tracer slot")
         self.spec = spec
         self.seed = spec.seed
         self.config = spec.sedna_config()
         self.zk_config = ZkConfig(session_timeout=self.ZK_SESSION_TIMEOUT)
         # Per-(client, key) causal contexts, refreshed by causal reads.
         self._contexts: dict[tuple[str, str], list] = {}
-        self.hazards = hazards
-        self.hazard_detector = None
         self.rebalancer = None
         # The live bundle (OFF unobserved): span timelines, series and
         # SLO reports stay readable through it after run() returns.
@@ -219,16 +207,8 @@ class ChaosRunner:
         self.cluster = SednaCluster(
             n_nodes=self.spec.n_nodes, zk_size=self.ZK_SIZE, seed=self.seed,
             config=self.config, zk_config=self.zk_config,
-            obs=self.obs_bundle)
+            sim=Simulator(tie_seed=self.spec.tie_seed), obs=self.obs_bundle)
         sim = self.cluster.sim
-        if self.hazards:
-            # Local import: repro.analysis depends on repro.net only,
-            # and plain chaos runs must not pay the tracer.
-            from ..analysis.hazards import HazardDetector
-            self.hazard_detector = HazardDetector().attach(sim)
-            for name in sorted(self.cluster.nodes):
-                node = self.cluster.nodes[name]
-                self.hazard_detector.track_store(name, node.store)
         self.cluster.start()
         if self.obs_bundle is not OFF:
             # The sampler joins the event queue, the flight recorder
@@ -289,10 +269,6 @@ class ChaosRunner:
                              crashes=self._crashes, restarts=self._restarts,
                              op_counts=dict(sorted(self._op_counts.items())),
                              migrations=migrations)
-        if self.hazard_detector is not None:
-            self.hazard_detector.detach()
-            report.hazards = list(self.hazard_detector.hazards)
-            report.hazard_report = self.hazard_detector.report()
         if self.obs_bundle is not OFF:
             bundle = self.obs_bundle
             report.obs_snapshot = bundle.snapshot()
@@ -678,11 +654,6 @@ class ChaosRunner:
         while True:
             try:
                 yield from node.restart()
-                if self.hazard_detector is not None:
-                    # restart() built a fresh store; wrapping is per
-                    # instance, so re-track the new one.
-                    self.hazard_detector.track_store(node.name,
-                                                     node.store)
                 if (self.rebalancer is not None
                         and self.rebalancer.node is node):
                     # The balance loop died with its host; revive it so

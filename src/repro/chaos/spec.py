@@ -1,13 +1,14 @@
 """The identity of one chaos run, as one frozen value.
 
 A :class:`RunSpec` holds exactly the inputs that move the fault
-schedule or the history digest — nothing that only *watches* a run
-(``hazards``, ``obs``, the flight recorder, SLO evaluation: those are
-:class:`~repro.chaos.runner.ChaosRunner` keywords, and none of them can
-move a byte — a seed has one interleaving, docs/protocols.md §14).  The
-CLIs, the golden fixture, the explorer and the regression corpus all
-build, pass around and store this one value; ``to_dict`` is a corpus
-file's ``"spec"``.
+schedule or the history digest — the tie seed among them, which picks
+the order of same-instant events — and nothing that only *watches* a
+run (``obs``: the metrics, spans, flight recorder and SLO evaluation
+are one :class:`~repro.chaos.runner.ChaosRunner` keyword, and it cannot
+move a byte — a (seed, tie seed) pair has one interleaving,
+docs/protocols.md §14).  The CLIs, the golden fixture, the explorer and
+the regression corpus all build, pass around and store this one value;
+``to_dict`` is a corpus file's ``"spec"``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ class RunSpec:
     rebalance_opts: Optional[Mapping[str, Any]] = None
     # SednaConfig field overrides; see sedna_config().
     config: Mapping[str, Any] = field(default_factory=dict)
+    # Order of same-(time, priority) events: None runs them in the
+    # order they were queued; an int runs the permutation it seeds
+    # (net.simulator.Simulator).  Stored only when set.
+    tie_seed: Optional[int] = None
 
     def __post_init__(self):
         if self.causal not in (None, "dvv", "lww"):
@@ -75,6 +80,8 @@ class RunSpec:
         d = asdict(self)
         if self.scenario is not None:
             d["scenario"] = self.scenario.to_dict()
+        if self.tie_seed is None:
+            del d["tie_seed"]
         return d
 
     @classmethod

@@ -26,7 +26,11 @@ the reproduction uses:
 
 Determinism: event ordering is a strict ``(time, priority, sequence)``
 total order, so two runs with the same seed produce byte-identical
-traces.
+traces.  Equal ``(time, priority)`` entries run in the order they were
+queued, one legal execution of many; ``Simulator(tie_seed=k)`` runs
+another: the four sites that queue an entry (``Event.succeed``,
+``sim.timeout``, ``_push``, ``sim.deadline``) put a seeded hash above
+the sequence number (``_tie_key``), and nothing else changes.
 
 Hot-path discipline (per the HPC guides: measure, then flatten): in
 CPython the costs that matter at these event rates are interpreter
@@ -92,6 +96,8 @@ class SimulationError(RuntimeError):
 # Priorities: lower runs first at equal timestamps.
 URGENT = 0
 NORMAL = 1
+
+_M64 = (1 << 64) - 1
 
 
 class Event:
@@ -166,6 +172,8 @@ class Event:
         # events/s (best of 15 alternated rounds, CPython 3.11).
         sim = self.sim
         sim._seq = seq = sim._seq + 1
+        if sim.tie_seed is not None:
+            seq = sim._tie_key(seq, sim.tie_seed)
         entry = (sim.now, NORMAL, seq, self)
         buf = sim._nbuf
         if buf is None:
@@ -258,6 +266,8 @@ class _DeadlineLine:
     FIFO sorted.  While the FIFO is not empty its head is queued with
     the tuple it was reserved for; when the head pops, the next live
     entry is queued, and cancelled ones met on the way are let go.
+    Since only the head is queued, same-instant reservations of one
+    delay fire in reservation order under any tie seed.
     """
 
     __slots__ = ("sim", "fifo", "fire")
@@ -500,11 +510,14 @@ class Simulator:
         assert sim.now == 1.0 and proc.value == "done"
 
     Attach observation hooks (``tracer``) while the loop is idle —
-    ``run()`` latches it once per call.
+    ``run()`` latches it once per call.  ``tie_seed`` picks the order
+    of equal ``(time, priority)`` entries; None runs them in ``seq``
+    order.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tie_seed: Optional[int] = None) -> None:
         self.now: float = 0.0
+        self.tie_seed = tie_seed
         # The pending-event queue: a binary heap of (time, priority,
         # seq, event) tuples PLUS the buffer slot `_nbuf`, which holds
         # the entry that would be at the heap top (or None).  Pushes
@@ -514,11 +527,15 @@ class Simulator:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._nbuf: Optional[tuple[float, int, int, Event]] = None
         self._seq = 0
+        # Sequence numbers taken by watch_timeout: left out of the tie
+        # keys, so a watched run's entries keep their unwatched keys.
+        self._watched = 0
         # delay -> the FIFO of its deadline reservations (Deadline).
         self._lines: dict[float, _DeadlineLine] = {}
-        # Opt-in observation hook (repro.analysis.hazards).  When set,
-        # the kernel reports every schedule, step and dropped deadline;
-        # the plain path pays one ``is None`` check per operation.
+        # Opt-in observation hook (repro.obs.trace's span tracer).
+        # When set, the kernel reports every schedule, step and dropped
+        # deadline; the plain path pays one ``is None`` check per
+        # operation.
         self.tracer: Optional[Any] = None
 
     @property
@@ -526,6 +543,18 @@ class Simulator:
         """Sequence numbers taken (perf accounting): every event
         queued, and every deadline reserved, cancelled or not."""
         return self._seq
+
+    def _tie_key(self, seq: int, tie_seed: int) -> int:
+        """``seq``'s queue key under ``tie_seed``: a splitmix64 hash of
+        (unwatched number, tie seed) above ``seq`` in the low 40 bits.
+        Keys stay unique, and only equal ``(time, priority)`` entries
+        ever compare them, so ties pop in hash order.  An entry can tie
+        only with entries already queued, never with its scheduler."""
+        z = ((seq - self._watched) * 0x9E3779B97F4A7C15
+             + tie_seed * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return (z ^ (z >> 31)) << 40 | seq
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
@@ -568,6 +597,8 @@ class Simulator:
         t._ok = True
         t._triggered = False
         self._seq = seq = self._seq + 1
+        if self.tie_seed is not None:
+            seq = self._tie_key(seq, self.tie_seed)
         when = self.now + delay
         entry = (when, NORMAL, seq, t)
         buf = self._nbuf
@@ -582,6 +613,15 @@ class Simulator:
             self.tracer.on_schedule(t, NORMAL, when)
         return t
 
+    def watch_timeout(self, delay: float) -> Timeout:
+        """:meth:`timeout` for code that only watches the run (the obs
+        sampler).  It is numbered and ordered like any timeout, but its
+        number is left out of the tie keys of later entries, so a
+        watched run under a tie seed is the unwatched run."""
+        t = self.timeout(delay)
+        self._watched += 1
+        return t
+
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a process starting at the current time."""
         return Process(self, generator, name)
@@ -590,6 +630,8 @@ class Simulator:
     def _push(self, event: Event, priority: int, delay: float) -> None:
         """Enqueue ``event`` (its ``_ok`` already set) ``delay`` out."""
         self._seq = seq = self._seq + 1
+        if self.tie_seed is not None:
+            seq = self._tie_key(seq, self.tie_seed)
         when = self.now + delay
         self._enqueue((when, priority, seq, event))
         if self.tracer is not None:
@@ -630,6 +672,8 @@ class Simulator:
             line = self._lines[delay] = _DeadlineLine(self)
         d._line = line
         self._seq = seq = self._seq + 1
+        if self.tie_seed is not None:
+            seq = self._tie_key(seq, self.tie_seed)
         when = self.now + delay
         entry = (when, NORMAL, seq, d)
         fifo = line.fifo

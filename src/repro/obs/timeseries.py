@@ -4,7 +4,7 @@ A :class:`MetricsRegistry` snapshot is a point-in-time export; an
 operator (or the SLO evaluator, or the flight recorder) wants the
 *shape over time* — rates, levels and latency distributions per
 sampling window.  :class:`TimeSeriesRecorder` samples the registry on
-the simulated clock (one ``sim.timeout`` per interval), turns
+the simulated clock (one ``sim.watch_timeout`` per interval), turns
 each sample into per-series **deltas** (counters and histograms) or
 **levels** (gauges), and keeps them in bounded per-series ring
 buffers.
@@ -13,7 +13,8 @@ Everything is sim-clock deterministic: sampling rides the kernel's
 event queue like any other daemon, points are plain ints/floats, and
 :meth:`export` emits sorted labels — two runs of one seed produce
 byte-identical JSON.  Sampling reads the registry and schedules only
-its own timer, so an observed run keeps the plain run's digest.
+its own timer, a watch timeout that no tie key counts, so an observed
+run keeps the plain run's digest, under a tie seed too.
 
 Point shapes per series kind:
 
@@ -123,27 +124,27 @@ class TimeSeriesRecorder:
         #: pattern -> :meth:`matching` result; cleared on a new track.
         self._matches: dict[str, list[str]] = {}
         self._running = False
-        self._proc: Optional[Any] = None
+        self._sim: Optional[Any] = None
 
     # -- sampling loop ---------------------------------------------------
     def start(self, sim: Any) -> "TimeSeriesRecorder":
-        """Spawn the sampling daemon on ``sim``; returns self."""
+        """Sample on ``sim`` every ``interval``; returns self."""
         if self._running:
             return self
         self._running = True
-        self._proc = sim.process(self._loop(sim), name="obs-timeseries")
+        self._sim = sim
+        sim.watch_timeout(self.interval).callbacks.append(self._tick)
         return self
 
     def stop(self) -> None:
         self._running = False
 
-    def _loop(self, sim: Any):
-        interval = self.interval
-        while self._running:
-            yield sim.timeout(interval)
-            if not self._running:
-                return
-            self.sample(sim.now)
+    def _tick(self, _ev: Any) -> None:
+        if not self._running:
+            return
+        sim = self._sim
+        self.sample(sim.now)
+        sim.watch_timeout(self.interval).callbacks.append(self._tick)
 
     # -- one sample ------------------------------------------------------
     def sample(self, now: float) -> dict:

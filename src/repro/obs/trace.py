@@ -4,10 +4,10 @@ A trace is minted at the client when an operation starts and follows
 the request through every hop: coordinator dispatch, replica RPCs,
 read repair, ZK lookups.  Propagation never touches a payload:
 
-* **Event-graph inheritance** (implicit): the tracer rides the same
-  three-hook protocol the hazard detector introduced
-  (``on_schedule`` / ``on_step`` / ``on_step_done`` — plain runs pay
-  one ``is None`` check per kernel operation).  Any event scheduled
+* **Event-graph inheritance** (implicit): the tracer is the kernel's
+  one ``sim.tracer`` and rides its three hooks (``on_schedule`` /
+  ``on_step`` / ``on_step_done`` — plain runs pay one ``is None``
+  check per kernel operation).  Any event scheduled
   during a traced event's callback window inherits the active
   ``(trace_id, span_id)`` context, so generators, deferred callbacks
   and network deliveries stay in-trace with zero per-site wiring.
@@ -24,11 +24,9 @@ Spans are recorded per trace in creation order, which is causal order
 (a child span is always created during its parent's lifetime), so the
 span tree and its rendering are deterministic for a given seed.
 
-A simulator has one tracer slot: span tracing and hazard detection
-are mutually exclusive in a single run (``attach`` raises, same as
-:class:`~repro.analysis.hazards.HazardDetector`).  Neither moves the
-run, so a seed replayed once with each shows the same interleaving
-both ways.
+Tracing never moves the run, under a tie seed too: the tracer follows
+the event graph, not the queue order, so an observed run under
+``Simulator(tie_seed=k)`` has the plain permuted run's digest.
 """
 
 from __future__ import annotations

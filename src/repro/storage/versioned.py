@@ -638,6 +638,10 @@ class VersionedStore:
             row = rows.get(key)
             if row is not None:
                 out.append((key, row))
+        if not dirty:
+            # A dict never shrinks its table: an emptied map is
+            # replaced, so a drained column gives its memory back.
+            self._dirty_keys = {}
         return out
 
     # -- replication support -------------------------------------------------

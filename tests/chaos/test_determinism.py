@@ -1,4 +1,5 @@
-"""Replay identity: a chaos run is fully determined by its seed.
+"""Replay identity: a chaos run is fully determined by its seed (and
+its tie seed, when it has one).
 
 The history digest covers every operation record (invocation and
 response times, acks, responders, results) plus the per-method message
@@ -33,12 +34,13 @@ class TestReplayIdentity:
 
 
 class TestObserversOnlyWatch:
-    """One seed has one interleaving, whoever is watching.
+    """One (seed, tie seed) has one interleaving, whoever is watching.
 
     Trace context rides ``Message.trace`` beside the payload, never in
-    the sized envelope, so the bundle and everything that rides it
-    replay the plain run — the goldens guard the traced path too, and a
-    diagnosis tool looks at the run that actually failed.
+    the sized envelope, and the sampler's ticks stay out of the tie
+    keys, so the bundle and everything that rides it replay the plain
+    run — the goldens guard the traced path too, and a diagnosis tool
+    looks at the run that actually failed, permuted or not.
     """
 
     @pytest.mark.parametrize("config", sorted(GOLDEN_CONFIGS))
@@ -50,10 +52,24 @@ class TestObserversOnlyWatch:
         assert report.flight_dump and report.slo_status
         assert report.digest == load_goldens()[config][1]
 
-    def test_hazards_watch_too_but_not_with_the_bundle(self):
-        spec = RunSpec(seed=3, duration=4.0)
-        assert ChaosRunner(spec, hazards=True).run().digest == \
-            ChaosRunner(spec).run().digest
-        # Both want the kernel's one tracer slot: replay the seed twice.
-        with pytest.raises(ValueError, match="one tracer slot"):
-            ChaosRunner(spec, hazards=True, obs=True)
+    def test_an_observed_permuted_run_keeps_its_digest(self):
+        spec = RunSpec(seed=3, duration=4.0, tie_seed=2)
+        observed = ChaosRunner(spec, obs=True).run()
+        assert observed.obs_snapshot["tracing"]["spans"] > 0
+        assert observed.digest == ChaosRunner(spec).run().digest
+
+
+class TestTieSeeds:
+    """A tie seed picks one order of same-instant events; the pair
+    (seed, tie seed) replays as exactly as a seed alone does."""
+
+    def test_same_seed_and_tie_seed_identical_history(self):
+        spec = RunSpec(seed=2, duration=6.0, tie_seed=4)
+        a, b = ChaosRunner(spec).run(), ChaosRunner(spec).run()
+        assert a.digest == b.digest
+        assert a.history.to_bytes() == b.history.to_bytes()
+        assert a.end_time == b.end_time
+
+    def test_no_tie_seed_is_the_golden(self):
+        spec = RunSpec(seed=1, tie_seed=None, **GOLDEN_CONFIGS["chaos"])
+        assert ChaosRunner(spec).run().digest == load_goldens()["chaos"][1]

@@ -21,6 +21,7 @@ SPECS = {
                          rebalance_opts={"pass_byte_budget": 32 * 1024,
                                          "weights": {"writes": 4.0}},
                          config={"read_quorum": 3, "lease_base": 0.5}),
+    "permuted": RunSpec(seed=3, tie_seed=2),
 }
 
 
@@ -57,14 +58,21 @@ def test_runner_takes_a_spec_or_its_fields_not_both():
         ChaosRunner(spec, seed=1)
 
 
-@pytest.mark.parametrize("observer", ["hazards", "obs"])
+@pytest.mark.parametrize("observer", ["obs"])
 def test_observers_are_not_part_of_the_spec(observer):
     spec = RunSpec(seed=3)
     runner = ChaosRunner(spec, **{observer: True})
     assert runner.spec is spec
-    assert (runner.obs_bundle is OFF) == (observer == "hazards")
+    assert runner.obs_bundle is not OFF
     with pytest.raises(TypeError):
         RunSpec.from_dict({**spec.to_dict(), observer: True})
+
+
+def test_tie_seed_is_stored_only_when_set():
+    """Every spec without a tie seed keeps its pre-tie-seed dict, so
+    corpus entries and results files stay byte-identical."""
+    assert "tie_seed" not in SPECS["plain"].to_dict()
+    assert SPECS["permuted"].to_dict()["tie_seed"] == 2
 
 
 def test_surface_stays_small():
@@ -74,5 +82,5 @@ def test_surface_stays_small():
     params = set(inspect.signature(ChaosRunner.__init__).parameters)
     names = {f.name for f in fields(RunSpec)}
     assert not gone & (params | names)
-    assert len(params - {"self", "fields"}) <= 3  # spec, hazards, obs
+    assert len(params - {"self", "fields"}) <= 2  # spec, obs
     assert len(names) <= 10

@@ -121,14 +121,14 @@ def _build(sim, plan, log):
     return waitables
 
 
-def _drive(plan, stop, runner, traced):
+def _drive(plan, stop, runner, traced, tie_seed=None, hooks_cls=_Hooks):
     """Build ``plan`` on a fresh simulator and run it to ``stop`` with
     ``runner``, again after each raise (at most four runs); returns all
     that can be seen."""
-    sim = Simulator()
+    sim = Simulator(tie_seed=tie_seed)
     hooks = None
     if traced:
-        hooks = sim.tracer = _Hooks(sim)
+        hooks = sim.tracer = hooks_cls(sim)
     log = []
     waitables = _build(sim, plan, log)
     if stop[0] == "drain":

@@ -4,12 +4,16 @@ A store keeps the Dirty column only on a node a trigger runtime scans:
 an unscanned cluster keeps no dirty map however much it is written, a
 scanned node keeps its column across a crash and restart (the rows it
 recovers from disk are dirty again, as every merged row is), and a
-write made before ``TriggerRuntime.start()`` is never scanned.
+write made before ``TriggerRuntime.start()`` is never scanned.  A
+drained column gives its memory back.
 """
+
+import sys
 
 from repro.core.cluster import SednaCluster
 from repro.core.config import SednaConfig
 from repro.core.types import FullKey
+from repro.storage.versioned import VersionedStore
 from repro.triggers.api import Action, DataHooks, Job, TriggerOutput
 from repro.triggers.runtime import TriggerRuntime
 
@@ -96,3 +100,16 @@ def test_a_restarted_node_scans_its_recovered_rows_and_new_writes():
     cluster.settle(1.0)
     assert recorder.calls[-1] == ("hot", ["v2"])
     assert len(recorder.calls) == 3
+
+
+def test_a_drained_dirty_map_gives_its_memory_back():
+    store = VersionedStore()
+    store.keep_dirty()
+    for i in range(10_000):
+        store.write_latest(f"k{i}", b"v", float(i), "src")
+    assert sys.getsizeof(store._dirty_keys) > 100_000
+    drained = store.drain_dirty(limit=4_000) + store.drain_dirty()
+    assert [key for key, _row in drained] == [f"k{i}" for i in range(10_000)]
+    assert sys.getsizeof(store._dirty_keys) <= 1024
+    store.write_latest("k0", b"w", 1e6, "src")
+    assert [key for key, _row in store.drain_dirty()] == ["k0"]
